@@ -22,6 +22,41 @@ sum_{j>J} (cos(a/j) - 1) = sum_{m>=1} (-1)^m a^{2m}/(2m)! zeta(2m, J+1),
 whose terms shrink by > 24x per step once J >= 2a (certified by twice the
 first omitted term). The explicit-J form with the a^2/J certificate remains
 available via the J argument.
+
+The float64 batch ``batch_cosine_f64`` evaluates the same limit form for
+n = 1..n_max at once, in two parts split at n0 = 256:
+
+* Rows n <= n0 sum their own head j <= J(n) = max(64, ceil(2 alpha)) directly,
+  as one dense rows x max(J) block, exactly as ``c_cosine_series`` does in mp.
+  Their certificate is twice the first omitted tail term plus roundoff:
+  4 eps times the summed |terms|, and gamma_5 alpha (1 + ln J) for the
+  rounded arguments alpha/(2j).
+* Rows n > n0 share one cutoff J* = J(n_max) per term, so the head
+  sum_{j<=J*} cos(n x_j), x_j = pi theta / j, is a type-1 nonuniform DFT. The
+  Taylor NUFFT (Anderson & Dahleh, SIAM J. Sci. Comput. 17, 1996) snaps each
+  x_j to the nearest point l_j h of a grid of M = 2^ceil(log2(4 n_max + 1))
+  points, h = 2 pi / M, bins the powers d_j^q of the offsets d_j = x_j - l_j h
+  with ``np.bincount`` and applies one real FFT per order q < Q = 22:
+  sum_j e^{-i n x_j} = sum_q (-i n)^q / q! sum_l w_q[l] e^{-i n l h}. J* is
+  then subtracted and the analytic tail at J* added. The certificate is
+  twice the first omitted tail term, the Taylor remainder
+  J* (n max|d|)^Q / Q! (max|d| <= h/2, so n max|d| <= pi/4), and a priori
+  roundoff bounds for the offsets, the binning, the FFT (the componentwise
+  radix-2 bound gamma_{8 log2 M} ||w_q||_1, Higham, Accuracy and Stability
+  of Numerical Algorithms, ch. 24) and the subtraction of J*. These are
+  derived next to the code in ``_nufft_head``.
+
+Every batch certificate also carries the roundoff of the final assembly,
+gamma_{K+6} (|A1| + sum_k |a_k contrib_k|) for K terms. The roundoff bounds
+take libm's sin, scipy's Hurwitz zeta and numpy's FFT twiddle factors as
+accurate to a few ulps (4 eps relative for the summed terms, 4u for the
+twiddles); everything else follows from the IEEE rounding model.
+
+The split keeps the cancellation in sum cos - J* harmless: its roundoff is
+about eps J*, which the factor 2/(n pi) turns into at most ~1e-11 for
+n > n0 and n_max <= 10^4, while the rows below n0, where that factor is
+largest, never cancel against J*. The cost is O(n_max log n_max + J*) per
+term instead of O(n_max J*).
 """
 from __future__ import annotations
 
@@ -39,6 +74,7 @@ from mpmath import mp
 from scipy.special import zeta as _hurwitz_f64
 
 from . import _periodic
+from ._periodic import _F64_EPS
 from .errors import ConstraintError, DomainError, HypothesisError, ToleranceNotMet
 from .functions import BeurlingSpec, _eval_F_vec, _integrate_report
 from .mellin import power_sum_exact
@@ -46,7 +82,10 @@ from .numerics import _MP_LOCK, PrecisionComplex, PrecisionReal, bits_for_tol, z
 
 _METHODS = ("direct", "cosine_series", "even_mellin_exact_L", "even_mellin_limit")
 
-_F64_EPS = float(np.finfo(np.float64).eps)
+# Rows n <= _N0 of batch_cosine_f64 sum their own head directly; rows above
+# share one cutoff and take the head from a Taylor NUFFT of order _TAYLOR_Q
+_N0 = 256
+_TAYLOR_Q = 22
 
 # zeta(2l) values at the highest precision requested so far, keyed by l
 _ZETA_CACHE: dict[int, tuple] = {}
@@ -527,13 +566,121 @@ def c_batch(
         return list(ex.map(one, ns))
 
 
+def _gamma(k):
+    """Higham's gamma_k = k u / (1 - k u), u = 2^-53 the float64 unit roundoff."""
+    ku = k * (_F64_EPS / 2.0)
+    return ku / (1.0 - ku)
+
+
+def _cos_tail(alpha, J):
+    """sum_{j>J} (cos(alpha/j) - 1) per row by its zeta series (module docstring).
+
+    Needs J >= 2 alpha. Returns (tail, sum of |series terms|, first omitted
+    term).
+    """
+    q = (J + 1).astype(np.float64)
+    tail = np.zeros_like(alpha)
+    absacc = np.zeros_like(alpha)
+    coef = alpha * alpha / 2.0
+    m = 1
+    while True:
+        term = coef * _hurwitz_f64(2 * m, q)
+        tail += -term if m % 2 else term
+        absacc += np.abs(term)
+        coef = coef * alpha * alpha / ((2 * m + 1) * (2 * m + 2))
+        trunc = coef * _hurwitz_f64(2 * m + 2, q)
+        if float(trunc.max()) < 1e-19 or m >= 64:
+            return tail, absacc, trunc
+        m += 1
+
+
+def _direct_head(alpha, J):
+    """sum_{j<=J(n)} (cos(alpha/j) - 1) per row, as one dense rows x max(J) block.
+
+    Returns (head, err): err bounds the roundoff (module docstring).
+    """
+    j = np.arange(1, int(J.max()) + 1, dtype=np.float64)[None, :]
+    terms = -2.0 * np.sin(alpha[:, None] / (2.0 * j)) ** 2
+    terms[j > J[:, None]] = 0.0
+    head = np.sum(terms, axis=1)
+    # y = alpha / (2j) carries relative error gamma_5 and |d(2 sin^2 y)/dy| <= 2,
+    # so the arguments cost gamma_5 alpha H_J <= gamma_5 alpha (1 + ln J)
+    err = 4.0 * _F64_EPS * np.sum(np.abs(terms), axis=1) + _gamma(5) * alpha * (
+        1.0 + np.log(J)
+    )
+    return head, err
+
+
+def _nufft_head(theta: float, J: int, n_lo: int, n_max: int):
+    """sum_{j<=J} (cos(n pi theta/j) - 1) for n = n_lo..n_max by a Taylor NUFFT.
+
+    Returns (head, err): err is a proven bound on |head - exact| made of the
+    Taylor remainder and the roundoff of every step (module docstring).
+    """
+    Q = _TAYLOR_Q
+    M = 1 << (4 * n_max).bit_length()  # 2^ceil(log2(4 n_max + 1))
+    h = 2.0 * math.pi / M
+    x = (math.pi * theta) / np.arange(1, J + 1, dtype=np.float64)
+    l = np.rint(x / h).astype(np.int64)
+    d = x - l * h  # |d| <= h/2 up to rounding
+    counts = np.bincount(l, minlength=M)
+    n = np.arange(n_lo, n_max + 1, dtype=np.float64)
+    s = np.zeros_like(n)
+    w_norm = np.zeros_like(n)  # sum_q n^q/q! ||w_q||_1
+    coef = np.ones_like(n)  # n^q / q!
+    p = np.ones_like(x)  # d^q
+    for q in range(Q):
+        w = np.bincount(l, weights=p, minlength=M)
+        # rfft gives sum_l w_l e^{-i n l h}; Re((-i)^q rfft) is the q-th term
+        # of Re sum_j e^{-i n x_j} = sum_j cos(n x_j)
+        f = np.fft.rfft(w)[n_lo : n_max + 1]
+        s += coef * (f.real, f.imag, -f.real, -f.imag)[q % 4]
+        w_norm += coef * float(np.sum(np.abs(w)))
+        coef = coef * n / (q + 1)
+        p = p * d
+    head = s - J
+    dmax = float(np.max(np.abs(d)))
+    L = math.log2(M)
+    # Error terms, each summed over the J points:
+    # * Taylor: |e^{iy} - sum_{q<Q} (iy)^q/q!| <= |y|^Q/Q! for real y, y = n d.
+    # * Arguments: x = fl(fl(pi theta)/j) has relative error gamma_4 and
+    #   fl(l h) adds gamma_2 (x + h), the subtraction u h, so the computed d is
+    #   within gamma_6 (x + h) of the exact x - 2 pi l/M, and cos moves by at
+    #   most n times that; sum_j x_j <= pi theta (1 + ln J).
+    # * Binning: w_q[l] (q >= 1) is a recursive sum of counts[l] powers d^q,
+    #   each from q - 1 products, so it is off by <= gamma_{counts[l]+Q}
+    #   sum |d|^q (Higham, Accuracy and Stability, 3.1 and 4.2); summed over
+    #   q >= 1 with weights n^q/q! that is <= gamma |d| n e^{n dmax}.
+    # * FFT: in a radix-2 FFT every output is a sum over inputs along paths of
+    #   log2 M butterflies. One butterfly rounds by at most
+    #   (1 + u)(1 + sqrt(2) gamma_2)(1 + mu) - 1 <= 8u (complex product,
+    #   Higham lemma 3.5; twiddles accurate to mu <= 4u; one addition), so
+    #   output n is within ((1 + 8u)^L - 1) ||w||_1 <= gamma_{8L} ||w||_1 of
+    #   the exact DFT (Higham ch. 24, taken componentwise). A radix-4 pass
+    #   rounds no more than two radix-2 levels. Forming n^q/q! (2q roundings),
+    #   the product and the sum over q add gamma_{3Q+2} relative to w_norm.
+    # * Subtracting J rounds by gamma_1 |head|.
+    err = (
+        J * coef * dmax**Q
+        + _gamma(6) * n * (math.pi * theta * (1.0 + math.log(J)) + J * h)
+        + float(np.sum(_gamma(counts[l] + Q) * np.abs(d))) * n * np.exp(n * dmax)
+        + _gamma(8 * L + 3 * Q + 2) * w_norm
+        + _gamma(1) * np.abs(head)
+    )
+    return head, err
+
+
 def batch_cosine_f64(spec: BeurlingSpec, n_max: int):
     """Route-B coefficients for n = 1..n_max, vectorized in float64.
 
-    Returns (c, cert): complex128 and float64 arrays of length n_max, with
-    per-coefficient certificates (analytic-tail truncation + roundoff).
-    Requires an admissible spec. Used for Parseval-scale batches where
-    per-coefficient mpmath calls would be too slow.
+    Returns (c, cert): complex128 and float64 arrays of length n_max. Each
+    cert[n-1] bounds |c - c(N, n)| by twice the first omitted Hurwitz-tail
+    term, the Taylor remainder of the head (rows n > 256) and a priori
+    roundoff bounds (module docstring). Requires an admissible spec. Rows
+    n <= 256 sum their own head j <= J(n) = max(64, ceil(2 alpha))
+    directly; rows above share the cutoff J* = J(n_max) and take the head
+    from a Taylor NUFFT, so the cost is O(n_max log n_max + J*) per term
+    instead of O(n_max J*).
     """
     if not spec.admissible:
         raise ConstraintError("batch route B requires an admissible spec")
@@ -543,45 +690,30 @@ def batch_cosine_f64(spec: BeurlingSpec, n_max: int):
     npi = n * math.pi
     a1 = np.where(np.arange(1, n_max + 1) % 2 == 1, 4.0 / npi, 0.0)
     c = a1.astype(np.complex128)
-    cert = 8.0 * _F64_EPS * np.abs(c)
+    cert = np.zeros(n_max)
+    mag = np.abs(a1)  # |a1| + sum_k |a_k contrib_k|
+    n0 = min(_N0, n_max)
     for t in spec.terms:
         theta = float(t.theta)
         if t.a == 0:
             continue
         alpha = npi * theta  # per-n
         J = np.maximum(64, np.ceil(2.0 * alpha)).astype(np.int64)
-        head = np.zeros(n_max, dtype=np.float64)
-        absacc = np.zeros(n_max, dtype=np.float64)
-        rowblk, jblk = 256, 1 << 13
-        for i0 in range(0, n_max, rowblk):
-            i1 = min(i0 + rowblk, n_max)
-            al = alpha[i0:i1, None]
-            Jb = J[i0:i1, None]
-            jmax_b = int(J[i0:i1].max())
-            for j0 in range(1, jmax_b + 1, jblk):
-                j = np.arange(j0, min(j0 + jblk, jmax_b + 1), dtype=np.float64)[None, :]
-                terms = -2.0 * np.sin(al / (2.0 * j)) ** 2
-                terms[j > Jb] = 0.0
-                head[i0:i1] += np.sum(terms, axis=1)
-                absacc[i0:i1] += np.sum(np.abs(terms), axis=1)
-        tail = np.zeros(n_max, dtype=np.float64)
-        coef = alpha * alpha / 2.0
-        q = (J + 1).astype(np.float64)
-        trunc = np.zeros(n_max, dtype=np.float64)
-        m = 1
-        while True:
-            term = coef * _hurwitz_f64(2 * m, q)
-            tail += -term if m % 2 else term
-            absacc += np.abs(term)
-            coef = coef * alpha * alpha / ((2 * m + 1) * (2 * m + 2))
-            trunc = coef * _hurwitz_f64(2 * m + 2, q)
-            if float(trunc.max()) < 1e-19 or m >= 64:
-                break
-            m += 1
+        J[n0:] = J[-1]
+        head = np.empty(n_max)
+        err = np.empty(n_max)
+        head[:n0], err[:n0] = _direct_head(alpha[:n0], J[:n0])
+        if n_max > n0:
+            head[n0:], err[n0:] = _nufft_head(theta, int(J[-1]), n0 + 1, n_max)
+        tail, absacc, trunc = _cos_tail(alpha, J)
+        # alpha carries relative error gamma_4 and |d tail/d alpha| <= alpha/J
+        err += 2.0 * trunc + 4.0 * _F64_EPS * absacc + _gamma(4) * alpha * alpha / J
         contrib = (head + tail) * (2.0 / npi)
         c += t.a * contrib
-        cert += abs(t.a) * (2.0 / npi) * (2.0 * trunc + 4.0 * _F64_EPS * absacc)
-    return c, cert
+        cert += abs(t.a) * (2.0 / npi) * err
+        mag += abs(t.a) * np.abs(contrib)
+    # a1 and each a_k contrib_k are formed with <= 6 roundings, then summed
+    return c, cert + _gamma(len(spec.terms) + 6) * mag
 
 
 def coefficients_csv(coeffs: list[FourierCoefficient]) -> str:

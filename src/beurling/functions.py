@@ -526,7 +526,10 @@ def mellin_numeric(spec: BeurlingSpec, s, tol: float = 1e-10) -> MellinValue:
             (lo, hi, (c0, c1, (Fraction(0), Fraction(0))))
             for lo, hi, c0, c1 in f_linear_pieces_cached(spec)
         ]
-        val, err = _periodic.u_integral_mp(pieces, dec.period, complex(s_c) + 1, bits + 32)
+        # r = s + 1 formed in mp: in float64 the sum rounds for non-dyadic s
+        with _MP_LOCK, mp.workprec(bits + 32):
+            r = mpmath.mpc(s_c) + 1
+        val, err = _periodic.u_integral_mp(pieces, dec.period, r, bits + 32)
         err_f = float(err)
         if err_f > tol:
             raise ToleranceNotMet(f"certified error {err_f:.3g} exceeds tol {tol:.3g}")

@@ -21,6 +21,7 @@ from mpmath import mp
 from .errors import ConstraintError, DomainError
 from .numerics import (
     _MP_LOCK,
+    _POLE_EXCLUSION,
     PrecisionComplex,
     PrecisionReal,
     bits_for_tol,
@@ -29,7 +30,6 @@ from .numerics import (
 )
 
 _PROVENANCES = ("closed_form", "quadrature", "reconstructed")
-_POLE_EXCLUSION = 1e-6
 
 
 @dataclass(frozen=True)

@@ -9,6 +9,8 @@ from fractions import Fraction as Fr
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from beurling import (
     BeurlingSpec,
@@ -36,6 +38,20 @@ ADM1_C = {
     5: 0.15251207528674909,
 }
 SPEC_B_C1 = 0.85292486907739207
+
+# rows n <= N0 of batch_cosine_f64 are summed directly, rows above by NUFFT
+N0 = 256
+
+
+@st.composite
+def unit_fraction_specs(draw):
+    """Admissible unit-fraction specs with |a_k| <= 1: free a_1..a_{K-1}, the
+    last coefficient solves sum a_k / b_k = 0, then all are scaled into [-1, 1]."""
+    bs = draw(st.lists(st.integers(1, 12), min_size=2, max_size=4))
+    a = [Fr(draw(st.integers(-8, 8)), 8) for _ in bs[:-1]]
+    a.append(-bs[-1] * sum(ak / bk for ak, bk in zip(a, bs)))
+    scale = max(1, max(abs(ak) for ak in a))
+    return BeurlingSpec([(ak / scale, Fr(1, b)) for ak, b in zip(a, bs)])
 
 
 class TestDirectRoute:
@@ -247,6 +263,29 @@ class TestBatch:
     def test_batch_cosine_requires_admissible(self):
         with pytest.raises(ConstraintError):
             batch_cosine_f64(BeurlingSpec([(1, 1)]), 10)
+
+    @given(
+        spec=unit_fraction_specs(),
+        n_max=st.integers(1, 3000),
+        frac_n=st.floats(0.0, 1.0),
+    )
+    @settings(max_examples=10, deadline=None)
+    def test_batch_certificate_vs_mp(self, spec, n_max, frac_n):
+        # both halves of the batch and the split itself, against the mp route
+        c, cert = batch_cosine_f64(spec, n_max)
+        ns = {1, n_max, 1 + int(frac_n * (n_max - 1))} | {N0, N0 + 1}
+        for n in sorted(k for k in ns if k <= n_max):
+            single = c_cosine_series(spec, n, tol=1e-13)
+            with mpmath.workprec(128):
+                gap = abs(mpmath.mpc(complex(c[n - 1])) - single.value.to_mpc())
+                assert gap <= cert[n - 1] + single.error_certificate.value
+
+    def test_no_parseval_fallback(self, admissible_specs):
+        # the batch certifies the default norm coeff_tol at n_max = 10^4, so
+        # norm_via_parseval never drops into the per-n mpmath route
+        for name, spec in admissible_specs.items():
+            _, cert = batch_cosine_f64(spec, 10_000)
+            assert cert.max() <= 1e-10, name
 
     def test_decay_envelope(self, spec_a):
         # |c(n)| = O(1/n): the n|c(n)| profile over 1..200 stays under a

@@ -226,6 +226,17 @@ class TestMellinNumeric:
         c = mellin_closed(adm1, s, 1e-13)
         assert abs(complex(q.value) - complex(c.value)) < 1e-10
 
+    def test_non_dyadic_s_within_error_bound(self, spec_a):
+        # s + 1 must be formed at the working precision: rounded in float64
+        # at s = 0.3 it moved the value by ~3e-16 against an error_bound ~6e-27
+        from beurling import mellin_closed
+
+        q = mellin_numeric(spec_a, 0.3, 1e-10)
+        c = mellin_closed(spec_a, 0.3, 1e-40)
+        with mpmath.workprec(2 * q.value.re.precision_bits):
+            gap = abs(q.value.to_mpc() - c.value.to_mpc())
+            assert gap <= q.error_bound.value + c.error_bound.value
+
     def test_empty_spec_closed_form(self, empty_spec):
         # M(s) = 1/s for F = 1
         for s in (1.5, 2.0, 3.25):
