@@ -29,12 +29,11 @@ from fractions import Fraction
 
 import mpmath
 import numpy as np
-from mpmath import mp
 from numpy.polynomial.legendre import leggauss
 from scipy.special import zeta as _hurwitz_f64
 
 from .errors import DomainError
-from .numerics import _MP_LOCK
+from .numerics import to_mp, workprec
 
 _F64_EPS = float(np.finfo(np.float64).eps)
 
@@ -55,6 +54,25 @@ class PeriodicDecomposition:
         return len(self.floors)
 
 
+def _breakpoint_pieces(thetas, B: int):
+    """Pieces of [0, B] cut where some theta u is an integer.
+
+    Yields (lo, hi, floors) in order, floors[k] = floor(thetas[k] u) for u
+    inside the piece.
+    """
+    pts = {Fraction(0), Fraction(B)}
+    for th in thetas:
+        step = Fraction(th.denominator, th.numerator)
+        u = step
+        while u < B:
+            pts.add(u)
+            u += step
+    bounds = sorted(pts)
+    for lo, hi in zip(bounds, bounds[1:]):
+        mid = (lo + hi) / 2
+        yield lo, hi, tuple(int(th * mid) for th in thetas)
+
+
 def decompose(spec) -> PeriodicDecomposition | None:
     """Exact one-period piece structure, or None when the period is too large.
 
@@ -72,19 +90,9 @@ def decompose(spec) -> PeriodicDecomposition | None:
     est_pieces = sum(int(B * t.theta) for t in spec.terms) + 2
     if est_pieces > PIECES_CAP:
         return None
-    pts = {Fraction(0), Fraction(B)}
-    for t in spec.terms:
-        step = Fraction(t.theta.denominator, t.theta.numerator)
-        u = step
-        while u < B:
-            pts.add(u)
-            u += step
-    bounds = tuple(sorted(pts))
-    floors = []
-    for i in range(len(bounds) - 1):
-        mid = (bounds[i] + bounds[i + 1]) / 2
-        floors.append(tuple(int(t.theta * mid) for t in spec.terms))
-    return PeriodicDecomposition(B, bounds, tuple(floors))
+    pieces = list(_breakpoint_pieces([t.theta for t in spec.terms], B))
+    bounds = tuple(lo for lo, _, _ in pieces) + (Fraction(B),)
+    return PeriodicDecomposition(B, bounds, tuple(fl for _, _, fl in pieces))
 
 
 # ---------------------------------------------------------------------------
@@ -136,43 +144,20 @@ def rho_pair_pieces(theta_j: Fraction, theta_k: Fraction):
     B = qj // math.gcd(qj, qk) * qk
     if B > PERIOD_CAP:
         return None
-    pts = {Fraction(0), Fraction(B)}
-    for th in (theta_j, theta_k):
-        step = Fraction(th.denominator, th.numerator)
-        u = step
-        while u < B:
-            pts.add(u)
-            u += step
-    bounds = sorted(pts)
-    pieces = []
-    for i in range(len(bounds) - 1):
-        lo, hi = bounds[i], bounds[i + 1]
-        mid = (lo + hi) / 2
-        mj = int(theta_j * mid)
-        mk = int(theta_k * mid)
-        c0 = Fraction(mj * mk)
-        c1 = -(mj * theta_k + mk * theta_j)
-        c2 = theta_j * theta_k
-        pieces.append((lo, hi, (c0, c1, c2)))
-    return B, pieces
+    c2 = theta_j * theta_k
+    return B, [
+        (lo, hi, (Fraction(mj * mk), -(mj * theta_k + mk * theta_j), c2))
+        for lo, hi, (mj, mk) in _breakpoint_pieces((theta_j, theta_k), B)
+    ]
 
 
 def rho_single_pieces(theta: Fraction):
     """Pieces of rho(theta u) over one period: (B, [(lo, hi, (c0, c1, 0))])."""
     B = theta.denominator
-    step = Fraction(theta.denominator, theta.numerator)
-    pts = {Fraction(0), Fraction(B)}
-    u = step
-    while u < B:
-        pts.add(u)
-        u += step
-    bounds = sorted(pts)
-    pieces = []
-    for i in range(len(bounds) - 1):
-        mid = (bounds[i] + bounds[i + 1]) / 2
-        m = int(theta * mid)
-        pieces.append((bounds[i], bounds[i + 1], (Fraction(-m), theta, Fraction(0))))
-    return B, pieces
+    return B, [
+        (lo, hi, (Fraction(-m), theta, Fraction(0)))
+        for lo, hi, (m,) in _breakpoint_pieces((theta,), B)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -262,16 +247,7 @@ def u_integral_mp(pieces, B: int, r, prec_bits: int, U_min: int = 64):
     (re, im) Fraction pairs for complex integrands.
     Returns (mpc value, mpf err_bound).
     """
-
-    def _to_mp(c):
-        if isinstance(c, tuple):
-            return mpmath.mpc(mpmath.mpf(c[0].numerator) / c[0].denominator,
-                              mpmath.mpf(c[1].numerator) / c[1].denominator)
-        if isinstance(c, Fraction):
-            return mpmath.mpf(c.numerator) / c.denominator
-        return mpmath.mpf(c)
-
-    with _MP_LOCK, mp.workprec(prec_bits):
+    with workprec(prec_bits):
         r_mp = mpmath.mpc(r)
         if mpmath.re(r_mp) <= 1:
             raise DomainError("u-integral needs Re(r) > 1 for convergence")
@@ -294,15 +270,14 @@ def u_integral_mp(pieces, B: int, r, prec_bits: int, U_min: int = 64):
                 hi_u = Fraction(off) + hi
                 if hi_u <= lo_u:
                     continue
-                cs = [_to_mp(c) for c in coeffs]
+                cs = [to_mp(c) for c in coeffs]
                 while len(cs) < 3:
                     cs.append(mpmath.mpf(0))
                 c0, c1, c2 = cs
                 k0 = c0 - c1 * off + c2 * off * off
                 k1 = c1 - 2 * c2 * off
                 k2 = c2
-                lo_m = mpmath.mpf(lo_u.numerator) / lo_u.denominator
-                hi_m = mpmath.mpf(hi_u.numerator) / hi_u.denominator
+                lo_m, hi_m = to_mp(lo_u), to_mp(hi_u)
                 for k, mexp in ((k0, -r_mp), (k1, 1 - r_mp), (k2, 2 - r_mp)):
                     if k == 0:
                         continue
@@ -313,12 +288,11 @@ def u_integral_mp(pieces, B: int, r, prec_bits: int, U_min: int = 64):
         tail = mpmath.mpc(0)
         tail_err = mpmath.mpf(0)
         for lo, hi, coeffs in pieces:
-            cs = [_to_mp(c) for c in coeffs]
+            cs = [to_mp(c) for c in coeffs]
             while len(cs) < 3:
                 cs.append(mpmath.mpf(0))
             c0, c1, c2 = cs
-            lo_m = mpmath.mpf(lo.numerator) / lo.denominator
-            hi_m = mpmath.mpf(hi.numerator) / hi.denominator
+            lo_m, hi_m = to_mp(lo), to_mp(hi)
 
             def g(w):
                 return (c0 + c1 * w + c2 * w * w) * mpmath.zeta(r_mp, (U + w) / B)
@@ -345,14 +319,10 @@ def sine_integral_mp(const_pieces, B: int, n: int, prec_bits: int, taylor_terms:
     const_pieces: [(lo: Fraction, hi: Fraction, alpha: (Fr, Fr))].
     Returns (mpc value, mpf err_bound).
     """
-    with _MP_LOCK, mp.workprec(prec_bits):
+    with workprec(prec_bits):
         npi = n * mpmath.pi
         U = B * max(2, -(-int(math.ceil(2 * math.pi * n)) // B), -(-64 // B))
         nper = U // B
-
-        def alpha_mp(a):
-            return mpmath.mpc(mpmath.mpf(a[0].numerator) / a[0].denominator,
-                              mpmath.mpf(a[1].numerator) / a[1].denominator)
 
         head = mpmath.mpc(0)
         absacc = mpmath.mpf(0)
@@ -363,11 +333,10 @@ def sine_integral_mp(const_pieces, B: int, n: int, prec_bits: int, taylor_terms:
                 hi_u = Fraction(off) + hi
                 if hi_u <= lo_u:
                     continue
-                am = alpha_mp(a)
+                am = to_mp(a)
                 if am == 0:
                     continue
-                lo_m = mpmath.mpf(lo_u.numerator) / lo_u.denominator
-                hi_m = mpmath.mpf(hi_u.numerator) / hi_u.denominator
+                lo_m, hi_m = to_mp(lo_u), to_mp(hi_u)
                 contrib = am * (mpmath.cos(npi / hi_m) - mpmath.cos(npi / lo_m)) / npi
                 head += contrib
                 absacc += abs(contrib)
@@ -377,7 +346,7 @@ def sine_integral_mp(const_pieces, B: int, n: int, prec_bits: int, taylor_terms:
         # envelope E_m = (npi)^{2m+1}/(2m+1)! * maxP * U^{-(2m+2)}/(2m+2) decays by
         # a factor (npi/U)^2 / ((2m+3)(2m+4)) <= 1/4 per step since U >= 2 n pi,
         # so 2 * E_{m+1} certifies stopping after term m.
-        max_p = max((abs(alpha_mp(a)) for _, _, a in const_pieces), default=mpmath.mpf(0))
+        max_p = max((abs(to_mp(a)) for _, _, a in const_pieces), default=mpmath.mpf(0))
         tail = mpmath.mpc(0)
         coef = npi  # (npi)^{2m+1}/(2m+1)!
         trunc = mpmath.mpf(0)
@@ -386,11 +355,11 @@ def sine_integral_mp(const_pieces, B: int, n: int, prec_bits: int, taylor_terms:
             tm = mpmath.mpc(0)
             ex = 2 * m + 2
             for lo, hi, a in const_pieces:
-                am = alpha_mp(a)
+                am = to_mp(a)
                 if am == 0:
                     continue
-                alo = (U + mpmath.mpf(lo.numerator) / lo.denominator) / B
-                ahi = (U + mpmath.mpf(hi.numerator) / hi.denominator) / B
+                alo = (U + to_mp(lo)) / B
+                ahi = (U + to_mp(hi)) / B
                 t = (mpmath.zeta(ex, alo) - mpmath.zeta(ex, ahi)) / (ex * mpmath.power(B, ex))
                 tm += am * t
             tail += coef * tm if m % 2 == 0 else -coef * tm

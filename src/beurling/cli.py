@@ -1,9 +1,11 @@
 """Command-line front end. Every subcommand wraps one library pipeline and
-writes deterministic output: identical invocations (any --threads value)
-produce byte-identical files.
+writes deterministic output: identical invocations produce byte-identical
+files. --threads is still accepted so that existing command lines keep
+working, but it has no effect: the package computes serially.
 
 Exit codes: 0 success; 2 domain/constraint/hypothesis errors (including a
-malformed --spec file and singular optimizer systems); 3 tolerance not met.
+malformed --spec file, a --tol that is not positive and finite, and singular
+optimizer systems); 3 tolerance not met.
 """
 from __future__ import annotations
 
@@ -11,6 +13,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 
 from .errors import (
@@ -174,14 +177,7 @@ def _cmd_fourier(args, spec: BeurlingSpec):
         method = _METHOD_MAP.get(args.method)
         if method is None:
             raise DomainError(f"unknown fourier method {args.method!r}")
-    coeffs = c_batch(
-        spec,
-        range(1, args.n_max + 1),
-        method=method,
-        tol=args.tol,
-        L=args.L,
-        threads=args.threads,
-    )
+    coeffs = c_batch(spec, range(1, args.n_max + 1), method=method, tol=args.tol, L=args.L)
     if args.format == "json":
         docs = [
             {
@@ -203,9 +199,9 @@ def _cmd_fourier(args, spec: BeurlingSpec):
 
 def _cmd_routes_check(args, spec: BeurlingSpec):
     ns = list(range(1, args.n_max + 1))
-    direct = c_batch(spec, ns, "direct", args.tol, threads=args.threads)
-    cosine = c_batch(spec, ns, "cosine_series", args.tol, threads=args.threads)
-    limit = c_batch(spec, ns, "even_mellin_limit", args.tol, threads=args.threads)
+    direct = c_batch(spec, ns, "direct", args.tol)
+    cosine = c_batch(spec, ns, "cosine_series", args.tol)
+    limit = c_batch(spec, ns, "even_mellin_limit", args.tol)
     rows = []
     worst = 0.0
     for fd, fc, fl in zip(direct, cosine, limit):
@@ -296,7 +292,7 @@ def _cmd_optimize(args, spec: BeurlingSpec):
 
 
 def _cmd_sweep(args, spec: BeurlingSpec):
-    rows = sweep(args.unit_n_from, args.unit_n_to, args.tol, threads=args.threads)
+    rows = sweep(args.unit_n_from, args.unit_n_to, args.tol)
     table = [[r["N"], _g(r["norm_sq"]), _g(r["norm"])] for r in rows]
     _emit(args, _table(args, ["N", "norm_sq", "norm"], table))
     return 0
@@ -320,7 +316,8 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--tol", type=float, default=tol_default)
         sp.add_argument("--out", default=None, help="output file (default: stdout)")
         sp.add_argument("--format", choices=["csv", "json"], default="csv")
-        sp.add_argument("--threads", type=int, default=1)
+        sp.add_argument("--threads", type=int, default=1,
+                        help="accepted for compatibility; has no effect")
         return sp
 
     sp = common(sub.add_parser("eval", help="evaluate f and F at a point"))
@@ -372,6 +369,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if not 0 < args.tol < math.inf:
+            raise DomainError(f"--tol must be positive and finite, got {args.tol}")
         spec = _load_spec(args.spec)
         return args.fn(args, spec)
     except (DomainError, ConstraintError, HypothesisError, SingularSystemError) as e:

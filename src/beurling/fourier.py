@@ -63,14 +63,11 @@ from __future__ import annotations
 import csv
 import io
 import math
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
 import mpmath
 import numpy as np
-from mpmath import mp
 from scipy.special import zeta as _hurwitz_f64
 
 from . import _periodic
@@ -78,7 +75,7 @@ from ._periodic import _F64_EPS
 from .errors import ConstraintError, DomainError, HypothesisError, ToleranceNotMet
 from .functions import BeurlingSpec, _eval_F_vec, _integrate_report
 from .mellin import power_sum_exact
-from .numerics import _MP_LOCK, PrecisionComplex, PrecisionReal, bits_for_tol, zeta_even
+from .numerics import PrecisionComplex, PrecisionReal, bits_for_tol, to_mp, workprec, zeta_even
 
 _METHODS = ("direct", "cosine_series", "even_mellin_exact_L", "even_mellin_limit")
 
@@ -89,7 +86,6 @@ _TAYLOR_Q = 22
 
 # zeta(2l) values at the highest precision requested so far, keyed by l
 _ZETA_CACHE: dict[int, tuple] = {}
-_ZETA_CACHE_LOCK = threading.Lock()
 
 
 @dataclass(frozen=True)
@@ -112,16 +108,15 @@ class FourierCoefficient:
 
 
 def _zeta_even_cached(l: int, bits: int):
-    """mpf zeta(2l) at >= bits working precision (monotone-growing cache)."""
-    with _ZETA_CACHE_LOCK:
-        hit = _ZETA_CACHE.get(l)
-        if hit is not None and hit[1] >= bits:
-            return hit[0]
+    """mpf zeta(2l) at >= bits working precision (monotone-growing cache).
+
+    Reached only inside a workprec section, whose lock also guards the cache.
+    """
+    hit = _ZETA_CACHE.get(l)
+    if hit is not None and hit[1] >= bits:
+        return hit[0]
     val = zeta_even(l, bits).value
-    with _ZETA_CACHE_LOCK:
-        hit = _ZETA_CACHE.get(l)
-        if hit is None or hit[1] < bits:
-            _ZETA_CACHE[l] = (val, bits)
+    _ZETA_CACHE[l] = (val, bits)
     return val
 
 
@@ -153,6 +148,16 @@ def _require_even_mellin_hypotheses(spec: BeurlingSpec, who: str):
         raise HypothesisError(f"{who} requires |a_k| <= 1 for every term")
 
 
+def _result(spec, n, value, method, order, cert, tol=None) -> FourierCoefficient:
+    """Every route's epilogue: refuse a certificate above tol (no check when
+    tol is None), then zero the imaginary part of a real spec's value."""
+    if tol is not None and float(cert) > tol:
+        raise ToleranceNotMet(f"certified error {float(cert):.3g} exceeds tol {tol:.3g}")
+    if spec.is_real:
+        value = PrecisionComplex(value.re, PrecisionReal.from_float(0.0, value.precision_bits))
+    return FourierCoefficient(n, value, method, order, cert)
+
+
 # ---------------------------------------------------------------------------
 # Route A: direct quadrature (the oracle)
 # ---------------------------------------------------------------------------
@@ -176,16 +181,10 @@ def c_direct(spec: BeurlingSpec, n, tol: float = 1e-10) -> FourierCoefficient:
         consts, _beta = _periodic.f_piece_constants(spec, dec)
         pieces = [(lo, hi, (a_re + 1, a_im)) for lo, hi, (a_re, a_im) in consts]
         val, err = _periodic.sine_integral_mp(pieces, dec.period, n, bits)
-        with _MP_LOCK, mp.workprec(bits):
+        with workprec(bits):
             value = PrecisionComplex.from_mpc(2 * val, bits)
             cert = PrecisionReal(2 * err, 64)
-        if float(cert) > tol:
-            raise ToleranceNotMet(
-                f"certified error {float(cert):.3g} exceeds tol {tol:.3g}"
-            )
-        if spec.is_real:
-            value = PrecisionComplex(value.re, PrecisionReal.from_float(0.0, bits))
-        return FourierCoefficient(n, value, "direct", None, cert)
+        return _result(spec, n, value, "direct", None, cert, tol)
 
     big_m = 1.0 + spec.sum_abs_a
     npi = n * math.pi
@@ -201,17 +200,8 @@ def c_direct(spec: BeurlingSpec, n, tol: float = 1e-10) -> FourierCoefficient:
         tail_bound_override=tol / 8.0,
         max_h=min(1.0 / 16.0, 1.0 / (2.0 * n)),
     )
-    value = 2.0 * val
-    cert = 2.0 * err
-    if cert > tol:
-        raise ToleranceNotMet(f"certified error {cert:.3g} exceeds tol {tol:.3g}")
-    bits = bits_for_tol(tol)
-    pv = PrecisionComplex.from_complex(value, bits)
-    if spec.is_real:
-        pv = PrecisionComplex(pv.re, PrecisionReal.from_float(0.0, bits))
-    return FourierCoefficient(
-        n, pv, "direct", None, PrecisionReal.from_float(cert, 64)
-    )
+    value = PrecisionComplex.from_complex(2.0 * val, bits_for_tol(tol))
+    return _result(spec, n, value, "direct", None, PrecisionReal.from_float(2.0 * err, 64), tol)
 
 
 # ---------------------------------------------------------------------------
@@ -261,16 +251,11 @@ def c_cosine_series(
         a1 = 0.0 if n % 2 == 0 else 4.0 / npi
         value = a1 + (2.0 / npi) * acc
         cert = (2.0 / npi) * cert + 8.0 * _F64_EPS * (abs(value) + 1.0)
-        bits = bits_for_tol(max(tol, 1e-15))
-        pv = PrecisionComplex.from_complex(value, bits)
-        if spec.is_real:
-            pv = PrecisionComplex(pv.re, PrecisionReal.from_float(0.0, bits))
-        return FourierCoefficient(
-            n, pv, "cosine_series", J, PrecisionReal.from_float(cert, 64)
-        )
+        pv = PrecisionComplex.from_complex(value, bits_for_tol(max(tol, 1e-15)))
+        return _result(spec, n, pv, "cosine_series", J, PrecisionReal.from_float(cert, 64))
 
     bits = bits_for_tol(tol) + 48
-    with _MP_LOCK, mp.workprec(bits):
+    with workprec(bits):
         npi = n * mpmath.pi
         acc = mpmath.mpc(0)
         cert = mpmath.mpf(0)
@@ -278,8 +263,7 @@ def c_cosine_series(
         j_max = 0
         floor = mpmath.mpf(2) ** (-bits + 8)
         for t in spec.terms:
-            theta = mpmath.mpf(t.theta.numerator) / t.theta.denominator
-            alpha = npi * theta
+            alpha = npi * to_mp(t.theta)
             a_mag = abs(t.a)
             if a_mag == 0:
                 continue
@@ -304,24 +288,14 @@ def c_cosine_series(
                     cert += a_mag * 2 * nxt
                     break
                 m += 1
-            am = mpmath.mpc(
-                mpmath.mpf(t.a_re.numerator) / t.a_re.denominator,
-                mpmath.mpf(t.a_im.numerator) / t.a_im.denominator,
-            )
-            acc += am * (head + tail)
+            acc += to_mp((t.a_re, t.a_im)) * (head + tail)
         value_mp = _a1_mp(n) + (2 / npi) * acc
         cert_total = (2 / npi) * cert + (absacc + abs(value_mp) + 1) * mpmath.mpf(2) ** (
             8 - bits
         )
         value = PrecisionComplex.from_mpc(value_mp, bits)
         cert_out = PrecisionReal(cert_total, 64)
-    if float(cert_out) > tol:
-        raise ToleranceNotMet(
-            f"certified error {float(cert_out):.3g} exceeds tol {tol:.3g}"
-        )
-    if spec.is_real:
-        value = PrecisionComplex(value.re, PrecisionReal.from_float(0.0, bits))
-    return FourierCoefficient(n, value, "cosine_series", j_max, cert_out)
+    return _result(spec, n, value, "cosine_series", j_max, cert_out, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -347,26 +321,21 @@ def remainder_bound(spec: BeurlingSpec, n, L: int) -> PrecisionReal:
         theta_pow += t.theta ** (L + 1)
     if theta_pow == 0:
         return PrecisionReal.from_float(0.0, 64)
-    with _MP_LOCK, mp.workprec(96):
+    with workprec(96):
         npi = n * mpmath.pi
         val = (
             mpmath.power(npi, L + 1)
             / mpmath.factorial(L + 1)
             * mpmath.zeta(L + 1)
-            * (mpmath.mpf(theta_pow.numerator) / theta_pow.denominator)
+            * to_mp(theta_pow)
         )
         return PrecisionReal(val, 64)
 
 
 def _m2l_mp(spec: BeurlingSpec, l: int, bits: int):
     """M(2l) = (1 - zeta(2l) P(2l)) / (2l) as an mpc at current precision."""
-    p_re, p_im = power_sum_exact(spec, 2 * l)
     zl = _zeta_even_cached(l, bits)
-    p = mpmath.mpc(
-        mpmath.mpf(p_re.numerator) / p_re.denominator,
-        mpmath.mpf(p_im.numerator) / p_im.denominator,
-    )
-    return (1 - zl * p) / (2 * l)
+    return (1 - zl * to_mp(power_sum_exact(spec, 2 * l))) / (2 * l)
 
 
 def c_even_mellin_exact_L(
@@ -390,7 +359,7 @@ def c_even_mellin_exact_L(
     _require_even_mellin_hypotheses(spec, "c_even_mellin_exact_L")
     bits = _route_c_bits(n, tol)
     rb = remainder_bound(spec, n, L)
-    with _MP_LOCK, mp.workprec(bits):
+    with workprec(bits):
         npi = n * mpmath.pi
         npi2 = npi * npi
         acc = mpmath.mpc(_a1_mp(n))
@@ -413,9 +382,7 @@ def c_even_mellin_exact_L(
             mpmath.mpf(float(rb)) + roundoff, 64
         )
         value = PrecisionComplex.from_mpc(acc, bits)
-    if spec.is_real:
-        value = PrecisionComplex(value.re, PrecisionReal.from_float(0.0, bits))
-    return FourierCoefficient(n, value, "even_mellin_exact_L", L, cert)
+    return _result(spec, n, value, "even_mellin_exact_L", L, cert)
 
 
 def _limit_L_for(n: int, tol: float, spec: BeurlingSpec) -> int:
@@ -468,7 +435,7 @@ def c_even_mellin_limit(spec: BeurlingSpec, n, tol: float = 1e-10) -> FourierCoe
     L = _limit_L_for(n, tol, spec)
     bits = _route_c_bits(n, tol)
     rb = float(remainder_bound(spec, n, L))
-    with _MP_LOCK, mp.workprec(bits):
+    with workprec(bits):
         npi = n * mpmath.pi
         npi2 = npi * npi
         acc = mpmath.mpc(0)
@@ -495,13 +462,7 @@ def c_even_mellin_limit(spec: BeurlingSpec, n, tol: float = 1e-10) -> FourierCoe
         roundoff = (absacc + 1) * mpmath.mpf(2) ** (8 - bits)
         cert = PrecisionReal(mpmath.mpf(rb) + costail + roundoff, 64)
         value = PrecisionComplex.from_mpc(acc, bits)
-    if float(cert) > tol:
-        raise ToleranceNotMet(
-            f"certified error {float(cert):.3g} exceeds tol {tol:.3g}"
-        )
-    if spec.is_real:
-        value = PrecisionComplex(value.re, PrecisionReal.from_float(0.0, bits))
-    return FourierCoefficient(n, value, "even_mellin_limit", L_used, cert)
+    return _result(spec, n, value, "even_mellin_limit", L_used, cert, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -520,7 +481,7 @@ def telescope_partial(l: int, J: int, out_precision: int = 128) -> PrecisionReal
         raise DomainError("l must be a positive integer")
     if not isinstance(J, int) or J < 1:
         raise DomainError("J must be a positive integer")
-    with _MP_LOCK, mp.workprec(out_precision + 32):
+    with workprec(out_precision + 32):
         acc = mpmath.mpf(1) - mpmath.power(J + 1, 1 - 2 * l)
         acc += mpmath.nsum(lambda j: mpmath.power(j, -2 * l), [2, J + 1], method="direct")
         return PrecisionReal(acc, out_precision)
@@ -537,15 +498,12 @@ def c_batch(
     method: str = "direct",
     tol: float = 1e-10,
     L: int | None = None,
-    threads: int = 1,
 ) -> list[FourierCoefficient]:
-    """Coefficients for each n in ns (any iterable of ints), ordered as given.
+    """Coefficients for each n in ns (any iterable of ints), in the order given.
 
-    Rows are independent; with threads > 1 they are computed concurrently
-    and returned in input order, so the output is identical for any thread
-    count.
+    Rows are computed one after another: every mp route holds the package's
+    single mpmath lock, so concurrent rows would only wait on each other.
     """
-    ns = [int(n) for n in ns]
 
     def one(n: int) -> FourierCoefficient:
         if method == "direct":
@@ -560,10 +518,7 @@ def c_batch(
             return c_even_mellin_limit(spec, n, tol)
         raise DomainError(f"unknown method {method!r}")
 
-    if threads <= 1 or len(ns) <= 1:
-        return [one(n) for n in ns]
-    with ThreadPoolExecutor(max_workers=threads) as ex:
-        return list(ex.map(one, ns))
+    return [one(int(n)) for n in ns]
 
 
 def _gamma(k):

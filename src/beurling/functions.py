@@ -18,12 +18,11 @@ from typing import Callable, Sequence
 
 import mpmath
 import numpy as np
-from mpmath import mp
 
 from . import _periodic
 from .errors import DomainError, ToleranceNotMet
-from .mellin import MellinValue
-from .numerics import _MP_LOCK, PrecisionComplex, PrecisionReal, bits_for_tol
+from .mellin import MellinValue, _as_complex
+from .numerics import PrecisionComplex, PrecisionReal, bits_for_tol, workprec
 
 DEFAULT_EVAL_BUDGET = 10_000_000
 
@@ -514,7 +513,7 @@ def mellin_numeric(spec: BeurlingSpec, s, tol: float = 1e-10) -> MellinValue:
     + roundoff). Otherwise falls back to the literal x-space strategy, whose
     reachable tolerance is limited by the (0, eps) tail bound.
     """
-    s_c = complex(s) if not isinstance(s, PrecisionComplex) else complex(s)
+    s_c = _as_complex(s)
     if s_c.real <= 0:
         raise DomainError(f"mellin_numeric requires Re(s) > 0, got {s_c.real}")
     if tol <= 0:
@@ -527,7 +526,7 @@ def mellin_numeric(spec: BeurlingSpec, s, tol: float = 1e-10) -> MellinValue:
             for lo, hi, c0, c1 in f_linear_pieces_cached(spec)
         ]
         # r = s + 1 formed in mp: in float64 the sum rounds for non-dyadic s
-        with _MP_LOCK, mp.workprec(bits + 32):
+        with workprec(bits + 32):
             r = mpmath.mpc(s_c) + 1
         val, err = _periodic.u_integral_mp(pieces, dec.period, r, bits + 32)
         err_f = float(err)
@@ -574,7 +573,7 @@ def norm_numeric(spec: BeurlingSpec, tol: float = 1e-10) -> PrecisionReal:
             raise ToleranceNotMet(
                 f"certified norm error {err_norm:.3g} exceeds tol {tol:.3g}"
             )
-        with _MP_LOCK, mp.workprec(bits + 16):
+        with workprec(bits + 16):
             return PrecisionReal(mpmath.sqrt(abs(val.real)), bits + 16)
     val, err_f, _ = _integrate_report(
         lambda x: np.abs(_eval_F_vec(spec, x)) ** 2 + 0j,
@@ -590,5 +589,5 @@ def norm_numeric(spec: BeurlingSpec, tol: float = 1e-10) -> PrecisionReal:
         raise ToleranceNotMet(
             f"certified norm error {err_norm:.3g} exceeds tol {tol:.3g}"
         )
-    with _MP_LOCK, mp.workprec(bits + 16):
+    with workprec(bits + 16):
         return PrecisionReal(mpmath.sqrt(sq), bits + 16)

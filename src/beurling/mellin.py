@@ -16,15 +16,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import mpmath
-from mpmath import mp
 
 from .errors import ConstraintError, DomainError
 from .numerics import (
-    _MP_LOCK,
     _POLE_EXCLUSION,
     PrecisionComplex,
     PrecisionReal,
     bits_for_tol,
+    to_mp,
+    workprec,
     zeta_complex,
     zeta_even,
 )
@@ -81,23 +81,14 @@ def power_sum(spec, s, tol: float = 1e-16) -> PrecisionComplex:
     bits = bits_for_tol(tol) + 16
     z = _as_complex(s)
     if z.imag == 0 and float(z.real).is_integer():
-        re, im = power_sum_exact(spec, int(z.real))
-        with _MP_LOCK, mp.workprec(bits):
-            val = mpmath.mpc(
-                mpmath.mpf(re.numerator) / re.denominator,
-                mpmath.mpf(im.numerator) / im.denominator,
-            )
+        with workprec(bits):
+            val = to_mp(power_sum_exact(spec, int(z.real)))
             return PrecisionComplex.from_mpc(val, bits)
-    with _MP_LOCK, mp.workprec(bits):
+    with workprec(bits):
         s_mpc = s.to_mpc() if isinstance(s, PrecisionComplex) else mpmath.mpc(z)
         acc = mpmath.mpc(0)
         for t in spec.terms:
-            a = mpmath.mpc(
-                mpmath.mpf(t.a_re.numerator) / t.a_re.denominator,
-                mpmath.mpf(t.a_im.numerator) / t.a_im.denominator,
-            )
-            th = mpmath.mpf(t.theta.numerator) / t.theta.denominator
-            acc += a * mpmath.exp(s_mpc * mpmath.log(th))
+            acc += to_mp((t.a_re, t.a_im)) * mpmath.exp(s_mpc * mpmath.log(to_mp(t.theta)))
         return PrecisionComplex.from_mpc(acc, bits)
 
 
@@ -130,15 +121,11 @@ def mellin_closed(spec, s, tol: float = 1e-12) -> MellinValue:
     z_val = zeta_complex(z, tol_z)
 
     res_re, res_im = spec.residual_exact
-    with _MP_LOCK, mp.workprec(bits):
+    with workprec(bits):
         s_mpc = mpmath.mpc(z)
         acc = (1 - z_val.to_mpc() * p_val.to_mpc()) / s_mpc
         if (res_re, res_im) != (0, 0):
-            pole_num = mpmath.mpc(
-                mpmath.mpf(res_re.numerator) / res_re.denominator,
-                mpmath.mpf(res_im.numerator) / res_im.denominator,
-            )
-            acc += pole_num / (s_mpc - 1)
+            acc += to_mp((res_re, res_im)) / (s_mpc - 1)
         value = PrecisionComplex.from_mpc(acc, bits)
         s_out = PrecisionComplex.from_mpc(s_mpc, bits)
     return MellinValue(
@@ -168,12 +155,8 @@ def mellin_even(spec, l: int, tol: float = 1e-12) -> MellinValue:
     extra = max(0, int(math.log2(1.0 + abs(float(p_re)) + abs(float(p_im)))) + 2)
     bits = bits_for_tol(tol) + 32 + extra
     zv = zeta_even(l, bits)
-    with _MP_LOCK, mp.workprec(bits):
-        p_mpc = mpmath.mpc(
-            mpmath.mpf(p_re.numerator) / p_re.denominator,
-            mpmath.mpf(p_im.numerator) / p_im.denominator,
-        )
-        val = (1 - zv.value * p_mpc) / (2 * l)
+    with workprec(bits):
+        val = (1 - zv.value * to_mp((p_re, p_im))) / (2 * l)
         value = PrecisionComplex.from_mpc(val, bits)
         s_out = PrecisionComplex.from_mpc(mpmath.mpc(2 * l), bits)
     # only rounding error remains: ~2^{extra+8} ulps at `bits` working bits
@@ -192,5 +175,5 @@ def mellin_even_bound(l: int, out_precision: int = 64) -> PrecisionReal:
     if not isinstance(l, int) or l < 1:
         raise DomainError(f"l must be a positive integer, got {l!r}")
     zv = zeta_even(l, out_precision + 16)
-    with _MP_LOCK, mp.workprec(out_precision + 16):
+    with workprec(out_precision + 16):
         return PrecisionReal((1 + zv.value**2) / (2 * l), out_precision)

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 import threading
+from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -31,15 +32,36 @@ Rational = Fraction
 MIN_PRECISION_BITS = 64
 
 # mpmath's default context is process-global; mutating its precision from two
-# threads at once is a race. Every mpmath-backed operation in this package
-# takes this lock. numpy batch paths never do, so they still parallelize.
+# threads at once is a race. The package runs serially, but library callers
+# may call in from their own threads, so every mpmath section enters through
+# `workprec`, which holds this lock for the whole section.
 _MP_LOCK = threading.RLock()
+
+
+@contextmanager
+def workprec(bits: int):
+    """Run the block at `bits` mpmath working bits, holding the mp lock."""
+    with _MP_LOCK, mp.workprec(bits):
+        yield
+
+
+def to_mp(x):
+    """x as an mpmath number at the current working precision.
+
+    A Fraction becomes mpf(numerator) / denominator, a (re, im) pair of
+    Fractions an mpc, and anything else mpf(x).
+    """
+    if isinstance(x, Fraction):
+        return mpmath.mpf(x.numerator) / x.denominator
+    if isinstance(x, tuple):
+        return mpmath.mpc(to_mp(x[0]), to_mp(x[1]))
+    return mpmath.mpf(x)
 
 
 def bits_for_tol(tol: float) -> int:
     """Working-precision bits that comfortably resolve absolute error `tol`."""
-    if tol <= 0:
-        raise DomainError("tolerance must be positive")
+    if not 0 < tol < math.inf:
+        raise DomainError(f"tolerance must be positive and finite, got {tol!r}")
     return max(MIN_PRECISION_BITS, int(math.ceil(-math.log2(tol))) + 16)
 
 
@@ -63,7 +85,7 @@ class PrecisionReal:
             raise ValueError(
                 f"precision_bits must be >= {MIN_PRECISION_BITS}, got {self.precision_bits}"
             )
-        with _MP_LOCK, mp.workprec(self.precision_bits):
+        with workprec(self.precision_bits):
             object.__setattr__(self, "value", mpmath.mpf(self.value))
 
     @classmethod
@@ -72,7 +94,7 @@ class PrecisionReal:
 
     @classmethod
     def from_str(cls, s: str, precision_bits: int) -> "PrecisionReal":
-        with _MP_LOCK, mp.workprec(precision_bits):
+        with workprec(precision_bits):
             return cls(mpmath.mpf(s), precision_bits)
 
     def _coerce(self, other):
@@ -87,10 +109,8 @@ class PrecisionReal:
         if val is NotImplemented:
             return NotImplemented
         bits = max(self.precision_bits, bits)
-        with _MP_LOCK, mp.workprec(bits):
-            if isinstance(val, Fraction):
-                val = mpmath.mpf(val.numerator) / val.denominator
-            return PrecisionReal(op(self.value, mpmath.mpf(val)), bits)
+        with workprec(bits):
+            return PrecisionReal(op(self.value, to_mp(val)), bits)
 
     def __add__(self, other):
         return self._binop(other, lambda a, b: a + b)
@@ -170,7 +190,7 @@ class PrecisionComplex:
 
     @classmethod
     def from_mpc(cls, z, precision_bits: int) -> "PrecisionComplex":
-        with _MP_LOCK, mp.workprec(precision_bits):
+        with workprec(precision_bits):
             z = mpmath.mpc(z)
         return cls(PrecisionReal(z.real, precision_bits), PrecisionReal(z.imag, precision_bits))
 
@@ -197,7 +217,7 @@ class PrecisionComplex:
 
     def __abs__(self) -> PrecisionReal:
         bits = self.precision_bits
-        with _MP_LOCK, mp.workprec(bits):
+        with workprec(bits):
             return PrecisionReal(abs(self.to_mpc()), bits)
 
     def _binop(self, other, op):
@@ -210,7 +230,7 @@ class PrecisionComplex:
         else:
             return NotImplemented
         bits = max(self.precision_bits, bits)
-        with _MP_LOCK, mp.workprec(bits):
+        with workprec(bits):
             return PrecisionComplex.from_mpc(op(self.to_mpc(), o), bits)
 
     def __add__(self, other):
@@ -290,13 +310,13 @@ def zeta_even(l: int, out_precision: int = MIN_PRECISION_BITS) -> PrecisionReal:
     out_precision = max(out_precision, MIN_PRECISION_BITS)
     two_l = 2 * l
     series_log2_terms = (out_precision + 2) / (two_l - 1)
-    with _MP_LOCK, mp.workprec(out_precision + 32):
+    with workprec(out_precision + 32):
         if two_l <= 64 or series_log2_terms > 11:
             b = bernoulli(two_l)
             sign = -1 if l % 2 == 0 else 1
             val = (
                 sign
-                * (mpmath.mpf(b.numerator) / b.denominator)
+                * to_mp(b)
                 * (2 * mpmath.pi) ** two_l
                 / (2 * mpmath.factorial(two_l))
             )
@@ -367,16 +387,13 @@ def zeta_complex(s, tol=1e-16) -> PrecisionComplex:
     work_bits = out_bits + int(math.ceil(n * _LOG_3P8 / math.log(2))) + 32
     d = _borwein_d(n)
     dn = d[n]
-    with _MP_LOCK, mp.workprec(work_bits):
+    with workprec(work_bits):
         s_mpc = mpmath.mpc(sigma, t)
         acc = mpmath.mpc(0)
         for k in range(n):
             coeff = d[k] - dn
-            term = (mpmath.mpf(coeff.numerator) / coeff.denominator) * mpmath.power(
-                k + 1, -s_mpc
-            )
+            term = to_mp(coeff) * mpmath.power(k + 1, -s_mpc)
             acc = acc - term if k % 2 else acc + term
-        dn_mpf = mpmath.mpf(dn.numerator) / dn.denominator
         eta_factor = 1 - mpmath.power(2, 1 - s_mpc)
-        val = -acc / (dn_mpf * eta_factor)
+        val = -acc / (to_mp(dn) * eta_factor)
         return PrecisionComplex.from_mpc(val, out_bits)

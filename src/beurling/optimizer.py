@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -140,27 +139,16 @@ def _v_entry(tk: Fraction, tol: float) -> float:
     raise ToleranceNotMet(f"v entry error exceeds tol {tol:.3g}")
 
 
-def build_gram(thetas, tol: float = 1e-9, threads: int = 1) -> GramSystem:
+def build_gram(thetas, tol: float = 1e-9) -> GramSystem:
     """GramSystem by breakpoint-aware quadrature; symmetric by construction."""
     ths = _parse_thetas(thetas)
-    if tol <= 0:
-        raise DomainError("tol must be positive")
+    if not 0 < tol < math.inf:
+        raise DomainError("tol must be positive and finite")
     n = len(ths)
     G = np.zeros((n, n), dtype=np.float64)
-    jobs = [(j, k) for j in range(n) for k in range(j, n)]
-
-    def entry(jk):
-        j, k = jk
-        return _pair_entry(ths[j], ths[k], tol)
-
-    if threads > 1 and len(jobs) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            vals = list(ex.map(entry, jobs))
-    else:
-        vals = [entry(jk) for jk in jobs]
-    for (j, k), val in zip(jobs, vals):
-        G[j, k] = val
-        G[k, j] = val
+    for j in range(n):
+        for k in range(j, n):
+            G[j, k] = G[k, j] = _pair_entry(ths[j], ths[k], tol)
     v = np.array([_v_entry(t, tol) for t in ths], dtype=np.float64)
     return GramSystem(ths, G, v, PrecisionReal.from_float(tol, 64))
 
@@ -269,13 +257,13 @@ def residual_report(thetas, tol: float = 1e-9, n_max_parseval: int = 4096) -> di
     return report
 
 
-def sweep(n_from: int, n_to: int, tol: float = 1e-9, threads: int = 1) -> list[dict]:
+def sweep(n_from: int, n_to: int, tol: float = 1e-9) -> list[dict]:
     """Minimal norms for the unit families theta_k = 1/k, k = 1..N,
     N = n_from..n_to. The Gram system is built once at the largest N and
     sliced (the families are nested), so rows are deterministic and cheap."""
     if n_from < 1 or n_to < n_from:
         raise DomainError("need 1 <= n_from <= n_to")
-    gs = build_gram(unit_thetas(n_to), tol, threads=threads)
+    gs = build_gram(unit_thetas(n_to), tol)
     rows = []
     for n in range(n_from, n_to + 1):
         res = optimize_coeffs(None, tol, gram=gs.principal(n))

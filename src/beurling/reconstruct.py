@@ -33,13 +33,12 @@ import math
 import threading
 
 import mpmath
-from mpmath import mp
 
 from .errors import ConstraintError, DomainError, HypothesisError
 from .fourier import batch_cosine_f64, c_direct, c_even_mellin_limit
 from .functions import BeurlingSpec
 from .mellin import MellinValue, _as_complex
-from .numerics import _MP_LOCK, PrecisionComplex, PrecisionReal, bits_for_tol
+from .numerics import PrecisionComplex, PrecisionReal, bits_for_tol, workprec
 
 _SERIES_N_MAX = 31
 _COEFF_SWITCH_N = 32
@@ -54,7 +53,7 @@ def _sine_moment_series(n: int, s: complex, tol: float) -> tuple:
     npi_f = n * math.pi
     bits = bits_for_tol(tol) + int(math.ceil(1.4427 * npi_f)) + 64
     sigma = s.real
-    with _MP_LOCK, mp.workprec(bits):
+    with workprec(bits):
         npi = n * mpmath.pi
         s_mp = mpmath.mpc(s)
         acc = mpmath.mpc(0)
@@ -80,7 +79,7 @@ def _sine_moment_series(n: int, s: complex, tol: float) -> tuple:
 def _sine_moment_asymptotic(n: int, s: complex, tol: float) -> tuple:
     """(value mpc, cert mpf) by the incomplete-gamma closed form (n pi large)."""
     bits = bits_for_tol(tol) + 48
-    with _MP_LOCK, mp.workprec(bits):
+    with workprec(bits):
         npi = n * mpmath.pi
         s_mp = mpmath.mpc(s)
         iz = mpmath.mpc(0, 1) * npi  # z = +i n pi; the mirror sum conjugates it

@@ -304,3 +304,35 @@ class TestBadInput:
         )
         assert code == 3
         assert "tolerance" in err
+
+    @pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["eval", "--x", "0.5"],
+            ["mellin", "--s", "2"],
+            ["mellin", "--s", "2", "--method", "quadrature"],
+            ["mellin-even", "--l-max", "2"],
+            ["fourier", "--n-max", "2"],
+            ["routes-check", "--n-max", "2"],
+            ["norm", "--n-max", "16"],
+            ["reconstruct", "--s", "2", "--n-max", "4"],
+            ["optimize", "--thetas", "unit:2"],
+            ["sweep", "--unit-n-from", "1", "--unit-n-to", "2"],
+        ],
+        ids=lambda a: "-".join(a[:1] + a[4:5]),
+    )
+    def test_bad_tol_exit_2(self, capsys, argv, tol):
+        code, out, err = run(capsys, argv + ["--tol", tol])
+        assert code == 2
+        assert out == ""
+        assert "--tol" in err
+
+    @pytest.mark.parametrize("s", ["nan", "inf", "1,nan", "2,inf"])
+    def test_quadrature_non_finite_s_exit_2(self, capsys, spec_a_file, s):
+        code, out, err = run(
+            capsys, ["mellin", "--spec", spec_a_file, "--s", s, "--method", "quadrature"]
+        )
+        assert code == 2
+        assert out == ""
+        assert "finite" in err

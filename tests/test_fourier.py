@@ -4,6 +4,9 @@ fails), telescoping partial sums, batching, and CSV output."""
 import csv
 import io
 import math
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction as Fr
 
 import mpmath
@@ -246,11 +249,29 @@ class TestBatch:
             single = c_cosine_series(spec_a, fc.n, tol=1e-11)
             assert complex(fc.value) == complex(single.value)
 
-    def test_thread_determinism(self, spec_d):
-        a = c_batch(spec_d, range(1, 25), method="direct", tol=1e-10, threads=1)
-        b = c_batch(spec_d, range(1, 25), method="direct", tol=1e-10, threads=4)
-        assert [fc.value.re.hi_str() for fc in a] == [fc.value.re.hi_str() for fc in b]
-        assert [fc.n for fc in b] == list(range(1, 25))
+    def test_concurrent_callers_match_serial(self, spec_d):
+        # caller threads at different working bits share mpmath's global
+        # context; the mp lock must keep each call at its own precision
+        tols = (1e-10, 1e-20, 1e-30)
+        serial = {(n, tol): c_cosine_series(spec_d, n, tol).value.re.hi_str()
+                  for n in (3, 4) for tol in tols}
+        barrier = threading.Barrier(len(tols))
+
+        def worker(tol):
+            barrier.wait(timeout=60)
+            return {(n, tol): c_cosine_series(spec_d, n, tol).value.re.hi_str() for n in (3, 4)}
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadPoolExecutor(max_workers=len(tols)) as ex:
+                futures = [ex.submit(worker, tol) for tol in tols]
+                got = {}
+                for fut in futures:
+                    got.update(fut.result(timeout=120))
+        finally:
+            sys.setswitchinterval(interval)
+        assert got == serial
 
     def test_batch_cosine_f64_vs_per_n(self, spec_a):
         c, cert = batch_cosine_f64(spec_a, 40)

@@ -249,6 +249,18 @@ class TestMellinNumeric:
         with pytest.raises(DomainError):
             mellin_numeric(adm1, 2.0, -1e-10)
 
+    @pytest.mark.parametrize(
+        "s", [math.nan, math.inf, complex(1.0, math.nan), complex(2.0, -math.inf)]
+    )
+    def test_non_finite_s(self, spec_a, s):
+        with pytest.raises(DomainError):
+            mellin_numeric(spec_a, s, 1e-10)
+
+    @pytest.mark.parametrize("tol", [math.nan, math.inf])
+    def test_non_finite_tol(self, spec_a, tol):
+        with pytest.raises(DomainError):
+            mellin_numeric(spec_a, 2.0, tol)
+
     def test_non_periodic_fallback(self):
         # float theta with an astronomical exact-rational period forces the
         # x-space strategy; modest tolerance is reachable

@@ -1,0 +1,59 @@
+"""layout: the package is serial, numerics alone scopes and locks mpmath
+precision and converts rationals, and every function the benchmark's
+tracer wraps by name still exists."""
+import importlib
+import importlib.util
+import inspect
+import re
+from pathlib import Path
+
+import pytest
+
+from beurling import build_gram, c_batch, sweep
+
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "beurling"
+SOURCES = {p.name: p.read_text(encoding="utf-8") for p in sorted(SRC.glob("*.py"))}
+
+
+def test_no_thread_pools():
+    assert [name for name, text in SOURCES.items() if "ThreadPoolExecutor" in text] == []
+
+
+@pytest.mark.parametrize("fn", [c_batch, build_gram, sweep])
+def test_no_threads_parameter(fn):
+    assert "threads" not in inspect.signature(fn).parameters
+
+
+@pytest.mark.parametrize(
+    "pattern",
+    [r"\bmp\.workprec\b", r"\bmpmath\.workprec\b", r"\b_MP_LOCK\b", r"from mpmath import mp\b"],
+    ids=["mp.workprec", "mpmath.workprec", "_MP_LOCK", "import-mp"],
+)
+def test_mp_context_only_in_numerics(pattern):
+    users = {name for name, text in SOURCES.items() if re.search(pattern, text)}
+    assert users <= {"numerics.py"}
+
+
+def test_rational_conversion_only_in_to_mp():
+    hits = [
+        (name, line.strip())
+        for name, text in SOURCES.items()
+        for line in text.splitlines()
+        if re.search(r"\.numerator\)\s*/", line)
+    ]
+    assert hits == [("numerics.py", "return mpmath.mpf(x.numerator) / x.denominator")]
+
+
+def test_traced_names_resolve():
+    path = ROOT / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    missing = [
+        f"{modname}.{fname}"
+        for modname, names in spans.LAYERS.values()
+        for fname in names
+        if not callable(getattr(importlib.import_module(modname), fname, None))
+    ]
+    assert missing == []

@@ -169,13 +169,11 @@ class TestSweep:
         assert all(v > 0 for v in ns)
         assert all(a >= b - 1e-12 for a, b in zip(ns, ns[1:]))
 
-    def test_thread_determinism(self):
-        r1 = sweep(2, 10, tol=1e-9, threads=1)
-        r4 = sweep(2, 10, tol=1e-9, threads=4)
-        assert [r["norm_sq"] for r in r1] == [r["norm_sq"] for r in r4]
-
     def test_domain(self):
         with pytest.raises(DomainError):
             sweep(3, 2)
         with pytest.raises(DomainError):
             sweep(0, 2)
+        for tol in (math.inf, math.nan):
+            with pytest.raises(DomainError):
+                sweep(1, 2, tol=tol)
