@@ -20,6 +20,10 @@ which is what makes small sigma and tight tolerances reachable at all.
 
 Two backends: float64/numpy + scipy's real Hurwitz zeta for bulk work, and
 mpmath for complex exponents or sub-1e-12 tolerances.
+
+`_period` alone decides whether a theta set is in reach: past PERIOD_CAP or
+PIECES_CAP it returns None, and so do `decompose`, `rho_pair_pieces` and
+`rho_single_pieces`. A None tells the caller to integrate in x-space.
 """
 from __future__ import annotations
 
@@ -39,6 +43,11 @@ _F64_EPS = float(np.finfo(np.float64).eps)
 
 PERIOD_CAP = 100_000
 PIECES_CAP = 400_000
+# the exact head [1, U] covers at least this much of u before the tail
+_U_MIN = 64
+# at most this many Taylor orders in the sine tail; the certificate covers
+# stopping there
+_TAYLOR_TERMS = 60
 
 
 @dataclass(frozen=True)
@@ -73,24 +82,32 @@ def _breakpoint_pieces(thetas, B: int):
         yield lo, hi, tuple(int(th * mid) for th in thetas)
 
 
-def decompose(spec) -> PeriodicDecomposition | None:
-    """Exact one-period piece structure, or None when the period is too large.
+def _period(thetas) -> int | None:
+    """Joint period B = lcm of the theta denominators, or None past the caps.
 
-    theta_k = p/q in lowest terms makes rho(theta_k u) periodic with period
-    q; the joint period is lcm of the q's. Floats with full 53-bit
-    denominators blow past PERIOD_CAP and get None (callers fall back to
-    x-space quadrature).
+    theta = p/q in lowest terms makes rho(theta u) periodic with period q.
+    None when B > PERIOD_CAP (as for the float 0.1, denominator 2^55) or one
+    period has more than PIECES_CAP pieces; every caller then falls back to
+    x-space quadrature. This is the only reader of both caps.
     """
     B = 1
-    for t in spec.terms:
-        q = t.theta.denominator
+    for th in thetas:
+        q = th.denominator
         B = B // math.gcd(B, q) * q
         if B > PERIOD_CAP:
             return None
-    est_pieces = sum(int(B * t.theta) for t in spec.terms) + 2
-    if est_pieces > PIECES_CAP:
+    if sum(int(B * th) for th in thetas) + 2 > PIECES_CAP:
         return None
-    pieces = list(_breakpoint_pieces([t.theta for t in spec.terms], B))
+    return B
+
+
+def decompose(spec) -> PeriodicDecomposition | None:
+    """Exact one-period piece structure, or None past the caps of `_period`."""
+    thetas = [t.theta for t in spec.terms]
+    B = _period(thetas)
+    if B is None:
+        return None
+    pieces = list(_breakpoint_pieces(thetas, B))
     bounds = tuple(lo for lo, _, _ in pieces) + (Fraction(B),)
     return PeriodicDecomposition(B, bounds, tuple(fl for _, _, fl in pieces))
 
@@ -101,7 +118,7 @@ def decompose(spec) -> PeriodicDecomposition | None:
 
 
 def f_piece_constants(spec, dec: PeriodicDecomposition):
-    """Pieces of f(1/u) = sum a_k rho(theta_k u) as (lo, hi, alpha, beta):
+    """Pieces of f(1/u) = sum a_k rho(theta_k u) as ([(lo, hi, alpha)], beta):
     f = alpha + beta*w on the piece, beta = sum a_k theta_k shared by all."""
     beta_re = sum((t.a_re * t.theta for t in spec.terms), Fraction(0))
     beta_im = sum((t.a_im * t.theta for t in spec.terms), Fraction(0))
@@ -115,18 +132,17 @@ def f_piece_constants(spec, dec: PeriodicDecomposition):
 
 
 def f_linear_pieces(spec, dec: PeriodicDecomposition):
-    """F(1/u) = 1 + f(1/u) as degree-1 pieces [(lo, hi, c0, c1)] (complex Fractions)."""
+    """F(1/u) = 1 + f(1/u) as degree-1 pieces [(lo, hi, (c0, c1))], the
+    coefficients (re, im) Fraction pairs; c1 = beta on every piece."""
     consts, beta = f_piece_constants(spec, dec)
-    return [
-        (lo, hi, (a_re + 1, a_im), beta)
-        for lo, hi, (a_re, a_im) in consts
-    ]
+    return [(lo, hi, ((a_re + 1, a_im), beta)) for lo, hi, (a_re, a_im) in consts]
 
 
-def f_abs2_pieces(spec, dec: PeriodicDecomposition):
-    """|F(1/u)|^2 as degree-2 pieces [(lo, hi, (c0, c1, c2))], real Fractions."""
+def f_abs2_pieces(linear_pieces):
+    """|F(1/u)|^2 as degree-2 pieces [(lo, hi, (c0, c1, c2))], real Fractions,
+    from the degree-1 pieces of `f_linear_pieces`."""
     out = []
-    for lo, hi, (c0re, c0im), (b_re, b_im) in f_linear_pieces(spec, dec):
+    for lo, hi, ((c0re, c0im), (b_re, b_im)) in linear_pieces:
         c0 = c0re * c0re + c0im * c0im
         c1 = 2 * (c0re * b_re + c0im * b_im)
         c2 = b_re * b_re + b_im * b_im
@@ -138,11 +154,10 @@ def rho_pair_pieces(theta_j: Fraction, theta_k: Fraction):
     """Pieces of rho(theta_j u) rho(theta_k u) over one joint period.
 
     Returns (B, [(lo, hi, (c0, c1, c2))]) with exact Fraction coefficients,
-    or None when the joint period exceeds the cap.
+    or None past the caps of `_period`.
     """
-    qj, qk = theta_j.denominator, theta_k.denominator
-    B = qj // math.gcd(qj, qk) * qk
-    if B > PERIOD_CAP:
+    B = _period((theta_j, theta_k))
+    if B is None:
         return None
     c2 = theta_j * theta_k
     return B, [
@@ -152,8 +167,11 @@ def rho_pair_pieces(theta_j: Fraction, theta_k: Fraction):
 
 
 def rho_single_pieces(theta: Fraction):
-    """Pieces of rho(theta u) over one period: (B, [(lo, hi, (c0, c1, 0))])."""
-    B = theta.denominator
+    """Pieces of rho(theta u) over one period, (B, [(lo, hi, (c0, c1, 0))]),
+    or None past the caps of `_period`."""
+    B = _period((theta,))
+    if B is None:
+        return None
     return B, [
         (lo, hi, (Fraction(-m), theta, Fraction(0)))
         for lo, hi, (m,) in _breakpoint_pieces((theta,), B)
@@ -180,11 +198,22 @@ def _phi_f64(u: np.ndarray, m: float) -> np.ndarray:
     return u ** (m + 1.0) / (m + 1.0)
 
 
-def _choose_U(B: int, minimum: int = 64) -> int:
-    return B * max(2, -(-minimum // B))
+def _choose_U(B: int) -> int:
+    return B * max(2, -(-_U_MIN // B))
 
 
-def u_integral_f64(pieces, B: int, r: float, U_min: int = 64):
+def _head_spans(pieces, B: int, U: int):
+    """(off, i, lo_u, hi_u) for piece i of each period [off, off + B) in
+    [0, U), clamped at u = 1, empty spans skipped, period by period."""
+    for off in range(0, U, B):
+        for i, (lo, hi, _) in enumerate(pieces):
+            lo_u = max(Fraction(off) + lo, Fraction(1))
+            hi_u = Fraction(off) + hi
+            if hi_u > lo_u:
+                yield off, i, lo_u, hi_u
+
+
+def u_integral_f64(pieces, B: int, r: float):
     """int_1^inf P(u) u^{-r} du for real r > 1, P from degree-2 period pieces.
 
     pieces: [(lo, hi, (c0, c1, c2))] in period coordinates, floats or Fractions.
@@ -192,7 +221,7 @@ def u_integral_f64(pieces, B: int, r: float, U_min: int = 64):
     """
     if r <= 1.0:
         raise DomainError("u-integral needs r > 1 for convergence")
-    U = _choose_U(B, U_min)
+    U = _choose_U(B)
     nper = U // B
     lo_w = np.array([float(p[0]) for p in pieces])
     hi_w = np.array([float(p[1]) for p in pieces])
@@ -240,11 +269,12 @@ def u_integral_f64(pieces, B: int, r: float, U_min: int = 64):
 # ---------------------------------------------------------------------------
 
 
-def u_integral_mp(pieces, B: int, r, prec_bits: int, U_min: int = 64):
+def u_integral_mp(pieces, B: int, r, prec_bits: int):
     """mpmath version of u_integral_f64; r may be complex (Re r > 1).
 
-    pieces carry exact Fraction bounds/coefficients; coefficients may be
-    (re, im) Fraction pairs for complex integrands.
+    pieces carry exact Fraction bounds/coefficients of degree <= 2 (missing
+    orders are zero); coefficients may be (re, im) Fraction pairs for
+    complex integrands.
     Returns (mpc value, mpf err_bound).
     """
     with workprec(prec_bits):
@@ -253,8 +283,10 @@ def u_integral_mp(pieces, B: int, r, prec_bits: int, U_min: int = 64):
             raise DomainError("u-integral needs Re(r) > 1 for convergence")
         if mpmath.im(r_mp) == 0:
             r_mp = mpmath.mpf(mpmath.re(r_mp))
-        U = _choose_U(B, U_min)
-        nper = U // B
+        U = _choose_U(B)
+        coeffs = [
+            [to_mp(c) for c in cs] + [mpmath.mpf(0)] * (3 - len(cs)) for _, _, cs in pieces
+        ]
 
         def phi(u, mexp):
             if mexp == -1:
@@ -263,35 +295,22 @@ def u_integral_mp(pieces, B: int, r, prec_bits: int, U_min: int = 64):
 
         head = mpmath.mpc(0)
         absacc = mpmath.mpf(0)
-        for q in range(nper):
-            off = q * B
-            for lo, hi, coeffs in pieces:
-                lo_u = max(Fraction(off) + lo, Fraction(1))
-                hi_u = Fraction(off) + hi
-                if hi_u <= lo_u:
+        for off, i, lo_u, hi_u in _head_spans(pieces, B, U):
+            c0, c1, c2 = coeffs[i]
+            k0 = c0 - c1 * off + c2 * off * off
+            k1 = c1 - 2 * c2 * off
+            k2 = c2
+            lo_m, hi_m = to_mp(lo_u), to_mp(hi_u)
+            for k, mexp in ((k0, -r_mp), (k1, 1 - r_mp), (k2, 2 - r_mp)):
+                if k == 0:
                     continue
-                cs = [to_mp(c) for c in coeffs]
-                while len(cs) < 3:
-                    cs.append(mpmath.mpf(0))
-                c0, c1, c2 = cs
-                k0 = c0 - c1 * off + c2 * off * off
-                k1 = c1 - 2 * c2 * off
-                k2 = c2
-                lo_m, hi_m = to_mp(lo_u), to_mp(hi_u)
-                for k, mexp in ((k0, -r_mp), (k1, 1 - r_mp), (k2, 2 - r_mp)):
-                    if k == 0:
-                        continue
-                    contrib = k * (phi(hi_m, mexp) - phi(lo_m, mexp))
-                    head += contrib
-                    absacc += abs(contrib)
+                contrib = k * (phi(hi_m, mexp) - phi(lo_m, mexp))
+                head += contrib
+                absacc += abs(contrib)
 
         tail = mpmath.mpc(0)
         tail_err = mpmath.mpf(0)
-        for lo, hi, coeffs in pieces:
-            cs = [to_mp(c) for c in coeffs]
-            while len(cs) < 3:
-                cs.append(mpmath.mpf(0))
-            c0, c1, c2 = cs
+        for (lo, hi, _), (c0, c1, c2) in zip(pieces, coeffs):
             lo_m, hi_m = to_mp(lo), to_mp(hi)
 
             def g(w):
@@ -307,7 +326,7 @@ def u_integral_mp(pieces, B: int, r, prec_bits: int, U_min: int = 64):
         return head + tail, tail_err + roundoff
 
 
-def sine_integral_mp(const_pieces, B: int, n: int, prec_bits: int, taylor_terms: int = 60):
+def sine_integral_mp(const_pieces, B: int, n: int, prec_bits: int):
     """int_1^inf P(u) sin(n pi / u) u^{-2} du for piecewise-CONSTANT periodic P.
 
     Head [1, U]: exact, since int sin(n pi/u) u^{-2} du = cos(n pi/u)/(n pi).
@@ -321,45 +340,39 @@ def sine_integral_mp(const_pieces, B: int, n: int, prec_bits: int, taylor_terms:
     """
     with workprec(prec_bits):
         npi = n * mpmath.pi
-        U = B * max(2, -(-int(math.ceil(2 * math.pi * n)) // B), -(-64 // B))
-        nper = U // B
+        U = B * max(2, -(-int(math.ceil(2 * math.pi * n)) // B), -(-_U_MIN // B))
+        alphas = [to_mp(a) for _, _, a in const_pieces]
 
         head = mpmath.mpc(0)
         absacc = mpmath.mpf(0)
-        for q in range(nper):
-            off = q * B
-            for lo, hi, a in const_pieces:
-                lo_u = max(Fraction(off) + lo, Fraction(1))
-                hi_u = Fraction(off) + hi
-                if hi_u <= lo_u:
-                    continue
-                am = to_mp(a)
-                if am == 0:
-                    continue
-                lo_m, hi_m = to_mp(lo_u), to_mp(hi_u)
-                contrib = am * (mpmath.cos(npi / hi_m) - mpmath.cos(npi / lo_m)) / npi
-                head += contrib
-                absacc += abs(contrib)
+        for _, i, lo_u, hi_u in _head_spans(const_pieces, B, U):
+            am = alphas[i]
+            if am == 0:
+                continue
+            lo_m, hi_m = to_mp(lo_u), to_mp(hi_u)
+            contrib = am * (mpmath.cos(npi / hi_m) - mpmath.cos(npi / lo_m)) / npi
+            head += contrib
+            absacc += abs(contrib)
 
         # tail: sum_m (-1)^m (npi)^{2m+1}/(2m+1)! * sum_pieces alpha * T(m, piece)
         # T(m, piece) = B^{-(2m+2)}/(2m+2) [zeta(2m+2,(U+lo)/B) - zeta(2m+2,(U+hi)/B)]
         # envelope E_m = (npi)^{2m+1}/(2m+1)! * maxP * U^{-(2m+2)}/(2m+2) decays by
         # a factor (npi/U)^2 / ((2m+3)(2m+4)) <= 1/4 per step since U >= 2 n pi,
         # so 2 * E_{m+1} certifies stopping after term m.
-        max_p = max((abs(to_mp(a)) for _, _, a in const_pieces), default=mpmath.mpf(0))
+        max_p = max((abs(am) for am in alphas), default=mpmath.mpf(0))
+        ends = [
+            (am, (U + to_mp(lo)) / B, (U + to_mp(hi)) / B)
+            for (lo, hi, _), am in zip(const_pieces, alphas)
+            if am != 0
+        ]
         tail = mpmath.mpc(0)
         coef = npi  # (npi)^{2m+1}/(2m+1)!
         trunc = mpmath.mpf(0)
         floor = mpmath.mpf(2) ** (-prec_bits)
-        for m in range(taylor_terms):
+        for m in range(_TAYLOR_TERMS):
             tm = mpmath.mpc(0)
             ex = 2 * m + 2
-            for lo, hi, a in const_pieces:
-                am = to_mp(a)
-                if am == 0:
-                    continue
-                alo = (U + to_mp(lo)) / B
-                ahi = (U + to_mp(hi)) / B
+            for am, alo, ahi in ends:
                 t = (mpmath.zeta(ex, alo) - mpmath.zeta(ex, ahi)) / (ex * mpmath.power(B, ex))
                 tm += am * t
             tail += coef * tm if m % 2 == 0 else -coef * tm

@@ -178,8 +178,7 @@ def c_direct(spec: BeurlingSpec, n, tol: float = 1e-10) -> FourierCoefficient:
     dec = spec.decomposition
     if spec.admissible and dec is not None:
         bits = bits_for_tol(tol) + 32
-        consts, _beta = _periodic.f_piece_constants(spec, dec)
-        pieces = [(lo, hi, (a_re + 1, a_im)) for lo, hi, (a_re, a_im) in consts]
+        pieces = [(lo, hi, c0) for lo, hi, (c0, _beta) in spec.linear_pieces]
         val, err = _periodic.sine_integral_mp(pieces, dec.period, n, bits)
         with workprec(bits):
             value = PrecisionComplex.from_mpc(2 * val, bits)

@@ -170,20 +170,19 @@ class BeurlingSpec:
         return min((float(t.theta) for t in self.terms), default=1.0)
 
     @cached_property
-    def thetas_f(self) -> np.ndarray:
-        return np.array([float(t.theta) for t in self.terms], dtype=np.float64)
-
-    @cached_property
-    def a_f(self) -> np.ndarray:
-        return np.array([t.a for t in self.terms], dtype=np.complex128)
-
-    @cached_property
     def cache_key(self) -> tuple:
         return tuple((t.a_re, t.a_im, t.theta) for t in self.terms)
 
     @cached_property
     def decomposition(self):
         return _periodic.decompose(self)
+
+    @cached_property
+    def linear_pieces(self):
+        """F(1/u) as degree-1 pieces over one period (`_periodic.f_linear_pieces`),
+        or None when the period is past the caps."""
+        dec = self.decomposition
+        return None if dec is None else _periodic.f_linear_pieces(self, dec)
 
     def __eq__(self, other):
         return isinstance(other, BeurlingSpec) and self.cache_key == other.cache_key
@@ -521,40 +520,23 @@ def mellin_numeric(spec: BeurlingSpec, s, tol: float = 1e-10) -> MellinValue:
     bits = bits_for_tol(tol)
     dec = spec.decomposition
     if dec is not None:
-        pieces = [
-            (lo, hi, (c0, c1, (Fraction(0), Fraction(0))))
-            for lo, hi, c0, c1 in f_linear_pieces_cached(spec)
-        ]
         # r = s + 1 formed in mp: in float64 the sum rounds for non-dyadic s
         with workprec(bits + 32):
             r = mpmath.mpc(s_c) + 1
-        val, err = _periodic.u_integral_mp(pieces, dec.period, r, bits + 32)
+        val, err = _periodic.u_integral_mp(spec.linear_pieces, dec.period, r, bits + 32)
         err_f = float(err)
-        if err_f > tol:
-            raise ToleranceNotMet(f"certified error {err_f:.3g} exceeds tol {tol:.3g}")
         value = PrecisionComplex.from_mpc(val, bits + 32)
     else:
         val, err_f, _ = _integrate_report(lambda x: _eval_F_vec(spec, x), spec, s_c, tol)
-        if err_f > tol:
-            raise ToleranceNotMet(f"certified error {err_f:.3g} exceeds tol {tol:.3g}")
         value = PrecisionComplex.from_complex(val, bits)
+    if err_f > tol:
+        raise ToleranceNotMet(f"certified error {err_f:.3g} exceeds tol {tol:.3g}")
     return MellinValue(
         s=PrecisionComplex.from_complex(s_c, bits),
         value=value,
         provenance="quadrature",
         error_bound=PrecisionReal.from_float(err_f, 64),
     )
-
-
-def f_linear_pieces_cached(spec: BeurlingSpec):
-    dec = spec.decomposition
-    if dec is None:
-        return None
-    cached = spec.__dict__.get("_f_linear_pieces")
-    if cached is None:
-        cached = _periodic.f_linear_pieces(spec, dec)
-        spec.__dict__["_f_linear_pieces"] = cached
-    return cached
 
 
 def norm_numeric(spec: BeurlingSpec, tol: float = 1e-10) -> PrecisionReal:
@@ -564,25 +546,18 @@ def norm_numeric(spec: BeurlingSpec, tol: float = 1e-10) -> PrecisionReal:
     bits = bits_for_tol(tol)
     dec = spec.decomposition
     if dec is not None:
-        pieces = _periodic.f_abs2_pieces(spec, dec)
+        pieces = _periodic.f_abs2_pieces(spec.linear_pieces)
         val, err = _periodic.u_integral_mp(pieces, dec.period, 2, bits + 32)
         err_f = float(err)
-        sq_f = max(float(val.real), 0.0)
-        err_norm = err_f / (2.0 * math.sqrt(sq_f)) if sq_f > 4.0 * err_f else math.sqrt(err_f)
-        if err_norm > tol:
-            raise ToleranceNotMet(
-                f"certified norm error {err_norm:.3g} exceeds tol {tol:.3g}"
-            )
-        with workprec(bits + 16):
-            return PrecisionReal(mpmath.sqrt(abs(val.real)), bits + 16)
-    val, err_f, _ = _integrate_report(
-        lambda x: np.abs(_eval_F_vec(spec, x)) ** 2 + 0j,
-        spec,
-        None,
-        tol * 0.9,
-        bound_m=(1.0 + spec.sum_abs_a) ** 2,
-    )
-    sq = abs(val.real)
+    else:
+        val, err_f, _ = _integrate_report(
+            lambda x: np.abs(_eval_F_vec(spec, x)) ** 2 + 0j,
+            spec,
+            None,
+            tol * 0.9,
+            bound_m=(1.0 + spec.sum_abs_a) ** 2,
+        )
+    sq = max(float(val.real), 0.0)
     # |sqrt(I+e) - sqrt(I)| <= e / (2 sqrt(I)) when I dominates, else sqrt(e)
     err_norm = err_f / (2.0 * math.sqrt(sq)) if sq > 4.0 * err_f else math.sqrt(err_f)
     if err_norm > tol:
@@ -590,4 +565,15 @@ def norm_numeric(spec: BeurlingSpec, tol: float = 1e-10) -> PrecisionReal:
             f"certified norm error {err_norm:.3g} exceeds tol {tol:.3g}"
         )
     with workprec(bits + 16):
-        return PrecisionReal(mpmath.sqrt(sq), bits + 16)
+        return PrecisionReal(mpmath.sqrt(abs(val.real)), bits + 16)
+
+
+def _norm_oracle(spec: BeurlingSpec, tol: float):
+    """(float norm_numeric at tol, tol) or, when tol cannot be certified, the
+    same at 1e-6; (None, None) when neither can."""
+    for try_tol in (tol, 1e-6):
+        try:
+            return float(norm_numeric(spec, try_tol)), try_tol
+        except ToleranceNotMet:
+            pass
+    return None, None

@@ -334,6 +334,11 @@ def zeta_even(l: int, out_precision: int = MIN_PRECISION_BITS) -> PrecisionReal:
 
 _POLE_EXCLUSION = 1e-6
 _LOG_3P8 = math.log(3.0 + math.sqrt(8.0))
+# Most eta-series terms zeta_complex will take. The Borwein table holds n + 1
+# rationals of O(n) digits each, about 0.6 n^2 digits in all (0.6 million at
+# n = 1000), and the sum costs about 1.5 s at n = 1000 on a 2-CPU host. The
+# cap is reached near |Im s| = 1100 at tol 1e-16.
+_BORWEIN_MAX_TERMS = 1000
 
 
 def _borwein_d(n: int) -> list[Fraction]:
@@ -356,6 +361,8 @@ def zeta_complex(s, tol=1e-16) -> PrecisionComplex:
     terms n is chosen from the published bound
         |error| <= 3 (1 + 2|t|) e^{pi |t| / 2} / ((3 + sqrt 8)^n |1 - 2^{1-s}|).
     The working precision covers the size ~(3+sqrt 8)^n of the weights.
+    Raises ToleranceNotMet, before any table is built, when n would pass
+    _BORWEIN_MAX_TERMS (|Im s| beyond about 1100).
     """
     if isinstance(s, PrecisionComplex):
         sigma, t = float(s.re), float(s.im)
@@ -380,8 +387,14 @@ def zeta_complex(s, tol=1e-16) -> PrecisionComplex:
             "s is numerically on an eta-series zero (1 - 2^{1-s} ~ 0); "
             "the Borwein bound cannot certify tol here"
         )
-    num = 3.0 * (1.0 + 2.0 * abs(t)) * math.exp(math.pi * abs(t) / 2.0)
-    n = max(8, int(math.ceil(math.log(num / (tol * den)) / _LOG_3P8)) + 2)
+    # log of the bound's numerator: e^{pi |t| / 2} overflows past |t| ~ 452
+    log_num = math.log(3.0 * (1.0 + 2.0 * abs(t))) + math.pi * abs(t) / 2.0
+    n = max(8, int(math.ceil((log_num - math.log(tol) - math.log(den)) / _LOG_3P8)) + 2)
+    if n > _BORWEIN_MAX_TERMS:
+        raise ToleranceNotMet(
+            f"zeta at |Im s| = {abs(t):.6g} needs {n} eta-series terms to certify "
+            f"tol {tol:.3g}, above the cap of {_BORWEIN_MAX_TERMS}"
+        )
 
     out_bits = bits_for_tol(tol)
     work_bits = out_bits + int(math.ceil(n * _LOG_3P8 / math.log(2))) + 32

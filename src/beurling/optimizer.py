@@ -6,11 +6,13 @@ solves the equality-constrained least-squares KKT system
 
     [[G, theta], [theta^T, 0]] [a; lambda] = [-v; 0].
 
-Gram entries go through the u = 1/x periodic engine (each PAIR of rational
-thetas has its own small joint period even when the full family's period is
-astronomical), falling back to x-space quadrature for non-rational-friendly
-pairs. Duplicate thetas make the KKT matrix exactly singular and are
-rejected rather than merged.
+G and v entries go through the u = 1/x periodic engine (each PAIR of
+rational thetas has its own small joint period even when the full family's
+period is astronomical). One function, `_gram_entry`, takes every entry down
+the same ladder: float64 u-integral, 96-bit u-integral, then x-space
+quadrature for a pair or a single theta whose period is past the cap (float
+thetas such as 0.1 = 3602879701896397/2^55). Duplicate thetas make the KKT
+matrix exactly singular and are rejected rather than merged.
 """
 from __future__ import annotations
 
@@ -23,11 +25,13 @@ import numpy as np
 
 from . import _periodic
 from .errors import DomainError, SingularSystemError, ToleranceNotMet
-from .functions import BeurlingSpec, _integrate_report, _to_fraction, norm_numeric
+from .functions import BeurlingSpec, _integrate_report, _norm_oracle, _to_fraction
 from .numerics import PrecisionReal
 from .parseval import norm_via_parseval
 
 _SOLVER_EPS = float(np.finfo(np.float64).eps)
+# Parseval cross-check length in residual_report
+_PARSEVAL_N_MAX = 4096
 
 
 @dataclass(frozen=True)
@@ -64,13 +68,9 @@ class GramSystem:
         return GramSystem(self.thetas[:n], self.G[:n, :n].copy(), self.v[:n].copy(), self.build_tol)
 
     def to_json(self) -> str:
-        def num(x: Fraction):
-            f = float(x)
-            return f if Fraction(f) == x else str(x)
-
         return json.dumps(
             {
-                "thetas": [num(t) for t in self.thetas],
+                "thetas": [BeurlingSpec._num_out(t) for t in self.thetas],
                 "G": [format(x, ".17g") for x in self.G.ravel(order="C")],
                 "v": [format(x, ".17g") for x in self.v],
                 "build_tol": float(self.build_tol),
@@ -104,39 +104,31 @@ def unit_thetas(N: int) -> tuple[Fraction, ...]:
     return tuple(Fraction(1, k) for k in range(1, N + 1))
 
 
-def _pair_entry(tj: Fraction, tk: Fraction, tol: float) -> float:
-    """int_0^1 rho(tj/x) rho(tk/x) dx, certified to tol."""
-    pp = _periodic.rho_pair_pieces(tj, tk)
+def _gram_entry(pp, thetas: tuple[Fraction, ...], tol: float) -> float:
+    """int_0^1 prod_k rho(theta_k/x) dx over one or two thetas, certified to tol.
+
+    pp is the (B, pieces) of the u = 1/x integrand from `rho_pair_pieces` or
+    `rho_single_pieces`, or None past the period cap. The ladder: the float64
+    u-integral, then the 96-bit one, then x-space quadrature; ToleranceNotMet
+    when none of them certifies tol.
+    """
     if pp is not None:
         B, pieces = pp
         val, err = _periodic.u_integral_f64(pieces, B, 2.0)
         if err <= tol:
-            return float(val.real) if isinstance(val, complex) else float(val)
+            return float(val)
         val_mp, err_mp = _periodic.u_integral_mp(pieces, B, 2.0, 96)
         if float(err_mp) <= tol:
             return float(val_mp.real)
-    aux = BeurlingSpec([(1, tj), (1, tk)])
+    aux = BeurlingSpec([(1, t) for t in thetas])
 
     def integrand(x):
-        qj = float(tj) / x
-        qk = float(tk) / x
-        return (qj - np.floor(qj)) * (qk - np.floor(qk)) + 0j
+        return math.prod(q - np.floor(q) for q in (float(t) / x for t in thetas)) + 0j
 
     val, err, _ = _integrate_report(integrand, aux, None, tol, bound_m=1.0)
     if err > tol:
         raise ToleranceNotMet(f"Gram entry error {err:.3g} exceeds tol {tol:.3g}")
     return float(val.real)
-
-
-def _v_entry(tk: Fraction, tol: float) -> float:
-    B, pieces = _periodic.rho_single_pieces(tk)
-    val, err = _periodic.u_integral_f64(pieces, B, 2.0)
-    if err <= tol:
-        return float(val.real) if isinstance(val, complex) else float(val)
-    val_mp, err_mp = _periodic.u_integral_mp(pieces, B, 2.0, 96)
-    if float(err_mp) <= tol:
-        return float(val_mp.real)
-    raise ToleranceNotMet(f"v entry error exceeds tol {tol:.3g}")
 
 
 def build_gram(thetas, tol: float = 1e-9) -> GramSystem:
@@ -148,8 +140,11 @@ def build_gram(thetas, tol: float = 1e-9) -> GramSystem:
     G = np.zeros((n, n), dtype=np.float64)
     for j in range(n):
         for k in range(j, n):
-            G[j, k] = G[k, j] = _pair_entry(ths[j], ths[k], tol)
-    v = np.array([_v_entry(t, tol) for t in ths], dtype=np.float64)
+            pair = (ths[j], ths[k])
+            G[j, k] = G[k, j] = _gram_entry(_periodic.rho_pair_pieces(*pair), pair, tol)
+    v = np.array(
+        [_gram_entry(_periodic.rho_single_pieces(t), (t,), tol) for t in ths], dtype=np.float64
+    )
     return GramSystem(ths, G, v, PrecisionReal.from_float(tol, 64))
 
 
@@ -217,7 +212,7 @@ def spec_from_solution(thetas, a) -> BeurlingSpec:
     return BeurlingSpec([(af, th) for af, th in zip(a_fr, ths)])
 
 
-def residual_report(thetas, tol: float = 1e-9, n_max_parseval: int = 4096) -> dict:
+def residual_report(thetas, tol: float = 1e-9) -> dict:
     """Optimize, then cross-check the quadratic-form norm against quadrature
     and Parseval on the recovered exact spec. Values that cannot be certified
     at any usable tolerance are reported as None rather than guessed."""
@@ -225,19 +220,11 @@ def residual_report(thetas, tol: float = 1e-9, n_max_parseval: int = 4096) -> di
     gs: GramSystem = res["gram"]
     spec = spec_from_solution(gs.thetas, res["a"])
     norm_kkt = math.sqrt(max(float(res["norm_sq"]), 0.0))
-    norm_quad = None
-    quad_tol_used = None
-    for try_tol in (max(tol, 1e-10), 1e-6):
-        try:
-            norm_quad = float(norm_numeric(spec, try_tol))
-            quad_tol_used = try_tol
-            break
-        except ToleranceNotMet:
-            continue
+    norm_quad, quad_tol_used = _norm_oracle(spec, max(tol, 1e-10))
     norm_pars = None
     tail_est = None
     if spec.admissible:
-        pars = norm_via_parseval(spec, n_max_parseval, 1e-8)
+        pars = norm_via_parseval(spec, _PARSEVAL_N_MAX, 1e-8)
         norm_pars = float(pars["norm"])
         tail_est = float(pars["tail_estimate"])
     report = {

@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import DomainError, ToleranceNotMet
 from .fourier import batch_cosine_f64, c_cosine_series
-from .functions import BeurlingSpec, norm_numeric
+from .functions import BeurlingSpec, _norm_oracle
 from .numerics import PrecisionReal
 
 
@@ -86,19 +86,13 @@ def norm_crosscheck(
     """Compare norm_via_parseval against norm_numeric.
 
     Returns a JSON-ready dict {n_max, partial, tail_estimate, norm_lo,
-    norm_hi, oracle, gap, gap_rel}; oracle is the quadrature norm (null when
-    quadrature cannot certify tol, e.g. astronomically long periods), gap is
-    |point estimate^2 - oracle^2| with the squared-norm convention.
+    norm_hi, oracle, gap, gap_rel}; oracle is the quadrature norm at tol, or
+    at 1e-6 when tol cannot be certified (null when neither can, e.g. for
+    astronomically long periods), gap is |point estimate^2 - oracle^2| with
+    the squared-norm convention.
     """
     rec = norm_via_parseval(spec, n_max, coeff_tol)
-    oracle = None
-    try:
-        oracle = norm_numeric(spec, tol)
-    except ToleranceNotMet:
-        try:
-            oracle = norm_numeric(spec, 1e-6)
-        except ToleranceNotMet:
-            oracle = None
+    oracle, _ = _norm_oracle(spec, tol)
     partial = float(rec["partial_norm_sq"])
     tail = float(rec["tail_estimate"])
     out = {
@@ -108,15 +102,15 @@ def norm_crosscheck(
         "norm_lo": float(rec["norm_lo"]),
         "norm_hi": float(rec["norm_hi"]),
         "coeff_cert_total": float(rec["coeff_cert_total"]),
-        "oracle": None if oracle is None else float(oracle),
+        "oracle": oracle,
         "gap": None,
         "gap_rel": None,
     }
     if oracle is not None:
         est = partial + 0.5 * tail
-        gap = abs(est - float(oracle) ** 2)
+        gap = abs(est - oracle**2)
         out["gap"] = gap
-        out["gap_rel"] = gap / max(float(oracle) ** 2, 1e-300)
+        out["gap_rel"] = gap / max(oracle**2, 1e-300)
     return out
 
 

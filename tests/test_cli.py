@@ -101,6 +101,11 @@ class TestMellin:
         code, _, err = run(capsys, ["mellin", "--spec", adm1_file, "--s", "1"])
         assert code == 2
 
+    def test_huge_imaginary_part_exit_3(self, capsys, spec_a_file):
+        code, out, _ = run(capsys, ["mellin", "--spec", spec_a_file, "--s", "0.5,1e6"])
+        assert code == 3
+        assert out == ""
+
 
 class TestMellinEven:
     def test_csv(self, capsys, spec_a_file):
@@ -250,6 +255,18 @@ class TestOptimize:
         f.write_text('["1/2", "1/2"]')
         code, _, _ = run(capsys, ["optimize", "--thetas", str(f)])
         assert code == 2
+
+    def test_float_theta_past_the_period_cap(self, tmp_path, capsys):
+        # 0.1 has period 2^55: every entry with it takes x-space quadrature,
+        # which reaches 1e-3 but not the default 1e-9
+        f = tmp_path / "float.json"
+        f.write_text("[0.5, 0.1]")
+        code, out, _ = run(capsys, ["optimize", "--thetas", str(f), "--tol", "1e-3"])
+        assert code == 0
+        assert json.loads(out)["report"]["constraint_residual_exact"] == "0"
+        code, out, _ = run(capsys, ["optimize", "--thetas", str(f)])
+        assert code == 3
+        assert out == ""
 
 
 class TestSweep:

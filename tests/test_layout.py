@@ -1,6 +1,8 @@
 """layout: the package is serial, numerics alone scopes and locks mpmath
-precision and converts rationals, and every function the benchmark's
-tracer wraps by name still exists."""
+precision and converts rationals, each fallback around the u = 1/x engine
+is decided in one function, and every function the benchmark's tracer
+wraps by name still exists."""
+import ast
 import importlib
 import importlib.util
 import inspect
@@ -57,3 +59,54 @@ def test_traced_names_resolve():
         if not callable(getattr(importlib.import_module(modname), fname, None))
     ]
     assert missing == []
+
+
+def _owners(text, match):
+    """The top-level def or class enclosing each node of `text` that
+    satisfies `match` (None for module-level code), one entry per node."""
+    out = []
+    for top in ast.parse(text).body:
+        owner = top.name if isinstance(top, (ast.FunctionDef, ast.ClassDef)) else None
+        out.extend(owner for node in ast.walk(top) if match(node))
+    return out
+
+
+def _reads(*names):
+    def match(node):
+        if isinstance(node, ast.Name):
+            return node.id in names and isinstance(node.ctx, ast.Load)
+        return isinstance(node, ast.Attribute) and node.attr in names
+
+    return match
+
+
+def _calls(name):
+    def match(node):
+        if not isinstance(node, ast.Call):
+            return False
+        fn = node.func
+        return (fn.id if isinstance(fn, ast.Name) else getattr(fn, "attr", None)) == name
+
+    return match
+
+
+def test_period_caps_read_only_in_period():
+    owners = {
+        (name, owner)
+        for name, text in SOURCES.items()
+        for owner in _owners(text, _reads("PERIOD_CAP", "PIECES_CAP"))
+    }
+    assert owners == {("_periodic.py", "_period")}
+
+
+def test_gram_ladder_is_one_function():
+    text = SOURCES["optimizer.py"]
+    f64 = set(_owners(text, _calls("u_integral_f64")))
+    mp = set(_owners(text, _calls("u_integral_mp")))
+    assert f64 == mp and len(f64) == 1
+
+
+@pytest.mark.parametrize("module", ["parseval.py", "optimizer.py"])
+def test_norm_oracle_retry_in_one_place(module):
+    assert _owners(SOURCES[module], _calls("norm_numeric")) == []
+    assert _owners(SOURCES[module], _calls("_norm_oracle")) != []

@@ -17,6 +17,7 @@ from beurling import (
     zeta_complex,
     zeta_even,
 )
+from beurling import numerics
 
 
 class TestPrecisionReal:
@@ -156,6 +157,23 @@ class TestZetaComplex:
     def test_real_axis_value(self):
         got = zeta_complex(complex(2, 0), 1e-22)
         assert abs(complex(got).real - math.pi**2 / 6) < 1e-20
+
+    def test_large_imaginary_part(self):
+        # e^{pi |t| / 2} alone overflows a float past |t| ~ 452
+        got = zeta_complex(complex(0.5, 500), 1e-16)
+        with mpmath.workprec(2 * got.precision_bits):
+            ref = mpmath.zeta(mpmath.mpc(0.5, 500))
+            assert abs(got.to_mpc() - ref) < 1e-16
+
+    def test_term_cap_refuses_before_the_table(self, monkeypatch):
+        def no_table(n):
+            raise AssertionError(f"Borwein table of {n} terms was built")
+
+        monkeypatch.setattr(numerics, "_borwein_d", no_table)
+        with pytest.raises(ToleranceNotMet):
+            zeta_complex(complex(0.5, 1e6), 1e-16)
+        with pytest.raises(ToleranceNotMet):
+            zeta_complex(complex(0.5, 1200), 1e-16)
 
 
 @given(st.integers(min_value=1, max_value=40))

@@ -1,6 +1,7 @@
 """optimizer: Gram assembly oracles, KKT solve, exact reprojection of float
 solutions, residual cross-checks, and the nested-family sweep."""
 import math
+import signal
 from fractions import Fraction as Fr
 
 import mpmath
@@ -19,6 +20,7 @@ from beurling import (
     sweep,
     unit_thetas,
 )
+from beurling._periodic import rho_pair_pieces, rho_single_pieces, u_integral_f64
 
 # Frozen Gram oracles for thetas = (1, 1/2); closed forms:
 #   G00 = int rho(1/x)^2 = ln(2 pi) - gamma - 1
@@ -96,6 +98,55 @@ class TestBuildGram:
             optimize_coeffs(None, tol=1e-9, gram=gs)
         with pytest.raises(DomainError):
             build_gram([2], tol=1e-9)  # theta > 1
+
+
+def _g_diag(th):
+    """G(theta, theta) = theta (ln 2 pi - gamma - theta), at 120 bits."""
+    with mpmath.workprec(120):
+        t = mpmath.mpf(th.numerator) / th.denominator
+        return float(t * (mpmath.log(2 * mpmath.pi) - mpmath.euler - t))
+
+
+def _v_closed(th):
+    """v(theta) = theta (1 - gamma - ln theta), at 120 bits."""
+    with mpmath.workprec(120):
+        t = mpmath.mpf(th.numerator) / th.denominator
+        return float(t * (1 - mpmath.euler - mpmath.log(t)))
+
+
+class TestGramLadder:
+    """The stages of the Gram-entry ladder past float64, each against the
+    closed forms of the diagonal and of v."""
+
+    def test_mp_stage(self):
+        ths = (Fr(1), Fr(1, 2))
+        # the float64 u-integral cannot certify 1e-16 on any of these entries
+        for B, pieces in [rho_pair_pieces(t, t) for t in ths] + [rho_single_pieces(t) for t in ths]:
+            assert u_integral_f64(pieces, B, 2.0)[1] > 1e-16
+        gs = build_gram(list(ths), tol=1e-16)
+        for i, th in enumerate(ths):
+            assert abs(gs.G[i, i] - _g_diag(th)) < 1e-15
+            assert abs(gs.v[i] - _v_closed(th)) < 1e-15
+
+    def test_xspace_stage(self):
+        # 0.1 is 3602879701896397/2^55: no period in reach, so both entries
+        # take x-space quadrature. The v entry used to enumerate ~3.6e15
+        # breakpoints; the alarm turns that hang into a failure.
+        def hang(signum, frame):
+            raise TimeoutError("the 0.1 entries did not finish in 60 s")
+
+        th = Fr(0.1)
+        previous = signal.signal(signal.SIGALRM, hang)
+        signal.alarm(60)
+        try:
+            assert rho_single_pieces(th) is None
+            assert rho_pair_pieces(th, th) is None
+            gs = build_gram([0.1], tol=1e-4)
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        assert abs(gs.G[0, 0] - _g_diag(th)) < 1e-4
+        assert abs(gs.v[0] - _v_closed(th)) < 1e-4
 
 
 class TestOptimizeCoeffs:

@@ -13,6 +13,7 @@ from beurling import (
     norm_numeric,
     norm_via_parseval,
 )
+from beurling import parseval
 
 # Frozen: partial sums computed once from the classical series 8/pi^2 sum
 # over odd n <= 1e4 (empty spec) and from an independent mpmath run (ADM1).
@@ -30,6 +31,20 @@ class TestNormViaParseval:
         assert abs((1.0 - partial) - EMPTY_GAP_AT_1E4) < 2e-8
         # asymptotic identity for the odd-n tail: gap ~ 4/(pi^2 n_max)
         assert abs(EMPTY_GAP_AT_1E4 - 4 / (math.pi**2 * 10_000)) < 2e-9
+
+    def test_per_n_mp_route(self, spec_a, monkeypatch):
+        # coeff_tol below 1e-11 skips the float64 batch: every c(n) comes
+        # from c_cosine_series; it must agree with the batch's partial sum
+        batch = norm_via_parseval(spec_a, n_max=32)
+
+        def no_batch(*args):
+            raise AssertionError("the float64 batch was called")
+
+        monkeypatch.setattr(parseval, "batch_cosine_f64", no_batch)
+        per_n = norm_via_parseval(spec_a, n_max=32, coeff_tol=1e-13)
+        slack = float(per_n["coeff_cert_total"]) + float(batch["coeff_cert_total"])
+        gap = abs(float(per_n["partial_norm_sq"]) - float(batch["partial_norm_sq"]))
+        assert gap <= slack
 
     def test_bessel_lower_bracket(self, spec_a, adm1, triv0):
         for spec in (spec_a, adm1, triv0):
