@@ -12,14 +12,16 @@ The head [1, U] (U a multiple of B) is integrated exactly piece by piece.
 The infinite tail collapses, by periodicity, to one period weighted by a
 Hurwitz zeta kernel:
 
-    int_U^inf P(u) u^{-r} du = sum_pieces int p_i(w) B^{-r} zeta(r, (U+w)/B) dw,
+    int_U^inf P(u) u^{-r} du = sum_pieces int p_i(w) B^{-r} zeta(r, (U+w)/B) dw.
 
-a smooth one-period integral done by Gauss-Legendre at two orders (their
-difference is the certificate). No cutoff-epsilon tail bound is ever needed,
-which is what makes small sigma and tight tolerances reachable at all.
+No cutoff-epsilon tail bound is ever needed, which is what makes small
+sigma and tight tolerances reachable at all.
 
-Two backends: float64/numpy + scipy's real Hurwitz zeta for bulk work, and
-mpmath for complex exponents or sub-1e-12 tolerances.
+Two backends. float64/numpy with scipy's real Hurwitz zeta does bulk work;
+its tail is Gauss-Legendre at two orders, and their difference is an
+estimate. mpmath handles complex exponents and sub-1e-12 tolerances; its
+tail is one Taylor expansion of the kernel about the middle of the period,
+shared by every piece, with an a priori bound on truncation and roundoff.
 
 `_period` alone decides whether a theta set is in reach: past PERIOD_CAP or
 PIECES_CAP it returns None, and so do `decompose`, `rho_pair_pieces` and
@@ -36,7 +38,7 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 from scipy.special import zeta as _hurwitz_f64
 
-from .errors import DomainError
+from .errors import DomainError, ToleranceNotMet
 from .numerics import to_mp, workprec
 
 _F64_EPS = float(np.finfo(np.float64).eps)
@@ -48,6 +50,11 @@ _U_MIN = 64
 # at most this many Taylor orders in the sine tail; the certificate covers
 # stopping there
 _TAYLOR_TERMS = 60
+# at most this many terms of the Hurwitz kernel expansion in the u-tail; a
+# tolerance that needs more raises ToleranceNotMet
+_KERNEL_TERMS = 200
+# head spans (periods x pieces) a large |r| may stretch the head to
+_HEAD_SPANS_CAP = 800_000
 
 
 @dataclass(frozen=True)
@@ -198,8 +205,9 @@ def _phi_f64(u: np.ndarray, m: float) -> np.ndarray:
     return u ** (m + 1.0) / (m + 1.0)
 
 
-def _choose_U(B: int) -> int:
-    return B * max(2, -(-_U_MIN // B))
+def _choose_U(B: int, u_min: int = _U_MIN) -> int:
+    """End U of the exact head [1, U]: a multiple of B, at least 2B and u_min."""
+    return B * max(2, -(-u_min // B))
 
 
 def _head_spans(pieces, B: int, U: int):
@@ -269,12 +277,63 @@ def u_integral_f64(pieces, B: int, r: float):
 # ---------------------------------------------------------------------------
 
 
+def _t_coeffs(cs, B: int):
+    """(d0, d1, d2) with c0 + c1 w + c2 w^2 = d0 + d1 t + d2 t^2 at t = w/B - 1/2,
+    exactly; missing orders are zero and any c may be an (re, im) pair."""
+    cs = tuple(cs) + (Fraction(0),) * (3 - len(cs))
+    if any(isinstance(c, tuple) for c in cs):
+        re = _t_coeffs([c[0] if isinstance(c, tuple) else c for c in cs], B)
+        im = _t_coeffs([c[1] if isinstance(c, tuple) else 0 for c in cs], B)
+        return tuple(zip(re, im))
+    c0, c1, c2 = cs
+    h = Fraction(B, 2)
+    return c0 + (c1 + c2 * h) * h, (c1 + 2 * c2 * h) * B, c2 * B * B
+
+
+def _kernel_order(r_abs, sigma, c, bits: int):
+    """(K, q, a): the first K terms of the kernel expansion leave a remainder
+    of at most q * e_0 with q <= 2^-bits, and a = max_(k<=K) (|r|)_k/k! 2^-k.
+
+    Term k is at most e_k = (|r|)_k/k! c^(-sigma-k) (1 + c/(sigma+k-1)) 2^-k
+    times int |p|, from |zeta(sigma+k+i tau, c)| <= zeta(sigma+k, c) and
+    |t| <= 1/2. The ratio e_(k+1)/e_k is at most rho_k = (|r|+k)/(2c(k+1)),
+    which decreases in k and is <= 1/2 for c >= |r| >= 1, so the remainder
+    after K terms is at most e_K / (1 - rho_K).
+    """
+    floor = mpmath.mpf(2) ** (-bits)
+    e = mpmath.mpf(1)  # e_k / e_0
+    a = a_max = mpmath.mpf(1)
+    for k in range(_KERNEL_TERMS + 1):
+        rho = (r_abs + k) / (2 * c * (k + 1))
+        if e <= (1 - rho) * floor:
+            return k, e / (1 - rho), a_max
+        e *= rho * (1 + c / (sigma + k)) / (1 + c / (sigma + k - 1))
+        a *= (r_abs + k) / (2 * (k + 1))
+        a_max = max(a_max, a)
+    raise ToleranceNotMet(
+        f"the Hurwitz kernel expansion needs more than {_KERNEL_TERMS} terms "
+        f"for {bits} bits at |r| = {float(r_abs):.6g}"
+    )
+
+
 def u_integral_mp(pieces, B: int, r, prec_bits: int):
     """mpmath version of u_integral_f64; r may be complex (Re r > 1).
 
     pieces carry exact Fraction bounds/coefficients of degree <= 2 (missing
     orders are zero); coefficients may be (re, im) Fraction pairs for
     complex integrands.
+
+    The head [1, U] is exact. The tail expands the kernel once about the
+    middle of the period, c = U/B + 1/2, with t = (U+w)/B - c in [-1/2, 1/2]:
+
+        zeta(r, c + t) = sum_k (-1)^k (r)_k/k! zeta(r+k, c) t^k,
+
+    so it is B^(1-r) sum_k (-1)^k (r)_k/k! zeta(r+k, c) M_k with the exact
+    polynomial moments M_k = sum_pieces int p t^k dt. U grows with |r| so
+    that c >= |r|; the certificate is the a priori remainder bound of
+    `_kernel_order` plus roundoff over the magnitudes of everything summed.
+    Raises ToleranceNotMet past _KERNEL_TERMS terms or _HEAD_SPANS_CAP head
+    spans.
     Returns (mpc value, mpf err_bound).
     """
     with workprec(prec_bits):
@@ -283,47 +342,101 @@ def u_integral_mp(pieces, B: int, r, prec_bits: int):
             raise DomainError("u-integral needs Re(r) > 1 for convergence")
         if mpmath.im(r_mp) == 0:
             r_mp = mpmath.mpf(mpmath.re(r_mp))
-        U = _choose_U(B)
+        r_abs, sigma = abs(r_mp), mpmath.re(r_mp)
+        U = _choose_U(B, max(_U_MIN, B * int(mpmath.ceil(r_abs))))
+        spans = U // B * len(pieces)
+        if spans > _HEAD_SPANS_CAP:
+            raise ToleranceNotMet(
+                f"|r| = {float(r_abs):.6g} needs {spans} head spans, above the cap of {_HEAD_SPANS_CAP}"
+            )
+        c = mpmath.mpf(U // B) + 0.5
+        K, q, a_max = _kernel_order(r_abs, sigma, c, prec_bits)
+        # mpmath's Hurwitz zeta stops its Euler-Maclaurin sum at an absolute
+        # 2^-prec, so zeta(r+k, c) is called with enough guard bits that this
+        # error times |(r)_k/k!| 2^-k stays below the certificate scale e_0
+        guard = max(0, int(mpmath.ceil(mpmath.log(a_max * c**sigma / (1 + c / (sigma - 1)), 2))))
+        # summands in the longest sum times the relative error of each; the
+        # phase of u^(1-r) is good to |r| ln U units in the last place
+        ops = (3 * spans + 3 * len(pieces) + 3 * K + 64) * (2 + float(r_abs) * math.log(U))
+        wp = prec_bits + max(0, int(ops).bit_length() - 8)
+
+    with workprec(wp):
         coeffs = [
             [to_mp(c) for c in cs] + [mpmath.mpf(0)] * (3 - len(cs)) for _, _, cs in pieces
         ]
+        coeffs_abs = [[abs(c) for c in cs] for cs in coeffs]
+        # 1/(j+1-r), None where the antiderivative of u^(j-r) is log u
+        inv = [None if r_mp == j + 1 else 1 / (j + 1 - r_mp) for j in range(3)]
+        inv_abs = [None if iv is None else abs(iv) for iv in inv]
 
-        def phi(u, mexp):
-            if mexp == -1:
-                return mpmath.log(u)
-            return mpmath.power(u, mexp + 1) / (mexp + 1)
+        def phis(u):
+            """(value, magnitude) of the antiderivative of u^(j-r) at u >= 1,
+            j = 0, 1, 2, from one power u^(1-r)."""
+            base = mpmath.power(u, 1 - r_mp)
+            base_abs = abs(base)
+            out = []
+            for j, (iv, iv_abs) in enumerate(zip(inv, inv_abs)):
+                if iv is None:
+                    out.append((mpmath.log(u),) * 2)
+                else:
+                    uj = u**j
+                    out.append((uj * base * iv, uj * base_abs * iv_abs))
+            return out
 
         head = mpmath.mpc(0)
         absacc = mpmath.mpf(0)
+        prev_u = prev = None  # consecutive spans share an end
         for off, i, lo_u, hi_u in _head_spans(pieces, B, U):
+            at_lo = prev if lo_u == prev_u else phis(to_mp(lo_u))
+            at_hi = phis(to_mp(hi_u))
+            prev_u, prev = hi_u, at_hi
             c0, c1, c2 = coeffs[i]
-            k0 = c0 - c1 * off + c2 * off * off
-            k1 = c1 - 2 * c2 * off
-            k2 = c2
-            lo_m, hi_m = to_mp(lo_u), to_mp(hi_u)
-            for k, mexp in ((k0, -r_mp), (k1, 1 - r_mp), (k2, 2 - r_mp)):
-                if k == 0:
+            a0, a1, a2 = coeffs_abs[i]
+            ks = (c0 - c1 * off + c2 * off * off, c1 - 2 * c2 * off, c2)
+            mags = (a0 + (a1 + a2 * off) * off, a1 + 2 * a2 * off, a2)
+            for j in range(3):
+                if mags[j] == 0:
                     continue
-                contrib = k * (phi(hi_m, mexp) - phi(lo_m, mexp))
-                head += contrib
-                absacc += abs(contrib)
+                head += ks[j] * (at_hi[j][0] - at_lo[j][0])
+                absacc += mags[j] * (at_hi[j][1] + at_lo[j][1])
 
-        tail = mpmath.mpc(0)
-        tail_err = mpmath.mpf(0)
-        for (lo, hi, _), (c0, c1, c2) in zip(pieces, coeffs):
-            lo_m, hi_m = to_mp(lo), to_mp(hi)
+        # moments by running powers of t; int |p| dt <= S over the period,
+        # and the terms summed into M_k total at most 2^-k S_B in magnitude
+        moments = [mpmath.mpf(0)] * K
+        S = mpmath.mpf(0)
+        S_B = mpmath.mpf(0)
+        half = Fraction(1, 2)
+        for lo, hi, cs in pieces:
+            ds = [(j, to_mp(d)) for j, d in enumerate(_t_coeffs(cs, B)) if d != 0]
+            t_lo, t_hi = to_mp(Fraction(lo) / B - half), to_mp(Fraction(hi) / B - half)
+            weight = sum((abs(d) / 2**j for j, d in ds), mpmath.mpf(0))
+            S += (t_hi - t_lo) * weight
+            S_B += weight
+            diffs = []  # (t_hi^m - t_lo^m)/m, m = 1 .. K+2
+            p_lo, p_hi = t_lo, t_hi
+            for m in range(1, K + 3):
+                diffs.append((p_hi - p_lo) / m)
+                p_lo *= t_lo
+                p_hi *= t_hi
+            for k in range(K):
+                for j, d in ds:
+                    moments[k] += d * diffs[k + j]
 
-            def g(w):
-                return (c0 + c1 * w + c2 * w * w) * mpmath.zeta(r_mp, (U + w) / B)
-
-            val, est = mpmath.quad(g, [lo_m, hi_m], error=True)
-            tail += val
-            tail_err += est
-        tail *= mpmath.power(B, -r_mp)
-        tail_err *= abs(mpmath.power(B, -r_mp))
-
-        roundoff = (absacc + abs(tail)) * mpmath.mpf(2) ** (8 - prec_bits)
-        return head + tail, tail_err + roundoff
+        tail = mpmath.mpf(0)
+        tail_mag = mpmath.mpf(0)
+        coef = mpmath.mpf(1)  # (-1)^k (r)_k / k!
+        for k in range(K):
+            with workprec(wp + guard):
+                z = mpmath.zeta(r_mp + k, c)
+            tail += coef * z * moments[k]
+            tail_mag += abs(coef) * (abs(z) + mpmath.mpf(2) ** -guard) / mpmath.mpf(2) ** k
+            coef *= -(r_mp + k) / (k + 1)
+        b_pow = B * mpmath.power(B, -r_mp)
+        tail *= b_pow
+        b_abs = abs(b_pow)
+        e_0 = mpmath.power(c, -sigma) * (1 + c / (sigma - 1)) * S * b_abs
+        roundoff = (absacc + tail_mag * S_B * b_abs) * ops * mpmath.mpf(2) ** (-wp)
+        return head + tail, q * e_0 + roundoff
 
 
 def sine_integral_mp(const_pieces, B: int, n: int, prec_bits: int):
@@ -340,7 +453,7 @@ def sine_integral_mp(const_pieces, B: int, n: int, prec_bits: int):
     """
     with workprec(prec_bits):
         npi = n * mpmath.pi
-        U = B * max(2, -(-int(math.ceil(2 * math.pi * n)) // B), -(-_U_MIN // B))
+        U = _choose_U(B, max(_U_MIN, math.ceil(2 * math.pi * n)))
         alphas = [to_mp(a) for _, _, a in const_pieces]
 
         head = mpmath.mpc(0)

@@ -406,6 +406,17 @@ def _integrate_report(
     if spec.terms:
         eps = min(eps, 0.5 * spec.min_theta)
     eps = min(eps, 0.5)
+    if eps <= 0:
+        raise ToleranceNotMet(
+            f"the x-space cut (sigma tol / 2M)^(1/sigma) underflows to 0 at "
+            f"sigma = {sigma:.3g}, tol = {tol:.3g}"
+        )
+    # each theta alone puts floor(theta/eps) distinct breakpoints in [eps, 1]
+    min_pieces = max((float(t.theta) // eps for t in spec.terms), default=1.0)
+    if min_pieces * 36 > budget:
+        raise ToleranceNotMet(
+            f"piece count {min_pieces:.6g} or more exceeds the evaluation budget {budget}"
+        )
 
     fn = _vectorize(integrand)
     bps = breakpoints(spec, eps) if spec.terms else Breakpoints(eps, np.array([1.0]))
@@ -508,9 +519,10 @@ def mellin_numeric(spec: BeurlingSpec, s, tol: float = 1e-10) -> MellinValue:
 
     For exact-rational specs the u = 1/x substitution makes the integrand
     periodic piecewise-linear and the integral is evaluated with an exact
-    head plus a Hurwitz-zeta tail (certificate = quadrature-order difference
-    + roundoff). Otherwise falls back to the literal x-space strategy, whose
-    reachable tolerance is limited by the (0, eps) tail bound.
+    head plus a Hurwitz-zeta tail (`_periodic.u_integral_mp`; certificate =
+    a priori truncation bound of the kernel expansion + roundoff).
+    Otherwise falls back to the literal x-space strategy, whose reachable
+    tolerance is limited by the (0, eps) tail bound.
     """
     s_c = _as_complex(s)
     if s_c.real <= 0:

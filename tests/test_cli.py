@@ -101,6 +101,17 @@ class TestMellin:
         code, _, err = run(capsys, ["mellin", "--spec", adm1_file, "--s", "1"])
         assert code == 2
 
+    def test_small_sigma_in_x_space_exit_3(self, tmp_path, capsys):
+        # period 997 * 991 is past the cap, so the integral runs in x-space,
+        # where the cut (sigma tol / 2M)^(1/sigma) underflows at sigma = 0.01
+        f = tmp_path / "wide.json"
+        f.write_text(json.dumps({"terms": [{"a_re": 1, "b": 997}, {"a_re": -1, "b": 991}]}))
+        code, out, err = run(
+            capsys, ["mellin", "--spec", str(f), "--s", "0.01", "--method", "quadrature"]
+        )
+        assert code == 3 and out == ""
+        assert "sigma = 0.01" in err and "tol = 1e-10" in err
+
     def test_huge_imaginary_part_exit_3(self, capsys, spec_a_file):
         code, out, _ = run(capsys, ["mellin", "--spec", spec_a_file, "--s", "0.5,1e6"])
         assert code == 3

@@ -2,11 +2,12 @@
 breakpoints, certified quadrature, Mellin by quadrature, norms."""
 import json
 import math
+import time
 from fractions import Fraction as Fr
 
 import mpmath
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from beurling import (
@@ -18,9 +19,11 @@ from beurling import (
     eval_f,
     frac,
     integrate_piecewise,
+    mellin_closed,
     mellin_numeric,
     norm_numeric,
 )
+from beurling._periodic import f_abs2_pieces, u_integral_mp
 
 
 class TestFrac:
@@ -202,6 +205,15 @@ class TestIntegratePiecewise:
         with pytest.raises(ToleranceNotMet):
             integrate_piecewise(lambda x: x + 0j, adm1, tol=1e-11)
 
+    def test_budget_checked_before_enumeration(self):
+        # float thetas force x-space; theta = 1 alone puts ~1.2e7 breakpoints
+        # above the cut, so the budget refuses before any is built
+        spec = BeurlingSpec([(1, 0.3), (-0.3, 1)])
+        start = time.perf_counter()
+        with pytest.raises(ToleranceNotMet, match="evaluation budget"):
+            norm_numeric(spec, 1e-6)
+        assert time.perf_counter() - start < 1.0
+
 
 class TestMellinNumeric:
     def test_adm1_oracle_s2(self, adm1):
@@ -302,3 +314,124 @@ class TestNormNumeric:
             c = mpmath.log(2 * mpmath.pi) - mpmath.euler - 1
             ref = mpmath.sqrt(1 + mpmath.mpf(1) / 4 + c / 2)
             assert abs(float(nn) - float(ref)) < 1e-10
+
+
+# Complex coefficients, theta = 1/2, 1/3, 2/5: period 30
+SPEC_CX = BeurlingSpec(
+    [((Fr(1, 2), Fr(1, 3)), Fr(1, 2)), ((Fr(-1, 4), Fr(1, 5)), Fr(1, 3)), (Fr(-2, 3), Fr(2, 5))]
+)
+
+
+def _within_certificate(spec, s, tol, may_refuse=True):
+    """mellin_numeric within its error_bound of mellin_closed at twice the
+    working bits, or (if may_refuse) ToleranceNotMet."""
+    try:
+        q = mellin_numeric(spec, s, tol)
+    except ToleranceNotMet:
+        if may_refuse:
+            return
+        raise
+    bits = 2 * q.value.re.precision_bits
+    c = mellin_closed(spec, s, 2.0**-bits)
+    with mpmath.workprec(bits):
+        gap = abs(q.value.to_mpc() - c.value.to_mpc())
+        assert gap <= q.error_bound.value + c.error_bound.value, (spec, s, tol, gap)
+
+
+@st.composite
+def _exact_specs(draw):
+    """1-3 terms, theta = p/q with q | 12 (period <= 12), coefficients
+    p/q with small q, complex or real, admissible or not."""
+    n = draw(st.integers(1, 3))
+    denoms = draw(st.lists(st.sampled_from([1, 2, 3, 4, 6, 12]), min_size=n, max_size=n))
+    thetas = [Fr(draw(st.integers(1, q)), q) for q in denoms]
+    complex_a = draw(st.booleans())
+
+    def coef():
+        return Fr(draw(st.integers(-6, 6)), draw(st.integers(1, 6)))
+
+    a = [(coef(), coef() if complex_a else Fr(0)) for _ in thetas]
+    if draw(st.booleans()):
+        # solve the last coefficient from sum a_k theta_k = 0
+        re = sum(x * t for (x, _), t in zip(a[:-1], thetas))
+        im = sum(y * t for (_, y), t in zip(a[:-1], thetas))
+        a[-1] = (-re / thetas[-1], -im / thetas[-1])
+    return BeurlingSpec(list(zip(a, thetas)))
+
+
+class TestUTailCertificate:
+    """The u-tail of u_integral_mp is the Hurwitz kernel expansion with an a
+    priori bound; mellin_numeric and norm_numeric must stay within it."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        spec=_exact_specs(),
+        sigma=st.floats(0.01, 4.0),
+        t=st.floats(-400.0, 400.0),
+        tol=st.sampled_from([1e-10, 1e-25]),
+    )
+    def test_mellin_within_error_bound(self, spec, sigma, t, tol):
+        s = complex(sigma, t)
+        assume(abs(s - 1) > 1e-3)
+        _within_certificate(spec, s, tol)
+
+    @pytest.mark.parametrize(
+        "spec, s",
+        [(None, complex(2, 400)), (SPEC_CX, complex(0.5, 120))],
+        ids=["SPEC_A-2+400i", "CX-0.5+120i"],
+    )
+    def test_large_imaginary_part(self, spec_a, spec, s):
+        _within_certificate(spec or spec_a, s, 1e-25, may_refuse=False)
+
+    def test_past_the_head_span_cap(self, spec_a):
+        # c >= |r| would stretch the head to ~10^6 periods
+        with pytest.raises(ToleranceNotMet, match="head spans"):
+            mellin_numeric(spec_a, complex(0.5, 1e6), 1e-10)
+
+    def test_past_the_term_cap(self, spec_a):
+        # at c = 11.5 each term gains ~4.5 bits: 200 terms fall short of the
+        # ~1050 bits that tol = 1e-300 asks for
+        with pytest.raises(ToleranceNotMet, match="kernel expansion"):
+            mellin_numeric(spec_a, 2.0, 1e-300)
+
+    @pytest.mark.parametrize(
+        "name", ["EMPTY", "TRIV0", "SPEC_A", "SPEC_D", "SPEC_E", "ADM1", "GRAM0", "GRAM1"]
+    )
+    def test_norm_against_quad_tail(self, admissible_specs, name):
+        gram = {
+            # the theta sets of the optimize benchmark jobs, with admissible a
+            "GRAM0": BeurlingSpec(
+                [(Fr(1, 2), Fr(1, 6)), (Fr(-1, 3), Fr(1, 4)), (1, Fr(1, 3)), (Fr(-1, 2), Fr(2, 3))]
+            ),
+            "GRAM1": BeurlingSpec(
+                [(Fr(3, 2), Fr(1, 6)), (-1, Fr(1, 4)), (Fr(1, 4), Fr(1, 3)), (Fr(-1, 9), Fr(3, 4))]
+            ),
+        }
+        spec = gram.get(name) or admissible_specs[name]
+        pieces = f_abs2_pieces(spec.linear_pieces)
+        val, err = u_integral_mp(pieces, spec.decomposition.period, 2, 64)
+        ref = _quad_norm_sq(spec, 128)
+        with mpmath.workprec(128):
+            assert abs(val.real - ref) <= err
+        assert abs(float(norm_numeric(spec, 1e-10)) - math.sqrt(float(ref))) <= 1e-10
+
+
+def _quad_norm_sq(spec, bits):
+    """||F_N||^2 = int_1^inf |F(1/u)|^2 u^-2 du with the tail past u = B as
+    B^-2 int p(w) zeta(2, (B+w)/B) dw, every piece by mpmath.quad: the
+    estimate the periodic engine used before its kernel expansion."""
+    pieces = f_abs2_pieces(spec.linear_pieces)
+    B = spec.decomposition.period
+    with mpmath.workprec(bits):
+        total = mpmath.mpf(0)
+        for lo, hi, cs in pieces:
+            c0, c1, c2 = (mpmath.mpf(c.numerator) / c.denominator for c in cs)
+
+            def p(w):
+                return c0 + (c1 + c2 * w) * w
+
+            start = max(lo, 1)
+            if hi > start:
+                total += mpmath.quad(lambda u: p(u) / u**2, [start, hi])
+            total += mpmath.quad(lambda w: p(w) * mpmath.zeta(2, (B + w) / B), [lo, hi]) / B**2
+        return total

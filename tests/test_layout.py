@@ -1,7 +1,8 @@
 """layout: the package is serial, numerics alone scopes and locks mpmath
 precision and converts rationals, each fallback around the u = 1/x engine
-is decided in one function, and every function the benchmark's tracer
-wraps by name still exists."""
+is decided in one function, the periodic engine certifies without
+quadrature estimates, and every function the benchmark's tracer wraps by
+name still exists."""
 import ast
 import importlib
 import importlib.util
@@ -104,6 +105,12 @@ def test_gram_ladder_is_one_function():
     f64 = set(_owners(text, _calls("u_integral_f64")))
     mp = set(_owners(text, _calls("u_integral_mp")))
     assert f64 == mp and len(f64) == 1
+
+
+def test_periodic_never_calls_quad():
+    # an mpmath.quad error estimate is not a certificate; the u-tail is
+    # bounded a priori
+    assert _owners(SOURCES["_periodic.py"], _calls("quad")) == []
 
 
 @pytest.mark.parametrize("module", ["parseval.py", "optimizer.py"])
