@@ -19,9 +19,11 @@ sigma and tight tolerances reachable at all.
 
 Two backends. float64/numpy with scipy's real Hurwitz zeta does bulk work;
 its tail is Gauss-Legendre at two orders, and their difference is an
-estimate. mpmath handles complex exponents and sub-1e-12 tolerances; its
-tail is one Taylor expansion of the kernel about the middle of the period,
-shared by every piece, with an a priori bound on truncation and roundoff.
+estimate. In mpmath, `_integrate` serves both `u_integral_mp` (complex r,
+sub-1e-12 tolerances) and `sine_integral_mp` (the sine kernel as a series
+in u^-(2m+3)): its tail is one Taylor expansion of the kernel about the
+middle of the period, shared by every piece and exponent, with an a priori
+bound on truncation and roundoff.
 
 `_period` alone decides whether a theta set is in reach: past PERIOD_CAP or
 PIECES_CAP it returns None, and so do `decompose`, `rho_pair_pieces` and
@@ -29,6 +31,7 @@ PIECES_CAP it returns None, and so do `decompose`, `rho_pair_pieces` and
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -39,7 +42,7 @@ from numpy.polynomial.legendre import leggauss
 from scipy.special import zeta as _hurwitz_f64
 
 from .errors import DomainError, ToleranceNotMet
-from .numerics import to_mp, workprec
+from .numerics import hurwitz_zeta, to_mp, workprec
 
 _F64_EPS = float(np.finfo(np.float64).eps)
 
@@ -47,9 +50,6 @@ PERIOD_CAP = 100_000
 PIECES_CAP = 400_000
 # the exact head [1, U] covers at least this much of u before the tail
 _U_MIN = 64
-# at most this many Taylor orders in the sine tail; the certificate covers
-# stopping there
-_TAYLOR_TERMS = 60
 # at most this many terms of the Hurwitz kernel expansion in the u-tail; a
 # tolerance that needs more raises ToleranceNotMet
 _KERNEL_TERMS = 200
@@ -210,17 +210,6 @@ def _choose_U(B: int, u_min: int = _U_MIN) -> int:
     return B * max(2, -(-u_min // B))
 
 
-def _head_spans(pieces, B: int, U: int):
-    """(off, i, lo_u, hi_u) for piece i of each period [off, off + B) in
-    [0, U), clamped at u = 1, empty spans skipped, period by period."""
-    for off in range(0, U, B):
-        for i, (lo, hi, _) in enumerate(pieces):
-            lo_u = max(Fraction(off) + lo, Fraction(1))
-            hi_u = Fraction(off) + hi
-            if hi_u > lo_u:
-                yield off, i, lo_u, hi_u
-
-
 def u_integral_f64(pieces, B: int, r: float):
     """int_1^inf P(u) u^{-r} du for real r > 1, P from degree-2 period pieces.
 
@@ -291,14 +280,16 @@ def _t_coeffs(cs, B: int):
 
 
 def _kernel_order(r_abs, sigma, c, bits: int):
-    """(K, q, a): the first K terms of the kernel expansion leave a remainder
-    of at most q * e_0 with q <= 2^-bits, and a = max_(k<=K) (|r|)_k/k! 2^-k.
-
+    """(K, q, weight): the first K terms of the kernel expansion leave a
+    remainder of at most q * e_0 with q <= 2^-bits; weight is that of
+    `hurwitz_zeta`, which puts each zeta error at the scale e_0 2^-prec.
     Term k is at most e_k = (|r|)_k/k! c^(-sigma-k) (1 + c/(sigma+k-1)) 2^-k
     times int |p|, from |zeta(sigma+k+i tau, c)| <= zeta(sigma+k, c) and
     |t| <= 1/2. The ratio e_(k+1)/e_k is at most rho_k = (|r|+k)/(2c(k+1)),
-    which decreases in k and is <= 1/2 for c >= |r| >= 1, so the remainder
-    after K terms is at most e_K / (1 - rho_K).
+    which decreases in k (it is <= 1/2 for c >= |r| >= 1), so the remainder
+    after K terms is at most e_K / (1 - rho_K). The coefficient of
+    zeta(r+k, c) is at most a = max_(k<=K) (|r|)_k/k! 2^-k times int |p|,
+    so weight = a c^sigma / (1 + c/(sigma-1)).
     """
     floor = mpmath.mpf(2) ** (-bits)
     e = mpmath.mpf(1)  # e_k / e_0
@@ -306,7 +297,7 @@ def _kernel_order(r_abs, sigma, c, bits: int):
     for k in range(_KERNEL_TERMS + 1):
         rho = (r_abs + k) / (2 * c * (k + 1))
         if e <= (1 - rho) * floor:
-            return k, e / (1 - rho), a_max
+            return k, e / (1 - rho), a_max * c**sigma / (1 + c / (sigma - 1))
         e *= rho * (1 + c / (sigma + k)) / (1 + c / (sigma + k - 1))
         a *= (r_abs + k) / (2 * (k + 1))
         a_max = max(a_max, a)
@@ -316,25 +307,99 @@ def _kernel_order(r_abs, sigma, c, bits: int):
     )
 
 
+def _integrate(pieces, B: int, U: int, phis, exps, ops, wp: int):
+    """(value, err_bound) of the head [1, U] plus the kernel tail, at wp bits.
+
+    Head: piece i of the period at offset off, clamped at u = 1, is
+    sum_j k_j u^j, and phis(u)[j] is the (value, magnitude) of an
+    antiderivative of u^j g(u). Tail: sum_i w_i int_U^inf P(u) u^(-r_i) du
+    for exps = [(w, r, K, q, weight)], r in mp and (K, q, weight) from
+    `_kernel_order`. With t = (U+w)/B - c in [-1/2, 1/2], c = U/B + 1/2,
+    each integral is B^(1-r) sum_(k<K) (-1)^k (r)_k/k! zeta(r+k, c) M_k
+    with the exact moments M_k = sum_pieces int p t^k dt, found once for all
+    exponents. Each zeta(s, c) is evaluated once, at the largest weight
+    that uses it.
+
+    err_bound = sum |w| q e_0 for the truncation plus ops 2^-wp times the
+    magnitude of everything summed, zeta's absolute error included.
+    """
+    coeffs = [[to_mp(c) for c in cs] + [mpmath.mpf(0)] * (3 - len(cs)) for _, _, cs in pieces]
+    coeffs_abs = [[abs(c) for c in cs] for cs in coeffs]
+    head = mpmath.mpc(0)
+    absacc = mpmath.mpf(0)
+    prev_u = prev = None
+    for off in range(0, U, B):
+        for (lo, hi, _), (c0, c1, c2), (a0, a1, a2) in zip(pieces, coeffs, coeffs_abs):
+            lo_u, hi_u = max(Fraction(off) + lo, Fraction(1)), Fraction(off) + hi
+            ks = (c0 - c1 * off + c2 * off * off, c1 - 2 * c2 * off, c2)
+            mags = (a0 + (a1 + a2 * off) * off, a1 + 2 * a2 * off, a2)
+            if hi_u <= lo_u or not any(mags):
+                continue
+            at_lo = prev if lo_u == prev_u else phis(to_mp(lo_u))
+            at_hi = phis(to_mp(hi_u))
+            prev_u, prev = hi_u, at_hi
+            for k, mag, p_hi, p_lo in zip(ks, mags, at_hi, at_lo):
+                if mag != 0:
+                    head += k * (p_hi[0] - p_lo[0])
+                    absacc += mag * (p_hi[1] + p_lo[1])
+
+    K_max = max(K for _, _, K, _, _ in exps)
+    # moments by running powers of t; int |p| dt <= S over the period,
+    # and the terms summed into M_k total at most 2^-k S_B in magnitude
+    moments = [mpmath.mpf(0)] * K_max
+    S = S_B = mpmath.mpf(0)
+    half = Fraction(1, 2)
+    for lo, hi, cs in pieces:
+        ds = [(j, to_mp(d)) for j, d in enumerate(_t_coeffs(cs, B)) if d != 0]
+        t_lo, t_hi = to_mp(Fraction(lo) / B - half), to_mp(Fraction(hi) / B - half)
+        weight = sum((abs(d) / 2**j for j, d in ds), mpmath.mpf(0))
+        S += (t_hi - t_lo) * weight
+        S_B += weight
+        diffs = []  # (t_hi^m - t_lo^m)/m, m = 1 .. K_max+2
+        p_lo, p_hi = t_lo, t_hi
+        for m in range(1, K_max + 3):
+            diffs.append((p_hi - p_lo) / m)
+            p_lo *= t_lo
+            p_hi *= t_hi
+        for k in range(K_max):
+            for j, d in ds:
+                moments[k] += d * diffs[k + j]
+
+    c = mpmath.mpf(U // B) + 0.5
+    weights = {}
+    for _, r, K, _, wt in exps:
+        for k in range(K):
+            weights[r + k] = max(weights.get(r + k, 0), wt)
+    zetas = {s: hurwitz_zeta(s, c, wt) for s, wt in weights.items()}
+    tail = trunc = mag = mpmath.mpf(0)
+    for w, r, K, q, _ in exps:
+        sigma = mpmath.re(r)
+        part = part_mag = mpmath.mpf(0)
+        coef = mpmath.mpf(1)  # (-1)^k (r)_k / k!
+        for k in range(K):
+            z, err = zetas[r + k]
+            part += coef * z * moments[k]
+            part_mag += mpmath.ldexp(abs(coef) * (abs(z) + mpmath.ldexp(err, wp)), -k)
+            coef *= -(r + k) / (k + 1)
+        b_pow = B * mpmath.power(B, -r)
+        b_abs = abs(b_pow)
+        e_0 = mpmath.power(c, -sigma) * (1 + c / (sigma - 1)) * S * b_abs
+        tail += w * (part * b_pow)
+        trunc += abs(w) * (q * e_0)
+        mag += abs(w) * (part_mag * S_B * b_abs)
+    return head + tail, trunc + (absacc + mag) * ops * mpmath.mpf(2) ** (-wp)
+
+
 def u_integral_mp(pieces, B: int, r, prec_bits: int):
     """mpmath version of u_integral_f64; r may be complex (Re r > 1).
 
     pieces carry exact Fraction bounds/coefficients of degree <= 2 (missing
     orders are zero); coefficients may be (re, im) Fraction pairs for
-    complex integrands.
-
-    The head [1, U] is exact. The tail expands the kernel once about the
-    middle of the period, c = U/B + 1/2, with t = (U+w)/B - c in [-1/2, 1/2]:
-
-        zeta(r, c + t) = sum_k (-1)^k (r)_k/k! zeta(r+k, c) t^k,
-
-    so it is B^(1-r) sum_k (-1)^k (r)_k/k! zeta(r+k, c) M_k with the exact
-    polynomial moments M_k = sum_pieces int p t^k dt. U grows with |r| so
-    that c >= |r|; the certificate is the a priori remainder bound of
-    `_kernel_order` plus roundoff over the magnitudes of everything summed.
-    Raises ToleranceNotMet past _KERNEL_TERMS terms or _HEAD_SPANS_CAP head
-    spans.
-    Returns (mpc value, mpf err_bound).
+    complex integrands. The head [1, U] is exact and the tail is that of
+    `_integrate` at the one exponent r; U grows with |r| so that c >= |r|.
+    The certificate is the a priori remainder bound of `_kernel_order` plus
+    roundoff. Raises ToleranceNotMet past _KERNEL_TERMS terms or
+    _HEAD_SPANS_CAP head spans. Returns (mpc value, mpf err_bound).
     """
     with workprec(prec_bits):
         r_mp = mpmath.mpc(r)
@@ -349,29 +414,19 @@ def u_integral_mp(pieces, B: int, r, prec_bits: int):
             raise ToleranceNotMet(
                 f"|r| = {float(r_abs):.6g} needs {spans} head spans, above the cap of {_HEAD_SPANS_CAP}"
             )
-        c = mpmath.mpf(U // B) + 0.5
-        K, q, a_max = _kernel_order(r_abs, sigma, c, prec_bits)
-        # mpmath's Hurwitz zeta stops its Euler-Maclaurin sum at an absolute
-        # 2^-prec, so zeta(r+k, c) is called with enough guard bits that this
-        # error times |(r)_k/k!| 2^-k stays below the certificate scale e_0
-        guard = max(0, int(mpmath.ceil(mpmath.log(a_max * c**sigma / (1 + c / (sigma - 1)), 2))))
+        K, q, weight = _kernel_order(r_abs, sigma, mpmath.mpf(U // B) + 0.5, prec_bits)
         # summands in the longest sum times the relative error of each; the
         # phase of u^(1-r) is good to |r| ln U units in the last place
         ops = (3 * spans + 3 * len(pieces) + 3 * K + 64) * (2 + float(r_abs) * math.log(U))
         wp = prec_bits + max(0, int(ops).bit_length() - 8)
 
     with workprec(wp):
-        coeffs = [
-            [to_mp(c) for c in cs] + [mpmath.mpf(0)] * (3 - len(cs)) for _, _, cs in pieces
-        ]
-        coeffs_abs = [[abs(c) for c in cs] for cs in coeffs]
         # 1/(j+1-r), None where the antiderivative of u^(j-r) is log u
         inv = [None if r_mp == j + 1 else 1 / (j + 1 - r_mp) for j in range(3)]
         inv_abs = [None if iv is None else abs(iv) for iv in inv]
 
         def phis(u):
-            """(value, magnitude) of the antiderivative of u^(j-r) at u >= 1,
-            j = 0, 1, 2, from one power u^(1-r)."""
+            # the antiderivatives of u^(j-r), j = 0, 1, 2, from one u^(1-r)
             base = mpmath.power(u, 1 - r_mp)
             base_abs = abs(base)
             out = []
@@ -383,115 +438,61 @@ def u_integral_mp(pieces, B: int, r, prec_bits: int):
                     out.append((uj * base * iv, uj * base_abs * iv_abs))
             return out
 
-        head = mpmath.mpc(0)
-        absacc = mpmath.mpf(0)
-        prev_u = prev = None  # consecutive spans share an end
-        for off, i, lo_u, hi_u in _head_spans(pieces, B, U):
-            at_lo = prev if lo_u == prev_u else phis(to_mp(lo_u))
-            at_hi = phis(to_mp(hi_u))
-            prev_u, prev = hi_u, at_hi
-            c0, c1, c2 = coeffs[i]
-            a0, a1, a2 = coeffs_abs[i]
-            ks = (c0 - c1 * off + c2 * off * off, c1 - 2 * c2 * off, c2)
-            mags = (a0 + (a1 + a2 * off) * off, a1 + 2 * a2 * off, a2)
-            for j in range(3):
-                if mags[j] == 0:
-                    continue
-                head += ks[j] * (at_hi[j][0] - at_lo[j][0])
-                absacc += mags[j] * (at_hi[j][1] + at_lo[j][1])
-
-        # moments by running powers of t; int |p| dt <= S over the period,
-        # and the terms summed into M_k total at most 2^-k S_B in magnitude
-        moments = [mpmath.mpf(0)] * K
-        S = mpmath.mpf(0)
-        S_B = mpmath.mpf(0)
-        half = Fraction(1, 2)
-        for lo, hi, cs in pieces:
-            ds = [(j, to_mp(d)) for j, d in enumerate(_t_coeffs(cs, B)) if d != 0]
-            t_lo, t_hi = to_mp(Fraction(lo) / B - half), to_mp(Fraction(hi) / B - half)
-            weight = sum((abs(d) / 2**j for j, d in ds), mpmath.mpf(0))
-            S += (t_hi - t_lo) * weight
-            S_B += weight
-            diffs = []  # (t_hi^m - t_lo^m)/m, m = 1 .. K+2
-            p_lo, p_hi = t_lo, t_hi
-            for m in range(1, K + 3):
-                diffs.append((p_hi - p_lo) / m)
-                p_lo *= t_lo
-                p_hi *= t_hi
-            for k in range(K):
-                for j, d in ds:
-                    moments[k] += d * diffs[k + j]
-
-        tail = mpmath.mpf(0)
-        tail_mag = mpmath.mpf(0)
-        coef = mpmath.mpf(1)  # (-1)^k (r)_k / k!
-        for k in range(K):
-            with workprec(wp + guard):
-                z = mpmath.zeta(r_mp + k, c)
-            tail += coef * z * moments[k]
-            tail_mag += abs(coef) * (abs(z) + mpmath.mpf(2) ** -guard) / mpmath.mpf(2) ** k
-            coef *= -(r_mp + k) / (k + 1)
-        b_pow = B * mpmath.power(B, -r_mp)
-        tail *= b_pow
-        b_abs = abs(b_pow)
-        e_0 = mpmath.power(c, -sigma) * (1 + c / (sigma - 1)) * S * b_abs
-        roundoff = (absacc + tail_mag * S_B * b_abs) * ops * mpmath.mpf(2) ** (-wp)
-        return head + tail, q * e_0 + roundoff
+        return _integrate(pieces, B, U, phis, [(1, r_mp, K, q, weight)], ops, wp)
 
 
-def sine_integral_mp(const_pieces, B: int, n: int, prec_bits: int):
-    """int_1^inf P(u) sin(n pi / u) u^{-2} du for piecewise-CONSTANT periodic P.
+def sine_integral_mp(pieces, B: int, n: int, prec_bits: int):
+    """int_1^inf P(u) sin(n pi/u) u^-2 du for periodic P of degree <= 1
+    (pieces as for `u_integral_mp`); returns (mpc value, mpf err_bound).
 
-    Head [1, U]: exact, since int sin(n pi/u) u^{-2} du = cos(n pi/u)/(n pi).
-    Tail: Taylor of sin(n pi/u) in 1/u; each power integrates over the
-    periodic structure to Hurwitz zeta differences. U >= 2 n pi makes the
-    Taylor terms alternate with rapidly decreasing magnitude, so the first
-    omitted term (doubled) certifies the truncation.
-
-    const_pieces: [(lo: Fraction, hi: Fraction, alpha: (Fr, Fr))].
-    Returns (mpc value, mpf err_bound).
+    The head [1, U] is exact: cos(n pi/u)/(n pi) and -Si(n pi/u) are
+    antiderivatives of sin(n pi/u) u^-2 and sin(n pi/u) u^-1. The tail is
+    that of `_integrate` at the exponents r = 2m+3 of sin(n pi/u) u^-2 =
+    sum_m b_m u^-r, b_m = (-1)^m (n pi)^(2m+1)/(2m+1)!. As U >= 2 n pi,
+    term m is at most E_m = |b_m| B^(1-r) (U/B)^-r (1 + U/(B(r-1))) int|p|,
+    and E_(m+1)/E_m <= x_m = (n pi/U)^2/((r-1) r) <= 1/24, so the terms
+    m >= M total at most E_M/(1 - x_M). M is the first m where that is at
+    most 2^-(prec_bits+1) e_0 of term 0; term m < M keeps enough kernel
+    terms for 2^-(prec_bits+m+2) e_0.
     """
+    if any(len(cs) > 2 and cs[2] != 0 for _, _, cs in pieces):
+        raise DomainError("sine_integral_mp takes pieces of degree <= 1")
     with workprec(prec_bits):
         npi = n * mpmath.pi
         U = _choose_U(B, max(_U_MIN, math.ceil(2 * math.pi * n)))
-        alphas = [to_mp(a) for _, _, a in const_pieces]
-
-        head = mpmath.mpc(0)
-        absacc = mpmath.mpf(0)
-        for _, i, lo_u, hi_u in _head_spans(const_pieces, B, U):
-            am = alphas[i]
-            if am == 0:
-                continue
-            lo_m, hi_m = to_mp(lo_u), to_mp(hi_u)
-            contrib = am * (mpmath.cos(npi / hi_m) - mpmath.cos(npi / lo_m)) / npi
-            head += contrib
-            absacc += abs(contrib)
-
-        # tail: sum_m (-1)^m (npi)^{2m+1}/(2m+1)! * sum_pieces alpha * T(m, piece)
-        # T(m, piece) = B^{-(2m+2)}/(2m+2) [zeta(2m+2,(U+lo)/B) - zeta(2m+2,(U+hi)/B)]
-        # envelope E_m = (npi)^{2m+1}/(2m+1)! * maxP * U^{-(2m+2)}/(2m+2) decays by
-        # a factor (npi/U)^2 / ((2m+3)(2m+4)) <= 1/4 per step since U >= 2 n pi,
-        # so 2 * E_{m+1} certifies stopping after term m.
-        max_p = max((abs(am) for am in alphas), default=mpmath.mpf(0))
-        ends = [
-            (am, (U + to_mp(lo)) / B, (U + to_mp(hi)) / B)
-            for (lo, hi, _), am in zip(const_pieces, alphas)
-            if am != 0
-        ]
-        tail = mpmath.mpc(0)
-        coef = npi  # (npi)^{2m+1}/(2m+1)!
-        trunc = mpmath.mpf(0)
-        floor = mpmath.mpf(2) ** (-prec_bits)
-        for m in range(_TAYLOR_TERMS):
-            tm = mpmath.mpc(0)
-            ex = 2 * m + 2
-            for am, alo, ahi in ends:
-                t = (mpmath.zeta(ex, alo) - mpmath.zeta(ex, ahi)) / (ex * mpmath.power(B, ex))
-                tm += am * t
-            tail += coef * tm if m % 2 == 0 else -coef * tm
-            coef *= npi * npi / ((2 * m + 2) * (2 * m + 3))
-            trunc = coef * max_p / ((2 * m + 4) * mpmath.power(U, 2 * m + 4))
-            if trunc < floor and m >= 2:
+        per = mpmath.mpf(U // B)
+        c = per + 0.5
+        lead, e_0, plan = npi, None, []  # lead = |b_m|; e_m and rest over int|p|
+        for m in itertools.count():
+            r = mpmath.mpf(2 * m + 3)
+            e_m = lead * mpmath.power(B, 1 - r) * c**-r * (1 + c / (r - 1))
+            e_0 = e_0 or e_m
+            x = (npi / U) ** 2 / ((r - 1) * r)
+            rest = lead * mpmath.power(B, 1 - r) * per**-r * (1 + per / (r - 1)) / (1 - x)
+            if rest <= e_0 * mpmath.mpf(2) ** (-prec_bits - 1):
+                plan.append((r, 0, rest / e_m, 0))  # all terms >= m, no kernel terms
                 break
-        roundoff = (absacc + abs(tail) + 1) * mpmath.mpf(2) ** (8 - prec_bits)
-        return head + tail, 2 * trunc + roundoff
+            bits = prec_bits + m + 2 + int(mpmath.ceil(mpmath.log(e_m / e_0, 2)))
+            K, q, weight = _kernel_order(r, r, c, bits)
+            plan.append((r, K, q, weight * mpmath.mpf(2) ** (bits - prec_bits)))
+            lead *= npi * npi / ((r - 1) * r)
+        ops = 3 * (U // B * len(pieces) + len(pieces) + sum(p[1] for p in plan) + len(plan)) + 64
+        wp = prec_bits + max(0, int(ops).bit_length() - 8)
+
+    with workprec(wp):
+        npi = n * mpmath.pi
+        exps, b = [], npi
+        for r, K, q, weight in plan:
+            exps.append((b, r, K, q, weight))
+            b *= -npi * npi / ((r - 1) * r)
+        linear = any(len(cs) > 1 and to_mp(cs[1]) != 0 for _, _, cs in pieces)
+
+        def phis(u):
+            # the rounded x = n pi/u moves cos and Si by at most 4x ulps
+            x = npi / u
+            out = [(mpmath.cos(x) / npi, (1 + 4 * x) / npi)]
+            if linear:
+                out.append((-mpmath.si(x), 2 + 4 * x))
+            return out
+
+        return _integrate(pieces, B, U, phis, exps, ops, wp)

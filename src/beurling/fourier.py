@@ -2,7 +2,10 @@
 
 Three independent routes:
 
-* ``c_direct``            -- quadrature of the definition (the oracle).
+* ``c_direct``            -- the definition, integrated on the u = 1/x side
+                             (exact heads, one Hurwitz-kernel tail) for
+                             exact-rational specs, by x-space quadrature past
+                             the period caps (the oracle).
 * ``c_cosine_series``     -- the cosine telescoping series over j.
 * ``c_even_mellin_*``     -- the even-Mellin series in M(2l), either cut at an
                              explicit L with its truncation certificate, or
@@ -20,8 +23,9 @@ default path instead rewrites the telescoped series as
 sum_j (cos(a/j) - 1) and evaluates the j > J tail analytically:
 sum_{j>J} (cos(a/j) - 1) = sum_{m>=1} (-1)^m a^{2m}/(2m)! zeta(2m, J+1),
 whose terms shrink by > 24x per step once J >= 2a (certified by twice the
-first omitted term). The explicit-J form with the a^2/J certificate remains
-available via the J argument.
+first omitted term, plus the absolute error of each zeta(2m, J+1), which
+`hurwitz_zeta` keeps to 2^-bits over its coefficient). The explicit-J form
+with the a^2/J certificate remains available via the J argument.
 
 The float64 batch ``batch_cosine_f64`` evaluates the same limit form for
 n = 1..n_max at once, in two parts split at n0 = 256:
@@ -75,7 +79,15 @@ from ._periodic import _F64_EPS
 from .errors import ConstraintError, DomainError, HypothesisError, ToleranceNotMet
 from .functions import BeurlingSpec, _eval_F_vec, _integrate_report
 from .mellin import power_sum_exact
-from .numerics import PrecisionComplex, PrecisionReal, bits_for_tol, to_mp, workprec, zeta_even
+from .numerics import (
+    PrecisionComplex,
+    PrecisionReal,
+    bits_for_tol,
+    hurwitz_zeta,
+    to_mp,
+    workprec,
+    zeta_even,
+)
 
 _METHODS = ("direct", "cosine_series", "even_mellin_exact_L", "even_mellin_limit")
 
@@ -166,23 +178,26 @@ def _result(spec, n, value, method, order, cert, tol=None) -> FourierCoefficient
 def c_direct(spec: BeurlingSpec, n, tol: float = 1e-10) -> FourierCoefficient:
     """c(N, n) = 2 int_0^1 F_N(x) sin(n pi x) dx; admissibility not required.
 
-    Admissible exact-rational specs route through the u = 1/x periodic
-    engine (exact cosine heads, Hurwitz-Taylor tails), reaching arbitrary
-    tolerances; other specs use breakpoint-aware float64 quadrature with a
-    quadratic small-x tail bound (|F sin| <= (1 + sum|a|) n pi x), whose
-    reachable tolerance bottoms out near 5e-13.
+    Exact-rational specs within the period caps route through the u = 1/x
+    periodic engine (`_periodic.sine_integral_mp`: exact cosine and sine
+    integral heads, one Hurwitz-kernel tail), reaching arbitrary
+    tolerances; the certificate also covers rounding the value to its
+    output precision. Specs past the caps use breakpoint-aware float64
+    quadrature with a quadratic small-x tail bound
+    (|F sin| <= (1 + sum|a|) n pi x), whose reachable tolerance bottoms out
+    near 5e-13.
     """
     n = _check_n(n)
     if tol <= 0:
         raise DomainError("tol must be positive")
     dec = spec.decomposition
-    if spec.admissible and dec is not None:
+    if dec is not None:
         bits = bits_for_tol(tol) + 32
-        pieces = [(lo, hi, c0) for lo, hi, (c0, _beta) in spec.linear_pieces]
-        val, err = _periodic.sine_integral_mp(pieces, dec.period, n, bits)
+        val, err = _periodic.sine_integral_mp(spec.linear_pieces, dec.period, n, bits)
         with workprec(bits):
+            # rounding 2 val to the output bits moves it by at most |2 val| 2^-bits
             value = PrecisionComplex.from_mpc(2 * val, bits)
-            cert = PrecisionReal(2 * err, 64)
+            cert = PrecisionReal(2 * err + abs(2 * val) * mpmath.mpf(2) ** -bits, 64)
         return _result(spec, n, value, "direct", None, cert, tol)
 
     big_m = 1.0 + spec.sum_abs_a
@@ -273,16 +288,21 @@ def c_cosine_series(
                 term = -2 * mpmath.sin(alpha / (2 * j)) ** 2
                 head += term
                 absacc += abs(term)
-            # analytic tail over j > Jk (module docstring); ratio <= 1/24
+            # analytic tail over j > Jk (module docstring); ratio <= 1/24.
+            # Each zeta(2m, Jk+1) is evaluated once, its absolute error
+            # sized by coef so that coef * err <= 2^-bits.
             tail = mpmath.mpf(0)
             coef = alpha * alpha / 2  # alpha^{2m} / (2m)!
+            z, err = hurwitz_zeta(2, Jk + 1, coef)
             m = 1
             while True:
-                term = coef * mpmath.zeta(2 * m, Jk + 1)
+                term = coef * z
                 tail += -term if m % 2 else term
                 absacc += abs(term)
+                cert += a_mag * coef * err
                 coef *= alpha * alpha / ((2 * m + 1) * (2 * m + 2))
-                nxt = coef * mpmath.zeta(2 * m + 2, Jk + 1)
+                z, err = hurwitz_zeta(2 * m + 2, Jk + 1, coef)
+                nxt = coef * (z + err)
                 if nxt < floor or m >= 200:
                     cert += a_mag * 2 * nxt
                     break

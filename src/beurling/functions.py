@@ -28,13 +28,18 @@ DEFAULT_EVAL_BUDGET = 10_000_000
 
 
 def _eval_budget() -> int:
+    """The x-space evaluation budget: BEURLING_MAX_EVALS (at least 1000) or
+    the default. Any value that is not a finite number is a DomainError."""
     raw = os.environ.get("BEURLING_MAX_EVALS")
     if raw is None:
         return DEFAULT_EVAL_BUDGET
     try:
-        return max(1000, int(float(raw)))
+        val = float(raw)
     except ValueError:
-        return DEFAULT_EVAL_BUDGET
+        val = math.nan
+    if not math.isfinite(val):
+        raise DomainError(f"BEURLING_MAX_EVALS must be a finite number, got {raw!r}")
+    return max(1000, int(val))
 
 
 def _to_fraction(x, what: str) -> Fraction:

@@ -8,6 +8,9 @@ Three zeta entry points with different contracts:
 * ``zeta_complex(s, tol)`` -- the alternating eta series on ``Re(s) > 0`` with
                              Borwein's Chebyshev acceleration and its a priori
                              error bound.
+* ``hurwitz_zeta(s, a, weight)`` -- mpmath's Hurwitz zeta with guard bits for
+                             the coefficient that multiplies it, and a bound on
+                             its absolute error.
 
 Working precision is always chosen internally from the requested absolute
 tolerance; callers never touch the mpmath context.
@@ -207,7 +210,9 @@ class PrecisionComplex:
         return self.re.precision_bits
 
     def to_mpc(self):
-        return mpmath.mpc(self.re.value, self.im.value)
+        """The value as an mpc at its own precision, whatever the caller's."""
+        with workprec(self.precision_bits):
+            return mpmath.mpc(self.re.value, self.im.value)
 
     def conjugate(self) -> "PrecisionComplex":
         return PrecisionComplex(self.re, -self.im)
@@ -226,7 +231,7 @@ class PrecisionComplex:
         elif isinstance(other, PrecisionReal):
             o, bits = other.value, other.precision_bits
         elif isinstance(other, (int, float, complex, mpmath.mpf, mpmath.mpc)):
-            o, bits = mpmath.mpc(other), self.precision_bits
+            o, bits = other, self.precision_bits
         else:
             return NotImplemented
         bits = max(self.precision_bits, bits)
@@ -326,6 +331,29 @@ def zeta_even(l: int, out_precision: int = MIN_PRECISION_BITS) -> PrecisionReal:
             for j in range(2, terms + 1):
                 val += mpmath.mpf(j) ** (-two_l)
         return PrecisionReal(val, out_precision)
+
+
+# ---------------------------------------------------------------------------
+# Hurwitz zeta
+# ---------------------------------------------------------------------------
+
+
+def hurwitz_zeta(s, a, weight):
+    """(zeta(s, a), err) with |error| <= err, at the current working precision p.
+
+    mpmath's Hurwitz zeta stops its Euler-Maclaurin sum at an absolute 2^-q
+    for q working bits, so it is accurate to an absolute, not a relative,
+    2^-q: a small value such as zeta(24, 65) ~ 1e-43 keeps only ~34 correct
+    bits at q = 112. The call therefore runs with g = ceil(log2 weight)
+    guard bits (none for weight <= 1) and err = 2^-(p+g), so that
+    weight * err <= 2^-p. Callers pass as weight the size of the coefficient
+    that multiplies the value, in units of the error they accept at 2^-p.
+    """
+    p = mp.prec
+    guard = 0 if weight <= 1 else int(mpmath.ceil(mpmath.log(weight, 2)))
+    with workprec(p + guard):
+        z = mpmath.zeta(s, a)
+    return z, mpmath.mpf(2) ** -(p + guard)
 
 
 # ---------------------------------------------------------------------------

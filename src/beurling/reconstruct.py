@@ -133,6 +133,9 @@ def sine_moment_with_cert(n, s, tol: float = 1e-12) -> tuple:
     else:
         raw, cert = _sine_moment_asymptotic(n, z, tol)
     bits = bits_for_tol(tol)
+    with workprec(bits):
+        # rounding raw to the output bits moves it by at most |raw| 2^-bits
+        cert = cert + abs(raw) * mpmath.mpf(2) ** -bits
     out = (PrecisionComplex.from_mpc(raw, bits), PrecisionReal(cert, 64))
     with _CACHE_LOCK:
         _SINE_CACHE[key] = out

@@ -1,0 +1,27 @@
+"""Hypothesis strategies shared by the certificate audits."""
+from fractions import Fraction as Fr
+
+from hypothesis import strategies as st
+
+from beurling import BeurlingSpec
+
+
+@st.composite
+def exact_specs(draw):
+    """1-3 terms, theta = p/q with q | 12 (period <= 12), coefficients
+    p/q with small q, complex or real, admissible or not."""
+    n = draw(st.integers(1, 3))
+    denoms = draw(st.lists(st.sampled_from([1, 2, 3, 4, 6, 12]), min_size=n, max_size=n))
+    thetas = [Fr(draw(st.integers(1, q)), q) for q in denoms]
+    complex_a = draw(st.booleans())
+
+    def coef():
+        return Fr(draw(st.integers(-6, 6)), draw(st.integers(1, 6)))
+
+    a = [(coef(), coef() if complex_a else Fr(0)) for _ in thetas]
+    if draw(st.booleans()):
+        # solve the last coefficient from sum a_k theta_k = 0
+        re = sum(x * t for (x, _), t in zip(a[:-1], thetas))
+        im = sum(y * t for (_, y), t in zip(a[:-1], thetas))
+        a[-1] = (-re / thetas[-1], -im / thetas[-1])
+    return BeurlingSpec(list(zip(a, thetas)))

@@ -166,6 +166,17 @@ class TestFourier:
         )
         assert code == 2
 
+    def test_direct_non_admissible(self, tmp_path, capsys):
+        # sum a_k theta_k = 1/6: the periodic route takes it at the default
+        # tol, where x-space quadrature runs out of evaluations (exit 3)
+        f = tmp_path / "na.json"
+        f.write_text(json.dumps({"terms": [{"a_re": 1, "b": 2}, {"a_re": -1, "b": 3}]}))
+        code, out, _ = run(capsys, ["fourier", "--spec", str(f), "--n-max", "4"])
+        assert code == 0
+        rows = list(csv.reader(io.StringIO(out)))[1:]
+        assert [r[3] for r in rows] == ["direct"] * 4
+        assert abs(float(rows[0][1]) - 1.3012969798232952) <= float(rows[0][5]) + 2.5e-9
+
     def test_json_format(self, capsys, adm1_file):
         code, out, _ = run(
             capsys,
@@ -355,6 +366,21 @@ class TestBadInput:
         assert code == 2
         assert out == ""
         assert "--tol" in err
+
+    @pytest.mark.parametrize("value", ["inf", "1e400", "nan", "abc"])
+    def test_bad_eval_budget_exit_2(self, tmp_path, capsys, monkeypatch, value):
+        # float thetas are past the period cap, so the quadrature runs in
+        # x-space and reads the budget
+        f = tmp_path / "float.json"
+        f.write_text(json.dumps({"terms": [{"a_re": 1, "theta": 0.3}, {"a_re": -0.3, "theta": 1}]}))
+        monkeypatch.setenv("BEURLING_MAX_EVALS", value)
+        code, out, err = run(
+            capsys,
+            ["mellin", "--spec", str(f), "--s", "2", "--method", "quadrature", "--tol", "1e-6"],
+        )
+        assert code == 2
+        assert out == ""
+        assert "BEURLING_MAX_EVALS" in err
 
     @pytest.mark.parametrize("s", ["nan", "inf", "1,nan", "2,inf"])
     def test_quadrature_non_finite_s_exit_2(self, capsys, spec_a_file, s):

@@ -12,7 +12,7 @@ from fractions import Fraction as Fr
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from beurling import (
@@ -30,6 +30,9 @@ from beurling import (
     remainder_bound,
     telescope_partial,
 )
+from beurling._periodic import sine_integral_mp
+from beurling.numerics import bits_for_tol
+from strategies import exact_specs
 
 # Frozen oracles: mpmath direct integration of 2 int_0^1 F(x) sin(n pi x) dx
 # at 60 digits, performed outside this package.
@@ -41,6 +44,11 @@ ADM1_C = {
     5: 0.15251207528674909,
 }
 SPEC_B_C1 = 0.85292486907739207
+# {(1, 1/2), (-1, 1/3)} is not admissible: c(n), n = 1..4, by the x-space
+# route at tol 1e-8 (certificate 2.5e-9)
+NON_ADMISSIBLE = BeurlingSpec([(1, Fr(1, 2)), (-1, Fr(1, 3))])
+NON_ADMISSIBLE_X = (1.3012969798232952, -0.170340237040151, 0.5923610875563045, 0.11185197321447879)
+THETA1_B = BeurlingSpec([(Fr(1, 2), 1), (-1, Fr(1, 2))])
 
 # rows n <= N0 of batch_cosine_f64 are summed directly, rows above by NUFFT
 N0 = 256
@@ -55,6 +63,52 @@ def unit_fraction_specs(draw):
     a.append(-bs[-1] * sum(ak / bk for ak, bk in zip(a, bs)))
     scale = max(1, max(abs(ak) for ak in a))
     return BeurlingSpec([(ak / scale, Fr(1, b)) for ak, b in zip(a, bs)])
+
+
+def _sine_integral_oracle(spec, n, bits):
+    """int_1^inf F(1/u) sin(n pi/u) u^-2 du without the kernel expansion of
+    the package: the head to U by the antiderivatives cos(n pi/u)/(n pi) and
+    -Si(n pi/u), and past U the series sum_m b_m u^-(2m+3) of the sine,
+    each term piece by piece as B^(1-r) int (c0 + c1 (B a - U)) zeta(r, a) da
+    in closed form through zeta(r-1, a), zeta(r-2, a) and digamma."""
+    B = spec.decomposition.period
+    pieces = spec.linear_pieces
+    U = B * (math.ceil(max(64, 2 * math.pi * n) / B) + 1)
+
+    def mp(x):
+        return mpmath.mpf(x.numerator) / x.denominator
+
+    def F1(s, a):  # an antiderivative in a of zeta(s, a)
+        return mpmath.psi(0, a) if s == 2 else -mpmath.zeta(s - 1, a) / (s - 1)
+
+    with mpmath.workprec(bits + 200):
+        npi = n * mpmath.pi
+        cs = [
+            (mpmath.mpc(mp(c0[0]), mp(c0[1])), mpmath.mpc(mp(c1[0]), mp(c1[1])))
+            for _, _, (c0, c1) in pieces
+        ]
+        total = mpmath.mpc(0)
+        for off in range(0, U, B):
+            for (lo, hi, _), (c0, c1) in zip(pieces, cs):
+                a, b = max(mp(lo) + off, mpmath.mpf(1)), mp(hi) + off
+                if b > a:
+                    total += (c0 - c1 * off) * (mpmath.cos(npi / b) - mpmath.cos(npi / a)) / npi
+                    total -= c1 * (mpmath.si(npi / b) - mpmath.si(npi / a))
+        m, b_m = 0, npi
+        while True:
+            r = 2 * m + 3
+            term = mpmath.mpc(0)
+            for (lo, hi, _), (c0, c1) in zip(pieces, cs):
+                for a, sign in (((U + mp(hi)) / B, 1), ((U + mp(lo)) / B, -1)):
+                    z1 = F1(r, a)
+                    z2 = a * F1(r, a) + F1(r - 1, a) / (r - 1)
+                    term += sign * ((c0 - c1 * U) * z1 + c1 * B * z2)
+            term *= b_m * mpmath.power(B, 1 - r)
+            total += term
+            if m >= 2 and abs(term) < mpmath.mpf(2) ** (-bits - 20):
+                return total
+            m += 1
+            b_m *= -npi * npi / ((2 * m) * (2 * m + 1))
 
 
 class TestDirectRoute:
@@ -75,12 +129,67 @@ class TestDirectRoute:
             fc = c_direct(empty_spec, n, tol=1e-13)
             ref = 4 / (n * math.pi) if n % 2 else 0.0
             assert abs(complex(fc.value).real - ref) < 1e-13
+        for n in (1, 2, 7, 300):
+            fc = c_direct(empty_spec, n, tol=1e-30)
+            with mpmath.workprec(200):
+                ref = 4 / (n * mpmath.pi) if n % 2 else 0
+                assert abs(fc.value.re.value - ref) <= fc.error_certificate.value
 
     def test_certificate_honored(self, spec_a):
         hi = c_direct(spec_a, 4, tol=1e-16)
         lo = c_direct(spec_a, 4, tol=1e-8)
         gap = abs(complex(hi.value) - complex(lo.value))
         assert gap <= float(lo.error_certificate) + 1e-16
+
+    @settings(max_examples=10, deadline=None)
+    @given(
+        spec=exact_specs(),
+        n=st.one_of(st.integers(1, 64), st.integers(1, 1000)),
+        tol=st.sampled_from([1e-12, 1e-25]),
+    )
+    # before the shared kernel tail: 7.5e-27 off against a certificate of 2.2e-28
+    @example(spec=THETA1_B, n=60, tol=1e-12)
+    @example(spec=NON_ADMISSIBLE, n=1000, tol=1e-25)
+    def test_certificate_bounds_the_error(self, spec, n, tol):
+        # |value - the same route at 3x the working bits| <= certificate,
+        # and for admissible specs the independent cosine route agrees
+        # within both certificates
+        fc = c_direct(spec, n, tol)
+        bits = 3 * (bits_for_tol(tol) + 32)
+        ref, _ = sine_integral_mp(spec.linear_pieces, spec.decomposition.period, n, bits)
+        with mpmath.workprec(bits):
+            assert abs(fc.value.to_mpc() - 2 * ref) <= fc.error_certificate.value
+            if spec.admissible:
+                cs = c_cosine_series(spec, n, tol)
+                gap = abs(fc.value.to_mpc() - cs.value.to_mpc())
+                assert gap <= fc.error_certificate.value + cs.error_certificate.value
+
+    @pytest.mark.parametrize(
+        "spec, n",
+        [
+            (NON_ADMISSIBLE, 7),
+            (NON_ADMISSIBLE, 300),
+            (BeurlingSpec([((Fr(1, 2), Fr(1, 3)), Fr(1, 3)), (-1, Fr(1, 2))]), 2),
+        ],
+        ids=["NA-7", "NA-300", "complex-2"],
+    )
+    def test_against_closed_form_tail_oracle(self, spec, n):
+        # degree-1 pieces against an oracle without the kernel expansion
+        fc = c_direct(spec, n, tol=1e-25)
+        ref = _sine_integral_oracle(spec, n, 2 * fc.value.precision_bits)
+        with mpmath.workprec(2 * fc.value.precision_bits):
+            assert abs(fc.value.to_mpc() - 2 * ref) <= fc.error_certificate.value
+
+    def test_non_admissible_periodic(self):
+        for n, ref in enumerate(NON_ADMISSIBLE_X, start=1):
+            fc = c_direct(NON_ADMISSIBLE, n)
+            assert float(fc.error_certificate) < 1e-20
+            assert abs(complex(fc.value).real - ref) <= float(fc.error_certificate) + 2.5e-9
+
+    def test_sine_integral_takes_degree_at_most_1(self, spec_a):
+        pieces = [(lo, hi, (c0, c1, Fr(1))) for lo, hi, (c0, c1) in spec_a.linear_pieces]
+        with pytest.raises(DomainError):
+            sine_integral_mp(pieces, spec_a.decomposition.period, 1, 64)
 
     def test_domain(self, adm1):
         for bad in (0, -3, 1.5):
@@ -112,6 +221,30 @@ class TestCosineRoute:
         part = c_cosine_series(spec_a, 3, tol=1e-13, J=200_000)
         gap = abs(complex(lim.value) - complex(part.value))
         assert gap <= float(part.error_certificate) + float(lim.error_certificate)
+
+    @pytest.mark.parametrize("n", [37, 300, 1000])
+    def test_certificate_at_large_n(self, n):
+        # the Hurwitz tail once took zeta(2m, J+1) without guard bits: at
+        # n = 1000 the certificate was 1.8e-28 and the error 1.2e-23
+        spec = BeurlingSpec([(Fr(5, 6), Fr(1, 6)), (Fr(3, 2), Fr(1, 2)), (Fr(-32, 3), Fr(1, 12))])
+        fc = c_cosine_series(spec, n, tol=1e-12)
+        ref = c_cosine_series(spec, n, tol=1e-40)
+        with mpmath.workprec(200):
+            gap = abs(fc.value.to_mpc() - ref.value.to_mpc())
+            assert gap <= fc.error_certificate.value + ref.error_certificate.value
+
+    @settings(max_examples=10, deadline=None)
+    @given(
+        spec=unit_fraction_specs(),
+        n=st.integers(1, 1000),
+        tol=st.sampled_from([1e-12, 1e-25]),
+    )
+    def test_certificate_bounds_the_error(self, spec, n, tol):
+        fc = c_cosine_series(spec, n, tol)
+        ref = c_cosine_series(spec, n, tol**3)
+        with mpmath.workprec(400):
+            gap = abs(fc.value.to_mpc() - ref.value.to_mpc())
+            assert gap <= fc.error_certificate.value + ref.error_certificate.value
 
     def test_requires_admissible(self):
         with pytest.raises(ConstraintError):

@@ -24,6 +24,7 @@ from beurling import (
     norm_numeric,
 )
 from beurling._periodic import f_abs2_pieces, u_integral_mp
+from strategies import exact_specs
 
 
 class TestFrac:
@@ -338,34 +339,13 @@ def _within_certificate(spec, s, tol, may_refuse=True):
         assert gap <= q.error_bound.value + c.error_bound.value, (spec, s, tol, gap)
 
 
-@st.composite
-def _exact_specs(draw):
-    """1-3 terms, theta = p/q with q | 12 (period <= 12), coefficients
-    p/q with small q, complex or real, admissible or not."""
-    n = draw(st.integers(1, 3))
-    denoms = draw(st.lists(st.sampled_from([1, 2, 3, 4, 6, 12]), min_size=n, max_size=n))
-    thetas = [Fr(draw(st.integers(1, q)), q) for q in denoms]
-    complex_a = draw(st.booleans())
-
-    def coef():
-        return Fr(draw(st.integers(-6, 6)), draw(st.integers(1, 6)))
-
-    a = [(coef(), coef() if complex_a else Fr(0)) for _ in thetas]
-    if draw(st.booleans()):
-        # solve the last coefficient from sum a_k theta_k = 0
-        re = sum(x * t for (x, _), t in zip(a[:-1], thetas))
-        im = sum(y * t for (_, y), t in zip(a[:-1], thetas))
-        a[-1] = (-re / thetas[-1], -im / thetas[-1])
-    return BeurlingSpec(list(zip(a, thetas)))
-
-
 class TestUTailCertificate:
     """The u-tail of u_integral_mp is the Hurwitz kernel expansion with an a
     priori bound; mellin_numeric and norm_numeric must stay within it."""
 
     @settings(max_examples=25, deadline=None)
     @given(
-        spec=_exact_specs(),
+        spec=exact_specs(),
         sigma=st.floats(0.01, 4.0),
         t=st.floats(-400.0, 400.0),
         tol=st.sampled_from([1e-10, 1e-25]),

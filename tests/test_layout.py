@@ -1,8 +1,9 @@
 """layout: the package is serial, numerics alone scopes and locks mpmath
-precision and converts rationals, each fallback around the u = 1/x engine
-is decided in one function, the periodic engine certifies without
-quadrature estimates, and every function the benchmark's tracer wraps by
-name still exists."""
+precision, converts rationals and calls mpmath's Hurwitz zeta, each
+fallback around the u = 1/x engine is decided in one function, the periodic
+engine certifies without quadrature estimates through one Hurwitz-kernel
+tail, and every function the benchmark's tracer wraps by name still
+exists."""
 import ast
 import importlib
 import importlib.util
@@ -117,3 +118,33 @@ def test_periodic_never_calls_quad():
 def test_norm_oracle_retry_in_one_place(module):
     assert _owners(SOURCES[module], _calls("norm_numeric")) == []
     assert _owners(SOURCES[module], _calls("_norm_oracle")) != []
+
+
+def _hurwitz_calls(node):
+    # mpmath.zeta(s, a, ...): two positional arguments, or a as a keyword
+    return (
+        isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "zeta"
+        and (len(node.args) >= 2 or any(k.arg == "a" for k in node.keywords))
+    )
+
+
+def test_hurwitz_zeta_only_in_its_helper():
+    # mpmath's Hurwitz zeta is accurate to an absolute 2^-prec only; the
+    # helper sizes the guard bits
+    owners = {(name, o) for name, text in SOURCES.items() for o in _owners(text, _hurwitz_calls)}
+    assert owners == {("numerics.py", "hurwitz_zeta")}
+
+
+def test_one_hurwitz_tail_in_periodic():
+    text = SOURCES["_periodic.py"]
+    assert set(_owners(text, _calls("hurwitz_zeta"))) == {"_integrate"}
+    assert set(_owners(text, _calls("_integrate"))) == {"u_integral_mp", "sine_integral_mp"}
+
+
+def test_c_direct_has_no_admissibility_gate():
+    tree = ast.parse(SOURCES["fourier.py"])
+    c_direct = next(f for f in tree.body if isinstance(f, ast.FunctionDef) and f.name == "c_direct")
+    assert not [n for n in ast.walk(c_direct) if _reads("admissible")(n)]
+    assert [n for n in ast.walk(c_direct) if _calls("sine_integral_mp")(n)]

@@ -70,6 +70,21 @@ class TestPrecisionComplex:
         z = PrecisionComplex.from_complex(3 + 4j, 64)
         assert float(abs(z)) == 5.0
 
+    def test_arithmetic_keeps_both_operands_precision(self):
+        # the right operand was once rounded to the ambient 53 bits:
+        # 1/3 + (1/3 + i/3) came out 2.6e-17 off, the product 8.7e-18
+        with mpmath.workprec(200):
+            third = mpmath.mpf(1) / 3
+            b = PrecisionComplex.from_mpc(mpmath.mpc(third, third), 200)
+        a = PrecisionComplex.from_mpc(third, 200)
+        assert b.to_mpc().real == third
+        with mpmath.workprec(240):
+            exact_sum = mpmath.mpc(2, 1) / 3
+            exact_prod = mpmath.mpc(1, 1) / 9
+            assert abs((a + b).to_mpc() - exact_sum) < mpmath.mpf(2) ** -195
+            assert abs((a * b).to_mpc() - exact_prod) < mpmath.mpf(2) ** -195
+            assert abs((a + third).to_mpc() - mpmath.mpf(2) / 3) < mpmath.mpf(2) ** -195
+
 
 class TestBernoulli:
     # B_0..B_12: classical table
@@ -183,3 +198,23 @@ def test_zeta_even_precision_request_honored(l):
     with mpmath.workprec(160):
         ref = mpmath.zeta(2 * l)
         assert abs(got.value - ref) < abs(ref) * mpmath.mpf(2) ** -88
+
+
+class TestHurwitzZeta:
+    @pytest.mark.parametrize(
+        "s, a, weight", [(24, 65, 2.0**40), (3, 6.5, 1), (19, 315.5, 2.0**100), (2, 1.5, 0.5)]
+    )
+    def test_absolute_error_within_err(self, s, a, weight):
+        with mpmath.workprec(112):
+            z, err = numerics.hurwitz_zeta(s, mpmath.mpf(a), weight)
+            assert weight * err <= mpmath.mpf(2) ** -112
+        with mpmath.workprec(600):
+            assert abs(z - mpmath.zeta(s, a)) <= err
+
+    def test_guard_bits_restore_relative_accuracy(self):
+        # zeta(24, 65) ~ 1e-43 keeps ~34 correct bits at 112 bits, no guard
+        with mpmath.workprec(112):
+            z, _ = numerics.hurwitz_zeta(24, mpmath.mpf(65), 2.0**150)
+        with mpmath.workprec(600):
+            ref = mpmath.zeta(24, 65)
+            assert abs(z - ref) <= ref * mpmath.mpf(2) ** -100
