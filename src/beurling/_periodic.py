@@ -17,13 +17,14 @@ Hurwitz zeta kernel:
 No cutoff-epsilon tail bound is ever needed, which is what makes small
 sigma and tight tolerances reachable at all.
 
-Two backends. float64/numpy with scipy's real Hurwitz zeta does bulk work;
-its tail is Gauss-Legendre at two orders, and their difference is an
-estimate. In mpmath, `_integrate` serves both `u_integral_mp` (complex r,
-sub-1e-12 tolerances) and `sine_integral_mp` (the sine kernel as a series
-in u^-(2m+3)): its tail is one Taylor expansion of the kernel about the
-middle of the period, shared by every piece and exponent, with an a priori
-bound on truncation and roundoff.
+The engine is `_integrate`, in mpmath. It serves both `u_integral_mp`
+(complex r) and `sine_integral_mp` (the sine kernel as a series in
+u^-(2m+3)): its tail is one Taylor expansion of the kernel about the middle
+of the period, shared by every piece and exponent, with an a priori bound
+on truncation and roundoff. `u_integral_f64` is a float view of
+`u_integral_mp`. The Gram entries of `optimizer` need none of this (they
+have a closed form); `rho_pair_pieces` and `rho_single_pieces` give their
+integrands for checking that closed form.
 
 `_period` alone decides whether a theta set is in reach: past PERIOD_CAP or
 PIECES_CAP it returns None, and so do `decompose`, `rho_pair_pieces` and
@@ -39,7 +40,6 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.special import zeta as _hurwitz_f64
 
 from .errors import DomainError, ToleranceNotMet
 from .numerics import hurwitz_zeta, to_mp, workprec
@@ -186,7 +186,7 @@ def rho_single_pieces(theta: Fraction):
 
 
 # ---------------------------------------------------------------------------
-# float64 backend
+# Gauss-Legendre nodes (x-space quadrature and `fourier`) and the head end U
 # ---------------------------------------------------------------------------
 
 _GL_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
@@ -198,71 +198,13 @@ def _gl(order: int):
     return _GL_CACHE[order]
 
 
-def _phi_f64(u: np.ndarray, m: float) -> np.ndarray:
-    """Antiderivative of u^m (log branch at m = -1)."""
-    if abs(m + 1.0) < 1e-14:
-        return np.log(u)
-    return u ** (m + 1.0) / (m + 1.0)
-
-
 def _choose_U(B: int, u_min: int = _U_MIN) -> int:
     """End U of the exact head [1, U]: a multiple of B, at least 2B and u_min."""
     return B * max(2, -(-u_min // B))
 
 
-def u_integral_f64(pieces, B: int, r: float):
-    """int_1^inf P(u) u^{-r} du for real r > 1, P from degree-2 period pieces.
-
-    pieces: [(lo, hi, (c0, c1, c2))] in period coordinates, floats or Fractions.
-    Returns (value, err_bound).
-    """
-    if r <= 1.0:
-        raise DomainError("u-integral needs r > 1 for convergence")
-    U = _choose_U(B)
-    nper = U // B
-    lo_w = np.array([float(p[0]) for p in pieces])
-    hi_w = np.array([float(p[1]) for p in pieces])
-    c0 = np.array([float(p[2][0]) for p in pieces])
-    c1 = np.array([float(p[2][1]) for p in pieces])
-    c2 = np.array([float(p[2][2]) for p in pieces])
-
-    offs = (np.arange(nper) * B).astype(float)[:, None]
-    lo_u = np.maximum(lo_w[None, :] + offs, 1.0)
-    hi_u = np.maximum(hi_w[None, :] + offs, 1.0)
-    # expand p(w) = p(u - off) into powers of u
-    k0 = c0[None, :] - c1[None, :] * offs + c2[None, :] * offs**2
-    k1 = c1[None, :] - 2.0 * c2[None, :] * offs
-    k2 = np.broadcast_to(c2[None, :], k0.shape)
-    head = 0.0
-    absacc = 0.0
-    for k, mexp in ((k0, -r), (k1, 1.0 - r), (k2, 2.0 - r)):
-        if not np.any(k):
-            continue
-        dphi = _phi_f64(hi_u, mexp) - _phi_f64(lo_u, mexp)
-        head += float(np.sum(k * dphi))
-        absacc += float(np.sum(np.abs(k * dphi)))
-
-    def tail_at(order: int) -> float:
-        x, wts = _gl(order)
-        acc = 0.0
-        for lo, hi, (a0, a1, a2) in pieces:
-            lo_f, hi_f = float(lo), float(hi)
-            half = 0.5 * (hi_f - lo_f)
-            midp = 0.5 * (hi_f + lo_f)
-            wn = midp + half * x
-            pv = float(a0) + float(a1) * wn + float(a2) * wn * wn
-            kern = _hurwitz_f64(r, (U + wn) / B) * B ** (-r)
-            acc += half * float(np.sum(wts * pv * kern))
-        return acc
-
-    t_lo = tail_at(24)
-    t_hi = tail_at(32)
-    err = abs(t_hi - t_lo) + 8.0 * _F64_EPS * (absacc + abs(t_hi))
-    return head + t_hi, err
-
-
 # ---------------------------------------------------------------------------
-# mpmath backend
+# mpmath engine
 # ---------------------------------------------------------------------------
 
 
@@ -391,7 +333,7 @@ def _integrate(pieces, B: int, U: int, phis, exps, ops, wp: int):
 
 
 def u_integral_mp(pieces, B: int, r, prec_bits: int):
-    """mpmath version of u_integral_f64; r may be complex (Re r > 1).
+    """int_1^inf P(u) u^{-r} du for complex r, Re r > 1, P from period pieces.
 
     pieces carry exact Fraction bounds/coefficients of degree <= 2 (missing
     orders are zero); coefficients may be (re, im) Fraction pairs for
@@ -439,6 +381,16 @@ def u_integral_mp(pieces, B: int, r, prec_bits: int):
             return out
 
         return _integrate(pieces, B, U, phis, [(1, r_mp, K, q, weight)], ops, wp)
+
+
+def u_integral_f64(pieces, B: int, r: float):
+    """`u_integral_mp` at 64 bits as floats, for real pieces and real r > 1.
+
+    Returns (value, err_bound); err_bound covers the rounding of the value.
+    """
+    val, err = u_integral_mp(pieces, B, r, 64)
+    out = float(val.real)
+    return out, float(err) + 0.5 * math.ulp(out)
 
 
 def sine_integral_mp(pieces, B: int, n: int, prec_bits: int):

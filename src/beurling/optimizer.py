@@ -6,13 +6,22 @@ solves the equality-constrained least-squares KKT system
 
     [[G, theta], [theta^T, 0]] [a; lambda] = [-v; 0].
 
-G and v entries go through the u = 1/x periodic engine (each PAIR of
-rational thetas has its own small joint period even when the full family's
-period is astronomical). One function, `_gram_entry`, takes every entry down
-the same ladder: float64 u-integral, 96-bit u-integral, then x-space
-quadrature for a pair or a single theta whose period is past the cap (float
-thetas such as 0.1 = 3602879701896397/2^55). Duplicate thetas make the KKT
-matrix exactly singular and are rejected rather than merged.
+No entry is integrated while its thetas have a joint period in reach. For
+coprime h, k Vasyunin's formula gives
+
+    A(h, k) = int_0^inf rho(1/hx) rho(1/kx) dx
+            = (ln 2 pi - gamma)/2 (1/h + 1/k) + (k - h)/(2hk) ln(h/k)
+              - pi/(2hk) (V(h, k) + V(k, h)),
+    V(h, k) = sum_{m<k} {mh/k} cot(pi m/k)
+
+(Vasyunin, St. Petersburg Math. J. 7, 1996; Bettin-Conrey-Farmer, 2013).
+With theta_2/theta_1 = a/b in lowest terms, G(theta_1, theta_2) =
+theta_1 a A(a, b) - theta_1 theta_2 and v(theta) = theta (1 - gamma - ln
+theta): finite cotangent sums with a priori roundoff bounds (`_closed_entry`).
+`_gram_entry` alone decides between that and x-space quadrature, which
+takes a pair or a single theta whose period is past the cap of `_period`
+(float thetas such as 0.1 = 3602879701896397/2^55). Duplicate thetas make
+the KKT matrix exactly singular and are rejected rather than merged.
 """
 from __future__ import annotations
 
@@ -21,12 +30,13 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 
 from . import _periodic
 from .errors import DomainError, SingularSystemError, ToleranceNotMet
 from .functions import BeurlingSpec, _integrate_report, _norm_oracle, _to_fraction
-from .numerics import PrecisionReal
+from .numerics import PrecisionReal, bits_for_tol, to_mp, workprec
 from .parseval import norm_via_parseval
 
 _SOLVER_EPS = float(np.finfo(np.float64).eps)
@@ -104,47 +114,98 @@ def unit_thetas(N: int) -> tuple[Fraction, ...]:
     return tuple(Fraction(1, k) for k in range(1, N + 1))
 
 
-def _gram_entry(pp, thetas: tuple[Fraction, ...], tol: float) -> float:
-    """int_0^1 prod_k rho(theta_k/x) dx over one or two thetas, certified to tol.
+def _cot_sum(h: int, k: int, wp: int, cots: dict):
+    """W(h, k) = k V(h, k) = sum_{m <= (k-1)/2} (2 (mh mod k) - k) cot(pi m/k)
+    at wp bits, pairing m with k - m. cots holds one table of cot(pi m/k)
+    per denominator k and rebuilds it only for a higher wp."""
+    ms = range(1, (k + 1) // 2)
+    hit = cots.get(k)
+    if hit is None or hit[0] < wp:
+        hit = cots[k] = (wp, [mpmath.cot(mpmath.pi * m / k) for m in ms])
+    return mpmath.fdot([2 * (m * h % k) - k for m in ms], hit[1])
 
-    pp is the (B, pieces) of the u = 1/x integrand from `rho_pair_pieces` or
-    `rho_single_pieces`, or None past the period cap. The ladder: the float64
-    u-integral, then the 96-bit one, then x-space quadrature; ToleranceNotMet
-    when none of them certifies tol.
+
+def _closed_entry(thetas, B: int, bits: int, cots: dict):
+    """(value, err_bound) in mp of the Gram entry over one or two thetas in
+    (0, 1] of joint period B, err_bound <= 2^-bits.
+
+    With theta_1 <= theta_2, a/b = theta_2/theta_1 and tau = theta_1/b =
+    theta_2/a (so a, b <= B), the formula of the module docstring reads
+
+        G = (ln 2 pi - gamma)(theta_1 + theta_2)/2 + (theta_1 - theta_2)/2 ln(a/b)
+            - pi/2 (tau/b W(a, b) + tau/a W(b, a)) - theta_1 theta_2,
+
+    W(h, k) from `_cot_sum`. At wp working bits, u = 2^-wp: the argument of
+    cot(pi m/k) is off by 3u relative, which moves cot by at most
+    (3 pi^2/4) u T_m, T_m = k/(pi m) >= |cot(pi m/k)|, since sin(pi m/k) >=
+    2m/k; mpmath's cot adds 2 ulps, so each table value is off by at most 10 u T_m.
+    W(h, k) sums n <= (k-1)/2 terms with |2r - k| < k, so it is off by at
+    most (n + 11) u k sum T_m <= (n + 11) u (k^2/pi)(1 + ln k), and since tau
+    k <= 1 its term in G by (n + 11) u (1 + ln B)/2. ln 2 pi, gamma and
+    ln(a/b) are within an ulp each plus one of the argument, and the four
+    terms of G, or the two of v = theta (1 - gamma - ln theta), total at most
+    2 (2 + ln B) in magnitude with at most 10 roundings each. So the error
+    is at most (a + b + 64)(2 + ln B) u, with a + b read as 0 for v.
     """
-    if pp is not None:
-        B, pieces = pp
-        val, err = _periodic.u_integral_f64(pieces, B, 2.0)
-        if err <= tol:
-            return float(val)
-        val_mp, err_mp = _periodic.u_integral_mp(pieces, B, 2.0, 96)
-        if float(err_mp) <= tol:
-            return float(val_mp.real)
-    aux = BeurlingSpec([(1, t) for t in thetas])
+    t1, t2 = min(thetas), max(thetas)
+    ratio = t2 / t1
+    a, b = (ratio.numerator, ratio.denominator) if len(thetas) == 2 else (0, 0)
+    scale = (a + b + 64) * (2 + math.log(B))
+    wp = bits + math.ceil(math.log2(scale))
+    with workprec(wp):
+        if not a:
+            val = to_mp(t1) * (1 - mpmath.euler - mpmath.log(to_mp(t1)))
+        else:
+            tau = t1 / b
+            w_ab, w_ba = _cot_sum(a, b, wp, cots), _cot_sum(b, a, wp, cots)
+            val = (
+                (mpmath.log(2 * mpmath.pi) - mpmath.euler) * to_mp((t1 + t2) / 2)
+                + to_mp((t1 - t2) / 2) * mpmath.log(to_mp(ratio))
+                - mpmath.pi / 2 * (to_mp(tau / b) * w_ab + to_mp(tau / a) * w_ba)
+                - to_mp(t1 * t2)
+            )
+        return val, mpmath.ldexp(mpmath.mpf(scale), -wp)
 
-    def integrand(x):
-        return math.prod(q - np.floor(q) for q in (float(t) / x for t in thetas)) + 0j
 
-    val, err, _ = _integrate_report(integrand, aux, None, tol, bound_m=1.0)
+def _gram_entry(thetas: tuple[Fraction, ...], tol: float, cots: dict) -> float:
+    """int_0^1 prod_k rho(theta_k/x) dx over one or two thetas, certified to
+    tol as stored.
+
+    The closed form `_closed_entry` when `_periodic._period` finds a joint
+    period (its certificate plus half an ulp of the returned float), else
+    x-space quadrature; ToleranceNotMet when the certificate exceeds tol.
+    """
+    B = _periodic._period(thetas)
+    if B is not None:
+        val, err = _closed_entry(thetas, B, bits_for_tol(tol), cots)
+        out = float(val)
+        err = float(err) + 0.5 * math.ulp(out)
+    else:
+        aux = BeurlingSpec([(1, t) for t in thetas])
+
+        def integrand(x):
+            return math.prod(q - np.floor(q) for q in (float(t) / x for t in thetas)) + 0j
+
+        val, err, _ = _integrate_report(integrand, aux, None, tol, bound_m=1.0)
+        out = float(val.real)
     if err > tol:
         raise ToleranceNotMet(f"Gram entry error {err:.3g} exceeds tol {tol:.3g}")
-    return float(val.real)
+    return out
 
 
 def build_gram(thetas, tol: float = 1e-9) -> GramSystem:
-    """GramSystem by breakpoint-aware quadrature; symmetric by construction."""
+    """GramSystem with every entry from `_gram_entry`; symmetric by
+    construction. The cot tables are shared by the entries of this call."""
     ths = _parse_thetas(thetas)
     if not 0 < tol < math.inf:
         raise DomainError("tol must be positive and finite")
     n = len(ths)
+    cots: dict = {}
     G = np.zeros((n, n), dtype=np.float64)
     for j in range(n):
         for k in range(j, n):
-            pair = (ths[j], ths[k])
-            G[j, k] = G[k, j] = _gram_entry(_periodic.rho_pair_pieces(*pair), pair, tol)
-    v = np.array(
-        [_gram_entry(_periodic.rho_single_pieces(t), (t,), tol) for t in ths], dtype=np.float64
-    )
+            G[j, k] = G[k, j] = _gram_entry((ths[j], ths[k]), tol, cots)
+    v = np.array([_gram_entry((t,), tol, cots) for t in ths], dtype=np.float64)
     return GramSystem(ths, G, v, PrecisionReal.from_float(tol, 64))
 
 

@@ -290,6 +290,13 @@ class TestOptimize:
         assert code == 3
         assert out == ""
 
+    def test_tol_below_the_stored_rounding_exit_3(self, capsys):
+        # every stored Gram entry is up to half an ulp (~5e-17) from its
+        # certified value, more than 1e-18
+        code, out, _ = run(capsys, ["optimize", "--thetas", "unit:2", "--tol", "1e-18"])
+        assert code == 3
+        assert out == ""
+
 
 class TestSweep:
     def test_csv_rows(self, capsys):

@@ -23,7 +23,9 @@ from beurling import (
     mellin_numeric,
     norm_numeric,
 )
-from beurling._periodic import f_abs2_pieces, u_integral_mp
+from beurling._periodic import _period, f_abs2_pieces, u_integral_mp
+from beurling.numerics import to_mp
+from beurling.optimizer import _closed_entry
 from strategies import exact_specs
 
 
@@ -394,6 +396,43 @@ class TestUTailCertificate:
         with mpmath.workprec(128):
             assert abs(val.real - ref) <= err
         assert abs(float(norm_numeric(spec, 1e-10)) - math.sqrt(float(ref))) <= 1e-10
+
+
+def _closed_norm_sq(spec, bits):
+    """(||F_N||^2, err_bound) from the closed-form Gram entries:
+    1 + 2 Re sum a_k v(theta_k) + sum_j sum_k a_j conj(a_k) G(theta_j, theta_k)."""
+    cots = {}
+
+    def entry(*ths):
+        return _closed_entry(ths, _period(ths), bits, cots)
+
+    terms = spec.terms
+    with mpmath.workprec(2 * bits):
+        a = [to_mp((t.a_re, t.a_im)) for t in terms]
+        total, err = mpmath.mpf(1), mpmath.mpf(2) ** -bits
+        for aj, tj in zip(a, terms):
+            v, e = entry(tj.theta)
+            total += 2 * aj.real * v
+            err += 2 * abs(aj) * e
+            for ak, tk in zip(a, terms):
+                g, e = entry(tj.theta, tk.theta)
+                total += (aj * mpmath.conj(ak)).real * g
+                err += abs(aj) * abs(ak) * e
+        return total, err
+
+
+class TestNormClosedForm:
+    """norm_numeric within its tol of the norm that the closed-form Gram
+    entries give, over random exact specs: |n^2 - N^2| <= tol (2n + tol)."""
+
+    @settings(max_examples=50, deadline=None)
+    @given(spec=exact_specs(), tol=st.sampled_from([1e-10, 1e-25]))
+    def test_norm_numeric(self, spec, tol):
+        n = norm_numeric(spec, tol)
+        bits = 2 * n.precision_bits
+        ref, ref_err = _closed_norm_sq(spec, bits)
+        with mpmath.workprec(bits):
+            assert abs(n.value**2 - ref) <= tol * (2 * n.value + tol) + ref_err, (spec, tol)
 
 
 def _quad_norm_sq(spec, bits):

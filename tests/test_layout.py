@@ -102,10 +102,17 @@ def test_period_caps_read_only_in_period():
 
 
 def test_gram_ladder_is_one_function():
+    # the Gram entries are closed forms or x-space quadrature, never a
+    # u-integral, and one function chooses between the two
     text = SOURCES["optimizer.py"]
-    f64 = set(_owners(text, _calls("u_integral_f64")))
-    mp = set(_owners(text, _calls("u_integral_mp")))
-    assert f64 == mp and len(f64) == 1
+    assert _owners(text, _calls("u_integral_f64")) + _owners(text, _calls("u_integral_mp")) == []
+    assert set(_owners(text, _calls("_closed_entry"))) == {"_gram_entry"}
+    assert set(_owners(text, _calls("_integrate_report"))) == {"_gram_entry"}
+
+
+def test_periodic_has_no_float64_hurwitz():
+    # the engine runs in mpmath: a float64 Hurwitz zeta carries no error bound
+    assert "scipy" not in SOURCES["_periodic.py"]
 
 
 def test_periodic_never_calls_quad():

@@ -7,11 +7,14 @@ from fractions import Fraction as Fr
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from beurling import (
     DomainError,
     GramSystem,
     SingularSystemError,
+    ToleranceNotMet,
     build_gram,
     norm_numeric,
     optimize_coeffs,
@@ -20,7 +23,15 @@ from beurling import (
     sweep,
     unit_thetas,
 )
-from beurling._periodic import rho_pair_pieces, rho_single_pieces, u_integral_f64
+from beurling._periodic import (
+    _period,
+    rho_pair_pieces,
+    rho_single_pieces,
+    u_integral_f64,
+    u_integral_mp,
+)
+from beurling.numerics import bits_for_tol
+from beurling.optimizer import _closed_entry
 
 # Frozen Gram oracles for thetas = (1, 1/2); closed forms:
 #   G00 = int rho(1/x)^2 = ln(2 pi) - gamma - 1
@@ -115,18 +126,25 @@ def _v_closed(th):
 
 
 class TestGramLadder:
-    """The stages of the Gram-entry ladder past float64, each against the
-    closed forms of the diagonal and of v."""
+    """The two stages of the Gram-entry ladder, the closed form and x-space
+    quadrature, each against the closed forms of the diagonal and of v."""
 
     def test_mp_stage(self):
         ths = (Fr(1), Fr(1, 2))
-        # the float64 u-integral cannot certify 1e-16 on any of these entries
-        for B, pieces in [rho_pair_pieces(t, t) for t in ths] + [rho_single_pieces(t) for t in ths]:
-            assert u_integral_f64(pieces, B, 2.0)[1] > 1e-16
         gs = build_gram(list(ths), tol=1e-16)
+        # each entry within tol, each reference within half an ulp
         for i, th in enumerate(ths):
-            assert abs(gs.G[i, i] - _g_diag(th)) < 1e-15
-            assert abs(gs.v[i] - _v_closed(th)) < 1e-15
+            for got, ref in ((gs.G[i, i], _g_diag(th)), (gs.v[i], _v_closed(th))):
+                assert abs(got - ref) <= 1e-16 + 0.5 * math.ulp(ref)
+
+    @pytest.mark.parametrize(
+        "theta, tol", [(Fr(2, 3), 1e-17), (Fr(1, 2), 1e-18)], ids=["v-2/3", "G-1/2"]
+    )
+    def test_stored_rounding_is_certified(self, theta, tol):
+        # the stored float is half an ulp (up to 5.6e-17) from the mp value,
+        # more than these tolerances
+        with pytest.raises(ToleranceNotMet):
+            build_gram([theta], tol=tol)
 
     def test_xspace_stage(self):
         # 0.1 is 3602879701896397/2^55: no period in reach, so both entries
@@ -147,6 +165,52 @@ class TestGramLadder:
             signal.signal(signal.SIGALRM, previous)
         assert abs(gs.G[0, 0] - _g_diag(th)) < 1e-4
         assert abs(gs.v[0] - _v_closed(th)) < 1e-4
+
+
+def _closed(pair, tol):
+    """(value, err_bound) of `_closed_entry` at the bits build_gram uses for tol."""
+    return _closed_entry(pair, _period(pair), bits_for_tol(tol), {})
+
+
+@st.composite
+def _rational_pairs(draw):
+    """theta_1, theta_2 in (0, 1] with joint period at most 2000."""
+    q1 = draw(st.integers(1, 2000))
+    q2 = draw(st.sampled_from([d for d in range(1, 2001) if q1 * d // math.gcd(q1, d) <= 2000]))
+    return Fr(draw(st.integers(1, q1)), q1), Fr(draw(st.integers(1, q2)), q2)
+
+
+class TestClosedForm:
+    """Vasyunin's closed form for the Gram entries, certificate against the
+    Hurwitz-kernel u-integral of `rho_pair_pieces` at three times the bits."""
+
+    @settings(max_examples=5, deadline=None)
+    @given(pair=_rational_pairs(), tol=st.sampled_from([1e-9, 1e-25]))
+    @example(pair=(Fr(2, 3), Fr(3, 7)), tol=1e-25)
+    @example(pair=(Fr(5, 6), Fr(5, 6)), tol=1e-25)
+    @example(pair=(Fr(1), Fr(3, 4)), tol=1e-25)
+    @example(pair=(Fr(317, 1000), Fr(331, 1000)), tol=1e-9)
+    def test_against_u_integral(self, pair, tol):
+        val, err = _closed(pair, tol)
+        assert err <= tol
+        bits = 3 * bits_for_tol(tol)
+        B, pieces = rho_pair_pieces(*pair)
+        ref, ref_err = u_integral_mp(pieces, B, 2, bits)
+        with mpmath.workprec(bits):
+            assert abs(val - ref.real) <= err + ref_err, pair
+        assert val == _closed(pair[::-1], tol)[0]
+
+    @pytest.mark.parametrize("th", [Fr(1), Fr(1, 2), Fr(2, 3), Fr(5, 6)])
+    def test_v_entry(self, th):
+        # v(theta) against the u-integral and its float view
+        val, err = _closed((th,), 1e-25)
+        bits = 3 * bits_for_tol(1e-25)
+        B, pieces = rho_single_pieces(th)
+        ref, ref_err = u_integral_mp(pieces, B, 2, bits)
+        f64, f64_err = u_integral_f64(pieces, B, 2.0)
+        with mpmath.workprec(bits):
+            assert abs(val - ref.real) <= err + ref_err
+            assert abs(val - f64) <= err + f64_err
 
 
 class TestOptimizeCoeffs:
