@@ -47,6 +47,7 @@ from .fourier import (
     c_even_mellin_exact_L,
     c_even_mellin_limit,
     coefficients_csv,
+    cosine_coeffs,
     remainder_bound,
     telescope_partial,
 )
@@ -92,6 +93,7 @@ __all__ = [
     "c_cosine_series",
     "c_direct",
     "coefficients_csv",
+    "cosine_coeffs",
     "convergence_csv",
     "crosscheck_json",
     "c_even_mellin_exact_L",

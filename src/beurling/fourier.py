@@ -61,6 +61,10 @@ about eps J*, which the factor 2/(n pi) turns into at most ~1e-11 for
 n > n0 and n_max <= 10^4, while the rows below n0, where that factor is
 largest, never cancel against J*. The cost is O(n_max log n_max + J*) per
 term instead of O(n_max J*).
+
+``cosine_coeffs`` is the batch's one caller: it keeps each row whose
+certificate meets the caller's tolerance and takes the others from
+``c_cosine_series``; Parseval and the reconstruction both read it.
 """
 from __future__ import annotations
 
@@ -95,6 +99,8 @@ _METHODS = ("direct", "cosine_series", "even_mellin_exact_L", "even_mellin_limit
 # share one cutoff and take the head from a Taylor NUFFT of order _TAYLOR_Q
 _N0 = 256
 _TAYLOR_Q = 22
+# cosine_coeffs refuses mp rows past this n: c_cosine_series costs O(n) there
+_MP_ROW_CAP = 2048
 
 # zeta(2l) values at the highest precision requested so far, keyed by l
 _ZETA_CACHE: dict[int, tuple] = {}
@@ -369,6 +375,9 @@ def c_even_mellin_exact_L(
     The returned certificate is remainder_bound(spec, n, L) plus summation
     roundoff. Terms grow to ~e^{n pi} before cancelling, so the working
     precision adds ceil(1.443 n pi) + 64 bits over the output precision.
+    A term with theta = 1 is a HypothesisError: there theta^{L+1} does not
+    decay and the remainder can exceed remainder_bound (THETA1_B at n = 9,
+    L = 8 is off by 2.1e8 against a bound of 3.2e7).
     """
     n = _check_n(n)
     if not isinstance(L, int) or L < 1:
@@ -376,6 +385,8 @@ def c_even_mellin_exact_L(
     if tol <= 0:
         raise DomainError("tol must be positive")
     _require_even_mellin_hypotheses(spec, "c_even_mellin_exact_L")
+    if any(t.theta == 1 for t in spec.terms):
+        raise HypothesisError("c_even_mellin_exact_L cannot bound its remainder at theta = 1")
     bits = _route_c_bits(n, tol)
     rb = remainder_bound(spec, n, L)
     with workprec(bits):
@@ -688,6 +699,37 @@ def batch_cosine_f64(spec: BeurlingSpec, n_max: int):
         mag += abs(t.a) * np.abs(contrib)
     # a1 and each a_k contrib_k are formed with <= 6 roundings, then summed
     return c, cert + _gamma(len(spec.terms) + 6) * mag
+
+
+def cosine_coeffs(spec: BeurlingSpec, n_max: int, tol: float):
+    """(c, cert) for n = 1..n_max with every cert[n-1] <= tol.
+
+    One `batch_cosine_f64` call gives every row; each row whose certificate
+    misses tol is replaced by `c_cosine_series` at tol, its certificate
+    widened by the rounding of the value to the stored double.
+    ToleranceNotMet, before any mp work, when such a row lies past
+    n = _MP_ROW_CAP, and when tol is below that rounding. The rows depend
+    only on (spec, n_max, tol).
+    """
+    if not tol > 0:
+        raise DomainError("tol must be positive")
+    c, cert = batch_cosine_f64(spec, n_max)
+    missing = np.flatnonzero(~(cert <= tol)) + 1
+    if missing.size and missing[-1] > _MP_ROW_CAP:
+        raise ToleranceNotMet(
+            f"per-coefficient tol {tol:.3g} needs the mpmath route, "
+            f"which is not practical beyond n = {_MP_ROW_CAP}"
+        )
+    for n in missing.tolist():
+        fc = c_cosine_series(spec, n, tol)
+        c[n - 1] = v = complex(fc.value)
+        # storing the double moves each part by at most half an ulp
+        cert[n - 1] = float(fc.error_certificate) + 0.5 * (math.ulp(v.real) + math.ulp(v.imag))
+        if cert[n - 1] > tol:
+            raise ToleranceNotMet(
+                f"c({n}) stored as a double is off by up to {cert[n - 1]:.3g}, above tol {tol:.3g}"
+            )
+    return c, cert
 
 
 def coefficients_csv(coeffs: list[FourierCoefficient]) -> str:

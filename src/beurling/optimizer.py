@@ -19,9 +19,11 @@ With theta_2/theta_1 = a/b in lowest terms, G(theta_1, theta_2) =
 theta_1 a A(a, b) - theta_1 theta_2 and v(theta) = theta (1 - gamma - ln
 theta): finite cotangent sums with a priori roundoff bounds (`_closed_entry`).
 `_gram_entry` alone decides between that and x-space quadrature, which
-takes a pair or a single theta whose period is past the cap of `_period`
-(float thetas such as 0.1 = 3602879701896397/2^55). Duplicate thetas make
-the KKT matrix exactly singular and are rejected rather than merged.
+takes only a pair whose ratio theta_1/theta_2 has a period past the cap of
+`_period`: float thetas such as 0.1 = 3602879701896397/2^55 have no joint
+period in reach, but v(0.1) and G(0.1, 0.2) (ratio 1/2) are closed forms.
+Duplicate thetas make the KKT matrix exactly singular and are rejected
+rather than merged.
 """
 from __future__ import annotations
 
@@ -171,11 +173,16 @@ def _gram_entry(thetas: tuple[Fraction, ...], tol: float, cots: dict) -> float:
     """int_0^1 prod_k rho(theta_k/x) dx over one or two thetas, certified to
     tol as stored.
 
-    The closed form `_closed_entry` when `_periodic._period` finds a joint
-    period (its certificate plus half an ulp of the returned float), else
-    x-space quadrature; ToleranceNotMet when the certificate exceeds tol.
+    The closed form `_closed_entry` (its certificate plus half an ulp of the
+    returned float) when the thetas have a joint period B. Past the caps of
+    `_period` its bound still holds with B = 1 for v, whose magnitude is at
+    most 1 + gamma + 1/e, and with the period of theta_1/theta_2
+    (theta_1 <= theta_2) for G, which is a >= b; x-space quadrature takes a
+    pair past both. ToleranceNotMet when the certificate exceeds tol.
     """
     B = _periodic._period(thetas)
+    if B is None:
+        B = 1 if len(thetas) == 1 else _periodic._period((min(thetas) / max(thetas),))
     if B is not None:
         val, err = _closed_entry(thetas, B, bits_for_tol(tol), cots)
         out = float(val)

@@ -10,6 +10,10 @@ over odd n = 1). The n > n_max tail is ESTIMATED from the jump-driven decay
 c(n) = Theta(1/n): tail ~ A^2/n_max with A = max n|c(n)| over the top half
 of the computed range. The estimate is reported as such, never folded into
 a certified bound; Bessel (partial <= ||F||^2) gives the one-sided truth.
+
+The coefficients c(1..n_max) come from `fourier.cosine_coeffs`, each
+certified to coeff_tol: the float64 batch where its certificate meets it,
+the mp cosine series for the other rows.
 """
 from __future__ import annotations
 
@@ -18,27 +22,10 @@ import math
 
 import numpy as np
 
-from .errors import DomainError, ToleranceNotMet
-from .fourier import batch_cosine_f64, c_cosine_series
+from .errors import DomainError
+from .fourier import cosine_coeffs
 from .functions import BeurlingSpec, _norm_oracle
 from .numerics import PrecisionReal
-
-
-def _coeff_sq_sum(spec: BeurlingSpec, n_max: int, coeff_tol: float):
-    """c(n) and certificates for n = 1..n_max, each certified <= coeff_tol."""
-    if coeff_tol >= 1e-11:
-        c, cert = batch_cosine_f64(spec, n_max)
-        if float(cert.max()) <= coeff_tol:
-            return c, cert
-    if n_max > 2048:
-        raise ToleranceNotMet(
-            f"per-coefficient tol {coeff_tol:.3g} needs the mpmath route, "
-            "which is not practical beyond n_max = 2048"
-        )
-    cs = [c_cosine_series(spec, n, coeff_tol) for n in range(1, n_max + 1)]
-    c = np.array([complex(fc.value) for fc in cs])
-    cert = np.array([float(fc.error_certificate) for fc in cs])
-    return c, cert
 
 
 def norm_via_parseval(spec: BeurlingSpec, n_max: int = 10_000, coeff_tol: float = 1e-10) -> dict:
@@ -57,7 +44,7 @@ def norm_via_parseval(spec: BeurlingSpec, n_max: int = 10_000, coeff_tol: float 
         raise DomainError("norm_via_parseval requires an admissible spec")
     if n_max < 8:
         raise DomainError("n_max must be >= 8")
-    c, cert = _coeff_sq_sum(spec, n_max, coeff_tol)
+    c, cert = cosine_coeffs(spec, n_max, coeff_tol)
     mags = np.abs(c)
     partial = 0.5 * float(np.sum(mags**2))
     # d(|c|^2) <= 2|c| cert + cert^2, halved by the convention factor

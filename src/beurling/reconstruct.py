@@ -21,9 +21,13 @@ term, validated against the series route across the switchover in tests).
 
 Coefficients c(n) come from the even-Mellin limit route for n <= 32; for
 larger n that series needs ~1.443 n pi extra working bits and O(e n pi)
-terms, so the SAME number (the routes agree identically for admissible
-specs meeting the even-Mellin hypotheses) is taken from the certified
-direct-quadrature route instead.
+terms, so the same number (the routes agree within their certificates for
+admissible specs meeting the even-Mellin hypotheses) is taken from
+`fourier.cosine_coeffs` instead: the float64 batch where its certificate
+meets the tolerance, the mp cosine series for the other rows. The
+coefficients are computed afresh on every call, so a result depends only
+on its arguments; only the sine moments, which depend on (n, s, tol) alone,
+are cached across calls.
 """
 from __future__ import annotations
 
@@ -35,7 +39,7 @@ import threading
 import mpmath
 
 from .errors import ConstraintError, DomainError, HypothesisError
-from .fourier import batch_cosine_f64, c_direct, c_even_mellin_limit
+from .fourier import c_even_mellin_limit, cosine_coeffs
 from .functions import BeurlingSpec
 from .mellin import MellinValue, _as_complex
 from .numerics import PrecisionComplex, PrecisionReal, bits_for_tol, workprec
@@ -44,7 +48,6 @@ _SERIES_N_MAX = 31
 _COEFF_SWITCH_N = 32
 
 _SINE_CACHE: dict = {}
-_COEFF_CACHE: dict = {}
 _CACHE_LOCK = threading.Lock()
 
 
@@ -142,49 +145,6 @@ def sine_moment_with_cert(n, s, tol: float = 1e-12) -> tuple:
     return out
 
 
-def _coeff(spec: BeurlingSpec, n: int, tol: float):
-    """c(n) for the reconstruction sum, cached per (spec, n, tol)."""
-    key = (spec.cache_key, n, float(tol))
-    with _CACHE_LOCK:
-        hit = _COEFF_CACHE.get(key)
-    if hit is not None:
-        return hit
-    if n <= _COEFF_SWITCH_N:
-        fc = c_even_mellin_limit(spec, n, tol)
-    else:
-        fc = c_direct(spec, n, tol)
-    out = (complex(fc.value), float(fc.error_certificate))
-    with _CACHE_LOCK:
-        _COEFF_CACHE[key] = out
-    return out
-
-
-def _prefill_coeffs(spec: BeurlingSpec, n_max: int, tol: float):
-    """Seed the coefficient cache for n > the provider switch from the
-    vectorized batch when its per-coefficient certificates meet `tol`.
-
-    Coefficients whose batch certificate misses `tol` stay uncached, so
-    `_coeff` falls back to the per-n high-precision path for them.
-    """
-    if n_max <= _COEFF_SWITCH_N or tol < 1e-12:
-        return
-    tol_f = float(tol)
-    with _CACHE_LOCK:
-        missing = any(
-            (spec.cache_key, n, tol_f) not in _COEFF_CACHE
-            for n in range(_COEFF_SWITCH_N + 1, n_max + 1)
-        )
-    if not missing:
-        return
-    c, cert = batch_cosine_f64(spec, n_max)
-    with _CACHE_LOCK:
-        for n in range(_COEFF_SWITCH_N + 1, n_max + 1):
-            if cert[n - 1] <= tol_f:
-                _COEFF_CACHE.setdefault(
-                    (spec.cache_key, n, tol_f), (complex(c[n - 1]), float(cert[n - 1]))
-                )
-
-
 def mellin_reconstruct_report(
     spec: BeurlingSpec, s, n_max: int = 1000, tol_per_coeff: float = 1e-9
 ) -> tuple:
@@ -210,14 +170,19 @@ def mellin_reconstruct_report(
             "mellin_reconstruct requires unit fractions with |a_k| <= 1"
         )
 
-    _prefill_coeffs(spec, n_max, tol_per_coeff)
+    coeffs = []  # (c(n), certificate), built afresh so that no call sees another's rows
+    for n in range(1, min(n_max, _COEFF_SWITCH_N) + 1):
+        fc = c_even_mellin_limit(spec, n, tol_per_coeff)
+        coeffs.append((complex(fc.value), float(fc.error_certificate)))
+    if n_max > _COEFF_SWITCH_N:
+        c, cert = cosine_coeffs(spec, n_max, tol_per_coeff)
+        coeffs += zip(c[_COEFF_SWITCH_N:].tolist(), cert[_COEFF_SWITCH_N:].tolist())
     acc = 0.0 + 0.0j
     cert_budget = 0.0
     rows = []  # (n, term, partial)
     partials = []
-    for n in range(1, n_max + 1):
+    for n, (cv, c_cert) in enumerate(coeffs, 1):
         sv, s_cert = sine_moment_with_cert(n, z, tol_per_coeff)
-        cv, c_cert = _coeff(spec, n, tol_per_coeff)
         sv_c = complex(sv)
         term = sv_c * cv
         acc += term

@@ -166,6 +166,17 @@ class TestFourier:
         )
         assert code == 2
 
+    def test_exact_L_at_theta_1_exit_2(self, tmp_path, capsys):
+        # THETA1_B: the remainder bound does not cover the series at theta = 1
+        f = tmp_path / "theta1_b.json"
+        f.write_text(json.dumps({"terms": [{"a_re": "1/2", "b": 1}, {"a_re": -1, "b": 2}]}))
+        argv = ["fourier", "--spec", str(f), "--method", "even-mellin", "--n-max"]
+        code, out, err = run(capsys, argv + ["10", "--L", "8"])
+        assert code == 2 and out == "" and "theta = 1" in err
+        # the limit route is not affected
+        code, _, _ = run(capsys, argv + ["2"])
+        assert code == 0
+
     def test_direct_non_admissible(self, tmp_path, capsys):
         # sum a_k theta_k = 1/6: the periodic route takes it at the default
         # tol, where x-space quadrature runs out of evaluations (exit 3)
@@ -279,7 +290,7 @@ class TestOptimize:
         assert code == 2
 
     def test_float_theta_past_the_period_cap(self, tmp_path, capsys):
-        # 0.1 has period 2^55: every entry with it takes x-space quadrature,
+        # 0.1/0.5 has period 2^54: G(0.1, 0.5) takes x-space quadrature,
         # which reaches 1e-3 but not the default 1e-9
         f = tmp_path / "float.json"
         f.write_text("[0.5, 0.1]")
@@ -289,6 +300,17 @@ class TestOptimize:
         code, out, _ = run(capsys, ["optimize", "--thetas", str(f)])
         assert code == 3
         assert out == ""
+
+    def test_float_thetas_with_a_ratio_period(self, tmp_path, capsys):
+        # 0.1 and 0.2 have no joint period in reach, but 0.1/0.2 = 1/2: every
+        # Gram entry is a closed form, so the default tol is met
+        f = tmp_path / "float.json"
+        f.write_text("[0.1, 0.2]")
+        code, out, _ = run(capsys, ["optimize", "--thetas", str(f)])
+        assert code == 0
+        report = json.loads(out)["report"]
+        assert abs(report["norm_kkt"] - 0.9281005138927632) < 1e-9
+        assert report["norm_quadrature"] is None
 
     def test_tol_below_the_stored_rounding_exit_3(self, capsys):
         # every stored Gram entry is up to half an ulp (~5e-17) from its

@@ -20,6 +20,7 @@ from beurling import (
     ConstraintError,
     DomainError,
     HypothesisError,
+    ToleranceNotMet,
     batch_cosine_f64,
     c_batch,
     c_cosine_series,
@@ -27,9 +28,11 @@ from beurling import (
     c_even_mellin_exact_L,
     c_even_mellin_limit,
     coefficients_csv,
+    cosine_coeffs,
     remainder_bound,
     telescope_partial,
 )
+from beurling import fourier
 from beurling._periodic import sine_integral_mp
 from beurling.numerics import bits_for_tol
 from strategies import exact_specs
@@ -319,20 +322,26 @@ class TestRemainderBound:
 
 
 class TestRemainderBoundLimitation:
-    """Documented regression: when some theta = 1 the power sum theta^{L+1}
-    does not decay and the exact-L remainder is middle-mode dominated, so the
-    theta-power bound genuinely under-covers at moderate (n, L). These cells
-    are locked in so any silent change to either side is noticed. The bound
-    is only asserted as a majorant on distinct-denominator specs elsewhere.
+    """When some theta = 1 the power sum theta^{L+1} does not decay and the
+    exact-L remainder is middle-mode dominated, so the theta-power bound
+    under-covers at moderate (n, L): on THETA1_B at (n, L) = (9, 8) the
+    truncated series was 2.1e8 off against a bound of 3.2e7. The exact-L
+    route therefore refuses theta = 1. The bound is asserted as a majorant
+    on distinct-denominator specs.
     """
 
-    @pytest.mark.parametrize("n,L,min_ratio", [(9, 8, 4.0), (10, 8, 9.0)])
-    def test_theta1_bound_exceeded(self, theta1_b, n, L, min_ratio):
-        ref = c_direct(theta1_b, n, tol=1e-13)
-        v = c_even_mellin_exact_L(theta1_b, n, L, tol=1e-13)
-        gap = abs(complex(ref.value) - complex(v.value))
-        rb = float(remainder_bound(theta1_b, n, L))
-        assert gap > min_ratio * rb
+    @pytest.mark.parametrize("name", ["theta1_b", "theta1_c"])
+    def test_theta1_exact_L_refused(self, request, name):
+        spec = request.getfixturevalue(name)
+        for n, L in ((1, 4), (9, 8), (10, 8)):
+            with pytest.raises(HypothesisError, match="theta = 1"):
+                c_even_mellin_exact_L(spec, n, L, tol=1e-13)
+        # the remainder bound itself and the limit route still evaluate
+        assert float(remainder_bound(spec, 9, 8)) > 0
+        ref = c_direct(spec, 3, tol=1e-13)
+        lim = c_even_mellin_limit(spec, 3, tol=1e-12)
+        gap = abs(complex(ref.value) - complex(lim.value))
+        assert gap <= float(ref.error_certificate) + float(lim.error_certificate)
 
     def test_distinct_denoms_bound_holds(self, spec_a, spec_d, spec_e):
         for spec in (spec_a, spec_d, spec_e):
@@ -447,6 +456,42 @@ class TestBatch:
         c, _ = batch_cosine_f64(spec_a, 200)
         prof = np.arange(1, 201) * np.abs(c)
         assert prof.max() < 6.0
+
+
+class TestCosineCoeffs:
+    def test_rows_from_batch_or_series(self, spec_a, monkeypatch):
+        # at tol 1e-13 the batch certifies SPEC_A's direct rows n <= N0 but
+        # not its NUFFT rows: only those come from c_cosine_series
+        series = {}
+
+        def record(spec, n, tol):
+            series[n] = c_cosine_series(spec, n, tol)
+            return series[n]
+
+        monkeypatch.setattr(fourier, "c_cosine_series", record)
+        c, cert = cosine_coeffs(spec_a, 300, 1e-13)
+        assert sorted(series) == list(range(N0 + 1, 301))
+        batch_c, batch_cert = batch_cosine_f64(spec_a, 300)
+        assert np.array_equal(c[:N0], batch_c[:N0])
+        assert np.array_equal(cert[:N0], batch_cert[:N0])
+        for n, fc in series.items():
+            assert c[n - 1] == complex(fc.value)
+            assert float(fc.error_certificate) < cert[n - 1] <= 1e-13
+        # each sampled row within its certificate of the mp route at 3x bits
+        # (every row would take about 20 s)
+        ref_tol = 2.0 ** (16 - 3 * bits_for_tol(1e-13))
+        for n in (1, 2, 32, 33, 128, N0 - 1, N0, N0 + 1, N0 + 2, 280, 299, 300):
+            ref = c_cosine_series(spec_a, n, ref_tol)
+            with mpmath.workprec(3 * bits_for_tol(1e-13)):
+                gap = abs(mpmath.mpc(complex(c[n - 1])) - ref.value.to_mpc())
+                assert gap <= cert[n - 1] + ref.error_certificate.value, n
+
+    def test_domain(self, spec_a):
+        with pytest.raises(DomainError):
+            cosine_coeffs(spec_a, 10, 0.0)
+        # c(1) = 0.825... cannot be stored as a double within 1e-18
+        with pytest.raises(ToleranceNotMet, match="stored as a double"):
+            cosine_coeffs(spec_a, 10, 1e-18)
 
 
 class TestCoefficientsCsv:

@@ -2,8 +2,8 @@
 precision, converts rationals and calls mpmath's Hurwitz zeta, each
 fallback around the u = 1/x engine is decided in one function, the periodic
 engine certifies without quadrature estimates through one Hurwitz-kernel
-tail, and every function the benchmark's tracer wraps by name still
-exists."""
+tail, one function decides how each coefficient row is certified, and
+every function the benchmark's tracer wraps by name still exists."""
 import ast
 import importlib
 import importlib.util
@@ -155,3 +155,26 @@ def test_c_direct_has_no_admissibility_gate():
     c_direct = next(f for f in tree.body if isinstance(f, ast.FunctionDef) and f.name == "c_direct")
     assert not [n for n in ast.walk(c_direct) if _reads("admissible")(n)]
     assert [n for n in ast.walk(c_direct) if _calls("sine_integral_mp")(n)]
+
+
+def test_one_owner_of_the_coefficient_batch():
+    # cosine_coeffs alone decides, row by row, between the float64 batch
+    # and the mp cosine series; no module keeps coefficients across calls
+    owners = {
+        (name, o) for name, text in SOURCES.items() for o in _owners(text, _calls("batch_cosine_f64"))
+    }
+    assert owners == {("fourier.py", "cosine_coeffs")}
+    for module in ("parseval.py", "reconstruct.py"):
+        for fn in ("batch_cosine_f64", "c_direct"):
+            assert _owners(SOURCES[module], _calls(fn)) == [], (module, fn)
+
+
+def test_reconstruct_caches_only_sine_moments():
+    dicts = set()
+    for node in ast.parse(SOURCES["reconstruct.py"]).body:
+        if isinstance(node, (ast.Assign, ast.AnnAssign)):
+            value = node.value
+            if isinstance(value, (ast.Dict, ast.DictComp)) or _calls("dict")(value):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                dicts.update(t.id for t in targets if isinstance(t, ast.Name))
+    assert dicts == {"_SINE_CACHE"}

@@ -30,7 +30,7 @@ from beurling._periodic import (
     u_integral_f64,
     u_integral_mp,
 )
-from beurling.numerics import bits_for_tol
+from beurling.numerics import bits_for_tol, to_mp
 from beurling.optimizer import _closed_entry
 
 # Frozen Gram oracles for thetas = (1, 1/2); closed forms:
@@ -126,8 +126,9 @@ def _v_closed(th):
 
 
 class TestGramLadder:
-    """The two stages of the Gram-entry ladder, the closed form and x-space
-    quadrature, each against the closed forms of the diagonal and of v."""
+    """The stages of the Gram-entry ladder: the closed form at the joint
+    period, at the period of the ratio (B = 1 for v), and x-space
+    quadrature."""
 
     def test_mp_stage(self):
         ths = (Fr(1), Fr(1, 2))
@@ -147,24 +148,60 @@ class TestGramLadder:
             build_gram([theta], tol=tol)
 
     def test_xspace_stage(self):
-        # 0.1 is 3602879701896397/2^55: no period in reach, so both entries
-        # take x-space quadrature. The v entry used to enumerate ~3.6e15
-        # breakpoints; the alarm turns that hang into a failure.
+        # 0.1/0.5 is 3602879701896397/2^54: the pair has neither a joint nor
+        # a ratio period in reach, so G(0.1, 0.5) takes x-space quadrature,
+        # checked against the closed form at the exact (1/10, 1/2), 5.6e-18
+        # away in theta. An x-space entry of 0.1 used to enumerate ~3.6e15
+        # breakpoints; the alarm turns such a hang into a failure.
         def hang(signum, frame):
             raise TimeoutError("the 0.1 entries did not finish in 60 s")
 
-        th = Fr(0.1)
+        pair = (Fr(0.5), Fr(0.1))
         previous = signal.signal(signal.SIGALRM, hang)
         signal.alarm(60)
         try:
-            assert rho_single_pieces(th) is None
-            assert rho_pair_pieces(th, th) is None
-            gs = build_gram([0.1], tol=1e-4)
+            assert rho_pair_pieces(*pair) is None
+            assert _period((pair[1] / pair[0],)) is None
+            gs = build_gram([0.5, 0.1], tol=1e-4)
         finally:
             signal.alarm(0)
             signal.signal(signal.SIGALRM, previous)
-        assert abs(gs.G[0, 0] - _g_diag(th)) < 1e-4
-        assert abs(gs.v[0] - _v_closed(th)) < 1e-4
+        ref = float(_closed((Fr(1, 2), Fr(1, 10)), 1e-20)[0])
+        assert abs(gs.G[0, 1] - ref) < 1e-4
+        with pytest.raises(ToleranceNotMet):
+            build_gram([0.5, 0.1], tol=1e-9)
+
+    @pytest.mark.parametrize(
+        "pair",
+        [
+            (Fr(0.1), Fr(0.2)),
+            (Fr(1, 100003), Fr(2, 100003)),
+            (Fr(2, 300007), Fr(3, 300007)),
+            (Fr(5, 2**60), Fr(7, 2**60)),
+            (Fr(317, 1000 * 999983), Fr(331, 1000 * 999983)),
+        ],
+        ids=["0.1-0.2", "ratio-1/2", "ratio-2/3", "ratio-5/7", "ratio-317/331"],
+    )
+    def test_ratio_period_stage(self, pair):
+        # no joint period in reach, but theta_1/theta_2 has one: G is the
+        # closed form at that period, v and the diagonal at B = 1. Checked
+        # against the scaling G(t1, t2) = t2 G(t1/t2, 1) + t1 (1 - t2) at 140
+        # bits, and at tol 1e-16, which x-space quadrature cannot reach.
+        t1, t2 = pair
+        r = t1 / t2
+        assert _period(pair) is None and _period((r,)) is not None
+        bits = 140
+        lhs, lhs_err = _closed_entry(pair, _period((r,)), bits, {})
+        ref, ref_err = _closed_entry((r, Fr(1)), _period((r, Fr(1))), bits, {})
+        with mpmath.workprec(bits + 16):
+            rhs = to_mp(t2) * ref + to_mp(t1 * (1 - t2))
+            assert abs(lhs - rhs) <= lhs_err + ref_err + mpmath.mpf(2) ** -bits
+            expected = float(rhs)
+        gs = build_gram(list(pair), tol=1e-16)
+        assert abs(gs.G[0, 1] - expected) <= 1e-16 + 0.5 * math.ulp(expected)
+        for i, th in enumerate(pair):
+            for got, want in ((gs.G[i, i], _g_diag(th)), (gs.v[i], _v_closed(th))):
+                assert abs(got - want) <= 1e-16 + 0.5 * math.ulp(want)
 
 
 def _closed(pair, tol):

@@ -8,12 +8,13 @@ import pytest
 from beurling import (
     BeurlingSpec,
     DomainError,
+    ToleranceNotMet,
     crosscheck_json,
     norm_crosscheck,
     norm_numeric,
     norm_via_parseval,
 )
-from beurling import parseval
+from beurling import fourier
 
 # Frozen: partial sums computed once from the classical series 8/pi^2 sum
 # over odd n <= 1e4 (empty spec) and from an independent mpmath run (ADM1).
@@ -33,18 +34,32 @@ class TestNormViaParseval:
         assert abs(EMPTY_GAP_AT_1E4 - 4 / (math.pi**2 * 10_000)) < 2e-9
 
     def test_per_n_mp_route(self, spec_a, monkeypatch):
-        # coeff_tol below 1e-11 skips the float64 batch: every c(n) comes
+        # no batch row of SPEC_A meets coeff_tol 1e-15, so every c(n) comes
         # from c_cosine_series; it must agree with the batch's partial sum
         batch = norm_via_parseval(spec_a, n_max=32)
+        rows = []
+        series = fourier.c_cosine_series
 
-        def no_batch(*args):
-            raise AssertionError("the float64 batch was called")
+        def record(spec, n, tol):
+            rows.append(n)
+            return series(spec, n, tol)
 
-        monkeypatch.setattr(parseval, "batch_cosine_f64", no_batch)
-        per_n = norm_via_parseval(spec_a, n_max=32, coeff_tol=1e-13)
+        monkeypatch.setattr(fourier, "c_cosine_series", record)
+        per_n = norm_via_parseval(spec_a, n_max=32, coeff_tol=1e-15)
+        assert rows == list(range(1, 33))
         slack = float(per_n["coeff_cert_total"]) + float(batch["coeff_cert_total"])
         gap = abs(float(per_n["partial_norm_sq"]) - float(batch["partial_norm_sq"]))
         assert gap <= slack
+
+    def test_mp_rows_past_the_cap_fail_fast(self, adm1, monkeypatch):
+        # ADM1's batch misses 1e-13 on rows up to 2100 > 2048: refused
+        # before any row is computed in mp
+        def no_mp(*args):
+            raise AssertionError("an mp row was computed")
+
+        monkeypatch.setattr(fourier, "c_cosine_series", no_mp)
+        with pytest.raises(ToleranceNotMet, match="not practical beyond n = 2048"):
+            norm_via_parseval(adm1, n_max=2100, coeff_tol=1e-13)
 
     def test_bessel_lower_bracket(self, spec_a, adm1, triv0):
         for spec in (spec_a, adm1, triv0):

@@ -4,6 +4,10 @@ convergence CSV."""
 import csv
 import io
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import mpmath
 import pytest
@@ -159,6 +163,35 @@ class TestReconstruct:
             mellin_reconstruct(spec_a, 2.0, n_max=0)
         with pytest.raises(DomainError):
             mellin_reconstruct(spec_a, 2.0, n_max=10, tol_per_coeff=0.0)
+
+
+# SPEC_A's convergence CSV at s = 2.5, n_max = 1000, optionally after a
+# smaller call in the same interpreter
+_CSV_RUN = """
+import sys
+from fractions import Fraction as Fr
+from beurling import BeurlingSpec, convergence_csv, mellin_reconstruct_report
+spec = BeurlingSpec([(1, Fr(1, 2)), (-1, Fr(1, 3)), (-1, Fr(1, 6))])
+if sys.argv[1] == "after":
+    mellin_reconstruct_report(spec, 3.0, n_max=100)
+sys.stdout.write(convergence_csv(mellin_reconstruct_report(spec, 2.5, n_max=1000)[1]))
+"""
+
+
+def test_csv_independent_of_call_history():
+    # the coefficients are built afresh per call, so an earlier call with a
+    # smaller n_max (whose batch rows differ in the last bits) leaves no trace
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    fresh, after = (
+        subprocess.run(
+            [sys.executable, "-c", _CSV_RUN, mode],
+            env=env, capture_output=True, text=True, check=True, timeout=300,
+        ).stdout
+        for mode in ("fresh", "after")
+    )
+    assert fresh.count("\n") == 1001
+    assert after == fresh
 
 
 class TestConvergenceCsv:
