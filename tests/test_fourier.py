@@ -29,6 +29,7 @@ from beurling import (
     c_even_mellin_limit,
     coefficients_csv,
     cosine_coeffs,
+    power_sum_exact,
     remainder_bound,
     telescope_partial,
 )
@@ -342,6 +343,32 @@ class TestRemainderBoundLimitation:
         lim = c_even_mellin_limit(spec, 3, tol=1e-12)
         gap = abs(complex(ref.value) - complex(lim.value))
         assert gap <= float(ref.error_certificate) + float(lim.error_certificate)
+
+    @pytest.mark.parametrize("n,L,min_ratio", [(9, 8, 4.0), (10, 8, 9.0)])
+    def test_theta1_bound_exceeded(self, theta1_b, n, L, min_ratio):
+        """The truncated exact-L series on THETA1_B, summed here at 80 digits,
+        misses c(n) by more than min_ratio times remainder_bound: the reason
+        the exact-L route refuses theta = 1 at these cells."""
+        with pytest.raises(HypothesisError, match="theta = 1"):
+            c_even_mellin_exact_L(theta1_b, n, L, tol=1e-13)
+        with mpmath.workdps(80):
+            npi = n * mpmath.pi
+            acc = mpmath.mpc(4 / npi if n % 2 else 0)
+            for l in range(1, L + 1):
+                p_re, p_im = power_sum_exact(theta1_b, 2 * l)
+                p2l = mpmath.mpc(
+                    mpmath.mpf(p_re.numerator) / p_re.denominator,
+                    mpmath.mpf(p_im.numerator) / p_im.denominator,
+                )
+                m2l = (1 - mpmath.zeta(2 * l) * p2l) / (2 * l)
+                sign = (-1) ** l
+                acc += sign * (2 / npi) * npi ** (2 * l) / mpmath.factorial(2 * l)
+                acc -= sign * 2 * npi ** (2 * l - 1) / mpmath.factorial(2 * l - 1) * m2l
+            truncated = complex(acc)
+        ref = c_direct(theta1_b, n, tol=1e-13)
+        gap = abs(complex(ref.value) - truncated)
+        rb = float(remainder_bound(theta1_b, n, L))
+        assert gap > min_ratio * rb
 
     def test_distinct_denoms_bound_holds(self, spec_a, spec_d, spec_e):
         for spec in (spec_a, spec_d, spec_e):
