@@ -42,7 +42,7 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .errors import DomainError, ToleranceNotMet
-from .numerics import hurwitz_zeta, to_mp, workprec
+from .numerics import hurwitz_zeta_row, to_mp, workprec
 
 _F64_EPS = float(np.finfo(np.float64).eps)
 
@@ -224,7 +224,7 @@ def _t_coeffs(cs, B: int):
 def _kernel_order(r_abs, sigma, c, bits: int):
     """(K, q, weight): the first K terms of the kernel expansion leave a
     remainder of at most q * e_0 with q <= 2^-bits; weight is that of
-    `hurwitz_zeta`, which puts each zeta error at the scale e_0 2^-prec.
+    `hurwitz_zeta_row`, which puts each zeta error at the scale e_0 2^-prec.
     Term k is at most e_k = (|r|)_k/k! c^(-sigma-k) (1 + c/(sigma+k-1)) 2^-k
     times int |p|, from |zeta(sigma+k+i tau, c)| <= zeta(sigma+k, c) and
     |t| <= 1/2. The ratio e_(k+1)/e_k is at most rho_k = (|r|+k)/(2c(k+1)),
@@ -259,8 +259,8 @@ def _integrate(pieces, B: int, U: int, phis, exps, ops, wp: int):
     `_kernel_order`. With t = (U+w)/B - c in [-1/2, 1/2], c = U/B + 1/2,
     each integral is B^(1-r) sum_(k<K) (-1)^k (r)_k/k! zeta(r+k, c) M_k
     with the exact moments M_k = sum_pieces int p t^k dt, found once for all
-    exponents. Each zeta(s, c) is evaluated once, at the largest weight
-    that uses it.
+    exponents. The zeta(s, c) of all exponents come from one
+    `hurwitz_zeta_row` pass, each at the largest weight that uses it.
 
     err_bound = sum |w| q e_0 for the truncation plus ops 2^-wp times the
     magnitude of everything summed, zeta's absolute error included.
@@ -312,7 +312,7 @@ def _integrate(pieces, B: int, U: int, phis, exps, ops, wp: int):
     for _, r, K, _, wt in exps:
         for k in range(K):
             weights[r + k] = max(weights.get(r + k, 0), wt)
-    zetas = {s: hurwitz_zeta(s, c, wt) for s, wt in weights.items()}
+    zetas = hurwitz_zeta_row(weights, c)
     tail = trunc = mag = mpmath.mpf(0)
     for w, r, K, q, _ in exps:
         sigma = mpmath.re(r)

@@ -24,7 +24,7 @@ sum_j (cos(a/j) - 1) and evaluates the j > J tail analytically:
 sum_{j>J} (cos(a/j) - 1) = sum_{m>=1} (-1)^m a^{2m}/(2m)! zeta(2m, J+1),
 whose terms shrink by > 24x per step once J >= 2a (certified by twice the
 first omitted term, plus the absolute error of each zeta(2m, J+1), which
-`hurwitz_zeta` keeps to 2^-bits over its coefficient). The explicit-J form
+`hurwitz_zeta_row` bounds by 2^-bits over its coefficient). The explicit-J form
 with the a^2/J certificate remains available via the J argument.
 
 The float64 batch ``batch_cosine_f64`` evaluates the same limit form for
@@ -87,7 +87,7 @@ from .numerics import (
     PrecisionComplex,
     PrecisionReal,
     bits_for_tol,
-    hurwitz_zeta,
+    hurwitz_zeta_row,
     to_mp,
     workprec,
     zeta_even,
@@ -295,20 +295,31 @@ def c_cosine_series(
                 head += term
                 absacc += abs(term)
             # analytic tail over j > Jk (module docstring); ratio <= 1/24.
-            # Each zeta(2m, Jk+1) is evaluated once, its absolute error
-            # sized by coef so that coef * err <= 2^-bits.
+            # Each zeta(2m, Jk+1) comes from one row, its absolute error
+            # sized by coef so that coef * err <= 2^-bits. The row ends at
+            # the first m where zeta(2m, a) <= a^-2m (1 + a/(2m-1)), with a
+            # margin for the rounding of that bound, already puts
+            # coef (zeta + err) below floor, so the loop stops within it.
+            a = Jk + 1
+            coefs = [alpha * alpha / 2]  # alpha^{2m} / (2m)!, m = 1, 2, ...
+            while len(coefs) <= 200:
+                m = len(coefs)
+                coefs.append(coefs[-1] * (alpha * alpha / ((2 * m + 1) * (2 * m + 2))))
+                bound = mpmath.power(a, -2 * m - 2) * (1 + mpmath.mpf(a) / (2 * m + 1))
+                if coefs[-1] * bound * (1 + 2**-20) + 2 * mpmath.mpf(2) ** -bits < floor:
+                    break
+            zetas = hurwitz_zeta_row({2 * m: cf for m, cf in enumerate(coefs, 1)}, a)
             tail = mpmath.mpf(0)
-            coef = alpha * alpha / 2  # alpha^{2m} / (2m)!
-            z, err = hurwitz_zeta(2, Jk + 1, coef)
             m = 1
             while True:
+                coef = coefs[m - 1]
+                z, err = zetas[2 * m]
                 term = coef * z
                 tail += -term if m % 2 else term
                 absacc += abs(term)
                 cert += a_mag * coef * err
-                coef *= alpha * alpha / ((2 * m + 1) * (2 * m + 2))
-                z, err = hurwitz_zeta(2 * m + 2, Jk + 1, coef)
-                nxt = coef * (z + err)
+                z, err = zetas[2 * m + 2]
+                nxt = coefs[m] * (z + err)
                 if nxt < floor or m >= 200:
                     cert += a_mag * 2 * nxt
                     break
@@ -701,33 +712,35 @@ def batch_cosine_f64(spec: BeurlingSpec, n_max: int):
     return c, cert + _gamma(len(spec.terms) + 6) * mag
 
 
-def cosine_coeffs(spec: BeurlingSpec, n_max: int, tol: float):
-    """(c, cert) for n = 1..n_max with every cert[n-1] <= tol.
+def cosine_coeffs(spec: BeurlingSpec, n_max: int, tol: float, n_min: int = 1):
+    """(c, cert) for n = n_min..n_max with every cert[n-n_min] <= tol.
 
-    One `batch_cosine_f64` call gives every row; each row whose certificate
-    misses tol is replaced by `c_cosine_series` at tol, its certificate
-    widened by the rounding of the value to the stored double.
-    ToleranceNotMet, before any mp work, when such a row lies past
+    One `batch_cosine_f64` call gives every row; each row from n_min on
+    whose certificate misses tol is replaced by `c_cosine_series` at tol,
+    its certificate widened by the rounding of the value to the stored
+    double. ToleranceNotMet, before any mp work, when such a row lies past
     n = _MP_ROW_CAP, and when tol is below that rounding. The rows depend
     only on (spec, n_max, tol).
     """
     if not tol > 0:
         raise DomainError("tol must be positive")
     c, cert = batch_cosine_f64(spec, n_max)
-    missing = np.flatnonzero(~(cert <= tol)) + 1
+    c, cert = c[n_min - 1 :], cert[n_min - 1 :]
+    missing = np.flatnonzero(~(cert <= tol)) + n_min
     if missing.size and missing[-1] > _MP_ROW_CAP:
         raise ToleranceNotMet(
             f"per-coefficient tol {tol:.3g} needs the mpmath route, "
             f"which is not practical beyond n = {_MP_ROW_CAP}"
         )
     for n in missing.tolist():
+        i = n - n_min
         fc = c_cosine_series(spec, n, tol)
-        c[n - 1] = v = complex(fc.value)
+        c[i] = v = complex(fc.value)
         # storing the double moves each part by at most half an ulp
-        cert[n - 1] = float(fc.error_certificate) + 0.5 * (math.ulp(v.real) + math.ulp(v.imag))
-        if cert[n - 1] > tol:
+        cert[i] = float(fc.error_certificate) + 0.5 * (math.ulp(v.real) + math.ulp(v.imag))
+        if cert[i] > tol:
             raise ToleranceNotMet(
-                f"c({n}) stored as a double is off by up to {cert[n - 1]:.3g}, above tol {tol:.3g}"
+                f"c({n}) stored as a double is off by up to {cert[i]:.3g}, above tol {tol:.3g}"
             )
     return c, cert
 

@@ -8,9 +8,11 @@ Three zeta entry points with different contracts:
 * ``zeta_complex(s, tol)`` -- the alternating eta series on ``Re(s) > 0`` with
                              Borwein's Chebyshev acceleration and its a priori
                              error bound.
-* ``hurwitz_zeta(s, a, weight)`` -- mpmath's Hurwitz zeta with guard bits for
-                             the coefficient that multiplies it, and a bound on
-                             its absolute error.
+* ``hurwitz_zeta_row(weights, a)`` -- Hurwitz zeta(s, a) at exponents an
+                             integer apart, from one Euler-Maclaurin pass with
+                             its a priori remainder bound; each value gets guard
+                             bits for the coefficient that multiplies it and a
+                             proven bound on its absolute error.
 
 Working precision is always chosen internally from the requested absolute
 tolerance; callers never touch the mpmath context.
@@ -338,22 +340,177 @@ def zeta_even(l: int, out_precision: int = MIN_PRECISION_BITS) -> PrecisionReal:
 # ---------------------------------------------------------------------------
 
 
-def hurwitz_zeta(s, a, weight):
-    """(zeta(s, a), err) with |error| <= err, at the current working precision p.
+# B_2m/(2m)! for m = 1, 2, ..., exact, grown on demand
+_EM_COEFFS: list[Fraction] = []
+_FOUR_PI_SQ = 4 * math.pi**2
 
-    mpmath's Hurwitz zeta stops its Euler-Maclaurin sum at an absolute 2^-q
-    for q working bits, so it is accurate to an absolute, not a relative,
-    2^-q: a small value such as zeta(24, 65) ~ 1e-43 keeps only ~34 correct
-    bits at q = 112. The call therefore runs with g = ceil(log2 weight)
-    guard bits (none for weight <= 1) and err = 2^-(p+g), so that
-    weight * err <= 2^-p. Callers pass as weight the size of the coefficient
-    that multiplies the value, in units of the error they accept at 2^-p.
+
+def _em_coeff(m: int) -> Fraction:
+    """B_2m/(2m)!, exact; callers hold the mp lock, which orders the growth."""
+    while len(_EM_COEFFS) < m:
+        k = 2 * len(_EM_COEFFS) + 2
+        _EM_COEFFS.append(bernoulli(k) / math.factorial(k))
+    return _EM_COEFFS[m - 1]
+
+
+def _em_plan(sigma: float, tau: float, x: float, bits: float):
+    """(M, mag) for the Euler-Maclaurin sum from x at s = sigma + i tau, or
+    None when the terms start to grow before they reach 2^-bits.
+
+    M >= 1 is the fewest correction terms whose remainder bound
+    4 |(s)_2M| / (2 pi)^2M x^(1-sigma-2M) / (sigma+2M-1) is at most
+    2^-bits, and mag x^-sigma bounds the corrections,
+    sum_(m<=M) |B_2m/(2m)! (s)_(2m-1)| x^(1-sigma-2m), from
+    |B_2m| <= 4 (2m)!/(2 pi)^2m. Both run in floats whose relative error
+    stays below 1e-12, which the callers' margin of two bits absorbs.
+    """
+    e = sigma * math.log2(x) - bits
+    if e < -1000:
+        return None
+    target = 2.0 ** min(e, 1000.0)
+    step = _FOUR_PI_SQ * x * x
+    corr = 4 * x / step  # 4 |(s)_(2M-1)| / (2 pi)^2M x^(1-2M), before the factor |s+2M-2|
+    mag = 0.0
+    M = 0
+    while True:
+        M += 1
+        k = sigma + 2 * M - 2
+        corr *= math.hypot(k, tau)
+        mag += corr
+        if corr * math.hypot(k + 1, tau) <= target * (k + 1):
+            return M, mag
+        if math.hypot(k + 1, tau) * math.hypot(k + 2, tau) >= step:
+            return None
+        corr *= math.hypot(k + 1, tau) / step
+
+
+def _guard(weight) -> int:
+    """ceil(log2 weight) exactly, the guard bits of a value multiplied by
+    weight; 0 for weight <= 1."""
+    if weight <= 1:
+        return 0
+    man, exp = (weight if isinstance(weight, mpmath.mpf) else mpmath.mpf(weight)).man_exp
+    return exp + man.bit_length() - (man == 1)
+
+
+def hurwitz_zeta_row(weights: dict, a) -> dict:
+    """{s: (zeta(s, a), err)} for every exponent s of `weights`, |error| <= err,
+    at the current working precision p, from one Euler-Maclaurin pass.
+
+    The exponents must differ from the one of least real part, s0 with
+    Re s0 > 1, by non-negative integers; a is real and positive. Each value
+    gets g = ceil(log2 weight) guard bits (none for weight <= 1) and
+    err = 2^-(p+g), so that weight * err <= 2^-p: callers pass as weight
+    the size of the coefficient that multiplies the value, in units of the
+    error they accept at 2^-p.
+
+    With x = a + N,
+        zeta(s, a) = sum_(j<N) (a+j)^-s + x^(1-s)/(s-1) + x^-s/2
+                     + sum_(m<=M) B_2m/(2m)! (s)_(2m-1) x^(-s-2m+1) + R,
+        |R| <= 4 |(s)_2M| / (2 pi)^2M x^(1-sigma-2M) / (sigma+2M-1)
+    (Johansson, Numer. Algorithms 69 (2015), from |B_2M| <= 4 (2M)!/(2 pi)^2M).
+    One N serves the row: each head power (a+j)^-s0 is taken once and
+    stepped to the next exponent by powers of (a+j)^-1, and so is x^-s.
+    Each exponent takes the fewest M that bring |R| to 2^-(p+g+2).
+
+    Roundoff: each operation moves what it forms by at most u = 2^(1-wp)
+    relative, and a power (a+j)^-s0 by (8 + |s0| (1 + ln x)) u, for its
+    rounded base and its phase. So the value at s = s0 + d is off by at most
+    2 (that + N + 3d + 11M + 40) u times the magnitude of what is summed,
+    which is at most a^-sigma (3/2 + a/(sigma-1)) for the head and the two
+    end terms plus the bound on the corrections. The working precision
+    wp >= p + max g keeps that below 2^-(p+g+2).
     """
     p = mp.prec
-    guard = 0 if weight <= 1 else int(mpmath.ceil(mpmath.log(weight, 2)))
-    with workprec(p + guard):
-        z = mpmath.zeta(s, a)
-    return z, mpmath.mpf(2) ** -(p + guard)
+    keys = list(weights)
+    zc = {s: complex(s) for s in keys}
+    s0 = min(keys, key=lambda s: zc[s].real)
+    sigma0, tau = zc[s0].real, zc[s0].imag
+    a_f = float(a)
+    if not sigma0 > 1 or not a_f > 0:
+        raise DomainError(f"hurwitz_zeta_row needs Re s > 1 and a > 0, got s = {s0}, a = {a}")
+    offsets = {}
+    for s in keys:
+        d = round(zc[s].real - sigma0)
+        if zc[s].imag != tau or abs(zc[s].real - sigma0 - d) > 1e-9:
+            raise DomainError("hurwitz_zeta_row needs exponents an integer apart")
+        offsets[s] = d
+    guards = {s: _guard(weights[s]) for s in keys}
+    order = sorted(keys, key=offsets.__getitem__)
+
+    # One N for the row, the cheapest on a ladder: a head power costs
+    # about 20 multiplications for complex s0 and 2 for real, each head term
+    # 2 more per exponent and each correction term 7; the exponents' M is
+    # taken as the mean of the first and last. The ladder stops after two
+    # candidates in a row cost more than the best.
+    def plan(s, x):
+        return _em_plan(sigma0 + offsets[s], tau, x, p + guards[s] + 2)
+
+    per_j = (20 if tau else 2) + 3 * len(keys)
+    best, worse, N = None, 0, 0
+    while worse < 2:
+        ends = [plan(s, a_f + N) for s in (order[0], order[-1])]
+        if None not in ends:
+            cost = N * per_j + 3.5 * len(keys) * (ends[0][0] + ends[1][0])
+            if best is None or cost < best[0]:
+                best, worse = (cost, N), 0
+            else:
+                worse += 1
+        N = N + 1 if N < 4 else N * 3 // 2
+    N = best[1]
+    while True:
+        x = a_f + N
+        plans = {s: plan(s, x) for s in keys}
+        if None not in plans.values():
+            break
+        N = N + 1 if N < 4 else N * 3 // 2
+    lx, la = math.log2(x), math.log2(a_f)
+    pow_ulps = 8 + abs(zc[s0]) * (1 + math.log(x))
+    extra = 0.0
+    for s in keys:
+        sigma = sigma0 + offsets[s]
+        M, mag = plans[s]
+        ops = 2 * (pow_ulps + N + 3 * offsets[s] + 11 * M + 40)
+        total = 1.5 + a_f / (sigma - 1) + mag * 2.0 ** (sigma * (la - lx))
+        extra = max(extra, guards[s] + math.log2(ops * total) - sigma * la + 3)
+    G = max(guards.values())
+    wp = p + max(G, math.ceil(extra))
+
+    out = {}
+    with workprec(wp):
+        s0_mp = mpmath.mpc(s0) if tau else mpmath.mpf(mpmath.re(s0))
+        ds = [offsets[s] for s in order]
+        steps = [d - e for d, e in zip(ds, [0] + ds[:-1])]
+        deltas = {dl for dl in steps if dl}
+
+        def powers(base):
+            t = mpmath.power(base, -s0_mp)
+            inv = 1 / base
+            pw = {dl: inv**dl for dl in deltas}
+            for dl in steps:
+                if dl:
+                    t *= pw[dl]
+                yield t
+
+        heads = [mpmath.mpf(0)] * len(order)
+        for j in range(N):
+            for i, t in enumerate(powers(mpmath.mpf(a) + j)):
+                heads[i] += t
+        x_mp = mpmath.mpf(a) + N
+        inv2 = 1 / (x_mp * x_mp)
+        M_max = max(M for M, _ in plans.values())
+        em = [to_mp(_em_coeff(m)) for m in range(1, M_max + 1)]
+        for s, head, t in zip(order, heads, powers(x_mp)):
+            sv = s0_mp + offsets[s]
+            z = head + t * x_mp / (sv - 1) + t / 2
+            P = sv * t / x_mp  # (s)_(2m-1) x^(-s-2m+1)
+            M = plans[s][0]
+            for m in range(1, M + 1):
+                z += em[m - 1] * P
+                if m < M:
+                    P *= (sv + 2 * m - 1) * (sv + 2 * m) * inv2
+            out[s] = (z, mpmath.mpf(2) ** -(p + guards[s]))
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -175,8 +175,8 @@ def mellin_reconstruct_report(
         fc = c_even_mellin_limit(spec, n, tol_per_coeff)
         coeffs.append((complex(fc.value), float(fc.error_certificate)))
     if n_max > _COEFF_SWITCH_N:
-        c, cert = cosine_coeffs(spec, n_max, tol_per_coeff)
-        coeffs += zip(c[_COEFF_SWITCH_N:].tolist(), cert[_COEFF_SWITCH_N:].tolist())
+        c, cert = cosine_coeffs(spec, n_max, tol_per_coeff, _COEFF_SWITCH_N + 1)
+        coeffs += zip(c.tolist(), cert.tolist())
     acc = 0.0 + 0.0j
     cert_budget = 0.0
     rows = []  # (n, term, partial)

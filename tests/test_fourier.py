@@ -36,7 +36,7 @@ from beurling import (
 from beurling import fourier
 from beurling._periodic import sine_integral_mp
 from beurling.numerics import bits_for_tol
-from strategies import exact_specs
+from strategies import exact_specs, unit_fraction_specs
 
 # Frozen oracles: mpmath direct integration of 2 int_0^1 F(x) sin(n pi x) dx
 # at 60 digits, performed outside this package.
@@ -56,17 +56,6 @@ THETA1_B = BeurlingSpec([(Fr(1, 2), 1), (-1, Fr(1, 2))])
 
 # rows n <= N0 of batch_cosine_f64 are summed directly, rows above by NUFFT
 N0 = 256
-
-
-@st.composite
-def unit_fraction_specs(draw):
-    """Admissible unit-fraction specs with |a_k| <= 1: free a_1..a_{K-1}, the
-    last coefficient solves sum a_k / b_k = 0, then all are scaled into [-1, 1]."""
-    bs = draw(st.lists(st.integers(1, 12), min_size=2, max_size=4))
-    a = [Fr(draw(st.integers(-8, 8)), 8) for _ in bs[:-1]]
-    a.append(-bs[-1] * sum(ak / bk for ak, bk in zip(a, bs)))
-    scale = max(1, max(abs(ak) for ak in a))
-    return BeurlingSpec([(ak / scale, Fr(1, b)) for ak, b in zip(a, bs)])
 
 
 def _sine_integral_oracle(spec, n, bits):
@@ -262,6 +251,20 @@ class TestEvenMellinRoutes:
             b = c_even_mellin_limit(spec_a, n, tol=1e-12)
             budget = float(a.error_certificate) + float(b.error_certificate)
             assert abs(complex(a.value) - complex(b.value)) <= budget
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        spec=unit_fraction_specs(),
+        n=st.integers(1, 50),
+        tol=st.sampled_from([1e-8, 1e-12, 1e-20]),
+    )
+    def test_limit_certificate_bounds_the_error(self, spec, n, tol):
+        # against c_direct at twice the bits, within both certificates
+        fc = c_even_mellin_limit(spec, n, tol)
+        ref = c_direct(spec, n, tol**2)
+        with mpmath.workprec(2 * fc.value.precision_bits):
+            gap = abs(fc.value.to_mpc() - ref.value.to_mpc())
+            assert gap <= fc.error_certificate.value + ref.error_certificate.value
 
     def test_exact_L_certificate_honest(self, spec_a):
         for n, L in ((3, 16), (6, 32), (10, 32)):

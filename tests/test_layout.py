@@ -1,5 +1,5 @@
 """layout: the package is serial, numerics alone scopes and locks mpmath
-precision, converts rationals and calls mpmath's Hurwitz zeta, each
+precision, converts rationals and evaluates the Hurwitz zeta, each
 fallback around the u = 1/x engine is decided in one function, the periodic
 engine certifies without quadrature estimates through one Hurwitz-kernel
 tail, one function decides how each coefficient row is certified, and
@@ -138,15 +138,19 @@ def _hurwitz_calls(node):
 
 
 def test_hurwitz_zeta_only_in_its_helper():
-    # mpmath's Hurwitz zeta is accurate to an absolute 2^-prec only; the
-    # helper sizes the guard bits
-    owners = {(name, o) for name, text in SOURCES.items() for o in _owners(text, _hurwitz_calls)}
-    assert owners == {("numerics.py", "hurwitz_zeta")}
+    # numerics.hurwitz_zeta_row evaluates every Hurwitz zeta with a proven
+    # error bound; mpmath's is accurate to an absolute 2^-prec only, and
+    # certifies nothing
+    assert [(name, o) for name, text in SOURCES.items() for o in _owners(text, _hurwitz_calls)] == []
+    owners = {
+        (name, o) for name, text in SOURCES.items() for o in _owners(text, _calls("hurwitz_zeta_row"))
+    }
+    assert owners == {("_periodic.py", "_integrate"), ("fourier.py", "c_cosine_series")}
 
 
 def test_one_hurwitz_tail_in_periodic():
     text = SOURCES["_periodic.py"]
-    assert set(_owners(text, _calls("hurwitz_zeta"))) == {"_integrate"}
+    assert _owners(text, _calls("hurwitz_zeta_row")) == ["_integrate"]
     assert set(_owners(text, _calls("_integrate"))) == {"u_integral_mp", "sine_integral_mp"}
 
 

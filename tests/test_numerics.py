@@ -206,15 +206,53 @@ class TestHurwitzZeta:
     )
     def test_absolute_error_within_err(self, s, a, weight):
         with mpmath.workprec(112):
-            z, err = numerics.hurwitz_zeta(s, mpmath.mpf(a), weight)
+            z, err = numerics.hurwitz_zeta_row({s: weight}, mpmath.mpf(a))[s]
             assert weight * err <= mpmath.mpf(2) ** -112
         with mpmath.workprec(600):
             assert abs(z - mpmath.zeta(s, a)) <= err
 
     def test_guard_bits_restore_relative_accuracy(self):
-        # zeta(24, 65) ~ 1e-43 keeps ~34 correct bits at 112 bits, no guard
+        # zeta(24, 65) ~ 1e-43 needs guard bits for 100 correct bits at 112
         with mpmath.workprec(112):
-            z, _ = numerics.hurwitz_zeta(24, mpmath.mpf(65), 2.0**150)
+            z, _ = numerics.hurwitz_zeta_row({24: 2.0**150}, mpmath.mpf(65))[24]
         with mpmath.workprec(600):
             ref = mpmath.zeta(24, 65)
             assert abs(z - ref) <= ref * mpmath.mpf(2) ** -100
+
+    @given(
+        s0=st.one_of(
+            st.integers(2, 9),
+            st.tuples(st.floats(1.0, 4.0, exclude_min=True), st.floats(-30.0, 30.0)),
+        ),
+        length=st.integers(1, 60),
+        step=st.sampled_from([1, 2]),
+        a=st.sampled_from([2.5, 6.5, 11.5, 32.5, 65]),
+        log2_weights=st.lists(st.floats(-5.0, 150.0), min_size=60, max_size=60),
+        prec=st.integers(64, 300),
+        checked=st.lists(st.integers(0, 59), min_size=4, max_size=4),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_row_within_err(self, s0, length, step, a, log2_weights, prec, checked):
+        # every value of a row within its err of mpmath at twice the bits;
+        # the first, the last and four drawn exponents are checked
+        with mpmath.workprec(prec):
+            s0 = mpmath.mpc(*s0) if isinstance(s0, tuple) else mpmath.mpf(s0)
+            weights = {s0 + step * k: mpmath.mpf(2) ** w for k, w in zip(range(length), log2_weights)}
+            row = numerics.hurwitz_zeta_row(weights, mpmath.mpf(a))
+        keys = list(weights)
+        assert list(row) == keys
+        for s in {keys[0], keys[-1]} | {keys[k % length] for k in checked}:
+            z, err = row[s]
+            bits = prec + numerics._guard(weights[s])
+            assert err == mpmath.mpf(2) ** -bits
+            # near s = 1 the value is large: the reference keeps 2 bits
+            # below err above it as well
+            with mpmath.workprec(2 * bits + max(0, int(mpmath.log(abs(z) + 1, 2)))):
+                assert abs(z - mpmath.zeta(s, a)) <= err, (s, a, prec)
+
+    def test_exponents_an_integer_apart(self):
+        with mpmath.workprec(64):
+            with pytest.raises(DomainError):
+                numerics.hurwitz_zeta_row({2: 1, mpmath.mpf(2.5): 1}, 3)
+            with pytest.raises(DomainError):
+                numerics.hurwitz_zeta_row({1: 1, 2: 1}, 3)

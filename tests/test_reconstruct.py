@@ -14,6 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import beurling.fourier as fourier
 import beurling.reconstruct as R
 from beurling import (
     BeurlingSpec,
@@ -147,6 +148,23 @@ class TestReconstruct:
         for (n1, t1, _), (n2, t2, _) in zip(lo["rows"], hi["rows"]):
             assert n1 == n2
             assert abs(t1 - t2) < 1e-12  # shared prefix identical terms
+
+    def test_mends_only_the_rows_it_keeps(self, spec_a, monkeypatch):
+        # rows n <= _COEFF_SWITCH_N come from the even-Mellin limit, so no
+        # mp cosine row is computed for them, however tight the tolerance
+        calls = []
+        real = fourier.c_cosine_series
+
+        def counted(spec, n, tol):
+            calls.append(n)
+            return real(spec, n, tol)
+
+        monkeypatch.setattr(fourier, "c_cosine_series", counted)
+        mellin_reconstruct_report(spec_a, 2.5, n_max=100, tol_per_coeff=1e-14)
+        _, cert = fourier.batch_cosine_f64(spec_a, 100)
+        missing = [n for n in range(1, 101) if not cert[n - 1] <= 1e-14]
+        assert min(missing) <= R._COEFF_SWITCH_N
+        assert calls == [n for n in missing if n > R._COEFF_SWITCH_N]
 
     def test_requires_admissible(self):
         with pytest.raises(ConstraintError):
