@@ -39,10 +39,9 @@ from fractions import Fraction
 
 import mpmath
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 from .errors import DomainError, ToleranceNotMet
-from .numerics import hurwitz_zeta_row, to_mp, workprec
+from .numerics import hurwitz_zeta_row, to_double, to_mp, workprec
 
 _F64_EPS = float(np.finfo(np.float64).eps)
 
@@ -127,15 +126,13 @@ def decompose(spec) -> PeriodicDecomposition | None:
 def f_piece_constants(spec, dec: PeriodicDecomposition):
     """Pieces of f(1/u) = sum a_k rho(theta_k u) as ([(lo, hi, alpha)], beta):
     f = alpha + beta*w on the piece, beta = sum a_k theta_k shared by all."""
-    beta_re = sum((t.a_re * t.theta for t in spec.terms), Fraction(0))
-    beta_im = sum((t.a_im * t.theta for t in spec.terms), Fraction(0))
     out = []
     for i in range(dec.npieces):
         ms = dec.floors[i]
         a_re = -sum((t.a_re * m for t, m in zip(spec.terms, ms)), Fraction(0))
         a_im = -sum((t.a_im * m for t, m in zip(spec.terms, ms)), Fraction(0))
         out.append((dec.bounds[i], dec.bounds[i + 1], (a_re, a_im)))
-    return out, (beta_re, beta_im)
+    return out, spec.residual_exact
 
 
 def f_linear_pieces(spec, dec: PeriodicDecomposition):
@@ -186,26 +183,13 @@ def rho_single_pieces(theta: Fraction):
 
 
 # ---------------------------------------------------------------------------
-# Gauss-Legendre nodes (x-space quadrature and `fourier`) and the head end U
+# mpmath engine
 # ---------------------------------------------------------------------------
-
-_GL_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-
-
-def _gl(order: int):
-    if order not in _GL_CACHE:
-        _GL_CACHE[order] = leggauss(order)
-    return _GL_CACHE[order]
 
 
 def _choose_U(B: int, u_min: int = _U_MIN) -> int:
     """End U of the exact head [1, U]: a multiple of B, at least 2B and u_min."""
     return B * max(2, -(-u_min // B))
-
-
-# ---------------------------------------------------------------------------
-# mpmath engine
-# ---------------------------------------------------------------------------
 
 
 def _t_coeffs(cs, B: int):
@@ -389,8 +373,7 @@ def u_integral_f64(pieces, B: int, r: float):
     Returns (value, err_bound); err_bound covers the rounding of the value.
     """
     val, err = u_integral_mp(pieces, B, r, 64)
-    out = float(val.real)
-    return out, float(err) + 0.5 * math.ulp(out)
+    return to_double(val.real, err)
 
 
 def sine_integral_mp(pieces, B: int, n: int, prec_bits: int):

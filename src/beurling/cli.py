@@ -4,8 +4,8 @@ files. --threads is still accepted so that existing command lines keep
 working, but it has no effect: the package computes serially.
 
 Exit codes: 0 success; 2 domain/constraint/hypothesis errors (including a
-malformed --spec file, a --tol that is not positive and finite, and singular
-optimizer systems); 3 tolerance not met.
+malformed --spec file, a --tol that is not positive and finite, an --n-max
+or --l-max below 1, and singular optimizer systems); 3 tolerance not met.
 """
 from __future__ import annotations
 
@@ -13,7 +13,6 @@ import argparse
 import csv
 import io
 import json
-import math
 import sys
 
 from .errors import (
@@ -26,7 +25,8 @@ from .errors import (
 from .fourier import c_batch, coefficients_csv
 from .functions import BeurlingSpec, eval_F, eval_f, mellin_numeric, norm_numeric
 from .mellin import MellinValue, mellin_closed, mellin_even, mellin_even_bound
-from .optimizer import build_gram, residual_report, sweep, unit_thetas
+from .numerics import check_count, check_tol
+from .optimizer import residual_report, spec_from_solution, sweep, unit_thetas
 from .parseval import norm_crosscheck
 from .reconstruct import convergence_csv, mellin_reconstruct_report
 
@@ -135,10 +135,8 @@ def _cmd_mellin(args, spec: BeurlingSpec):
         mv = mellin_closed(spec, s, args.tol)
     elif args.method == "quadrature":
         mv = mellin_numeric(spec, s, args.tol)
-    elif args.method == "reconstruct":
-        mv, _rep = mellin_reconstruct_report(spec, s, args.n_max, args.tol)
     else:
-        raise DomainError(f"unknown mellin method {args.method!r}")
+        mv, _rep = mellin_reconstruct_report(spec, s, args.n_max, args.tol)
     _emit(args, json.dumps(_mellin_value_doc(mv), indent=2))
     return 0
 
@@ -174,9 +172,7 @@ def _cmd_fourier(args, spec: BeurlingSpec):
     if args.method == "even-mellin" and args.L is not None:
         method = "even_mellin_exact_L"
     else:
-        method = _METHOD_MAP.get(args.method)
-        if method is None:
-            raise DomainError(f"unknown fourier method {args.method!r}")
+        method = _METHOD_MAP[args.method]
     coeffs = c_batch(spec, range(1, args.n_max + 1), method=method, tol=args.tol, L=args.L)
     if args.format == "json":
         docs = [
@@ -250,12 +246,11 @@ def _cmd_reconstruct(args, spec: BeurlingSpec):
         "coeff_cert_budget": rep["coeff_cert_budget"],
         "warned": rep["warned"],
     }
+    sys.stdout.write(json.dumps(summary, indent=2) + "\n")
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(convergence_csv(rep))
-        sys.stdout.write(json.dumps(summary, indent=2) + "\n")
     else:
-        sys.stdout.write(json.dumps(summary, indent=2) + "\n")
         sys.stdout.write(convergence_csv(rep))
     return 0
 
@@ -283,8 +278,6 @@ def _parse_thetas_arg(raw: str):
 def _cmd_optimize(args, spec: BeurlingSpec):
     thetas = _parse_thetas_arg(args.thetas)
     rep = residual_report(thetas, args.tol)
-    from .optimizer import spec_from_solution
-
     opt_spec = spec_from_solution(thetas, rep["a"])
     doc = {"spec": opt_spec.to_json_dict(), "report": rep}
     _emit(args, json.dumps(doc, indent=2))
@@ -369,8 +362,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if not 0 < args.tol < math.inf:
-            raise DomainError(f"--tol must be positive and finite, got {args.tol}")
+        check_tol(args.tol, "--tol")
+        for name in ("n_max", "l_max"):
+            if name in vars(args):
+                check_count(getattr(args, name), "--" + name.replace("_", "-"))
         spec = _load_spec(args.spec)
         return args.fn(args, spec)
     except (DomainError, ConstraintError, HypothesisError, SingularSystemError) as e:

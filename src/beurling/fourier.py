@@ -87,7 +87,10 @@ from .numerics import (
     PrecisionComplex,
     PrecisionReal,
     bits_for_tol,
+    check_count,
+    check_tol,
     hurwitz_zeta_row,
+    to_double,
     to_mp,
     workprec,
     zeta_even,
@@ -119,8 +122,7 @@ class FourierCoefficient:
     def __post_init__(self):
         if self.method not in _METHODS:
             raise ValueError(f"method must be one of {_METHODS}")
-        if self.n < 1:
-            raise ValueError("n must be >= 1")
+        check_count(self.n, "n")
         if float(self.error_certificate) < 0:
             raise ValueError("error_certificate must be >= 0")
 
@@ -146,12 +148,6 @@ def _a1_mp(n: int):
 def _route_c_bits(n: int, tol: float) -> int:
     """Working bits for the even-Mellin sums, whose terms peak near e^{n pi}."""
     return bits_for_tol(tol) + int(math.ceil(1.4427 * n * math.pi)) + 64
-
-
-def _check_n(n) -> int:
-    if not isinstance(n, (int, np.integer)) or n < 1:
-        raise DomainError(f"n must be a positive integer, got {n!r}")
-    return int(n)
 
 
 def _require_even_mellin_hypotheses(spec: BeurlingSpec, who: str):
@@ -193,12 +189,11 @@ def c_direct(spec: BeurlingSpec, n, tol: float = 1e-10) -> FourierCoefficient:
     (|F sin| <= (1 + sum|a|) n pi x), whose reachable tolerance bottoms out
     near 5e-13.
     """
-    n = _check_n(n)
-    if tol <= 0:
-        raise DomainError("tol must be positive")
+    n = check_count(n, "n")
+    bits = bits_for_tol(tol)
     dec = spec.decomposition
     if dec is not None:
-        bits = bits_for_tol(tol) + 32
+        bits += 32
         val, err = _periodic.sine_integral_mp(spec.linear_pieces, dec.period, n, bits)
         with workprec(bits):
             # rounding 2 val to the output bits moves it by at most |2 val| 2^-bits
@@ -220,7 +215,7 @@ def c_direct(spec: BeurlingSpec, n, tol: float = 1e-10) -> FourierCoefficient:
         tail_bound_override=tol / 8.0,
         max_h=min(1.0 / 16.0, 1.0 / (2.0 * n)),
     )
-    value = PrecisionComplex.from_complex(2.0 * val, bits_for_tol(tol))
+    value = PrecisionComplex.from_complex(2.0 * val, bits)
     return _result(spec, n, value, "direct", None, PrecisionReal.from_float(2.0 * err, 64), tol)
 
 
@@ -243,9 +238,8 @@ def c_cosine_series(
     twice the first omitted term. With an explicit J, the literal partial sum
     through j = J is returned with the a^2/J mean-value-theorem certificate.
     """
-    n = _check_n(n)
-    if tol <= 0:
-        raise DomainError("tol must be positive")
+    n = check_count(n, "n")
+    check_tol(tol)
     if not spec.admissible:
         raise ConstraintError(
             "c_cosine_series requires an admissible spec; "
@@ -253,8 +247,7 @@ def c_cosine_series(
         )
 
     if J is not None:
-        if not isinstance(J, int) or J < 1:
-            raise DomainError("J must be a positive integer")
+        J = check_count(J, "J")
         j = np.arange(1, J + 1, dtype=np.float64)
         acc = 0.0 + 0.0j
         cert = 0.0
@@ -347,9 +340,8 @@ def remainder_bound(spec: BeurlingSpec, n, L: int) -> PrecisionReal:
     sharper one available when the thetas are known, below the generic
     zeta^2(L+1) variant for unit fractions with distinct denominators.
     """
-    n = _check_n(n)
-    if not isinstance(L, int) or L < 1:
-        raise DomainError("L must be a positive integer")
+    n = check_count(n, "n")
+    L = check_count(L, "L")
     if not spec.coeffs_le_1:
         raise HypothesisError("remainder_bound requires |a_k| <= 1 for every term")
     theta_pow = Fraction(0)
@@ -390,15 +382,12 @@ def c_even_mellin_exact_L(
     decay and the remainder can exceed remainder_bound (THETA1_B at n = 9,
     L = 8 is off by 2.1e8 against a bound of 3.2e7).
     """
-    n = _check_n(n)
-    if not isinstance(L, int) or L < 1:
-        raise DomainError("L must be a positive integer")
-    if tol <= 0:
-        raise DomainError("tol must be positive")
+    n = check_count(n, "n")
+    L = check_count(L, "L")
+    bits = _route_c_bits(n, tol)
     _require_even_mellin_hypotheses(spec, "c_even_mellin_exact_L")
     if any(t.theta == 1 for t in spec.terms):
         raise HypothesisError("c_even_mellin_exact_L cannot bound its remainder at theta = 1")
-    bits = _route_c_bits(n, tol)
     rb = remainder_bound(spec, n, L)
     with workprec(bits):
         npi = n * mpmath.pi
@@ -469,12 +458,10 @@ def c_even_mellin_limit(spec: BeurlingSpec, n, tol: float = 1e-10) -> FourierCoe
     cancelling cosine pair A1 + sum (-1)^l (n pi)^{2l}/(2l)!, each <= tol/4)
     and additionally the next series term is <= tol/10.
     """
-    n = _check_n(n)
-    if tol <= 0:
-        raise DomainError("tol must be positive")
+    n = check_count(n, "n")
+    bits = _route_c_bits(n, tol)
     _require_even_mellin_hypotheses(spec, "c_even_mellin_limit")
     L = _limit_L_for(n, tol, spec)
-    bits = _route_c_bits(n, tol)
     rb = float(remainder_bound(spec, n, L))
     with workprec(bits):
         npi = n * mpmath.pi
@@ -518,10 +505,8 @@ def telescope_partial(l: int, J: int, out_precision: int = 128) -> PrecisionReal
 
     increases to zeta(2l) as J grows.
     """
-    if not isinstance(l, int) or l < 1:
-        raise DomainError("l must be a positive integer")
-    if not isinstance(J, int) or J < 1:
-        raise DomainError("J must be a positive integer")
+    l = check_count(l, "l")
+    J = check_count(J, "J")
     with workprec(out_precision + 32):
         acc = mpmath.mpf(1) - mpmath.power(J + 1, 1 - 2 * l)
         acc += mpmath.nsum(lambda j: mpmath.power(j, -2 * l), [2, J + 1], method="direct")
@@ -559,7 +544,7 @@ def c_batch(
             return c_even_mellin_limit(spec, n, tol)
         raise DomainError(f"unknown method {method!r}")
 
-    return [one(int(n)) for n in ns]
+    return [one(check_count(n, "n")) for n in ns]
 
 
 def _gamma(k):
@@ -680,8 +665,7 @@ def batch_cosine_f64(spec: BeurlingSpec, n_max: int):
     """
     if not spec.admissible:
         raise ConstraintError("batch route B requires an admissible spec")
-    if n_max < 1:
-        raise DomainError("n_max must be >= 1")
+    n_max = check_count(n_max, "n_max")
     n = np.arange(1, n_max + 1, dtype=np.float64)
     npi = n * math.pi
     a1 = np.where(np.arange(1, n_max + 1) % 2 == 1, 4.0 / npi, 0.0)
@@ -713,17 +697,19 @@ def batch_cosine_f64(spec: BeurlingSpec, n_max: int):
 
 
 def cosine_coeffs(spec: BeurlingSpec, n_max: int, tol: float, n_min: int = 1):
-    """(c, cert) for n = n_min..n_max with every cert[n-n_min] <= tol.
+    """(c, cert) for n = n_min..n_max, 1 <= n_min <= n_max, with every
+    cert[n-n_min] <= tol.
 
     One `batch_cosine_f64` call gives every row; each row from n_min on
     whose certificate misses tol is replaced by `c_cosine_series` at tol,
     its certificate widened by the rounding of the value to the stored
-    double. ToleranceNotMet, before any mp work, when such a row lies past
+    double and rounded up (`to_double`). ToleranceNotMet, before any mp work, when such a row lies past
     n = _MP_ROW_CAP, and when tol is below that rounding. The rows depend
     only on (spec, n_max, tol).
     """
-    if not tol > 0:
-        raise DomainError("tol must be positive")
+    tol = check_tol(tol)
+    n_min = check_count(n_min, "n_min")
+    n_max = check_count(n_max, "n_max", n_min)
     c, cert = batch_cosine_f64(spec, n_max)
     c, cert = c[n_min - 1 :], cert[n_min - 1 :]
     missing = np.flatnonzero(~(cert <= tol)) + n_min
@@ -735,9 +721,7 @@ def cosine_coeffs(spec: BeurlingSpec, n_max: int, tol: float, n_min: int = 1):
     for n in missing.tolist():
         i = n - n_min
         fc = c_cosine_series(spec, n, tol)
-        c[i] = v = complex(fc.value)
-        # storing the double moves each part by at most half an ulp
-        cert[i] = float(fc.error_certificate) + 0.5 * (math.ulp(v.real) + math.ulp(v.imag))
+        c[i], cert[i] = to_double(fc.value, fc.error_certificate)
         if cert[i] > tol:
             raise ToleranceNotMet(
                 f"c({n}) stored as a double is off by up to {cert[i]:.3g}, above tol {tol:.3g}"

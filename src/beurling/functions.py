@@ -5,6 +5,7 @@ internally (floats are binary rationals, so nothing is lost), which lets the
 admissibility constraint sum a_k theta_k = 0 be decided exactly rather than
 to a tolerance. JSON accepts plain numbers, "p/q" strings (an extension for
 values like 3/5 that no float represents), or a unit-fraction denominator b.
+`_to_theta` parses every theta, the optimizer's as well as the spec's.
 """
 from __future__ import annotations
 
@@ -18,11 +19,20 @@ from typing import Callable, Sequence
 
 import mpmath
 import numpy as np
+from numpy.polynomial.legendre import leggauss
 
 from . import _periodic
 from .errors import DomainError, ToleranceNotMet
-from .mellin import MellinValue, _as_complex
-from .numerics import PrecisionComplex, PrecisionReal, bits_for_tol, workprec
+from .mellin import MellinValue
+from .numerics import (
+    PrecisionComplex,
+    PrecisionReal,
+    as_complex,
+    bits_for_tol,
+    check_count,
+    check_tol,
+    workprec,
+)
 
 DEFAULT_EVAL_BUDGET = 10_000_000
 
@@ -43,20 +53,21 @@ def _eval_budget() -> int:
 
 
 def _to_fraction(x, what: str) -> Fraction:
+    """An int, float, Fraction or "p/q" string as an exact Fraction."""
+    if not isinstance(x, (Fraction, str, int, float)):
+        raise DomainError(f"unsupported type for {what}: {type(x).__name__}")
     try:
-        if isinstance(x, Fraction):
-            return x
-        if isinstance(x, str):
-            return Fraction(x)
-        if isinstance(x, int):
-            return Fraction(x)
-        if isinstance(x, float):
-            if not math.isfinite(x):
-                raise ValueError
-            return Fraction(x)
-    except (ValueError, ZeroDivisionError):
+        return Fraction(x)
+    except (ValueError, ZeroDivisionError, OverflowError):
         raise DomainError(f"cannot parse {what} = {x!r} as an exact rational") from None
-    raise DomainError(f"unsupported type for {what}: {type(x).__name__}")
+
+
+def _to_theta(x, what: str) -> Fraction:
+    """A theta in (0, 1] as an exact Fraction; DomainError otherwise."""
+    theta = _to_fraction(x, what)
+    if not 0 < theta <= 1:
+        raise DomainError(f"{what} must lie in (0, 1], got {theta}")
+    return theta
 
 
 @dataclass(frozen=True)
@@ -104,19 +115,16 @@ class BeurlingSpec:
                 a_im = Fraction(0)
             b = denoms[idx] if denoms is not None else None
             if b is not None:
-                if not isinstance(b, int) or b < 1:
-                    raise DomainError(f"term {idx}: b must be a positive integer, got {b!r}")
+                b = check_count(b, f"term {idx} b")
                 theta = Fraction(1, b)
                 if th_raw is not None:
                     th = _to_fraction(th_raw, f"term {idx} theta")
                     if th != theta:
                         raise DomainError(f"term {idx}: theta = {th} does not equal 1/b = 1/{b}")
             else:
-                theta = _to_fraction(th_raw, f"term {idx} theta")
+                theta = _to_theta(th_raw, f"term {idx} theta")
                 if theta.numerator == 1:
                     b = theta.denominator
-            if not (0 < theta <= 1):
-                raise DomainError(f"term {idx}: theta must lie in (0, 1], got {theta}")
             parsed.append(Term(a_re, a_im, theta, b))
         object.__setattr__(self, "terms", tuple(parsed))
 
@@ -248,8 +256,6 @@ class BeurlingSpec:
             theta = t.get("theta")
             if b is None and theta is None:
                 raise DomainError(f'terms[{idx}]: needs "theta" or "b"')
-            if b is not None and not isinstance(b, int):
-                raise DomainError(f'terms[{idx}]: "b" must be an integer or null')
             pairs.append(((a_re, a_im), theta))
             denoms.append(b)
         return cls(pairs, denoms)
@@ -356,6 +362,16 @@ def breakpoints(spec: BeurlingSpec, cutoff_eps: float) -> Breakpoints:
     return Breakpoints(eps, pts)
 
 
+_GL_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+
+
+def _gl(order: int):
+    """Gauss-Legendre nodes and weights on [-1, 1], cached per order."""
+    if order not in _GL_CACHE:
+        _GL_CACHE[order] = leggauss(order)
+    return _GL_CACHE[order]
+
+
 def _vectorize(fn: Callable) -> Callable:
     probe = np.array([0.5, 0.75])
     try:
@@ -389,16 +405,15 @@ def _integrate_report(
     bound than |integrand| <= bound_m (e.g. an integrand vanishing at 0)
     supply their own cut and its certified tail contribution.
     """
-    if tol <= 0:
-        raise DomainError("tol must be positive")
-    budget = budget if budget is not None else _eval_budget()
+    tol = check_tol(tol)
+    budget = check_count(budget, "budget") if budget is not None else _eval_budget()
     big_m = bound_m if bound_m is not None else 1.0 + spec.sum_abs_a
     if s_weight is None:
         s = None
         sigma = 1.0
         eps = tol / (2.0 * big_m)
     else:
-        s = complex(s_weight) if not isinstance(s_weight, PrecisionComplex) else complex(s_weight)
+        s = as_complex(s_weight)
         sigma = s.real
         if sigma <= 0:
             raise DomainError("weight requires Re(s) > 0")
@@ -442,7 +457,7 @@ def _integrate_report(
     evals = 0
 
     def piece_vals(a: np.ndarray, b: np.ndarray, order: int):
-        x_gl, w_gl = _periodic._gl(order)
+        x_gl, w_gl = _gl(order)
         half = 0.5 * (b - a)
         mid = 0.5 * (b + a)
         xs = mid[:, None] + half[:, None] * x_gl[None, :]
@@ -529,11 +544,9 @@ def mellin_numeric(spec: BeurlingSpec, s, tol: float = 1e-10) -> MellinValue:
     Otherwise falls back to the literal x-space strategy, whose reachable
     tolerance is limited by the (0, eps) tail bound.
     """
-    s_c = _as_complex(s)
+    s_c = as_complex(s)
     if s_c.real <= 0:
         raise DomainError(f"mellin_numeric requires Re(s) > 0, got {s_c.real}")
-    if tol <= 0:
-        raise DomainError("tol must be positive")
     bits = bits_for_tol(tol)
     dec = spec.decomposition
     if dec is not None:
@@ -558,8 +571,6 @@ def mellin_numeric(spec: BeurlingSpec, s, tol: float = 1e-10) -> MellinValue:
 
 def norm_numeric(spec: BeurlingSpec, tol: float = 1e-10) -> PrecisionReal:
     """L2(0,1) norm of F_N = f_N + 1, by certified piecewise quadrature."""
-    if tol <= 0:
-        raise DomainError("tol must be positive")
     bits = bits_for_tol(tol)
     dec = spec.decomposition
     if dec is not None:

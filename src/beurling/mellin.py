@@ -22,7 +22,9 @@ from .numerics import (
     _POLE_EXCLUSION,
     PrecisionComplex,
     PrecisionReal,
+    as_complex,
     bits_for_tol,
+    check_count,
     to_mp,
     workprec,
     zeta_complex,
@@ -48,15 +50,6 @@ class MellinValue:
             raise ValueError("error_bound must be >= 0")
 
 
-def _as_complex(s) -> complex:
-    if isinstance(s, PrecisionComplex):
-        return complex(s)
-    z = complex(s)
-    if not (math.isfinite(z.real) and math.isfinite(z.imag)):
-        raise DomainError("s must be finite")
-    return z
-
-
 def power_sum_exact(spec, n: int) -> tuple[Fraction, Fraction]:
     """Exact rational P(n) = sum_k a_k theta_k^n for integer n (re, im)."""
     re = Fraction(0)
@@ -76,10 +69,8 @@ def power_sum(spec, s, tol: float = 1e-16) -> PrecisionComplex:
     below tol (the sum has N terms of magnitude <= max|a_k|, so roundoff
     is the only error source and sits far under the working ulp).
     """
-    if tol <= 0:
-        raise DomainError("tol must be positive")
     bits = bits_for_tol(tol) + 16
-    z = _as_complex(s)
+    z = as_complex(s)
     if z.imag == 0 and float(z.real).is_integer():
         with workprec(bits):
             val = to_mp(power_sum_exact(spec, int(z.real)))
@@ -100,9 +91,8 @@ def mellin_closed(spec, s, tol: float = 1e-12) -> MellinValue:
     instead of implementing the limit; non-admissible specs genuinely blow
     up there through the pole term).
     """
-    if tol <= 0:
-        raise DomainError("tol must be positive")
-    z = _as_complex(s)
+    bits = bits_for_tol(tol) + 32
+    z = as_complex(s)
     if z.real <= 0:
         raise DomainError(f"mellin_closed requires Re(s) > 0, got Re(s) = {z.real}")
     if z == 0:
@@ -110,7 +100,6 @@ def mellin_closed(spec, s, tol: float = 1e-12) -> MellinValue:
     if math.hypot(z.real - 1.0, z.imag) <= _POLE_EXCLUSION:
         raise DomainError("|s - 1| <= 1e-6 is excluded (zeta/pole exclusion disk)")
 
-    bits = bits_for_tol(tol) + 32
     # rough magnitudes to split the tolerance between zeta and the power sum
     p_rough = abs(complex(power_sum(spec, z, 1e-6)))
     zeta_rough = abs(complex(zeta_complex(z, 1e-6)))
@@ -142,10 +131,8 @@ def mellin_even(spec, l: int, tol: float = 1e-12) -> MellinValue:
     P(2l) is exact rational; zeta(2l) comes from zeta_even. This is the
     input feed for the even-Mellin Fourier routes and for reconstruction.
     """
-    if not isinstance(l, int) or l < 1:
-        raise DomainError(f"l must be a positive integer, got {l!r}")
-    if tol <= 0:
-        raise DomainError("tol must be positive")
+    l = check_count(l, "l")
+    tol_bits = bits_for_tol(tol)
     if not spec.admissible:
         raise ConstraintError(
             "mellin_even requires an admissible spec (sum a_k theta_k = 0); "
@@ -153,7 +140,7 @@ def mellin_even(spec, l: int, tol: float = 1e-12) -> MellinValue:
         )
     p_re, p_im = power_sum_exact(spec, 2 * l)
     extra = max(0, int(math.log2(1.0 + abs(float(p_re)) + abs(float(p_im)))) + 2)
-    bits = bits_for_tol(tol) + 32 + extra
+    bits = tol_bits + 32 + extra
     zv = zeta_even(l, bits)
     with workprec(bits):
         val = (1 - zv.value * to_mp((p_re, p_im))) / (2 * l)
@@ -172,8 +159,7 @@ def mellin_even_bound(l: int, out_precision: int = 64) -> PrecisionReal:
     """(1 + zeta(2l)^2) / (2l): bounds |M(2l)| for admissible unit-fraction
     specs with |a_k| <= 1 and distinct denominators (caller checks the flags).
     """
-    if not isinstance(l, int) or l < 1:
-        raise DomainError(f"l must be a positive integer, got {l!r}")
+    l = check_count(l, "l")
     zv = zeta_even(l, out_precision + 16)
     with workprec(out_precision + 16):
         return PrecisionReal((1 + zv.value**2) / (2 * l), out_precision)

@@ -16,10 +16,16 @@ Three zeta entry points with different contracts:
 
 Working precision is always chosen internally from the requested absolute
 tolerance; callers never touch the mpmath context.
+
+Every public entry of the package checks its arguments here and nowhere
+else, so that a bad one raises DomainError and never turns into a number:
+`check_tol` (0 < tol < inf), `check_count` (an integer of at least a stated
+minimum) and `as_complex` (a finite exponent s).
 """
 from __future__ import annotations
 
 import math
+import operator
 import threading
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -63,11 +69,46 @@ def to_mp(x):
     return mpmath.mpf(x)
 
 
+def check_tol(tol, what: str = "tol") -> float:
+    """tol as a float; DomainError unless it is a number with 0 < tol < inf
+    (a bool or a string is refused)."""
+    try:
+        val = float(tol)
+    except (TypeError, ValueError, OverflowError):
+        val = math.nan
+    if isinstance(tol, (bool, str)) or not 0 < val < math.inf:
+        raise DomainError(f"{what} must be positive and finite, got {tol!r}")
+    return val
+
+
+def check_count(x, what: str, minimum: int = 1) -> int:
+    """x as an int; DomainError unless it is a Python or numpy integer, not a
+    bool, and at least `minimum`."""
+    try:
+        val = operator.index(x)
+    except TypeError:
+        val = None
+    if isinstance(x, bool) or val is None or val < minimum:
+        raise DomainError(f"{what} must be an integer >= {minimum}, got {x!r}")
+    return val
+
+
+def as_complex(s) -> complex:
+    """The exponent s as a complex; DomainError when it is not a number or
+    not finite."""
+    try:
+        z = complex(s)
+    except (TypeError, ValueError, OverflowError):
+        raise DomainError(f"s must be a number, got {s!r}") from None
+    if not (math.isfinite(z.real) and math.isfinite(z.imag)):
+        raise DomainError(f"s must be finite, got {s!r}")
+    return z
+
+
 def bits_for_tol(tol: float) -> int:
-    """Working-precision bits that comfortably resolve absolute error `tol`."""
-    if not 0 < tol < math.inf:
-        raise DomainError(f"tolerance must be positive and finite, got {tol!r}")
-    return max(MIN_PRECISION_BITS, int(math.ceil(-math.log2(tol))) + 16)
+    """Working-precision bits that comfortably resolve absolute error `tol`,
+    which `check_tol` validates."""
+    return max(MIN_PRECISION_BITS, int(math.ceil(-math.log2(check_tol(tol)))) + 16)
 
 
 def _dps_for_bits(bits: int) -> int:
@@ -266,6 +307,26 @@ class PrecisionComplex:
         )
 
 
+def to_double(value, err):
+    """(v, cert): value stored as a double (a complex of two for a complex
+    value) and cert >= err plus half an ulp of each stored part, every
+    step rounded up. err is a float, an mpf or a PrecisionReal."""
+    v = complex(value) if isinstance(value, (complex, mpmath.mpc, PrecisionComplex)) else float(value)
+    err = err.value if isinstance(err, PrecisionReal) else err
+    cert = float(err)
+    if cert < err:  # exact: mpmath compares an mpf with a float exactly
+        cert = math.nextafter(cert, math.inf)
+    for part in (v.real, v.imag) if isinstance(v, complex) else (v,):
+        # half an ulp is exact, but for the least subnormal, whose half rounds to 0
+        half = math.ulp(part) / 2 or math.ulp(part)
+        total = cert + half
+        # Knuth's two-sum: total + lost = cert + half exactly
+        back = total - cert
+        lost = (cert - (total - back)) + (half - back)
+        cert = math.nextafter(total, math.inf) if lost > 0 else total
+    return v, cert
+
+
 # ---------------------------------------------------------------------------
 # Bernoulli numbers
 # ---------------------------------------------------------------------------
@@ -280,8 +341,7 @@ def bernoulli(m: int) -> Fraction:
     Computed by the recurrence sum_{j=0}^{m} C(m+1, j) B_j = 0 and memoized.
     The cache only ever grows, under a lock, so concurrent readers are safe.
     """
-    if m < 0:
-        raise DomainError("bernoulli index must be >= 0")
+    m = check_count(m, "bernoulli index", 0)
     if m < len(_BERN_CACHE):
         return _BERN_CACHE[m]
     with _BERN_LOCK:
@@ -312,8 +372,7 @@ def zeta_even(l: int, out_precision: int = MIN_PRECISION_BITS) -> PrecisionReal:
     defining p-series needs only ~2^{out/(2l-1)} terms, so we switch to direct
     summation (tail bounded by the integral test) once that count is small.
     """
-    if l < 1:
-        raise DomainError("zeta_even requires l >= 1")
+    l = check_count(l, "l")
     out_precision = max(out_precision, MIN_PRECISION_BITS)
     two_l = 2 * l
     series_log2_terms = (out_precision + 2) / (two_l - 1)
@@ -549,20 +608,13 @@ def zeta_complex(s, tol=1e-16) -> PrecisionComplex:
     Raises ToleranceNotMet, before any table is built, when n would pass
     _BORWEIN_MAX_TERMS (|Im s| beyond about 1100).
     """
-    if isinstance(s, PrecisionComplex):
-        sigma, t = float(s.re), float(s.im)
-    else:
-        z = complex(s)
-        sigma, t = z.real, z.imag
-    if not (math.isfinite(sigma) and math.isfinite(t)):
-        raise DomainError("zeta_complex requires finite s")
+    z = as_complex(s)
+    sigma, t = z.real, z.imag
+    tol = check_tol(tol)
     if sigma <= 0:
         raise DomainError(f"zeta_complex requires Re(s) > 0, got {sigma}")
     if math.hypot(sigma - 1.0, t) <= _POLE_EXCLUSION:
         raise DomainError("s is inside the pole exclusion disk |s-1| <= 1e-6")
-    tol = float(tol)
-    if tol <= 0:
-        raise DomainError("tol must be positive")
 
     # |1 - 2^{1-s}|: vanishes on the eta zero line s = 1 + 2 pi i k / ln 2
     den = abs(1.0 - 2.0 ** complex(1.0 - sigma, -t))

@@ -37,8 +37,8 @@ import numpy as np
 
 from . import _periodic
 from .errors import DomainError, SingularSystemError, ToleranceNotMet
-from .functions import BeurlingSpec, _integrate_report, _norm_oracle, _to_fraction
-from .numerics import PrecisionReal, bits_for_tol, to_mp, workprec
+from .functions import BeurlingSpec, _integrate_report, _norm_oracle, _to_theta
+from .numerics import PrecisionReal, bits_for_tol, check_count, check_tol, to_double, to_mp, workprec
 from .parseval import norm_via_parseval
 
 _SOLVER_EPS = float(np.finfo(np.float64).eps)
@@ -92,27 +92,16 @@ class GramSystem:
     @classmethod
     def from_json(cls, text: str) -> "GramSystem":
         doc = json.loads(text)
-        thetas = tuple(_to_fraction(t, "theta") for t in doc["thetas"])
+        thetas = tuple(_to_theta(t, "theta") for t in doc["thetas"])
         n = len(thetas)
         G = np.array([float(x) for x in doc["G"]], dtype=np.float64).reshape(n, n)
         v = np.array([float(x) for x in doc["v"]], dtype=np.float64)
         return cls(thetas, G, v, PrecisionReal.from_float(float(doc["build_tol"]), 64))
 
 
-def _parse_thetas(thetas) -> tuple[Fraction, ...]:
-    out = []
-    for i, t in enumerate(thetas):
-        th = _to_fraction(t, f"theta[{i}]")
-        if not (0 < th <= 1):
-            raise DomainError(f"theta[{i}] = {th} must lie in (0, 1]")
-        out.append(th)
-    return tuple(out)
-
-
 def unit_thetas(N: int) -> tuple[Fraction, ...]:
     """theta_k = 1/k for k = 1..N."""
-    if N < 1:
-        raise DomainError("N must be >= 1")
+    N = check_count(N, "N")
     return tuple(Fraction(1, k) for k in range(1, N + 1))
 
 
@@ -184,9 +173,7 @@ def _gram_entry(thetas: tuple[Fraction, ...], tol: float, cots: dict) -> float:
     if B is None:
         B = 1 if len(thetas) == 1 else _periodic._period((min(thetas) / max(thetas),))
     if B is not None:
-        val, err = _closed_entry(thetas, B, bits_for_tol(tol), cots)
-        out = float(val)
-        err = float(err) + 0.5 * math.ulp(out)
+        out, err = to_double(*_closed_entry(thetas, B, bits_for_tol(tol), cots))
     else:
         aux = BeurlingSpec([(1, t) for t in thetas])
 
@@ -203,9 +190,8 @@ def _gram_entry(thetas: tuple[Fraction, ...], tol: float, cots: dict) -> float:
 def build_gram(thetas, tol: float = 1e-9) -> GramSystem:
     """GramSystem with every entry from `_gram_entry`; symmetric by
     construction. The cot tables are shared by the entries of this call."""
-    ths = _parse_thetas(thetas)
-    if not 0 < tol < math.inf:
-        raise DomainError("tol must be positive and finite")
+    ths = tuple(_to_theta(t, f"theta[{i}]") for i, t in enumerate(thetas))
+    check_tol(tol)
     n = len(ths)
     cots: dict = {}
     G = np.zeros((n, n), dtype=np.float64)
@@ -223,6 +209,7 @@ def optimize_coeffs(thetas, tol: float = 1e-9, gram: GramSystem | None = None) -
     "kkt_residual": float, "constraint_residual": float, "gram": GramSystem}.
     N = 1 is allowed (the constraint forces a = 0 there).
     """
+    check_tol(tol)
     gs = gram if gram is not None else build_gram(thetas, tol)
     ths = gs.thetas
     n = gs.N
@@ -270,7 +257,7 @@ def spec_from_solution(thetas, a) -> BeurlingSpec:
     """Exact-rational spec from a float solution, reprojected so that
     sum a_k theta_k = 0 holds EXACTLY (floats are carried as exact binary
     rationals, then the constraint residual is removed along theta)."""
-    ths = _parse_thetas(thetas)
+    ths = tuple(_to_theta(t, f"theta[{i}]") for i, t in enumerate(thetas))
     a_fr = [Fraction(float(x)) for x in a]
     dot = sum((af * th for af, th in zip(a_fr, ths)), Fraction(0))
     th_sq = sum((th * th for th in ths), Fraction(0))
@@ -316,8 +303,8 @@ def sweep(n_from: int, n_to: int, tol: float = 1e-9) -> list[dict]:
     """Minimal norms for the unit families theta_k = 1/k, k = 1..N,
     N = n_from..n_to. The Gram system is built once at the largest N and
     sliced (the families are nested), so rows are deterministic and cheap."""
-    if n_from < 1 or n_to < n_from:
-        raise DomainError("need 1 <= n_from <= n_to")
+    n_from = check_count(n_from, "n_from")
+    n_to = check_count(n_to, "n_to", n_from)
     gs = build_gram(unit_thetas(n_to), tol)
     rows = []
     for n in range(n_from, n_to + 1):

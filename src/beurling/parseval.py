@@ -25,7 +25,7 @@ import numpy as np
 from .errors import DomainError
 from .fourier import cosine_coeffs
 from .functions import BeurlingSpec, _norm_oracle
-from .numerics import PrecisionReal
+from .numerics import PrecisionReal, check_count, check_tol
 
 
 def norm_via_parseval(spec: BeurlingSpec, n_max: int = 10_000, coeff_tol: float = 1e-10) -> dict:
@@ -40,10 +40,9 @@ def norm_via_parseval(spec: BeurlingSpec, n_max: int = 10_000, coeff_tol: float 
     plus coeff_cert_total, the summed effect of coefficient certificates on
     partial_norm_sq.
     """
+    n_max = check_count(n_max, "n_max", 8)
     if not spec.admissible:
         raise DomainError("norm_via_parseval requires an admissible spec")
-    if n_max < 8:
-        raise DomainError("n_max must be >= 8")
     c, cert = cosine_coeffs(spec, n_max, coeff_tol)
     mags = np.abs(c)
     partial = 0.5 * float(np.sum(mags**2))
@@ -78,6 +77,7 @@ def norm_crosscheck(
     astronomically long periods), gap is |point estimate^2 - oracle^2| with
     the squared-norm convention.
     """
+    check_tol(tol)
     rec = norm_via_parseval(spec, n_max, coeff_tol)
     oracle, _ = _norm_oracle(spec, tol)
     partial = float(rec["partial_norm_sq"])

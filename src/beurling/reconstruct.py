@@ -38,11 +38,19 @@ import threading
 
 import mpmath
 
-from .errors import ConstraintError, DomainError, HypothesisError
-from .fourier import c_even_mellin_limit, cosine_coeffs
+from .errors import DomainError
+from .fourier import _require_even_mellin_hypotheses, c_even_mellin_limit, cosine_coeffs
 from .functions import BeurlingSpec
-from .mellin import MellinValue, _as_complex
-from .numerics import PrecisionComplex, PrecisionReal, bits_for_tol, workprec
+from .mellin import MellinValue
+from .numerics import (
+    PrecisionComplex,
+    PrecisionReal,
+    as_complex,
+    bits_for_tol,
+    check_count,
+    check_tol,
+    workprec,
+)
 
 _SERIES_N_MAX = 31
 _COEFF_SWITCH_N = 32
@@ -119,14 +127,12 @@ def sine_moment(n, s, tol: float = 1e-12) -> PrecisionComplex:
 
 
 def sine_moment_with_cert(n, s, tol: float = 1e-12) -> tuple:
-    if not isinstance(n, int) or n < 1:
-        raise DomainError(f"n must be a positive integer, got {n!r}")
-    z = _as_complex(s)
+    n = check_count(n, "n")
+    z = as_complex(s)
     if z.real <= 0:
         raise DomainError(f"sine_moment requires Re(s) > 0, got {z.real}")
-    if tol <= 0:
-        raise DomainError("tol must be positive")
-    key = (n, z, float(tol))
+    tol = check_tol(tol)
+    key = (n, z, tol)
     with _CACHE_LOCK:
         hit = _SINE_CACHE.get(key)
     if hit is not None:
@@ -156,19 +162,12 @@ def mellin_reconstruct_report(
     a `warned` flag set when the spread exceeds 10x the certificate budget
     scale -- i.e. when the n-sum, not the per-term accuracy, dominates.
     """
-    if not isinstance(n_max, int) or n_max < 1:
-        raise DomainError("n_max must be a positive integer")
-    z = _as_complex(s)
+    n_max = check_count(n_max, "n_max")
+    z = as_complex(s)
     if z.real <= 0:
         raise DomainError(f"mellin_reconstruct requires Re(s) > 0, got {z.real}")
-    if tol_per_coeff <= 0:
-        raise DomainError("tol_per_coeff must be positive")
-    if not spec.admissible:
-        raise ConstraintError("mellin_reconstruct requires an admissible spec")
-    if not (spec.unit_fraction and spec.coeffs_le_1):
-        raise HypothesisError(
-            "mellin_reconstruct requires unit fractions with |a_k| <= 1"
-        )
+    check_tol(tol_per_coeff, "tol_per_coeff")
+    _require_even_mellin_hypotheses(spec, "mellin_reconstruct")
 
     coeffs = []  # (c(n), certificate), built afresh so that no call sees another's rows
     for n in range(1, min(n_max, _COEFF_SWITCH_N) + 1):

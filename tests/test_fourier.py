@@ -128,6 +128,22 @@ class TestDirectRoute:
                 ref = 4 / (n * mpmath.pi) if n % 2 else 0
                 assert abs(fc.value.re.value - ref) <= fc.error_certificate.value
 
+    @pytest.mark.parametrize("n", [1, 3, 10])
+    def test_xspace_branch_within_certificate(self, n):
+        # the float thetas have no period in reach, so c_direct integrates in
+        # x-space; its exact-rational twin, about 1e-17 away in each datum,
+        # takes the periodic route (gap 1.5e-9, certificate 2.5e-9)
+        floats = BeurlingSpec([(1, 0.3), (-0.3, 1)])
+        exact = BeurlingSpec([(1, Fr(3, 10)), (Fr(-3, 10), 1)])
+        assert floats.decomposition is None and exact.decomposition is not None
+        got, ref = c_direct(floats, n, 1e-8), c_direct(exact, n, 1e-14)
+        gap = abs(complex(got.value) - complex(ref.value))
+        assert gap <= float(got.error_certificate) + float(ref.error_certificate)
+
+    def test_xspace_branch_refuses_a_tight_tol(self):
+        with pytest.raises(ToleranceNotMet):
+            c_direct(BeurlingSpec([(1, 0.3), (-0.3, 1)]), 1, 1e-10)
+
     def test_certificate_honored(self, spec_a):
         hi = c_direct(spec_a, 4, tol=1e-16)
         lo = c_direct(spec_a, 4, tol=1e-8)
@@ -515,6 +531,24 @@ class TestCosineCoeffs:
             with mpmath.workprec(3 * bits_for_tol(1e-13)):
                 gap = abs(mpmath.mpc(complex(c[n - 1])) - ref.value.to_mpc())
                 assert gap <= cert[n - 1] + ref.error_certificate.value, n
+
+    def test_stored_certificate_rounds_up(self, spec_a, monkeypatch):
+        # each mended row's certificate holds its mp certificate plus the
+        # exact half-ulps of both stored parts; rounding that sum to nearest
+        # lost the ~1e-29 mp part under the ~1e-17 half-ulps
+        series = {}
+
+        def record(spec, n, tol):
+            series[n] = c_cosine_series(spec, n, tol)
+            return series[n]
+
+        monkeypatch.setattr(fourier, "c_cosine_series", record)
+        c, cert = cosine_coeffs(spec_a, 300, 1e-13)
+        assert sorted(series) == list(range(N0 + 1, 301))
+        for n, fc in series.items():
+            man, exp = fc.error_certificate.value.man_exp
+            half_ulps = sum(Fr(math.ulp(p)) / 2 for p in (c[n - 1].real, c[n - 1].imag))
+            assert Fr(float(cert[n - 1])) >= Fr(man) * Fr(2) ** exp + half_ulps, n
 
     def test_domain(self, spec_a):
         with pytest.raises(DomainError):

@@ -23,7 +23,8 @@ from beurling import (
     mellin_numeric,
     norm_numeric,
 )
-from beurling._periodic import _period, f_abs2_pieces, u_integral_mp
+from beurling import functions
+from beurling._periodic import PERIOD_CAP, _period, f_abs2_pieces, u_integral_mp
 from beurling.numerics import to_mp
 from beurling.optimizer import _closed_entry
 from strategies import exact_specs
@@ -81,6 +82,14 @@ class TestSpecConstruction:
         assert s.terms[0].b == 4
         with pytest.raises(DomainError):
             BeurlingSpec([(1, Fr(1, 4))], unit_fraction_denoms=[5])
+
+    def test_too_many_pieces_per_period(self):
+        # period 100000 is within PERIOD_CAP, but one period has about
+        # 500,000 pieces, past PIECES_CAP: the spec takes x-space quadrature
+        thetas = [Fr(100000 - k, 100000) for k in (1, 3, 7, 9, 11)]
+        assert max(th.denominator for th in thetas) <= PERIOD_CAP
+        assert _period(thetas) is None
+        assert BeurlingSpec([(1, th) for th in thetas]).decomposition is None
 
     def test_empty_spec(self, empty_spec):
         assert empty_spec.admissible
@@ -275,6 +284,22 @@ class TestMellinNumeric:
     def test_non_finite_tol(self, spec_a, tol):
         with pytest.raises(DomainError):
             mellin_numeric(spec_a, 2.0, tol)
+
+    def test_xspace_bisection(self, monkeypatch):
+        # the period 997 * 991 is past the cap, so the integral runs in
+        # x-space, where two pieces need bisecting at tol 1e-8; every pass
+        # over pieces takes the nodes of orders 12 and 24 once
+        spec = BeurlingSpec([(1, Fr(1, 997)), (-1, Fr(1, 991))])
+        orders = []
+        gl = functions._gl
+        monkeypatch.setattr(functions, "_gl", lambda order: orders.append(order) or gl(order))
+        s = complex(1.5, 2)
+        mv = mellin_numeric(spec, s, 1e-8)
+        assert spec.decomposition is None
+        assert len(orders) == 2 + 2 * 2
+        ref = mellin_closed(spec, s, 1e-14)
+        gap = abs(complex(mv.value) - complex(ref.value))
+        assert gap <= float(mv.error_bound) + float(ref.error_bound)
 
     def test_non_periodic_fallback(self):
         # float theta with an astronomical exact-rational period forces the

@@ -1,9 +1,10 @@
 """layout: the package is serial, numerics alone scopes and locks mpmath
-precision, converts rationals and evaluates the Hurwitz zeta, each
-fallback around the u = 1/x engine is decided in one function, the periodic
-engine certifies without quadrature estimates through one Hurwitz-kernel
-tail, one function decides how each coefficient row is certified, and
-every function the benchmark's tracer wraps by name still exists."""
+precision, converts rationals, checks tolerances, counts and exponents and
+evaluates the Hurwitz zeta, each fallback around the u = 1/x engine is
+decided in one function, the periodic engine certifies without quadrature
+estimates through one Hurwitz-kernel tail, one function decides how each
+coefficient row is certified, and every function the benchmark's tracer
+wraps by name still exists."""
 import ast
 import importlib
 import importlib.util
@@ -182,3 +183,59 @@ def test_reconstruct_caches_only_sine_moments():
                 targets = node.targets if isinstance(node, ast.Assign) else [node.target]
                 dicts.update(t.id for t in targets if isinstance(t, ast.Name))
     assert dicts == {"_SINE_CACHE"}
+
+
+_COUNT_PARAMS = {"n", "n_max", "n_min", "L", "J", "l", "N", "n_from", "n_to"}
+
+
+def _own_argument_checks(text):
+    """(function, what) for each argument check a module makes itself: a
+    tolerance compared with 0, a count parameter compared with an integer,
+    an error message about an integer, or complex() of an exponent
+    parameter."""
+
+    def is_tol(node):
+        name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", "")
+        return "tol" in name
+
+    def is_zero(node):
+        return isinstance(node, ast.Constant) and type(node.value) in (int, float) and node.value == 0
+
+    def is_int(node):
+        return isinstance(node, ast.Constant) and type(node.value) is int
+
+    hits = []
+    for fn in ast.walk(ast.parse(text)):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        params = {a.arg for a in fn.args.args + fn.args.kwonlyargs}
+        for node in ast.walk(fn):
+            if isinstance(node, ast.Compare):
+                ops = [node.left, *node.comparators]
+                if any(map(is_tol, ops)) and any(map(is_zero, ops)):
+                    hits.append((fn.name, "tol compared with 0"))
+                counts = [o for o in ops if isinstance(o, ast.Name) and o.id in params & _COUNT_PARAMS]
+                if counts and any(map(is_int, ops)):
+                    hits.append((fn.name, f"{counts[0].id} compared with an integer"))
+            elif isinstance(node, ast.Raise) and node.exc is not None:
+                strings = [c.value for c in ast.walk(node.exc) if isinstance(c, ast.Constant)]
+                if any(isinstance(s, str) and "integer" in s for s in strings):
+                    hits.append((fn.name, "count error"))
+            elif _calls("complex")(node) and node.args:
+                arg = node.args[0]
+                if isinstance(arg, ast.Name) and arg.id in params & {"s", "s_weight"}:
+                    hits.append((fn.name, f"complex({arg.id})"))
+    return hits
+
+
+def test_argument_checks_only_in_numerics():
+    # numerics.check_tol, check_count and as_complex are the one check per
+    # argument kind; a copy elsewhere drifts from them (it let nan through,
+    # or a float count)
+    hits = [
+        (name, *hit)
+        for name, text in SOURCES.items()
+        if name != "numerics.py"
+        for hit in _own_argument_checks(text)
+    ]
+    assert hits == []
