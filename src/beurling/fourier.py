@@ -458,9 +458,37 @@ def c_even_mellin_limit(spec: BeurlingSpec, n, tol: float = 1e-10) -> FourierCoe
     cancelling cosine pair A1 + sum (-1)^l (n pi)^{2l}/(2l)!, each <= tol/4)
     and additionally the next series term is <= tol/10.
     """
-    n = check_count(n, "n")
-    bits = _route_c_bits(n, tol)
+    return _limit_rows(spec, [n], tol)[0]
+
+
+def _limit_rows(spec: BeurlingSpec, ns, tol: float) -> list[FourierCoefficient]:
+    """c_even_mellin_limit for each n in ns, in the order given.
+
+    The rows share one table of M(2l), built on first use at the working
+    bits of the largest n and dropped when the call returns. Each row keeps
+    its own bits, L, cosine tail and roundoff certificate; a table entry
+    held at more bits than the row's only makes its rounded products
+    closer to the exact ones.
+    """
+    ns = [check_count(n, "n") for n in ns]
+    if not ns:
+        return []
+    top = max(_route_c_bits(n, tol) for n in ns)
     _require_even_mellin_hypotheses(spec, "c_even_mellin_limit")
+    table = []
+
+    def m2l(l: int):
+        while len(table) < l:
+            with workprec(top):
+                table.append(_m2l_mp(spec, len(table) + 1, top))
+        return table[l - 1]
+
+    return [_limit_row(spec, n, tol, m2l) for n in ns]
+
+
+def _limit_row(spec: BeurlingSpec, n: int, tol: float, m2l) -> FourierCoefficient:
+    """One row of _limit_rows, reading M(2l) from m2l(l)."""
+    bits = _route_c_bits(n, tol)
     L = _limit_L_for(n, tol, spec)
     rb = float(remainder_bound(spec, n, L))
     with workprec(bits):
@@ -472,14 +500,13 @@ def c_even_mellin_limit(spec: BeurlingSpec, n, tol: float = 1e-10) -> FourierCoe
         l = 1
         while True:
             p3 = npi if l == 1 else p3 * npi2 / ((2 * l - 1) * (2 * l - 2))
-            m2l = _m2l_mp(spec, l, bits)
-            t3 = 2 * p3 * m2l
+            t3 = 2 * p3 * m2l(l)
             acc += t3 if l % 2 == 1 else -t3
             absacc += abs(t3)
             if l >= L:
                 # contract guard: extend while the next term is still > tol/10
                 nxt_p3 = p3 * npi2 / ((2 * l + 1) * (2 * l))
-                nxt = 2 * nxt_p3 * abs(_m2l_mp(spec, l + 1, bits))
+                nxt = 2 * nxt_p3 * abs(m2l(l + 1))
                 if nxt <= mpmath.mpf(tol) / 10 or l > L + 1000:
                     break
             l += 1
@@ -529,7 +556,10 @@ def c_batch(
 
     Rows are computed one after another: every mp route holds the package's
     single mpmath lock, so concurrent rows would only wait on each other.
+    The limit route's rows share one M(2l) table (see _limit_rows).
     """
+    if method == "even_mellin_limit":
+        return _limit_rows(spec, ns, tol)
 
     def one(n: int) -> FourierCoefficient:
         if method == "direct":
@@ -540,8 +570,6 @@ def c_batch(
             if L is None:
                 raise DomainError("method even_mellin_exact_L needs L")
             return c_even_mellin_exact_L(spec, n, L, tol)
-        if method == "even_mellin_limit":
-            return c_even_mellin_limit(spec, n, tol)
         raise DomainError(f"unknown method {method!r}")
 
     return [one(check_count(n, "n")) for n in ns]

@@ -39,7 +39,7 @@ import threading
 import mpmath
 
 from .errors import DomainError
-from .fourier import _require_even_mellin_hypotheses, c_even_mellin_limit, cosine_coeffs
+from .fourier import _require_even_mellin_hypotheses, c_batch, cosine_coeffs
 from .functions import BeurlingSpec
 from .mellin import MellinValue
 from .numerics import (
@@ -87,31 +87,61 @@ def _sine_moment_series(n: int, s: complex, tol: float) -> tuple:
         return mpmath.mpc(acc), mpmath.mpf(tail_bound + roundoff)
 
 
-def _sine_moment_asymptotic(n: int, s: complex, tol: float) -> tuple:
-    """(value mpc, cert mpf) by the incomplete-gamma closed form (n pi large)."""
-    bits = bits_for_tol(tol) + 48
+class _AsymptoticTerms:
+    """What the incomplete-gamma branch shares across n for one (s, tol):
+    Gamma(s), sin(pi s / 2) and the products P_k = (s-1)...(s-k) with their
+    moduli, each P_k built on first use by the same recurrence at the same
+    bits, so a row computed from them depends on (n, s, tol) alone."""
+
+    def __init__(self, s: complex, tol: float):
+        self.bits = bits_for_tol(tol) + 48
+        with workprec(self.bits):
+            self.s = mpmath.mpc(s)
+            self.gamma = mpmath.gamma(self.s)
+            self.sine = mpmath.sin(mpmath.pi * self.s / 2)
+            self.p = [mpmath.mpc(1)]
+            self.abs_p = [mpmath.mpf(1)]
+
+    def term(self, k: int) -> tuple:
+        """(P_k, |P_k|); call inside a workprec section at self.bits."""
+        while len(self.p) <= k:
+            self.p.append(self.p[-1] * (self.s - len(self.p)))
+            self.abs_p.append(abs(self.p[-1]))
+        return self.p[k], self.abs_p[k]
+
+
+def _sine_moment_asymptotic(n: int, s: complex, tol: float, terms=None) -> tuple:
+    """(value mpc, cert mpf) by the incomplete-gamma closed form (n pi large).
+
+    Sigma+- = sum_k P_k / (+-i n pi)^k: the odd-k terms of the two sums
+    cancel and the even ones agree, so Sigma+ + Sigma- = 2 sum_{k even}
+    (-1)^{k/2} P_k (n pi)^{-k}, summed in real powers of 1/(n pi).
+    """
+    terms = terms or _AsymptoticTerms(s, tol)
+    bits = terms.bits
     with workprec(bits):
         npi = n * mpmath.pi
-        s_mp = mpmath.mpc(s)
-        iz = mpmath.mpc(0, 1) * npi  # z = +i n pi; the mirror sum conjugates it
-        term_p = mpmath.mpc(1)
-        term_m = mpmath.mpc(1)
-        sig_sum = mpmath.mpc(2)  # Sigma+ + Sigma-, k = 0 terms
+        inv = 1 / npi
+        power = mpmath.mpf(1)  # (n pi)^{-k}
+        even_sum = mpmath.mpc(0)  # sum over even k >= 2 of (-1)^{k/2} P_k (n pi)^{-k}
         best = mpmath.mpf("inf")
+        floor = mpmath.mpf(2) ** (-bits + 8)
         k = 1
         while True:
-            term_p = term_p * (s_mp - k) / iz
-            term_m = term_m * (s_mp - k) / (-iz)
-            mag = abs(term_p)
-            if mag >= best or mag < mpmath.mpf(2) ** (-bits + 8) or k > 4 * n:
+            power *= inv
+            p_k, abs_p_k = terms.term(k)
+            mag = abs_p_k * power  # |k-th term| of either sum
+            if mag >= best or mag < floor or k > 4 * n:
                 break
-            sig_sum += term_p + term_m
+            if k % 4 == 0:
+                even_sum += p_k * power
+            elif k % 2 == 0:
+                even_sum -= p_k * power
             best = mag
             k += 1
-        cert_sum = (2 * mpmath.sqrt(k + 1) + 2) * 2 * abs(term_p)
-        front = mpmath.power(npi, -s_mp) * mpmath.gamma(s_mp) * mpmath.sin(
-            mpmath.pi * s_mp / 2
-        )
+        sig_sum = 2 + 2 * even_sum  # Sigma+ + Sigma-, k = 0 terms included
+        cert_sum = (2 * mpmath.sqrt(k + 1) + 2) * 2 * mag
+        front = mpmath.power(npi, -terms.s) * terms.gamma * terms.sine
         sgn = -1 if n % 2 else 1
         value = front - sgn * sig_sum / (2 * npi)
         cert = cert_sum / (2 * npi) + (abs(front) + abs(value) + 1) * mpmath.mpf(2) ** (
@@ -127,27 +157,41 @@ def sine_moment(n, s, tol: float = 1e-12) -> PrecisionComplex:
 
 
 def sine_moment_with_cert(n, s, tol: float = 1e-12) -> tuple:
-    n = check_count(n, "n")
+    """(S(n, s), certificate); the one-row case of sine_moments_with_cert."""
+    return sine_moments_with_cert([n], s, tol)[0]
+
+
+def sine_moments_with_cert(ns, s, tol: float = 1e-12) -> list:
+    """[(S(n, s), certificate)] for each n in ns, in the order given.
+
+    Rows n > 31 share one _AsymptoticTerms, built when the first of them
+    misses the cache. Each row is cached under (n, s, tol).
+    """
+    ns = [check_count(n, "n") for n in ns]
     z = as_complex(s)
     if z.real <= 0:
         raise DomainError(f"sine_moment requires Re(s) > 0, got {z.real}")
     tol = check_tol(tol)
-    key = (n, z, tol)
-    with _CACHE_LOCK:
-        hit = _SINE_CACHE.get(key)
-    if hit is not None:
-        return hit
-    if n <= _SERIES_N_MAX:
-        raw, cert = _sine_moment_series(n, z, tol)
-    else:
-        raw, cert = _sine_moment_asymptotic(n, z, tol)
     bits = bits_for_tol(tol)
-    with workprec(bits):
-        # rounding raw to the output bits moves it by at most |raw| 2^-bits
-        cert = cert + abs(raw) * mpmath.mpf(2) ** -bits
-    out = (PrecisionComplex.from_mpc(raw, bits), PrecisionReal(cert, 64))
-    with _CACHE_LOCK:
-        _SINE_CACHE[key] = out
+    terms = None
+    out = []
+    for n in ns:
+        key = (n, z, tol)
+        with _CACHE_LOCK:
+            hit = _SINE_CACHE.get(key)
+        if hit is None:
+            if n <= _SERIES_N_MAX:
+                raw, cert = _sine_moment_series(n, z, tol)
+            else:
+                terms = terms or _AsymptoticTerms(z, tol)
+                raw, cert = _sine_moment_asymptotic(n, z, tol, terms)
+            with workprec(bits):
+                # rounding raw to the output bits moves it by at most |raw| 2^-bits
+                cert = cert + abs(raw) * mpmath.mpf(2) ** -bits
+            hit = (PrecisionComplex.from_mpc(raw, bits), PrecisionReal(cert, 64))
+            with _CACHE_LOCK:
+                _SINE_CACHE[key] = hit
+        out.append(hit)
     return out
 
 
@@ -169,10 +213,9 @@ def mellin_reconstruct_report(
     check_tol(tol_per_coeff, "tol_per_coeff")
     _require_even_mellin_hypotheses(spec, "mellin_reconstruct")
 
-    coeffs = []  # (c(n), certificate), built afresh so that no call sees another's rows
-    for n in range(1, min(n_max, _COEFF_SWITCH_N) + 1):
-        fc = c_even_mellin_limit(spec, n, tol_per_coeff)
-        coeffs.append((complex(fc.value), float(fc.error_certificate)))
+    # (c(n), certificate), built afresh so that no call sees another's rows
+    head = c_batch(spec, range(1, min(n_max, _COEFF_SWITCH_N) + 1), "even_mellin_limit", tol_per_coeff)
+    coeffs = [(complex(fc.value), float(fc.error_certificate)) for fc in head]
     if n_max > _COEFF_SWITCH_N:
         c, cert = cosine_coeffs(spec, n_max, tol_per_coeff, _COEFF_SWITCH_N + 1)
         coeffs += zip(c.tolist(), cert.tolist())
@@ -180,8 +223,8 @@ def mellin_reconstruct_report(
     cert_budget = 0.0
     rows = []  # (n, term, partial)
     partials = []
-    for n, (cv, c_cert) in enumerate(coeffs, 1):
-        sv, s_cert = sine_moment_with_cert(n, z, tol_per_coeff)
+    moments = sine_moments_with_cert(range(1, n_max + 1), z, tol_per_coeff)
+    for n, (cv, c_cert), (sv, s_cert) in zip(range(1, n_max + 1), coeffs, moments):
         sv_c = complex(sv)
         term = sv_c * cv
         acc += term

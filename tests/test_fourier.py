@@ -4,6 +4,7 @@ fails), telescoping partial sums, batching, and CSV output."""
 import csv
 import io
 import math
+import random
 import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -258,6 +259,37 @@ class TestCosineRoute:
     def test_requires_admissible(self):
         with pytest.raises(ConstraintError):
             c_cosine_series(BeurlingSpec([(1, 1)]), 1)
+
+
+def _seeded_unit_spec(seed):
+    """Admissible spec on theta = 1/4, 1/6, 1/12 with |a_k| <= 1, drawn from seed."""
+    rng = random.Random(seed)
+    bs = (4, 6, 12)
+    a = [Fr(rng.randint(-8, 8), 8) for _ in bs[:-1]]
+    a.append(-bs[-1] * sum(ak / bk for ak, bk in zip(a, bs)))
+    scale = max(1, max(abs(ak) for ak in a))
+    return BeurlingSpec([(ak / scale, Fr(1, b)) for ak, b in zip(a, bs)])
+
+
+class TestLimitRows:
+    @pytest.mark.parametrize("which", ["SPEC_A", "seeded"])
+    def test_batch_equals_single_rows(self, spec_a, which):
+        # the batch shares one M(2l) table held at the bits of n = 32; each
+        # single call builds its own at the bits of its n
+        spec = spec_a if which == "SPEC_A" else _seeded_unit_spec(2)
+        batch = c_batch(spec, range(1, 33), "even_mellin_limit", 1e-10)
+        for n, fc in enumerate(batch, 1):
+            one = c_even_mellin_limit(spec, n, 1e-10)
+            assert fc.n == n
+            assert complex(fc.value) == complex(one.value)
+            assert float(fc.error_certificate) == float(one.error_certificate)
+            assert fc.truncation_order == one.truncation_order
+
+    def test_order_and_repeats_kept(self, spec_a):
+        rows = c_batch(spec_a, [7, 2, 7], "even_mellin_limit", 1e-10)
+        assert [fc.n for fc in rows] == [7, 2, 7]
+        assert complex(rows[0].value) == complex(rows[2].value)
+        assert complex(rows[1].value) == complex(c_even_mellin_limit(spec_a, 2, 1e-10).value)
 
 
 class TestEvenMellinRoutes:

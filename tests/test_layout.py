@@ -174,6 +174,19 @@ def test_one_owner_of_the_coefficient_batch():
             assert _owners(SOURCES[module], _calls(fn)) == [], (module, fn)
 
 
+def test_row_work_only_in_row_builders():
+    # M(2l) is read from the one table of _limit_rows (the exact-L route
+    # sums its own single row), and the incomplete-gamma sum runs only in
+    # the batch of sine moments, so no second per-row loop rebuilds them
+    fourier = SOURCES["fourier.py"]
+    assert set(_owners(fourier, _calls("_m2l_mp"))) == {"_limit_rows", "c_even_mellin_exact_L"}
+    assert _owners(fourier, _calls("_limit_row")) == ["_limit_rows"]
+    assert set(_owners(fourier, _calls("_limit_rows"))) == {"c_even_mellin_limit", "c_batch"}
+    recon = SOURCES["reconstruct.py"]
+    assert _owners(recon, _calls("_sine_moment_asymptotic")) == ["sine_moments_with_cert"]
+    assert _owners(recon, _calls("_sine_moment_series")) == ["sine_moments_with_cert"]
+
+
 def test_reconstruct_caches_only_sine_moments():
     dicts = set()
     for node in ast.parse(SOURCES["reconstruct.py"]).body:

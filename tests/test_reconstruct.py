@@ -166,6 +166,32 @@ class TestReconstruct:
         assert min(missing) <= R._COEFF_SWITCH_N
         assert calls == [n for n in missing if n > R._COEFF_SWITCH_N]
 
+    def test_m2l_built_once_per_l(self, spec_a, monkeypatch):
+        # the limit rows n <= 32 share one M(2l) table; the parent commit
+        # rebuilt it per row, 2,673 evaluations for this call
+        calls = []
+        real = fourier._m2l_mp
+
+        def counted(spec, l, bits):
+            calls.append(l)
+            return real(spec, l, bits)
+
+        monkeypatch.setattr(fourier, "_m2l_mp", counted)
+        mellin_reconstruct_report(spec_a, 2.5, n_max=1000)
+        assert sorted(calls) == list(range(1, len(calls) + 1))
+        assert len(calls) <= 200
+
+    def test_moment_alone_equals_reconstruction_row(self, spec_a, monkeypatch):
+        # a row's value depends on (n, s, tol) alone, not on which rows
+        # shared its per-s terms
+        monkeypatch.setattr(R, "_SINE_CACHE", {})
+        mellin_reconstruct_report(spec_a, 2.5, n_max=1000)
+        from_run = R._SINE_CACHE[(500, complex(2.5), 1e-9)]
+        monkeypatch.setattr(R, "_SINE_CACHE", {})
+        alone = sine_moment_with_cert(500, 2.5, 1e-9)
+        assert len(R._SINE_CACHE) == 1
+        assert alone == from_run
+
     def test_requires_admissible(self):
         with pytest.raises(ConstraintError):
             mellin_reconstruct(BeurlingSpec([(1, 1)]), 2.0, n_max=10)
