@@ -14,10 +14,26 @@ incomplete-gamma closed form
     S(n, s) = (n pi)^{-s} Gamma(s) sin(pi s / 2)
               - (-1)^n / (n pi) * (Sigma+ + Sigma-) / 2,
 
-where Sigma+- = sum_k prod_{i<=k} (s - i) / (+-i n pi) is the asymptotic
-expansion of the upper incomplete gamma at z = -+ i n pi (truncated at its
-smallest term; remainder taken as 2 sqrt(K+1) + 2 times the first omitted
-term, validated against the series route across the switchover in tests).
+where Sigma+- = sum_{k<K} P_k / z^k, P_k = (s-1)...(s-k), z = +-i n pi, is
+the expansion of z^{1-s} e^z Gamma(s, z) = int_0^inf e^{-u} (1 + u/z)^{s-1}
+du cut after K terms. Its remainder is proven, not estimated. Taylor's
+theorem writes (1 + u/z)^{s-1} as its first K terms plus
+
+    C(s-1, K) (u/z)^K K int_0^1 (1-t)^{K-1} (1 + t u/z)^{s-1-K} dt.
+
+For u >= 0 the point 1 + t u/z has modulus >= 1 and argument within pi/2,
+so once K >= Re s - 1 the last power is at most e^{pi |Im s| / 2} in
+modulus. Integrating u^K e^{-u} gives K!, so each of Sigma+- is within
+e^{pi |Im s| / 2} |P_K| / (n pi)^K: its first omitted term times that
+factor. The sum stops at its smallest term, or once that bound is below its
+floor 2^{8 - bits}.
+
+Dispatch: n <= 31 always takes the series. A larger n takes the closed
+form when its sum reaches the floor with K >= Re s - 1, and the series,
+which holds for every n, otherwise: when the terms grow from the first
+(n pi < |s - 1|), or e^{pi |Im s| / 2} swamps the smallest term, or
+K < Re s - 1. The two branches share no code; tests cross-check them across
+the switchover and against 1F1 at three times the bits.
 
 Coefficients c(n) come from the even-Mellin limit route for n <= 32; for
 larger n that series needs ~1.443 n pi extra working bits and O(e n pi)
@@ -89,9 +105,10 @@ def _sine_moment_series(n: int, s: complex, tol: float) -> tuple:
 
 class _AsymptoticTerms:
     """What the incomplete-gamma branch shares across n for one (s, tol):
-    Gamma(s), sin(pi s / 2) and the products P_k = (s-1)...(s-k) with their
-    moduli, each P_k built on first use by the same recurrence at the same
-    bits, so a row computed from them depends on (n, s, tol) alone."""
+    Gamma(s), sin(pi s / 2), the remainder factor e^{pi |Im s| / 2} and the
+    products P_k = (s-1)...(s-k) with their moduli, each P_k built on first
+    use by the same recurrence at the same bits, so a row computed from them
+    depends on (n, s, tol) alone."""
 
     def __init__(self, s: complex, tol: float):
         self.bits = bits_for_tol(tol) + 48
@@ -99,6 +116,7 @@ class _AsymptoticTerms:
             self.s = mpmath.mpc(s)
             self.gamma = mpmath.gamma(self.s)
             self.sine = mpmath.sin(mpmath.pi * self.s / 2)
+            self.growth = mpmath.exp(mpmath.pi * abs(self.s.imag) / 2)
             self.p = [mpmath.mpc(1)]
             self.abs_p = [mpmath.mpf(1)]
 
@@ -111,11 +129,13 @@ class _AsymptoticTerms:
 
 
 def _sine_moment_asymptotic(n: int, s: complex, tol: float, terms=None) -> tuple:
-    """(value mpc, cert mpf) by the incomplete-gamma closed form (n pi large).
+    """(value mpc, cert mpf, reached) by the incomplete-gamma closed form.
 
     Sigma+- = sum_k P_k / (+-i n pi)^k: the odd-k terms of the two sums
     cancel and the even ones agree, so Sigma+ + Sigma- = 2 sum_{k even}
-    (-1)^{k/2} P_k (n pi)^{-k}, summed in real powers of 1/(n pi).
+    (-1)^{k/2} P_k (n pi)^{-k}, summed in real powers of 1/(n pi). `reached`
+    says whether the remainder bound fell below the floor with K >= Re s - 1;
+    without K >= Re s - 1 the bound is not proven and cert is inf.
     """
     terms = terms or _AsymptoticTerms(s, tol)
     bits = terms.bits
@@ -124,6 +144,7 @@ def _sine_moment_asymptotic(n: int, s: complex, tol: float, terms=None) -> tuple
         inv = 1 / npi
         power = mpmath.mpf(1)  # (n pi)^{-k}
         even_sum = mpmath.mpc(0)  # sum over even k >= 2 of (-1)^{k/2} P_k (n pi)^{-k}
+        weighted = mpmath.mpf(0)  # sum of k |term|: term k carries O(k) roundings
         best = mpmath.mpf("inf")
         floor = mpmath.mpf(2) ** (-bits + 8)
         k = 1
@@ -131,23 +152,23 @@ def _sine_moment_asymptotic(n: int, s: complex, tol: float, terms=None) -> tuple
             power *= inv
             p_k, abs_p_k = terms.term(k)
             mag = abs_p_k * power  # |k-th term| of either sum
-            if mag >= best or mag < floor or k > 4 * n:
+            if mag >= best or terms.growth * mag < floor or k > 4 * n:
                 break
-            if k % 4 == 0:
-                even_sum += p_k * power
-            elif k % 2 == 0:
-                even_sum -= p_k * power
+            if k % 2 == 0:
+                even_sum += p_k * power if k % 4 == 0 else -p_k * power
+                weighted += k * mag
             best = mag
             k += 1
+        proven = k >= s.real - 1
+        reached = proven and terms.growth * mag < floor
         sig_sum = 2 + 2 * even_sum  # Sigma+ + Sigma-, k = 0 terms included
-        cert_sum = (2 * mpmath.sqrt(k + 1) + 2) * 2 * mag
+        cert_sum = 2 * terms.growth * mag if proven else mpmath.mpf("inf")
         front = mpmath.power(npi, -terms.s) * terms.gamma * terms.sine
         sgn = -1 if n % 2 else 1
         value = front - sgn * sig_sum / (2 * npi)
-        cert = cert_sum / (2 * npi) + (abs(front) + abs(value) + 1) * mpmath.mpf(2) ** (
-            8 - bits
-        )
-        return mpmath.mpc(value), mpmath.mpf(cert)
+        roundoff = (abs(front) + abs(value) + weighted / npi + 1) * mpmath.mpf(2) ** (8 - bits)
+        cert = cert_sum / (2 * npi) + roundoff
+        return mpmath.mpc(value), mpmath.mpf(cert), reached
 
 
 def sine_moment(n, s, tol: float = 1e-12) -> PrecisionComplex:
@@ -165,7 +186,9 @@ def sine_moments_with_cert(ns, s, tol: float = 1e-12) -> list:
     """[(S(n, s), certificate)] for each n in ns, in the order given.
 
     Rows n > 31 share one _AsymptoticTerms, built when the first of them
-    misses the cache. Each row is cached under (n, s, tol).
+    misses the cache; a row whose closed-form sum cannot reach its floor
+    takes the series (see the module docstring). Each row is cached under
+    (n, s, tol).
     """
     ns = [check_count(n, "n") for n in ns]
     z = as_complex(s)
@@ -180,11 +203,12 @@ def sine_moments_with_cert(ns, s, tol: float = 1e-12) -> list:
         with _CACHE_LOCK:
             hit = _SINE_CACHE.get(key)
         if hit is None:
-            if n <= _SERIES_N_MAX:
-                raw, cert = _sine_moment_series(n, z, tol)
-            else:
+            reached = False
+            if n > _SERIES_N_MAX:
                 terms = terms or _AsymptoticTerms(z, tol)
-                raw, cert = _sine_moment_asymptotic(n, z, tol, terms)
+                raw, cert, reached = _sine_moment_asymptotic(n, z, tol, terms)
+            if not reached:
+                raw, cert = _sine_moment_series(n, z, tol)
             with workprec(bits):
                 # rounding raw to the output bits moves it by at most |raw| 2^-bits
                 cert = cert + abs(raw) * mpmath.mpf(2) ** -bits
