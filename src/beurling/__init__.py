@@ -58,6 +58,7 @@ from .reconstruct import (
     mellin_reconstruct_report,
     sine_moment,
     sine_moment_with_cert,
+    sine_moments_with_cert,
 )
 from .optimizer import (
     GramSystem,
@@ -118,6 +119,7 @@ __all__ = [
     "residual_report",
     "sine_moment",
     "sine_moment_with_cert",
+    "sine_moments_with_cert",
     "spec_from_solution",
     "sweep",
     "telescope_partial",

@@ -51,7 +51,9 @@ class MellinValue:
 
 
 def power_sum_exact(spec, n: int) -> tuple[Fraction, Fraction]:
-    """Exact rational P(n) = sum_k a_k theta_k^n for integer n (re, im)."""
+    """Exact rational P(n) = sum_k a_k theta_k^n for integer n (re, im); n may
+    be 0 or negative."""
+    n = check_count(n, "n", None)
     re = Fraction(0)
     im = Fraction(0)
     for t in spec.terms:

@@ -19,8 +19,8 @@ tolerance; callers never touch the mpmath context.
 
 Every public entry of the package checks its arguments here and nowhere
 else, so that a bad one raises DomainError and never turns into a number:
-`check_tol` (0 < tol < inf), `check_count` (an integer of at least a stated
-minimum) and `as_complex` (a finite exponent s).
+`check_tol` (0 < tol < inf), `check_count` (an integer, of at least a stated
+minimum unless that is None) and `as_complex` (a finite exponent s).
 """
 from __future__ import annotations
 
@@ -81,15 +81,16 @@ def check_tol(tol, what: str = "tol") -> float:
     return val
 
 
-def check_count(x, what: str, minimum: int = 1) -> int:
+def check_count(x, what: str, minimum: int | None = 1) -> int:
     """x as an int; DomainError unless it is a Python or numpy integer, not a
-    bool, and at least `minimum`."""
+    bool, and at least `minimum` (any integer when minimum is None)."""
     try:
         val = operator.index(x)
     except TypeError:
         val = None
-    if isinstance(x, bool) or val is None or val < minimum:
-        raise DomainError(f"{what} must be an integer >= {minimum}, got {x!r}")
+    if isinstance(x, bool) or val is None or (minimum is not None and val < minimum):
+        bound = "" if minimum is None else f" >= {minimum}"
+        raise DomainError(f"{what} must be an integer{bound}, got {x!r}")
     return val
 
 

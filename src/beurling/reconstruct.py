@@ -238,7 +238,8 @@ def mellin_reconstruct_report(
     _require_even_mellin_hypotheses(spec, "mellin_reconstruct")
 
     # (c(n), certificate), built afresh so that no call sees another's rows
-    head = c_batch(spec, range(1, min(n_max, _COEFF_SWITCH_N) + 1), "even_mellin_limit", tol_per_coeff)
+    head = c_batch(spec, range(1, min(n_max, _COEFF_SWITCH_N) + 1), "even_mellin_limit",
+                   tol_per_coeff)
     coeffs = [(complex(fc.value), float(fc.error_certificate)) for fc in head]
     if n_max > _COEFF_SWITCH_N:
         c, cert = cosine_coeffs(spec, n_max, tol_per_coeff, _COEFF_SWITCH_N + 1)
@@ -248,7 +249,7 @@ def mellin_reconstruct_report(
     rows = []  # (n, term, partial)
     partials = []
     moments = sine_moments_with_cert(range(1, n_max + 1), z, tol_per_coeff)
-    for n, (cv, c_cert), (sv, s_cert) in zip(range(1, n_max + 1), coeffs, moments):
+    for n, ((cv, c_cert), (sv, s_cert)) in enumerate(zip(coeffs, moments), 1):
         sv_c = complex(sv)
         term = sv_c * cv
         acc += term

@@ -33,10 +33,12 @@ from beurling import (
     norm_via_parseval,
     optimize_coeffs,
     power_sum,
+    power_sum_exact,
     remainder_bound,
     residual_report,
     sine_moment,
     sine_moment_with_cert,
+    sine_moments_with_cert,
     sweep,
     telescope_partial,
     unit_thetas,
@@ -75,6 +77,7 @@ TOL_ENTRIES = {
     "norm_crosscheck-coeff_tol": lambda tol: norm_crosscheck(SPEC_A, 16, 1e-10, tol),
     "sine_moment": lambda tol: sine_moment(1, 2.5, tol),
     "sine_moment_with_cert": lambda tol: sine_moment_with_cert(1, 2.5, tol),
+    "sine_moments_with_cert": lambda tol: sine_moments_with_cert([1, 40], 2.5, tol),
     "mellin_reconstruct_report": lambda tol: mellin_reconstruct_report(SPEC_A, 2.5, 4, tol),
     "mellin_reconstruct": lambda tol: mellin_reconstruct(SPEC_A, 2.5, 4, tol),
     "build_gram": lambda tol: build_gram([Fr(1, 2), Fr(1, 3)], tol),
@@ -89,6 +92,8 @@ COUNT_ENTRIES = {
     "zeta_even": (lambda l: zeta_even(l), 1, 2),
     "mellin_even": (lambda l: mellin_even(SPEC_A, l), 1, 2),
     "mellin_even_bound": (lambda l: mellin_even_bound(l), 1, 2),
+    # P(n) is defined for every integer n, 0 and negative ones included
+    "power_sum_exact": (lambda n: power_sum_exact(SPEC_A, n), -math.inf, -3),
     "c_direct": (lambda n: c_direct(SPEC_A, n), 1, 2),
     "c_cosine_series": (lambda n: c_cosine_series(SPEC_A, n), 1, 2),
     "c_cosine_series-J": (lambda J: c_cosine_series(SPEC_A, 1, J=J), 1, 8),
@@ -108,6 +113,7 @@ COUNT_ENTRIES = {
     "norm_crosscheck": (lambda n: norm_crosscheck(SPEC_A, n), 8, 16),
     "sine_moment": (lambda n: sine_moment(n, 2.5), 1, 3),
     "sine_moment_with_cert": (lambda n: sine_moment_with_cert(n, 2.5), 1, 3),
+    "sine_moments_with_cert": (lambda n: sine_moments_with_cert([40, n], 2.5), 1, 3),
     "mellin_reconstruct_report": (lambda n: mellin_reconstruct_report(SPEC_A, 2.5, n), 1, 3),
     "mellin_reconstruct": (lambda n: mellin_reconstruct(SPEC_A, 2.5, n), 1, 3),
     "unit_thetas": (lambda N: unit_thetas(N), 1, 3),
@@ -127,6 +133,7 @@ S_ENTRIES = {
     "mellin_closed": lambda s: mellin_closed(SPEC_A, s),
     "sine_moment": lambda s: sine_moment(1, s),
     "sine_moment_with_cert": lambda s: sine_moment_with_cert(1, s),
+    "sine_moments_with_cert": lambda s: sine_moments_with_cert([1, 40], s),
     "mellin_reconstruct_report": lambda s: mellin_reconstruct_report(SPEC_A, s, 4),
     "mellin_reconstruct": lambda s: mellin_reconstruct(SPEC_A, s, 4),
 }
@@ -163,6 +170,12 @@ def test_bad_count(entry, count):
 def test_bad_s(entry, s):
     with pytest.raises(DomainError):
         S_ENTRIES[entry](s)
+
+
+def test_power_sum_exact_at_zero_and_below():
+    # P(0) = sum a_k, P(-1) = sum a_k / theta_k
+    assert power_sum_exact(SPEC_A, 0) == (Fr(-1), Fr(0))
+    assert power_sum_exact(SPEC_A, -1) == (Fr(2 - 3 - 6), Fr(0))
 
 
 def test_n_min_above_n_max():
