@@ -35,7 +35,8 @@ which holds for every n, otherwise: when the terms grow from the first
 K < Re s - 1. The two branches share no code; tests cross-check them across
 the switchover and against 1F1 at three times the bits.
 
-Coefficients c(n) come from the even-Mellin limit route for n <= 32; for
+Coefficients c(n) come from one batch of the even-Mellin limit route for
+n <= 32, whose rows share one M(2l) table (fourier._limit_rows); for
 larger n that series needs ~1.443 n pi extra working bits and O(e n pi)
 terms, so the same number (the routes agree within their certificates for
 admissible specs meeting the even-Mellin hypotheses) is taken from

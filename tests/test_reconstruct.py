@@ -173,7 +173,7 @@ class TestReconstruct:
 
     def test_m2l_built_once_per_l(self, spec_a, monkeypatch):
         # the limit rows n <= 32 share one M(2l) table; the parent commit
-        # rebuilt it per row, 2,673 evaluations for this call
+        # rebuilt it per row, 2,814 evaluations for this call
         calls = []
         real = fourier._m2l_mp
 
