@@ -172,8 +172,8 @@ class TestReconstruct:
         assert calls == [n for n in missing if n > R._COEFF_SWITCH_N]
 
     def test_m2l_built_once_per_l(self, spec_a, monkeypatch):
-        # the limit rows n <= 32 share one M(2l) table; the parent commit
-        # rebuilt it per row, 2,814 evaluations for this call
+        # the limit rows n <= 32 share one M(2l) table; rebuilt per row, it
+        # took 2,814 evaluations for this call
         calls = []
         real = fourier._m2l_mp
 
