@@ -21,12 +21,9 @@ from .numerics import (
 )
 from .functions import (
     BeurlingSpec,
-    Breakpoints,
-    breakpoints,
     eval_F,
     eval_f,
     frac,
-    integrate_piecewise,
     mellin_numeric,
     norm_numeric,
 )
@@ -74,7 +71,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BeurlingSpec",
-    "Breakpoints",
     "ConstraintError",
     "DomainError",
     "FourierCoefficient",
@@ -88,7 +84,6 @@ __all__ = [
     "ToleranceNotMet",
     "batch_cosine_f64",
     "bernoulli",
-    "breakpoints",
     "build_gram",
     "c_batch",
     "c_cosine_series",
@@ -102,7 +97,6 @@ __all__ = [
     "eval_F",
     "eval_f",
     "frac",
-    "integrate_piecewise",
     "mellin_closed",
     "mellin_even",
     "mellin_even_bound",

@@ -27,8 +27,10 @@ have a closed form); `rho_pair_pieces` and `rho_single_pieces` give their
 integrands for checking that closed form.
 
 `_period` alone decides whether a theta set is in reach: past PERIOD_CAP or
-PIECES_CAP it returns None, and so do `decompose`, `rho_pair_pieces` and
-`rho_single_pieces`. A None tells the caller to integrate in x-space.
+PIECES_CAP it returns None, and `_joint_period`, which `decompose`,
+`rho_pair_pieces` and `rho_single_pieces` call, turns that None into
+ToleranceNotMet. There is no other integrator, so such a spec has no
+certified integral.
 """
 from __future__ import annotations
 
@@ -38,12 +40,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import mpmath
-import numpy as np
 
 from .errors import DomainError, ToleranceNotMet
 from .numerics import hurwitz_zeta_row, to_double, to_mp, workprec
-
-_F64_EPS = float(np.finfo(np.float64).eps)
 
 PERIOD_CAP = 100_000
 PIECES_CAP = 400_000
@@ -93,8 +92,8 @@ def _period(thetas) -> int | None:
 
     theta = p/q in lowest terms makes rho(theta u) periodic with period q.
     None when B > PERIOD_CAP (as for the float 0.1, denominator 2^55) or one
-    period has more than PIECES_CAP pieces; every caller then falls back to
-    x-space quadrature. This is the only reader of both caps.
+    period has more than PIECES_CAP pieces. This is the only reader of both
+    caps.
     """
     B = 1
     for th in thetas:
@@ -107,12 +106,21 @@ def _period(thetas) -> int | None:
     return B
 
 
-def decompose(spec) -> PeriodicDecomposition | None:
-    """Exact one-period piece structure, or None past the caps of `_period`."""
-    thetas = [t.theta for t in spec.terms]
+def _joint_period(thetas) -> int:
+    """`_period`, or ToleranceNotMet past its caps."""
     B = _period(thetas)
     if B is None:
-        return None
+        raise ToleranceNotMet(
+            "the thetas have no period within the caps (too long, or too many "
+            "pieces per period), so no integral can be certified"
+        )
+    return B
+
+
+def decompose(spec) -> PeriodicDecomposition:
+    """Exact one-period piece structure; ToleranceNotMet past the caps."""
+    thetas = [t.theta for t in spec.terms]
+    B = _joint_period(thetas)
     pieces = list(_breakpoint_pieces(thetas, B))
     bounds = tuple(lo for lo, _, _ in pieces) + (Fraction(B),)
     return PeriodicDecomposition(B, bounds, tuple(fl for _, _, fl in pieces))
@@ -157,12 +165,10 @@ def f_abs2_pieces(linear_pieces):
 def rho_pair_pieces(theta_j: Fraction, theta_k: Fraction):
     """Pieces of rho(theta_j u) rho(theta_k u) over one joint period.
 
-    Returns (B, [(lo, hi, (c0, c1, c2))]) with exact Fraction coefficients,
-    or None past the caps of `_period`.
+    Returns (B, [(lo, hi, (c0, c1, c2))]) with exact Fraction coefficients;
+    ToleranceNotMet past the caps.
     """
-    B = _period((theta_j, theta_k))
-    if B is None:
-        return None
+    B = _joint_period((theta_j, theta_k))
     c2 = theta_j * theta_k
     return B, [
         (lo, hi, (Fraction(mj * mk), -(mj * theta_k + mk * theta_j), c2))
@@ -171,11 +177,9 @@ def rho_pair_pieces(theta_j: Fraction, theta_k: Fraction):
 
 
 def rho_single_pieces(theta: Fraction):
-    """Pieces of rho(theta u) over one period, (B, [(lo, hi, (c0, c1, 0))]),
-    or None past the caps of `_period`."""
-    B = _period((theta,))
-    if B is None:
-        return None
+    """Pieces of rho(theta u) over one period, (B, [(lo, hi, (c0, c1, 0))]);
+    ToleranceNotMet past the caps."""
+    B = _joint_period((theta,))
     return B, [
         (lo, hi, (Fraction(-m), theta, Fraction(0)))
         for lo, hi, (m,) in _breakpoint_pieces((theta,), B)

@@ -5,7 +5,9 @@ working, but it has no effect: the package computes serially.
 
 Exit codes: 0 success; 2 domain/constraint/hypothesis errors (including a
 malformed --spec file, a --tol that is not positive and finite, an --n-max
-or --l-max below 1, and singular optimizer systems); 3 tolerance not met.
+or --l-max below 1, and singular optimizer systems); 3 tolerance not met,
+including every integral of a spec whose thetas have no period within the
+caps of `_periodic`.
 """
 from __future__ import annotations
 
@@ -299,8 +301,8 @@ def build_parser() -> argparse.ArgumentParser:
         prog="beurling",
         description="Numerics for Beurling approximations f_N(x) = sum a_k rho(theta_k/x) to -1.",
         epilog="Exit codes: 0 ok; 2 domain/constraint/hypothesis/singular-system "
-        "errors (incl. malformed --spec); 3 tolerance not met. "
-        "Env: BEURLING_MAX_EVALS caps quadrature points.",
+        "errors (incl. malformed --spec); 3 tolerance not met, including a "
+        "spec whose thetas have no period within the caps.",
     )
     sub = p.add_subparsers(dest="command", required=True)
 

@@ -3,9 +3,9 @@
 Three independent routes:
 
 * ``c_direct``            -- the definition, integrated on the u = 1/x side
-                             (exact heads, one Hurwitz-kernel tail) for
-                             exact-rational specs, by x-space quadrature past
-                             the period caps (the oracle).
+                             (exact heads, one Hurwitz-kernel tail); it
+                             refuses a spec past the period caps with
+                             ToleranceNotMet.
 * ``c_cosine_series``     -- the cosine telescoping series over j.
 * ``c_even_mellin_*``     -- the even-Mellin series in M(2l), either cut at an
                              explicit L with its truncation certificate, or
@@ -79,9 +79,8 @@ import numpy as np
 from scipy.special import zeta as _hurwitz_f64
 
 from . import _periodic
-from ._periodic import _F64_EPS
 from .errors import ConstraintError, DomainError, HypothesisError, ToleranceNotMet
-from .functions import BeurlingSpec, _eval_F_vec, _integrate_report
+from .functions import BeurlingSpec
 from .mellin import power_sum_exact
 from .numerics import (
     PrecisionComplex,
@@ -97,6 +96,8 @@ from .numerics import (
 )
 
 _METHODS = ("direct", "cosine_series", "even_mellin_exact_L", "even_mellin_limit")
+
+_F64_EPS = float(np.finfo(np.float64).eps)
 
 # Rows n <= _N0 of batch_cosine_f64 sum their own head directly; rows above
 # share one cutoff and take the head from a Taylor NUFFT of order _TAYLOR_Q
@@ -173,50 +174,28 @@ def _result(spec, n, value, method, order, cert, tol=None) -> FourierCoefficient
 
 
 # ---------------------------------------------------------------------------
-# Route A: direct quadrature (the oracle)
+# Route A: direct quadrature
 # ---------------------------------------------------------------------------
 
 
 def c_direct(spec: BeurlingSpec, n, tol: float = 1e-10) -> FourierCoefficient:
     """c(N, n) = 2 int_0^1 F_N(x) sin(n pi x) dx; admissibility not required.
 
-    Exact-rational specs within the period caps route through the u = 1/x
-    periodic engine (`_periodic.sine_integral_mp`: exact cosine and sine
-    integral heads, one Hurwitz-kernel tail), reaching arbitrary
-    tolerances; the certificate also covers rounding the value to its
-    output precision. Specs past the caps use breakpoint-aware float64
-    quadrature with a quadratic small-x tail bound
-    (|F sin| <= (1 + sum|a|) n pi x), whose reachable tolerance bottoms out
-    near 5e-13.
+    Integrated on the u = 1/x side by the periodic engine
+    (`_periodic.sine_integral_mp`: exact cosine and sine integral heads, one
+    Hurwitz-kernel tail), which reaches arbitrary tolerances; the
+    certificate also covers rounding the value to its output precision.
+    ToleranceNotMet when the thetas have no period within the caps of
+    `_periodic`.
     """
     n = check_count(n, "n")
-    bits = bits_for_tol(tol)
-    dec = spec.decomposition
-    if dec is not None:
-        bits += 32
-        val, err = _periodic.sine_integral_mp(spec.linear_pieces, dec.period, n, bits)
-        with workprec(bits):
-            # rounding 2 val to the output bits moves it by at most |2 val| 2^-bits
-            value = PrecisionComplex.from_mpc(2 * val, bits)
-            cert = PrecisionReal(2 * err + abs(2 * val) * mpmath.mpf(2) ** -bits, 64)
-        return _result(spec, n, value, "direct", None, cert, tol)
-
-    big_m = 1.0 + spec.sum_abs_a
-    npi = n * math.pi
-    # int_0^eps |F sin| <= big_m * npi * eps^2 / 2 <= tol/8  (overall factor 2)
-    eps = math.sqrt(tol / (4.0 * big_m * npi))
-    val, err, _ = _integrate_report(
-        lambda x: _eval_F_vec(spec, x) * np.sin(npi * x),
-        spec,
-        None,
-        tol / 2.0,
-        bound_m=big_m,
-        eps_override=eps,
-        tail_bound_override=tol / 8.0,
-        max_h=min(1.0 / 16.0, 1.0 / (2.0 * n)),
-    )
-    value = PrecisionComplex.from_complex(2.0 * val, bits)
-    return _result(spec, n, value, "direct", None, PrecisionReal.from_float(2.0 * err, 64), tol)
+    bits = bits_for_tol(tol) + 32
+    val, err = _periodic.sine_integral_mp(spec.linear_pieces, spec.decomposition.period, n, bits)
+    with workprec(bits):
+        # rounding 2 val to the output bits moves it by at most |2 val| 2^-bits
+        value = PrecisionComplex.from_mpc(2 * val, bits)
+        cert = PrecisionReal(2 * err + abs(2 * val) * mpmath.mpf(2) ** -bits, 64)
+    return _result(spec, n, value, "direct", None, cert, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -366,6 +345,23 @@ def _m2l_mp(spec: BeurlingSpec, l: int, bits: int):
     return (1 - zl * to_mp(power_sum_exact(spec, 2 * l))) / (2 * l)
 
 
+def _m2l_table(spec: BeurlingSpec, ns, tol: float):
+    """m2l(l) -> M(2l) for the rows ns of one call: one table, built on first
+    use at the working bits of the largest n and dropped with m2l. A row
+    reading an entry held at more bits than its own only gets rounded
+    products closer to the exact ones."""
+    top = max(_route_c_bits(n, tol) for n in ns)
+    table = []
+
+    def m2l(l: int):
+        while len(table) < l:
+            with workprec(top):
+                table.append(_m2l_mp(spec, len(table) + 1, top))
+        return table[l - 1]
+
+    return m2l
+
+
 def c_even_mellin_exact_L(
     spec: BeurlingSpec, n, L: int, tol: float = 1e-10
 ) -> FourierCoefficient:
@@ -382,12 +378,27 @@ def c_even_mellin_exact_L(
     decay and the remainder can exceed remainder_bound (THETA1_B at n = 9,
     L = 8 is off by 2.1e8 against a bound of 3.2e7).
     """
-    n = check_count(n, "n")
+    return _exact_L_rows(spec, [n], L, tol)[0]
+
+
+def _exact_L_rows(spec: BeurlingSpec, ns, L: int, tol: float) -> list[FourierCoefficient]:
+    """c_even_mellin_exact_L for each n in ns, in the order given, reading
+    M(2l) from one `_m2l_table`; each row keeps its own bits and roundoff
+    certificate."""
+    ns = [check_count(n, "n") for n in ns]
     L = check_count(L, "L")
-    bits = _route_c_bits(n, tol)
+    if not ns:
+        return []
+    m2l = _m2l_table(spec, ns, tol)
     _require_even_mellin_hypotheses(spec, "c_even_mellin_exact_L")
     if any(t.theta == 1 for t in spec.terms):
         raise HypothesisError("c_even_mellin_exact_L cannot bound its remainder at theta = 1")
+    return [_exact_L_row(spec, n, L, tol, m2l) for n in ns]
+
+
+def _exact_L_row(spec: BeurlingSpec, n: int, L: int, tol: float, m2l) -> FourierCoefficient:
+    """One row of _exact_L_rows."""
+    bits = _route_c_bits(n, tol)
     rb = remainder_bound(spec, n, L)
     with workprec(bits):
         npi = n * mpmath.pi
@@ -399,9 +410,8 @@ def c_even_mellin_exact_L(
         for l in range(1, L + 1):
             p2 *= npi2 / ((2 * l - 1) * (2 * l))
             p3 = npi if l == 1 else p3 * npi2 / ((2 * l - 1) * (2 * l - 2))
-            m2l = _m2l_mp(spec, l, bits)
             t2 = (2 / npi) * p2
-            t3 = 2 * p3 * m2l
+            t3 = 2 * p3 * m2l(l)
             if l % 2 == 1:
                 acc += -t2 + t3
             else:
@@ -462,27 +472,14 @@ def c_even_mellin_limit(spec: BeurlingSpec, n, tol: float = 1e-10) -> FourierCoe
 
 
 def _limit_rows(spec: BeurlingSpec, ns, tol: float) -> list[FourierCoefficient]:
-    """c_even_mellin_limit for each n in ns, in the order given.
-
-    The rows share one table of M(2l), built on first use at the working
-    bits of the largest n and dropped when the call returns. Each row keeps
-    its own bits, L, cosine tail and roundoff certificate; a table entry
-    held at more bits than the row's only makes its rounded products
-    closer to the exact ones.
-    """
+    """c_even_mellin_limit for each n in ns, in the order given, reading
+    M(2l) from one `_m2l_table`; each row keeps its own bits, L, cosine tail
+    and roundoff certificate."""
     ns = [check_count(n, "n") for n in ns]
     if not ns:
         return []
-    top = max(_route_c_bits(n, tol) for n in ns)
+    m2l = _m2l_table(spec, ns, tol)
     _require_even_mellin_hypotheses(spec, "c_even_mellin_limit")
-    table = []
-
-    def m2l(l: int):
-        while len(table) < l:
-            with workprec(top):
-                table.append(_m2l_mp(spec, len(table) + 1, top))
-        return table[l - 1]
-
     return [_limit_row(spec, n, tol, m2l) for n in ns]
 
 
@@ -556,20 +553,20 @@ def c_batch(
 
     Rows are computed one after another: every mp route holds the package's
     single mpmath lock, so concurrent rows would only wait on each other.
-    The limit route's rows share one M(2l) table (see _limit_rows).
+    The rows of both even-Mellin routes share one M(2l) table (`_m2l_table`).
     """
     if method == "even_mellin_limit":
         return _limit_rows(spec, ns, tol)
+    if method == "even_mellin_exact_L":
+        if L is None:
+            raise DomainError("method even_mellin_exact_L needs L")
+        return _exact_L_rows(spec, ns, L, tol)
 
     def one(n: int) -> FourierCoefficient:
         if method == "direct":
             return c_direct(spec, n, tol)
         if method == "cosine_series":
             return c_cosine_series(spec, n, tol)
-        if method == "even_mellin_exact_L":
-            if L is None:
-                raise DomainError("method even_mellin_exact_L needs L")
-            return c_even_mellin_exact_L(spec, n, L, tol)
         raise DomainError(f"unknown method {method!r}")
 
     return [one(check_count(n, "n")) for n in ns]

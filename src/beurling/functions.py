@@ -6,20 +6,21 @@ admissibility constraint sum a_k theta_k = 0 be decided exactly rather than
 to a tolerance. JSON accepts plain numbers, "p/q" strings (an extension for
 values like 3/5 that no float represents), or a unit-fraction denominator b.
 `_to_theta` parses every theta, the optimizer's as well as the spec's.
+
+The integrals `mellin_numeric` and `norm_numeric` run on the u = 1/x side
+through `_periodic`, the one integrator; a spec whose thetas have no period
+within its caps (the float 0.1 has period 2^55) raises ToleranceNotMet.
 """
 from __future__ import annotations
 
 import json
 import math
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Callable, Sequence
+from typing import Sequence
 
 import mpmath
-import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 from . import _periodic
 from .errors import DomainError, ToleranceNotMet
@@ -30,27 +31,9 @@ from .numerics import (
     as_complex,
     bits_for_tol,
     check_count,
-    check_tol,
+    float_up,
     workprec,
 )
-
-DEFAULT_EVAL_BUDGET = 10_000_000
-
-
-def _eval_budget() -> int:
-    """The x-space evaluation budget: BEURLING_MAX_EVALS (at least 1000) or
-    the default. Any value that is not a finite number is a DomainError."""
-    raw = os.environ.get("BEURLING_MAX_EVALS")
-    if raw is None:
-        return DEFAULT_EVAL_BUDGET
-    try:
-        val = float(raw)
-    except ValueError:
-        val = math.nan
-    if not math.isfinite(val):
-        raise DomainError(f"BEURLING_MAX_EVALS must be a finite number, got {raw!r}")
-    return max(1000, int(val))
-
 
 def _to_fraction(x, what: str) -> Fraction:
     """An int, float, Fraction or "p/q" string as an exact Fraction."""
@@ -179,23 +162,18 @@ class BeurlingSpec:
         return float(sum(abs(complex(float(t.a_re), float(t.a_im))) for t in self.terms)) + 1e-15
 
     @cached_property
-    def min_theta(self) -> float:
-        return min((float(t.theta) for t in self.terms), default=1.0)
-
-    @cached_property
     def cache_key(self) -> tuple:
         return tuple((t.a_re, t.a_im, t.theta) for t in self.terms)
 
     @cached_property
     def decomposition(self):
+        """`_periodic.decompose`: ToleranceNotMet past its period caps."""
         return _periodic.decompose(self)
 
     @cached_property
     def linear_pieces(self):
-        """F(1/u) as degree-1 pieces over one period (`_periodic.f_linear_pieces`),
-        or None when the period is past the caps."""
-        dec = self.decomposition
-        return None if dec is None else _periodic.f_linear_pieces(self, dec)
+        """F(1/u) as degree-1 pieces over one period (`_periodic.f_linear_pieces`)."""
+        return _periodic.f_linear_pieces(self, self.decomposition)
 
     def __eq__(self, other):
         return isinstance(other, BeurlingSpec) and self.cache_key == other.cache_key
@@ -315,220 +293,6 @@ def eval_F(spec: BeurlingSpec, x) -> complex:
     return eval_f(spec, x) + 1.0
 
 
-def _eval_F_vec(spec: BeurlingSpec, x: np.ndarray) -> np.ndarray:
-    acc = np.ones_like(x, dtype=np.complex128)
-    for t in spec.terms:
-        q = float(t.theta) / x
-        acc += t.a * (q - np.floor(q))
-    return acc
-
-
-# ---------------------------------------------------------------------------
-# Breakpoints and x-space quadrature
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Breakpoints:
-    """All jump locations theta_k / j of f_N down to cutoff_eps, plus 1."""
-
-    cutoff_eps: float
-    points: np.ndarray  # sorted ascending, last element 1.0
-
-    def __len__(self):
-        return len(self.points)
-
-
-def breakpoints(spec: BeurlingSpec, cutoff_eps: float) -> Breakpoints:
-    eps = float(cutoff_eps)
-    if not (0 < eps < 1):
-        raise DomainError("cutoff_eps must lie in (0, 1)")
-    if spec.terms and eps >= spec.min_theta:
-        raise DomainError(
-            f"cutoff_eps = {eps} must be smaller than min theta = {spec.min_theta}"
-        )
-    est = sum(float(t.theta) / eps for t in spec.terms)
-    if est > 4e7:
-        raise ToleranceNotMet(
-            f"breakpoint enumeration would need ~{est:.3g} points; tighten eps or budget"
-        )
-    fams = [np.array([1.0])]
-    for t in spec.terms:
-        th = float(t.theta)
-        jmax = int(math.floor(th / eps))
-        if jmax >= 1:
-            fams.append(th / np.arange(1, jmax + 1, dtype=np.float64))
-    pts = np.unique(np.concatenate(fams))
-    return Breakpoints(eps, pts)
-
-
-_GL_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-
-
-def _gl(order: int):
-    """Gauss-Legendre nodes and weights on [-1, 1], cached per order."""
-    if order not in _GL_CACHE:
-        _GL_CACHE[order] = leggauss(order)
-    return _GL_CACHE[order]
-
-
-def _vectorize(fn: Callable) -> Callable:
-    probe = np.array([0.5, 0.75])
-    try:
-        out = np.asarray(fn(probe))
-        if out.shape == probe.shape:
-            return fn
-    except Exception:
-        pass
-    ufn = np.frompyfunc(fn, 1, 1)
-
-    def wrapped(x):
-        return ufn(x).astype(np.complex128)
-
-    return wrapped
-
-
-def _integrate_report(
-    integrand: Callable,
-    spec: BeurlingSpec,
-    s_weight=None,
-    tol: float = 1e-8,
-    budget: int | None = None,
-    bound_m: float | None = None,
-    eps_override: float | None = None,
-    tail_bound_override: float | None = None,
-    max_h: float = 1.0 / 16.0,
-):
-    """Core of integrate_piecewise; returns (value: complex, err_bound, evals).
-
-    eps_override/tail_bound_override let callers with a sharper (0, eps) tail
-    bound than |integrand| <= bound_m (e.g. an integrand vanishing at 0)
-    supply their own cut and its certified tail contribution.
-    """
-    tol = check_tol(tol)
-    budget = check_count(budget, "budget") if budget is not None else _eval_budget()
-    big_m = bound_m if bound_m is not None else 1.0 + spec.sum_abs_a
-    if s_weight is None:
-        s = None
-        sigma = 1.0
-        eps = tol / (2.0 * big_m)
-    else:
-        s = as_complex(s_weight)
-        sigma = s.real
-        if sigma <= 0:
-            raise DomainError("weight requires Re(s) > 0")
-        eps = (sigma * tol / (2.0 * big_m)) ** (1.0 / sigma)
-    if eps_override is not None:
-        eps = eps_override
-        tail_bound = tail_bound_override if tail_bound_override is not None else tol / 2.0
-    else:
-        tail_bound = big_m * eps if s is None else big_m * eps**sigma / sigma
-    if spec.terms:
-        eps = min(eps, 0.5 * spec.min_theta)
-    eps = min(eps, 0.5)
-    if eps <= 0:
-        raise ToleranceNotMet(
-            f"the x-space cut (sigma tol / 2M)^(1/sigma) underflows to 0 at "
-            f"sigma = {sigma:.3g}, tol = {tol:.3g}"
-        )
-    # each theta alone puts floor(theta/eps) distinct breakpoints in [eps, 1]
-    min_pieces = max((float(t.theta) // eps for t in spec.terms), default=1.0)
-    if min_pieces * 36 > budget:
-        raise ToleranceNotMet(
-            f"piece count {min_pieces:.6g} or more exceeds the evaluation budget {budget}"
-        )
-
-    fn = _vectorize(integrand)
-    bps = breakpoints(spec, eps) if spec.terms else Breakpoints(eps, np.array([1.0]))
-    edges = np.concatenate(([eps], bps.points))
-    # oscillation control for weights/integrands that vary inside a piece
-    refined = [edges[0]]
-    for right in edges[1:]:
-        left = refined[-1]
-        if right - left > max_h:
-            k = int(math.ceil((right - left) / max_h))
-            refined.extend(left + (right - left) * np.arange(1, k + 1) / k)
-        else:
-            refined.append(right)
-    edges = np.array(refined)
-
-    lo = edges[:-1].copy()
-    hi = edges[1:].copy()
-    evals = 0
-
-    def piece_vals(a: np.ndarray, b: np.ndarray, order: int):
-        x_gl, w_gl = _gl(order)
-        half = 0.5 * (b - a)
-        mid = 0.5 * (b + a)
-        xs = mid[:, None] + half[:, None] * x_gl[None, :]
-        flat = xs.ravel()
-        fv = np.asarray(fn(flat), dtype=np.complex128)
-        if s is not None:
-            fv = fv * np.exp((s - 1.0) * np.log(flat))
-        fv = fv.reshape(xs.shape)
-        return half * np.sum(w_gl[None, :] * fv, axis=1)
-
-    if len(lo) * 36 > budget:
-        raise ToleranceNotMet(
-            f"piece count {len(lo)} exceeds the evaluation budget {budget}"
-        )
-    v12 = piece_vals(lo, hi, 12)
-    v24 = piece_vals(lo, hi, 24)
-    evals += len(lo) * 36
-    ests = np.abs(v24 - v12)
-    vals = v24.copy()
-
-    order = np.argsort(-ests)
-    lo, hi, vals, ests = lo[order], hi[order], vals[order], ests[order]
-    lo_l, hi_l, val_l, est_l = list(lo), list(hi), list(vals), list(ests)
-    while sum(est_l) > tol / 2.0 and len(lo_l) > 0:
-        if evals + 72 > budget:
-            raise ToleranceNotMet(
-                f"quadrature error {sum(est_l) + tail_bound:.3g} still above tol "
-                f"{tol:.3g} at the evaluation budget {budget}"
-            )
-        i = int(np.argmax(est_l))
-        a, b = lo_l[i], hi_l[i]
-        m = 0.5 * (a + b)
-        aa = np.array([a, m])
-        bb = np.array([m, b])
-        nv12 = piece_vals(aa, bb, 12)
-        nv24 = piece_vals(aa, bb, 24)
-        evals += 72
-        lo_l.pop(i), hi_l.pop(i), val_l.pop(i), est_l.pop(i)
-        lo_l.extend(aa), hi_l.extend(bb)
-        val_l.extend(nv24), est_l.extend(np.abs(nv24 - nv12))
-    value = complex(np.sum(np.array(val_l, dtype=np.complex128)))
-    err = float(sum(est_l)) + tail_bound + 64 * _periodic._F64_EPS * float(np.sum(np.abs(val_l)))
-    return value, err, evals
-
-
-def integrate_piecewise(
-    integrand: Callable,
-    spec: BeurlingSpec,
-    s_weight=None,
-    tol: float = 1e-8,
-    budget: int | None = None,
-) -> PrecisionComplex:
-    """int_0^1 integrand(x) x^{s-1} dx to absolute error <= tol.
-
-    The (0, eps) tail is certified by the bound |integrand| <= 1 + sum|a_k|
-    (eps is chosen so that contribution is < tol/2 -- the caller's integrand
-    must respect that bound, as eval_F does); [eps, 1] is split at the
-    breakpoints of the spec and integrated by vectorized Gauss-Legendre at
-    orders 12/24 with adaptive bisection of the worst pieces.
-
-    Raises ToleranceNotMet when the certified error cannot be driven below
-    tol within the evaluation budget (default 10^7 points, override with the
-    BEURLING_MAX_EVALS environment variable or the budget argument).
-    """
-    value, err, _ = _integrate_report(integrand, spec, s_weight, tol, budget)
-    if err > tol:
-        raise ToleranceNotMet(f"certified error {err:.3g} exceeds tol {tol:.3g}")
-    bits = bits_for_tol(tol)
-    return PrecisionComplex.from_complex(value, bits)
-
-
 # ---------------------------------------------------------------------------
 # Mellin transform and norm by quadrature
 # ---------------------------------------------------------------------------
@@ -537,54 +301,41 @@ def integrate_piecewise(
 def mellin_numeric(spec: BeurlingSpec, s, tol: float = 1e-10) -> MellinValue:
     """M_{F_N}(s) = int_0^1 F_N(x) x^{s-1} dx by certified quadrature.
 
-    For exact-rational specs the u = 1/x substitution makes the integrand
-    periodic piecewise-linear and the integral is evaluated with an exact
-    head plus a Hurwitz-zeta tail (`_periodic.u_integral_mp`; certificate =
-    a priori truncation bound of the kernel expansion + roundoff).
-    Otherwise falls back to the literal x-space strategy, whose reachable
-    tolerance is limited by the (0, eps) tail bound.
+    The u = 1/x substitution makes the integrand periodic piecewise-linear,
+    and the integral is an exact head plus a Hurwitz-zeta tail
+    (`_periodic.u_integral_mp`). The certificate is the a priori truncation
+    bound of the kernel expansion plus roundoff, rounded up to the stored
+    double. ToleranceNotMet when the thetas have no period within the caps
+    of `_periodic` or the certificate exceeds tol.
     """
     s_c = as_complex(s)
     if s_c.real <= 0:
         raise DomainError(f"mellin_numeric requires Re(s) > 0, got {s_c.real}")
     bits = bits_for_tol(tol)
-    dec = spec.decomposition
-    if dec is not None:
-        # r = s + 1 formed in mp: in float64 the sum rounds for non-dyadic s
-        with workprec(bits + 32):
-            r = mpmath.mpc(s_c) + 1
-        val, err = _periodic.u_integral_mp(spec.linear_pieces, dec.period, r, bits + 32)
-        err_f = float(err)
-        value = PrecisionComplex.from_mpc(val, bits + 32)
-    else:
-        val, err_f, _ = _integrate_report(lambda x: _eval_F_vec(spec, x), spec, s_c, tol)
-        value = PrecisionComplex.from_complex(val, bits)
+    # r = s + 1 formed in mp: in float64 the sum rounds for non-dyadic s
+    with workprec(bits + 32):
+        r = mpmath.mpc(s_c) + 1
+    val, err = _periodic.u_integral_mp(spec.linear_pieces, spec.decomposition.period, r, bits + 32)
+    err_f = float_up(err)
     if err_f > tol:
         raise ToleranceNotMet(f"certified error {err_f:.3g} exceeds tol {tol:.3g}")
     return MellinValue(
         s=PrecisionComplex.from_complex(s_c, bits),
-        value=value,
+        value=PrecisionComplex.from_mpc(val, bits + 32),
         provenance="quadrature",
         error_bound=PrecisionReal.from_float(err_f, 64),
     )
 
 
 def norm_numeric(spec: BeurlingSpec, tol: float = 1e-10) -> PrecisionReal:
-    """L2(0,1) norm of F_N = f_N + 1, by certified piecewise quadrature."""
+    """L2(0,1) norm of F_N = f_N + 1: the square root of the u-integral of
+    |F(1/u)|^2 u^-2 (`_periodic.u_integral_mp`). ToleranceNotMet when the
+    thetas have no period within the caps of `_periodic` or the certified
+    norm error exceeds tol."""
     bits = bits_for_tol(tol)
-    dec = spec.decomposition
-    if dec is not None:
-        pieces = _periodic.f_abs2_pieces(spec.linear_pieces)
-        val, err = _periodic.u_integral_mp(pieces, dec.period, 2, bits + 32)
-        err_f = float(err)
-    else:
-        val, err_f, _ = _integrate_report(
-            lambda x: np.abs(_eval_F_vec(spec, x)) ** 2 + 0j,
-            spec,
-            None,
-            tol * 0.9,
-            bound_m=(1.0 + spec.sum_abs_a) ** 2,
-        )
+    pieces = _periodic.f_abs2_pieces(spec.linear_pieces)
+    val, err = _periodic.u_integral_mp(pieces, spec.decomposition.period, 2, bits + 32)
+    err_f = float_up(err)
     sq = max(float(val.real), 0.0)
     # |sqrt(I+e) - sqrt(I)| <= e / (2 sqrt(I)) when I dominates, else sqrt(e)
     err_norm = err_f / (2.0 * math.sqrt(sq)) if sq > 4.0 * err_f else math.sqrt(err_f)

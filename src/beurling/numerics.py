@@ -308,15 +308,19 @@ class PrecisionComplex:
         )
 
 
+def float_up(x) -> float:
+    """The least double >= x, for a float or an mpf x."""
+    f = float(x)
+    # exact: mpmath compares an mpf with a float exactly
+    return math.nextafter(f, math.inf) if f < x else f
+
+
 def to_double(value, err):
     """(v, cert): value stored as a double (a complex of two for a complex
     value) and cert >= err plus half an ulp of each stored part, every
     step rounded up. err is a float, an mpf or a PrecisionReal."""
     v = complex(value) if isinstance(value, (complex, mpmath.mpc, PrecisionComplex)) else float(value)
-    err = err.value if isinstance(err, PrecisionReal) else err
-    cert = float(err)
-    if cert < err:  # exact: mpmath compares an mpf with a float exactly
-        cert = math.nextafter(cert, math.inf)
+    cert = float_up(err.value if isinstance(err, PrecisionReal) else err)
     for part in (v.real, v.imag) if isinstance(v, complex) else (v,):
         # half an ulp is exact, but for the least subnormal, whose half rounds to 0
         half = math.ulp(part) / 2 or math.ulp(part)

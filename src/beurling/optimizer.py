@@ -18,10 +18,11 @@ coprime h, k Vasyunin's formula gives
 With theta_2/theta_1 = a/b in lowest terms, G(theta_1, theta_2) =
 theta_1 a A(a, b) - theta_1 theta_2 and v(theta) = theta (1 - gamma - ln
 theta): finite cotangent sums with a priori roundoff bounds (`_closed_entry`).
-`_gram_entry` alone decides between that and x-space quadrature, which
-takes only a pair whose ratio theta_1/theta_2 has a period past the cap of
-`_period`: float thetas such as 0.1 = 3602879701896397/2^55 have no joint
-period in reach, but v(0.1) and G(0.1, 0.2) (ratio 1/2) are closed forms.
+`_gram_entry` alone chooses the period its bound is taken at, and refuses
+with ToleranceNotMet a pair whose ratio theta_1/theta_2 has a period past
+the cap of `_period` as well: float thetas such as 0.1 =
+3602879701896397/2^55 have no joint period in reach, but v(0.1) and
+G(0.1, 0.2) (ratio 1/2) are closed forms, while G(0.1, 0.5) is refused.
 Duplicate thetas make the KKT matrix exactly singular and are rejected
 rather than merged.
 """
@@ -37,7 +38,7 @@ import numpy as np
 
 from . import _periodic
 from .errors import DomainError, SingularSystemError, ToleranceNotMet
-from .functions import BeurlingSpec, _integrate_report, _norm_oracle, _to_theta
+from .functions import BeurlingSpec, _norm_oracle, _to_theta
 from .numerics import PrecisionReal, bits_for_tol, check_count, check_tol, to_double, to_mp, workprec
 from .parseval import norm_via_parseval
 
@@ -166,22 +167,18 @@ def _gram_entry(thetas: tuple[Fraction, ...], tol: float, cots: dict) -> float:
     returned float) when the thetas have a joint period B. Past the caps of
     `_period` its bound still holds with B = 1 for v, whose magnitude is at
     most 1 + gamma + 1/e, and with the period of theta_1/theta_2
-    (theta_1 <= theta_2) for G, which is a >= b; x-space quadrature takes a
-    pair past both. ToleranceNotMet when the certificate exceeds tol.
+    (theta_1 <= theta_2) for G, which is a >= b. ToleranceNotMet for a pair
+    past both, or when the certificate exceeds tol.
     """
     B = _periodic._period(thetas)
     if B is None:
         B = 1 if len(thetas) == 1 else _periodic._period((min(thetas) / max(thetas),))
-    if B is not None:
-        out, err = to_double(*_closed_entry(thetas, B, bits_for_tol(tol), cots))
-    else:
-        aux = BeurlingSpec([(1, t) for t in thetas])
-
-        def integrand(x):
-            return math.prod(q - np.floor(q) for q in (float(t) / x for t in thetas)) + 0j
-
-        val, err, _ = _integrate_report(integrand, aux, None, tol, bound_m=1.0)
-        out = float(val.real)
+    if B is None:
+        raise ToleranceNotMet(
+            f"G({', '.join(repr(float(t)) for t in thetas)}): neither the thetas "
+            "nor their ratio have a period within the caps"
+        )
+    out, err = to_double(*_closed_entry(thetas, B, bits_for_tol(tol), cots))
     if err > tol:
         raise ToleranceNotMet(f"Gram entry error {err:.3g} exceeds tol {tol:.3g}")
     return out

@@ -21,7 +21,6 @@ from beurling import (
     c_even_mellin_exact_L,
     c_even_mellin_limit,
     cosine_coeffs,
-    integrate_piecewise,
     mellin_closed,
     mellin_even,
     mellin_even_bound,
@@ -52,14 +51,9 @@ SPEC_A = BeurlingSpec([(1, Fr(1, 2)), (-1, Fr(1, 3)), (-1, Fr(1, 6))])
 NAN, INF = math.nan, math.inf
 
 
-def _x(x):
-    return x + 0j
-
-
 TOL_ENTRIES = {
     "bits_for_tol": lambda tol: bits_for_tol(tol),
     "zeta_complex": lambda tol: zeta_complex(2.5, tol),
-    "integrate_piecewise": lambda tol: integrate_piecewise(_x, SPEC_A, 2.5, tol),
     "mellin_numeric": lambda tol: mellin_numeric(SPEC_A, 2.5, tol),
     "norm_numeric": lambda tol: norm_numeric(SPEC_A, tol),
     "power_sum": lambda tol: power_sum(SPEC_A, 2.5, tol),
@@ -120,14 +114,10 @@ COUNT_ENTRIES = {
     "sweep-n_from": (lambda n: sweep(n, 3), 1, 1),
     "sweep-n_to": (lambda n: sweep(1, n), 1, 3),
     "BeurlingSpec-b": (lambda b: BeurlingSpec([(1, None)], [b]), 1, 2),
-    "integrate_piecewise-budget": (
-        lambda n: integrate_piecewise(_x, SPEC_A, None, 1e-4, budget=n), 1, 10**7
-    ),
 }
 
 S_ENTRIES = {
     "zeta_complex": lambda s: zeta_complex(s),
-    "integrate_piecewise": lambda s: integrate_piecewise(_x, SPEC_A, s, 1e-6),
     "mellin_numeric": lambda s: mellin_numeric(SPEC_A, s),
     "power_sum": lambda s: power_sum(SPEC_A, s),
     "mellin_closed": lambda s: mellin_closed(SPEC_A, s),

@@ -49,8 +49,8 @@ ADM1_C = {
     5: 0.15251207528674909,
 }
 SPEC_B_C1 = 0.85292486907739207
-# {(1, 1/2), (-1, 1/3)} is not admissible: c(n), n = 1..4, by the x-space
-# route at tol 1e-8 (certificate 2.5e-9)
+# {(1, 1/2), (-1, 1/3)} is not admissible: c(n), n = 1..4, by x-space
+# Gauss-Legendre quadrature at tol 1e-8 (estimated error 2.5e-9)
 NON_ADMISSIBLE = BeurlingSpec([(1, Fr(1, 2)), (-1, Fr(1, 3))])
 NON_ADMISSIBLE_X = (1.3012969798232952, -0.170340237040151, 0.5923610875563045, 0.11185197321447879)
 THETA1_B = BeurlingSpec([(Fr(1, 2), 1), (-1, Fr(1, 2))])
@@ -129,21 +129,10 @@ class TestDirectRoute:
                 ref = 4 / (n * mpmath.pi) if n % 2 else 0
                 assert abs(fc.value.re.value - ref) <= fc.error_certificate.value
 
-    @pytest.mark.parametrize("n", [1, 3, 10])
-    def test_xspace_branch_within_certificate(self, n):
-        # the float thetas have no period in reach, so c_direct integrates in
-        # x-space; its exact-rational twin, about 1e-17 away in each datum,
-        # takes the periodic route (gap 1.5e-9, certificate 2.5e-9)
-        floats = BeurlingSpec([(1, 0.3), (-0.3, 1)])
-        exact = BeurlingSpec([(1, Fr(3, 10)), (Fr(-3, 10), 1)])
-        assert floats.decomposition is None and exact.decomposition is not None
-        got, ref = c_direct(floats, n, 1e-8), c_direct(exact, n, 1e-14)
-        gap = abs(complex(got.value) - complex(ref.value))
-        assert gap <= float(got.error_certificate) + float(ref.error_certificate)
-
-    def test_xspace_branch_refuses_a_tight_tol(self):
-        with pytest.raises(ToleranceNotMet):
-            c_direct(BeurlingSpec([(1, 0.3), (-0.3, 1)]), 1, 1e-10)
+    def test_refuses_past_the_period_cap(self):
+        # the float 0.3 has period 2^54; a loose tol does not help
+        with pytest.raises(ToleranceNotMet, match="period"):
+            c_direct(BeurlingSpec([(1, 0.3), (-0.3, 1)]), 1, 1e-4)
 
     def test_certificate_honored(self, spec_a):
         hi = c_direct(spec_a, 4, tol=1e-16)
@@ -290,6 +279,28 @@ class TestLimitRows:
         assert [fc.n for fc in rows] == [7, 2, 7]
         assert complex(rows[0].value) == complex(rows[2].value)
         assert complex(rows[1].value) == complex(c_even_mellin_limit(spec_a, 2, 1e-10).value)
+
+
+class TestExactLRows:
+    def test_m2l_built_once_per_l(self, spec_a, monkeypatch):
+        # the exact-L rows share one M(2l) table; rebuilt per row, it took
+        # 640 evaluations for these rows
+        calls = []
+        real = fourier._m2l_mp
+
+        def counted(spec, l, bits):
+            calls.append(l)
+            return real(spec, l, bits)
+
+        monkeypatch.setattr(fourier, "_m2l_mp", counted)
+        batch = c_batch(spec_a, range(1, 21), "even_mellin_exact_L", 1e-10, L=32)
+        assert calls == list(range(1, 33))
+        # each row equals its single call, which builds its own table at the
+        # bits of its n
+        for n, fc in enumerate(batch, 1):
+            one = c_even_mellin_exact_L(spec_a, n, 32, 1e-10)
+            assert complex(fc.value) == complex(one.value)
+            assert float(fc.error_certificate) == float(one.error_certificate)
 
 
 class TestEvenMellinRoutes:

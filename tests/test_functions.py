@@ -1,5 +1,5 @@
 """functions: spec construction/serialization, frac, pointwise evaluation,
-breakpoints, certified quadrature, Mellin by quadrature, norms."""
+Mellin by quadrature, norms, and the refusal past the period caps."""
 import json
 import math
 import time
@@ -14,18 +14,15 @@ from beurling import (
     BeurlingSpec,
     DomainError,
     ToleranceNotMet,
-    breakpoints,
     eval_F,
     eval_f,
     frac,
-    integrate_piecewise,
     mellin_closed,
     mellin_numeric,
     norm_numeric,
 )
-from beurling import functions
 from beurling._periodic import PERIOD_CAP, _period, f_abs2_pieces, u_integral_mp
-from beurling.numerics import to_mp
+from beurling.numerics import bits_for_tol, to_mp
 from beurling.optimizer import _closed_entry
 from strategies import exact_specs
 
@@ -85,11 +82,12 @@ class TestSpecConstruction:
 
     def test_too_many_pieces_per_period(self):
         # period 100000 is within PERIOD_CAP, but one period has about
-        # 500,000 pieces, past PIECES_CAP: the spec takes x-space quadrature
+        # 500,000 pieces, past PIECES_CAP: no integral of the spec is certified
         thetas = [Fr(100000 - k, 100000) for k in (1, 3, 7, 9, 11)]
         assert max(th.denominator for th in thetas) <= PERIOD_CAP
         assert _period(thetas) is None
-        assert BeurlingSpec([(1, th) for th in thetas]).decomposition is None
+        with pytest.raises(ToleranceNotMet, match="period"):
+            BeurlingSpec([(1, th) for th in thetas]).decomposition
 
     def test_empty_spec(self, empty_spec):
         assert empty_spec.admissible
@@ -161,72 +159,6 @@ class TestEval:
         assert abs(v) <= float(s.sum_abs_a) + 1e-12
 
 
-class TestBreakpoints:
-    def test_structure(self, adm1):
-        bp = breakpoints(adm1, 0.2)
-        pts = list(bp.points)
-        assert pts == sorted(set(pts))
-        assert pts[-1] == 1.0
-        # theta/j >= 0.2: from theta=1: 1, 1/2, 1/3, 1/4, 1/5; from 1/2: 1/2, 1/4
-        for expect in (0.2, 0.25, 1 / 3, 0.5, 1.0):
-            assert any(abs(p - expect) < 1e-12 for p in pts)
-
-    def test_jumps_are_real(self, spec_a):
-        bp = breakpoints(spec_a, 0.05)
-        pts = [p for p in bp.points if 0.06 < p < 1.0]
-        for p in pts[:25]:
-            left = eval_f(spec_a, p - 1e-9)
-            right = eval_f(spec_a, p + 1e-9)
-            # every interior breakpoint is a genuine jump of some term
-            assert abs(left - right) > 1e-7
-
-    def test_domain(self, adm1):
-        with pytest.raises(DomainError):
-            breakpoints(adm1, 0.0)
-        with pytest.raises(DomainError):
-            breakpoints(adm1, 1.5)
-
-
-class TestIntegratePiecewise:
-    def test_polynomial_exact(self, empty_spec):
-        val = integrate_piecewise(lambda x: x * x + 0j, empty_spec, tol=1e-12)
-        assert abs(complex(val).real - 1 / 3) < 1e-12
-
-    def test_abs_F_squared_oracle(self, adm1):
-        # int_0^1 |F|^2 dx = 1 - ln 2 for this spec; |F|^2 <= 4 = 1 + sum|a|
-        # so the tail certificate's boundedness premise holds
-        import numpy as np
-
-        def integrand(x):
-            x = np.asarray(x, dtype=float)
-            out = np.ones_like(x)
-            for t in adm1.terms:
-                y = float(t.theta) / x
-                out += float(t.a_re) * (y - np.floor(y))
-            return out * out + 0j
-
-        val = integrate_piecewise(integrand, adm1, tol=1e-4)
-        assert abs(complex(val).real - (1 - math.log(2))) < 3e-4
-
-    def test_budget_enforced(self, adm1):
-        with pytest.raises(ToleranceNotMet):
-            integrate_piecewise(lambda x: x + 0j, adm1, tol=1e-6, budget=50)
-
-    def test_unreachable_tol_rejected(self, adm1):
-        # x-space cutoff for tol this small needs ~10^12 breakpoints
-        with pytest.raises(ToleranceNotMet):
-            integrate_piecewise(lambda x: x + 0j, adm1, tol=1e-11)
-
-    def test_budget_checked_before_enumeration(self):
-        # float thetas force x-space; theta = 1 alone puts ~1.2e7 breakpoints
-        # above the cut, so the budget refuses before any is built
-        spec = BeurlingSpec([(1, 0.3), (-0.3, 1)])
-        start = time.perf_counter()
-        with pytest.raises(ToleranceNotMet, match="evaluation budget"):
-            norm_numeric(spec, 1e-6)
-        assert time.perf_counter() - start < 1.0
-
-
 class TestMellinNumeric:
     def test_adm1_oracle_s2(self, adm1):
         mv = mellin_numeric(adm1, 2.0, 1e-12)
@@ -285,34 +217,25 @@ class TestMellinNumeric:
         with pytest.raises(DomainError):
             mellin_numeric(spec_a, 2.0, tol)
 
-    def test_xspace_bisection(self, monkeypatch):
-        # the period 997 * 991 is past the cap, so the integral runs in
-        # x-space, where two pieces need bisecting at tol 1e-8; every pass
-        # over pieces takes the nodes of orders 12 and 24 once
-        spec = BeurlingSpec([(1, Fr(1, 997)), (-1, Fr(1, 991))])
-        orders = []
-        gl = functions._gl
-        monkeypatch.setattr(functions, "_gl", lambda order: orders.append(order) or gl(order))
-        s = complex(1.5, 2)
-        mv = mellin_numeric(spec, s, 1e-8)
-        assert spec.decomposition is None
-        assert len(orders) == 2 + 2 * 2
-        ref = mellin_closed(spec, s, 1e-14)
-        gap = abs(complex(mv.value) - complex(ref.value))
-        assert gap <= float(mv.error_bound) + float(ref.error_bound)
+    def test_refuses_past_the_period_cap(self):
+        # the period 997 * 991 is past the cap, and so is that of the float
+        # 1/pi; a loose tol does not help
+        for spec in (
+            BeurlingSpec([(1, Fr(1, 997)), (-1, Fr(1, 991))]),
+            BeurlingSpec([(1.0, 1 / math.pi)]),
+        ):
+            with pytest.raises(ToleranceNotMet, match="period"):
+                mellin_numeric(spec, complex(1.5, 2), 1e-4)
 
-    def test_non_periodic_fallback(self):
-        # float theta with an astronomical exact-rational period forces the
-        # x-space strategy; modest tolerance is reachable
-        s = BeurlingSpec([(1.0, 1 / math.pi)])
-        mv = mellin_numeric(s, 2.0, 1e-7)
-        with mpmath.workprec(80):
-            ref = mpmath.quad(
-                lambda x: (1 + mpmath.frac((1 / mpmath.pi) / x)) * x,
-                [1e-14, 0.01, 0.1, 1 / math.pi, 1],
-            )
-            # reference itself ~1e-6 accurate near 0; compare loosely
-            assert abs(complex(mv.value).real - float(ref)) < 1e-4
+    @pytest.mark.parametrize("s", [2.0, 3.0, 4.0, 0.3, complex(1.5, 2)])
+    def test_stored_bound_rounds_up(self, spec_a, s):
+        # the mp certificate rounded to nearest fell below it at s = 3 and 4
+        mv = mellin_numeric(spec_a, s, 1e-10)
+        bits = bits_for_tol(1e-10) + 32
+        with mpmath.workprec(bits):
+            r = mpmath.mpc(s) + 1
+        _, err = u_integral_mp(spec_a.linear_pieces, spec_a.decomposition.period, r, bits)
+        assert mv.error_bound.value >= err
 
 
 class TestNormNumeric:
@@ -326,6 +249,14 @@ class TestNormNumeric:
         with mpmath.workprec(96):
             ref = mpmath.mpf("1.451285661647887604")
             assert abs(nn.value - ref) < 1e-15
+
+    def test_refuses_past_the_period_cap(self):
+        # the float 0.3 has period 2^54; the refusal comes before any work
+        spec = BeurlingSpec([(1, 0.3), (-0.3, 1)])
+        start = time.perf_counter()
+        with pytest.raises(ToleranceNotMet, match="period"):
+            norm_numeric(spec, 1e-6)
+        assert time.perf_counter() - start < 1.0
 
     def test_empty_norm_is_one(self, empty_spec):
         assert abs(float(norm_numeric(empty_spec, 1e-12)) - 1.0) < 1e-14

@@ -1,10 +1,11 @@
-"""layout: the package is serial, numerics alone scopes and locks mpmath
-precision, converts rationals, checks tolerances, counts and exponents and
-evaluates the Hurwitz zeta, each fallback around the u = 1/x engine is
-decided in one function, the periodic engine certifies without quadrature
-estimates through one Hurwitz-kernel tail, one function decides how each
-coefficient row is certified, and every function the benchmark's tracer
-wraps by name still exists."""
+"""layout: the package is serial and reads no environment variable,
+numerics alone scopes and locks mpmath precision, converts rationals,
+checks tolerances, counts and exponents and evaluates the Hurwitz zeta, one
+function reads the period caps and one chooses each Gram entry's period,
+the periodic engine certifies without quadrature estimates through one
+Hurwitz-kernel tail, one function decides how each coefficient row is
+certified, and every function the benchmark's tracer wraps by name still
+exists."""
 import ast
 import importlib
 import importlib.util
@@ -28,6 +29,26 @@ def test_no_thread_pools():
 @pytest.mark.parametrize("fn", [c_batch, build_gram, sweep])
 def test_no_threads_parameter(fn):
     assert "threads" not in inspect.signature(fn).parameters
+
+
+def _reads_environment(node):
+    # os.environ[...], os.environ.get(...), os.getenv(...), or either name
+    # imported from os
+    if isinstance(node, ast.ImportFrom) and node.module == "os":
+        return any(a.name in ("environ", "getenv") for a in node.names)
+    return (
+        isinstance(node, ast.Attribute)
+        and node.attr in ("environ", "getenv")
+        and isinstance(node.value, ast.Name)
+        and node.value.id == "os"
+    )
+
+
+def test_no_environment_knobs():
+    # every setting is an argument or a constant, so none can change a
+    # result unseen
+    hits = [(name, o) for name, text in SOURCES.items() for o in _owners(text, _reads_environment)]
+    assert hits == []
 
 
 @pytest.mark.parametrize(
@@ -103,12 +124,14 @@ def test_period_caps_read_only_in_period():
 
 
 def test_gram_ladder_is_one_function():
-    # the Gram entries are closed forms or x-space quadrature, never a
-    # u-integral, and one function chooses between the two
+    # the Gram entries are closed forms, never a u-integral, and one
+    # function chooses the period each is bounded at, or refuses it
     text = SOURCES["optimizer.py"]
     assert _owners(text, _calls("u_integral_f64")) + _owners(text, _calls("u_integral_mp")) == []
-    assert set(_owners(text, _calls("_closed_entry"))) == {"_gram_entry"}
-    assert set(_owners(text, _calls("_integrate_report"))) == {"_gram_entry"}
+    owners = {
+        (name, o) for name, text in SOURCES.items() for o in _owners(text, _calls("_closed_entry"))
+    }
+    assert owners == {("optimizer.py", "_gram_entry")}
 
 
 def test_periodic_has_no_float64_hurwitz():
@@ -175,13 +198,16 @@ def test_one_owner_of_the_coefficient_batch():
 
 
 def test_row_work_only_in_row_builders():
-    # M(2l) is read from the one table of _limit_rows (the exact-L route
-    # sums its own single row), and the incomplete-gamma sum runs only in
-    # the batch of sine moments, so no second per-row loop rebuilds them
+    # M(2l) is read from one table per call, shared by the rows of both
+    # even-Mellin routes, and the incomplete-gamma sum runs only in the
+    # batch of sine moments, so no second per-row loop rebuilds them
     fourier = SOURCES["fourier.py"]
-    assert set(_owners(fourier, _calls("_m2l_mp"))) == {"_limit_rows", "c_even_mellin_exact_L"}
+    assert _owners(fourier, _calls("_m2l_mp")) == ["_m2l_table"]
+    assert set(_owners(fourier, _calls("_m2l_table"))) == {"_limit_rows", "_exact_L_rows"}
     assert _owners(fourier, _calls("_limit_row")) == ["_limit_rows"]
     assert set(_owners(fourier, _calls("_limit_rows"))) == {"c_even_mellin_limit", "c_batch"}
+    assert _owners(fourier, _calls("_exact_L_row")) == ["_exact_L_rows"]
+    assert set(_owners(fourier, _calls("_exact_L_rows"))) == {"c_even_mellin_exact_L", "c_batch"}
     recon = SOURCES["reconstruct.py"]
     assert _owners(recon, _calls("_sine_moment_asymptotic")) == ["sine_moments_with_cert"]
     assert _owners(recon, _calls("_sine_moment_series")) == ["sine_moments_with_cert"]
