@@ -20,8 +20,7 @@ print(f"certified quadrature               = {quad:.15f}   (|diff| = {abs(quad -
 
 for n_max in (100, 1000, 10_000):
     rec = norm_via_parseval(spec, n_max=n_max)
-    lo, hi = float(rec["norm_lo"]), float(rec["norm_hi"])
-    point = float(rec["norm"])
+    lo, hi, point = rec["norm_lo"], rec["norm_hi"], rec["norm"]
     inside = "yes" if lo <= truth <= hi else "NO"
     print(f"Parseval n_max={n_max:>6}: [{lo:.9f}, {hi:.9f}]  point {point:.9f}"
           f"  truth inside: {inside}")

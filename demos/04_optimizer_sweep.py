@@ -25,7 +25,7 @@ print("\nN = 2 exact check: the optimizer recovers a = (1, -2), whose norm is")
 print("sqrt(1 - ln 2):")
 res = optimize_coeffs(unit_thetas(2), tol=1e-10)
 print(f"  a         = ({res['a'][0]:+.9f}, {res['a'][1]:+.9f})")
-print(f"  norm      = {math.sqrt(float(res['norm_sq'])):.12f}")
+print(f"  norm      = {math.sqrt(res['norm_sq']):.12f}")
 print(f"  sqrt(1-ln2) = {math.sqrt(1 - math.log(2)):.12f}")
 
 print("\nCross-check at N = 6: rebuild an exactly admissible spec from the")
@@ -33,5 +33,5 @@ print("float solution and integrate its norm directly:")
 res = optimize_coeffs(unit_thetas(6), tol=1e-9)
 spec = spec_from_solution(unit_thetas(6), res["a"])
 print(f"  exact constraint residual: {spec.residual_exact[0]}")
-print(f"  KKT norm^2        = {float(res['norm_sq']):.12f}")
+print(f"  KKT norm^2        = {res['norm_sq']:.12f}")
 print(f"  quadrature norm^2 = {float(norm_numeric(spec, 1e-10))**2:.12f}")

@@ -1,9 +1,10 @@
 """The precision substrate: exact Bernoulli numbers, zeta at even integers,
 zeta on the critical strip, and values that remember their precision.
 
-Every numeric object in the package carries its precision in bits; mixing
-precisions is explicit, and high-precision digits survive serialization
-through hi_str().
+Every mp result of the package is a PrecisionReal or PrecisionComplex: a
+plain record of the mp value and its precision in bits. It does no
+arithmetic (compute on .value), and its high-precision digits survive
+serialization through hi_str(). Results computed in doubles are floats.
 """
 from fractions import Fraction
 

@@ -88,6 +88,7 @@ from .numerics import (
     bits_for_tol,
     check_count,
     check_tol,
+    float_up,
     hurwitz_zeta_row,
     to_double,
     to_mp,
@@ -164,13 +165,15 @@ def _require_even_mellin_hypotheses(spec: BeurlingSpec, who: str):
 
 
 def _result(spec, n, value, method, order, cert, tol=None) -> FourierCoefficient:
-    """Every route's epilogue: refuse a certificate above tol (no check when
-    tol is None), then zero the imaginary part of a real spec's value."""
-    if tol is not None and float(cert) > tol:
-        raise ToleranceNotMet(f"certified error {float(cert):.3g} exceeds tol {tol:.3g}")
+    """Every route's epilogue: round the certificate (a float or an mpf) up
+    to the double it is stored as, refuse it above tol (no check when tol is
+    None), then zero the imaginary part of a real spec's value."""
+    cert = float_up(cert)
+    if tol is not None and cert > tol:
+        raise ToleranceNotMet(f"certified error {cert:.3g} exceeds tol {tol:.3g}")
     if spec.is_real:
         value = PrecisionComplex(value.re, PrecisionReal.from_float(0.0, value.precision_bits))
-    return FourierCoefficient(n, value, method, order, cert)
+    return FourierCoefficient(n, value, method, order, PrecisionReal.from_float(cert, 64))
 
 
 # ---------------------------------------------------------------------------
@@ -194,7 +197,7 @@ def c_direct(spec: BeurlingSpec, n, tol: float = 1e-10) -> FourierCoefficient:
     with workprec(bits):
         # rounding 2 val to the output bits moves it by at most |2 val| 2^-bits
         value = PrecisionComplex.from_mpc(2 * val, bits)
-        cert = PrecisionReal(2 * err + abs(2 * val) * mpmath.mpf(2) ** -bits, 64)
+        cert = 2 * err + abs(2 * val) * mpmath.mpf(2) ** -bits
     return _result(spec, n, value, "direct", None, cert, tol)
 
 
@@ -244,7 +247,7 @@ def c_cosine_series(
         value = a1 + (2.0 / npi) * acc
         cert = (2.0 / npi) * cert + 8.0 * _F64_EPS * (abs(value) + 1.0)
         pv = PrecisionComplex.from_complex(value, bits_for_tol(max(tol, 1e-15)))
-        return _result(spec, n, pv, "cosine_series", J, PrecisionReal.from_float(cert, 64))
+        return _result(spec, n, pv, "cosine_series", J, cert)
 
     bits = bits_for_tol(tol) + 48
     with workprec(bits):
@@ -302,8 +305,7 @@ def c_cosine_series(
             8 - bits
         )
         value = PrecisionComplex.from_mpc(value_mp, bits)
-        cert_out = PrecisionReal(cert_total, 64)
-    return _result(spec, n, value, "cosine_series", j_max, cert_out, tol)
+    return _result(spec, n, value, "cosine_series", j_max, cert_total, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -418,9 +420,7 @@ def _exact_L_row(spec: BeurlingSpec, n: int, L: int, tol: float, m2l) -> Fourier
                 acc += t2 - t3
             absacc += abs(t2) + abs(t3)
         roundoff = (absacc + 1) * mpmath.mpf(2) ** (8 - bits)
-        cert = PrecisionReal(
-            mpmath.mpf(float(rb)) + roundoff, 64
-        )
+        cert = mpmath.mpf(float(rb)) + roundoff
         value = PrecisionComplex.from_mpc(acc, bits)
     return _result(spec, n, value, "even_mellin_exact_L", L, cert)
 
@@ -512,7 +512,7 @@ def _limit_row(spec: BeurlingSpec, n: int, tol: float, m2l) -> FourierCoefficien
             2 * L_used + 2
         )
         roundoff = (absacc + 1) * mpmath.mpf(2) ** (8 - bits)
-        cert = PrecisionReal(mpmath.mpf(rb) + costail + roundoff, 64)
+        cert = mpmath.mpf(rb) + costail + roundoff
         value = PrecisionComplex.from_mpc(acc, bits)
     return _result(spec, n, value, "even_mellin_limit", L_used, cert, tol)
 
@@ -588,15 +588,17 @@ def _cos_tail(alpha, J):
     tail = np.zeros_like(alpha)
     absacc = np.zeros_like(alpha)
     coef = alpha * alpha / 2.0
+    term = coef * _hurwitz_f64(2, q)
     m = 1
     while True:
-        term = coef * _hurwitz_f64(2 * m, q)
         tail += -term if m % 2 else term
         absacc += np.abs(term)
         coef = coef * alpha * alpha / ((2 * m + 1) * (2 * m + 2))
+        # the first omitted term is the next step's term
         trunc = coef * _hurwitz_f64(2 * m + 2, q)
         if float(trunc.max()) < 1e-19 or m >= 64:
             return tail, absacc, trunc
+        term = trunc
         m += 1
 
 
@@ -746,7 +748,7 @@ def cosine_coeffs(spec: BeurlingSpec, n_max: int, tol: float, n_min: int = 1):
     for n in missing.tolist():
         i = n - n_min
         fc = c_cosine_series(spec, n, tol)
-        c[i], cert[i] = to_double(fc.value, fc.error_certificate)
+        c[i], cert[i] = to_double(fc.value, float(fc.error_certificate))
         if cert[i] > tol:
             raise ToleranceNotMet(
                 f"c({n}) stored as a double is off by up to {cert[i]:.3g}, above tol {tol:.3g}"

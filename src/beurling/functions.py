@@ -158,10 +158,6 @@ class BeurlingSpec:
         return all(t.a_im == 0 for t in self.terms)
 
     @cached_property
-    def sum_abs_a(self) -> float:
-        return float(sum(abs(complex(float(t.a_re), float(t.a_im))) for t in self.terms)) + 1e-15
-
-    @cached_property
     def cache_key(self) -> tuple:
         return tuple((t.a_re, t.a_im, t.theta) for t in self.terms)
 
@@ -250,9 +246,6 @@ class BeurlingSpec:
     def from_json_file(cls, path) -> "BeurlingSpec":
         with open(path, "r", encoding="utf-8") as fh:
             return cls.from_json(fh.read())
-
-
-EMPTY_SPEC = BeurlingSpec()
 
 
 # ---------------------------------------------------------------------------

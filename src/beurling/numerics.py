@@ -118,10 +118,10 @@ def _dps_for_bits(bits: int) -> int:
 
 @dataclass(frozen=True)
 class PrecisionReal:
-    """A real scalar carrying its own working precision (>= 64 bits).
+    """A real mp value rounded to, and tagged with, its precision (>= 64 bits).
 
-    Arithmetic between two PrecisionReals is performed at, and tagged with,
-    the max of the two precisions.
+    A plain record: it does no arithmetic. Callers compute on `.value` and
+    read it back with `float()` or, at full precision, `hi_str()`.
     """
 
     value: mpmath.mpf
@@ -144,74 +144,8 @@ class PrecisionReal:
         with workprec(precision_bits):
             return cls(mpmath.mpf(s), precision_bits)
 
-    def _coerce(self, other):
-        if isinstance(other, PrecisionReal):
-            return other.value, other.precision_bits
-        if isinstance(other, (int, float, Fraction, mpmath.mpf)):
-            return other, self.precision_bits
-        return NotImplemented, 0
-
-    def _binop(self, other, op):
-        val, bits = self._coerce(other)
-        if val is NotImplemented:
-            return NotImplemented
-        bits = max(self.precision_bits, bits)
-        with workprec(bits):
-            return PrecisionReal(op(self.value, to_mp(val)), bits)
-
-    def __add__(self, other):
-        return self._binop(other, lambda a, b: a + b)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return self._binop(other, lambda a, b: a - b)
-
-    def __rsub__(self, other):
-        return self._binop(other, lambda a, b: b - a)
-
-    def __mul__(self, other):
-        return self._binop(other, lambda a, b: a * b)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        return self._binop(other, lambda a, b: a / b)
-
-    def __rtruediv__(self, other):
-        return self._binop(other, lambda a, b: b / a)
-
-    def __neg__(self):
-        return PrecisionReal(-self.value, self.precision_bits)
-
-    def __abs__(self):
-        return PrecisionReal(abs(self.value), self.precision_bits)
-
     def __float__(self):
         return float(self.value)
-
-    def _cmp_val(self, other):
-        return other.value if isinstance(other, PrecisionReal) else other
-
-    def __lt__(self, other):
-        return self.value < self._cmp_val(other)
-
-    def __le__(self, other):
-        return self.value <= self._cmp_val(other)
-
-    def __gt__(self, other):
-        return self.value > self._cmp_val(other)
-
-    def __ge__(self, other):
-        return self.value >= self._cmp_val(other)
-
-    def __eq__(self, other):
-        if isinstance(other, (PrecisionReal, int, float, Fraction, mpmath.mpf)):
-            return self.value == self._cmp_val(other)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(self.value)
 
     def hi_str(self) -> str:
         """Decimal string at full working precision (for 'hi' keys in JSON)."""
@@ -223,7 +157,8 @@ class PrecisionReal:
 
 @dataclass(frozen=True)
 class PrecisionComplex:
-    """Complex scalar; component precisions are kept equal (the max of both)."""
+    """A complex mp value as two PrecisionReals of equal precision (the max
+    of both); a record like PrecisionReal, whose one operator is `abs`."""
 
     re: PrecisionReal
     im: PrecisionReal
@@ -258,9 +193,6 @@ class PrecisionComplex:
         with workprec(self.precision_bits):
             return mpmath.mpc(self.re.value, self.im.value)
 
-    def conjugate(self) -> "PrecisionComplex":
-        return PrecisionComplex(self.re, -self.im)
-
     def __complex__(self):
         return complex(float(self.re), float(self.im))
 
@@ -268,38 +200,6 @@ class PrecisionComplex:
         bits = self.precision_bits
         with workprec(bits):
             return PrecisionReal(abs(self.to_mpc()), bits)
-
-    def _binop(self, other, op):
-        if isinstance(other, PrecisionComplex):
-            o, bits = other.to_mpc(), other.precision_bits
-        elif isinstance(other, PrecisionReal):
-            o, bits = other.value, other.precision_bits
-        elif isinstance(other, (int, float, complex, mpmath.mpf, mpmath.mpc)):
-            o, bits = other, self.precision_bits
-        else:
-            return NotImplemented
-        bits = max(self.precision_bits, bits)
-        with workprec(bits):
-            return PrecisionComplex.from_mpc(op(self.to_mpc(), o), bits)
-
-    def __add__(self, other):
-        return self._binop(other, lambda a, b: a + b)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return self._binop(other, lambda a, b: a - b)
-
-    def __rsub__(self, other):
-        return self._binop(other, lambda a, b: b - a)
-
-    def __mul__(self, other):
-        return self._binop(other, lambda a, b: a * b)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        return self._binop(other, lambda a, b: a / b)
 
     def __repr__(self):
         return (
@@ -318,9 +218,9 @@ def float_up(x) -> float:
 def to_double(value, err):
     """(v, cert): value stored as a double (a complex of two for a complex
     value) and cert >= err plus half an ulp of each stored part, every
-    step rounded up. err is a float, an mpf or a PrecisionReal."""
+    step rounded up. err is a float or an mpf."""
     v = complex(value) if isinstance(value, (complex, mpmath.mpc, PrecisionComplex)) else float(value)
-    cert = float_up(err.value if isinstance(err, PrecisionReal) else err)
+    cert = float_up(err)
     for part in (v.real, v.imag) if isinstance(v, complex) else (v,):
         # half an ulp is exact, but for the least subnormal, whose half rounds to 0
         half = math.ulp(part) / 2 or math.ulp(part)

@@ -39,7 +39,7 @@ import numpy as np
 from . import _periodic
 from .errors import DomainError, SingularSystemError, ToleranceNotMet
 from .functions import BeurlingSpec, _norm_oracle, _to_theta
-from .numerics import PrecisionReal, bits_for_tol, check_count, check_tol, to_double, to_mp, workprec
+from .numerics import bits_for_tol, check_count, check_tol, to_double, to_mp, workprec
 from .parseval import norm_via_parseval
 
 _SOLVER_EPS = float(np.finfo(np.float64).eps)
@@ -54,7 +54,7 @@ class GramSystem:
     thetas: tuple[Fraction, ...]
     G: np.ndarray
     v: np.ndarray
-    build_tol: PrecisionReal
+    build_tol: float
 
     def __post_init__(self):
         n = len(self.thetas)
@@ -64,7 +64,7 @@ class GramSystem:
             raise ValueError("GramSystem shape mismatch")
         object.__setattr__(self, "G", G)
         object.__setattr__(self, "v", v)
-        tol = float(self.build_tol)
+        tol = self.build_tol
         if not np.array_equal(G, G.T):
             raise ValueError("G must be symmetric as stored")
         if n and float(np.min(np.linalg.eigvalsh(G))) < -10.0 * tol:
@@ -86,7 +86,7 @@ class GramSystem:
                 "thetas": [BeurlingSpec._num_out(t) for t in self.thetas],
                 "G": [format(x, ".17g") for x in self.G.ravel(order="C")],
                 "v": [format(x, ".17g") for x in self.v],
-                "build_tol": float(self.build_tol),
+                "build_tol": self.build_tol,
             }
         )
 
@@ -97,7 +97,7 @@ class GramSystem:
         n = len(thetas)
         G = np.array([float(x) for x in doc["G"]], dtype=np.float64).reshape(n, n)
         v = np.array([float(x) for x in doc["v"]], dtype=np.float64)
-        return cls(thetas, G, v, PrecisionReal.from_float(float(doc["build_tol"]), 64))
+        return cls(thetas, G, v, float(doc["build_tol"]))
 
 
 def unit_thetas(N: int) -> tuple[Fraction, ...]:
@@ -188,7 +188,7 @@ def build_gram(thetas, tol: float = 1e-9) -> GramSystem:
     """GramSystem with every entry from `_gram_entry`; symmetric by
     construction. The cot tables are shared by the entries of this call."""
     ths = tuple(_to_theta(t, f"theta[{i}]") for i, t in enumerate(thetas))
-    check_tol(tol)
+    tol = check_tol(tol)
     n = len(ths)
     cots: dict = {}
     G = np.zeros((n, n), dtype=np.float64)
@@ -196,13 +196,13 @@ def build_gram(thetas, tol: float = 1e-9) -> GramSystem:
         for k in range(j, n):
             G[j, k] = G[k, j] = _gram_entry((ths[j], ths[k]), tol, cots)
     v = np.array([_gram_entry((t,), tol, cots) for t in ths], dtype=np.float64)
-    return GramSystem(ths, G, v, PrecisionReal.from_float(tol, 64))
+    return GramSystem(ths, G, v, tol)
 
 
 def optimize_coeffs(thetas, tol: float = 1e-9, gram: GramSystem | None = None) -> dict:
     """Minimize a^T G a + 2 a^T v + 1 subject to theta^T a = 0.
 
-    Returns {"a": ndarray, "norm_sq": PrecisionReal, "lambda": float,
+    Returns {"a": ndarray, "norm_sq": float, "lambda": float,
     "kkt_residual": float, "constraint_residual": float, "gram": GramSystem}.
     N = 1 is allowed (the constraint forces a = 0 there).
     """
@@ -242,7 +242,7 @@ def optimize_coeffs(thetas, tol: float = 1e-9, gram: GramSystem | None = None) -
         norm_sq = max(norm_sq, 0.0) if norm_sq > -1e-9 else norm_sq
     return {
         "a": a,
-        "norm_sq": PrecisionReal.from_float(norm_sq, 64),
+        "norm_sq": norm_sq,
         "lambda": lam,
         "kkt_residual": kkt_res,
         "constraint_residual": con_res,
@@ -271,18 +271,18 @@ def residual_report(thetas, tol: float = 1e-9) -> dict:
     res = optimize_coeffs(thetas, tol)
     gs: GramSystem = res["gram"]
     spec = spec_from_solution(gs.thetas, res["a"])
-    norm_kkt = math.sqrt(max(float(res["norm_sq"]), 0.0))
+    norm_kkt = math.sqrt(max(res["norm_sq"], 0.0))
     norm_quad, quad_tol_used = _norm_oracle(spec, max(tol, 1e-10))
     norm_pars = None
     tail_est = None
     if spec.admissible:
         pars = norm_via_parseval(spec, _PARSEVAL_N_MAX, 1e-8)
-        norm_pars = float(pars["norm"])
-        tail_est = float(pars["tail_estimate"])
+        norm_pars = pars["norm"]
+        tail_est = pars["tail_estimate"]
     report = {
         "thetas": [str(t) for t in gs.thetas],
         "a": [float(x) for x in res["a"]],
-        "norm_sq_kkt": float(res["norm_sq"]),
+        "norm_sq_kkt": res["norm_sq"],
         "norm_kkt": norm_kkt,
         "norm_quadrature": norm_quad,
         "quad_tol_used": quad_tol_used,
@@ -305,7 +305,6 @@ def sweep(n_from: int, n_to: int, tol: float = 1e-9) -> list[dict]:
     gs = build_gram(unit_thetas(n_to), tol)
     rows = []
     for n in range(n_from, n_to + 1):
-        res = optimize_coeffs(None, tol, gram=gs.principal(n))
-        ns = float(res["norm_sq"])
+        ns = optimize_coeffs(None, tol, gram=gs.principal(n))["norm_sq"]
         rows.append({"N": n, "norm_sq": ns, "norm": math.sqrt(max(ns, 0.0))})
     return rows

@@ -25,13 +25,13 @@ import numpy as np
 from .errors import DomainError
 from .fourier import cosine_coeffs
 from .functions import BeurlingSpec, _norm_oracle
-from .numerics import PrecisionReal, check_count, check_tol
+from .numerics import check_count, check_tol
 
 
 def norm_via_parseval(spec: BeurlingSpec, n_max: int = 10_000, coeff_tol: float = 1e-10) -> dict:
     """Parseval partial sum, tail estimate, and bracketing norm values.
 
-    Returns a dict with PrecisionReal fields:
+    Returns a dict of n_max and these floats:
       partial_norm_sq  (1/2) sum_{n<=n_max} |c(n)|^2
       tail_estimate    A^2 / n_max, A = max n|c(n)| over n in [n_max/2, n_max]
       norm             sqrt(partial + tail_estimate/2)  (point estimate)
@@ -54,12 +54,12 @@ def norm_via_parseval(spec: BeurlingSpec, n_max: int = 10_000, coeff_tol: float 
     tail_est = a_coef * a_coef / n_max
     return {
         "n_max": int(n_max),
-        "partial_norm_sq": PrecisionReal.from_float(partial, 64),
-        "tail_estimate": PrecisionReal.from_float(tail_est, 64),
-        "norm": PrecisionReal.from_float(math.sqrt(partial + 0.5 * tail_est), 64),
-        "norm_lo": PrecisionReal.from_float(math.sqrt(partial), 64),
-        "norm_hi": PrecisionReal.from_float(math.sqrt(partial + tail_est), 64),
-        "coeff_cert_total": PrecisionReal.from_float(cert_total, 64),
+        "partial_norm_sq": partial,
+        "tail_estimate": tail_est,
+        "norm": math.sqrt(partial + 0.5 * tail_est),
+        "norm_lo": math.sqrt(partial),
+        "norm_hi": math.sqrt(partial + tail_est),
+        "coeff_cert_total": cert_total,
     }
 
 
@@ -80,15 +80,15 @@ def norm_crosscheck(
     check_tol(tol)
     rec = norm_via_parseval(spec, n_max, coeff_tol)
     oracle, _ = _norm_oracle(spec, tol)
-    partial = float(rec["partial_norm_sq"])
-    tail = float(rec["tail_estimate"])
+    partial = rec["partial_norm_sq"]
+    tail = rec["tail_estimate"]
     out = {
         "n_max": int(n_max),
         "partial": partial,
         "tail_estimate": tail,
-        "norm_lo": float(rec["norm_lo"]),
-        "norm_hi": float(rec["norm_hi"]),
-        "coeff_cert_total": float(rec["coeff_cert_total"]),
+        "norm_lo": rec["norm_lo"],
+        "norm_hi": rec["norm_hi"],
+        "coeff_cert_total": rec["coeff_cert_total"],
         "oracle": oracle,
         "gap": None,
         "gap_rel": None,

@@ -66,6 +66,7 @@ from .numerics import (
     bits_for_tol,
     check_count,
     check_tol,
+    float_up,
     workprec,
 )
 
@@ -184,7 +185,8 @@ def sine_moment_with_cert(n, s, tol: float = 1e-12) -> tuple:
 
 
 def sine_moments_with_cert(ns, s, tol: float = 1e-12) -> list:
-    """[(S(n, s), certificate)] for each n in ns, in the order given.
+    """[(S(n, s), certificate)] for each n in ns, in the order given; the
+    certificate is a float, the mp bound rounded up.
 
     Rows n > 31 share one _AsymptoticTerms, built when the first of them
     misses the cache; a row whose closed-form sum cannot reach its floor
@@ -213,7 +215,7 @@ def sine_moments_with_cert(ns, s, tol: float = 1e-12) -> list:
             with workprec(bits):
                 # rounding raw to the output bits moves it by at most |raw| 2^-bits
                 cert = cert + abs(raw) * mpmath.mpf(2) ** -bits
-            hit = (PrecisionComplex.from_mpc(raw, bits), PrecisionReal(cert, 64))
+            hit = (PrecisionComplex.from_mpc(raw, bits), float_up(cert))
             with _CACHE_LOCK:
                 _SINE_CACHE[key] = hit
         out.append(hit)
@@ -254,7 +256,7 @@ def mellin_reconstruct_report(
         sv_c = complex(sv)
         term = sv_c * cv
         acc += term
-        cert_budget += abs(sv_c) * c_cert + abs(cv) * float(s_cert)
+        cert_budget += abs(sv_c) * c_cert + abs(cv) * s_cert
         rows.append((n, term, acc))
         partials.append(acc)
     lo = max(0, int(0.9 * n_max) - 1)

@@ -134,6 +134,17 @@ class TestDirectRoute:
         with pytest.raises(ToleranceNotMet, match="period"):
             c_direct(BeurlingSpec([(1, 0.3), (-0.3, 1)]), 1, 1e-4)
 
+    def test_stored_certificate_rounds_up(self, spec_a):
+        # the stored double is >= the mp certificate; rounding it to nearest
+        # left 6 of these 10 rows below it
+        tol = 1e-10
+        bits = bits_for_tol(tol) + 32
+        for n in range(1, 11):
+            val, err = sine_integral_mp(spec_a.linear_pieces, spec_a.decomposition.period, n, bits)
+            with mpmath.workprec(bits):
+                cert = 2 * err + abs(2 * val) * mpmath.mpf(2) ** -bits
+            assert float(c_direct(spec_a, n, tol).error_certificate) >= cert, n
+
     def test_certificate_honored(self, spec_a):
         hi = c_direct(spec_a, 4, tol=1e-16)
         lo = c_direct(spec_a, 4, tol=1e-8)

@@ -156,7 +156,8 @@ class TestEval:
     def test_bound_property(self, x):
         s = BeurlingSpec([(1, Fr(1, 2)), (Fr(-9, 10), Fr(1, 3)), (-1, Fr(1, 5))])
         v = eval_f(s, x)
-        assert abs(v) <= float(s.sum_abs_a) + 1e-12
+        # |f| <= sum |a_k|, since 0 <= frac < 1
+        assert abs(v) <= sum(abs(t.a) for t in s.terms) + 1e-12
 
 
 class TestMellinNumeric:

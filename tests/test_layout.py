@@ -4,8 +4,8 @@ checks tolerances, counts and exponents and evaluates the Hurwitz zeta, one
 function reads the period caps and one chooses each Gram entry's period,
 the periodic engine certifies without quadrature estimates through one
 Hurwitz-kernel tail, one function decides how each coefficient row is
-certified, and every function the benchmark's tracer wraps by name still
-exists."""
+certified, every function the benchmark's tracer wraps by name still
+exists, and the precision scalars are plain records."""
 import ast
 import importlib
 import importlib.util
@@ -15,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from beurling import build_gram, c_batch, sweep
+from beurling import PrecisionComplex, PrecisionReal, build_gram, c_batch, sweep
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "beurling"
@@ -278,3 +278,22 @@ def test_argument_checks_only_in_numerics():
         for hit in _own_argument_checks(text)
     ]
     assert hits == []
+
+
+_OPERATOR_DUNDER = re.compile(
+    r"__[ri]?(add|sub|mul|matmul|truediv|floordiv|mod|divmod|pow|lshift|rshift|and|xor|or)__"
+    r"|__(neg|pos|abs|invert|round|trunc|floor|ceil|lt|le|gt|ge)__"
+)
+
+
+@pytest.mark.parametrize("cls", [PrecisionReal, PrecisionComplex], ids=lambda c: c.__name__)
+def test_precision_scalars_are_records(cls):
+    # callers compute on .value / to_mpc(); an operator algebra on the
+    # records would carry precision rules no caller relies on
+    own = [
+        name
+        for name in vars(cls)
+        if _OPERATOR_DUNDER.fullmatch(name) or name in ("_binop", "_coerce", "conjugate")
+    ]
+    allowed = ["__abs__"] if cls is PrecisionComplex else []
+    assert own == allowed

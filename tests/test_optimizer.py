@@ -90,7 +90,7 @@ class TestBuildGram:
                 thetas=(Fr(1), Fr(1, 2)),
                 G=np.array([[1.0, 0.5], [0.4, 1.0]]),  # asymmetric
                 v=np.array([0.4, 0.5]),
-                build_tol=__import__("beurling").PrecisionReal.from_float(1e-9, 64),
+                build_tol=1e-9,
             )
 
     def test_json_roundtrip(self):

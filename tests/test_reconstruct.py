@@ -28,6 +28,7 @@ from beurling import (
     sine_moment,
     sine_moment_with_cert,
 )
+from beurling.numerics import bits_for_tol
 
 
 class TestSineMoment:
@@ -51,6 +52,25 @@ class TestSineMoment:
                 )
                 assert abs(mpmath.mpc(complex(v)) - ref) < mpmath.mpf(1e-15)
 
+    @pytest.mark.parametrize("s", [2.5, complex(1.5, 2)])
+    def test_stored_certificate_rounds_up(self, s):
+        # each row's stored double is >= its mp certificate: the branch's
+        # plus the rounding of the value to the output bits. Rounding to
+        # nearest left about half the rows at s = 2.5 below it
+        z, tol = complex(s), 1e-9
+        bits = bits_for_tol(tol)
+        terms = R._AsymptoticTerms(z, tol)
+        ns = range(16, 48)
+        for n, (_, cert) in zip(ns, R.sine_moments_with_cert(ns, z, tol)):
+            reached = False
+            if n > R._SERIES_N_MAX:
+                raw, mp_cert, reached = R._sine_moment_asymptotic(n, z, tol, terms)
+            if not reached:
+                raw, mp_cert = R._sine_moment_series(n, z, tol)
+            with mpmath.workprec(bits):
+                mp_cert += abs(raw) * mpmath.mpf(2) ** -bits
+            assert cert >= mp_cert, n
+
     @pytest.mark.parametrize("s", [complex(2, 0), complex(2.25, 1.5), complex(0.5, 3)])
     @pytest.mark.parametrize("n", [20, 31, 32, 64])
     def test_branch_crosscheck(self, n, s):
@@ -64,7 +84,7 @@ class TestSineMoment:
     def test_cert_positive_and_small(self):
         for n in (1, 31, 32, 500):
             _, cert = sine_moment_with_cert(n, 2.0, tol=1e-12)
-            assert 0 < float(cert) < 1e-12
+            assert 0 < cert < 1e-12
 
     @settings(max_examples=25, deadline=None)
     @given(
@@ -88,7 +108,7 @@ class TestSineMoment:
             s = mpmath.mpc(sigma, t)
             a = n * mpmath.pi
             ref = (mpmath.hyp1f1(s, s + 1, 1j * a) - mpmath.hyp1f1(s, s + 1, -1j * a)) / (2j * s)
-            assert abs(val.to_mpc() - ref) <= cert.value
+            assert abs(val.to_mpc() - ref) <= cert
 
     def test_decay_in_n(self):
         # |S(n, 2)| = O(1/n)
