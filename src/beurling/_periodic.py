@@ -17,14 +17,17 @@ Hurwitz zeta kernel:
 No cutoff-epsilon tail bound is ever needed, which is what makes small
 sigma and tight tolerances reachable at all.
 
-The engine is `_integrate`, in mpmath. It serves both `u_integral_mp`
-(complex r) and `sine_integral_mp` (the sine kernel as a series in
-u^-(2m+3)): its tail is one Taylor expansion of the kernel about the middle
-of the period, shared by every piece and exponent, with an a priori bound
-on truncation and roundoff. `u_integral_f64` is a float view of
-`u_integral_mp`. The Gram entries of `optimizer` need none of this (they
-have a closed form); `rho_pair_pieces` and `rho_single_pieces` give their
-integrands for checking that closed form.
+The engine is in mpmath: `_head` sums the exact head and `_tail_table`
+the tail, one Taylor expansion of the kernel about the middle of the
+period, shared by every piece and exponent, with an a priori bound on
+truncation and roundoff. `u_integral_mp` (complex r) is its one-exponent
+case. `sine_integral_mp` expands the sine kernel as a series in u^-(2m+3)
+and takes many n at once: only the head depends on n, so the rows that
+share an end U of the head share one tail table (`_sine_table`), planned
+for n pi = U/2, the largest n pi such a row can have. `u_integral_f64` is
+a float view of `u_integral_mp`. The Gram entries of `optimizer` need none
+of this (they have a closed form); `rho_pair_pieces` and
+`rho_single_pieces` give their integrands for checking that closed form.
 
 `_period` alone decides whether a theta set is in reach: past PERIOD_CAP or
 PIECES_CAP it returns None, and `_joint_period`, which `decompose`,
@@ -237,21 +240,12 @@ def _kernel_order(r_abs, sigma, c, bits: int):
     )
 
 
-def _integrate(pieces, B: int, U: int, phis, exps, ops, wp: int):
-    """(value, err_bound) of the head [1, U] plus the kernel tail, at wp bits.
+def _head(pieces, B: int, U: int, phis):
+    """(value, magnitude) of the exact head [1, U] at the working precision.
 
-    Head: piece i of the period at offset off, clamped at u = 1, is
-    sum_j k_j u^j, and phis(u)[j] is the (value, magnitude) of an
-    antiderivative of u^j g(u). Tail: sum_i w_i int_U^inf P(u) u^(-r_i) du
-    for exps = [(w, r, K, q, weight)], r in mp and (K, q, weight) from
-    `_kernel_order`. With t = (U+w)/B - c in [-1/2, 1/2], c = U/B + 1/2,
-    each integral is B^(1-r) sum_(k<K) (-1)^k (r)_k/k! zeta(r+k, c) M_k
-    with the exact moments M_k = sum_pieces int p t^k dt, found once for all
-    exponents. The zeta(s, c) of all exponents come from one
-    `hurwitz_zeta_row` pass, each at the largest weight that uses it.
-
-    err_bound = sum |w| q e_0 for the truncation plus ops 2^-wp times the
-    magnitude of everything summed, zeta's absolute error included.
+    Piece i of the period at offset off, clamped at u = 1, is sum_j k_j u^j,
+    and phis(u)[j] is the (value, magnitude) of an antiderivative of
+    u^j g(u); the magnitude sums what each antiderivative difference adds.
     """
     coeffs = [[to_mp(c) for c in cs] + [mpmath.mpf(0)] * (3 - len(cs)) for _, _, cs in pieces]
     coeffs_abs = [[abs(c) for c in cs] for cs in coeffs]
@@ -272,8 +266,23 @@ def _integrate(pieces, B: int, U: int, phis, exps, ops, wp: int):
                 if mag != 0:
                     head += k * (p_hi[0] - p_lo[0])
                     absacc += mag * (p_hi[1] + p_lo[1])
+    return head, absacc
 
-    K_max = max(K for _, _, K, _, _ in exps)
+
+def _tail_table(pieces, B: int, U: int, exps, wp: int):
+    """[(S, trunc, mag)] per exponent of exps = [(r, K, q, weight)], at wp bits.
+
+    S is int_U^inf P(u) u^(-r) du cut at K kernel terms, r in mp and
+    (K, q, weight) from `_kernel_order`. With t = (U+w)/B - c in
+    [-1/2, 1/2], c = U/B + 1/2, that is B^(1-r) sum_(k<K) (-1)^k (r)_k/k!
+    zeta(r+k, c) M_k with the exact moments M_k = sum_pieces int p t^k dt,
+    found once for all exponents. The zeta(s, c) of all exponents come from
+    one `hurwitz_zeta_row` pass, each at the largest weight that uses it.
+    trunc = q e_0 bounds the omitted kernel terms, and 2^-wp mag times the
+    caller's operation count bounds the roundoff, zeta's absolute error
+    included.
+    """
+    K_max = max(K for _, K, _, _ in exps)
     # moments by running powers of t; int |p| dt <= S over the period,
     # and the terms summed into M_k total at most 2^-k S_B in magnitude
     moments = [mpmath.mpf(0)] * K_max
@@ -297,12 +306,12 @@ def _integrate(pieces, B: int, U: int, phis, exps, ops, wp: int):
 
     c = mpmath.mpf(U // B) + 0.5
     weights = {}
-    for _, r, K, _, wt in exps:
+    for r, K, _, wt in exps:
         for k in range(K):
             weights[r + k] = max(weights.get(r + k, 0), wt)
     zetas = hurwitz_zeta_row(weights, c)
-    tail = trunc = mag = mpmath.mpf(0)
-    for w, r, K, q, _ in exps:
+    out = []
+    for r, K, q, _ in exps:
         sigma = mpmath.re(r)
         part = part_mag = mpmath.mpf(0)
         coef = mpmath.mpf(1)  # (-1)^k (r)_k / k!
@@ -314,10 +323,8 @@ def _integrate(pieces, B: int, U: int, phis, exps, ops, wp: int):
         b_pow = B * mpmath.power(B, -r)
         b_abs = abs(b_pow)
         e_0 = mpmath.power(c, -sigma) * (1 + c / (sigma - 1)) * S * b_abs
-        tail += w * (part * b_pow)
-        trunc += abs(w) * (q * e_0)
-        mag += abs(w) * (part_mag * S_B * b_abs)
-    return head + tail, trunc + (absacc + mag) * ops * mpmath.mpf(2) ** (-wp)
+        out.append((part * b_pow, q * e_0, part_mag * S_B * b_abs))
+    return out
 
 
 def u_integral_mp(pieces, B: int, r, prec_bits: int):
@@ -325,11 +332,12 @@ def u_integral_mp(pieces, B: int, r, prec_bits: int):
 
     pieces carry exact Fraction bounds/coefficients of degree <= 2 (missing
     orders are zero); coefficients may be (re, im) Fraction pairs for
-    complex integrands. The head [1, U] is exact and the tail is that of
-    `_integrate` at the one exponent r; U grows with |r| so that c >= |r|.
-    The certificate is the a priori remainder bound of `_kernel_order` plus
-    roundoff. Raises ToleranceNotMet past _KERNEL_TERMS terms or
-    _HEAD_SPANS_CAP head spans. Returns (mpc value, mpf err_bound).
+    complex integrands. The head [1, U] is exact (`_head`) and the tail is
+    the one row of `_tail_table` at the exponent r; U grows with |r| so
+    that c >= |r|. The certificate is the a priori remainder bound of
+    `_kernel_order` plus roundoff. Raises ToleranceNotMet past
+    _KERNEL_TERMS terms or _HEAD_SPANS_CAP head spans. Returns (mpc value,
+    mpf err_bound).
     """
     with workprec(prec_bits):
         r_mp = mpmath.mpc(r)
@@ -368,7 +376,9 @@ def u_integral_mp(pieces, B: int, r, prec_bits: int):
                     out.append((uj * base * iv, uj * base_abs * iv_abs))
             return out
 
-        return _integrate(pieces, B, U, phis, [(1, r_mp, K, q, weight)], ops, wp)
+        head, absacc = _head(pieces, B, U, phis)
+        [(tail, trunc, mag)] = _tail_table(pieces, B, U, [(r_mp, K, q, weight)], wp)
+        return head + tail, trunc + (absacc + mag) * ops * mpmath.mpf(2) ** (-wp)
 
 
 def u_integral_f64(pieces, B: int, r: float):
@@ -380,25 +390,25 @@ def u_integral_f64(pieces, B: int, r: float):
     return to_double(val.real, err)
 
 
-def sine_integral_mp(pieces, B: int, n: int, prec_bits: int):
-    """int_1^inf P(u) sin(n pi/u) u^-2 du for periodic P of degree <= 1
-    (pieces as for `u_integral_mp`); returns (mpc value, mpf err_bound).
+def _sine_table(pieces, B: int, U: int, prec_bits: int):
+    """(wp, ops, [(r, S_m, trunc_m, mag_m)]): the tail shared by every
+    row of `sine_integral_mp` whose head ends at U.
 
-    The head [1, U] is exact: cos(n pi/u)/(n pi) and -Si(n pi/u) are
-    antiderivatives of sin(n pi/u) u^-2 and sin(n pi/u) u^-1. The tail is
-    that of `_integrate` at the exponents r = 2m+3 of sin(n pi/u) u^-2 =
-    sum_m b_m u^-r, b_m = (-1)^m (n pi)^(2m+1)/(2m+1)!. As U >= 2 n pi,
-    term m is at most E_m = |b_m| B^(1-r) (U/B)^-r (1 + U/(B(r-1))) int|p|,
-    and E_(m+1)/E_m <= x_m = (n pi/U)^2/((r-1) r) <= 1/24, so the terms
-    m >= M total at most E_M/(1 - x_M). M is the first m where that is at
-    most 2^-(prec_bits+1) e_0 of term 0; term m < M keeps enough kernel
-    terms for 2^-(prec_bits+m+2) e_0.
+    sin(n pi/u) u^-2 = sum_m b_m u^-r, r = 2m+3, b_m = (-1)^m
+    (n pi)^(2m+1)/(2m+1)!, so a row's tail is sum_m b_m S_m with S_m the
+    `_tail_table` sum at r. The plan is made for n pi = U/2, the largest
+    n pi a row with this U has (U >= 2 n pi), so it depends only on
+    (B, U, prec_bits) and serves every such row. Term m is at most
+    E_m = |b_m| B^(1-r) (U/B)^-r (1 + U/(B(r-1))) int|p|, and
+    E_(m+1)/E_m <= x_m = (n pi/U)^2/((r-1) r) <= 1/24, so the terms m >= M
+    total at most E_M/(1 - x_M), which is |b_M| trunc_M with the last entry's
+    S_M = 0. M is the first m where that is at most 2^-(prec_bits+1) e_0 of
+    term 0 at n pi = U/2; term m < M keeps enough kernel terms for
+    2^-(prec_bits+m+2) e_0. A row with a smaller n pi meets each of these
+    with room, as |b_m| falls faster in m.
     """
-    if any(len(cs) > 2 and cs[2] != 0 for _, _, cs in pieces):
-        raise DomainError("sine_integral_mp takes pieces of degree <= 1")
     with workprec(prec_bits):
-        npi = n * mpmath.pi
-        U = _choose_U(B, max(_U_MIN, math.ceil(2 * math.pi * n)))
+        npi = mpmath.mpf(U) / 2
         per = mpmath.mpf(U // B)
         c = per + 0.5
         lead, e_0, plan = npi, None, []  # lead = |b_m|; e_m and rest over int|p|
@@ -417,21 +427,53 @@ def sine_integral_mp(pieces, B: int, n: int, prec_bits: int):
             lead *= npi * npi / ((r - 1) * r)
         ops = 3 * (U // B * len(pieces) + len(pieces) + sum(p[1] for p in plan) + len(plan)) + 64
         wp = prec_bits + max(0, int(ops).bit_length() - 8)
-
     with workprec(wp):
-        npi = n * mpmath.pi
-        exps, b = [], npi
-        for r, K, q, weight in plan:
-            exps.append((b, r, K, q, weight))
-            b *= -npi * npi / ((r - 1) * r)
+        tails = _tail_table(pieces, B, U, plan, wp)
+    return wp, ops, [(r, *tail) for (r, _, _, _), tail in zip(plan, tails)]
+
+
+def sine_integral_mp(pieces, B: int, ns, prec_bits: int):
+    """[(mpc value, mpf err_bound)] of int_1^inf P(u) sin(n pi/u) u^-2 du for
+    each n of ns, in order, for periodic P of degree <= 1 (pieces as for
+    `u_integral_mp`).
+
+    The head [1, U], U the least allowed multiple of B with U >= 2 n pi, is
+    exact (`_head`): cos(n pi/u)/(n pi) and -Si(n pi/u) are antiderivatives
+    of sin(n pi/u) u^-2 and sin(n pi/u) u^-1; it is the only part that
+    depends on n. The tail sum_m b_m S_m and its bound sum_m |b_m| trunc_m
+    read a `_sine_table` built once per distinct U among the rows and
+    dropped at return, so each row's value and certificate depend only on
+    (pieces, B, n, prec_bits), whatever other rows share the call.
+    """
+    if any(len(cs) > 2 and cs[2] != 0 for _, _, cs in pieces):
+        raise DomainError("sine_integral_mp takes pieces of degree <= 1")
+    with workprec(prec_bits):
         linear = any(len(cs) > 1 and to_mp(cs[1]) != 0 for _, _, cs in pieces)
+    tables = {}
+    results = []
+    for n in ns:
+        U = _choose_U(B, max(_U_MIN, math.ceil(2 * math.pi * n)))
+        if U not in tables:
+            tables[U] = _sine_table(pieces, B, U, prec_bits)
+        wp, ops, rows = tables[U]
+        with workprec(wp):
+            npi = n * mpmath.pi
 
-        def phis(u):
-            # the rounded x = n pi/u moves cos and Si by at most 4x ulps
-            x = npi / u
-            out = [(mpmath.cos(x) / npi, (1 + 4 * x) / npi)]
-            if linear:
-                out.append((-mpmath.si(x), 2 + 4 * x))
-            return out
+            def phis(u):
+                # the rounded x = n pi/u moves cos and Si by at most 4x ulps
+                x = npi / u
+                out = [(mpmath.cos(x) / npi, (1 + 4 * x) / npi)]
+                if linear:
+                    out.append((-mpmath.si(x), 2 + 4 * x))
+                return out
 
-        return _integrate(pieces, B, U, phis, exps, ops, wp)
+            head, absacc = _head(pieces, B, U, phis)
+            tail = trunc = mag = mpmath.mpf(0)
+            b = npi  # b_m
+            for r, S_m, trunc_m, mag_m in rows:
+                tail += b * S_m
+                trunc += abs(b) * trunc_m
+                mag += abs(b) * mag_m
+                b *= -npi * npi / ((r - 1) * r)
+            results.append((head + tail, trunc + (absacc + mag) * ops * mpmath.mpf(2) ** (-wp)))
+    return results

@@ -16,6 +16,7 @@ import csv
 import io
 import json
 import sys
+from fractions import Fraction
 
 from .errors import (
     ConstraintError,
@@ -27,7 +28,7 @@ from .errors import (
 from .fourier import c_batch, coefficients_csv
 from .functions import BeurlingSpec, eval_F, eval_f, mellin_numeric, norm_numeric
 from .mellin import MellinValue, mellin_closed, mellin_even, mellin_even_bound
-from .numerics import check_count, check_tol
+from .numerics import check_count, check_tol, float_up
 from .optimizer import residual_report, spec_from_solution, sweep, unit_thetas
 from .parseval import norm_crosscheck
 from .reconstruct import convergence_csv, mellin_reconstruct_report
@@ -207,11 +208,8 @@ def _cmd_routes_check(args, spec: BeurlingSpec):
         gap = max(
             abs(vals[0] - vals[1]), abs(vals[0] - vals[2]), abs(vals[1] - vals[2])
         )
-        certs = (
-            float(fd.error_certificate)
-            + float(fc.error_certificate)
-            + float(fl.error_certificate)
-        )
+        # the exact sum of the stored certificates, rounded up
+        certs = float_up(sum(Fraction(float(f.error_certificate)) for f in (fd, fc, fl)))
         worst = max(worst, gap)
         rows.append(
             [

@@ -191,14 +191,27 @@ def c_direct(spec: BeurlingSpec, n, tol: float = 1e-10) -> FourierCoefficient:
     ToleranceNotMet when the thetas have no period within the caps of
     `_periodic`.
     """
-    n = check_count(n, "n")
+    return _direct_rows(spec, [n], tol)[0]
+
+
+def _direct_rows(spec: BeurlingSpec, ns, tol: float) -> list[FourierCoefficient]:
+    """c_direct for each n in ns, in the order given, from one
+    `sine_integral_mp` call: rows that share the end U of the exact head
+    share its tail table, and each row's value and certificate are those of
+    its single call."""
+    ns = [check_count(n, "n") for n in ns]
+    if not ns:
+        return []
     bits = bits_for_tol(tol) + 32
-    val, err = _periodic.sine_integral_mp(spec.linear_pieces, spec.decomposition.period, n, bits)
-    with workprec(bits):
-        # rounding 2 val to the output bits moves it by at most |2 val| 2^-bits
-        value = PrecisionComplex.from_mpc(2 * val, bits)
-        cert = 2 * err + abs(2 * val) * mpmath.mpf(2) ** -bits
-    return _result(spec, n, value, "direct", None, cert, tol)
+    rows = _periodic.sine_integral_mp(spec.linear_pieces, spec.decomposition.period, ns, bits)
+    out = []
+    for n, (val, err) in zip(ns, rows):
+        with workprec(bits):
+            # rounding 2 val to the output bits moves it by at most |2 val| 2^-bits
+            value = PrecisionComplex.from_mpc(2 * val, bits)
+            cert = 2 * err + abs(2 * val) * mpmath.mpf(2) ** -bits
+        out.append(_result(spec, n, value, "direct", None, cert, tol))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -320,6 +333,8 @@ def remainder_bound(spec: BeurlingSpec, n, L: int) -> PrecisionReal:
     |a_k| <= 1 (HypothesisError otherwise); the theta-power form is the
     sharper one available when the thetas are known, below the generic
     zeta^2(L+1) variant for unit fractions with distinct denominators.
+    The value is stored as the least double above the bound, so callers
+    read it with float() and lose nothing.
     """
     n = check_count(n, "n")
     L = check_count(L, "L")
@@ -338,7 +353,12 @@ def remainder_bound(spec: BeurlingSpec, n, L: int) -> PrecisionReal:
             * mpmath.zeta(L + 1)
             * to_mp(theta_pow)
         )
-        return PrecisionReal(val, 64)
+        # n pi is off by 2^-95 relative and raised to L+1 (with at most
+        # 2 log2(L+1) roundings), and the other factors add a few roundings,
+        # so val is within (L + 2 log2(L+1) + 16) 2^-95 relative of the
+        # bound: inside this widening, made before rounding up to a double
+        val *= 1 + (L + 16) * mpmath.mpf(2) ** -90
+    return PrecisionReal.from_float(float_up(val), 64)
 
 
 def _m2l_mp(spec: BeurlingSpec, l: int, bits: int):
@@ -420,7 +440,7 @@ def _exact_L_row(spec: BeurlingSpec, n: int, L: int, tol: float, m2l) -> Fourier
                 acc += t2 - t3
             absacc += abs(t2) + abs(t3)
         roundoff = (absacc + 1) * mpmath.mpf(2) ** (8 - bits)
-        cert = mpmath.mpf(float(rb)) + roundoff
+        cert = rb.value + roundoff
         value = PrecisionComplex.from_mpc(acc, bits)
     return _result(spec, n, value, "even_mellin_exact_L", L, cert)
 
@@ -487,7 +507,7 @@ def _limit_row(spec: BeurlingSpec, n: int, tol: float, m2l) -> FourierCoefficien
     """One row of _limit_rows, reading M(2l) from m2l(l)."""
     bits = _route_c_bits(n, tol)
     L = _limit_L_for(n, tol, spec)
-    rb = float(remainder_bound(spec, n, L))
+    rb = remainder_bound(spec, n, L)
     with workprec(bits):
         npi = n * mpmath.pi
         npi2 = npi * npi
@@ -512,7 +532,7 @@ def _limit_row(spec: BeurlingSpec, n: int, tol: float, m2l) -> FourierCoefficien
             2 * L_used + 2
         )
         roundoff = (absacc + 1) * mpmath.mpf(2) ** (8 - bits)
-        cert = mpmath.mpf(rb) + costail + roundoff
+        cert = rb.value + costail + roundoff
         value = PrecisionComplex.from_mpc(acc, bits)
     return _result(spec, n, value, "even_mellin_limit", L_used, cert, tol)
 
@@ -553,23 +573,22 @@ def c_batch(
 
     Rows are computed one after another: every mp route holds the package's
     single mpmath lock, so concurrent rows would only wait on each other.
-    The rows of both even-Mellin routes share one M(2l) table (`_m2l_table`).
+    The rows of both even-Mellin routes share one M(2l) table (`_m2l_table`),
+    and the direct rows share one Hurwitz-kernel tail table per end U of the
+    exact head (`_direct_rows`; the table is planned for n pi = U/2, so it
+    serves every row with that U). Each row equals its single call.
     """
+    if method == "direct":
+        return _direct_rows(spec, ns, tol)
     if method == "even_mellin_limit":
         return _limit_rows(spec, ns, tol)
     if method == "even_mellin_exact_L":
         if L is None:
             raise DomainError("method even_mellin_exact_L needs L")
         return _exact_L_rows(spec, ns, L, tol)
-
-    def one(n: int) -> FourierCoefficient:
-        if method == "direct":
-            return c_direct(spec, n, tol)
-        if method == "cosine_series":
-            return c_cosine_series(spec, n, tol)
-        raise DomainError(f"unknown method {method!r}")
-
-    return [one(check_count(n, "n")) for n in ns]
+    if method == "cosine_series":
+        return [c_cosine_series(spec, check_count(n, "n"), tol) for n in ns]
+    raise DomainError(f"unknown method {method!r}")
 
 
 def _gamma(k):

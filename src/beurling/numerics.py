@@ -209,9 +209,9 @@ class PrecisionComplex:
 
 
 def float_up(x) -> float:
-    """The least double >= x, for a float or an mpf x."""
+    """The least double >= x, for a float, an mpf or a Fraction x."""
     f = float(x)
-    # exact: mpmath compares an mpf with a float exactly
+    # exact: mpmath and Fraction compare with a float exactly
     return math.nextafter(f, math.inf) if f < x else f
 
 

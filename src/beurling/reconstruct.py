@@ -56,7 +56,7 @@ import threading
 import mpmath
 
 from .errors import DomainError
-from .fourier import _require_even_mellin_hypotheses, c_batch, cosine_coeffs
+from .fourier import _gamma, _require_even_mellin_hypotheses, c_batch, cosine_coeffs
 from .functions import BeurlingSpec
 from .mellin import MellinValue
 from .numerics import (
@@ -229,9 +229,11 @@ def mellin_reconstruct_report(
 
     The report carries the ascending-n partial sums, the spread of the
     partial sums over the last decade [0.9 n_max, n_max] (the empirical
-    convergence measure), the accumulated per-term certificate budget, and
-    a `warned` flag set when the spread exceeds 10x the certificate budget
-    scale -- i.e. when the n-sum, not the per-term accuracy, dominates.
+    convergence measure), the accumulated per-term certificate budget
+    (widened by its own roundoff, so it covers the exact sum of its terms),
+    and a `warned` flag set when the spread exceeds 10x the certificate
+    budget scale -- i.e. when the n-sum, not the per-term accuracy,
+    dominates.
     """
     n_max = check_count(n_max, "n_max")
     z = as_complex(s)
@@ -259,6 +261,12 @@ def mellin_reconstruct_report(
         cert_budget += abs(sv_c) * c_cert + abs(cv) * s_cert
         rows.append((n, term, acc))
         partials.append(acc)
+    # a term is within gamma_4 of exact (a modulus by hypot, within an ulp,
+    # then a product and a sum) and the running sum adds gamma_(N-1) over N
+    # rows (Higham, Accuracy and Stability, 4.2), so the exact sum of the
+    # terms is at most cert_budget / (1 - gamma_(N+3)) <= cert_budget
+    # (1 + 2 gamma_(N+3)); gamma_(N+8) also covers rounding the widening
+    cert_budget = math.nextafter(cert_budget * (1 + 2 * _gamma(n_max + 8)), math.inf)
     lo = max(0, int(0.9 * n_max) - 1)
     window = partials[lo:]
     spread_re = max(p.real for p in window) - min(p.real for p in window)

@@ -28,10 +28,11 @@ def exact_specs(draw):
 
 
 @st.composite
-def unit_fraction_specs(draw):
-    """Admissible unit-fraction specs with |a_k| <= 1: free a_1..a_{K-1}, the
-    last coefficient solves sum a_k / b_k = 0, then all are scaled into [-1, 1]."""
-    bs = draw(st.lists(st.integers(1, 12), min_size=2, max_size=4))
+def unit_fraction_specs(draw, min_denominator=1):
+    """Admissible unit-fraction specs with |a_k| <= 1 and denominators b_k in
+    min_denominator..12: free a_1..a_{K-1}, the last coefficient solves
+    sum a_k / b_k = 0, then all are scaled into [-1, 1]."""
+    bs = draw(st.lists(st.integers(min_denominator, 12), min_size=2, max_size=4))
     a = [Fr(draw(st.integers(-8, 8)), 8) for _ in bs[:-1]]
     a.append(-bs[-1] * sum(ak / bk for ak, bk in zip(a, bs)))
     scale = max(1, max(abs(ak) for ak in a))

@@ -3,9 +3,11 @@ output formats, and byte determinism."""
 import csv
 import io
 import json
+from fractions import Fraction
 
 import pytest
 
+from beurling import BeurlingSpec, c_batch
 from beurling.cli import main
 
 ADM1_JSON = {
@@ -212,6 +214,20 @@ class TestRoutesCheck:
         data = [r for r in rows[1:] if r and not r[0].startswith("#")]
         assert len(data) == 6
         assert all(r[6] == "true" for r in data)
+
+    def test_cert_sum_covers_the_exact_sum(self, capsys, spec_a_file):
+        # the printed cert_sum is >= the exact sum of the three stored
+        # certificates, which a float sum rounded to nearest need not be
+        code, out, _ = run(capsys, ["routes-check", "--spec", spec_a_file, "--n-max", "6"])
+        assert code == 0
+        data = [r for r in csv.reader(io.StringIO(out)) if r and r[0].isdigit()]
+        spec = BeurlingSpec.from_json_dict(SPEC_A_JSON)
+        ns = range(1, 7)
+        routes = [c_batch(spec, ns, m, 1e-10) for m in ("direct", "cosine_series", "even_mellin_limit")]
+        assert len(data) == 6
+        for row, fcs in zip(data, zip(*routes)):
+            exact = sum(Fraction(float(fc.error_certificate)) for fc in fcs)
+            assert Fraction(float(row[5])) >= exact, row[0]
 
     def test_determinism_across_runs_and_threads(self, tmp_path, capsys, spec_a_file):
         outs = []

@@ -34,7 +34,7 @@ from beurling import (
     remainder_bound,
     telescope_partial,
 )
-from beurling import fourier
+from beurling import _periodic, fourier
 from beurling._periodic import sine_integral_mp
 from beurling.numerics import bits_for_tol
 from strategies import exact_specs, unit_fraction_specs
@@ -140,7 +140,9 @@ class TestDirectRoute:
         tol = 1e-10
         bits = bits_for_tol(tol) + 32
         for n in range(1, 11):
-            val, err = sine_integral_mp(spec_a.linear_pieces, spec_a.decomposition.period, n, bits)
+            [(val, err)] = sine_integral_mp(
+                spec_a.linear_pieces, spec_a.decomposition.period, [n], bits
+            )
             with mpmath.workprec(bits):
                 cert = 2 * err + abs(2 * val) * mpmath.mpf(2) ** -bits
             assert float(c_direct(spec_a, n, tol).error_certificate) >= cert, n
@@ -166,7 +168,7 @@ class TestDirectRoute:
         # within both certificates
         fc = c_direct(spec, n, tol)
         bits = 3 * (bits_for_tol(tol) + 32)
-        ref, _ = sine_integral_mp(spec.linear_pieces, spec.decomposition.period, n, bits)
+        [(ref, _)] = sine_integral_mp(spec.linear_pieces, spec.decomposition.period, [n], bits)
         with mpmath.workprec(bits):
             assert abs(fc.value.to_mpc() - 2 * ref) <= fc.error_certificate.value
             if spec.admissible:
@@ -199,7 +201,7 @@ class TestDirectRoute:
     def test_sine_integral_takes_degree_at_most_1(self, spec_a):
         pieces = [(lo, hi, (c0, c1, Fr(1))) for lo, hi, (c0, c1) in spec_a.linear_pieces]
         with pytest.raises(DomainError):
-            sine_integral_mp(pieces, spec_a.decomposition.period, 1, 64)
+            sine_integral_mp(pieces, spec_a.decomposition.period, [1], 64)
 
     def test_domain(self, adm1):
         for bad in (0, -3, 1.5):
@@ -207,6 +209,42 @@ class TestDirectRoute:
                 c_direct(adm1, bad)
         with pytest.raises(DomainError):
             c_direct(adm1, 1, tol=0.0)
+
+
+class TestDirectRows:
+    # rows n <= 10 of SPEC_A (B = 6) share the head end U = 66, n = 11 has
+    # U = 72, n = 12 U = 78 and n = 40 U = 252; the seeded spec (B = 12)
+    # puts n <= 11 at U = 72
+    NS = [3, 1, 12, 3, 10, 40, 2, 11]
+
+    @pytest.mark.parametrize("which", ["SPEC_A", "seeded"])
+    def test_batch_equals_single_rows(self, spec_a, which):
+        # value and certificate of each row depend only on (spec, n, tol),
+        # and none is below the gap to the same route at 3x the bits
+        spec = spec_a if which == "SPEC_A" else _seeded_unit_spec(3)
+        tol = 1e-12
+        batch = c_batch(spec, self.NS, "direct", tol)
+        assert [fc.n for fc in batch] == self.NS
+        bits = 3 * (bits_for_tol(tol) + 32)
+        refs = sine_integral_mp(spec.linear_pieces, spec.decomposition.period, self.NS, bits)
+        for fc, (ref, _) in zip(batch, refs):
+            one = c_direct(spec, fc.n, tol)
+            assert fc.value == one.value, fc.n
+            assert fc.error_certificate == one.error_certificate, fc.n
+            with mpmath.workprec(bits):
+                assert abs(fc.value.to_mpc() - 2 * ref) <= fc.error_certificate.value, fc.n
+
+    def test_tail_table_built_once_per_U(self, spec_a, monkeypatch):
+        calls = []
+        real = _periodic._sine_table
+
+        def counted(pieces, B, U, prec_bits):
+            calls.append(U)
+            return real(pieces, B, U, prec_bits)
+
+        monkeypatch.setattr(_periodic, "_sine_table", counted)
+        c_batch(spec_a, list(range(1, 13)) + [40, 40, 1], "direct", 1e-10)
+        assert calls == [66, 72, 78, 252]
 
 
 class TestCosineRoute:
@@ -336,6 +374,21 @@ class TestEvenMellinRoutes:
             gap = abs(fc.value.to_mpc() - ref.value.to_mpc())
             assert gap <= fc.error_certificate.value + ref.error_certificate.value
 
+    @settings(max_examples=20, deadline=None)
+    @given(
+        spec=unit_fraction_specs(min_denominator=2),
+        n=st.integers(1, 12),
+        L=st.integers(1, 80),
+        tol=st.sampled_from([1e-8, 1e-12, 1e-20]),
+    )
+    def test_exact_L_certificate_bounds_the_error(self, spec, n, L, tol):
+        # against c_direct at twice the bits, within both certificates
+        fc = c_even_mellin_exact_L(spec, n, L, tol)
+        ref = c_direct(spec, n, tol**2)
+        with mpmath.workprec(2 * fc.value.precision_bits):
+            gap = abs(fc.value.to_mpc() - ref.value.to_mpc())
+            assert gap <= fc.error_certificate.value + ref.error_certificate.value
+
     def test_exact_L_certificate_honest(self, spec_a):
         for n, L in ((3, 16), (6, 32), (10, 32)):
             ref = c_direct(spec_a, n, tol=1e-16)
@@ -377,6 +430,18 @@ class TestRemainderBound:
                      for t in spec_a.terms)
             ref = (n * mpmath.pi) ** (L + 1) / mpmath.factorial(L + 1) * mpmath.zeta(L + 1) * pw
             assert abs(float(remainder_bound(spec_a, n, L)) - float(ref)) < 1e-15 * float(ref)
+
+    def test_stored_double_rounds_up(self, spec_a):
+        # the rows of the limit route at two tolerances; stored rounded to
+        # nearest, 40 of these 64 doubles were below the bound
+        for tol in (1e-10, 1e-14):
+            for n in range(1, 33):
+                L = fourier._limit_L_for(n, tol, spec_a)
+                with mpmath.workprec(300):
+                    pw = sum((mpmath.mpf(t.theta.numerator) / t.theta.denominator) ** (L + 1)
+                             for t in spec_a.terms)
+                    ref = (n * mpmath.pi) ** (L + 1) / mpmath.factorial(L + 1) * mpmath.zeta(L + 1) * pw
+                    assert remainder_bound(spec_a, n, L).value >= ref, (n, tol)
 
     def test_requires_coeffs_le_1(self, adm1):
         with pytest.raises(HypothesisError):

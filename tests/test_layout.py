@@ -8,7 +8,6 @@ certified, every function the benchmark's tracer wraps by name still
 exists, and the precision scalars are plain records."""
 import ast
 import importlib
-import importlib.util
 import inspect
 import re
 from pathlib import Path
@@ -71,16 +70,26 @@ def test_rational_conversion_only_in_to_mp():
     assert hits == [("numerics.py", "return mpmath.mpf(x.numerator) / x.denominator")]
 
 
+def _spans_layers():
+    """The LAYERS literal of perfbench/spans.py, read from its syntax tree
+    without running the file."""
+    tree = ast.parse((ROOT / "perfbench" / "spans.py").read_text(encoding="utf-8"))
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and [getattr(t, "id", None) for t in node.targets] == ["LAYERS"]:
+            return ast.literal_eval(node.value)
+    raise AssertionError("perfbench/spans.py has no LAYERS assignment")
+
+
 def test_traced_names_resolve():
-    path = ROOT / "perfbench" / "spans.py"
-    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
-    spans = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(spans)
+    # the tracer wraps each of these by name, so a rename would crash the
+    # benchmark's traced mode
+    layers = _spans_layers()
+    assert layers
     missing = [
         f"{modname}.{fname}"
-        for modname, names in spans.LAYERS.values()
+        for modname, names in layers.values()
         for fname in names
-        if not callable(getattr(importlib.import_module(modname), fname, None))
+        if not inspect.isfunction(getattr(importlib.import_module(modname), fname, None))
     ]
     assert missing == []
 
@@ -169,20 +178,25 @@ def test_hurwitz_zeta_only_in_its_helper():
     owners = {
         (name, o) for name, text in SOURCES.items() for o in _owners(text, _calls("hurwitz_zeta_row"))
     }
-    assert owners == {("_periodic.py", "_integrate"), ("fourier.py", "c_cosine_series")}
+    assert owners == {("_periodic.py", "_tail_table"), ("fourier.py", "c_cosine_series")}
 
 
 def test_one_hurwitz_tail_in_periodic():
+    # one tail serves both integrals, and the sine rows reach it only
+    # through the per-U table
     text = SOURCES["_periodic.py"]
-    assert _owners(text, _calls("hurwitz_zeta_row")) == ["_integrate"]
-    assert set(_owners(text, _calls("_integrate"))) == {"u_integral_mp", "sine_integral_mp"}
+    assert _owners(text, _calls("hurwitz_zeta_row")) == ["_tail_table"]
+    assert set(_owners(text, _calls("_tail_table"))) == {"u_integral_mp", "_sine_table"}
+    assert _owners(text, _calls("_sine_table")) == ["sine_integral_mp"]
+    assert set(_owners(text, _calls("_head"))) == {"u_integral_mp", "sine_integral_mp"}
 
 
 def test_c_direct_has_no_admissibility_gate():
     tree = ast.parse(SOURCES["fourier.py"])
-    c_direct = next(f for f in tree.body if isinstance(f, ast.FunctionDef) and f.name == "c_direct")
-    assert not [n for n in ast.walk(c_direct) if _reads("admissible")(n)]
-    assert [n for n in ast.walk(c_direct) if _calls("sine_integral_mp")(n)]
+    fns = {f.name: f for f in tree.body if isinstance(f, ast.FunctionDef)}
+    for name in ("c_direct", "_direct_rows"):
+        assert not [n for n in ast.walk(fns[name]) if _reads("admissible")(n)], name
+    assert [n for n in ast.walk(fns["_direct_rows"]) if _calls("sine_integral_mp")(n)]
 
 
 def test_one_owner_of_the_coefficient_batch():
@@ -198,10 +212,13 @@ def test_one_owner_of_the_coefficient_batch():
 
 
 def test_row_work_only_in_row_builders():
-    # M(2l) is read from one table per call, shared by the rows of both
+    # the direct rows reach the sine integral through one function, M(2l)
+    # is read from one table per call, shared by the rows of both
     # even-Mellin routes, and the incomplete-gamma sum runs only in the
     # batch of sine moments, so no second per-row loop rebuilds them
     fourier = SOURCES["fourier.py"]
+    assert _owners(fourier, _calls("sine_integral_mp")) == ["_direct_rows"]
+    assert set(_owners(fourier, _calls("_direct_rows"))) == {"c_direct", "c_batch"}
     assert _owners(fourier, _calls("_m2l_mp")) == ["_m2l_table"]
     assert set(_owners(fourier, _calls("_m2l_table"))) == {"_limit_rows", "_exact_L_rows"}
     assert _owners(fourier, _calls("_limit_row")) == ["_limit_rows"]

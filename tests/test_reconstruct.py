@@ -166,6 +166,26 @@ class TestReconstruct:
         # partial sums actually accumulate
         assert rep["rows"][0][2] == rep["rows"][0][1]
 
+    @pytest.mark.parametrize("s", [2.5, 1.5 + 2j])
+    def test_budget_covers_the_exact_sum(self, spec_a, s):
+        # the float sum of the terms |S(n)| cert_c(n) + |c(n)| cert_S(n)
+        # rounds each addition to nearest; the budget is widened past that.
+        # At 400 bits the sum of these products of doubles is exact for a
+        # real s and off by 2^-400 relative (the moduli) for a complex one.
+        n_max, tol = 100, 1e-9
+        _, rep = mellin_reconstruct_report(spec_a, s, n_max, tol)
+        head = fourier.c_batch(spec_a, range(1, R._COEFF_SWITCH_N + 1), "even_mellin_limit", tol)
+        c, cert = fourier.cosine_coeffs(spec_a, n_max, tol, R._COEFF_SWITCH_N + 1)
+        coeffs = [(complex(fc.value), float(fc.error_certificate)) for fc in head]
+        coeffs += zip(c.tolist(), cert.tolist())
+        moments = R.sine_moments_with_cert(range(1, n_max + 1), s, tol)
+        with mpmath.workprec(400):
+            exact = mpmath.mpf(0)
+            for (cv, c_cert), (sv, s_cert) in zip(coeffs, moments):
+                sv = complex(sv)
+                exact += abs(mpmath.mpc(sv)) * c_cert + abs(mpmath.mpc(cv)) * s_cert
+            assert rep["coeff_cert_budget"] >= exact
+
     def test_provider_switch_continuity(self, spec_a):
         # n_max on both sides of the per-n / batched coefficient switch
         lo = mellin_reconstruct_report(spec_a, 2.0, n_max=R._COEFF_SWITCH_N)[1]
