@@ -6,7 +6,8 @@ Three independent routes:
                              (exact heads, one Hurwitz-kernel tail); it
                              refuses a spec past the period caps with
                              ToleranceNotMet.
-* ``c_cosine_series``     -- the cosine telescoping series over j.
+* ``c_cosine_series``     -- the cosine telescoping series over j, summed
+                             to its limit.
 * ``c_even_mellin_*``     -- the even-Mellin series in M(2l), either cut at an
                              explicit L with its truncation certificate, or
                              summed to the limit.
@@ -14,18 +15,14 @@ Three independent routes:
 Notation used throughout: A1 = (2 / n pi)(1 - cos n pi) and alpha_k = n pi
 theta_k.
 
-Tail bound for the cosine route (not from the source material; two-line
-proof): by the mean value theorem cos(a/j) - cos(a/(j+1)) =
-sin(xi) * a (1/j - 1/(j+1)) for some xi in (a/(j+1), a/j), and |sin xi| <=
-xi <= a/j, so j |cos(a/j) - cos(a/(j+1))| <= a^2 / (j (j+1)); summing over
-j > J gives a^2 / J. That 1/J rate cannot reach tight tolerances, so the
-default path instead rewrites the telescoped series as
-sum_j (cos(a/j) - 1) and evaluates the j > J tail analytically:
-sum_{j>J} (cos(a/j) - 1) = sum_{m>=1} (-1)^m a^{2m}/(2m)! zeta(2m, J+1),
-whose terms shrink by > 24x per step once J >= 2a (certified by twice the
-first omitted term, plus the absolute error of each zeta(2m, J+1), which
-`hurwitz_zeta_row` bounds by 2^-bits over its coefficient). The explicit-J form
-with the a^2/J certificate remains available via the J argument.
+Tail of the cosine route (not from the source material): the telescoped
+series is rewritten as sum_j (cos(a/j) - 1), and its j > J tail is evaluated
+analytically: sum_{j>J} (cos(a/j) - 1) = sum_{m>=1} (-1)^m a^{2m}/(2m)!
+zeta(2m, J+1), whose terms shrink by > 24x per step once J >= 2a (certified
+by twice the first omitted term, plus the absolute error of each
+zeta(2m, J+1), which `hurwitz_zeta_row` bounds by 2^-bits over its
+coefficient). Every term with the same a = J + 1 reads one Hurwitz row,
+planned for the largest alpha with that a (`_cosine_weights`).
 
 The float64 batch ``batch_cosine_f64`` evaluates the same limit form for
 n = 1..n_max at once, in two parts split at n0 = 256:
@@ -219,106 +216,105 @@ def _direct_rows(spec: BeurlingSpec, ns, tol: float) -> list[FourierCoefficient]
 # ---------------------------------------------------------------------------
 
 
-def c_cosine_series(
-    spec: BeurlingSpec, n, tol: float = 1e-10, J: int | None = None
-) -> FourierCoefficient:
+def c_cosine_series(spec: BeurlingSpec, n, tol: float = 1e-10) -> FourierCoefficient:
     """c(N, n) = A1 + (2/(n pi)) sum_k a_k sum_j j [cos(alpha_k/j) - cos(alpha_k/(j+1))].
 
     Requires admissibility (the telescoped form already cancelled the sine
-    integral against the constraint).
-
-    With J=None (default) the telescoped series is evaluated to its limit:
-    heads sum_{j<=J_k} (cos(alpha_k/j) - 1) with J_k = max(64, 2 alpha_k),
-    plus the analytic Hurwitz-zeta tail (see module docstring), certified by
-    twice the first omitted term. With an explicit J, the literal partial sum
-    through j = J is returned with the a^2/J mean-value-theorem certificate.
+    integral against the constraint). The telescoped series is evaluated to
+    its limit: heads sum_{j<=J_k} (cos(alpha_k/j) - 1) with
+    J_k = max(64, ceil(2 alpha_k)), plus the analytic Hurwitz-zeta tail (see
+    module docstring), certified by twice the first omitted term. The
+    one-row case of `_cosine_rows`.
     """
-    n = check_count(n, "n")
+    return _cosine_rows(spec, [n], tol)[0]
+
+
+def _cosine_weights(a: int, bits: int, floor) -> dict:
+    """{2m: alpha^(2m)/(2m)!}, the weights of the Hurwitz row zeta(2m, a)
+    that every term of a `_cosine_rows` call with J_k + 1 = a reads.
+
+    The plan takes alpha = (a - 1)/2 (1 + 2^-20), above every alpha_k with
+    J_k >= ceil(2 float(alpha_k)), so each weight bounds the term's own
+    coefficient and the guard bits keep coef * err <= 2^-bits. The row ends
+    at the first m where coef (zeta + err) is below floor by the bound
+    zeta(2m, a) <= a^-2m (1 + a/(2m-1)), with a margin for its rounding, so
+    every term's loop stops within it.
+    """
+    alpha = mpmath.mpf(a - 1) / 2 * (1 + mpmath.mpf(2) ** -20)
+    coefs = [alpha * alpha / 2]
+    while len(coefs) <= 200:
+        m = len(coefs)
+        coefs.append(coefs[-1] * (alpha * alpha / ((2 * m + 1) * (2 * m + 2))))
+        bound = mpmath.power(a, -2 * m - 2) * (1 + mpmath.mpf(a) / (2 * m + 1))
+        if coefs[-1] * bound * (1 + 2**-20) + 2 * mpmath.mpf(2) ** -bits < floor:
+            break
+    return {2 * m: cf for m, cf in enumerate(coefs, 1)}
+
+
+def _cosine_rows(spec: BeurlingSpec, ns, tol: float) -> list[FourierCoefficient]:
+    """c_cosine_series for each n in ns, in the order given. Every term
+    reads its tail zeta(2m, J_k + 1) from one `hurwitz_zeta_row` per distinct
+    a = J_k + 1 among the rows, planned by `_cosine_weights` for the largest
+    alpha with that a and built before the rows, so each row's value and
+    certificate depend only on (spec, n, tol)."""
+    ns = [check_count(n, "n") for n in ns]
+    if not ns:
+        return []
     check_tol(tol)
     if not spec.admissible:
         raise ConstraintError(
             "c_cosine_series requires an admissible spec; "
             f"residual {spec.constraint_residual:.3g}"
         )
-
-    if J is not None:
-        J = check_count(J, "J")
-        j = np.arange(1, J + 1, dtype=np.float64)
-        acc = 0.0 + 0.0j
-        cert = 0.0
-        for t in spec.terms:
-            alpha = n * math.pi * float(t.theta)
-            # cos(a/j) - cos(a/(j+1)) = -2 sin(mean) sin(half-diff), no cancellation
-            mean = alpha * (2.0 * j + 1.0) / (2.0 * j * (j + 1.0))
-            halfdiff = alpha / (2.0 * j * (j + 1.0))
-            terms = j * (-2.0 * np.sin(mean) * np.sin(halfdiff))
-            s_k = float(np.sum(terms))
-            acc += t.a * s_k
-            cert += abs(t.a) * (alpha * alpha / J + _F64_EPS * float(np.sum(np.abs(terms))))
-        npi = n * math.pi
-        a1 = 0.0 if n % 2 == 0 else 4.0 / npi
-        value = a1 + (2.0 / npi) * acc
-        cert = (2.0 / npi) * cert + 8.0 * _F64_EPS * (abs(value) + 1.0)
-        pv = PrecisionComplex.from_complex(value, bits_for_tol(max(tol, 1e-15)))
-        return _result(spec, n, pv, "cosine_series", J, cert)
-
+    terms = [t for t in spec.terms if abs(t.a) != 0]
     bits = bits_for_tol(tol) + 48
     with workprec(bits):
-        npi = n * mpmath.pi
-        acc = mpmath.mpc(0)
-        cert = mpmath.mpf(0)
-        absacc = mpmath.mpf(0)
-        j_max = 0
         floor = mpmath.mpf(2) ** (-bits + 8)
-        for t in spec.terms:
-            alpha = npi * to_mp(t.theta)
-            a_mag = abs(t.a)
-            if a_mag == 0:
-                continue
-            Jk = max(64, int(math.ceil(2.0 * float(alpha))))
-            j_max = max(j_max, Jk)
-            head = mpmath.mpf(0)
-            for j in range(1, Jk + 1):
-                term = -2 * mpmath.sin(alpha / (2 * j)) ** 2
-                head += term
-                absacc += abs(term)
-            # analytic tail over j > Jk (module docstring); ratio <= 1/24.
-            # Each zeta(2m, Jk+1) comes from one row, its absolute error
-            # sized by coef so that coef * err <= 2^-bits. The row ends at
-            # the first m where zeta(2m, a) <= a^-2m (1 + a/(2m-1)), with a
-            # margin for the rounding of that bound, already puts
-            # coef (zeta + err) below floor, so the loop stops within it.
-            a = Jk + 1
-            coefs = [alpha * alpha / 2]  # alpha^{2m} / (2m)!, m = 1, 2, ...
-            while len(coefs) <= 200:
-                m = len(coefs)
-                coefs.append(coefs[-1] * (alpha * alpha / ((2 * m + 1) * (2 * m + 2))))
-                bound = mpmath.power(a, -2 * m - 2) * (1 + mpmath.mpf(a) / (2 * m + 1))
-                if coefs[-1] * bound * (1 + 2**-20) + 2 * mpmath.mpf(2) ** -bits < floor:
-                    break
-            zetas = hurwitz_zeta_row({2 * m: cf for m, cf in enumerate(coefs, 1)}, a)
-            tail = mpmath.mpf(0)
-            m = 1
-            while True:
-                coef = coefs[m - 1]
-                z, err = zetas[2 * m]
-                term = coef * z
-                tail += -term if m % 2 else term
-                absacc += abs(term)
-                cert += a_mag * coef * err
-                z, err = zetas[2 * m + 2]
-                nxt = coefs[m] * (z + err)
-                if nxt < floor or m >= 200:
-                    cert += a_mag * 2 * nxt
-                    break
-                m += 1
-            acc += to_mp((t.a_re, t.a_im)) * (head + tail)
-        value_mp = _a1_mp(n) + (2 / npi) * acc
-        cert_total = (2 / npi) * cert + (absacc + abs(value_mp) + 1) * mpmath.mpf(2) ** (
-            8 - bits
-        )
-        value = PrecisionComplex.from_mpc(value_mp, bits)
-    return _result(spec, n, value, "cosine_series", j_max, cert_total, tol)
+        rows = []  # (n, n pi, [(alpha_k, J_k)])
+        for n in ns:
+            npi = n * mpmath.pi
+            alphas = [npi * to_mp(t.theta) for t in terms]
+            rows.append((n, npi, [(al, max(64, math.ceil(2.0 * float(al)))) for al in alphas]))
+        tables = {
+            a: hurwitz_zeta_row(_cosine_weights(a, bits, floor), a)
+            for a in sorted({Jk + 1 for _, _, row in rows for _, Jk in row})
+        }
+        out = []
+        for n, npi, row in rows:
+            acc, cert, absacc = mpmath.mpc(0), mpmath.mpf(0), mpmath.mpf(0)
+            for t, (alpha, Jk) in zip(terms, row):
+                a_mag = abs(t.a)
+                head = mpmath.mpf(0)
+                for j in range(1, Jk + 1):
+                    term = -2 * mpmath.sin(alpha / (2 * j)) ** 2
+                    head += term
+                    absacc += abs(term)
+                # analytic tail over j > Jk (module docstring); ratio <= 1/24
+                zetas = tables[Jk + 1]
+                tail = mpmath.mpf(0)
+                coef = alpha * alpha / 2  # alpha^{2m} / (2m)!
+                m = 1
+                while True:
+                    z, err = zetas[2 * m]
+                    term = coef * z
+                    tail += -term if m % 2 else term
+                    absacc += abs(term)
+                    cert += a_mag * coef * err
+                    coef = coef * (alpha * alpha / ((2 * m + 1) * (2 * m + 2)))
+                    z, err = zetas[2 * m + 2]
+                    nxt = coef * (z + err)
+                    if nxt < floor or m >= 200:
+                        cert += a_mag * 2 * nxt
+                        break
+                    m += 1
+                acc += to_mp((t.a_re, t.a_im)) * (head + tail)
+            value_mp = _a1_mp(n) + (2 / npi) * acc
+            roundoff = (absacc + abs(value_mp) + 1) * mpmath.mpf(2) ** (8 - bits)
+            value = PrecisionComplex.from_mpc(value_mp, bits)
+            cert_total = (2 / npi) * cert + roundoff
+            j_max = max((Jk for _, Jk in row), default=0)
+            out.append(_result(spec, n, value, "cosine_series", j_max, cert_total, tol))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -574,9 +570,12 @@ def c_batch(
     Rows are computed one after another: every mp route holds the package's
     single mpmath lock, so concurrent rows would only wait on each other.
     The rows of both even-Mellin routes share one M(2l) table (`_m2l_table`),
-    and the direct rows share one Hurwitz-kernel tail table per end U of the
+    the direct rows share one Hurwitz-kernel tail table per end U of the
     exact head (`_direct_rows`; the table is planned for n pi = U/2, so it
-    serves every row with that U). Each row equals its single call.
+    serves every row with that U), and the cosine rows share one Hurwitz row
+    zeta(2m, a) per a = J_k + 1 (`_cosine_rows`; planned for
+    alpha = (a - 1)/2, so it serves every term with that a). Each row equals
+    its single call.
     """
     if method == "direct":
         return _direct_rows(spec, ns, tol)
@@ -587,7 +586,7 @@ def c_batch(
             raise DomainError("method even_mellin_exact_L needs L")
         return _exact_L_rows(spec, ns, L, tol)
     if method == "cosine_series":
-        return [c_cosine_series(spec, check_count(n, "n"), tol) for n in ns]
+        return _cosine_rows(spec, ns, tol)
     raise DomainError(f"unknown method {method!r}")
 
 

@@ -61,7 +61,6 @@ TOL_ENTRIES = {
     "mellin_even": lambda tol: mellin_even(SPEC_A, 1, tol),
     "c_direct": lambda tol: c_direct(SPEC_A, 1, tol),
     "c_cosine_series": lambda tol: c_cosine_series(SPEC_A, 1, tol),
-    "c_cosine_series-J": lambda tol: c_cosine_series(SPEC_A, 1, tol, J=8),
     "c_even_mellin_exact_L": lambda tol: c_even_mellin_exact_L(SPEC_A, 1, 4, tol),
     "c_even_mellin_limit": lambda tol: c_even_mellin_limit(SPEC_A, 1, tol),
     "c_batch": lambda tol: c_batch(SPEC_A, [1], "cosine_series", tol),
@@ -90,7 +89,6 @@ COUNT_ENTRIES = {
     "power_sum_exact": (lambda n: power_sum_exact(SPEC_A, n), -math.inf, -3),
     "c_direct": (lambda n: c_direct(SPEC_A, n), 1, 2),
     "c_cosine_series": (lambda n: c_cosine_series(SPEC_A, n), 1, 2),
-    "c_cosine_series-J": (lambda J: c_cosine_series(SPEC_A, 1, J=J), 1, 8),
     "remainder_bound": (lambda n: remainder_bound(SPEC_A, n, 4), 1, 2),
     "remainder_bound-L": (lambda L: remainder_bound(SPEC_A, 1, L), 1, 4),
     "c_even_mellin_exact_L": (lambda n: c_even_mellin_exact_L(SPEC_A, n, 6), 1, 2),

@@ -256,20 +256,6 @@ class TestCosineRoute:
                 budget = float(a.error_certificate) + float(b.error_certificate)
                 assert abs(complex(a.value) - complex(b.value)) <= budget
 
-    def test_explicit_J_certificate_scaling(self, spec_a):
-        # the literal partial sum carries the a^2/J mean-value certificate
-        c100 = c_cosine_series(spec_a, 2, tol=1e-10, J=100)
-        c1000 = c_cosine_series(spec_a, 2, tol=1e-10, J=1000)
-        assert c100.truncation_order == 100
-        r = float(c100.error_certificate) / float(c1000.error_certificate)
-        assert abs(r - 10.0) < 0.5
-
-    def test_explicit_J_converges_to_limit(self, spec_a):
-        lim = c_cosine_series(spec_a, 3, tol=1e-13)
-        part = c_cosine_series(spec_a, 3, tol=1e-13, J=200_000)
-        gap = abs(complex(lim.value) - complex(part.value))
-        assert gap <= float(part.error_certificate) + float(lim.error_certificate)
-
     @pytest.mark.parametrize("n", [37, 300, 1000])
     def test_certificate_at_large_n(self, n):
         # the Hurwitz tail once took zeta(2m, J+1) without guard bits: at
@@ -297,6 +283,55 @@ class TestCosineRoute:
     def test_requires_admissible(self):
         with pytest.raises(ConstraintError):
             c_cosine_series(BeurlingSpec([(1, 1)]), 1)
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        spec=unit_fraction_specs(),
+        n=st.integers(1, 60),
+        tol=st.sampled_from([1e-8, 1e-12, 1e-20]),
+    )
+    @example(spec=BeurlingSpec([(1, Fr(1, 2)), (-1, Fr(1, 3)), (-1, Fr(1, 6))]), n=40, tol=1e-12)
+    def test_certificate_bounds_the_gap_to_direct(self, spec, n, tol):
+        # against c_direct at twice the bits, an independent route: a fault
+        # shared by two calls of the cosine route cannot hide here
+        fc = c_cosine_series(spec, n, tol)
+        ref = c_direct(spec, n, tol**2)
+        with mpmath.workprec(2 * fc.value.precision_bits):
+            gap = abs(fc.value.to_mpc() - ref.value.to_mpc())
+            assert gap <= fc.error_certificate.value + ref.error_certificate.value
+
+
+class TestCosineRows:
+    # at SPEC_A's thetas 1/2, 1/3, 1/6 every row n <= 12 has J_k + 1 = 65 for
+    # each term; n = 40 adds a = 127 (theta 1/2) and 85 (1/3), and n = 60
+    # a = 190 (1/2) and again 127 (1/3). The seeded spec (1/4, 1/6, 1/12)
+    # stays at 65 but for n = 60 at theta 1/4 (a = 96)
+    NS = [3, 1, 12, 3, 10, 40, 2, 11, 60, 40]
+
+    @pytest.mark.parametrize("which", ["SPEC_A", "seeded"])
+    def test_batch_equals_single_rows(self, spec_a, which):
+        spec = spec_a if which == "SPEC_A" else _seeded_unit_spec(3)
+        batch = c_batch(spec, self.NS, "cosine_series", 1e-12)
+        assert [fc.n for fc in batch] == self.NS
+        for fc in batch:
+            one = c_cosine_series(spec, fc.n, 1e-12)
+            assert fc.value == one.value, fc.n
+            assert fc.error_certificate == one.error_certificate, fc.n
+            assert fc.truncation_order == one.truncation_order, fc.n
+
+    @pytest.mark.parametrize("which, tables", [("SPEC_A", [65, 85, 127, 190]), ("seeded", [65, 96])])
+    def test_hurwitz_row_built_once_per_a(self, spec_a, which, tables, monkeypatch):
+        spec = spec_a if which == "SPEC_A" else _seeded_unit_spec(3)
+        calls = []
+        real = fourier.hurwitz_zeta_row
+
+        def counted(weights, a):
+            calls.append(a)
+            return real(weights, a)
+
+        monkeypatch.setattr(fourier, "hurwitz_zeta_row", counted)
+        c_batch(spec, self.NS, "cosine_series", 1e-10)
+        assert calls == tables
 
 
 def _seeded_unit_spec(seed):

@@ -178,7 +178,7 @@ def test_hurwitz_zeta_only_in_its_helper():
     owners = {
         (name, o) for name, text in SOURCES.items() for o in _owners(text, _calls("hurwitz_zeta_row"))
     }
-    assert owners == {("_periodic.py", "_tail_table"), ("fourier.py", "c_cosine_series")}
+    assert owners == {("_periodic.py", "_tail_table"), ("fourier.py", "_cosine_rows")}
 
 
 def test_one_hurwitz_tail_in_periodic():
@@ -214,9 +214,15 @@ def test_one_owner_of_the_coefficient_batch():
 def test_row_work_only_in_row_builders():
     # the direct rows reach the sine integral through one function, M(2l)
     # is read from one table per call, shared by the rows of both
-    # even-Mellin routes, and the incomplete-gamma sum runs only in the
-    # batch of sine moments, so no second per-row loop rebuilds them
+    # even-Mellin routes, the cosine rows build their Hurwitz rows before
+    # their loops, and the incomplete-gamma sum runs only in the batch of
+    # sine moments, so no second per-row loop rebuilds them
     fourier = SOURCES["fourier.py"]
+    assert set(_owners(fourier, _calls("_cosine_rows"))) == {"c_cosine_series", "c_batch"}
+    fns = {f.name: f for f in ast.parse(fourier).body if isinstance(f, ast.FunctionDef)}
+    loops = [n for n in ast.walk(fns["_cosine_rows"]) if isinstance(n, (ast.For, ast.While))]
+    assert loops
+    assert not [n for loop in loops for n in ast.walk(loop) if _calls("hurwitz_zeta_row")(n)]
     assert _owners(fourier, _calls("sine_integral_mp")) == ["_direct_rows"]
     assert set(_owners(fourier, _calls("_direct_rows"))) == {"c_direct", "c_batch"}
     assert _owners(fourier, _calls("_m2l_mp")) == ["_m2l_table"]
