@@ -132,8 +132,9 @@ class PrecisionReal:
             raise ValueError(
                 f"precision_bits must be >= {MIN_PRECISION_BITS}, got {self.precision_bits}"
             )
-        with workprec(self.precision_bits):
-            object.__setattr__(self, "value", mpmath.mpf(self.value))
+        # mpf(x, prec=bits) rounds x to bits by the context's rounding mode
+        # exactly as mpf(x) inside workprec(bits) does, without the lock
+        object.__setattr__(self, "value", mpmath.mpf(self.value, prec=self.precision_bits))
 
     @classmethod
     def from_float(cls, x: float, precision_bits: int = MIN_PRECISION_BITS) -> "PrecisionReal":
@@ -141,8 +142,7 @@ class PrecisionReal:
 
     @classmethod
     def from_str(cls, s: str, precision_bits: int) -> "PrecisionReal":
-        with workprec(precision_bits):
-            return cls(mpmath.mpf(s), precision_bits)
+        return cls(s, precision_bits)
 
     def __float__(self):
         return float(self.value)
@@ -172,8 +172,8 @@ class PrecisionComplex:
 
     @classmethod
     def from_mpc(cls, z, precision_bits: int) -> "PrecisionComplex":
-        with workprec(precision_bits):
-            z = mpmath.mpc(z)
+        """z (an mpc, an mpf or a Python number) with each part rounded to
+        precision_bits; reading .real and .imag of an mp value is exact."""
         return cls(PrecisionReal(z.real, precision_bits), PrecisionReal(z.imag, precision_bits))
 
     @classmethod

@@ -215,8 +215,10 @@ def test_row_work_only_in_row_builders():
     # the direct rows reach the sine integral through one function, M(2l)
     # is read from one table per call, shared by the rows of both
     # even-Mellin routes, the cosine rows build their Hurwitz rows before
-    # their loops, and the incomplete-gamma sum runs only in the batch of
-    # sine moments, so no second per-row loop rebuilds them
+    # their loops, and the sine moments' two tables (the incomplete-gamma
+    # terms and the series coefficients) are built only in their batch,
+    # whose rows alone sum them by Horner's rule, so no second per-row loop
+    # rebuilds them
     fourier = SOURCES["fourier.py"]
     assert set(_owners(fourier, _calls("_cosine_rows"))) == {"c_cosine_series", "c_batch"}
     fns = {f.name: f for f in ast.parse(fourier).body if isinstance(f, ast.FunctionDef)}
@@ -232,8 +234,10 @@ def test_row_work_only_in_row_builders():
     assert _owners(fourier, _calls("_exact_L_row")) == ["_exact_L_rows"]
     assert set(_owners(fourier, _calls("_exact_L_rows"))) == {"c_even_mellin_exact_L", "c_batch"}
     recon = SOURCES["reconstruct.py"]
-    assert _owners(recon, _calls("_sine_moment_asymptotic")) == ["sine_moments_with_cert"]
-    assert _owners(recon, _calls("_sine_moment_series")) == ["sine_moments_with_cert"]
+    assert _owners(recon, _calls("_AsymptoticTerms")) == ["sine_moments_with_cert"]
+    assert _owners(recon, _calls("_SeriesTable")) == ["sine_moments_with_cert"]
+    assert _owners(recon, _calls("moment")) == ["sine_moments_with_cert"] * 2
+    assert sorted(_owners(recon, _calls("_horner"))) == ["_AsymptoticTerms"] * 2 + ["_SeriesTable"] * 2
 
 
 def test_reconstruct_caches_only_sine_moments():

@@ -46,6 +46,50 @@ class TestPrecisionReal:
         assert a != PrecisionReal.from_str("2", 96)
 
 
+def _rounding_cases(bits):
+    """Values that PrecisionReal rounds to `bits`: mpf mantissas exactly
+    halfway between two bits-bit numbers (the even neighbour below and
+    above), their negatives, a value an ulp either side of halfway, an
+    mpf at 400 bits, ints, floats and decimal strings."""
+    half = 2**bits + 1  # bits + 1 bits, ending in a 1: halfway
+    cases = [(half, -bits), (half + 2, -bits), (-half, 7), (-(half + 2), -300),
+             (2 * half - 1, -bits - 1), (2 * half + 1, -bits - 1)]
+    out = [mpmath.mpf(c) for c in cases]  # a (man, exp) pair is exact
+    with mpmath.workprec(400):
+        out += [+mpmath.pi, -mpmath.e / 3, mpmath.mpf(10) ** -300]
+    out += [half, -3**200, 2**(bits + 10) - 1]
+    out += [0.1, -1 / 3, 1e300, 5e-324, 0.0]
+    out += ["0.1", "-3.14159265358979323846264338327950288419716939937510582097",
+            "1e-400", "123456789012345678901234567890.5"]
+    return out
+
+
+@pytest.mark.parametrize("bits", [64, 65, 113, 200])
+def test_rounding_matches_workprec(bits):
+    # PrecisionReal rounds with mpf(x, prec=bits), outside the mp lock; it
+    # must give the same mpf as mpf(x) inside workprec(bits), halfway cases
+    # (round half to even) included
+    for x in _rounding_cases(bits):
+        with numerics.workprec(bits):
+            want = mpmath.mpf(x)._mpf_
+        assert PrecisionReal(x, bits).value._mpf_ == want, x
+
+
+@pytest.mark.parametrize("bits", [64, 113])
+def test_from_mpc_matches_workprec(bits):
+    cases = _rounding_cases(bits)
+    reals = [x for x in cases if isinstance(x, mpmath.mpf)]
+    for re, im in zip(reals, reversed(reals)):
+        with mpmath.workprec(1000):
+            z = mpmath.mpc(re, im)  # each part keeps its mantissa
+        assert (z.real, z.imag) == (re, im)
+        with numerics.workprec(bits):
+            want = mpmath.mpc(z)
+        got = PrecisionComplex.from_mpc(z, bits)
+        assert (got.re.value._mpf_, got.im.value._mpf_) == (want.real._mpf_, want.imag._mpf_)
+        assert got.precision_bits == bits
+
+
 class TestPrecisionComplex:
     def test_roundtrip(self):
         z = PrecisionComplex.from_complex(1.5 - 2.25j, 64)

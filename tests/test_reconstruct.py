@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import mpmath
@@ -28,7 +29,35 @@ from beurling import (
     sine_moment,
     sine_moment_with_cert,
 )
-from beurling.numerics import bits_for_tol
+from beurling.numerics import bits_for_tol, workprec
+
+
+def _series_row(n, s, tol):
+    """(value, mp certificate) of the series branch: the shared table for
+    n <= 31, a table planned for n itself past that."""
+    table = R._SeriesTable(complex(s), tol, max(n, R._SERIES_N_MAX))
+    with workprec(table.bits):
+        return table.moment(n)
+
+
+def _branch_row(n, s, tol):
+    """(value, mp certificate) of the branch that row n takes."""
+    if n > R._SERIES_N_MAX:
+        terms = R._AsymptoticTerms(complex(s), tol)
+        with workprec(terms.bits):
+            value, cert, reached = terms.moment(n)
+        if reached:
+            return value, cert
+    return _series_row(n, s, tol)
+
+
+def _oracle(n, s, bits):
+    """S(n, s) = (1F1(s; s+1; i n pi) - 1F1(s; s+1; -i n pi)) / (2 i s) at
+    `bits`, as an mpc."""
+    with mpmath.workprec(bits):
+        s = mpmath.mpc(s)
+        a = n * mpmath.pi
+        return (mpmath.hyp1f1(s, s + 1, 1j * a) - mpmath.hyp1f1(s, s + 1, -1j * a)) / (2j * s)
 
 
 class TestSineMoment:
@@ -59,14 +88,9 @@ class TestSineMoment:
         # nearest left about half the rows at s = 2.5 below it
         z, tol = complex(s), 1e-9
         bits = bits_for_tol(tol)
-        terms = R._AsymptoticTerms(z, tol)
         ns = range(16, 48)
         for n, (_, cert) in zip(ns, R.sine_moments_with_cert(ns, z, tol)):
-            reached = False
-            if n > R._SERIES_N_MAX:
-                raw, mp_cert, reached = R._sine_moment_asymptotic(n, z, tol, terms)
-            if not reached:
-                raw, mp_cert = R._sine_moment_series(n, z, tol)
+            raw, mp_cert = _branch_row(n, z, tol)
             with mpmath.workprec(bits):
                 mp_cert += abs(raw) * mpmath.mpf(2) ** -bits
             assert cert >= mp_cert, n
@@ -74,11 +98,13 @@ class TestSineMoment:
     @pytest.mark.parametrize("s", [complex(2, 0), complex(2.25, 1.5), complex(0.5, 3)])
     @pytest.mark.parametrize("n", [20, 31, 32, 64])
     def test_branch_crosscheck(self, n, s):
-        # the Taylor-series and incomplete-gamma branches share no code;
-        # around the switch (n = 31) they must agree within their summed
-        # certificates
-        a, ca = R._sine_moment_series(n, s, 1e-13)
-        b, cb, _ = R._sine_moment_asymptotic(n, s, 1e-13)
+        # the Taylor-series and incomplete-gamma branches share no code but
+        # Horner's rule; around the switch (n = 31) they must agree within
+        # their summed certificates
+        a, ca = _series_row(n, s, 1e-13)
+        terms = R._AsymptoticTerms(s, 1e-13)
+        with workprec(terms.bits):
+            b, cb, _ = terms.moment(n)
         assert abs(a - b) <= ca + cb
 
     def test_cert_positive_and_small(self):
@@ -125,6 +151,108 @@ class TestSineMoment:
             sine_moment(1, -1.0)
         with pytest.raises(DomainError):
             sine_moment(1, 2.0, tol=0.0)
+
+
+class TestSineTables:
+    @staticmethod
+    def _rows_equal_single_calls(ns, s, monkeypatch):
+        monkeypatch.setattr(R, "_SINE_CACHE", {})
+        batch = R.sine_moments_with_cert(ns, s, 1e-9)
+        assert len(batch) == len(ns)
+        for n, row in zip(ns, batch):
+            monkeypatch.setattr(R, "_SINE_CACHE", {})
+            assert sine_moment_with_cert(n, s, 1e-9) == row, n
+
+    @pytest.mark.parametrize("s", [2.5, complex(1.5, 2)])
+    def test_batch_equals_single_rows(self, s, monkeypatch):
+        # unsorted, with repeats, on both sides of the switch at n = 31:
+        # each row of one call equals, in value and certificate, its own
+        # call made with an empty cache
+        self._rows_equal_single_calls([1, 1000, 32, 31, 500, 33, 1, 32, 1000], s, monkeypatch)
+
+    def test_fallback_rows_equal_single_rows(self, monkeypatch):
+        # at s = 2+100i the closed form cannot reach its floor for these n,
+        # so each row takes a series table planned for itself
+        self._rows_equal_single_calls([43, 40, 45, 41, 44, 42, 40], complex(2, 100), monkeypatch)
+
+    def test_tables_built_once_per_call(self, monkeypatch):
+        built = []
+
+        class Series(R._SeriesTable):
+            def __init__(self, s, tol, n_plan):
+                built.append(("series", s, tol, n_plan))
+                super().__init__(s, tol, n_plan)
+
+        class Terms(R._AsymptoticTerms):
+            def __init__(self, s, tol):
+                built.append(("closed", s, tol))
+                super().__init__(s, tol)
+
+        monkeypatch.setattr(R, "_SeriesTable", Series)
+        monkeypatch.setattr(R, "_AsymptoticTerms", Terms)
+        monkeypatch.setattr(R, "_SINE_CACHE", {})
+        R.sine_moments_with_cert(range(1, 1001), 2.5, 1e-9)
+        assert built == [("closed", 2.5, 1e-9), ("series", 2.5, 1e-9, 31)]
+        built.clear()
+        s = complex(2, 100)
+        R.sine_moments_with_cert([45, 1, 40, 43, 2, 41, 44, 42, 40, 31], s, 1e-9)
+        assert built == [("closed", s, 1e-9), ("series", s, 1e-9, 31)] + [
+            ("series", s, 1e-9, n) for n in range(40, 46)
+        ]
+        built.clear()
+        R.sine_moments_with_cert(range(1, 1001), 2.5, 1e-9)  # all cached
+        assert built == []
+
+    def test_threads_share_the_cache(self, monkeypatch):
+        # the cache has no lock of its own: a dict get or set is atomic, and
+        # two threads racing on a row compute and store the same value
+        ns = list(range(26, 40))
+        monkeypatch.setattr(R, "_SINE_CACHE", {})
+        want = dict(zip(ns, R.sine_moments_with_cert(ns, 2.5, 1e-9)))
+        monkeypatch.setattr(R, "_SINE_CACHE", {})
+        orders = [ns[i:] + ns[:i] for i in range(6)]
+        results, errors = [None] * len(orders), []
+
+        def work(i):
+            try:
+                results[i] = R.sine_moments_with_cert(orders[i], 2.5, 1e-9)
+            except Exception as exc:  # reported by the assertion below
+                errors.append(exc)
+
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(len(orders))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(th.is_alive() for th in threads)
+        assert errors == []
+        for order, got in zip(orders, results):
+            assert dict(zip(order, got)) == want
+        assert {n: R._SINE_CACHE[(n, complex(2.5), 1e-9)] for n in ns} == want
+
+    @pytest.mark.parametrize("s", [0.05, complex(2, 100)])
+    @pytest.mark.parametrize("n", [5, 31, 32, 1000])
+    def test_raw_certificate_bounds_the_gap(self, n, s):
+        # each branch's mp certificate before the output rounding, whose
+        # |value| 2^-bits would hide a roundoff bound that is too small:
+        # the series for every n, the closed form for n > 31, whether or not
+        # its bound reaches the floor. The oracle runs at three times the
+        # closed form's bits, far below either branch's certificate
+        tol = 1e-9
+        ref = _oracle(n, s, 3 * (bits_for_tol(tol) + 48))
+        raw, cert = _series_row(n, s, tol)
+        assert abs(raw - ref) <= cert
+        if n > R._SERIES_N_MAX:
+            terms = R._AsymptoticTerms(complex(s), tol)
+            with workprec(terms.bits):
+                raw, cert, reached = terms.moment(n)
+            assert reached == (s == 0.05 or n == 1000)
+            assert abs(raw - ref) <= cert
 
 
 class TestReconstruct:
