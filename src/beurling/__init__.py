@@ -46,9 +46,8 @@ from .fourier import (
     coefficients_csv,
     cosine_coeffs,
     remainder_bound,
-    telescope_partial,
 )
-from .parseval import crosscheck_json, norm_crosscheck, norm_via_parseval
+from .parseval import norm_crosscheck, norm_via_parseval
 from .reconstruct import (
     convergence_csv,
     mellin_reconstruct,
@@ -91,7 +90,6 @@ __all__ = [
     "coefficients_csv",
     "cosine_coeffs",
     "convergence_csv",
-    "crosscheck_json",
     "c_even_mellin_exact_L",
     "c_even_mellin_limit",
     "eval_F",
@@ -116,7 +114,6 @@ __all__ = [
     "sine_moments_with_cert",
     "spec_from_solution",
     "sweep",
-    "telescope_partial",
     "unit_thetas",
     "zeta_complex",
     "zeta_even",

@@ -20,14 +20,20 @@ sigma and tight tolerances reachable at all.
 The engine is in mpmath: `_head` sums the exact head and `_tail_table`
 the tail, one Taylor expansion of the kernel about the middle of the
 period, shared by every piece and exponent, with an a priori bound on
-truncation and roundoff. `u_integral_mp` (complex r) is its one-exponent
-case. `sine_integral_mp` expands the sine kernel as a series in u^-(2m+3)
-and takes many n at once: only the head depends on n, so the rows that
-share an end U of the head share one tail table (`_sine_table`), planned
-for n pi = U/2, the largest n pi such a row can have. `u_integral_f64` is
-a float view of `u_integral_mp`. The Gram entries of `optimizer` need none
-of this (they have a closed form); `rho_pair_pieces` and
-`rho_single_pieces` give their integrands for checking that closed form.
+truncation and roundoff. The head is split in two: `_head_spans` lays out
+what does not depend on the kernel (the mp bounds of each span of [1, U]
+and its polynomial's coefficients in u, with their magnitudes), and
+`_head` walks those spans with the kernel's antiderivatives. The number of
+kernel terms is planned in floats and its bound evaluated in mp
+(`_kernel_order`). `u_integral_mp` (complex r) is the one-exponent case.
+`sine_integral_mp` expands the sine kernel as a series in u^-(2m+3) and
+takes many n at once: only the antiderivatives depend on n, so the rows
+that share an end U of the head share one span list and one tail table
+(`_sine_table`), planned for n pi = U/2, the largest n pi such a row can
+have. `u_integral_f64` is a float view of `u_integral_mp`. The Gram
+entries of `optimizer` need none of this (they have a closed form);
+`rho_pair_pieces` and `rho_single_pieces` give their integrands for
+checking that closed form.
 
 `_period` alone decides whether a theta set is in reach: past PERIOD_CAP or
 PIECES_CAP it returns None, and `_joint_period`, which `decompose`,
@@ -39,6 +45,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -214,44 +221,65 @@ def _t_coeffs(cs, B: int):
 
 def _kernel_order(r_abs, sigma, c, bits: int):
     """(K, q, weight): the first K terms of the kernel expansion leave a
-    remainder of at most q * e_0 with q <= 2^-bits; weight is that of
-    `hurwitz_zeta_row`, which puts each zeta error at the scale e_0 2^-prec.
+    remainder of at most q * e_0, and q <= 2^-bits up to the float planning
+    below; weight is that of `hurwitz_zeta_row`, which puts each zeta error
+    at the scale e_0 2^-prec.
+
     Term k is at most e_k = (|r|)_k/k! c^(-sigma-k) (1 + c/(sigma+k-1)) 2^-k
     times int |p|, from |zeta(sigma+k+i tau, c)| <= zeta(sigma+k, c) and
-    |t| <= 1/2. The ratio e_(k+1)/e_k is at most rho_k = (|r|+k)/(2c(k+1)),
-    which decreases in k (it is <= 1/2 for c >= |r| >= 1), so the remainder
-    after K terms is at most e_K / (1 - rho_K). The coefficient of
-    zeta(r+k, c) is at most a = max_(k<=K) (|r|)_k/k! 2^-k times int |p|,
-    so weight = a c^sigma / (1 + c/(sigma-1)).
+    |t| <= 1/2, so
+        e_k/e_0 = (|r|)_k / (k! (2c)^k) (1 + c/(sigma+k-1)) / (1 + c/(sigma-1)).
+    The ratio e_(k+1)/e_k is at most rho_k = (|r|+k)/(2c(k+1)), as the
+    last factor falls in k, and rho_k falls in k too, since |r| > 1. So for
+    rho_K < 1 the terms k >= K total at most e_K sum_i rho_K^i =
+    e_K/(1 - rho_K), and q = (e_K/e_0)/(1 - rho_K); a K with rho_K >= 1
+    bounds nothing and is never taken.
+
+    K is the first k with e_k/e_0 <= (1 - rho_k) 2^-bits, planned in float
+    log2 (a sum of at most _KERNEL_TERMS logs, good to about 1e-12
+    relative in e_K, as `numerics._em_plan` plans M). q is then evaluated
+    in mp at that K, so the remainder it bounds is proven whatever the
+    planning error. The coefficient of zeta(r+k, c) is at most
+    a_max = max_(k<=K) (|r|)_k/(k! 2^k) times int |p|, from one running
+    product, so weight = a_max c^sigma / (1 + c/(sigma-1)).
     """
-    floor = mpmath.mpf(2) ** (-bits)
-    e = mpmath.mpf(1)  # e_k / e_0
-    a = a_max = mpmath.mpf(1)
-    for k in range(_KERNEL_TERMS + 1):
-        rho = (r_abs + k) / (2 * c * (k + 1))
-        if e <= (1 - rho) * floor:
-            return k, e / (1 - rho), a_max * c**sigma / (1 + c / (sigma - 1))
-        e *= rho * (1 + c / (sigma + k)) / (1 + c / (sigma + k - 1))
+    r_f, sigma_f, c_f = float(r_abs), float(sigma), float(c)
+    lead = float(mpmath.log(1 + c / (sigma - 1), 2))
+    log_rhos = log_e = 0.0  # log2 of (|r|)_K / (K! (2c)^K) and of e_K/e_0
+    for K in range(_KERNEL_TERMS + 1):
+        rho = (r_f + K) / (2 * c_f * (K + 1))
+        if rho < 1 and log_e <= math.log2(1 - rho) - bits:
+            break
+        log_rhos += math.log2(rho)
+        log_e = log_rhos + math.log2(1 + c_f / (sigma_f + K)) - lead
+    else:
+        raise ToleranceNotMet(
+            f"the Hurwitz kernel expansion needs more than {_KERNEL_TERMS} terms "
+            f"for {bits} bits at |r| = {float(r_abs):.6g}"
+        )
+    a = a_max = mpmath.mpf(1)  # (|r|)_k / (k! 2^k)
+    for k in range(K):
         a *= (r_abs + k) / (2 * (k + 1))
         a_max = max(a_max, a)
-    raise ToleranceNotMet(
-        f"the Hurwitz kernel expansion needs more than {_KERNEL_TERMS} terms "
-        f"for {bits} bits at |r| = {float(r_abs):.6g}"
-    )
+    e = a / c**K * (1 + c / (sigma + K - 1)) / (1 + c / (sigma - 1))
+    q = e / (1 - (r_abs + K) / (2 * c * (K + 1)))
+    return K, q, a_max * c**sigma / (1 + c / (sigma - 1))
 
 
-def _head(pieces, B: int, U: int, phis):
-    """(value, magnitude) of the exact head [1, U] at the working precision.
+def _head_spans(pieces, B: int, U: int):
+    """The spans of the exact head [1, U], in order, at the working precision.
 
-    Piece i of the period at offset off, clamped at u = 1, is sum_j k_j u^j,
-    and phis(u)[j] is the (value, magnitude) of an antiderivative of
-    u^j g(u); the magnitude sums what each antiderivative difference adds.
+    Piece i of the period at offset off, clamped at u = 1, is sum_j k_j u^j
+    on (lo, hi), with |k_j| <= mag_j from the |c| of the piece. Each span
+    is yielded as (lo, hi, [(j, k_j, mag_j) for each j with mag_j != 0]),
+    lo and hi in mp and lo None where it is the previous span's hi; spans
+    with every mag_j zero add nothing and are skipped. None of it depends
+    on the kernel, so the rows of `sine_integral_mp` that share U share
+    one list of it.
     """
     coeffs = [[to_mp(c) for c in cs] + [mpmath.mpf(0)] * (3 - len(cs)) for _, _, cs in pieces]
     coeffs_abs = [[abs(c) for c in cs] for cs in coeffs]
-    head = mpmath.mpc(0)
-    absacc = mpmath.mpf(0)
-    prev_u = prev = None
+    prev_u = None
     for off in range(0, U, B):
         for (lo, hi, _), (c0, c1, c2), (a0, a1, a2) in zip(pieces, coeffs, coeffs_abs):
             lo_u, hi_u = max(Fraction(off) + lo, Fraction(1)), Fraction(off) + hi
@@ -259,13 +287,29 @@ def _head(pieces, B: int, U: int, phis):
             mags = (a0 + (a1 + a2 * off) * off, a1 + 2 * a2 * off, a2)
             if hi_u <= lo_u or not any(mags):
                 continue
-            at_lo = prev if lo_u == prev_u else phis(to_mp(lo_u))
-            at_hi = phis(to_mp(hi_u))
-            prev_u, prev = hi_u, at_hi
-            for k, mag, p_hi, p_lo in zip(ks, mags, at_hi, at_lo):
-                if mag != 0:
-                    head += k * (p_hi[0] - p_lo[0])
-                    absacc += mag * (p_hi[1] + p_lo[1])
+            orders = [(j, k, mag) for j, (k, mag) in enumerate(zip(ks, mags)) if mag != 0]
+            yield (None if lo_u == prev_u else to_mp(lo_u)), to_mp(hi_u), orders
+            prev_u = hi_u
+
+
+def _head(spans, phis):
+    """(value, magnitude) of the exact head from its `_head_spans`, at the
+    working precision.
+
+    phis(u)[j] is the (value, magnitude) of an antiderivative of u^j g(u)
+    for every order j the spans use; the magnitude sums what each
+    antiderivative difference adds. Only phis depends on the kernel.
+    """
+    head = mpmath.mpc(0)
+    absacc = mpmath.mpf(0)
+    at_hi = None
+    for lo, hi, orders in spans:
+        at_lo = at_hi if lo is None else phis(lo)
+        at_hi = phis(hi)
+        for j, k, mag in orders:
+            p_hi, p_lo = at_hi[j], at_lo[j]
+            head += k * (p_hi[0] - p_lo[0])
+            absacc += mag * (p_hi[1] + p_lo[1])
     return head, absacc
 
 
@@ -332,12 +376,12 @@ def u_integral_mp(pieces, B: int, r, prec_bits: int):
 
     pieces carry exact Fraction bounds/coefficients of degree <= 2 (missing
     orders are zero); coefficients may be (re, im) Fraction pairs for
-    complex integrands. The head [1, U] is exact (`_head`) and the tail is
-    the one row of `_tail_table` at the exponent r; U grows with |r| so
-    that c >= |r|. The certificate is the a priori remainder bound of
-    `_kernel_order` plus roundoff. Raises ToleranceNotMet past
-    _KERNEL_TERMS terms or _HEAD_SPANS_CAP head spans. Returns (mpc value,
-    mpf err_bound).
+    complex integrands. The head [1, U] is exact (`_head`, walking the
+    spans of `_head_spans` as they are made) and the tail is the one row
+    of `_tail_table` at the exponent r; U grows with |r| so that c >= |r|.
+    The certificate is the a priori remainder bound of `_kernel_order` plus
+    roundoff. Raises ToleranceNotMet past _KERNEL_TERMS terms or
+    _HEAD_SPANS_CAP head spans. Returns (mpc value, mpf err_bound).
     """
     with workprec(prec_bits):
         r_mp = mpmath.mpc(r)
@@ -376,7 +420,7 @@ def u_integral_mp(pieces, B: int, r, prec_bits: int):
                     out.append((uj * base * iv, uj * base_abs * iv_abs))
             return out
 
-        head, absacc = _head(pieces, B, U, phis)
+        head, absacc = _head(_head_spans(pieces, B, U), phis)
         [(tail, trunc, mag)] = _tail_table(pieces, B, U, [(r_mp, K, q, weight)], wp)
         return head + tail, trunc + (absacc + mag) * ops * mpmath.mpf(2) ** (-wp)
 
@@ -439,23 +483,35 @@ def sine_integral_mp(pieces, B: int, ns, prec_bits: int):
 
     The head [1, U], U the least allowed multiple of B with U >= 2 n pi, is
     exact (`_head`): cos(n pi/u)/(n pi) and -Si(n pi/u) are antiderivatives
-    of sin(n pi/u) u^-2 and sin(n pi/u) u^-1; it is the only part that
-    depends on n. The tail sum_m b_m S_m and its bound sum_m |b_m| trunc_m
-    read a `_sine_table` built once per distinct U among the rows and
-    dropped at return, so each row's value and certificate depend only on
-    (pieces, B, n, prec_bits), whatever other rows share the call.
+    of sin(n pi/u) u^-2 and sin(n pi/u) u^-1, and they are the only part
+    that depends on n. The tail sum_m b_m S_m and its bound
+    sum_m |b_m| trunc_m read a `_sine_table`, and the head the spans of
+    `_head_spans` at that table's working precision; both are built once
+    per distinct U among the rows and dropped at return (the spans are
+    kept as a list only when more than one row has that U). So each row
+    makes only its own cos and Si calls and sums, and its value and
+    certificate depend only on (pieces, B, n, prec_bits), whatever other
+    rows share the call.
     """
     if any(len(cs) > 2 and cs[2] != 0 for _, _, cs in pieces):
         raise DomainError("sine_integral_mp takes pieces of degree <= 1")
     with workprec(prec_bits):
         linear = any(len(cs) > 1 and to_mp(cs[1]) != 0 for _, _, cs in pieces)
+    ends = [(n, _choose_U(B, max(_U_MIN, math.ceil(2 * math.pi * n)))) for n in ns]
+    rows_per_end = Counter(U for _, U in ends)
     tables = {}
     results = []
-    for n in ns:
-        U = _choose_U(B, max(_U_MIN, math.ceil(2 * math.pi * n)))
+    for n, U in ends:
         if U not in tables:
-            tables[U] = _sine_table(pieces, B, U, prec_bits)
-        wp, ops, rows = tables[U]
+            wp, ops, rows = _sine_table(pieces, B, U, prec_bits)
+            spans = _head_spans(pieces, B, U)
+            if rows_per_end[U] > 1:
+                # kept for the rows that share U; a lone row walks the spans
+                # as they are made, so its memory does not grow with U
+                with workprec(wp):
+                    spans = list(spans)
+            tables[U] = wp, ops, rows, spans
+        wp, ops, rows, spans = tables[U]
         with workprec(wp):
             npi = n * mpmath.pi
 
@@ -467,7 +523,7 @@ def sine_integral_mp(pieces, B: int, ns, prec_bits: int):
                     out.append((-mpmath.si(x), 2 + 4 * x))
                 return out
 
-            head, absacc = _head(pieces, B, U, phis)
+            head, absacc = _head(spans, phis)
             tail = trunc = mag = mpmath.mpf(0)
             b = npi  # b_m
             for r, S_m, trunc_m, mag_m in rows:

@@ -17,7 +17,6 @@ the mp cosine series for the other rows.
 """
 from __future__ import annotations
 
-import json
 import math
 
 import numpy as np
@@ -99,7 +98,3 @@ def norm_crosscheck(
         out["gap"] = gap
         out["gap_rel"] = gap / max(oracle**2, 1e-300)
     return out
-
-
-def crosscheck_json(report: dict, **kwargs) -> str:
-    return json.dumps(report, **kwargs)

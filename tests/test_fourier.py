@@ -1,7 +1,9 @@
 """fourier: the four coefficient routes, their certificates, the remainder
 bound (including the documented regression where its hypothesis-free use
-fails), telescoping partial sums, batching, and CSV output."""
+fails), the periodic engine's head spans and kernel order, batching,
+and CSV output."""
 import csv
+import functools
 import io
 import math
 import random
@@ -32,11 +34,11 @@ from beurling import (
     cosine_coeffs,
     power_sum_exact,
     remainder_bound,
-    telescope_partial,
 )
 from beurling import _periodic, fourier
 from beurling._periodic import sine_integral_mp
-from beurling.numerics import bits_for_tol
+from beurling.numerics import bits_for_tol, to_mp
+from scipy.special import zeta as scipy_zeta
 from strategies import exact_specs, unit_fraction_specs
 
 # Frozen oracles: mpmath direct integration of 2 int_0^1 F(x) sin(n pi x) dx
@@ -54,6 +56,10 @@ SPEC_B_C1 = 0.85292486907739207
 NON_ADMISSIBLE = BeurlingSpec([(1, Fr(1, 2)), (-1, Fr(1, 3))])
 NON_ADMISSIBLE_X = (1.3012969798232952, -0.170340237040151, 0.5923610875563045, 0.11185197321447879)
 THETA1_B = BeurlingSpec([(Fr(1, 2), 1), (-1, Fr(1, 2))])
+# complex coefficients on theta = 1/2, 1/3, 2/5: period 30
+CX_SPEC = BeurlingSpec(
+    [((Fr(1, 2), Fr(1, 3)), Fr(1, 2)), ((Fr(-1, 4), Fr(1, 5)), Fr(1, 3)), (Fr(-2, 3), Fr(2, 5))]
+)
 
 # rows n <= N0 of batch_cosine_f64 are summed directly, rows above by NUFFT
 N0 = 256
@@ -235,16 +241,126 @@ class TestDirectRows:
                 assert abs(fc.value.to_mpc() - 2 * ref) <= fc.error_certificate.value, fc.n
 
     def test_tail_table_built_once_per_U(self, spec_a, monkeypatch):
-        calls = []
-        real = _periodic._sine_table
+        # rows that share U share one tail table and one head span list; a
+        # lone row (n = 11, 12) walks its spans as they are made
+        calls = {"_sine_table": [], "_head_spans": []}
+        for name, seen in calls.items():
+            real = getattr(_periodic, name)
 
-        def counted(pieces, B, U, prec_bits):
-            calls.append(U)
-            return real(pieces, B, U, prec_bits)
+            def counted(pieces, B, U, *rest, real=real, seen=seen):
+                seen.append(U)
+                return real(pieces, B, U, *rest)
 
-        monkeypatch.setattr(_periodic, "_sine_table", counted)
+            monkeypatch.setattr(_periodic, name, counted)
+        kept = []
+        real_head = _periodic._head
+
+        def head(spans, phis):
+            kept.append(isinstance(spans, list))
+            return real_head(spans, phis)
+
+        monkeypatch.setattr(_periodic, "_head", head)
         c_batch(spec_a, list(range(1, 13)) + [40, 40, 1], "direct", 1e-10)
-        assert calls == [66, 72, 78, 252]
+        assert calls == {"_sine_table": [66, 72, 78, 252], "_head_spans": [66, 72, 78, 252]}
+        assert kept == [True] * 10 + [False, False] + [True] * 3
+
+    @pytest.mark.parametrize("which", ["SPEC_A-sine", "CX-sine", "SPEC_A-abs2"])
+    def test_head_equals_per_row_span_walk(self, spec_a, which):
+        # the spans give the head of the walk that rebuilt each span per row,
+        # bit for bit: lo shared with the previous span, skipped spans and
+        # zero orders included
+        spec = spec_a if which.startswith("SPEC_A") else CX_SPEC
+        pieces = spec.linear_pieces
+        if which.endswith("abs2"):
+            pieces = _periodic.f_abs2_pieces(pieces)
+        B = spec.decomposition.period
+        U = _periodic._choose_U(B)
+        with mpmath.workprec(120):
+            npi = 7 * mpmath.pi
+
+            def phis(u):
+                x = npi / u
+                return [(mpmath.cos(x) / npi, (1 + 4 * x) / npi), (-mpmath.si(x), 2 + 4 * x),
+                        (u * mpmath.sin(x), u)]
+
+            got = _periodic._head(_periodic._head_spans(pieces, B, U), phis)
+            want = _head_per_row(pieces, B, U, phis)
+        assert [v._mpc_ if isinstance(v, mpmath.mpc) else v._mpf_ for v in got] == [
+            v._mpc_ if isinstance(v, mpmath.mpc) else v._mpf_ for v in want
+        ]
+
+
+def _head_per_row(pieces, B, U, phis):
+    """The exact head as summed before the span list: every span's bounds
+    and coefficients rebuilt from the Fraction pieces for each row."""
+    coeffs = [
+        [to_mp(c) for c in cs] + [mpmath.mpf(0)] * (3 - len(cs)) for _, _, cs in pieces
+    ]
+    coeffs_abs = [[abs(c) for c in cs] for cs in coeffs]
+    head, absacc = mpmath.mpc(0), mpmath.mpf(0)
+    prev_u = prev = None
+    for off in range(0, U, B):
+        for (lo, hi, _), (c0, c1, c2), (a0, a1, a2) in zip(pieces, coeffs, coeffs_abs):
+            lo_u, hi_u = max(Fr(off) + lo, Fr(1)), Fr(off) + hi
+            ks = (c0 - c1 * off + c2 * off * off, c1 - 2 * c2 * off, c2)
+            mags = (a0 + (a1 + a2 * off) * off, a1 + 2 * a2 * off, a2)
+            if hi_u <= lo_u or not any(mags):
+                continue
+            at_lo = prev if lo_u == prev_u else phis(to_mp(lo_u))
+            at_hi = phis(to_mp(hi_u))
+            prev_u, prev = hi_u, at_hi
+            for k, mag, p_hi, p_lo in zip(ks, mags, at_hi, at_lo):
+                if mag != 0:
+                    head += k * (p_hi[0] - p_lo[0])
+                    absacc += mag * (p_hi[1] + p_lo[1])
+    return head, absacc
+
+
+def _kernel_order_loop(r_abs, sigma, c, bits):
+    """The kernel order as an mp loop over k, one step of e_k/e_0 and of
+    the running product at a time: the oracle of the float plan."""
+    floor = mpmath.mpf(2) ** (-bits)
+    e = mpmath.mpf(1)
+    a = a_max = mpmath.mpf(1)
+    for k in range(_periodic._KERNEL_TERMS + 1):
+        rho = (r_abs + k) / (2 * c * (k + 1))
+        if e <= (1 - rho) * floor:
+            return k, e / (1 - rho), a_max * c**sigma / (1 + c / (sigma - 1))
+        e *= rho * (1 + c / (sigma + k)) / (1 + c / (sigma + k - 1))
+        a *= (r_abs + k) / (2 * (k + 1))
+        a_max = max(a_max, a)
+    return None
+
+
+class TestKernelOrder:
+    @pytest.mark.parametrize("bits", [64, 113, 200, 300])
+    def test_plan_matches_mp_loop(self, bits):
+        # the sine exponents r = 3..61 at c = 2.5..30.5, and r with
+        # Re r = 1.0001..20 and Im r = 0, 2, 15 as u_integral_mp passes
+        # them; the same K and weight, and q to rounding
+        with mpmath.workprec(bits):
+            cases = [
+                (mpmath.mpf(r), mpmath.mpf(r), mpmath.mpf(c2) / 2)
+                for r in range(3, 62, 2)
+                for c2 in (5, 7, 13, 21, 37, 61)
+            ]
+            for sigma in ("1.0001", "1.5", "3", "7.25", "20"):
+                for tau in (0, 2, 15):
+                    r = mpmath.mpc(sigma, tau)
+                    cases += [(abs(r), r.real, mpmath.mpf(c2) / 2) for c2 in (5, 9, 23, 61)]
+            reached = 0
+            for r_abs, sigma, c in cases:
+                want = _kernel_order_loop(r_abs, sigma, c, bits)
+                if want is None:
+                    with pytest.raises(ToleranceNotMet):
+                        _periodic._kernel_order(r_abs, sigma, c, bits)
+                    continue
+                reached += 1
+                K, q, weight = _periodic._kernel_order(r_abs, sigma, c, bits)
+                assert (K, weight) == (want[0], want[2]), (r_abs, sigma, c)
+                assert abs(q - want[1]) <= want[1] * mpmath.mpf(2) ** (16 - bits), (r_abs, sigma, c)
+                assert q <= mpmath.mpf(2) ** -bits * (1 + mpmath.mpf(2) ** -30)
+            assert reached > len(cases) // 2
 
 
 class TestCosineRoute:
@@ -332,6 +448,30 @@ class TestCosineRows:
         monkeypatch.setattr(fourier, "hurwitz_zeta_row", counted)
         c_batch(spec, self.NS, "cosine_series", 1e-10)
         assert calls == tables
+
+
+# c(n) of SPEC_A by the direct and cosine routes: the value's real part as
+# mpmath's (sign, mantissa, exponent) and the stored certificate as a hex
+# double, frozen from the routes before their heads shared any work
+FROZEN_ROWS = {
+    ("direct", 1, 1e-12): ((0, 0x34D33C5B3027DDCD8180680F, -94), "0x1.94a6e2f9e4eccp-83"),
+    ("direct", 7, 1e-12): ((0, 0x5F1D1867A99AB8708B27C1C3, -97), "0x1.dace80fb693ddp-84"),
+    ("direct", 40, 1e-20): ((0, 0x8E2B4012563176AFDEA795F615F, -112), "0x1.7c2b0e8a36d8bp-103"),
+    ("cosine_series", 1, 1e-12): (
+        (0, 0x69A678B6604FBB9B0300D01DC1DD, -111), "0x1.2f1b409f56dd8p-102"),
+    ("cosine_series", 7, 1e-12): (
+        (0, 0xBE3A30CF533570E1164F83865611, -114), "0x1.126e9f34b5117p-99"),
+    ("cosine_series", 40, 1e-20): (
+        (0, 0x238AD004958C5DABF7A9E57D857C03193, -134), "0x1.8c325d27c14d3p-116"),
+}
+
+
+@pytest.mark.parametrize("method, n, tol", list(FROZEN_ROWS), ids=lambda v: str(v))
+def test_rows_keep_their_bits(spec_a, method, n, tol):
+    [fc] = c_batch(spec_a, [n], method, tol)
+    (sign, man, exp), cert = FROZEN_ROWS[method, n, tol]
+    assert fc.value.re.value._mpf_[:3] == (sign, man, exp)
+    assert float(fc.error_certificate) == float.fromhex(cert)
 
 
 def _seeded_unit_spec(seed):
@@ -553,37 +693,6 @@ class TestRemainderBoundLimitation:
                     assert gap <= float(remainder_bound(spec, n, L)) + 1e-14
 
 
-class TestTelescope:
-    def test_frozen_example(self):
-        assert float(telescope_partial(1, 1)) == 0.75
-
-    def test_closed_form(self):
-        # 1 - (J+1)^{1-2l} + sum_{j=2}^{J+1} j^{-2l}
-        l, J = 2, 7
-        with mpmath.workprec(100):
-            ref = 1 - mpmath.mpf(J + 1) ** (1 - 2 * l) + sum(
-                mpmath.mpf(j) ** (-2 * l) for j in range(2, J + 2)
-            )
-            assert abs(telescope_partial(l, J).value - ref) < mpmath.mpf(2) ** -90
-
-    @pytest.mark.parametrize("l", [1, 2, 3])
-    @pytest.mark.parametrize("J", [10, 100, 1000])
-    def test_zeta_gap_bound(self, l, J):
-        with mpmath.workprec(100):
-            gap = abs(telescope_partial(l, J).value - mpmath.zeta(2 * l))
-            assert gap <= 2 * mpmath.mpf(J) ** (1 - 2 * l)
-
-    def test_increasing_in_J(self):
-        vals = [float(telescope_partial(1, J)) for J in (1, 2, 4, 8, 16)]
-        assert all(a < b for a, b in zip(vals, vals[1:]))
-
-    def test_domain(self):
-        with pytest.raises(DomainError):
-            telescope_partial(0, 5)
-        with pytest.raises(DomainError):
-            telescope_partial(1, 0)
-
-
 class TestBatch:
     def test_matches_per_n(self, spec_a):
         batch = c_batch(spec_a, range(1, 9), method="cosine_series", tol=1e-11)
@@ -643,6 +752,47 @@ class TestBatch:
                 gap = abs(mpmath.mpc(complex(c[n - 1])) - single.value.to_mpc())
                 assert gap <= cert[n - 1] + single.error_certificate.value
 
+    @pytest.mark.parametrize("n_max", [2000, 4096])
+    @pytest.mark.parametrize("theta", ["1/2", "1/3", "1/4", "1/6", "2/3", "3/4"])
+    def test_scipy_hurwitz_within_half_the_allowance(self, theta, n_max, monkeypatch):
+        # the float64 tail allows 4 eps sum_m |coef_m zeta(2m, q)| for its
+        # roundings and scipy's zeta together; scipy's error alone, weighted
+        # by the coefficients of the summed terms and the first omitted one,
+        # must stay within half of that on every row (module docstring),
+        # against mpmath at twice the bits. The spec's theta = 1 term is
+        # checked in every case.
+        theta = Fr(theta)
+        spec = BeurlingSpec([(1, theta), (-theta, 1)])
+        seen = []
+        real_tail = fourier._cos_tail
+
+        def spy_tail(alpha, J):
+            zetas = []
+
+            def spy_zeta(s, q):
+                z = scipy_zeta(s, q)
+                zetas.append((s, z))
+                return z
+
+            monkeypatch.setattr(fourier, "_hurwitz_f64", spy_zeta)
+            out = real_tail(alpha, J)
+            seen.append((alpha, J + 1, zetas, out[1]))
+            return out
+
+        monkeypatch.setattr(fourier, "_cos_tail", spy_tail)
+        batch_cosine_f64(spec, n_max)
+        assert len(seen) == 2
+        for alpha, q, zetas, absacc in seen:
+            qs, first, inv = np.unique(q, return_index=True, return_inverse=True)
+            err = np.zeros_like(alpha)
+            coef = alpha * alpha / 2.0
+            for m, (s, z) in enumerate(zetas, 1):
+                gaps = np.array([_scipy_zeta_gap(s, int(a), float(z[i])) for a, i in zip(qs, first)])
+                err += coef * gaps[inv]
+                coef = coef * alpha * alpha / ((2 * m + 1) * (2 * m + 2))
+            share = err / (4.0 * fourier._F64_EPS * absacc)
+            assert share.max() <= 0.5, (theta, n_max, share.max())
+
     def test_no_parseval_fallback(self, admissible_specs):
         # the batch certifies the default norm coeff_tol at n_max = 10^4, so
         # norm_via_parseval never drops into the per-n mpmath route
@@ -656,6 +806,13 @@ class TestBatch:
         c, _ = batch_cosine_f64(spec_a, 200)
         prof = np.arange(1, 201) * np.abs(c)
         assert prof.max() < 6.0
+
+
+@functools.lru_cache(maxsize=None)
+def _scipy_zeta_gap(s, q, z):
+    """|zeta(s, q) - z| for scipy's value z, from mpmath at 106 bits."""
+    with mpmath.workprec(106):
+        return float(abs(mpmath.zeta(s, q) - mpmath.mpf(z)))
 
 
 class TestCosineCoeffs:

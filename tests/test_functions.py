@@ -24,7 +24,7 @@ from beurling import (
 from beurling._periodic import PERIOD_CAP, _period, f_abs2_pieces, u_integral_mp
 from beurling.numerics import bits_for_tol, to_mp
 from beurling.optimizer import _closed_entry
-from strategies import exact_specs
+from strategies import exact_specs, unit_fraction_specs
 
 
 class TestFrac:
@@ -313,6 +313,19 @@ class TestUTailCertificate:
         s = complex(sigma, t)
         assume(abs(s - 1) > 1e-3)
         _within_certificate(spec, s, tol)
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        spec=unit_fraction_specs(),
+        sigma=st.floats(1e-6, 0.1),
+        t=st.floats(-20.0, 20.0),
+        tol=st.sampled_from([1e-10, 1e-25]),
+    )
+    def test_mellin_near_sigma_zero(self, spec, sigma, t, tol):
+        # Re r = 1 + sigma: the tail's e_0 grows like 1/sigma, and the
+        # admissible specs keep M(s) finite as sigma -> 0; every draw must
+        # certify
+        _within_certificate(spec, complex(sigma, t), tol, may_refuse=False)
 
     @pytest.mark.parametrize(
         "spec, s",

@@ -3,7 +3,7 @@ numerics alone scopes and locks mpmath precision, converts rationals,
 checks tolerances, counts and exponents and evaluates the Hurwitz zeta, one
 function reads the period caps and one chooses each Gram entry's period,
 the periodic engine certifies without quadrature estimates through one
-Hurwitz-kernel tail, one function decides how each coefficient row is
+Hurwitz-kernel tail and one head path, one function decides how each coefficient row is
 certified, every function the benchmark's tracer wraps by name still
 exists, and the precision scalars are plain records."""
 import ast
@@ -188,7 +188,24 @@ def test_one_hurwitz_tail_in_periodic():
     assert _owners(text, _calls("hurwitz_zeta_row")) == ["_tail_table"]
     assert set(_owners(text, _calls("_tail_table"))) == {"u_integral_mp", "_sine_table"}
     assert _owners(text, _calls("_sine_table")) == ["sine_integral_mp"]
-    assert set(_owners(text, _calls("_head"))) == {"u_integral_mp", "sine_integral_mp"}
+    assert sorted(_owners(text, _calls("_head"))) == ["sine_integral_mp", "u_integral_mp"]
+
+
+def test_one_head_path_in_periodic():
+    # both integrals sum their head from the same span list, and the sine
+    # rows build it only beside their per-U tail table, so no row rebuilds
+    # the n-independent spans
+    text = SOURCES["_periodic.py"]
+    assert sorted(_owners(text, _calls("_head_spans"))) == ["sine_integral_mp", "u_integral_mp"]
+    fns = {f.name: f for f in ast.parse(text).body if isinstance(f, ast.FunctionDef)}
+    blocks = [
+        node
+        for node in ast.walk(fns["sine_integral_mp"])
+        if isinstance(node, ast.If) and any(_calls("_head_spans")(n) for n in ast.walk(node))
+    ]
+    assert len(blocks) == 1
+    assert ast.unparse(blocks[0].test) == "U not in tables"
+    assert any(_calls("_sine_table")(n) for n in ast.walk(blocks[0]))
 
 
 def test_c_direct_has_no_admissibility_gate():

@@ -9,7 +9,6 @@ from beurling import (
     BeurlingSpec,
     DomainError,
     ToleranceNotMet,
-    crosscheck_json,
     norm_crosscheck,
     norm_numeric,
     norm_via_parseval,
@@ -109,7 +108,7 @@ class TestNormCrosscheck:
 
     def test_json_safe(self, spec_a):
         rep = norm_crosscheck(spec_a, n_max=2048)
-        text = crosscheck_json(rep, indent=2)
+        text = json.dumps(rep, indent=2)
         back = json.loads(text)
         assert back["n_max"] == 2048
         assert isinstance(back["partial"], float)
