@@ -46,6 +46,7 @@ from .fourier import (
     coefficients_csv,
     cosine_coeffs,
     remainder_bound,
+    telescope_partial,
 )
 from .parseval import norm_crosscheck, norm_via_parseval
 from .reconstruct import (
@@ -114,6 +115,7 @@ __all__ = [
     "sine_moments_with_cert",
     "spec_from_solution",
     "sweep",
+    "telescope_partial",
     "unit_thetas",
     "zeta_complex",
     "zeta_even",

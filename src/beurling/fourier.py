@@ -546,6 +546,26 @@ def _limit_row(spec: BeurlingSpec, n: int, tol: float, m2l) -> FourierCoefficien
 
 
 # ---------------------------------------------------------------------------
+# Telescoping partial sums
+# ---------------------------------------------------------------------------
+
+
+def telescope_partial(l: int, J: int, out_precision: int = 128) -> PrecisionReal:
+    """sum_{j=1}^{J} j [j^{-2l} - (j+1)^{-2l}], via the closed partial form
+
+        1 - (J+1)^{1-2l} + sum_{j=2}^{J+1} j^{-2l};
+
+    increases to zeta(2l) as J grows.
+    """
+    l = check_count(l, "l")
+    J = check_count(J, "J")
+    with workprec(out_precision + 32):
+        acc = mpmath.mpf(1) - mpmath.power(J + 1, 1 - 2 * l)
+        acc += mpmath.nsum(lambda j: mpmath.power(j, -2 * l), [2, J + 1], method="direct")
+        return PrecisionReal(acc, out_precision)
+
+
+# ---------------------------------------------------------------------------
 # Batches
 # ---------------------------------------------------------------------------
 

@@ -30,6 +30,7 @@ from beurling import (
     remainder_bound,
     spec_from_solution,
     sweep,
+    telescope_partial,
     unit_thetas,
     zeta_even,
 )
@@ -133,6 +134,25 @@ def test_criterion_04_power_sum_identity(
     ok = worst <= 1e-12
     report(4, ok, f"max |P(2l) - (1 - 2l M(2l))/zeta(2l)| = {worst:.3g} "
                   f"over 6 specs x l=1..10 (<= 1e-12)")
+
+
+def test_criterion_05_telescope():
+    """|telescope(l, J) - zeta(2l)| <= 2 J^(1-2l), decreasing in J, for
+    (l, J) in {1,2,3} x {100, 1000, 10000}."""
+    ok = True
+    worst = 0.0
+    for l in (1, 2, 3):
+        gaps = []
+        for J in (100, 1000, 10000):
+            with mpmath.workprec(120):
+                gap = abs(telescope_partial(l, J).value - mpmath.zeta(2 * l))
+                bound = 2 * mpmath.mpf(J) ** (1 - 2 * l)
+                gaps.append(gap)
+                ok = ok and gap <= bound
+                worst = max(worst, float(gap / bound))
+        ok = ok and gaps[0] > gaps[1] > gaps[2]
+    report(5, ok, f"9 (l, J) cells: gap <= 2 J^(1-2l) and decreasing in J "
+                  f"(worst gap/bound {worst:.3g})")
 
 
 def test_criterion_06_parseval(empty_spec, triv0, spec_a, spec_d, spec_e, adm1):

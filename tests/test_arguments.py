@@ -39,6 +39,7 @@ from beurling import (
     sine_moment_with_cert,
     sine_moments_with_cert,
     sweep,
+    telescope_partial,
     unit_thetas,
     zeta_complex,
     zeta_even,
@@ -93,6 +94,8 @@ COUNT_ENTRIES = {
     "c_even_mellin_exact_L": (lambda n: c_even_mellin_exact_L(SPEC_A, n, 6), 1, 2),
     "c_even_mellin_exact_L-L": (lambda L: c_even_mellin_exact_L(SPEC_A, 1, L), 1, 6),
     "c_even_mellin_limit": (lambda n: c_even_mellin_limit(SPEC_A, n), 1, 2),
+    "telescope_partial": (lambda l: telescope_partial(l, 5), 1, 2),
+    "telescope_partial-J": (lambda J: telescope_partial(2, J), 1, 5),
     "c_batch": (lambda n: c_batch(SPEC_A, [n], "cosine_series"), 1, 2),
     "c_batch-L": (lambda L: c_batch(SPEC_A, [1], "even_mellin_exact_L", L=L), 1, 6),
     "batch_cosine_f64": (lambda n: batch_cosine_f64(SPEC_A, n), 1, 10),

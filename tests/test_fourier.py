@@ -1,7 +1,7 @@
 """fourier: the four coefficient routes, their certificates, the remainder
 bound (including the documented regression where its hypothesis-free use
-fails), the periodic engine's head spans and kernel order, batching,
-and CSV output."""
+fails), telescoping partial sums, the periodic engine's head spans and
+kernel order, batching, and CSV output."""
 import csv
 import functools
 import io
@@ -34,6 +34,7 @@ from beurling import (
     cosine_coeffs,
     power_sum_exact,
     remainder_bound,
+    telescope_partial,
 )
 from beurling import _periodic, fourier
 from beurling._periodic import sine_integral_mp
@@ -691,6 +692,37 @@ class TestRemainderBoundLimitation:
                     v = c_even_mellin_exact_L(spec, n, L, tol=1e-12)
                     gap = abs(complex(ref.value) - complex(v.value))
                     assert gap <= float(remainder_bound(spec, n, L)) + 1e-14
+
+
+class TestTelescope:
+    def test_frozen_example(self):
+        assert float(telescope_partial(1, 1)) == 0.75
+
+    def test_closed_form(self):
+        # 1 - (J+1)^{1-2l} + sum_{j=2}^{J+1} j^{-2l}
+        l, J = 2, 7
+        with mpmath.workprec(100):
+            ref = 1 - mpmath.mpf(J + 1) ** (1 - 2 * l) + sum(
+                mpmath.mpf(j) ** (-2 * l) for j in range(2, J + 2)
+            )
+            assert abs(telescope_partial(l, J).value - ref) < mpmath.mpf(2) ** -90
+
+    @pytest.mark.parametrize("l", [1, 2, 3])
+    @pytest.mark.parametrize("J", [10, 100, 1000])
+    def test_zeta_gap_bound(self, l, J):
+        with mpmath.workprec(100):
+            gap = abs(telescope_partial(l, J).value - mpmath.zeta(2 * l))
+            assert gap <= 2 * mpmath.mpf(J) ** (1 - 2 * l)
+
+    def test_increasing_in_J(self):
+        vals = [float(telescope_partial(1, J)) for J in (1, 2, 4, 8, 16)]
+        assert all(a < b for a, b in zip(vals, vals[1:]))
+
+    def test_domain(self):
+        with pytest.raises(DomainError):
+            telescope_partial(0, 5)
+        with pytest.raises(DomainError):
+            telescope_partial(1, 0)
 
 
 class TestBatch:
