@@ -18,54 +18,22 @@ theta_k.
 Tail of the cosine route (not from the source material): the telescoped
 series is rewritten as sum_j (cos(a/j) - 1), and its j > J tail is evaluated
 analytically: sum_{j>J} (cos(a/j) - 1) = sum_{m>=1} (-1)^m a^{2m}/(2m)!
-zeta(2m, J+1), whose terms shrink by > 24x per step once J >= 2a (certified
-by twice the first omitted term, plus the absolute error of each
-zeta(2m, J+1), which `hurwitz_zeta_row` bounds by 2^-bits over its
-coefficient). Every term with the same a = J + 1 reads one Hurwitz row,
-planned for the largest alpha with that a (`_cosine_weights`).
+zeta(2m, J+1), whose terms shrink by > 48x per step once J >= 2a, certified
+by twice the first omitted term and the bounds of `hurwitz_zeta_row` (mp)
+or of its float64 twin `hurwitz_zeta_f64` (the batch's `_cos_tail`).
 
 The float64 batch ``batch_cosine_f64`` evaluates the same limit form for
-n = 1..n_max at once, in two parts split at n0 = 256:
-
-* Rows n <= n0 sum their own head j <= J(n) = max(64, ceil(2 alpha)) directly,
-  as one dense rows x max(J) block, exactly as ``c_cosine_series`` does in mp.
-  Their certificate is twice the first omitted tail term plus roundoff:
-  4 eps times the summed |terms|, and gamma_5 alpha (1 + ln J) for the
-  rounded arguments alpha/(2j).
-* Rows n > n0 share one cutoff J* = J(n_max) per term, so the head
-  sum_{j<=J*} cos(n x_j), x_j = pi theta / j, is a type-1 nonuniform DFT. The
-  Taylor NUFFT (Anderson & Dahleh, SIAM J. Sci. Comput. 17, 1996) snaps each
-  x_j to the nearest point l_j h of a grid of M = 2^ceil(log2(4 n_max + 1))
-  points, h = 2 pi / M, bins the powers d_j^q of the offsets d_j = x_j - l_j h
-  with ``np.bincount`` and applies one real FFT per order q < Q = 22:
-  sum_j e^{-i n x_j} = sum_q (-i n)^q / q! sum_l w_q[l] e^{-i n l h}. J* is
-  then subtracted and the analytic tail at J* added. The certificate is
-  twice the first omitted tail term, the Taylor remainder
-  J* (n max|d|)^Q / Q! (max|d| <= h/2, so n max|d| <= pi/4), and a priori
-  roundoff bounds for the offsets, the binning, the FFT (the componentwise
-  radix-2 bound gamma_{8 log2 M} ||w_q||_1, Higham, Accuracy and Stability
-  of Numerical Algorithms, ch. 24) and the subtraction of J*. These are
-  derived next to the code in ``_nufft_head``.
-
-Every batch certificate also carries the roundoff of the final assembly,
-gamma_{K+6} (|A1| + sum_k |a_k contrib_k|) for K terms. The roundoff bounds
-take libm's sin and numpy's FFT twiddle factors as accurate to a few ulps
-(4 eps relative for the summed head terms, 4u for the twiddles). scipy's
-Hurwitz zeta is not accurate term by term: against mpmath, zeta(2m, q) at
-the q = 65..25737 these rows read is within 2.2 eps up to 2m = 14, but off
-by up to 238 eps at 2m = 16, 4.7e3 eps at 18 and 2.2e5 eps at 20. The tail
-takes it only in the aggregate: its allowance 4 eps sum_m |coef_m zeta(2m,
-q)| covers its own roundings and sum_m coef_m |zeta error|, taken over the
-summed terms and the first omitted one, which is assumed to be at most half
-of the allowance. tests/test_fourier.py checks that on every row for theta =
-1, 1/2, 1/3, 1/4, 1/6, 2/3, 3/4 at n_max = 2000 and 4096 (the largest share
-is 0.39). Everything else follows from the IEEE rounding model.
-
+n = 1..n_max at once. Rows n <= n0 = 256 sum their own head
+j <= J(n) = max(64, ceil(2 alpha)) directly (`_direct_head`), exactly as
+``c_cosine_series`` does in mp. Rows above share one cutoff J* = J(n_max)
+per term, so their head is a type-1 nonuniform DFT, taken by a Taylor NUFFT
+(`_nufft_head`) in O(n_max log n_max + J*) per term instead of O(n_max J*).
 The split keeps the cancellation in sum cos - J* harmless: its roundoff is
-about eps J*, which the factor 2/(n pi) turns into at most ~1e-11 for
-n > n0 and n_max <= 10^4, while the rows below n0, where that factor is
-largest, never cancel against J*. The cost is O(n_max log n_max + J*) per
-term instead of O(n_max J*).
+about eps J*, which 2/(n pi) turns into at most ~1e-11 for n > n0 and
+n_max <= 10^4, while the rows below n0 never cancel against J*. Every batch
+certificate is proven from the IEEE rounding model next to the code, taking
+libm's sin and numpy's FFT twiddles as accurate to a few ulps (4 eps
+relative for the summed head terms, 4u for the twiddles).
 
 ``cosine_coeffs`` is the batch's one caller: it keeps each row whose
 certificate meets the caller's tolerance and takes the others from
@@ -81,7 +49,6 @@ from fractions import Fraction
 
 import mpmath
 import numpy as np
-from scipy.special import zeta as _hurwitz_f64
 
 from . import _periodic
 from .errors import ConstraintError, DomainError, HypothesisError, ToleranceNotMet
@@ -90,10 +57,13 @@ from .mellin import power_sum_exact
 from .numerics import (
     PrecisionComplex,
     PrecisionReal,
+    _gamma,
+    _series_bits,
     bits_for_tol,
     check_count,
     check_tol,
     float_up,
+    hurwitz_zeta_f64,
     hurwitz_zeta_row,
     to_double,
     to_mp,
@@ -111,9 +81,6 @@ _N0 = 256
 _TAYLOR_Q = 22
 # cosine_coeffs refuses mp rows past this n: c_cosine_series costs O(n) there
 _MP_ROW_CAP = 2048
-
-# zeta(2l) values at the highest precision requested so far, keyed by l
-_ZETA_CACHE: dict[int, tuple] = {}
 
 
 @dataclass(frozen=True)
@@ -134,27 +101,9 @@ class FourierCoefficient:
             raise ValueError("error_certificate must be >= 0")
 
 
-def _zeta_even_cached(l: int, bits: int):
-    """mpf zeta(2l) at >= bits working precision (monotone-growing cache).
-
-    Reached only inside a workprec section, whose lock also guards the cache.
-    """
-    hit = _ZETA_CACHE.get(l)
-    if hit is not None and hit[1] >= bits:
-        return hit[0]
-    val = zeta_even(l, bits).value
-    _ZETA_CACHE[l] = (val, bits)
-    return val
-
-
 def _a1_mp(n: int):
     """A1 = (2/(n pi)) (1 - cos n pi) at current mpmath precision."""
     return mpmath.mpf(0) if n % 2 == 0 else 4 / (n * mpmath.pi)
-
-
-def _route_c_bits(n: int, tol: float) -> int:
-    """Working bits for the even-Mellin sums, whose terms peak near e^{n pi}."""
-    return bits_for_tol(tol) + int(math.ceil(1.4427 * n * math.pi)) + 64
 
 
 def _require_even_mellin_hypotheses(spec: BeurlingSpec, who: str):
@@ -371,7 +320,7 @@ def remainder_bound(spec: BeurlingSpec, n, L: int) -> PrecisionReal:
 
 def _m2l_mp(spec: BeurlingSpec, l: int, bits: int):
     """M(2l) = (1 - zeta(2l) P(2l)) / (2l) as an mpc at current precision."""
-    zl = _zeta_even_cached(l, bits)
+    zl = zeta_even(l, bits).value
     return (1 - zl * to_mp(power_sum_exact(spec, 2 * l))) / (2 * l)
 
 
@@ -380,7 +329,7 @@ def _m2l_table(spec: BeurlingSpec, ns, tol: float):
     use at the working bits of the largest n and dropped with m2l. A row
     reading an entry held at more bits than its own only gets rounded
     products closer to the exact ones."""
-    top = max(_route_c_bits(n, tol) for n in ns)
+    top = max(_series_bits(n, tol) for n in ns)
     table = []
 
     def m2l(l: int):
@@ -428,7 +377,7 @@ def _exact_L_rows(spec: BeurlingSpec, ns, L: int, tol: float) -> list[FourierCoe
 
 def _exact_L_row(spec: BeurlingSpec, n: int, L: int, tol: float, m2l) -> FourierCoefficient:
     """One row of _exact_L_rows."""
-    bits = _route_c_bits(n, tol)
+    bits = _series_bits(n, tol)
     rb = remainder_bound(spec, n, L)
     with workprec(bits):
         npi = n * mpmath.pi
@@ -513,7 +462,7 @@ def _limit_rows(spec: BeurlingSpec, ns, tol: float) -> list[FourierCoefficient]:
 
 def _limit_row(spec: BeurlingSpec, n: int, tol: float, m2l) -> FourierCoefficient:
     """One row of _limit_rows, reading M(2l) from m2l(l)."""
-    bits = _route_c_bits(n, tol)
+    bits = _series_bits(n, tol)
     L = _limit_L_for(n, tol, spec)
     rb = remainder_bound(spec, n, L)
     with workprec(bits):
@@ -581,13 +530,8 @@ def c_batch(
 
     Rows are computed one after another: every mp route holds the package's
     single mpmath lock, so concurrent rows would only wait on each other.
-    The rows of both even-Mellin routes share one M(2l) table (`_m2l_table`),
-    the direct rows share one Hurwitz-kernel tail table per end U of the
-    exact head (`_direct_rows`; the table is planned for n pi = U/2, so it
-    serves every row with that U), and the cosine rows share one Hurwitz row
-    zeta(2m, a) per a = J_k + 1 (`_cosine_rows`; planned for
-    alpha = (a - 1)/2, so it serves every term with that a). Each row equals
-    its single call.
+    The rows share their route's per-call tables (`_direct_rows`,
+    `_cosine_rows`, `_m2l_table`), and each row equals its single call.
     """
     if method == "direct":
         return _direct_rows(spec, ns, tol)
@@ -602,42 +546,41 @@ def c_batch(
     raise DomainError(f"unknown method {method!r}")
 
 
-def _gamma(k):
-    """Higham's gamma_k = k u / (1 - k u), u = 2^-53 the float64 unit roundoff."""
-    ku = k * (_F64_EPS / 2.0)
-    return ku / (1.0 - ku)
-
-
 def _cos_tail(alpha, J):
-    """sum_{j>J} (cos(alpha/j) - 1) per row by its zeta series (module docstring).
+    """(tail, err): sum_{j>J} (cos(alpha/j) - 1) per row by its zeta series
+    for J >= 2 alpha, err a proven bound on its error at the given alpha.
 
-    Needs J >= 2 alpha. Returns (tail, sum of |series terms|, first omitted
-    term). scipy's zeta(2m, q) is not within a few eps of the exact value
-    for 2m >= 16; the caller's allowance of 4 eps times the second item
-    covers the zeta errors only in the aggregate the module docstring states.
+    The terms x_m = coef_m zeta(2m, q), coef_m = alpha^2m/(2m)!, q = J + 1,
+    enter with sign (-1)^m and shrink by more than 48x per step (coef by
+    alpha^2/12, zeta(2m, q) by q^-2 < 1/(4 alpha^2)). err takes the first
+    omitted one twice, sum coef_m e_m for the bounds e_m of `hurwitz_zeta_f64`
+    and 2 eps sum x_m for the tail's own roundings: x_m is off by
+    gamma_(3m-1) x_m, and summed smallest first each partial sum
+    x_k - x_(k+1) + ... is at most 47/46 x_k and rounds by u times that, so
+    by the decay they come to (2.12 + 1.05) u x_1 <= 1.6 eps sum x_m.
     """
     q = (J + 1).astype(np.float64)
-    tail = np.zeros_like(alpha)
-    absacc = np.zeros_like(alpha)
+    terms = []
+    err = np.zeros_like(alpha)
     coef = alpha * alpha / 2.0
-    term = coef * _hurwitz_f64(2, q)
-    m = 1
-    while True:
-        tail += -term if m % 2 else term
-        absacc += np.abs(term)
+    for m in range(1, 66):
+        z, z_err = hurwitz_zeta_f64(2 * m, q)
+        term = coef * z
+        if m > 1 and (float(term.max()) < 1e-19 or m > 64):
+            break
+        terms.append(term)
+        err += coef * z_err
         coef = coef * alpha * alpha / ((2 * m + 1) * (2 * m + 2))
-        # the first omitted term is the next step's term
-        trunc = coef * _hurwitz_f64(2 * m + 2, q)
-        if float(trunc.max()) < 1e-19 or m >= 64:
-            return tail, absacc, trunc
-        term = trunc
-        m += 1
+    tail = np.zeros_like(alpha)
+    for m in range(len(terms), 0, -1):
+        tail += -terms[m - 1] if m % 2 else terms[m - 1]
+    return tail, err + 2.0 * term + 2.0 * _F64_EPS * sum(terms)
 
 
 def _direct_head(alpha, J):
     """sum_{j<=J(n)} (cos(alpha/j) - 1) per row, as one dense rows x max(J) block.
 
-    Returns (head, err): err bounds the roundoff (module docstring).
+    Returns (head, err): err bounds the roundoff (derived below).
     """
     j = np.arange(1, int(J.max()) + 1, dtype=np.float64)[None, :]
     terms = -2.0 * np.sin(alpha[:, None] / (2.0 * j)) ** 2
@@ -652,11 +595,13 @@ def _direct_head(alpha, J):
 
 
 def _nufft_head(theta: float, J: int, n_lo: int, n_max: int):
-    """sum_{j<=J} (cos(n pi theta/j) - 1) for n = n_lo..n_max by a Taylor NUFFT.
-
-    Returns (head, err): err is a proven bound on |head - exact| made of the
-    Taylor remainder and the roundoff of every step (module docstring).
-    """
+    """sum_{j<=J} (cos(n pi theta/j) - 1) for n = n_lo..n_max by a Taylor NUFFT
+    (Anderson & Dahleh, SIAM J. Sci. Comput. 17, 1996): each x_j = pi theta/j
+    is snapped to a grid point l_j h, h = 2 pi / M, and e^{-i n x_j} is
+    expanded to order Q in the offset d_j = x_j - l_j h, one binned real FFT
+    per order. Returns (head, err): err is a proven bound on |head - exact|
+    made of the Taylor remainder and the roundoff of every step, derived
+    below."""
     Q = _TAYLOR_Q
     M = 1 << (4 * n_max).bit_length()  # 2^ceil(log2(4 n_max + 1))
     h = 2.0 * math.pi / M
@@ -713,14 +658,10 @@ def _nufft_head(theta: float, J: int, n_lo: int, n_max: int):
 def batch_cosine_f64(spec: BeurlingSpec, n_max: int):
     """Route-B coefficients for n = 1..n_max, vectorized in float64.
 
-    Returns (c, cert): complex128 and float64 arrays of length n_max. Each
-    cert[n-1] bounds |c - c(N, n)| by twice the first omitted Hurwitz-tail
-    term, the Taylor remainder of the head (rows n > 256) and a priori
-    roundoff bounds (module docstring). Requires an admissible spec. Rows
-    n <= 256 sum their own head j <= J(n) = max(64, ceil(2 alpha))
-    directly; rows above share the cutoff J* = J(n_max) and take the head
-    from a Taylor NUFFT, so the cost is O(n_max log n_max + J*) per term
-    instead of O(n_max J*).
+    Returns (c, cert): complex128 and float64 arrays of length n_max, each
+    cert[n-1] a proven bound on |c - c(N, n)| from the head's and the tail's
+    bounds and the roundoff of the assembly (module docstring). Requires an
+    admissible spec.
     """
     if not spec.admissible:
         raise ConstraintError("batch route B requires an admissible spec")
@@ -744,9 +685,9 @@ def batch_cosine_f64(spec: BeurlingSpec, n_max: int):
         head[:n0], err[:n0] = _direct_head(alpha[:n0], J[:n0])
         if n_max > n0:
             head[n0:], err[n0:] = _nufft_head(theta, int(J[-1]), n0 + 1, n_max)
-        tail, absacc, trunc = _cos_tail(alpha, J)
+        tail, tail_err = _cos_tail(alpha, J)
         # alpha carries relative error gamma_4 and |d tail/d alpha| <= alpha/J
-        err += 2.0 * trunc + 4.0 * _F64_EPS * absacc + _gamma(4) * alpha * alpha / J
+        err += tail_err + _gamma(4) * alpha * alpha / J
         contrib = (head + tail) * (2.0 / npi)
         c += t.a * contrib
         cert += abs(t.a) * (2.0 / npi) * err

@@ -1,6 +1,6 @@
 """Arbitrary-precision scalars, exact Bernoulli numbers, and Riemann zeta.
 
-Three zeta entry points with different contracts:
+Four zeta entry points with different contracts:
 
 * ``zeta_even(l)``        -- exact ``zeta(2l)`` through Bernoulli numbers (or a
                              certified p-series once the Bernoulli route stops
@@ -13,6 +13,8 @@ Three zeta entry points with different contracts:
                              its a priori remainder bound; each value gets guard
                              bits for the coefficient that multiplies it and a
                              proven bound on its absolute error.
+* ``hurwitz_zeta_f64(s, q)`` -- its float64 twin at one even s for an array
+                             of integers q, with a proven bound per value.
 
 Working precision is always chosen internally from the requested absolute
 tolerance; callers never touch the mpmath context.
@@ -32,6 +34,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import mpmath
+import numpy as np
 from mpmath import mp
 
 from .errors import DomainError, ToleranceNotMet
@@ -110,6 +113,16 @@ def bits_for_tol(tol: float) -> int:
     """Working-precision bits that comfortably resolve absolute error `tol`,
     which `check_tol` validates."""
     return max(MIN_PRECISION_BITS, int(math.ceil(-math.log2(check_tol(tol)))) + 16)
+
+
+def _series_extra(n: int) -> int:
+    """ceil(1.4427 n pi) >= log2 e^{n pi}: extra bits for a series peaking near e^{n pi}."""
+    return int(math.ceil(1.4427 * n * math.pi))
+
+
+def _series_bits(n: int, tol: float) -> int:
+    """Row n's bits for the even-Mellin sums and the sine-moment series."""
+    return bits_for_tol(tol) + _series_extra(n) + 64
 
 
 def _dps_for_bits(bits: int) -> int:
@@ -236,7 +249,6 @@ def to_double(value, err):
 # Bernoulli numbers
 # ---------------------------------------------------------------------------
 
-_BERN_LOCK = threading.Lock()
 _BERN_CACHE: list[Fraction] = [Fraction(1)]
 
 
@@ -244,12 +256,12 @@ def bernoulli(m: int) -> Fraction:
     """Exact m-th Bernoulli number, convention B_1 = -1/2.
 
     Computed by the recurrence sum_{j=0}^{m} C(m+1, j) B_j = 0 and memoized.
-    The cache only ever grows, under a lock, so concurrent readers are safe.
+    The cache only ever grows, under the mp lock, so concurrent readers are safe.
     """
     m = check_count(m, "bernoulli index", 0)
     if m < len(_BERN_CACHE):
         return _BERN_CACHE[m]
-    with _BERN_LOCK:
+    with _MP_LOCK:
         while len(_BERN_CACHE) <= m:
             k = len(_BERN_CACHE)
             if k % 2 == 1 and k > 1:
@@ -475,6 +487,60 @@ def hurwitz_zeta_row(weights: dict, a) -> dict:
                     P *= (sv + 2 * m - 1) * (sv + 2 * m) * inv2
             out[s] = (z, mpmath.mpf(2) ** -(p + guards[s]))
     return out
+
+
+def _gamma(k):
+    """Higham's gamma_k = k u / (1 - k u), u = 2^-53 the float64 unit roundoff."""
+    return k * 2.0**-53 / (1.0 - k * 2.0**-53)
+
+
+def hurwitz_zeta_f64(s: int, q):
+    """(values, errs): zeta(s, q) in float64 for an even integer s >= 2 and
+    an array of integers 65 <= q < 2^26, with |value - zeta(s, q)| <= err.
+
+    The Euler-Maclaurin form of `hurwitz_zeta_row` with no head terms:
+    zeta(s, q) = t (A + 1/2 + S) + R, t = q^-s, A = q/(s-1),
+    S = sum_(m<=M) d_m q^(1-2m), d_m = B_2m/(2m)! (s)_(2m-1) (from `_em_coeff`,
+    rounded once), M planned by `_em_plan` at the least q for |R| <= 2^-64 t;
+    R/t falls as q^(1-2M), so |R| <= 2^-63 t at every q. u' = fl(1/q^2)
+    (q^2 is exact), t' = u'^(s/2) by products, p'_m = fl(p'_(m-1) u') from
+    p'_1 = fl(q u'): no libm pow. Proof, in Higham's notation (Accuracy and
+    Stability of Numerical Algorithms, 3.1-3.4; each operation rounds by
+    1 + delta, |delta| <= u = 2^-53): t' = t (1 + theta_(s-1)); p'_m, the terms
+    fl(d'_m p'_m) and their sum S' carry theta_2m, theta_(2m+2), theta_(3M+1)
+    against C = sum |d_m| q^(1-2m) <= 2 mag (`_em_plan`'s bound at the least
+    q, to 1e-12; C falls in q). So B' = fl(fl(fl(A) + 1/2) + S') =
+    A (1 + theta_3) + (1 + theta_2)/2 + S (1 + theta_(3M+2)), z' = fl(t' B')
+    = t B' (1 + theta_s) and |z' - t B| <= t (gamma_(s+3) (A + 1/2)
+    + gamma_(3M+s+2) C); |R| <= u t (A + 1/2) adds a unit to the first gamma.
+    err has one unit more in each, above the gamma_(s+8) relative that its
+    own roundings, t' and the computed gammas can take from it, as
+    gamma_(k+1) - gamma_k >= gamma_(k+1)/(k+1). No product underflows when
+    t' and p'_M are at least 2^-960 (checked; DomainError otherwise): then
+    u' >= 2^-52, |d_m| >= 2 (2m)!/(2 pi)^2m >= 2^-6 and B' > 1/4, as
+    zeta(s, q) >= t (A + 1/2) by convexity; a sum never rounds on underflow.
+    """
+    s = check_count(s, "s", 2)
+    q = np.asarray(q, dtype=np.float64)
+    ok = s % 2 == 0 and q.size and q.min() >= 65 and q.max() < 2**26 and np.all(q == np.rint(q))
+    plan = _em_plan(s, 0.0, float(q.min()), s * math.log2(q.min()) + 64) if ok else None
+    if plan is None:
+        raise DomainError("hurwitz_zeta_f64 needs an even s >= 2 and integers 65 <= q < 2^26")
+    M, mag = plan
+    with _MP_LOCK:
+        d = [float(_em_coeff(m) * math.prod(range(s, s + 2 * m - 1))) for m in range(1, M + 1)]
+    u = 1.0 / (q * q)
+    t = u
+    for _ in range(s // 2 - 1):
+        t = t * u
+    p, corr = q, 0.0
+    for dm in d:
+        p = p * u
+        corr = corr + dm * p
+    if not min(float(t.min()), float(p.min())) >= 2.0**-960:
+        raise DomainError(f"zeta({s}, q) leaves the normal range at q = {float(q.max()):g}")
+    a_half = q / (s - 1) + 0.5
+    return t * (a_half + corr), t * (_gamma(s + 5) * a_half + _gamma(3 * M + s + 3) * (2 * mag))
 
 
 # ---------------------------------------------------------------------------

@@ -128,12 +128,15 @@ import math
 import mpmath
 
 from .errors import DomainError
-from .fourier import _gamma, _require_even_mellin_hypotheses, c_batch, cosine_coeffs
+from .fourier import _require_even_mellin_hypotheses, c_batch, cosine_coeffs
 from .functions import BeurlingSpec
 from .mellin import MellinValue
 from .numerics import (
     PrecisionComplex,
     PrecisionReal,
+    _gamma,
+    _series_bits,
+    _series_extra,
     as_complex,
     bits_for_tol,
     check_count,
@@ -158,16 +161,6 @@ def _horner(coeffs: list, d: int, x):
     for j in range(d - 1, -1, -1):
         acc = acc * x + coeffs[j]
     return acc
-
-
-def _series_extra(n: int) -> int:
-    """E = ceil(1.4427 n pi) >= log2 e^{n pi}: the extra bits of the series."""
-    return int(math.ceil(1.4427 * n * math.pi))
-
-
-def _series_bits(n: int, tol: float) -> int:
-    """The series' working bits for row n."""
-    return bits_for_tol(tol) + _series_extra(n) + 64
 
 
 def _series_plan(n: int, sigma: float, bits: int) -> int:

@@ -3,7 +3,6 @@ bound (including the documented regression where its hypothesis-free use
 fails), telescoping partial sums, the periodic engine's head spans and
 kernel order, batching, and CSV output."""
 import csv
-import functools
 import io
 import math
 import random
@@ -39,8 +38,7 @@ from beurling import (
 from beurling import _periodic, fourier
 from beurling._periodic import sine_integral_mp
 from beurling.numerics import bits_for_tol, to_mp
-from scipy.special import zeta as scipy_zeta
-from strategies import exact_specs, unit_fraction_specs
+from strategies import exact_specs, hurwitz_mp, unit_fraction_specs
 
 # Frozen oracles: mpmath direct integration of 2 int_0^1 F(x) sin(n pi x) dx
 # at 60 digits, performed outside this package.
@@ -527,6 +525,13 @@ class TestExactLRows:
             assert complex(fc.value) == complex(one.value)
             assert float(fc.error_certificate) == float(one.error_certificate)
 
+    def test_rows_do_not_depend_on_call_history(self, spec_a):
+        # each call reads zeta(2l) at its own bits: after a call at more bits
+        # the row keeps the value it has in a fresh process
+        c_batch(spec_a, [60], "even_mellin_limit", 1e-20)
+        row = c_even_mellin_exact_L(spec_a, 6, 40, 1e-10)
+        assert row.value.re.hi_str() == "-0.205942644204817559467456862249846955786303386581"
+
 
 class TestEvenMellinRoutes:
     def test_limit_matches_direct(self, spec_a):
@@ -786,44 +791,40 @@ class TestBatch:
 
     @pytest.mark.parametrize("n_max", [2000, 4096])
     @pytest.mark.parametrize("theta", ["1/2", "1/3", "1/4", "1/6", "2/3", "3/4"])
-    def test_scipy_hurwitz_within_half_the_allowance(self, theta, n_max, monkeypatch):
-        # the float64 tail allows 4 eps sum_m |coef_m zeta(2m, q)| for its
-        # roundings and scipy's zeta together; scipy's error alone, weighted
-        # by the coefficients of the summed terms and the first omitted one,
-        # must stay within half of that on every row (module docstring),
-        # against mpmath at twice the bits. The spec's theta = 1 term is
-        # checked in every case.
-        theta = Fr(theta)
-        spec = BeurlingSpec([(1, theta), (-theta, 1)])
+    def test_tail_within_its_certificate(self, theta, n_max, monkeypatch):
+        # the float64 tail's err bounds its error against the series at the
+        # rounded alpha, on every row n <= N0 and every 16th above, against
+        # mp; the spec's theta = 1 term is checked in every case
         seen = []
         real_tail = fourier._cos_tail
 
         def spy_tail(alpha, J):
-            zetas = []
-
-            def spy_zeta(s, q):
-                z = scipy_zeta(s, q)
-                zetas.append((s, z))
-                return z
-
-            monkeypatch.setattr(fourier, "_hurwitz_f64", spy_zeta)
             out = real_tail(alpha, J)
-            seen.append((alpha, J + 1, zetas, out[1]))
+            seen.append((alpha, J, *out))
             return out
 
         monkeypatch.setattr(fourier, "_cos_tail", spy_tail)
-        batch_cosine_f64(spec, n_max)
+        theta = Fr(theta)
+        batch_cosine_f64(BeurlingSpec([(1, theta), (-theta, 1)]), n_max)
         assert len(seen) == 2
-        for alpha, q, zetas, absacc in seen:
-            qs, first, inv = np.unique(q, return_index=True, return_inverse=True)
-            err = np.zeros_like(alpha)
-            coef = alpha * alpha / 2.0
-            for m, (s, z) in enumerate(zetas, 1):
-                gaps = np.array([_scipy_zeta_gap(s, int(a), float(z[i])) for a, i in zip(qs, first)])
-                err += coef * gaps[inv]
-                coef = coef * alpha * alpha / ((2 * m + 1) * (2 * m + 2))
-            share = err / (4.0 * fourier._F64_EPS * absacc)
-            assert share.max() <= 0.5, (theta, n_max, share.max())
+        for alpha, J, tail, err in seen:
+            for i in [*range(N0), *range(N0, n_max, 16), n_max - 1]:
+                ref, slack = _tail_mp(float(alpha[i]), int(J[i]) + 1)
+                assert abs(mpmath.fsub(float(tail[i]), ref, exact=True)) + slack <= err[i]
+
+    def test_tail_carries_the_zeta_bounds(self, monkeypatch):
+        # the tail's err adds sum_m coef_m e_m for the zeta bounds e_m it reads
+        alpha, J = np.array([3.0, 40.0]), np.array([64, 80])
+        _, err = fourier._cos_tail(alpha, J)
+        real = fourier.hurwitz_zeta_f64
+
+        def wider(s, q):
+            values, errs = real(s, q)
+            return values, errs + 1e-9
+
+        monkeypatch.setattr(fourier, "hurwitz_zeta_f64", wider)
+        _, wide = fourier._cos_tail(alpha, J)
+        assert np.all(wide - err >= alpha**2 / 2 * 1e-9)
 
     def test_no_parseval_fallback(self, admissible_specs):
         # the batch certifies the default norm coeff_tol at n_max = 10^4, so
@@ -840,11 +841,20 @@ class TestBatch:
         assert prof.max() < 6.0
 
 
-@functools.lru_cache(maxsize=None)
-def _scipy_zeta_gap(s, q, z):
-    """|zeta(s, q) - z| for scipy's value z, from mpmath at 106 bits."""
-    with mpmath.workprec(106):
-        return float(abs(mpmath.zeta(s, q) - mpmath.mpf(z)))
+def _tail_mp(alpha, q):
+    """(T, slack): sum_m (-1)^m alpha^2m/(2m)! zeta(2m, q) over 2m <= 24 at
+    300 bits, and a bound on its distance to the whole series: its zeta
+    errors, the rounding of the sum and its last term, above the rest."""
+    zetas = hurwitz_mp(q)
+    with mpmath.workprec(300):
+        a2 = mpmath.mpf(alpha) ** 2
+        coef, total, slack = mpmath.mpf(1), mpmath.mpf(0), mpmath.mpf(0)
+        for m in range(1, 13):
+            coef = coef * a2 / ((2 * m - 1) * (2 * m))
+            z, err = zetas[2 * m]
+            total += (-1) ** m * coef * z
+            slack += coef * err
+        return total, slack + coef * z + abs(total) * mpmath.mpf(2) ** -280
 
 
 class TestCosineCoeffs:

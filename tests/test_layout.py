@@ -1,15 +1,19 @@
-"""layout: the package is serial and reads no environment variable,
-numerics alone scopes and locks mpmath precision, converts rationals,
-checks tolerances, counts and exponents and evaluates the Hurwitz zeta, one
-function reads the period caps and one chooses each Gram entry's period,
-the periodic engine certifies without quadrature estimates through one
-Hurwitz-kernel tail and one head path, one function decides how each coefficient row is
-certified, every function the benchmark's tracer wraps by name still
-exists, and the precision scalars are plain records."""
+"""layout: the package is serial, reads no environment variable and
+imports no scipy, numerics alone scopes and locks mpmath precision,
+converts rationals, checks tolerances, counts and exponents and evaluates
+the Hurwitz zeta, one function reads the period caps and one chooses each
+Gram entry's period, the periodic engine certifies without quadrature
+estimates through one Hurwitz-kernel tail and one head path, one function
+decides how each coefficient row is certified, every function the
+benchmark's tracer wraps by name still exists, and the precision scalars
+are plain records."""
 import ast
 import importlib
 import inspect
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -144,8 +148,27 @@ def test_gram_ladder_is_one_function():
 
 
 def test_periodic_has_no_float64_hurwitz():
-    # the engine runs in mpmath: a float64 Hurwitz zeta carries no error bound
+    # the engine runs in mpmath, at the bits its callers ask for
     assert "scipy" not in SOURCES["_periodic.py"]
+    assert "hurwitz_zeta_f64" not in SOURCES["_periodic.py"]
+
+
+def _imports_scipy(node):
+    if isinstance(node, ast.Import):
+        return any(a.name.split(".")[0] == "scipy" for a in node.names)
+    return isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "scipy"
+
+
+def test_no_scipy():
+    # the runtime needs only mpmath and numpy, and no test takes scipy as
+    # a reference
+    files = sorted(SRC.glob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
+    hits = [p.name for p in files if _owners(p.read_text(encoding="utf-8"), _imports_scipy)]
+    assert hits == []
+    probe = "import sys, beurling.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 def test_periodic_never_calls_quad():
@@ -171,14 +194,18 @@ def _hurwitz_calls(node):
 
 
 def test_hurwitz_zeta_only_in_its_helper():
-    # numerics.hurwitz_zeta_row evaluates every Hurwitz zeta with a proven
-    # error bound; mpmath's is accurate to an absolute 2^-prec only, and
-    # certifies nothing
+    # numerics.hurwitz_zeta_row and its float64 twin hurwitz_zeta_f64
+    # evaluate every Hurwitz zeta with a proven error bound; mpmath's is
+    # accurate to an absolute 2^-prec only, and certifies nothing
     assert [(name, o) for name, text in SOURCES.items() for o in _owners(text, _hurwitz_calls)] == []
     owners = {
         (name, o) for name, text in SOURCES.items() for o in _owners(text, _calls("hurwitz_zeta_row"))
     }
     assert owners == {("_periodic.py", "_tail_table"), ("fourier.py", "_cosine_rows")}
+    owners = {
+        (name, o) for name, text in SOURCES.items() for o in _owners(text, _calls("hurwitz_zeta_f64"))
+    }
+    assert owners == {("fourier.py", "_cos_tail")}
 
 
 def test_one_hurwitz_tail_in_periodic():

@@ -1,23 +1,31 @@
 """numerics: precision scalars, Bernoulli numbers, zeta at even integers,
-zeta on the critical strip."""
+zeta on the critical strip, the Hurwitz zeta in mp and in float64."""
 import math
+import random
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction as Fr
 
 import mpmath
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from beurling import (
+    BeurlingSpec,
     DomainError,
     PrecisionComplex,
     PrecisionReal,
     ToleranceNotMet,
+    batch_cosine_f64,
     bernoulli,
     zeta_complex,
     zeta_even,
 )
-from beurling import numerics
+from beurling import fourier, numerics
+from strategies import hurwitz_mp
 
 
 class TestPrecisionReal:
@@ -143,6 +151,29 @@ class TestBernoulli:
     def test_domain(self):
         with pytest.raises(DomainError):
             bernoulli(-1)
+
+    def test_threads_grow_one_cache(self, monkeypatch):
+        # threads that ask for B_0..B_200 in different orders from a cold
+        # cache all get the serial values
+        serial = [bernoulli(m) for m in range(201)]
+        monkeypatch.setattr(numerics, "_BERN_CACHE", [Fr(1)])
+        orders = [random.Random(seed).sample(range(201), 201) for seed in range(4)]
+        barrier = threading.Barrier(len(orders))
+
+        def worker(order):
+            barrier.wait(timeout=60)
+            return {m: bernoulli(m) for m in order}
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadPoolExecutor(max_workers=len(orders)) as ex:
+                results = list(ex.map(worker, orders))
+        finally:
+            sys.setswitchinterval(interval)
+        for got in results:
+            assert [got[m] for m in range(201)] == serial
+        assert numerics._BERN_CACHE == serial
 
 
 class TestZetaEven:
@@ -279,3 +310,46 @@ class TestHurwitzZeta:
                 numerics.hurwitz_zeta_row({2: 1, mpmath.mpf(2.5): 1}, 3)
             with pytest.raises(DomainError):
                 numerics.hurwitz_zeta_row({1: 1, 2: 1}, 3)
+
+
+def _check_hurwitz_f64(qs):
+    """Every hurwitz_zeta_f64 value at 2m = 2..24 and the integers qs lies
+    within its returned bound of the mp value, less the mp value's err."""
+    qs = np.array(sorted(qs), dtype=np.float64)
+    for s in range(2, 25, 2):
+        values, errs = numerics.hurwitz_zeta_f64(s, qs)
+        for q, v, e in zip(qs.tolist(), values.tolist(), errs.tolist()):
+            z, err = hurwitz_mp(int(q))[s]
+            assert abs(mpmath.fsub(v, z, exact=True)) + err <= e, (s, q)
+
+
+class TestHurwitzF64:
+    def test_every_q_to_400(self):
+        _check_hurwitz_f64(range(65, 401))
+
+    @pytest.mark.parametrize("theta", ["1/2", "1/3", "1/4", "1/6", "2/3", "3/4"])
+    def test_the_q_the_batch_reads(self, theta, monkeypatch):
+        # at n_max 2000, 4096 and 10^4; the spec's theta = 1 term is read
+        # in every case
+        seen = set()
+        real = fourier.hurwitz_zeta_f64
+
+        def spy(s, q):
+            seen.update(q.tolist())
+            return real(s, q)
+
+        monkeypatch.setattr(fourier, "hurwitz_zeta_f64", spy)
+        spec = BeurlingSpec([(1, Fr(theta)), (-Fr(theta), 1)])
+        for n_max in (2000, 4096, 10_000):
+            batch_cosine_f64(spec, n_max)
+        assert min(seen) == 65 and max(seen) > 20_000
+        _check_hurwitz_f64(seen)
+
+    @pytest.mark.parametrize(
+        "s, q",
+        [(3, [65]), (0, [65]), (2, [64]), (2, [65.5]), (2, [2.0**26]), (2, []), (160, [2.0**20])],
+        ids=["odd", "zero", "q-64", "q-fraction", "q-2^26", "empty", "subnormal"],
+    )
+    def test_domain(self, s, q):
+        with pytest.raises(DomainError):
+            numerics.hurwitz_zeta_f64(s, q)
