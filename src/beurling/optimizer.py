@@ -17,7 +17,14 @@ coprime h, k Vasyunin's formula gives
 (Vasyunin, St. Petersburg Math. J. 7, 1996; Bettin-Conrey-Farmer, 2013).
 With theta_2/theta_1 = a/b in lowest terms, G(theta_1, theta_2) =
 theta_1 a A(a, b) - theta_1 theta_2 and v(theta) = theta (1 - gamma - ln
-theta): finite cotangent sums with a priori roundoff bounds (`_closed_entry`).
+theta): finite cotangent sums with a priori roundoff bounds. Each entry is
+first evaluated in float64 (`_f64_entry`): one table of cot(pi m/k) per
+denominator k and one ln per integer, each an mp value rounded to a double
+once and shared across a `build_gram` call, so the mp work is O(N^2); the
+O(N^3) weighted sums run in doubles, under an a priori bound in the IEEE
+model proven beside the code. An entry whose bound is at most tol stores
+that double; any other falls back to the mp closed form `_closed_entry` at
+tol, which serves every tol below the float64 bound (about 1e-15 relative).
 `_gram_entry` alone chooses the period its bound is taken at, and refuses
 with ToleranceNotMet a pair whose ratio theta_1/theta_2 has a period past
 the cap of `_period` as well: float thetas such as 0.1 =
@@ -39,12 +46,18 @@ import numpy as np
 from . import _periodic
 from .errors import DomainError, SingularSystemError, ToleranceNotMet
 from .functions import BeurlingSpec, _norm_oracle, _to_theta
-from .numerics import bits_for_tol, check_count, check_tol, to_double, to_mp, workprec
+from .numerics import _gamma, bits_for_tol, check_count, check_tol, to_double, to_mp, workprec
 from .parseval import norm_via_parseval
 
 _SOLVER_EPS = float(np.finfo(np.float64).eps)
 # Parseval cross-check length in residual_report
 _PARSEVAL_N_MAX = 4096
+# ln 2 pi - gamma, 1 - gamma and pi/2 of Vasyunin's formula for `_f64_entry`:
+# mp values at 64 bits, each rounded to a double once
+with workprec(64):
+    _C_G = float(mpmath.log(2 * mpmath.pi) - mpmath.euler)
+    _C_V = float(1 - mpmath.euler)
+    _HALF_PI = float(mpmath.pi / 2)
 
 
 @dataclass(frozen=True)
@@ -106,15 +119,19 @@ def unit_thetas(N: int) -> tuple[Fraction, ...]:
     return tuple(Fraction(1, k) for k in range(1, N + 1))
 
 
+def _cot_table(k: int) -> list:
+    """cot(pi m/k) for m <= (k-1)/2 at the working precision."""
+    return [mpmath.cot(mpmath.pi * m / k) for m in range(1, (k + 1) // 2)]
+
+
 def _cot_sum(h: int, k: int, wp: int, cots: dict):
     """W(h, k) = k V(h, k) = sum_{m <= (k-1)/2} (2 (mh mod k) - k) cot(pi m/k)
     at wp bits, pairing m with k - m. cots holds one table of cot(pi m/k)
     per denominator k and rebuilds it only for a higher wp."""
-    ms = range(1, (k + 1) // 2)
     hit = cots.get(k)
     if hit is None or hit[0] < wp:
-        hit = cots[k] = (wp, [mpmath.cot(mpmath.pi * m / k) for m in ms])
-    return mpmath.fdot([2 * (m * h % k) - k for m in ms], hit[1])
+        hit = cots[k] = (wp, _cot_table(k))
+    return mpmath.fdot([2 * (m * h % k) - k for m in range(1, (k + 1) // 2)], hit[1])
 
 
 def _closed_entry(thetas, B: int, bits: int, cots: dict):
@@ -159,12 +176,110 @@ def _closed_entry(thetas, B: int, bits: int, cots: dict):
         return val, mpmath.ldexp(mpmath.mpf(scale), -wp)
 
 
-def _gram_entry(thetas: tuple[Fraction, ...], tol: float, cots: dict) -> float:
+def _ln_f64(n: int, tabs: dict) -> float:
+    """ln n for an integer n >= 1: one mp log at 64 bits per n, rounded once."""
+    key = ("ln", n)
+    if key not in tabs:
+        with workprec(64):
+            tabs[key] = float(mpmath.log(n))
+    return tabs[key]
+
+
+def _cot_sum_f64(h: int, k: int, tabs: dict) -> float:
+    """W(h, k) of `_cot_sum` in float64: the exact integer weights summed
+    against one table of cot(pi m/k) per k, each an mp value at 64 bits
+    rounded once (its own table, not the mp path's, whose bits depend on
+    the tols asked before). numpy's elementwise product and sum use no
+    BLAS, so the result does not depend on its threading."""
+    key = ("W", h % k, k)
+    if key not in tabs:
+        cot = tabs.get(("cot", k))
+        if cot is None:
+            with workprec(64):
+                cot = tabs[("cot", k)] = np.array(_cot_table(k), dtype=np.float64)
+        ms = np.arange(1, cot.size + 1)
+        tabs[key] = float(((2 * (ms * (h % k) % k) - k) * cot).sum())
+    return tabs[key]
+
+
+def _f64_entry(thetas: tuple[Fraction, ...], tabs: dict):
+    """(value, bound): the Gram entry over one or two thetas in float64, with
+    |value - entry| <= bound; None outside the model below (tau < 2^-500 or
+    a >= 2^26).
+
+    The formula of `_closed_entry` with tau = theta_1/b:
+    s = (theta_1 + theta_2)/2 = tau (a + b)/2, d = (theta_1 - theta_2)/2 =
+    tau (b - a)/2, theta_1 theta_2 = tau^2 ab, and for v, theta = p/q.
+    Proof in the IEEE model (Higham, Accuracy and Stability of Numerical
+    Algorithms, 2nd ed., ch. 3): each operation rounds by 1 + delta, |delta| <=
+    u = 2^-53; a product of j such factors is 1 + theta_j, |theta_j| <=
+    gamma_j = ju/(1 - ju), and gamma_j + gamma_k + gamma_j gamma_k <=
+    gamma_(j+k). Integers below 2^53 convert exactly, and no nonzero product
+    falls below 2^-1000 (tau >= 2^-500, a, b < 2^26, and a nonzero sum is a
+    multiple of the least ulp of its terms), so nothing underflows.
+
+    Inputs. fl(tau) and theta are correctly rounded: theta_1. ln 2 pi -
+    gamma, 1 - gamma, pi/2 and each ln n are mp values at 64 bits within
+    2 ulps there, rounded once: within 2^-62 + u <= 2u relative, theta_2. At
+    64 bits `_closed_entry`'s proof puts each cot(pi m/k) within 10 2^-64 T_m,
+    T_m = k/(pi m) >= |cot(pi m/k)|, and rounding adds u T_m (1 + 10 2^-64),
+    so the table value c'_m is within 2u T_m.
+
+    Cotangent sums. W(h, k) has n = floor((k-1)/2) terms with exact integer
+    weights |w_m| < k. In any summation order the computed sum is within
+    gamma_n sum |w_m| |c'_m| of sum w_m c'_m (Higham 3.1), which is within
+    2u sum |w_m| T_m of W. As c'_m <= (1 + 2u) T_m and sum |w_m| T_m <=
+    (k^2/pi) H_n =: M_k, the computed W' is within gamma_(n+2) M_k of W, and
+    |W| <= M_k.
+
+    Terms. G' = ((T1 + T2) - T3) - T4 with T1 = fl(C' s') (theta_5: C' 2,
+    s' 2, the product 1); T2 = fl(d' L'), L' = fl(ln a' - ln b') within
+    gamma_3 (ln a + ln b) of ln(a/b), so T2 is within gamma_7 |d| (ln a +
+    ln b); T4 = fl(fl(tau'^2) ab) (theta_4); T3 = fl(P' (fl(tau'/b) W'_ab +
+    fl(tau'/a) W'_ba)) multiplies each W' by 1 + theta_7, so each of its two
+    terms is within gamma_(n+9) of (pi/2)(tau/k) M_k, which is theta_1 H/2
+    for k = b and theta_2 H/2 for k = a. The three sums add theta_3 to each
+    term, and a term within gamma_j m of a value of size <= m is then within
+    gamma_(j+3) m. With H_n <= 1 + ln k, n the larger of the two sums' n,
+
+        |G' - G| <= gamma_(n+12) [(ln 2 pi - gamma) s + |d| (ln a + ln b)
+                    + theta_1 theta_2 + (theta_1 (1 + ln b) + theta_2 (1 + ln a))/2].
+
+    For v' = fl(theta' fl(C'_v - fl(ln p' - ln q'))) the same count gives
+    gamma_6 theta (1 - gamma + ln p + ln q). The bound is evaluated in
+    doubles from the computed inputs with gamma_(n+13): those inputs and its
+    own roundings lose less than a relative gamma_20 < 1/(n+12) <=
+    gamma_(n+13)/gamma_(n+12) - 1. It is the float64 counterpart of
+    `_closed_entry`'s (a + b + 64)(2 + ln B) 2^-wp.
+    """
+    t1, t2 = min(thetas), max(thetas)
+    if len(thetas) == 1:
+        th = float(t1)
+        if th < 2.0**-500:
+            return None
+        lp, lq = _ln_f64(t1.numerator, tabs), _ln_f64(t1.denominator, tabs)
+        return th * (_C_V - (lp - lq)), _gamma(13) * (th * (_C_V + lp + lq))
+    ratio = t2 / t1
+    a, b = ratio.numerator, ratio.denominator
+    tau = float(t1 / b)
+    if tau < 2.0**-500 or a >= 2**26:
+        return None
+    la, lb = _ln_f64(a, tabs), _ln_f64(b, tabs)
+    s, d, prod = tau * (a + b) * 0.5, tau * (b - a) * 0.5, tau * tau * (a * b)
+    w = tau / b * _cot_sum_f64(a, b, tabs) + tau / a * _cot_sum_f64(b, a, tabs)
+    val = _C_G * s + d * (la - lb) - _HALF_PI * w - prod
+    mag = _C_G * s + abs(d) * (la + lb) + prod + (tau * b * (1 + lb) + tau * a * (1 + la)) * 0.5
+    return val, _gamma((a - 1) // 2 + 13) * mag
+
+
+def _gram_entry(thetas: tuple[Fraction, ...], tol: float, tabs: dict) -> float:
     """int_0^1 prod_k rho(theta_k/x) dx over one or two thetas, certified to
     tol as stored.
 
-    The closed form `_closed_entry` (its certificate plus half an ulp of the
-    returned float) when the thetas have a joint period B. Past the caps of
+    The float64 value of `_f64_entry` when its bound is at most tol;
+    otherwise the closed form `_closed_entry` at tol (its certificate plus
+    half an ulp of the returned float) when the thetas have a joint period
+    B. tabs holds the tables both share across a call. Past the caps of
     `_period` its bound still holds with B = 1 for v, whose magnitude is at
     most 1 + gamma + 1/e, and with the period of theta_1/theta_2
     (theta_1 <= theta_2) for G, which is a >= b. ToleranceNotMet for a pair
@@ -178,7 +293,10 @@ def _gram_entry(thetas: tuple[Fraction, ...], tol: float, cots: dict) -> float:
             f"G({', '.join(repr(float(t)) for t in thetas)}): neither the thetas "
             "nor their ratio have a period within the caps"
         )
-    out, err = to_double(*_closed_entry(thetas, B, bits_for_tol(tol), cots))
+    hit = _f64_entry(thetas, tabs)
+    if hit is not None and hit[1] <= tol:
+        return hit[0]
+    out, err = to_double(*_closed_entry(thetas, B, bits_for_tol(tol), tabs))
     if err > tol:
         raise ToleranceNotMet(f"Gram entry error {err:.3g} exceeds tol {tol:.3g}")
     return out
@@ -186,16 +304,17 @@ def _gram_entry(thetas: tuple[Fraction, ...], tol: float, cots: dict) -> float:
 
 def build_gram(thetas, tol: float = 1e-9) -> GramSystem:
     """GramSystem with every entry from `_gram_entry`; symmetric by
-    construction. The cot tables are shared by the entries of this call."""
+    construction. The cot and ln tables are shared by the entries of this
+    call."""
     ths = tuple(_to_theta(t, f"theta[{i}]") for i, t in enumerate(thetas))
     tol = check_tol(tol)
     n = len(ths)
-    cots: dict = {}
+    tabs: dict = {}
     G = np.zeros((n, n), dtype=np.float64)
     for j in range(n):
         for k in range(j, n):
-            G[j, k] = G[k, j] = _gram_entry((ths[j], ths[k]), tol, cots)
-    v = np.array([_gram_entry((t,), tol, cots) for t in ths], dtype=np.float64)
+            G[j, k] = G[k, j] = _gram_entry((ths[j], ths[k]), tol, tabs)
+    v = np.array([_gram_entry((t,), tol, tabs) for t in ths], dtype=np.float64)
     return GramSystem(ths, G, v, tol)
 
 

@@ -3,7 +3,11 @@ output formats, and byte determinism."""
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -367,6 +371,29 @@ class TestSweep:
             assert code == 0
             blobs.append(f.read_bytes())
         assert blobs[0] == blobs[1]
+
+
+def test_bytes_do_not_depend_on_blas_threads(tmp_path):
+    # the float64 Gram sums use no BLAS, and the KKT solves are small
+    f = tmp_path / "thetas.json"
+    f.write_text('["1", "1/2", "2/5", "1/3"]')
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    outs = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads}
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        outs.append([
+            subprocess.run(
+                [sys.executable, "-m", "beurling.cli", *argv],
+                env=env, capture_output=True, check=True, timeout=300,
+            ).stdout
+            for argv in (
+                ["sweep", "--unit-n-from", "1", "--unit-n-to", "30"],
+                ["optimize", "--thetas", str(f)],
+            )
+        ])
+    assert outs[0] == outs[1]
+    assert all(outs[0])
 
 
 class TestBadInput:

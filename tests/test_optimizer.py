@@ -29,8 +29,9 @@ from beurling._periodic import (
     u_integral_f64,
     u_integral_mp,
 )
-from beurling.numerics import bits_for_tol, to_mp
-from beurling.optimizer import _closed_entry
+from beurling import optimizer
+from beurling.numerics import bits_for_tol, to_double, to_mp
+from beurling.optimizer import _closed_entry, _f64_entry, _gram_entry
 
 # Frozen Gram oracles for thetas = (1, 1/2); closed forms:
 #   G00 = int rho(1/x)^2 = ln(2 pi) - gamma - 1
@@ -235,6 +236,99 @@ class TestClosedForm:
         with mpmath.workprec(bits):
             assert abs(val - ref.real) <= err + ref_err
             assert abs(val - f64) <= err + f64_err
+
+
+class TestFloatEntry:
+    """The float64 entries of `_f64_entry`, each within its a priori bound of
+    `_closed_entry` at twice the bits, and `_gram_entry` storing that double
+    exactly when the bound is at most tol, the mp closed form otherwise."""
+
+    @staticmethod
+    def _check(ths, tol, tabs, ref_tabs):
+        val, bound = _f64_entry(ths, tabs)
+        B = _period(ths)
+        bits = 2 * bits_for_tol(tol)
+        ref, ref_err = _closed_entry(ths, B, bits, ref_tabs)
+        with mpmath.workprec(bits):
+            assert abs(val - ref) <= bound + ref_err, ths
+        stored = _gram_entry(ths, tol, tabs)
+        if bound <= tol:
+            assert stored == val
+        else:
+            assert stored == to_double(*_closed_entry(ths, B, bits_for_tol(tol), {}))[0]
+        return bound
+
+    @settings(max_examples=40, deadline=None)
+    @given(pair=_rational_pairs(), tol=st.sampled_from([1e-9, 1e-12]))
+    @example(pair=(Fr(1, 1999), Fr(1)), tol=1e-12)
+    @example(pair=(Fr(1000, 1999), Fr(999, 1999)), tol=1e-12)
+    @example(pair=(Fr(2, 3), Fr(3, 7)), tol=1e-9)
+    def test_pairs_within_bound(self, pair, tol):
+        tabs = {}
+        for ths in (pair, pair[:1], pair[1:]):
+            self._check(ths, tol, tabs, {})
+
+    def test_unit_60_within_bound(self):
+        ths = unit_thetas(60)
+        tabs, ref_tabs = {}, {}
+        bounds = [
+            self._check((ths[j], ths[k]), 1e-9, tabs, ref_tabs)
+            for j in range(60)
+            for k in range(j, 60)
+        ]
+        bounds += [self._check((t,), 1e-9, tabs, ref_tabs) for t in ths]
+        assert max(bounds) <= 1e-9
+
+    @pytest.mark.parametrize(
+        "pair", [(Fr(1, 1999), Fr(1)), (Fr(999, 1999), Fr(1000, 1999)), (Fr(1, 60), Fr(1, 59))]
+    )
+    def test_bound_covers_any_summation_order(self, pair):
+        # no order of summation is assumed: the bound covers each cotangent
+        # sum's first-order worst case n u sum |w_m| |cot(pi m/k)|, times its
+        # factor (pi/2) tau/k in G, which the summation order above never uses
+        t1, t2 = sorted(pair)
+        a, b = (t2 / t1).numerator, (t2 / t1).denominator
+        worst = 0.0
+        for h, k in ((a, b), (b, a)):
+            n = (k - 1) // 2
+            with mpmath.workprec(64):
+                mags = mpmath.fsum(
+                    abs(2 * (m * h % k) - k) * mpmath.cot(mpmath.pi * m / k) for m in range(1, n + 1)
+                )
+            worst += n * 2.0**-53 * float(mags) * float(t1 / b / k) * math.pi / 2
+        assert _f64_entry(pair, {})[1] >= worst > 0
+
+    def test_out_of_range_is_none(self):
+        # tau below 2^-500 leaves the model's range, so the mp path serves it
+        tiny = Fr(1, 2**600)
+        assert _f64_entry((tiny,), {}) is None
+        assert _f64_entry((tiny, 2 * tiny), {}) is None
+        assert math.isclose(build_gram([tiny], tol=1e-12).v[0], _v_closed(tiny), rel_tol=1e-12)
+
+
+class TestDispatch:
+    """Which entries take the mp closed form: none at the CLI's default tol
+    on the unit family, every one at a tol below the float64 bound."""
+
+    @pytest.fixture
+    def closed_calls(self, monkeypatch):
+        calls = []
+
+        def counting(ths, *rest):
+            calls.append(ths)
+            return _closed_entry(ths, *rest)
+
+        monkeypatch.setattr(optimizer, "_closed_entry", counting)
+        return calls
+
+    def test_float_path_at_1e9(self, closed_calls):
+        gs = build_gram(unit_thetas(30), tol=1e-9)
+        assert closed_calls == []
+        assert gs.N == 30
+
+    def test_mp_path_at_1e16(self, closed_calls):
+        build_gram(unit_thetas(30), tol=1e-16)
+        assert len(closed_calls) == len(set(closed_calls)) == 30 * 31 // 2 + 30
 
 
 class TestOptimizeCoeffs:
