@@ -25,15 +25,18 @@ or of its float64 twin `hurwitz_zeta_f64` (the batch's `_cos_tail`).
 The float64 batch ``batch_cosine_f64`` evaluates the same limit form for
 n = 1..n_max at once. Rows n <= n0 = 256 sum their own head
 j <= J(n) = max(64, ceil(2 alpha)) directly (`_direct_head`), exactly as
-``c_cosine_series`` does in mp. Rows above share one cutoff J* = J(n_max)
-per term, so their head is a type-1 nonuniform DFT, taken by a Taylor NUFFT
-(`_nufft_head`) in O(n_max log n_max + J*) per term instead of O(n_max J*).
-The split keeps the cancellation in sum cos - J* harmless: its roundoff is
-about eps J*, which 2/(n pi) turns into at most ~1e-11 for n > n0 and
-n_max <= 10^4, while the rows below n0 never cancel against J*. Every batch
-certificate is proven from the IEEE rounding model next to the code, taking
-libm's sin and numpy's FFT twiddles as accurate to a few ulps (4 eps
-relative for the summed head terms, 4u for the twiddles).
+``c_cosine_series`` does in mp. Rows above share one cutoff J*_k = J(n_max)
+per term, so their head sum_k a_k sum_{j<=J*_k} (cos(alpha_k/j) - 1) is a
+type-1 nonuniform DFT over the union of all terms' points, each weighted by
+its a_k, taken by one Taylor NUFFT per call (`_nufft_head`) in
+O(n_max log n_max + sum_k J*_k) instead of O(n_max sum_k J*_k). The split
+keeps the cancellation against sum_k a_k J*_k harmless: its roundoff is
+about eps sum_k |a_k| J*_k, which 2/(n pi) turns into at most ~1e-11 for
+n > n0 and n_max <= 10^4, while the rows below n0 never cancel against J*.
+Every batch certificate is proven from the IEEE rounding model next to the
+code, taking libm's sin and numpy's FFT twiddles as accurate to a few ulps
+(4 eps relative for the summed head terms, 4u for the twiddles); the test
+suite checks both against mp on the running platform.
 
 ``cosine_coeffs`` is the batch's one caller: it keeps each row whose
 certificate meets the caller's tolerance and takes the others from
@@ -594,65 +597,99 @@ def _direct_head(alpha, J):
     return head, err
 
 
-def _nufft_head(theta: float, J: int, n_lo: int, n_max: int):
-    """sum_{j<=J} (cos(n pi theta/j) - 1) for n = n_lo..n_max by a Taylor NUFFT
-    (Anderson & Dahleh, SIAM J. Sci. Comput. 17, 1996): each x_j = pi theta/j
-    is snapped to a grid point l_j h, h = 2 pi / M, and e^{-i n x_j} is
-    expanded to order Q in the offset d_j = x_j - l_j h, one binned real FFT
-    per order. Returns (head, err): err is a proven bound on |head - exact|
-    made of the Taylor remainder and the roundoff of every step, derived
-    below."""
+def _nufft_head(terms, weights, n_lo: int, n_max: int):
+    """sum_k w_k sum_{j<=J_k} (cos(n pi theta_k/j) - 1) for n = n_lo..n_max
+    and each weight set w in weights (real K-vectors), for terms
+    [(theta_k, J_k)], by one Taylor NUFFT over the union of the terms'
+    points (Anderson & Dahleh, SIAM J. Sci. Comput. 17, 1996): each
+    x = pi theta_k/j is snapped to a grid point l h, h = 2 pi / M, and
+    e^{-i n x} is expanded to order Q in the offset d = x - l h. For each
+    order q, each term's powers d^q are binned on their own, the binned array
+    is scaled by w_k and added to one shared array per weight set, and one
+    real FFT of that array gives its order-q term. Returns [(head, err)], one
+    per weight set: err is a proven bound on |head - exact| made of the
+    Taylor remainder and the roundoff of every step, derived below."""
     Q = _TAYLOR_Q
+    K = len(terms)
     M = 1 << (4 * n_max).bit_length()  # 2^ceil(log2(4 n_max + 1))
     h = 2.0 * math.pi / M
-    x = (math.pi * theta) / np.arange(1, J + 1, dtype=np.float64)
-    l = np.rint(x / h).astype(np.int64)
-    d = x - l * h  # |d| <= h/2 up to rounding
-    counts = np.bincount(l, minlength=M)
     n = np.arange(n_lo, n_max + 1, dtype=np.float64)
-    s = np.zeros_like(n)
-    w_norm = np.zeros_like(n)  # sum_q n^q/q! ||w_q||_1
+    points = []  # (l, d) per term
+    for theta, J in terms:
+        x = (math.pi * theta) / np.arange(1, J + 1, dtype=np.float64)
+        l = np.rint(x / h).astype(np.int64)
+        points.append((l, x - l * h))  # |d| <= h/2 up to rounding
+    s = [np.zeros_like(n) for _ in weights]
+    w_norm = [np.zeros_like(n) for _ in weights]  # sum_q n^q/q! ||W_q||_1
     coef = np.ones_like(n)  # n^q / q!
-    p = np.ones_like(x)  # d^q
+    powers = [np.ones_like(d) for _, d in points]  # d^q per term
     for q in range(Q):
-        w = np.bincount(l, weights=p, minlength=M)
-        # rfft gives sum_l w_l e^{-i n l h}; Re((-i)^q rfft) is the q-th term
-        # of Re sum_j e^{-i n x_j} = sum_j cos(n x_j)
-        f = np.fft.rfft(w)[n_lo : n_max + 1]
-        s += coef * (f.real, f.imag, -f.real, -f.imag)[q % 4]
-        w_norm += coef * float(np.sum(np.abs(w)))
+        shared = [np.zeros(M) for _ in weights]
+        for k, (l, d) in enumerate(points):
+            w = np.bincount(l, weights=powers[k])  # l[0] = max l: bins past it are empty
+            for W, wk in zip(shared, weights):
+                if wk[k]:
+                    W[: w.size] += wk[k] * w
+            powers[k] *= d
+        for i, W in enumerate(shared):
+            # rfft gives sum_l W_l e^{-i n l h}; Re((-i)^q rfft) is the q-th
+            # term of Re sum_k w_k sum_j e^{-i n x_kj} = sum_k w_k sum_j cos(n x_kj)
+            f = np.fft.rfft(W)[n_lo : n_max + 1]
+            s[i] += coef * (f.real, f.imag, -f.real, -f.imag)[q % 4]
+            w_norm[i] += coef * float(np.sum(np.abs(W)))
         coef = coef * n / (q + 1)
-        p = p * d
-    head = s - J
-    dmax = float(np.max(np.abs(d)))
-    L = math.log2(M)
-    # Error terms, each summed over the J points:
+    # Error terms. Those of one term's J points are weighted by |w_k|:
     # * Taylor: |e^{iy} - sum_{q<Q} (iy)^q/q!| <= |y|^Q/Q! for real y, y = n d.
     # * Arguments: x = fl(fl(pi theta)/j) has relative error gamma_4 and
     #   fl(l h) adds gamma_2 (x + h), the subtraction u h, so the computed d is
     #   within gamma_6 (x + h) of the exact x - 2 pi l/M, and cos moves by at
     #   most n times that; sum_j x_j <= pi theta (1 + ln J).
-    # * Binning: w_q[l] (q >= 1) is a recursive sum of counts[l] powers d^q,
-    #   each from q - 1 products, so it is off by <= gamma_{counts[l]+Q}
-    #   sum |d|^q (Higham, Accuracy and Stability, 3.1 and 4.2); summed over
-    #   q >= 1 with weights n^q/q! that is <= gamma |d| n e^{n dmax}.
+    # * Binning, q >= 1: a term's w_q[l] is a recursive sum of counts[l]
+    #   powers d^q, each from q - 1 products, so it is off by
+    #   <= gamma_{counts[l]+Q} sum |d|^q (Higham, Accuracy and Stability, 3.1
+    #   and 4.2). Scaling by w_k and adding K arrays into W_q rounds K more
+    #   times, so W_q[l] is within gamma_{counts+Q+K+1} sum_k |w_k| sum |d|^q
+    #   of sum_k w_k w_q[l] (one spare unit), where counts is the term's own
+    #   bin count: binning w_k d^q instead would sum w_k counts[l] times.
+    #   Summed over q >= 1 with weights n^q/q! that is
+    #   <= gamma |d| n e^{n dmax} per point.
+    # * Binning, q = 0: W_0[l] = sum_k w_k counts[l] is one product and K - 1
+    #   additions, off by gamma_K sum_k |w_k| counts[l]; over l, gamma_K J.
+    # Those of the shared arrays:
     # * FFT: in a radix-2 FFT every output is a sum over inputs along paths of
     #   log2 M butterflies. One butterfly rounds by at most
     #   (1 + u)(1 + sqrt(2) gamma_2)(1 + mu) - 1 <= 8u (complex product,
     #   Higham lemma 3.5; twiddles accurate to mu <= 4u; one addition), so
-    #   output n is within ((1 + 8u)^L - 1) ||w||_1 <= gamma_{8L} ||w||_1 of
-    #   the exact DFT (Higham ch. 24, taken componentwise). A radix-4 pass
-    #   rounds no more than two radix-2 levels. Forming n^q/q! (2q roundings),
-    #   the product and the sum over q add gamma_{3Q+2} relative to w_norm.
-    # * Subtracting J rounds by gamma_1 |head|.
-    err = (
-        J * coef * dmax**Q
-        + _gamma(6) * n * (math.pi * theta * (1.0 + math.log(J)) + J * h)
-        + float(np.sum(_gamma(counts[l] + Q) * np.abs(d))) * n * np.exp(n * dmax)
-        + _gamma(8 * L + 3 * Q + 2) * w_norm
-        + _gamma(1) * np.abs(head)
-    )
-    return head, err
+    #   output n is within ((1 + 8u)^L - 1) ||W||_1 <= gamma_{8L} ||W||_1 of
+    #   the exact DFT of W (Higham ch. 24, taken componentwise). A radix-4
+    #   pass rounds no more than two radix-2 levels. Forming n^q/q! (2q
+    #   roundings), the product and the sum over q add gamma_{3Q+2} relative
+    #   to w_norm.
+    # * Subtracting sum_k w_k J_k, rounded once from its exact value, costs
+    #   gamma_1 (|head| + |that sum|).
+    L = math.log2(M)
+    per_term = []
+    for (theta, J), (l, d) in zip(terms, points):
+        counts = np.bincount(l)
+        dmax = float(np.max(np.abs(d)))
+        binned = float(np.sum(_gamma(counts[l] + Q + K + 1) * np.abs(d)))
+        per_term.append(
+            J * coef * dmax**Q
+            + _gamma(6) * n * (math.pi * theta * (1.0 + math.log(J)) + J * h)
+            + binned * n * np.exp(n * dmax)
+            + _gamma(K) * J
+        )
+    out = []
+    for i, wk in enumerate(weights):
+        j_sum = float(sum(Fraction(w) * J for w, (_, J) in zip(wk, terms)))
+        head = s[i] - j_sum
+        err = (
+            sum(abs(w) * e for w, e in zip(wk, per_term))
+            + _gamma(8 * L + 3 * Q + 2) * w_norm[i]
+            + _gamma(1) * (np.abs(head) + abs(j_sum))
+        )
+        out.append((head, err))
+    return out
 
 
 def batch_cosine_f64(spec: BeurlingSpec, n_max: int):
@@ -671,8 +708,10 @@ def batch_cosine_f64(spec: BeurlingSpec, n_max: int):
     a1 = np.where(np.arange(1, n_max + 1) % 2 == 1, 4.0 / npi, 0.0)
     c = a1.astype(np.complex128)
     cert = np.zeros(n_max)
-    mag = np.abs(a1)  # |a1| + sum_k |a_k contrib_k|
+    mag = np.abs(a1)  # |a1| + the magnitudes of the other summands of c
     n0 = min(_N0, n_max)
+    lo, hi = slice(None, n0), slice(n0, None)
+    shared = []  # (a_k, theta_k, J*_k) for the rows above n0
     for t in spec.terms:
         theta = float(t.theta)
         if t.a == 0:
@@ -680,20 +719,46 @@ def batch_cosine_f64(spec: BeurlingSpec, n_max: int):
         alpha = npi * theta  # per-n
         J = np.maximum(64, np.ceil(2.0 * alpha)).astype(np.int64)
         J[n0:] = J[-1]
-        head = np.empty(n_max)
-        err = np.empty(n_max)
-        head[:n0], err[:n0] = _direct_head(alpha[:n0], J[:n0])
-        if n_max > n0:
-            head[n0:], err[n0:] = _nufft_head(theta, int(J[-1]), n0 + 1, n_max)
         tail, tail_err = _cos_tail(alpha, J)
         # alpha carries relative error gamma_4 and |d tail/d alpha| <= alpha/J
-        err += tail_err + _gamma(4) * alpha * alpha / J
-        contrib = (head + tail) * (2.0 / npi)
-        c += t.a * contrib
-        cert += abs(t.a) * (2.0 / npi) * err
-        mag += abs(t.a) * np.abs(contrib)
+        tail_err = tail_err + _gamma(4) * alpha * alpha / J
+        head, err = _direct_head(alpha[lo], J[lo])
+        contrib = (head + tail[lo]) * (2.0 / npi[lo])
+        c[lo] += t.a * contrib
+        cert[lo] += abs(t.a) * (2.0 / npi[lo]) * (err + tail_err[lo])
+        mag[lo] += abs(t.a) * np.abs(contrib)
+        if n_max > n0:
+            contrib = tail[hi] * (2.0 / npi[hi])
+            c[hi] += t.a * contrib
+            # the head of this term enters through the shared NUFFT with the
+            # double t.a; |a_k - t.a| <= u |a_k|, and the exact head has
+            # |sum_j (cos(alpha/j) - 1)| <= sum_j min(2, alpha^2/2j^2)
+            # <= 2 alpha + 2, which 2/(n pi) turns into 4 theta + 4/(n pi)
+            cert[hi] += abs(t.a) * (
+                (2.0 / npi[hi]) * tail_err[hi] + _F64_EPS * (4.0 * theta + 4.0 / npi[hi])
+            )
+            mag[hi] += abs(t.a) * np.abs(contrib)
+            shared.append((t.a, theta, int(J[-1])))
+    gamma = np.full(n_max, _gamma(len(spec.terms) + 6))
+    if shared:
+        # one NUFFT for sum_k a_k head_k: Re a_k, and Im a_k for a complex spec
+        weights = [[a.real for a, _, _ in shared]]
+        if any(a.imag for a, _, _ in shared):
+            weights.append([a.imag for a, _, _ in shared])
+        parts = _nufft_head([(theta, J) for _, theta, J in shared], weights, n0 + 1, n_max)
+        head, err = parts[0]
+        if len(parts) == 2:
+            # |e_re + i e_im| <= hypot of their bounds
+            head, err = head + 1j * parts[1][0], np.hypot(err, parts[1][1])
+        contrib = head * (2.0 / npi[hi])
+        c[hi] += contrib
+        cert[hi] += (2.0 / npi[hi]) * err
+        mag[hi] += np.abs(contrib)
+        # above n0, c = a1 + sum_k a_k tail_k 2/(n pi) + head 2/(n pi): one
+        # more summand than below, so one more rounding
+        gamma[hi] = _gamma(len(spec.terms) + 7)
     # a1 and each a_k contrib_k are formed with <= 6 roundings, then summed
-    return c, cert + _gamma(len(spec.terms) + 6) * mag
+    return c, cert + gamma * mag
 
 
 def cosine_coeffs(spec: BeurlingSpec, n_max: int, tol: float, n_min: int = 1):

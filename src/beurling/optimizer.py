@@ -90,8 +90,20 @@ class GramSystem:
         return len(self.thetas)
 
     def principal(self, n: int) -> "GramSystem":
-        """Leading n-by-n subsystem (same build, nested theta families)."""
-        return GramSystem(self.thetas[:n], self.G[:n, :n].copy(), self.v[:n].copy(), self.build_tol)
+        """Leading n-by-n subsystem (same build, nested theta families).
+
+        It skips the checks of __post_init__: a leading block of a checked
+        system is symmetric with v in range, and by Cauchy interlacing its
+        least eigenvalue is at least that of G, so it passes the PSD check."""
+        sub = object.__new__(GramSystem)
+        for name, value in (
+            ("thetas", self.thetas[:n]),
+            ("G", self.G[:n, :n].copy()),
+            ("v", self.v[:n].copy()),
+            ("build_tol", self.build_tol),
+        ):
+            object.__setattr__(sub, name, value)
+        return sub
 
     def to_json(self) -> str:
         return json.dumps(

@@ -18,9 +18,10 @@ def hurwitz_mp(q: int) -> dict:
 
 
 @st.composite
-def exact_specs(draw):
+def exact_specs(draw, always_admissible=False):
     """1-3 terms, theta = p/q with q | 12 (period <= 12), coefficients
-    p/q with small q, complex or real, admissible or not."""
+    p/q with small q, complex or real, admissible or not (always admissible
+    with always_admissible)."""
     n = draw(st.integers(1, 3))
     denoms = draw(st.lists(st.sampled_from([1, 2, 3, 4, 6, 12]), min_size=n, max_size=n))
     thetas = [Fr(draw(st.integers(1, q)), q) for q in denoms]
@@ -30,7 +31,7 @@ def exact_specs(draw):
         return Fr(draw(st.integers(-6, 6)), draw(st.integers(1, 6)))
 
     a = [(coef(), coef() if complex_a else Fr(0)) for _ in thetas]
-    if draw(st.booleans()):
+    if always_admissible or draw(st.booleans()):
         # solve the last coefficient from sum a_k theta_k = 0
         re = sum(x * t for (x, _), t in zip(a[:-1], thetas))
         im = sum(y * t for (_, y), t in zip(a[:-1], thetas))

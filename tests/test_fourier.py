@@ -37,7 +37,7 @@ from beurling import (
 )
 from beurling import _periodic, fourier
 from beurling._periodic import sine_integral_mp
-from beurling.numerics import bits_for_tol, to_mp
+from beurling.numerics import _gamma, bits_for_tol, to_mp
 from strategies import exact_specs, hurwitz_mp, unit_fraction_specs
 
 # Frozen oracles: mpmath direct integration of 2 int_0^1 F(x) sin(n pi x) dx
@@ -62,6 +62,12 @@ CX_SPEC = BeurlingSpec(
 
 # rows n <= N0 of batch_cosine_f64 are summed directly, rows above by NUFFT
 N0 = 256
+# CX_SPEC's first two terms with the third coefficient solved for
+# admissibility, and SPEC_A with a zero-coefficient term added
+CX_ADM = BeurlingSpec(
+    [((Fr(1, 2), Fr(1, 3)), Fr(1, 2)), ((Fr(-1, 4), Fr(1, 5)), Fr(1, 3)), ((Fr(-5, 12), Fr(-7, 12)), Fr(2, 5))]
+)
+ZERO_COEF = BeurlingSpec([(1, Fr(1, 2)), (0, Fr(1, 5)), (-1, Fr(1, 3)), (-1, Fr(1, 6))])
 
 
 def _sine_integral_oracle(spec, n, bits):
@@ -789,6 +795,50 @@ class TestBatch:
                 gap = abs(mpmath.mpc(complex(c[n - 1])) - single.value.to_mpc())
                 assert gap <= cert[n - 1] + single.error_certificate.value
 
+    @given(
+        spec=exact_specs(always_admissible=True).filter(lambda s: not s.is_real),
+        n_max=st.integers(N0 + 2, 2500),
+    )
+    @example(spec=CX_ADM, n_max=N0 + 2)
+    @example(spec=ZERO_COEF, n_max=2500)
+    @example(spec=BeurlingSpec([((1, 2), Fr(1, 2)), (0, Fr(1, 3)), ((-2, -4), Fr(1, 4))]), n_max=1000)
+    @settings(max_examples=8, deadline=None)
+    def test_complex_batch_certificate_vs_mp(self, spec, n_max):
+        # the shared NUFFT's two weight sets (Re a_k, Im a_k) and zero
+        # coefficients, on both sides of the split, against the mp route
+        c, cert = batch_cosine_f64(spec, n_max)
+        for n in (N0, N0 + 1, N0 + 2, n_max):
+            single = c_cosine_series(spec, n, tol=1e-13)
+            with mpmath.workprec(128):
+                gap = abs(mpmath.mpc(complex(c[n - 1])) - single.value.to_mpc())
+                assert gap <= cert[n - 1] + single.error_certificate.value, n
+
+    @pytest.mark.parametrize(
+        "spec, ffts",
+        [
+            (BeurlingSpec([(1, 1), (-2, Fr(1, 2))]), 22),
+            (ZERO_COEF, 22),
+            (BeurlingSpec([(Fr(3, 10), Fr(1, 6)), (Fr(-7, 10), Fr(1, 4)), (1, Fr(1, 3)), (Fr(-5, 16), Fr(2, 3))]), 22),
+            (CX_ADM, 44),
+        ],
+    )
+    def test_one_nufft_per_call(self, spec, ffts, monkeypatch):
+        # above N0 all terms share one NUFFT: Q = 22 real FFTs per weight
+        # set, whatever the number of terms; none for n_max <= N0
+        assert spec.admissible
+        calls = []
+        real = np.fft.rfft
+
+        def counting(a, *args, **kwargs):
+            calls.append(a.shape)
+            return real(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.fft, "rfft", counting)
+        batch_cosine_f64(spec, N0)
+        assert calls == []
+        batch_cosine_f64(spec, 4096)
+        assert calls == [(1 << 15,)] * ffts
+
     @pytest.mark.parametrize("n_max", [2000, 4096])
     @pytest.mark.parametrize("theta", ["1/2", "1/3", "1/4", "1/6", "2/3", "3/4"])
     def test_tail_within_its_certificate(self, theta, n_max, monkeypatch):
@@ -841,6 +891,43 @@ class TestBatch:
         assert prof.max() < 6.0
 
 
+class TestPlatformAssumptions:
+    """The batch certificates take numpy's FFT twiddles and libm's sin as
+    accurate to a few ulps (module docstring of fourier); these check both
+    on the running platform, against mp."""
+
+    def test_rfft_of_unit_impulses(self):
+        # at M = 2^15 the FFT bound is gamma_(8 log2 M) ||w||_1, and a unit
+        # impulse at l has the exact transform e^(-2 pi i k l/M)
+        M = 1 << 15
+        with mpmath.workprec(80):
+            roots = np.array([complex(mpmath.expjpi(mpmath.mpf(-2 * r) / M)) for r in range(M)])
+        # each root rounded to a double is within sqrt(2) u of the exact one
+        slack = math.sqrt(2.0) * np.finfo(np.float64).eps / 2
+        k = np.arange(M // 2 + 1)
+        for l in (1, 3, 4097, 12345, M // 2 - 1, M - 1):
+            w = np.zeros(M)
+            w[l] = 1.0
+            gap = np.abs(np.fft.rfft(w) - roots[(k * l) % M]) + slack
+            assert gap.max() <= _gamma(8 * 15), l
+
+    def test_sin_at_direct_head_arguments(self):
+        # _direct_head takes np.sin(alpha/(2j)) as within 4 eps relative;
+        # sampled over its rows n <= N0 and heads j <= J(n), as it forms them
+        rng = np.random.default_rng(21)
+        eps = np.finfo(np.float64).eps
+        for theta in (1.0, 0.5, 1 / 3, 0.75, 2 / 3, 1 / 12):
+            alpha = np.arange(1, N0 + 1, dtype=np.float64) * math.pi * theta
+            J = np.maximum(64, np.ceil(2.0 * alpha)).astype(np.int64)
+            rows = rng.integers(0, N0, 400)
+            j = np.floor(rng.random(400) * J[rows]).astype(np.int64) + 1
+            y = alpha[rows] / (2.0 * j.astype(np.float64))
+            with mpmath.workprec(120):
+                for yi, si in zip(y.tolist(), np.sin(y).tolist()):
+                    ref = mpmath.sin(yi)
+                    assert abs(si - ref) <= 4 * eps * abs(ref), (theta, yi)
+
+
 def _tail_mp(alpha, q):
     """(T, slack): sum_m (-1)^m alpha^2m/(2m)! zeta(2m, q) over 2m <= 24 at
     300 bits, and a bound on its distance to the whole series: its zeta
@@ -858,9 +945,13 @@ def _tail_mp(alpha, q):
 
 
 class TestCosineCoeffs:
+    # between SPEC_A's batch certificates at n_max = 300: at most 1.5e-14 on
+    # the direct rows n <= N0, at least 7.2e-14 on the NUFFT rows above
+    TOL = 3e-14
+
     def test_rows_from_batch_or_series(self, spec_a, monkeypatch):
-        # at tol 1e-13 the batch certifies SPEC_A's direct rows n <= N0 but
-        # not its NUFFT rows: only those come from c_cosine_series
+        # at TOL the batch certifies SPEC_A's direct rows n <= N0 but not its
+        # NUFFT rows: only those come from c_cosine_series
         series = {}
 
         def record(spec, n, tol):
@@ -868,20 +959,20 @@ class TestCosineCoeffs:
             return series[n]
 
         monkeypatch.setattr(fourier, "c_cosine_series", record)
-        c, cert = cosine_coeffs(spec_a, 300, 1e-13)
+        c, cert = cosine_coeffs(spec_a, 300, self.TOL)
         assert sorted(series) == list(range(N0 + 1, 301))
         batch_c, batch_cert = batch_cosine_f64(spec_a, 300)
         assert np.array_equal(c[:N0], batch_c[:N0])
         assert np.array_equal(cert[:N0], batch_cert[:N0])
         for n, fc in series.items():
             assert c[n - 1] == complex(fc.value)
-            assert float(fc.error_certificate) < cert[n - 1] <= 1e-13
+            assert float(fc.error_certificate) < cert[n - 1] <= self.TOL
         # each sampled row within its certificate of the mp route at 3x bits
         # (every row would take about 20 s)
-        ref_tol = 2.0 ** (16 - 3 * bits_for_tol(1e-13))
+        ref_tol = 2.0 ** (16 - 3 * bits_for_tol(self.TOL))
         for n in (1, 2, 32, 33, 128, N0 - 1, N0, N0 + 1, N0 + 2, 280, 299, 300):
             ref = c_cosine_series(spec_a, n, ref_tol)
-            with mpmath.workprec(3 * bits_for_tol(1e-13)):
+            with mpmath.workprec(3 * bits_for_tol(self.TOL)):
                 gap = abs(mpmath.mpc(complex(c[n - 1])) - ref.value.to_mpc())
                 assert gap <= cert[n - 1] + ref.error_certificate.value, n
 
@@ -896,7 +987,7 @@ class TestCosineCoeffs:
             return series[n]
 
         monkeypatch.setattr(fourier, "c_cosine_series", record)
-        c, cert = cosine_coeffs(spec_a, 300, 1e-13)
+        c, cert = cosine_coeffs(spec_a, 300, self.TOL)
         assert sorted(series) == list(range(N0 + 1, 301))
         for n, fc in series.items():
             man, exp = fc.error_certificate.value.man_exp

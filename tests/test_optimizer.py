@@ -85,6 +85,30 @@ class TestBuildGram:
         assert np.allclose(part.v, direct.v, atol=1e-12)
         assert part.thetas == direct.thetas
 
+    def test_psd_check_runs_once_per_checked_system(self, monkeypatch):
+        # build_gram, from_json and direct construction run the eigvalsh
+        # check; a leading block of a checked system (interlacing) does not
+        calls = []
+        real = np.linalg.eigvalsh
+
+        def counting(a):
+            calls.append(a.shape)
+            return real(a)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+        full = build_gram(unit_thetas(8), tol=1e-9)
+        assert calls == [(8, 8)]
+        parts = [full.principal(n) for n in range(1, 9)]
+        assert calls == [(8, 8)]
+        for n, part in enumerate(parts, 1):
+            assert part.N == n and part.build_tol == full.build_tol
+            assert np.array_equal(part.G, full.G[:n, :n]) and np.array_equal(part.v, full.v[:n])
+            part.G[0, 0] = -1.0  # a copy: the full system is untouched
+        assert full.G[0, 0] > 0
+        GramSystem.from_json(full.to_json())
+        GramSystem(full.thetas, full.G, full.v, full.build_tol)
+        assert calls == [(8, 8)] * 3
+
     def test_validation(self):
         with pytest.raises(ValueError):
             GramSystem(
