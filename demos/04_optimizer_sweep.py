@@ -1,9 +1,11 @@
 """How close can f_N(x) = sum a_k frac(theta_k / x) get to -1?
 
 For the nested unit families theta_k = 1/k, k = 1..N, the norm-minimizing
-coefficients under the constraint sum a_k theta_k = 0 solve a KKT system
-built from exact pairwise Gram integrals. The minimal norms decrease as N
-grows; the N = 2 optimum is the classical hand solution a = (1, -2).
+coefficients under the constraint sum a_k theta_k = 0 come from one
+Cholesky factor of the Gram matrix of exact pairwise integrals. The families
+are nested, so one factor at the largest N gives every row of the sweep. The
+minimal norms decrease as N grows; the N = 2 optimum is the classical hand
+solution a = (1, -2).
 """
 import math
 

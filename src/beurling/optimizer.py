@@ -1,10 +1,13 @@
 """Norm-minimizing coefficients a for fixed thetas under sum a_k theta_k = 0.
 
 ||f + 1||^2 = a^T G a + 2 a^T v + 1 with G[j][k] = int_0^1 rho(theta_j/x)
-rho(theta_k/x) dx and v[k] = int_0^1 rho(theta_k/x) dx, so the minimizer
-solves the equality-constrained least-squares KKT system
+rho(theta_k/x) dx and v[k] = int_0^1 rho(theta_k/x) dx. With the Cholesky
+factor G = L L^T, y = L^-1 v and z = L^-1 theta, the minimum over theta^T a
+= 0 is 1 - |y|^2 + (y.z)^2/|z|^2, at the solution of the KKT system
 
     [[G, theta], [theta^T, 0]] [a; lambda] = [-v; 0].
+
+One factor of G serves every leading block, so every nested family (`sweep`).
 
 No entry is integrated while its thetas have a joint period in reach. For
 coprime h, k Vasyunin's formula gives
@@ -30,8 +33,8 @@ with ToleranceNotMet a pair whose ratio theta_1/theta_2 has a period past
 the cap of `_period` as well: float thetas such as 0.1 =
 3602879701896397/2^55 have no joint period in reach, but v(0.1) and
 G(0.1, 0.2) (ratio 1/2) are closed forms, while G(0.1, 0.5) is refused.
-Duplicate thetas make the KKT matrix exactly singular and are rejected
-rather than merged.
+Duplicate thetas make G exactly singular and are rejected rather than
+merged; a G whose factor meets a pivot <= 0 raises SingularSystemError.
 """
 from __future__ import annotations
 
@@ -88,22 +91,6 @@ class GramSystem:
     @property
     def N(self) -> int:
         return len(self.thetas)
-
-    def principal(self, n: int) -> "GramSystem":
-        """Leading n-by-n subsystem (same build, nested theta families).
-
-        It skips the checks of __post_init__: a leading block of a checked
-        system is symmetric with v in range, and by Cauchy interlacing its
-        least eigenvalue is at least that of G, so it passes the PSD check."""
-        sub = object.__new__(GramSystem)
-        for name, value in (
-            ("thetas", self.thetas[:n]),
-            ("G", self.G[:n, :n].copy()),
-            ("v", self.v[:n].copy()),
-            ("build_tol", self.build_tol),
-        ):
-            object.__setattr__(sub, name, value)
-        return sub
 
     def to_json(self) -> str:
         return json.dumps(
@@ -330,9 +317,35 @@ def build_gram(thetas, tol: float = 1e-9) -> GramSystem:
     return GramSystem(ths, G, v, tol)
 
 
-def optimize_coeffs(thetas, tol: float = 1e-9, gram: GramSystem | None = None) -> dict:
-    """Minimize a^T G a + 2 a^T v + 1 subject to theta^T a = 0.
+def _constrained_minima(G: np.ndarray, v: np.ndarray, th: np.ndarray):
+    """(L, y, z, minima): G = L L^T factored column by column, y = L^-1 v,
+    z = L^-1 theta, and minima[n - 1] = 1 - Y_n + W_n^2/Z_n, the least ||f +
+    1||^2 over the leading n thetas, Y, Z and W the prefix sums of y^2, z^2
+    and yz. The leading blocks of L, y and z are those of G's leading block,
+    and every sum is an elementwise product and `sum`, with no BLAS call, so
+    minima[n - 1] depends only on the leading n entries of G, v and theta,
+    bit for bit, whatever the size of G or the number of BLAS threads. A
+    pivot <= 0 raises SingularSystemError."""
+    n = len(v)
+    L, y, z = np.zeros((n, n)), np.zeros(n), np.zeros(n)
+    for j in range(n):
+        col = G[j:, j] - (L[j:, :j] * L[j, :j]).sum(axis=1)
+        if not col[0] > 0.0:
+            raise SingularSystemError(f"G is not positive definite (pivot {j + 1} is {col[0]:.3g})")
+        d = math.sqrt(col[0])
+        L[j:, j] = col / d
+        y[j] = (v[j] - (L[j, :j] * y[:j]).sum()) / d
+        z[j] = (th[j] - (L[j, :j] * z[:j]).sum()) / d
+    W = np.cumsum(y * z)
+    minima = 1.0 - np.cumsum(y * y) + W * W / np.cumsum(z * z)
+    minima[(minima < 0.0) & (minima > -1e-9)] = 0.0  # roundoff below a zero minimum
+    return L, y, z, minima
 
+
+def optimize_coeffs(thetas, tol: float = 1e-9, gram: GramSystem | None = None) -> dict:
+    """Minimize a^T G a + 2 a^T v + 1 subject to theta^T a = 0: lambda =
+    -W_N/Z_N and L^T a = -(y + lambda z) from `_constrained_minima`, whose
+    last minimum is norm_sq, so it equals `sweep`'s row N bit for bit.
     Returns {"a": ndarray, "norm_sq": float, "lambda": float,
     "kkt_residual": float, "constraint_residual": float, "gram": GramSystem}.
     N = 1 is allowed (the constraint forces a = 0 there).
@@ -346,37 +359,24 @@ def optimize_coeffs(thetas, tol: float = 1e-9, gram: GramSystem | None = None) -
     if len(set(ths)) != n:
         raise SingularSystemError("duplicate thetas make the KKT system singular")
     th = np.array([float(t) for t in ths], dtype=np.float64)
-    A = np.zeros((n + 1, n + 1), dtype=np.float64)
-    A[:n, :n] = gs.G
-    A[:n, n] = th
-    A[n, :n] = th
-    b = np.zeros(n + 1, dtype=np.float64)
-    b[:n] = -gs.v
-    try:
-        x = np.linalg.solve(A, b)
-        x = x + np.linalg.solve(A, b - A @ x)  # one step of iterative refinement
-    except np.linalg.LinAlgError as e:
-        raise SingularSystemError(f"KKT solve failed: {e}") from None
-    if not np.all(np.isfinite(x)):
+    L, y, z, minima = _constrained_minima(gs.G, gs.v, th)
+    lam = -float((y * z).sum() / (z * z).sum())
+    rhs, a = -y - lam * z, np.zeros(n)
+    for j in range(n - 1, -1, -1):
+        a[j] = (rhs[j] - (L[j + 1:, j] * a[j + 1:]).sum()) / L[j, j]
+    if not np.all(np.isfinite(a)):
         raise SingularSystemError("KKT solve produced non-finite values")
-    a, lam = x[:n], float(x[n])
     scale = max(float(np.max(np.abs(gs.G))), float(np.max(np.abs(gs.v))), 1.0)
-    kkt_res = float(np.max(np.abs(gs.G @ a + lam * th + gs.v)))
-    con_res = abs(float(th @ a))
-    x_scale = max(1.0, float(np.max(np.abs(x))))
+    kkt_res = float(np.max(np.abs((gs.G * a).sum(axis=1) + lam * th + gs.v)))
+    x_scale = max(1.0, float(np.max(np.abs(a))), abs(lam))
     if kkt_res > 1e4 * _SOLVER_EPS * scale * x_scale * n:
-        raise SingularSystemError(
-            f"KKT residual {kkt_res:.3g} indicates an ill-conditioned system"
-        )
-    norm_sq = float(a @ gs.G @ a + 2.0 * (a @ gs.v) + 1.0)
-    if norm_sq < 0.0:
-        norm_sq = max(norm_sq, 0.0) if norm_sq > -1e-9 else norm_sq
+        raise SingularSystemError(f"KKT residual {kkt_res:.3g} indicates an ill-conditioned system")
     return {
         "a": a,
-        "norm_sq": norm_sq,
+        "norm_sq": float(minima[-1]),
         "lambda": lam,
         "kkt_residual": kkt_res,
-        "constraint_residual": con_res,
+        "constraint_residual": abs(float((th * a).sum())),
         "gram": gs,
     }
 
@@ -429,13 +429,13 @@ def residual_report(thetas, tol: float = 1e-9) -> dict:
 
 def sweep(n_from: int, n_to: int, tol: float = 1e-9) -> list[dict]:
     """Minimal norms for the unit families theta_k = 1/k, k = 1..N,
-    N = n_from..n_to. The Gram system is built once at the largest N and
-    sliced (the families are nested), so rows are deterministic and cheap."""
+    N = n_from..n_to. The families are nested, so the Gram system is built
+    once at n_to and every row is a prefix minimum of one factor
+    (`_constrained_minima`); row N does not depend on n_to."""
     n_from = check_count(n_from, "n_from")
     n_to = check_count(n_to, "n_to", n_from)
     gs = build_gram(unit_thetas(n_to), tol)
-    rows = []
-    for n in range(n_from, n_to + 1):
-        ns = optimize_coeffs(None, tol, gram=gs.principal(n))["norm_sq"]
-        rows.append({"N": n, "norm_sq": ns, "norm": math.sqrt(max(ns, 0.0))})
-    return rows
+    th = np.array([float(t) for t in gs.thetas], dtype=np.float64)
+    minima = _constrained_minima(gs.G, gs.v, th)[3].tolist()
+    return [{"N": n, "norm_sq": ns, "norm": math.sqrt(max(ns, 0.0))}
+            for n, ns in enumerate(minima[n_from - 1:], n_from)]

@@ -77,17 +77,9 @@ class TestBuildGram:
         assert np.array_equal(gs.G, gs.G.T)
         assert float(np.min(np.linalg.eigvalsh(gs.G))) > -1e-8
 
-    def test_principal_slicing(self):
-        full = build_gram(unit_thetas(5), tol=1e-9)
-        part = full.principal(3)
-        direct = build_gram(unit_thetas(3), tol=1e-9)
-        assert np.allclose(part.G, direct.G, atol=1e-12)
-        assert np.allclose(part.v, direct.v, atol=1e-12)
-        assert part.thetas == direct.thetas
-
     def test_psd_check_runs_once_per_checked_system(self, monkeypatch):
         # build_gram, from_json and direct construction run the eigvalsh
-        # check; a leading block of a checked system (interlacing) does not
+        # check; sweep runs it once, on the Gram system built at n_to
         calls = []
         real = np.linalg.eigvalsh
 
@@ -98,16 +90,12 @@ class TestBuildGram:
         monkeypatch.setattr(np.linalg, "eigvalsh", counting)
         full = build_gram(unit_thetas(8), tol=1e-9)
         assert calls == [(8, 8)]
-        parts = [full.principal(n) for n in range(1, 9)]
-        assert calls == [(8, 8)]
-        for n, part in enumerate(parts, 1):
-            assert part.N == n and part.build_tol == full.build_tol
-            assert np.array_equal(part.G, full.G[:n, :n]) and np.array_equal(part.v, full.v[:n])
-            part.G[0, 0] = -1.0  # a copy: the full system is untouched
-        assert full.G[0, 0] > 0
         GramSystem.from_json(full.to_json())
         GramSystem(full.thetas, full.G, full.v, full.build_tol)
         assert calls == [(8, 8)] * 3
+        calls.clear()
+        sweep(1, 8, tol=1e-9)
+        assert calls == [(8, 8)]
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -378,6 +366,13 @@ class TestOptimizeCoeffs:
         with pytest.raises(SingularSystemError):
             optimize_coeffs([Fr(1, 2), Fr(1, 2)], tol=1e-9)
 
+    def test_singular_gram_rejected(self):
+        # a hand-built system passes validation (symmetric, PSD, v in range)
+        # while G is singular: the factor meets a zero pivot
+        gs = GramSystem((Fr(1), Fr(1, 2)), np.ones((2, 2)), np.array([0.4, 0.5]), 1e-9)
+        with pytest.raises(SingularSystemError, match="pivot 2"):
+            optimize_coeffs(None, tol=1e-9, gram=gs)
+
     def test_norm_sq_vs_quadrature(self):
         # criterion-9 style: quadratic-form norm against norm_numeric on the
         # exactly reprojected spec
@@ -425,6 +420,37 @@ class TestSweep:
         ns = [r["norm_sq"] for r in rows]
         assert all(v > 0 for v in ns)
         assert all(a >= b - 1e-12 for a, b in zip(ns, ns[1:]))
+
+    @settings(max_examples=12, deadline=None)
+    @given(st.integers(1, 60), st.integers(1, 60), st.integers(1, 60))
+    def test_rows_do_not_depend_on_n_to(self, n1, n2, n3):
+        # one factor serves every row: row N is a function of G_N, v_N and
+        # theta_N alone, bit for bit, and optimize_coeffs reads the same minimum
+        n_from, m, n_to = sorted((n1, n2, n3))
+        full = sweep(1, n_to, tol=1e-9)
+        assert sweep(n_from, m, tol=1e-9) == full[n_from - 1:m]
+        res = optimize_coeffs(unit_thetas(m), tol=1e-9)
+        assert res["norm_sq"] == full[m - 1]["norm_sq"]
+
+    def test_rows_vs_mp_kkt(self):
+        # rows of sweep(1, 100) against the bordered KKT system on the same
+        # float G, v and theta, solved by mpmath's lu_solve at 200 bits; at
+        # the optimum a^T G a = -a^T v, so the minimum is 1 + a^T v
+        n_to = 100
+        rows = sweep(1, n_to, tol=1e-9)
+        gs = build_gram(unit_thetas(n_to), tol=1e-9)
+        with mpmath.workprec(200):
+            for n in (1, 2, 17, 60, 100):
+                A = mpmath.zeros(n + 1, n + 1)
+                b = mpmath.zeros(n + 1, 1)
+                for j in range(n):
+                    for k in range(n):
+                        A[j, k] = mpmath.mpf(float(gs.G[j, k]))
+                    A[j, n] = A[n, j] = mpmath.mpf(1.0 / (j + 1))
+                    b[j] = -mpmath.mpf(float(gs.v[j]))
+                x = mpmath.lu_solve(A, b)
+                ref = 1 + mpmath.fsum(x[j] * mpmath.mpf(float(gs.v[j])) for j in range(n))
+                assert abs(rows[n - 1]["norm_sq"] - float(ref)) < 1e-14
 
     def test_domain(self):
         with pytest.raises(DomainError):
