@@ -9,8 +9,7 @@ factor G = L L^T, y = L^-1 v and z = L^-1 theta, the minimum over theta^T a
 
 One factor of G serves every leading block, so every nested family (`sweep`).
 
-No entry is integrated while its thetas have a joint period in reach. For
-coprime h, k Vasyunin's formula gives
+For coprime h, k Vasyunin's formula gives
 
     A(h, k) = int_0^inf rho(1/hx) rho(1/kx) dx
             = (ln 2 pi - gamma)/2 (1/h + 1/k) + (k - h)/(2hk) ln(h/k)
@@ -18,9 +17,10 @@ coprime h, k Vasyunin's formula gives
     V(h, k) = sum_{m<k} {mh/k} cot(pi m/k)
 
 (Vasyunin, St. Petersburg Math. J. 7, 1996; Bettin-Conrey-Farmer, 2013).
-With theta_2/theta_1 = a/b in lowest terms, G(theta_1, theta_2) =
-theta_1 a A(a, b) - theta_1 theta_2 and v(theta) = theta (1 - gamma - ln
-theta): finite cotangent sums with a priori roundoff bounds. Each entry is
+With theta_1 <= theta_2 and theta_2/theta_1 = a/b in lowest terms,
+G(theta_1, theta_2) = theta_1 a A(a, b) - theta_1 theta_2 and v(theta) =
+theta (1 - gamma - ln theta): finite cotangent sums with a priori roundoff
+bounds, which see a pair only through theta_1, a and b. Each entry is
 first evaluated in float64 (`_f64_entry`): one table of cot(pi m/k) per
 denominator k and one ln per integer, each an mp value rounded to a double
 once and shared across a `build_gram` call, so the mp work is O(N^2); the
@@ -28,11 +28,10 @@ O(N^3) weighted sums run in doubles, under an a priori bound in the IEEE
 model proven beside the code. An entry whose bound is at most tol stores
 that double; any other falls back to the mp closed form `_closed_entry` at
 tol, which serves every tol below the float64 bound (about 1e-15 relative).
-`_gram_entry` alone chooses the period its bound is taken at, and refuses
-with ToleranceNotMet a pair whose ratio theta_1/theta_2 has a period past
-the cap of `_period` as well: float thetas such as 0.1 =
-3602879701896397/2^55 have no joint period in reach, but v(0.1) and
-G(0.1, 0.2) (ratio 1/2) are closed forms, while G(0.1, 0.5) is refused.
+`_gram_entry` alone reduces the ratio, and refuses with ToleranceNotMet a
+pair whose a, the period of theta_1/theta_2, is past the cap of `_period`:
+v(0.1) and G(0.1, 0.2) (ratio 1/2) are closed forms for the float 0.1 =
+3602879701896397/2^55, while G(0.1, 0.5) is refused.
 Duplicate thetas make G exactly singular and are rejected rather than
 merged; a G whose factor meets a pivot <= 0 raises SingularSystemError.
 """
@@ -133,12 +132,13 @@ def _cot_sum(h: int, k: int, wp: int, cots: dict):
     return mpmath.fdot([2 * (m * h % k) - k for m in range(1, (k + 1) // 2)], hit[1])
 
 
-def _closed_entry(thetas, B: int, bits: int, cots: dict):
-    """(value, err_bound) in mp of the Gram entry over one or two thetas in
-    (0, 1] of joint period B, err_bound <= 2^-bits.
+def _closed_entry(t1: Fraction, a: int, b: int, bits: int, cots: dict):
+    """(value, err_bound) in mp of the Gram entry with least theta t1 in
+    (0, 1] and theta_2/theta_1 = a/b in lowest terms, or of v(t1) for
+    a = b = 0; err_bound <= 2^-bits.
 
-    With theta_1 <= theta_2, a/b = theta_2/theta_1 and tau = theta_1/b =
-    theta_2/a (so a, b <= B), the formula of the module docstring reads
+    With tau = theta_1/b = theta_2/a (so b <= a), the formula of the module
+    docstring reads
 
         G = (ln 2 pi - gamma)(theta_1 + theta_2)/2 + (theta_1 - theta_2)/2 ln(a/b)
             - pi/2 (tau/b W(a, b) + tau/a W(b, a)) - theta_1 theta_2,
@@ -149,26 +149,25 @@ def _closed_entry(thetas, B: int, bits: int, cots: dict):
     2m/k; mpmath's cot adds 2 ulps, so each table value is off by at most 10 u T_m.
     W(h, k) sums n <= (k-1)/2 terms with |2r - k| < k, so it is off by at
     most (n + 11) u k sum T_m <= (n + 11) u (k^2/pi)(1 + ln k), and since tau
-    k <= 1 its term in G by (n + 11) u (1 + ln B)/2. ln 2 pi, gamma and
-    ln(a/b) are within an ulp each plus one of the argument, and the four
-    terms of G, or the two of v = theta (1 - gamma - ln theta), total at most
-    2 (2 + ln B) in magnitude with at most 10 roundings each. So the error
-    is at most (a + b + 64)(2 + ln B) u, with a + b read as 0 for v.
+    k <= 1 and k <= a its term in G by (n + 11) u (1 + ln a)/2. ln 2 pi,
+    gamma and ln(a/b) are within an ulp each plus one of the argument, and
+    the four terms of G total at most 2 (2 + ln a) in magnitude, and the
+    two of v = theta (1 - gamma - ln theta) at most 1 + gamma + 1/e <= 2
+    (2 + ln 1), with at most 10 roundings each. So the error is at most
+    (a + b + 64)(2 + ln a) u, with ln a read as ln 1 for v.
     """
-    t1, t2 = min(thetas), max(thetas)
-    ratio = t2 / t1
-    a, b = (ratio.numerator, ratio.denominator) if len(thetas) == 2 else (0, 0)
-    scale = (a + b + 64) * (2 + math.log(B))
+    scale = (a + b + 64) * (2 + math.log(a or 1))
     wp = bits + math.ceil(math.log2(scale))
     with workprec(wp):
         if not a:
             val = to_mp(t1) * (1 - mpmath.euler - mpmath.log(to_mp(t1)))
         else:
             tau = t1 / b
+            t2 = tau * a
             w_ab, w_ba = _cot_sum(a, b, wp, cots), _cot_sum(b, a, wp, cots)
             val = (
                 (mpmath.log(2 * mpmath.pi) - mpmath.euler) * to_mp((t1 + t2) / 2)
-                + to_mp((t1 - t2) / 2) * mpmath.log(to_mp(ratio))
+                + to_mp((t1 - t2) / 2) * mpmath.log(to_mp(Fraction(a, b)))
                 - mpmath.pi / 2 * (to_mp(tau / b) * w_ab + to_mp(tau / a) * w_ba)
                 - to_mp(t1 * t2)
             )
@@ -201,10 +200,10 @@ def _cot_sum_f64(h: int, k: int, tabs: dict) -> float:
     return tabs[key]
 
 
-def _f64_entry(thetas: tuple[Fraction, ...], tabs: dict):
-    """(value, bound): the Gram entry over one or two thetas in float64, with
-    |value - entry| <= bound; None outside the model below (tau < 2^-500 or
-    a >= 2^26).
+def _f64_entry(t1: Fraction, a: int, b: int, tabs: dict):
+    """(value, bound): the Gram entry of `_closed_entry`'s (t1, a, b) in
+    float64, with |value - entry| <= bound; None outside the model below
+    (tau < 2^-500 or a >= 2^26).
 
     The formula of `_closed_entry` with tau = theta_1/b:
     s = (theta_1 + theta_2)/2 = tau (a + b)/2, d = (theta_1 - theta_2)/2 =
@@ -249,17 +248,14 @@ def _f64_entry(thetas: tuple[Fraction, ...], tabs: dict):
     doubles from the computed inputs with gamma_(n+13): those inputs and its
     own roundings lose less than a relative gamma_20 < 1/(n+12) <=
     gamma_(n+13)/gamma_(n+12) - 1. It is the float64 counterpart of
-    `_closed_entry`'s (a + b + 64)(2 + ln B) 2^-wp.
+    `_closed_entry`'s (a + b + 64)(2 + ln a) 2^-wp.
     """
-    t1, t2 = min(thetas), max(thetas)
-    if len(thetas) == 1:
+    if not a:
         th = float(t1)
         if th < 2.0**-500:
             return None
         lp, lq = _ln_f64(t1.numerator, tabs), _ln_f64(t1.denominator, tabs)
         return th * (_C_V - (lp - lq)), _gamma(13) * (th * (_C_V + lp + lq))
-    ratio = t2 / t1
-    a, b = ratio.numerator, ratio.denominator
     tau = float(t1 / b)
     if tau < 2.0**-500 or a >= 2**26:
         return None
@@ -275,27 +271,26 @@ def _gram_entry(thetas: tuple[Fraction, ...], tol: float, tabs: dict) -> float:
     """int_0^1 prod_k rho(theta_k/x) dx over one or two thetas, certified to
     tol as stored.
 
-    The float64 value of `_f64_entry` when its bound is at most tol;
-    otherwise the closed form `_closed_entry` at tol (its certificate plus
-    half an ulp of the returned float) when the thetas have a joint period
-    B. tabs holds the tables both share across a call. Past the caps of
-    `_period` its bound still holds with B = 1 for v, whose magnitude is at
-    most 1 + gamma + 1/e, and with the period of theta_1/theta_2
-    (theta_1 <= theta_2) for G, which is a >= b. ToleranceNotMet for a pair
-    past both, or when the certificate exceeds tol.
+    theta_1 is the least theta and, for a pair, theta_1/theta_2 = b/a in
+    lowest terms, whose period is a. The float64 value of `_f64_entry` when
+    its bound is at most tol; otherwise the closed form `_closed_entry` at
+    tol (its certificate plus half an ulp of the returned float). tabs holds
+    the tables both share across a call. ToleranceNotMet for a pair whose a
+    is past the cap of `_period`, or when the certificate exceeds tol.
     """
-    B = _periodic._period(thetas)
-    if B is None:
-        B = 1 if len(thetas) == 1 else _periodic._period((min(thetas) / max(thetas),))
-    if B is None:
-        raise ToleranceNotMet(
-            f"G({', '.join(repr(float(t)) for t in thetas)}): neither the thetas "
-            "nor their ratio have a period within the caps"
-        )
-    hit = _f64_entry(thetas, tabs)
+    t1, a, b = min(thetas), 0, 0
+    if len(thetas) == 2:
+        ratio = t1 / max(thetas)
+        if _periodic._period((ratio,)) is None:
+            raise ToleranceNotMet(
+                f"G({', '.join(repr(float(t)) for t in thetas)}): the ratio of "
+                "the thetas has no period within the caps"
+            )
+        a, b = ratio.denominator, ratio.numerator
+    hit = _f64_entry(t1, a, b, tabs)
     if hit is not None and hit[1] <= tol:
         return hit[0]
-    out, err = to_double(*_closed_entry(thetas, B, bits_for_tol(tol), tabs))
+    out, err = to_double(*_closed_entry(t1, a, b, bits_for_tol(tol), tabs))
     if err > tol:
         raise ToleranceNotMet(f"Gram entry error {err:.3g} exceeds tol {tol:.3g}")
     return out

@@ -114,10 +114,12 @@ larger n that series needs ~1.443 n pi extra working bits and O(e n pi)
 terms, so the same number (the routes agree within their certificates for
 admissible specs meeting the even-Mellin hypotheses) is taken from
 `fourier.cosine_coeffs` instead: the float64 batch where its certificate
-meets the tolerance, the mp cosine series for the other rows. The
-coefficients are computed afresh on every call, so a result depends only
-on its arguments; only the sine moments, which depend on (n, s, tol) alone,
-are cached across calls.
+meets the tolerance, the mp cosine series for the other rows. An mp row
+of either route is stored as a double with its certificate widened by
+that rounding (`numerics.to_double`). The coefficients are computed
+afresh on every call, so a result depends only on its arguments; only
+the sine moments, which depend on (n, s, tol) alone, are cached across
+calls.
 """
 from __future__ import annotations
 
@@ -142,6 +144,7 @@ from .numerics import (
     check_count,
     check_tol,
     float_up,
+    to_double,
     workprec,
 )
 
@@ -377,7 +380,7 @@ def mellin_reconstruct_report(
     # (c(n), certificate), built afresh so that no call sees another's rows
     head = c_batch(spec, range(1, min(n_max, _COEFF_SWITCH_N) + 1), "even_mellin_limit",
                    tol_per_coeff)
-    coeffs = [(complex(fc.value), float(fc.error_certificate)) for fc in head]
+    coeffs = [to_double(fc.value, float(fc.error_certificate)) for fc in head]
     if n_max > _COEFF_SWITCH_N:
         c, cert = cosine_coeffs(spec, n_max, tol_per_coeff, _COEFF_SWITCH_N + 1)
         coeffs += zip(c.tolist(), cert.tolist())

@@ -17,6 +17,17 @@ def hurwitz_mp(q: int) -> dict:
         return numerics.hurwitz_zeta_row({s: mpmath.mpf(q) ** s * 2**40 for s in range(2, 25, 2)}, q)
 
 
+def reduced(ths) -> tuple:
+    """(theta_1, a, b), the arguments of `optimizer._closed_entry` and
+    `_f64_entry` for one or two thetas: theta_1 the least and a/b =
+    theta_2/theta_1 in lowest terms, a = b = 0 for one theta."""
+    t1 = min(ths)
+    if len(ths) == 1:
+        return t1, 0, 0
+    r = max(ths) / t1
+    return t1, r.numerator, r.denominator
+
+
 @st.composite
 def exact_specs(draw, always_admissible=False):
     """1-3 terms, theta = p/q with q | 12 (period <= 12), coefficients

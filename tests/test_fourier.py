@@ -55,6 +55,7 @@ SPEC_B_C1 = 0.85292486907739207
 NON_ADMISSIBLE = BeurlingSpec([(1, Fr(1, 2)), (-1, Fr(1, 3))])
 NON_ADMISSIBLE_X = (1.3012969798232952, -0.170340237040151, 0.5923610875563045, 0.11185197321447879)
 THETA1_B = BeurlingSpec([(Fr(1, 2), 1), (-1, Fr(1, 2))])
+THETA1_C = BeurlingSpec([(Fr(1, 3), 1), (-1, Fr(1, 3))])
 # complex coefficients on theta = 1/2, 1/3, 2/5: period 30
 CX_SPEC = BeurlingSpec(
     [((Fr(1, 2), Fr(1, 3)), Fr(1, 2)), ((Fr(-1, 4), Fr(1, 5)), Fr(1, 3)), (Fr(-2, 3), Fr(2, 5))]
@@ -553,6 +554,9 @@ class TestEvenMellinRoutes:
         n=st.integers(1, 50),
         tol=st.sampled_from([1e-8, 1e-12, 1e-20]),
     )
+    # theta = 1 past the n <= 20 of the fixtures' other audits
+    @example(spec=THETA1_B, n=60, tol=1e-12)
+    @example(spec=THETA1_C, n=45, tol=1e-8)
     def test_limit_certificate_bounds_the_error(self, spec, n, tol):
         # against c_direct at twice the bits, within both certificates
         fc = c_even_mellin_limit(spec, n, tol)

@@ -24,7 +24,7 @@ from beurling import (
 from beurling._periodic import PERIOD_CAP, _period, f_abs2_pieces, u_integral_mp
 from beurling.numerics import bits_for_tol, to_mp
 from beurling.optimizer import _closed_entry
-from strategies import exact_specs, unit_fraction_specs
+from strategies import exact_specs, reduced, unit_fraction_specs
 
 
 class TestFrac:
@@ -374,7 +374,7 @@ def _closed_norm_sq(spec, bits):
     cots = {}
 
     def entry(*ths):
-        return _closed_entry(ths, _period(ths), bits, cots)
+        return _closed_entry(*reduced(ths), bits, cots)
 
     terms = spec.terms
     with mpmath.workprec(2 * bits):

@@ -1,8 +1,8 @@
 """layout: the package is serial, reads no environment variable and
 imports no scipy, numerics alone scopes and locks mpmath precision,
 converts rationals, checks tolerances, counts and exponents and evaluates
-the Hurwitz zeta, one function reads the period caps and one chooses each
-Gram entry's period, the periodic engine certifies without quadrature
+the Hurwitz zeta, one function reads the period caps and one reduces each
+Gram entry's ratio, the periodic engine certifies without quadrature
 estimates through one Hurwitz-kernel tail and one head path, one function
 decides how each coefficient row is certified, every function the
 benchmark's tracer wraps by name still exists, and the precision scalars
@@ -138,13 +138,22 @@ def test_period_caps_read_only_in_period():
 
 def test_gram_ladder_is_one_function():
     # the Gram entries are closed forms, never a u-integral, and one
-    # function chooses the period each is bounded at, or refuses it
+    # function reduces the ratio each is bounded at, or refuses it
     text = SOURCES["optimizer.py"]
     assert _owners(text, _calls("u_integral_f64")) + _owners(text, _calls("u_integral_mp")) == []
     owners = {
         (name, o) for name, text in SOURCES.items() for o in _owners(text, _calls("_closed_entry"))
     }
     assert owners == {("optimizer.py", "_gram_entry")}
+
+
+def test_gram_entry_asks_one_period():
+    # an entry depends on its pair only through the reduced ratio, so the
+    # optimizer asks `_period` once, in `_gram_entry`, for that ratio alone,
+    # and never for a joint period or a piece decomposition
+    text = SOURCES["optimizer.py"]
+    assert _owners(text, _calls("_period")) == ["_gram_entry"]
+    assert _owners(text, _calls("_joint_period")) + _owners(text, _calls("decompose")) == []
 
 
 def test_periodic_has_no_float64_hurwitz():

@@ -23,6 +23,7 @@ from beurling import (
     unit_thetas,
 )
 from beurling._periodic import (
+    PERIOD_CAP,
     _period,
     rho_pair_pieces,
     rho_single_pieces,
@@ -32,6 +33,7 @@ from beurling._periodic import (
 from beurling import optimizer
 from beurling.numerics import bits_for_tol, to_double, to_mp
 from beurling.optimizer import _closed_entry, _f64_entry, _gram_entry
+from strategies import reduced
 
 # Frozen Gram oracles for thetas = (1, 1/2); closed forms:
 #   G00 = int rho(1/x)^2 = ln(2 pi) - gamma - 1
@@ -137,10 +139,22 @@ def _v_closed(th):
         return float(t * (1 - mpmath.euler - mpmath.log(t)))
 
 
+@st.composite
+def _wide_pairs(draw):
+    """theta_1, theta_2 in (0, 1] with denominators up to 4*10^5; small
+    numerators and denominators are drawn often enough that the reduced
+    ratio's numerator falls on both sides of PERIOD_CAP."""
+    ths = []
+    for _ in range(2):
+        q = draw(st.one_of(st.integers(1, 400), st.integers(1, 400_000)))
+        ths.append(Fr(draw(st.one_of(st.integers(1, min(q, 400)), st.integers(1, q))), q))
+    return tuple(ths)
+
+
 class TestGramLadder:
-    """The stages of the Gram-entry ladder: the closed form at the joint
-    period, at the period of the ratio (B = 1 for v), and the refusal of a
-    pair past both."""
+    """The Gram entries from the reduced ratio alone: the closed form for
+    every pair whose ratio has a period in reach, joint period or not, and
+    the refusal of a pair whose ratio has none."""
 
     def test_mp_stage(self):
         ths = (Fr(1), Fr(1, 2))
@@ -162,7 +176,7 @@ class TestGramLadder:
     def test_pair_past_both_periods_refused(self):
         # 0.1/0.5 is 3602879701896397/2^54: the pair has neither a joint nor
         # a ratio period in reach, so G(0.1, 0.5) is refused at any tol,
-        # while v(0.1) alone is a closed form at B = 1
+        # while v(0.1) alone is a closed form
         pair = (Fr(0.5), Fr(0.1))
         assert _period((pair[1] / pair[0],)) is None
         with pytest.raises(ToleranceNotMet, match="period"):
@@ -184,15 +198,15 @@ class TestGramLadder:
     )
     def test_ratio_period_stage(self, pair):
         # no joint period in reach, but theta_1/theta_2 has one: G is the
-        # closed form at that period, v and the diagonal at B = 1. Checked
+        # closed form at that ratio, v and the diagonal at ratio 1. Checked
         # against the scaling G(t1, t2) = t2 G(t1/t2, 1) + t1 (1 - t2) at 140
         # bits, and at tol 1e-16.
         t1, t2 = pair
         r = t1 / t2
         assert _period(pair) is None and _period((r,)) is not None
         bits = 140
-        lhs, lhs_err = _closed_entry(pair, _period((r,)), bits, {})
-        ref, ref_err = _closed_entry((r, Fr(1)), _period((r, Fr(1))), bits, {})
+        lhs, lhs_err = _closed_entry(*reduced(pair), bits, {})
+        ref, ref_err = _closed_entry(*reduced((r, Fr(1))), bits, {})
         with mpmath.workprec(bits + 16):
             rhs = to_mp(t2) * ref + to_mp(t1 * (1 - t2))
             assert abs(lhs - rhs) <= lhs_err + ref_err + mpmath.mpf(2) ** -bits
@@ -203,10 +217,44 @@ class TestGramLadder:
             for got, want in ((gs.G[i, i], _g_diag(th)), (gs.v[i], _v_closed(th))):
                 assert abs(got - want) <= 1e-16 + 0.5 * math.ulp(want)
 
+    @settings(max_examples=300, deadline=None)
+    @given(pair=_wide_pairs())
+    @example(pair=(Fr(1, PERIOD_CAP), Fr(1)))
+    @example(pair=(Fr(1, PERIOD_CAP + 1), Fr(1)))
+    @example(pair=(Fr(2, 399989), Fr(3, 399989)))
+    @example(pair=(Fr(0.1), Fr(0.3)))
+    @example(pair=(Fr(0.3), Fr(0.7)))
+    @example(pair=(Fr(0.7), Fr(0.1)))
+    @example(pair=(Fr(0.1), Fr(0.2)))
+    @example(pair=(Fr(0.7), Fr(0.7)))
+    def test_refusal_set(self, pair):
+        # refused exactly when the reduced theta_2/theta_1 = a/b has a past
+        # PERIOD_CAP, which is also when neither the thetas nor their ratio
+        # have a period in reach: B theta_2 is a multiple of a. Only the
+        # refusal is checked here, so the entry's evaluation is stubbed
+        # (evaluating one at a near the cap builds a table of 50,000 cots).
+        _, a, _ = reduced(pair)
+        neither = _period(pair) is None and _period((min(pair) / max(pair),)) is None
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(optimizer, "_f64_entry", lambda *args: (0.5, 0.0))
+            try:
+                _gram_entry(pair, 1e-9, {})
+                refused = False
+            except ToleranceNotMet:
+                refused = True
+        assert refused == (a > PERIOD_CAP) == neither, pair
+
+    def test_ratio_at_the_cap_evaluated(self):
+        # a = PERIOD_CAP, unstubbed: the float64 entry within tol 1e-9
+        pair, tabs = (Fr(1, PERIOD_CAP), Fr(1)), {}
+        val, bound = _f64_entry(*reduced(pair), tabs)
+        assert bound <= 1e-9
+        assert _gram_entry(pair, 1e-9, tabs) == val
+
 
 def _closed(pair, tol):
     """(value, err_bound) of `_closed_entry` at the bits build_gram uses for tol."""
-    return _closed_entry(pair, _period(pair), bits_for_tol(tol), {})
+    return _closed_entry(*reduced(pair), bits_for_tol(tol), {})
 
 
 @st.composite
@@ -257,17 +305,16 @@ class TestFloatEntry:
 
     @staticmethod
     def _check(ths, tol, tabs, ref_tabs):
-        val, bound = _f64_entry(ths, tabs)
-        B = _period(ths)
+        val, bound = _f64_entry(*reduced(ths), tabs)
         bits = 2 * bits_for_tol(tol)
-        ref, ref_err = _closed_entry(ths, B, bits, ref_tabs)
+        ref, ref_err = _closed_entry(*reduced(ths), bits, ref_tabs)
         with mpmath.workprec(bits):
             assert abs(val - ref) <= bound + ref_err, ths
         stored = _gram_entry(ths, tol, tabs)
         if bound <= tol:
             assert stored == val
         else:
-            assert stored == to_double(*_closed_entry(ths, B, bits_for_tol(tol), {}))[0]
+            assert stored == to_double(*_closed_entry(*reduced(ths), bits_for_tol(tol), {}))[0]
         return bound
 
     @settings(max_examples=40, deadline=None)
@@ -308,13 +355,13 @@ class TestFloatEntry:
                     abs(2 * (m * h % k) - k) * mpmath.cot(mpmath.pi * m / k) for m in range(1, n + 1)
                 )
             worst += n * 2.0**-53 * float(mags) * float(t1 / b / k) * math.pi / 2
-        assert _f64_entry(pair, {})[1] >= worst > 0
+        assert _f64_entry(*reduced(pair), {})[1] >= worst > 0
 
     def test_out_of_range_is_none(self):
         # tau below 2^-500 leaves the model's range, so the mp path serves it
         tiny = Fr(1, 2**600)
-        assert _f64_entry((tiny,), {}) is None
-        assert _f64_entry((tiny, 2 * tiny), {}) is None
+        assert _f64_entry(*reduced((tiny,)), {}) is None
+        assert _f64_entry(*reduced((tiny, 2 * tiny)), {}) is None
         assert math.isclose(build_gram([tiny], tol=1e-12).v[0], _v_closed(tiny), rel_tol=1e-12)
 
 
@@ -326,9 +373,9 @@ class TestDispatch:
     def closed_calls(self, monkeypatch):
         calls = []
 
-        def counting(ths, *rest):
-            calls.append(ths)
-            return _closed_entry(ths, *rest)
+        def counting(t1, a, b, *rest):
+            calls.append((t1, a, b))
+            return _closed_entry(t1, a, b, *rest)
 
         monkeypatch.setattr(optimizer, "_closed_entry", counting)
         return calls

@@ -29,7 +29,7 @@ from beurling import (
     sine_moment,
     sine_moment_with_cert,
 )
-from beurling.numerics import bits_for_tol, workprec
+from beurling.numerics import bits_for_tol, to_double, workprec
 
 
 def _series_row(n, s, tol):
@@ -255,6 +255,27 @@ class TestSineTables:
             assert abs(raw - ref) <= cert
 
 
+def _exact_budget(spec, s, n_max, tol):
+    """sum_n |S(n)| cert_c(n) + |c(n)| cert_S(n) over the rows as stored,
+    each c(n) a double with its certificate widened by that rounding
+    (`to_double`). At 400 bits the sum of these products of doubles is
+    exact for a real s and off by 2^-400 relative (the moduli) for a
+    complex one."""
+    ns = range(1, min(n_max, R._COEFF_SWITCH_N) + 1)
+    head = fourier.c_batch(spec, ns, "even_mellin_limit", tol)
+    coeffs = [to_double(fc.value, float(fc.error_certificate)) for fc in head]
+    if n_max > R._COEFF_SWITCH_N:
+        c, cert = fourier.cosine_coeffs(spec, n_max, tol, R._COEFF_SWITCH_N + 1)
+        coeffs += zip(c.tolist(), cert.tolist())
+    moments = R.sine_moments_with_cert(range(1, n_max + 1), s, tol)
+    with mpmath.workprec(400):
+        exact = mpmath.mpf(0)
+        for (cv, c_cert), (sv, s_cert) in zip(coeffs, moments):
+            sv = complex(sv)
+            exact += abs(mpmath.mpc(sv)) * c_cert + abs(mpmath.mpc(cv)) * s_cert
+    return exact
+
+
 class TestReconstruct:
     def test_empty_spec(self, empty_spec):
         mv = mellin_reconstruct(empty_spec, 2.0, n_max=800)
@@ -297,22 +318,17 @@ class TestReconstruct:
     @pytest.mark.parametrize("s", [2.5, 1.5 + 2j])
     def test_budget_covers_the_exact_sum(self, spec_a, s):
         # the float sum of the terms |S(n)| cert_c(n) + |c(n)| cert_S(n)
-        # rounds each addition to nearest; the budget is widened past that.
-        # At 400 bits the sum of these products of doubles is exact for a
-        # real s and off by 2^-400 relative (the moduli) for a complex one.
+        # rounds each addition to nearest; the budget is widened past that
         n_max, tol = 100, 1e-9
         _, rep = mellin_reconstruct_report(spec_a, s, n_max, tol)
-        head = fourier.c_batch(spec_a, range(1, R._COEFF_SWITCH_N + 1), "even_mellin_limit", tol)
-        c, cert = fourier.cosine_coeffs(spec_a, n_max, tol, R._COEFF_SWITCH_N + 1)
-        coeffs = [(complex(fc.value), float(fc.error_certificate)) for fc in head]
-        coeffs += zip(c.tolist(), cert.tolist())
-        moments = R.sine_moments_with_cert(range(1, n_max + 1), s, tol)
-        with mpmath.workprec(400):
-            exact = mpmath.mpf(0)
-            for (cv, c_cert), (sv, s_cert) in zip(coeffs, moments):
-                sv = complex(sv)
-                exact += abs(mpmath.mpc(sv)) * c_cert + abs(mpmath.mpc(cv)) * s_cert
-            assert rep["coeff_cert_budget"] >= exact
+        assert rep["coeff_cert_budget"] >= _exact_budget(spec_a, s, n_max, tol)
+
+    def test_budget_covers_the_stored_head_rows(self, spec_a):
+        # each row of the even-Mellin limit is stored as a double, and its
+        # certificate covers the half ulp that rounding moves it by
+        n_max, tol = R._COEFF_SWITCH_N, 1e-9
+        _, rep = mellin_reconstruct_report(spec_a, 2.5, n_max, tol)
+        assert rep["coeff_cert_budget"] >= _exact_budget(spec_a, 2.5, n_max, tol)
 
     def test_provider_switch_continuity(self, spec_a):
         # n_max on both sides of the per-n / batched coefficient switch
