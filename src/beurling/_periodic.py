@@ -105,13 +105,8 @@ def _period(thetas) -> int | None:
     period has more than PIECES_CAP pieces. This is the only reader of both
     caps.
     """
-    B = 1
-    for th in thetas:
-        q = th.denominator
-        B = B // math.gcd(B, q) * q
-        if B > PERIOD_CAP:
-            return None
-    if sum(int(B * th) for th in thetas) + 2 > PIECES_CAP:
+    B = math.lcm(*(th.denominator for th in thetas))
+    if B > PERIOD_CAP or sum(B // th.denominator * th.numerator for th in thetas) + 2 > PIECES_CAP:
         return None
     return B
 

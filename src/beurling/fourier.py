@@ -63,6 +63,7 @@ from .numerics import (
     _gamma,
     _series_bits,
     bits_for_tol,
+    check_cert,
     check_count,
     check_tol,
     float_up,
@@ -123,11 +124,10 @@ def _require_even_mellin_hypotheses(spec: BeurlingSpec, who: str):
 
 def _result(spec, n, value, method, order, cert, tol=None) -> FourierCoefficient:
     """Every route's epilogue: round the certificate (a float or an mpf) up
-    to the double it is stored as, refuse it above tol (no check when tol is
-    None), then zero the imaginary part of a real spec's value."""
-    cert = float_up(cert)
-    if tol is not None and cert > tol:
-        raise ToleranceNotMet(f"certified error {cert:.3g} exceeds tol {tol:.3g}")
+    to the double it is stored as, refused above tol by `check_cert` (kept as
+    information when tol is None), then zero the imaginary part of a real
+    spec's value."""
+    cert = float_up(cert) if tol is None else check_cert(cert, tol, f"c({n}) ({method})")
     if spec.is_real:
         value = PrecisionComplex(value.re, PrecisionReal.from_float(0.0, value.precision_bits))
     return FourierCoefficient(n, value, method, order, PrecisionReal.from_float(cert, 64))
@@ -768,9 +768,10 @@ def cosine_coeffs(spec: BeurlingSpec, n_max: int, tol: float, n_min: int = 1):
     One `batch_cosine_f64` call gives every row; each row from n_min on
     whose certificate misses tol is replaced by `c_cosine_series` at tol,
     its certificate widened by the rounding of the value to the stored
-    double and rounded up (`to_double`). ToleranceNotMet, before any mp work, when such a row lies past
-    n = _MP_ROW_CAP, and when tol is below that rounding. The rows depend
-    only on (spec, n_max, tol).
+    double and rounded up (`to_double`). ToleranceNotMet, before any mp
+    work, when such a row lies past n = _MP_ROW_CAP, and when the widened
+    certificate exceeds tol (`check_cert`). The rows depend only on
+    (spec, n_max, tol).
     """
     tol = check_tol(tol)
     n_min = check_count(n_min, "n_min")
@@ -786,11 +787,8 @@ def cosine_coeffs(spec: BeurlingSpec, n_max: int, tol: float, n_min: int = 1):
     for n in missing.tolist():
         i = n - n_min
         fc = c_cosine_series(spec, n, tol)
-        c[i], cert[i] = to_double(fc.value, float(fc.error_certificate))
-        if cert[i] > tol:
-            raise ToleranceNotMet(
-                f"c({n}) stored as a double is off by up to {cert[i]:.3g}, above tol {tol:.3g}"
-            )
+        c[i], err = to_double(fc.value, float(fc.error_certificate))
+        cert[i] = check_cert(err, tol, f"c({n}) stored as a double")
     return c, cert
 
 

@@ -30,6 +30,7 @@ from .numerics import (
     PrecisionReal,
     as_complex,
     bits_for_tol,
+    check_cert,
     check_count,
     float_up,
     workprec,
@@ -309,9 +310,7 @@ def mellin_numeric(spec: BeurlingSpec, s, tol: float = 1e-10) -> MellinValue:
     with workprec(bits + 32):
         r = mpmath.mpc(s_c) + 1
     val, err = _periodic.u_integral_mp(spec.linear_pieces, spec.decomposition.period, r, bits + 32)
-    err_f = float_up(err)
-    if err_f > tol:
-        raise ToleranceNotMet(f"certified error {err_f:.3g} exceeds tol {tol:.3g}")
+    err_f = check_cert(err, tol, "M(s) by quadrature")
     return MellinValue(
         s=PrecisionComplex.from_complex(s_c, bits),
         value=PrecisionComplex.from_mpc(val, bits + 32),
@@ -332,10 +331,7 @@ def norm_numeric(spec: BeurlingSpec, tol: float = 1e-10) -> PrecisionReal:
     sq = max(float(val.real), 0.0)
     # |sqrt(I+e) - sqrt(I)| <= e / (2 sqrt(I)) when I dominates, else sqrt(e)
     err_norm = err_f / (2.0 * math.sqrt(sq)) if sq > 4.0 * err_f else math.sqrt(err_f)
-    if err_norm > tol:
-        raise ToleranceNotMet(
-            f"certified norm error {err_norm:.3g} exceeds tol {tol:.3g}"
-        )
+    check_cert(err_norm, tol, "the L2 norm")
     with workprec(bits + 16):
         return PrecisionReal(mpmath.sqrt(abs(val.real)), bits + 16)
 

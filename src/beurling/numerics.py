@@ -22,7 +22,9 @@ tolerance; callers never touch the mpmath context.
 Every public entry of the package checks its arguments here and nowhere
 else, so that a bad one raises DomainError and never turns into a number:
 `check_tol` (0 < tol < inf), `check_count` (an integer, of at least a stated
-minimum unless that is None) and `as_complex` (a finite exponent s).
+minimum unless that is None) and `as_complex` (a finite exponent s). Beside
+them, `check_cert` is the one refusal of a result whose certificate, rounded
+up to the double it is stored as, exceeds tol (ToleranceNotMet).
 """
 from __future__ import annotations
 
@@ -95,6 +97,15 @@ def check_count(x, what: str, minimum: int | None = 1) -> int:
         bound = "" if minimum is None else f" >= {minimum}"
         raise DomainError(f"{what} must be an integer{bound}, got {x!r}")
     return val
+
+
+def check_cert(err, tol: float, what: str) -> float:
+    """err rounded up to a double (`float_up`); ToleranceNotMet naming
+    `what` when that exceeds tol."""
+    cert = float_up(err)
+    if cert > tol:
+        raise ToleranceNotMet(f"{what} is off by up to {cert:.3g}, above tol {tol:.3g}")
+    return cert
 
 
 def as_complex(s) -> complex:

@@ -48,7 +48,8 @@ import numpy as np
 from . import _periodic
 from .errors import DomainError, SingularSystemError, ToleranceNotMet
 from .functions import BeurlingSpec, _norm_oracle, _to_theta
-from .numerics import _gamma, bits_for_tol, check_count, check_tol, to_double, to_mp, workprec
+from .numerics import (_gamma, bits_for_tol, check_cert, check_count, check_tol, to_double,
+                       to_mp, workprec)
 from .parseval import norm_via_parseval
 
 _SOLVER_EPS = float(np.finfo(np.float64).eps)
@@ -256,7 +257,8 @@ def _f64_entry(t1: Fraction, a: int, b: int, tabs: dict):
             return None
         lp, lq = _ln_f64(t1.numerator, tabs), _ln_f64(t1.denominator, tabs)
         return th * (_C_V - (lp - lq)), _gamma(13) * (th * (_C_V + lp + lq))
-    tau = float(t1 / b)
+    # int / int is correctly rounded: the same double as float(t1 / b)
+    tau = t1.numerator / (t1.denominator * b)
     if tau < 2.0**-500 or a >= 2**26:
         return None
     la, lb = _ln_f64(a, tabs), _ln_f64(b, tabs)
@@ -291,8 +293,7 @@ def _gram_entry(thetas: tuple[Fraction, ...], tol: float, tabs: dict) -> float:
     if hit is not None and hit[1] <= tol:
         return hit[0]
     out, err = to_double(*_closed_entry(t1, a, b, bits_for_tol(tol), tabs))
-    if err > tol:
-        raise ToleranceNotMet(f"Gram entry error {err:.3g} exceeds tol {tol:.3g}")
+    check_cert(err, tol, f"Gram entry ({', '.join(repr(float(t)) for t in thetas)})")
     return out
 
 

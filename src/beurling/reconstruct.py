@@ -116,10 +116,11 @@ admissible specs meeting the even-Mellin hypotheses) is taken from
 `fourier.cosine_coeffs` instead: the float64 batch where its certificate
 meets the tolerance, the mp cosine series for the other rows. An mp row
 of either route is stored as a double with its certificate widened by
-that rounding (`numerics.to_double`). The coefficients are computed
-afresh on every call, so a result depends only on its arguments; only
-the sine moments, which depend on (n, s, tol) alone, are cached across
-calls.
+that rounding (`numerics.to_double`), and refused by `numerics.check_cert`
+when the widened certificate exceeds tol_per_coeff, head rows included.
+The coefficients are computed afresh on every call, so a result depends
+only on its arguments; only the sine moments, which depend on (n, s, tol)
+alone, are cached across calls.
 """
 from __future__ import annotations
 
@@ -141,6 +142,7 @@ from .numerics import (
     _series_extra,
     as_complex,
     bits_for_tol,
+    check_cert,
     check_count,
     check_tol,
     float_up,
@@ -380,14 +382,16 @@ def mellin_reconstruct_report(
     # (c(n), certificate), built afresh so that no call sees another's rows
     head = c_batch(spec, range(1, min(n_max, _COEFF_SWITCH_N) + 1), "even_mellin_limit",
                    tol_per_coeff)
-    coeffs = [to_double(fc.value, float(fc.error_certificate)) for fc in head]
+    coeffs = []
+    for fc in head:
+        cv, err = to_double(fc.value, float(fc.error_certificate))
+        coeffs.append((cv, check_cert(err, tol_per_coeff, f"c({fc.n}) stored as a double")))
     if n_max > _COEFF_SWITCH_N:
         c, cert = cosine_coeffs(spec, n_max, tol_per_coeff, _COEFF_SWITCH_N + 1)
         coeffs += zip(c.tolist(), cert.tolist())
     acc = 0.0 + 0.0j
     cert_budget = 0.0
     rows = []  # (n, term, partial)
-    partials = []
     moments = sine_moments_with_cert(range(1, n_max + 1), z, tol_per_coeff)
     for n, ((cv, c_cert), (sv, s_cert)) in enumerate(zip(coeffs, moments), 1):
         sv_c = complex(sv)
@@ -395,7 +399,6 @@ def mellin_reconstruct_report(
         acc += term
         cert_budget += abs(sv_c) * c_cert + abs(cv) * s_cert
         rows.append((n, term, acc))
-        partials.append(acc)
     # a term is within gamma_4 of exact (a modulus by hypot, within an ulp,
     # then a product and a sum) and the running sum adds gamma_(N-1) over N
     # rows (Higham, Accuracy and Stability, 4.2), so the exact sum of the
@@ -403,7 +406,7 @@ def mellin_reconstruct_report(
     # (1 + 2 gamma_(N+3)); gamma_(N+8) also covers rounding the widening
     cert_budget = math.nextafter(cert_budget * (1 + 2 * _gamma(n_max + 8)), math.inf)
     lo = max(0, int(0.9 * n_max) - 1)
-    window = partials[lo:]
+    window = [p for _, _, p in rows[lo:]]
     spread_re = max(p.real for p in window) - min(p.real for p in window)
     spread_im = max(p.imag for p in window) - min(p.imag for p in window)
     spread = math.hypot(spread_re, spread_im)
@@ -455,22 +458,9 @@ def convergence_csv(report: dict) -> str:
     complex_run = any(
         term.imag != 0.0 or partial.imag != 0.0 for _, term, partial in report["rows"]
     )
-    if complex_run:
-        w.writerow(["n", "term_value", "partial_sum", "term_value_im", "partial_sum_im"])
-        for n, term, partial in report["rows"]:
-            w.writerow(
-                [
-                    n,
-                    format(term.real, ".17g"),
-                    format(partial.real, ".17g"),
-                    format(term.imag, ".17g"),
-                    format(partial.imag, ".17g"),
-                ]
-            )
-    else:
-        w.writerow(["n", "term_value", "partial_sum"])
-        for n, term, partial in report["rows"]:
-            w.writerow(
-                [n, format(term.real, ".17g"), format(partial.real, ".17g")]
-            )
+    w.writerow(["n", "term_value", "partial_sum"]
+               + (["term_value_im", "partial_sum_im"] if complex_run else []))
+    for n, term, partial in report["rows"]:
+        cols = [term.real, partial.real] + ([term.imag, partial.imag] if complex_run else [])
+        w.writerow([n] + [format(x, ".17g") for x in cols])
     return buf.getvalue()

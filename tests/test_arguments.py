@@ -1,7 +1,9 @@
 """arguments: every public entry that takes a tolerance, a count or an
 exponent s refuses a bad one with DomainError (exit 2 at the CLI, with
 nothing on stdout) instead of turning it into a number, and accepts numpy
-integers wherever it accepts Python ones."""
+integers wherever it accepts Python ones. A tolerance too tight to certify
+is refused with ToleranceNotMet (exit 3), never met by a larger
+certificate."""
 import math
 import pickle
 from fractions import Fraction as Fr
@@ -12,6 +14,7 @@ import pytest
 from beurling import (
     BeurlingSpec,
     DomainError,
+    ToleranceNotMet,
     batch_cosine_f64,
     bernoulli,
     build_gram,
@@ -194,3 +197,43 @@ def test_cli_count_below_one_exit_2(capsys, argv):
     assert code == 2
     assert out.out == ""
     assert argv[1] in out.err
+
+
+def _route_certs(method):
+    return lambda tol: [fc.error_certificate for fc in c_batch(SPEC_A, range(1, 21), method, tol)]
+
+
+# name -> entry at a tolerance it may be unable to certify, returning its
+# certificates
+TIGHT_ENTRIES = {
+    "c_direct": _route_certs("direct"),
+    "c_cosine_series": _route_certs("cosine_series"),
+    "c_even_mellin_limit": _route_certs("even_mellin_limit"),
+    "cosine_coeffs": lambda tol: cosine_coeffs(SPEC_A, 20, tol)[1],
+    "mellin_numeric": lambda tol: [mellin_numeric(SPEC_A, 2.5, tol).error_bound],
+    "mellin_even": lambda tol: [mellin_even(SPEC_A, l, tol).error_bound for l in range(1, 21)],
+    "sine_moments_with_cert": lambda tol: [c for _, c in sine_moments_with_cert(range(1, 21), 2.5, tol)],
+}
+
+
+@pytest.mark.parametrize("tol", [1e-17, 1e-20], ids=repr)
+@pytest.mark.parametrize("entry", sorted(TIGHT_ENTRIES))
+def test_tight_tol_refused_or_met(entry, tol):
+    try:
+        certs = TIGHT_ENTRIES[entry](tol)
+    except ToleranceNotMet:
+        return
+    assert max(map(float, certs)) <= tol
+
+
+def test_reconstruct_head_rows_meet_tol(capsys, tmp_path):
+    # rows n <= 32 are c(n) of the even-Mellin limit stored as doubles: at
+    # tol 1e-17 that rounding alone exceeds tol for some of SPEC_A's
+    with pytest.raises(ToleranceNotMet, match="stored as a double"):
+        mellin_reconstruct_report(SPEC_A, 2.5, 32, 1e-17)
+    f = tmp_path / "spec_a.json"
+    f.write_text(SPEC_A.to_json())
+    code = main(["reconstruct", "--spec", str(f), "--s", "2.5", "--n-max", "32", "--tol", "1e-17"])
+    out = capsys.readouterr()
+    assert code == 3
+    assert out.out == ""

@@ -1,7 +1,7 @@
 """layout: the package is serial, reads no environment variable and
 imports no scipy, numerics alone scopes and locks mpmath precision,
-converts rationals, checks tolerances, counts and exponents and evaluates
-the Hurwitz zeta, one function reads the period caps and one reduces each
+converts rationals, checks tolerances, counts and exponents, refuses a
+certificate above tol and evaluates the Hurwitz zeta, one function reads the period caps and one reduces each
 Gram entry's ratio, the periodic engine certifies without quadrature
 estimates through one Hurwitz-kernel tail and one head path, one function
 decides how each coefficient row is certified, every function the
@@ -190,6 +190,30 @@ def test_periodic_never_calls_quad():
 def test_norm_oracle_retry_in_one_place(module):
     assert _owners(SOURCES[module], _calls("norm_numeric")) == []
     assert _owners(SOURCES[module], _calls("_norm_oracle")) != []
+
+
+def _refuses_above_tol(node):
+    # an `if` whose test compares with a tolerance name and whose body
+    # raises ToleranceNotMet
+    if not isinstance(node, ast.If):
+        return False
+    compares = [c for c in ast.walk(node.test) if isinstance(c, ast.Compare)]
+    on_tol = any(
+        isinstance(n, ast.Name) and "tol" in n.id.split("_") for c in compares for n in ast.walk(c)
+    )
+    raises = any(
+        isinstance(n, ast.Raise) and n.exc is not None and _calls("ToleranceNotMet")(n.exc)
+        for stmt in node.body
+        for n in ast.walk(stmt)
+    )
+    return on_tol and raises
+
+
+def test_certificate_refusal_only_in_check_cert():
+    # numerics.check_cert rounds a certificate up to its double and refuses
+    # it above tol; a copy elsewhere can skip the rounding or the check
+    hits = {(name, o) for name, text in SOURCES.items() for o in _owners(text, _refuses_above_tol)}
+    assert hits == {("numerics.py", "check_cert")}
 
 
 def _hurwitz_calls(node):

@@ -469,14 +469,18 @@ class TestSweep:
         assert all(a >= b - 1e-12 for a, b in zip(ns, ns[1:]))
 
     @settings(max_examples=12, deadline=None)
-    @given(st.integers(1, 60), st.integers(1, 60), st.integers(1, 60))
-    def test_rows_do_not_depend_on_n_to(self, n1, n2, n3):
+    @given(st.integers(1, 60), st.integers(1, 60), st.integers(1, 60), st.sampled_from([1e-9, 1e-16]))
+    @example(5, 23, 40, 1e-16)
+    def test_rows_do_not_depend_on_n_to(self, n1, n2, n3, tol):
         # one factor serves every row: row N is a function of G_N, v_N and
-        # theta_N alone, bit for bit, and optimize_coeffs reads the same minimum
-        n_from, m, n_to = sorted((n1, n2, n3))
-        full = sweep(1, n_to, tol=1e-9)
-        assert sweep(n_from, m, tol=1e-9) == full[n_from - 1:m]
-        res = optimize_coeffs(unit_thetas(m), tol=1e-9)
+        # theta_N alone, bit for bit, and optimize_coeffs reads the same
+        # minimum. At tol 1e-16 the entries take the mp path, whose
+        # cotangent tables they share and rebuild at more bits; there n_to <= 40
+        top = 60 if tol == 1e-9 else 40
+        n_from, m, n_to = sorted(1 + (n - 1) % top for n in (n1, n2, n3))
+        full = sweep(1, n_to, tol=tol)
+        assert sweep(n_from, m, tol=tol) == full[n_from - 1:m]
+        res = optimize_coeffs(unit_thetas(m), tol=tol)
         assert res["norm_sq"] == full[m - 1]["norm_sq"]
 
     def test_rows_vs_mp_kkt(self):
