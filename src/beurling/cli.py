@@ -26,7 +26,7 @@ from .errors import (
     ToleranceNotMet,
 )
 from .fourier import c_batch, coefficients_csv
-from .functions import BeurlingSpec, eval_F, eval_f, mellin_numeric, norm_numeric
+from .functions import BeurlingSpec, eval_F, eval_f, mellin_numeric
 from .mellin import MellinValue, mellin_closed, mellin_even, mellin_even_bound
 from .numerics import check_count, check_tol, float_up
 from .optimizer import residual_report, spec_from_solution, sweep, unit_thetas

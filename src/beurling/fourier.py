@@ -761,34 +761,29 @@ def batch_cosine_f64(spec: BeurlingSpec, n_max: int):
     return c, cert + gamma * mag
 
 
-def cosine_coeffs(spec: BeurlingSpec, n_max: int, tol: float, n_min: int = 1):
-    """(c, cert) for n = n_min..n_max, 1 <= n_min <= n_max, with every
-    cert[n-n_min] <= tol.
+def cosine_coeffs(spec: BeurlingSpec, n_max: int, tol: float):
+    """(c, cert) for n = 1..n_max, with every cert[n-1] <= tol.
 
-    One `batch_cosine_f64` call gives every row; each row from n_min on
-    whose certificate misses tol is replaced by `c_cosine_series` at tol,
-    its certificate widened by the rounding of the value to the stored
-    double and rounded up (`to_double`). ToleranceNotMet, before any mp
-    work, when such a row lies past n = _MP_ROW_CAP, and when the widened
-    certificate exceeds tol (`check_cert`). The rows depend only on
-    (spec, n_max, tol).
+    One `batch_cosine_f64` call gives every row; each row whose certificate
+    misses tol is replaced by `c_cosine_series` at tol, its certificate
+    widened by the rounding of the value to the stored double and rounded
+    up (`to_double`). ToleranceNotMet, before any mp work, when such a row
+    lies past n = _MP_ROW_CAP, and when the widened certificate exceeds tol
+    (`check_cert`). The rows depend only on (spec, n_max, tol).
     """
     tol = check_tol(tol)
-    n_min = check_count(n_min, "n_min")
-    n_max = check_count(n_max, "n_max", n_min)
+    n_max = check_count(n_max, "n_max")
     c, cert = batch_cosine_f64(spec, n_max)
-    c, cert = c[n_min - 1 :], cert[n_min - 1 :]
-    missing = np.flatnonzero(~(cert <= tol)) + n_min
+    missing = np.flatnonzero(~(cert <= tol)) + 1
     if missing.size and missing[-1] > _MP_ROW_CAP:
         raise ToleranceNotMet(
             f"per-coefficient tol {tol:.3g} needs the mpmath route, "
             f"which is not practical beyond n = {_MP_ROW_CAP}"
         )
     for n in missing.tolist():
-        i = n - n_min
         fc = c_cosine_series(spec, n, tol)
-        c[i], err = to_double(fc.value, float(fc.error_certificate))
-        cert[i] = check_cert(err, tol, f"c({n}) stored as a double")
+        c[n - 1], err = to_double(fc.value, float(fc.error_certificate))
+        cert[n - 1] = check_cert(err, tol, f"c({n}) stored as a double")
     return c, cert
 
 

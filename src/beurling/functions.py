@@ -32,7 +32,6 @@ from .numerics import (
     bits_for_tol,
     check_cert,
     check_count,
-    float_up,
     workprec,
 )
 
@@ -326,11 +325,15 @@ def norm_numeric(spec: BeurlingSpec, tol: float = 1e-10) -> PrecisionReal:
     norm error exceeds tol."""
     bits = bits_for_tol(tol)
     pieces = _periodic.f_abs2_pieces(spec.linear_pieces)
-    val, err = _periodic.u_integral_mp(pieces, spec.decomposition.period, 2, bits + 32)
-    err_f = float_up(err)
-    sq = max(float(val.real), 0.0)
-    # |sqrt(I+e) - sqrt(I)| <= e / (2 sqrt(I)) when I dominates, else sqrt(e)
-    err_norm = err_f / (2.0 * math.sqrt(sq)) if sq > 4.0 * err_f else math.sqrt(err_f)
+    p = bits + 32
+    val, err = _periodic.u_integral_mp(pieces, spec.decomposition.period, 2, p)
+    with workprec(p):
+        sq, e = mpmath.mpf(val.real), mpmath.mpf(err)
+        # the square I >= 0 lies within e of sq, so |sqrt(sq) - sqrt(I)| is
+        # at most e / (sqrt(sq) + sqrt(sq - e)) when sq > e, else sqrt(e);
+        # 1 + 2^{4-p} covers the bound's five roundings and the product's
+        bound = e / (mpmath.sqrt(sq) + mpmath.sqrt(sq - e)) if sq > e else mpmath.sqrt(e)
+        err_norm = bound * (1 + mpmath.ldexp(1, 4 - p))
     check_cert(err_norm, tol, "the L2 norm")
     with workprec(bits + 16):
         return PrecisionReal(mpmath.sqrt(abs(val.real)), bits + 16)

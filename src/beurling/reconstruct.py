@@ -1,7 +1,7 @@
 """Recovering M(s) from its even-integer values through the Fourier basis.
 
 The double sum M(s) = sum_n S(n, s) c(n), with S(n, s) the sine moments
-int_0^1 sin(n pi x) x^{s-1} dx and c(n) the even-Mellin coefficients, is a
+int_0^1 sin(n pi x) x^{s-1} dx and c(n) the Fourier coefficients of F_N, is a
 formal determination: the interchange of sum and integral is not justified
 here, so results carry empirical convergence diagnostics (last-decade
 partial-sum spread), never a certified tail bound.
@@ -108,19 +108,15 @@ its three roundings, and rounds it up to a double.
 
 Coefficients
 ------------
-Coefficients c(n) come from one batch of the even-Mellin limit route for
-n <= 32, whose rows share one M(2l) table (fourier._limit_rows); for
-larger n that series needs ~1.443 n pi extra working bits and O(e n pi)
-terms, so the same number (the routes agree within their certificates for
-admissible specs meeting the even-Mellin hypotheses) is taken from
-`fourier.cosine_coeffs` instead: the float64 batch where its certificate
-meets the tolerance, the mp cosine series for the other rows. An mp row
-of either route is stored as a double with its certificate widened by
-that rounding (`numerics.to_double`), and refused by `numerics.check_cert`
-when the widened certificate exceeds tol_per_coeff, head rows included.
-The coefficients are computed afresh on every call, so a result depends
-only on its arguments; only the sine moments, which depend on (n, s, tol)
-alone, are cached across calls.
+Every c(n), n = 1..n_max, comes from one `fourier.cosine_coeffs` call: the
+float64 batch where its certificate meets tol_per_coeff, the mp cosine
+series for the other rows, each stored as a double with its certificate
+widened by that rounding and refused above tol_per_coeff. The spec must
+meet the even-Mellin hypotheses (admissible, unit-fraction thetas,
+|a_k| <= 1), under which the double sum is stated. The coefficients are
+computed afresh on every call, so a result depends only on its arguments;
+only the sine moments, which depend on (n, s, tol) alone, are cached
+across calls.
 """
 from __future__ import annotations
 
@@ -131,7 +127,7 @@ import math
 import mpmath
 
 from .errors import DomainError
-from .fourier import _require_even_mellin_hypotheses, c_batch, cosine_coeffs
+from .fourier import _require_even_mellin_hypotheses, cosine_coeffs
 from .functions import BeurlingSpec
 from .mellin import MellinValue
 from .numerics import (
@@ -142,16 +138,15 @@ from .numerics import (
     _series_extra,
     as_complex,
     bits_for_tol,
-    check_cert,
     check_count,
     check_tol,
     float_up,
-    to_double,
     workprec,
 )
 
 _SERIES_N_MAX = 31
-_COEFF_SWITCH_N = 32
+# no row takes the even-Mellin route; read by perfbench/spans.py when traced
+_COEFF_SWITCH_N = 0
 # log2 margin by which a float plan clears its floor (see the module docstring)
 _PLAN_MARGIN = 2.0**-20
 
@@ -362,7 +357,8 @@ def sine_moments_with_cert(ns, s, tol: float = 1e-12) -> list:
 def mellin_reconstruct_report(
     spec: BeurlingSpec, s, n_max: int = 1000, tol_per_coeff: float = 1e-9
 ) -> tuple:
-    """(MellinValue, report dict) for M(s) ~ sum_{n<=n_max} S(n,s) c(n).
+    """(MellinValue, report dict) for M(s) ~ sum_{n<=n_max} S(n,s) c(n),
+    with every c(n) from one `cosine_coeffs(spec, n_max, tol_per_coeff)`.
 
     The report carries the ascending-n partial sums, the spread of the
     partial sums over the last decade [0.9 n_max, n_max] (the empirical
@@ -380,20 +376,12 @@ def mellin_reconstruct_report(
     _require_even_mellin_hypotheses(spec, "mellin_reconstruct")
 
     # (c(n), certificate), built afresh so that no call sees another's rows
-    head = c_batch(spec, range(1, min(n_max, _COEFF_SWITCH_N) + 1), "even_mellin_limit",
-                   tol_per_coeff)
-    coeffs = []
-    for fc in head:
-        cv, err = to_double(fc.value, float(fc.error_certificate))
-        coeffs.append((cv, check_cert(err, tol_per_coeff, f"c({fc.n}) stored as a double")))
-    if n_max > _COEFF_SWITCH_N:
-        c, cert = cosine_coeffs(spec, n_max, tol_per_coeff, _COEFF_SWITCH_N + 1)
-        coeffs += zip(c.tolist(), cert.tolist())
+    c, cert = cosine_coeffs(spec, n_max, tol_per_coeff)
     acc = 0.0 + 0.0j
     cert_budget = 0.0
     rows = []  # (n, term, partial)
     moments = sine_moments_with_cert(range(1, n_max + 1), z, tol_per_coeff)
-    for n, ((cv, c_cert), (sv, s_cert)) in enumerate(zip(coeffs, moments), 1):
+    for n, (cv, c_cert, (sv, s_cert)) in enumerate(zip(c.tolist(), cert.tolist(), moments), 1):
         sv_c = complex(sv)
         term = sv_c * cv
         acc += term

@@ -103,7 +103,6 @@ COUNT_ENTRIES = {
     "c_batch-L": (lambda L: c_batch(SPEC_A, [1], "even_mellin_exact_L", L=L), 1, 6),
     "batch_cosine_f64": (lambda n: batch_cosine_f64(SPEC_A, n), 1, 10),
     "cosine_coeffs": (lambda n: cosine_coeffs(SPEC_A, n, 1e-8), 1, 10),
-    "cosine_coeffs-n_min": (lambda n: cosine_coeffs(SPEC_A, 10, 1e-8, n_min=n), 1, 3),
     "norm_via_parseval": (lambda n: norm_via_parseval(SPEC_A, n), 8, 16),
     "norm_crosscheck": (lambda n: norm_crosscheck(SPEC_A, n), 8, 16),
     "sine_moment": (lambda n: sine_moment(n, 2.5), 1, 3),
@@ -169,11 +168,6 @@ def test_power_sum_exact_at_zero_and_below():
     assert power_sum_exact(SPEC_A, -1) == (Fr(2 - 3 - 6), Fr(0))
 
 
-def test_n_min_above_n_max():
-    with pytest.raises(DomainError):
-        cosine_coeffs(SPEC_A, 10, 1e-8, n_min=11)
-
-
 @pytest.mark.parametrize("entry", sorted(COUNT_ENTRIES))
 def test_numpy_counts_accepted(entry):
     # the same result, down to the types inside it, as for a Python int
@@ -227,8 +221,8 @@ def test_tight_tol_refused_or_met(entry, tol):
 
 
 def test_reconstruct_head_rows_meet_tol(capsys, tmp_path):
-    # rows n <= 32 are c(n) of the even-Mellin limit stored as doubles: at
-    # tol 1e-17 that rounding alone exceeds tol for some of SPEC_A's
+    # every row is c(n) of cosine_coeffs stored as a double: at tol 1e-17
+    # that rounding alone exceeds tol for some of SPEC_A's rows n <= 32
     with pytest.raises(ToleranceNotMet, match="stored as a double"):
         mellin_reconstruct_report(SPEC_A, 2.5, 32, 1e-17)
     f = tmp_path / "spec_a.json"

@@ -510,6 +510,21 @@ class TestLimitRows:
         assert complex(rows[0].value) == complex(rows[2].value)
         assert complex(rows[1].value) == complex(c_even_mellin_limit(spec_a, 2, 1e-10).value)
 
+    def test_m2l_built_once_per_l(self, spec_a, monkeypatch):
+        # the limit rows n <= 32 share one M(2l) table; rebuilt per row, it
+        # took 2,870 evaluations for these rows
+        calls = []
+        real = fourier._m2l_mp
+
+        def counted(spec, l, bits):
+            calls.append(l)
+            return real(spec, l, bits)
+
+        monkeypatch.setattr(fourier, "_m2l_mp", counted)
+        c_batch(spec_a, range(1, 33), "even_mellin_limit")
+        assert sorted(calls) == list(range(1, len(calls) + 1))
+        assert len(calls) <= 200
+
 
 class TestExactLRows:
     def test_m2l_built_once_per_l(self, spec_a, monkeypatch):

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import beurling._periodic as periodic
 from beurling import (
     BeurlingSpec,
     DomainError,
@@ -258,6 +259,15 @@ class TestNormNumeric:
         with pytest.raises(ToleranceNotMet, match="period"):
             norm_numeric(spec, 1e-6)
         assert time.perf_counter() - start < 1.0
+
+    def test_certificate_covers_an_overestimated_square(self, adm1, monkeypatch):
+        # a square sq = 4.0001e-12 within e = 1e-12 of the true one may
+        # overestimate it by e: the norm is then off by
+        # e / (sqrt(sq) + sqrt(sq - e)) = 2.68e-7, past e / (2 sqrt(sq)) =
+        # 2.50e-7 and past tol
+        monkeypatch.setattr(periodic, "u_integral_mp", lambda *args: (4.0001e-12, 1e-12))
+        with pytest.raises(ToleranceNotMet, match="the L2 norm"):
+            norm_numeric(adm1, 2.59e-7)
 
     def test_empty_norm_is_one(self, empty_spec):
         assert abs(float(norm_numeric(empty_spec, 1e-12)) - 1.0) < 1e-14

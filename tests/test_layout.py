@@ -4,9 +4,10 @@ converts rationals, checks tolerances, counts and exponents, refuses a
 certificate above tol and evaluates the Hurwitz zeta, one function reads the period caps and one reduces each
 Gram entry's ratio, the periodic engine certifies without quadrature
 estimates through one Hurwitz-kernel tail and one head path, one function
-decides how each coefficient row is certified, every function the
-benchmark's tracer wraps by name still exists, and the precision scalars
-are plain records."""
+decides how each coefficient row is certified and the reconstruction
+reads its rows from it alone, every function and constant the benchmark's
+tracer reaches by name still exists, and the precision scalars are plain
+records."""
 import ast
 import importlib
 import inspect
@@ -84,9 +85,23 @@ def _spans_layers():
     raise AssertionError("perfbench/spans.py has no LAYERS assignment")
 
 
+def _spans_module_reads():
+    """(module, attribute) for each sys.modules["<module>"].<attribute> that
+    perfbench/spans.py reads."""
+    tree = ast.parse((ROOT / "perfbench" / "spans.py").read_text(encoding="utf-8"))
+    return [
+        (node.value.slice.value, node.attr)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Subscript)
+        and ast.unparse(node.value.value) == "sys.modules"
+        and isinstance(node.value.slice, ast.Constant)
+    ]
+
+
 def test_traced_names_resolve():
-    # the tracer wraps each of these by name, so a rename would crash the
-    # benchmark's traced mode
+    # the tracer wraps each of these by name and reads each module constant
+    # by name, so a rename would crash the benchmark's traced mode
     layers = _spans_layers()
     assert layers
     missing = [
@@ -94,6 +109,13 @@ def test_traced_names_resolve():
         for modname, names in layers.values()
         for fname in names
         if not inspect.isfunction(getattr(importlib.import_module(modname), fname, None))
+    ]
+    reads = _spans_module_reads()
+    assert reads
+    missing += [
+        f"{modname}.{attr}"
+        for modname, attr in reads
+        if not hasattr(importlib.import_module(modname), attr)
     ]
     assert missing == []
 
@@ -278,14 +300,24 @@ def test_c_direct_has_no_admissibility_gate():
 
 def test_one_owner_of_the_coefficient_batch():
     # cosine_coeffs alone decides, row by row, between the float64 batch
-    # and the mp cosine series; no module keeps coefficients across calls
+    # and the mp cosine series; no module keeps coefficients across calls.
+    # The reconstruction reads every c(n) from one cosine_coeffs call, so
+    # it computes, stores and refuses no row itself
     owners = {
         (name, o) for name, text in SOURCES.items() for o in _owners(text, _calls("batch_cosine_f64"))
     }
     assert owners == {("fourier.py", "cosine_coeffs")}
-    for module in ("parseval.py", "reconstruct.py"):
-        for fn in ("batch_cosine_f64", "c_direct"):
-            assert _owners(SOURCES[module], _calls(fn)) == [], (module, fn)
+    for fn in ("batch_cosine_f64", "c_direct"):
+        assert _owners(SOURCES["parseval.py"], _calls(fn)) == [], fn
+    recon = SOURCES["reconstruct.py"]
+    called = {
+        node.func.id if isinstance(node.func, ast.Name) else getattr(node.func, "attr", "")
+        for node in ast.walk(ast.parse(recon))
+        if isinstance(node, ast.Call)
+    }
+    banned = {"c_batch", "batch_cosine_f64", "to_double", "check_cert"}
+    assert sorted(n for n in called if n in banned or n.startswith("c_")) == []
+    assert _owners(recon, _calls("cosine_coeffs")) == ["mellin_reconstruct_report"]
 
 
 def test_row_work_only_in_row_builders():
@@ -328,7 +360,7 @@ def test_reconstruct_caches_only_sine_moments():
     assert dicts == {"_SINE_CACHE"}
 
 
-_COUNT_PARAMS = {"n", "n_max", "n_min", "L", "J", "l", "N", "n_from", "n_to"}
+_COUNT_PARAMS = {"n", "n_max", "L", "J", "l", "N", "n_from", "n_to"}
 
 
 def _own_argument_checks(text):

@@ -29,7 +29,7 @@ from beurling import (
     sine_moment,
     sine_moment_with_cert,
 )
-from beurling.numerics import bits_for_tol, to_double, workprec
+from beurling.numerics import bits_for_tol, workprec
 
 
 def _series_row(n, s, tol):
@@ -257,20 +257,14 @@ class TestSineTables:
 
 def _exact_budget(spec, s, n_max, tol):
     """sum_n |S(n)| cert_c(n) + |c(n)| cert_S(n) over the rows as stored,
-    each c(n) a double with its certificate widened by that rounding
-    (`to_double`). At 400 bits the sum of these products of doubles is
-    exact for a real s and off by 2^-400 relative (the moduli) for a
-    complex one."""
-    ns = range(1, min(n_max, R._COEFF_SWITCH_N) + 1)
-    head = fourier.c_batch(spec, ns, "even_mellin_limit", tol)
-    coeffs = [to_double(fc.value, float(fc.error_certificate)) for fc in head]
-    if n_max > R._COEFF_SWITCH_N:
-        c, cert = fourier.cosine_coeffs(spec, n_max, tol, R._COEFF_SWITCH_N + 1)
-        coeffs += zip(c.tolist(), cert.tolist())
+    each c(n) a double from `cosine_coeffs`. At 400 bits the sum of these
+    products of doubles is exact for a real s and off by 2^-400 relative
+    (the moduli) for a complex one."""
+    c, cert = fourier.cosine_coeffs(spec, n_max, tol)
     moments = R.sine_moments_with_cert(range(1, n_max + 1), s, tol)
     with mpmath.workprec(400):
         exact = mpmath.mpf(0)
-        for (cv, c_cert), (sv, s_cert) in zip(coeffs, moments):
+        for cv, c_cert, (sv, s_cert) in zip(c.tolist(), cert.tolist(), moments):
             sv = complex(sv)
             exact += abs(mpmath.mpc(sv)) * c_cert + abs(mpmath.mpc(cv)) * s_cert
     return exact
@@ -319,28 +313,25 @@ class TestReconstruct:
     def test_budget_covers_the_exact_sum(self, spec_a, s):
         # the float sum of the terms |S(n)| cert_c(n) + |c(n)| cert_S(n)
         # rounds each addition to nearest; the budget is widened past that
-        n_max, tol = 100, 1e-9
-        _, rep = mellin_reconstruct_report(spec_a, s, n_max, tol)
-        assert rep["coeff_cert_budget"] >= _exact_budget(spec_a, s, n_max, tol)
+        tol = 1e-9
+        for n_max in (32, 100):
+            _, rep = mellin_reconstruct_report(spec_a, s, n_max, tol)
+            assert rep["coeff_cert_budget"] >= _exact_budget(spec_a, s, n_max, tol)
 
-    def test_budget_covers_the_stored_head_rows(self, spec_a):
-        # each row of the even-Mellin limit is stored as a double, and its
-        # certificate covers the half ulp that rounding moves it by
-        n_max, tol = R._COEFF_SWITCH_N, 1e-9
-        _, rep = mellin_reconstruct_report(spec_a, 2.5, n_max, tol)
-        assert rep["coeff_cert_budget"] >= _exact_budget(spec_a, 2.5, n_max, tol)
-
-    def test_provider_switch_continuity(self, spec_a):
-        # n_max on both sides of the per-n / batched coefficient switch
-        lo = mellin_reconstruct_report(spec_a, 2.0, n_max=R._COEFF_SWITCH_N)[1]
-        hi = mellin_reconstruct_report(spec_a, 2.0, n_max=R._COEFF_SWITCH_N + 8)[1]
-        for (n1, t1, _), (n2, t2, _) in zip(lo["rows"], hi["rows"]):
-            assert n1 == n2
-            assert abs(t1 - t2) < 1e-12  # shared prefix identical terms
+    def test_terms_are_moments_times_cosine_coeffs(self, spec_a):
+        # every row, from n = 1 on, is S(n) c(n) with c(n) from one
+        # cosine_coeffs call
+        n_max, tol = 40, 1e-9
+        _, rep = mellin_reconstruct_report(spec_a, 2.0, n_max, tol)
+        c, _ = fourier.cosine_coeffs(spec_a, n_max, tol)
+        moments = R.sine_moments_with_cert(range(1, n_max + 1), 2.0, tol)
+        assert [n for n, _, _ in rep["rows"]] == list(range(1, n_max + 1))
+        for (_, term, _), cv, (sv, _) in zip(rep["rows"], c.tolist(), moments):
+            assert term == complex(sv) * cv
 
     def test_mends_only_the_rows_it_keeps(self, spec_a, monkeypatch):
-        # rows n <= _COEFF_SWITCH_N come from the even-Mellin limit, so no
-        # mp cosine row is computed for them, however tight the tolerance
+        # each row whose batch certificate misses tol, and no other, is
+        # mended by one mp cosine row, rows n <= 32 among them
         calls = []
         real = fourier.c_cosine_series
 
@@ -352,23 +343,8 @@ class TestReconstruct:
         mellin_reconstruct_report(spec_a, 2.5, n_max=100, tol_per_coeff=1e-14)
         _, cert = fourier.batch_cosine_f64(spec_a, 100)
         missing = [n for n in range(1, 101) if not cert[n - 1] <= 1e-14]
-        assert min(missing) <= R._COEFF_SWITCH_N
-        assert calls == [n for n in missing if n > R._COEFF_SWITCH_N]
-
-    def test_m2l_built_once_per_l(self, spec_a, monkeypatch):
-        # the limit rows n <= 32 share one M(2l) table; rebuilt per row, it
-        # took 2,814 evaluations for this call
-        calls = []
-        real = fourier._m2l_mp
-
-        def counted(spec, l, bits):
-            calls.append(l)
-            return real(spec, l, bits)
-
-        monkeypatch.setattr(fourier, "_m2l_mp", counted)
-        mellin_reconstruct_report(spec_a, 2.5, n_max=1000)
-        assert sorted(calls) == list(range(1, len(calls) + 1))
-        assert len(calls) <= 200
+        assert min(missing) <= 32
+        assert calls == missing
 
     def test_moment_alone_equals_reconstruction_row(self, spec_a, monkeypatch):
         # a row's value depends on (n, s, tol) alone, not on which rows
