@@ -359,8 +359,61 @@ def c_even_mellin_exact_L(
     A term with theta = 1 is a HypothesisError: there theta^{L+1} does not
     decay and the remainder can exceed remainder_bound (THETA1_B at n = 9,
     L = 8 is off by 2.1e8 against a bound of 3.2e7).
+
+    remainder_bound is not a bound for every (n, L): while L is small
+    against n pi max theta_k the omitted terms still grow, and SPEC_A at
+    n = 13, L = 5 is off by 1.36e5 against 1.12e5. So a row is refused
+    (HypothesisError) unless remainder_bound covers the proven bound T of
+    `_exact_L_tail` on the remainder:
+
+        R = sum_{l>L} 2 (-1)^l (n pi)^{2l-1} / (2l)! zeta(2l) P(2l)
+
+    (the two sums' terms l > L, paired by M(2l) - 1/(2l) = -zeta(2l) P(2l)
+    / (2l) and A1 = -(2/(n pi)) sum_{l>=1} (-1)^l (n pi)^{2l} / (2l)!).
+    With P(2l) = sum_k a_k theta_k^{2l} and zeta(2l) = sum_j j^{-2l}, and
+    x_k = n pi theta_k, the double sum converges absolutely, so
+
+        R = (2 / (n pi)) sum_k a_k sum_{j>=1} E(x_k / j),
+        E(y) = cos y - sum_{0<=l<=L} (-1)^l y^{2l} / (2l)!.
+
+    Taylor's theorem bounds |E(y)| by y^{2L+2} / (2L+2)!, the first omitted
+    term, for every y. When y^2 >= 2L (2L-1) the terms y^{2l} / (2l)! do not
+    fall up to l = L, so their alternating sum is at most its last term in
+    modulus and |E(y)| <= 1 + y^{2L} / (2L)!. T takes the lesser bound
+    for each j < J while the second applies and the first for all j >= J,
+    whose sum is x^m / m! zeta(m, J) <= (x / J)^m / m! (1 + J / (m - 1)),
+    m = 2L + 2 (sum_{j>J} j^-m <= int_J^inf t^-m dt). The first omitted term
+    alone would refuse SPEC_A at (9, 4) and (10, 4), where the bound holds.
     """
     return _exact_L_rows(spec, [n], L, tol)[0]
+
+
+def _exact_L_tail(spec: BeurlingSpec, n: int, L: int):
+    """T >= |R|, the proven bound of c_even_mellin_exact_L's docstring on
+    its remainder, as an mpf at 64 bits.
+
+    It is a sum and products of positive numbers, each within a few units
+    of 2^-63 relative, with fewer than 2^20 roundings, so the widening by
+    1 + 2^-40 keeps it above the exact T. The second bound on E is taken
+    only where the computed y^2 clears 2L (2L-1) by that factor, so the
+    exact y^2 does too; any cut j is valid for the first.
+    """
+    m = 2 * L + 2
+    with workprec(64):
+        npi = n * mpmath.pi
+        f_hi, f_lo = mpmath.factorial(m), mpmath.factorial(2 * L)
+        edge = 2 * L * (2 * L - 1) * (1 + mpmath.ldexp(1, -40))
+        total = mpmath.mpf(0)
+        for t in spec.terms:
+            x = npi * to_mp(t.theta)
+            acc, j = mpmath.mpf(0), 1
+            while (x / j) ** 2 > edge:
+                y = x / j
+                acc += min(y**m / f_hi, 1 + y ** (2 * L) / f_lo)
+                j += 1
+            acc += (x / j) ** m / f_hi * (1 + mpmath.mpf(j) / (m - 1))
+            total += abs(to_mp((t.a_re, t.a_im))) * acc
+        return 2 * total / npi * (1 + mpmath.ldexp(1, -40))
 
 
 def _exact_L_rows(spec: BeurlingSpec, ns, L: int, tol: float) -> list[FourierCoefficient]:
@@ -375,6 +428,12 @@ def _exact_L_rows(spec: BeurlingSpec, ns, L: int, tol: float) -> list[FourierCoe
     _require_even_mellin_hypotheses(spec, "c_even_mellin_exact_L")
     if any(t.theta == 1 for t in spec.terms):
         raise HypothesisError("c_even_mellin_exact_L cannot bound its remainder at theta = 1")
+    for n in ns:
+        if _exact_L_tail(spec, n, L) > remainder_bound(spec, n, L).value:
+            raise HypothesisError(
+                f"c_even_mellin_exact_L cannot bound its remainder at n = {n}, L = {L}: "
+                "remainder_bound is below the proven tail bound; take a larger L"
+            )
     return [_exact_L_row(spec, n, L, tol, m2l) for n in ns]
 
 

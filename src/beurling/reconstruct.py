@@ -6,8 +6,8 @@ formal determination: the interchange of sum and integral is not justified
 here, so results carry empirical convergence diagnostics (last-decade
 partial-sum spread), never a certified tail bound.
 
-Sine moments: two evaluations
------------------------------
+Sine moments: two formulas, three evaluations
+---------------------------------------------
 The Taylor series S(n, s) = n pi sum_m a_m X^m, with
 a_m = (-1)^m / ((2m+1)! (s+2m+1)) and X = (n pi)^2, holds for every n. Its
 terms reach e^{n pi} / (2 n pi) before they fall, so it runs with
@@ -38,34 +38,43 @@ factor. The odd-k terms of Sigma+ and Sigma- cancel and the even ones
 agree, so Sigma+ + Sigma- = 2 H + R with H = sum_{j<=J} Q_j y^j,
 Q_j = (-1)^j P_{2j}, y = (n pi)^{-2}, J = floor((K-1)/2), and R within twice
 that bound. The front is C n^{-s} with C = pi^{-s} Gamma(s) sin(pi s / 2).
-Both sums are taken by Horner's rule in a real argument: X or y.
+Both sums are taken by Horner's rule in a real argument: X or y. The
+closed form runs in IEEE doubles first (the float64 tier below), and in mp
+where the doubles cannot certify tol.
 
-Dispatch: n <= 31 always takes the series. A larger n takes the closed form
-when its remainder bound, evaluated in mp, is below its floor 2^{8 - bits}
-with K >= Re s - 1 and the terms up to 2J falling, and the series
-otherwise: when the terms grow from the first (n pi < |s - 1|), or
-e^{pi |Im s| / 2} swamps the smallest term, or K < Re s - 1. The two
-branches share no code but Horner's rule; tests cross-check them across the
-switchover and against 1F1 at three times the bits.
+Dispatch: n <= 31 always takes the series. A row 31 < n < 2^26 takes the
+closed form in doubles when its remainder bound is proven (K >= Re s - 1
+and rho < 1, see the plans below), falls below 2^-70 / (n pi), and the row's float64
+certificate is at most tol. Any other n > 31 takes the closed form in mp
+when that remainder bound, evaluated in mp, is proven and below its floor
+2^{8 - bits}, and the series otherwise: when the terms grow from the first
+(n pi < |s - 1|) or before 2J (rho >= 1), or e^{pi |Im s| / 2} swamps the
+smallest term, or K < Re s - 1. At tol 1e-20 no double certifies a row, so
+every n > 31 runs in mp. The series and the closed form share no
+code but Horner's rule; tests cross-check them across the switchover and
+all three against 1F1 at three times the bits.
 
 Shared tables and plans
 -----------------------
 What depends on (s, tol) alone is built once per call. The closed form's
 table (_AsymptoticTerms) holds C, the factor e^{pi |Im s| / 2}, the products
-P_k in mp and log2 |P_k| in floats. The series' table (_SeriesTable) holds
-the parts of a_m and 1/(2m+1)!, out to the M of n = 31 at that row's bits:
-a row n <= 31 needs no more terms, since its coefficients are no larger
-and its floor, at its own bits, no smaller. A row n > 31 that falls back
-builds its own table, planned for its own n. The rows of one table run at
-its bits p, at least their own, in one workprec section, and each row's
-value and certificate depend only on (n, s, tol).
+P_k in mp and log2 |P_k| in floats, and the doubles of the float64 tier.
+The series' table (_SeriesTable) holds the parts of a_m and 1/(2m+1)!, out
+to the M of n = 31 at that row's bits: a row n <= 31 needs no more terms,
+since its coefficients are no larger and its floor, at its own bits, no
+smaller. A row n > 31 that falls back builds its own table, planned for its
+own n. The rows of one table run at its bits p, at least their own, in one
+workprec section, and each row's value and certificate depend only on
+(n, s, tol).
 
 Each row plans its stop index in floats: the series its M by the rule
 above, the closed form its K as the first k at which |P_k| (n pi)^{-k} stops
 falling, or falls below 2^{-20} under floor / e^{pi |Im s| / 2} in log2, or
-k > 4n. A float plan only chooses where to stop. Each bound is evaluated in
-mp at the chosen index, and only that mp bound decides whether the closed
-form reached its floor. The terms up to 2J fall when
+k > 4n; the floor is 2^{8 - bits} in mp and 2^-70 in doubles, so a row that
+leaves the float64 tier plans again for mp. A float plan only chooses where
+to stop. Each bound is evaluated at the chosen index, in mp or, in the
+float64 tier, in doubles under the proof below, and only that bound
+decides whether the closed form reached its floor. The terms up to 2J fall when
 rho = max(|s-1|, |s-2J|) / (n pi) < 1, since |s - t| is convex in t; rho^2 is
 checked below 1 - 2^{-20} in floats, whose few roundings that margin
 absorbs.
@@ -106,6 +115,53 @@ The stored certificate adds |value| 2^{-bits} for the rounding of the value
 to its output bits = bits_for_tol(tol), widens the sum by 1 + 2^{3-p} for
 its three roundings, and rounds it up to a double.
 
+Float64 tier (the IEEE model of Higham, ch. 2-3, with u = 2^-53)
+----------------------------------------------------------------
+The closed form in doubles uses only +, -, *, / and no libm. Each
+operation rounds by 1 + delta, |delta| <= u, and gamma_k = k u / (1 - k u).
+Its inputs are rounded to nearest once from mp: C, 1/pi, 1/pi^2, |P_K|,
+the factor e^{pi |Im s| / 2} and the parts of each Q_j from the table at
+p >= 112 bits, where each carries at most gamma_{4j+2} at p (far below u),
+and n^{-s} as mpmath's power gives it at 64 bits, within 2^-56 relative
+(the mp branch's reliance on mpmath's power). So 1/pi, 1/pi^2, |P_K|, the
+factor and N' = n^{-s} are within 2u relative, each part of Q'_j is within
+2u |Q_j|, and C' is within u |C_mp|. With n < 2^26, n^2 is exact, so
+y' = fl(fl(1/pi^2) / n^2) = y (1 + theta_3) and w' = fl(fl(1/pi) / n) =
+(1 + theta_3) / (n pi). Write ||z|| = |Re z| + |Im z| >= |z|.
+
+* H: Horner's rule on each part leaves it within gamma_{2J} sum |Q'_j| y'^j
+  <= gamma_{2J} (1 + gamma_{3J+2}) A of its polynomial at Q' and y'
+  (Higham (5.3)), with A = sum |Q_j| y^j <= 1 / (1 - rho^2) as above, and
+  that polynomial is within gamma_{3J+2} A of H's part: gamma_{8J+4} A in
+  all. The product with w' rounds once more, so t' = +-H' w' has
+  ||t' - H / (n pi)|| <= 2 gamma_{8J+8} A / (n pi).
+* Front: F' = C' N' by four products and two sums is within
+  gamma_2 ||C'|| ||N'|| of the exact product C' N', which is within
+  sqrt 2 (3u + 3u^2) |C'| |N'| / (1 - 2u)^2 of C_mp n^{-s}: gamma_8
+  ||C'|| ||N'|| in all. C_mp n^{-s} is within 2^{8-p} (|front| + |value|)
+  <= 2^-104 (2 |front| + A / (n pi) + trunc) of the front (the mp branch's
+  reliance on mpmath's gamma and sin), below 2^-40 of the other terms.
+* The value is F' + t', each part one sum: within u (||F'|| + ||t'||).
+* Truncation: trunc = growth |P_K| / (n pi)^{K+1}, the remainder's bound,
+  is growth |P_K| y^{J+1}, times w if K is even: J + 3 products.
+* Underflow adds at most 2^-1075 to a product, and a row has fewer than
+  4J + 16 of them, each carried to the value by factors below 2: under
+  2^-1000 in all, against a certificate of at least 2 gamma_8 w' > 2^-80.
+
+The certificate, trunc + gamma_8 ||C'|| ||N'|| + 2 gamma_{8J+8} w' / (1 -
+rho^2) + u (||F'|| + ||t'||), is evaluated in doubles from nonnegative
+inputs with fewer than 4J + 40 roundings, those of y' and w' counted (J <=
+2n < 2^27), and 1 / (1 - rho^2) within 2^-28 relative (from a rho^2 <= 1 -
+2^-20 off by a few roundings): within 1 +- 2^-22 of the sum of the bounds,
+so the factor 1 + 2^-20 makes it an upper bound. Past the double range it
+is inf or nan, which no tol accepts. The row plans K against the floor
+2^-70, checks the premises of the remainder bound (K >= Re s - 1, rho^2 <=
+1 - 2^-20) as the mp branch does, and keeps its doubles when trunc is below
+2^-70 w' and the certificate is at most tol; otherwise it runs in mp.
+The double is stored exactly at bits >= 64; the stored certificate
+adds |value| 2^{-bits}, as every row's does, and rounds that one sum up to
+the next double.
+
 Coefficients
 ------------
 Every c(n), n = 1..n_max, comes from one `fourier.cosine_coeffs` call: the
@@ -125,6 +181,7 @@ import io
 import math
 
 import mpmath
+from mpmath.libmp import from_int, fzero, mpc_pow, mpf_pow, round_nearest, to_float
 
 from .errors import DomainError
 from .fourier import _require_even_mellin_hypotheses, cosine_coeffs
@@ -147,8 +204,13 @@ from .numerics import (
 _SERIES_N_MAX = 31
 # no row takes the even-Mellin route; read by perfbench/spans.py when traced
 _COEFF_SWITCH_N = 0
-# log2 margin by which a float plan clears its floor (see the module docstring)
+# log2 margin by which a float plan clears its floor, and the relative slack
+# of a float64 certificate (see the module docstring)
 _PLAN_MARGIN = 2.0**-20
+# rows n < 2^26 may take the float64 tier: n^2 is exact and (n pi)^-2 normal
+_F64_N_MAX = 2**26
+# log2 of the float64 tier's floor for |P_K| (n pi)^{-K} e^{pi |Im s| / 2}
+_F64_FLOOR = -70
 
 # (n, s, tol) -> (value, certificate); a dict get or set is atomic, and two
 # threads racing on one key store the same row
@@ -224,15 +286,19 @@ class _AsymptoticTerms:
     """The closed form's table for one (s, tol): C = pi^{-s} Gamma(s)
     sin(pi s / 2), the remainder factor e^{pi |Im s| / 2}, 1/pi^2, and the
     products P_k = (s-1)...(s-k) in mp, their signed even ones Q_j split into
-    parts, and log2 |P_k| in floats. The products grow on first use by the
-    same recurrence at the same bits, so a row computed from them depends on
-    (n, s, tol) alone."""
+    parts, and log2 |P_k| in floats; beside them the float64 tier's doubles
+    of C, the factor, 1/pi, 1/pi^2, |P_k| and Q_j, each rounded once. The
+    products grow on first use by the same recurrence at the same bits, so
+    a row computed from them depends on (n, s, tol) alone."""
 
     def __init__(self, s: complex, tol: float):
         self.bits = bits_for_tol(tol) + 48
         self.sigma, self.tau = s.real, s.imag
-        # log2 of floor / factor, less the plan's margin
-        self.level = 8 - self.bits - math.pi * abs(self.tau) / (2 * math.log(2)) - _PLAN_MARGIN
+        # log2 of floor / factor, less the plan's margin, for the mp floor
+        # 2^{8-bits} and the float64 floor 2^-70
+        log2_growth = math.pi * abs(self.tau) / (2 * math.log(2))
+        self.level = 8 - self.bits - log2_growth - _PLAN_MARGIN
+        self.level_f64 = _F64_FLOOR - log2_growth - _PLAN_MARGIN
         with workprec(self.bits):
             self.s = mpmath.mpc(s)
             self.pi = +mpmath.pi
@@ -240,48 +306,106 @@ class _AsymptoticTerms:
             self.front = (mpmath.power(self.pi, -self.s) * mpmath.gamma(self.s)
                           * mpmath.sin(self.pi * self.s / 2))
             self.growth = mpmath.exp(self.pi * abs(self.s.imag) / 2)
+            self.f64 = (complex(self.front), float(self.growth), float(1 / self.pi),
+                        float(self.inv_pi_sq))
+        self.neg_s = mpmath.mpc(-s)._mpc_ if self.tau else mpmath.mpf(-self.sigma)._mpf_
         self.u = mpmath.ldexp(1, 1 - self.bits)
         self.floor = mpmath.ldexp(1, 8 - self.bits)
         self.p, self.abs_p = [mpmath.mpc(1)], [mpmath.mpf(1)]
         self.log2_p = [0.0]
         self.q_re, self.q_im = [mpmath.mpf(1)], [mpmath.mpf(0)]
+        self.abs_p_f, self.q_re_f, self.q_im_f = [1.0], [1.0], [0.0]
 
     def _grow(self, k: int) -> None:
-        while len(self.p) <= k:
-            j = len(self.p)
-            self.p.append(self.p[-1] * (self.s - j))
-            self.abs_p.append(abs(self.p[-1]))
-            sq = (self.sigma - j) ** 2 + self.tau**2
-            self.log2_p.append(self.log2_p[-1] + (0.5 * math.log2(sq) if sq else -math.inf))
-            if j % 2 == 0:
-                sign = -1 if j % 4 else 1
-                self.q_re.append(sign * self.p[-1].real)
-                self.q_im.append(sign * self.p[-1].imag)
+        if len(self.p) > k:
+            return
+        with workprec(self.bits):
+            while len(self.p) <= k:
+                j = len(self.p)
+                self.p.append(self.p[-1] * (self.s - j))
+                self.abs_p.append(abs(self.p[-1]))
+                self.abs_p_f.append(float(self.abs_p[-1]))
+                sq = (self.sigma - j) ** 2 + self.tau**2
+                self.log2_p.append(self.log2_p[-1] + (0.5 * math.log2(sq) if sq else -math.inf))
+                if j % 2 == 0:
+                    sign = -1 if j % 4 else 1
+                    self.q_re.append(sign * self.p[-1].real)
+                    self.q_im.append(sign * self.p[-1].imag)
+                    self.q_re_f.append(float(self.q_re[-1]))
+                    self.q_im_f.append(float(self.q_im[-1]))
+
+    def _plan(self, n: int, level: float) -> tuple:
+        """(K, J, rho^2, proven) in floats: K the first k at which |P_k|
+        (n pi)^{-k} stops falling, or falls below 2^level, or k > 4n;
+        rho^2 = max(|s-1|, |s-2J|)^2 / (n pi)^2; `proven` whether the
+        remainder bound holds, with K >= Re s - 1 and the terms up to 2J
+        falling."""
+        x = math.log2(n * math.pi)
+        prev, k = math.inf, 1
+        while True:
+            self._grow(k)
+            lm = self.log2_p[k] - k * x
+            if lm >= prev or lm < level or k > 4 * n:
+                break
+            prev, k = lm, k + 1
+        j_max = (k - 1) // 2
+        top = max(1, 2 * j_max)
+        rho_sq = max((self.sigma - 1) ** 2, (self.sigma - top) ** 2) + self.tau**2
+        rho_sq /= (n * math.pi) ** 2
+        return k, j_max, rho_sq, k >= self.sigma - 1 and rho_sq <= 1 - _PLAN_MARGIN
+
+    def moment_f64(self, n: int) -> tuple:
+        """(value complex, certificate float, reached) of S(n, s) in doubles
+        (the module docstring's float64 tier); `reached` says whether n <
+        2^26, the remainder bound is proven and it is below 2^-70 / (n pi).
+        Without those the certificate is inf; past the double range it is
+        inf or nan."""
+        k, j_max, rho_sq, proven = self._plan(n, self.level_f64)
+        if not (proven and n < _F64_N_MAX):
+            return None, math.inf, False
+        front, growth, inv_pi, inv_pi_sq = self.f64
+        y = inv_pi_sq / (n * n)
+        w = inv_pi / n
+        t_re = _horner(self.q_re_f, j_max, y) * w
+        t_im = _horner(self.q_im_f, j_max, y) * w if self.tau else 0.0
+        if n % 2 == 0:
+            t_re, t_im = -t_re, -t_im
+        # n^{-s} at 64 bits, as mpmath.power computes it there, rounded to nearest
+        if self.tau:
+            n_re, n_im = (to_float(x, rnd=round_nearest)
+                          for x in mpc_pow((from_int(n), fzero), self.neg_s, 64, round_nearest))
+        else:
+            n_re = to_float(mpf_pow(from_int(n), self.neg_s, 64, round_nearest), rnd=round_nearest)
+            n_im = 0.0
+        c_re, c_im = front.real, front.imag
+        f_re = c_re * n_re - c_im * n_im
+        f_im = c_re * n_im + c_im * n_re
+        # the remainder growth |P_K| / (n pi)^{K+1} = growth |P_K| y^{J+1} (w if K is even)
+        trunc = growth * self.abs_p_f[k] * y
+        for _ in range(j_max):
+            trunc *= y
+        if k % 2 == 0:
+            trunc *= w
+        cert = (trunc
+                + _gamma(8) * (abs(c_re) + abs(c_im)) * (abs(n_re) + abs(n_im))
+                + 2 * _gamma(8 * j_max + 8) * w / (1 - rho_sq)
+                + 2.0**-53 * (abs(f_re) + abs(f_im) + abs(t_re) + abs(t_im)))
+        return (complex(f_re + t_re, f_im + t_im), cert * (1 + _PLAN_MARGIN),
+                trunc < 2.0**_F64_FLOOR * w)
 
     def moment(self, n: int) -> tuple:
         """(value mpc, certificate mpf, reached) of S(n, s); `reached` says
         whether the mp remainder bound is below the floor with K >= Re s - 1
         and the terms up to 2J falling. Without those the bound is not
         proven and the certificate is inf. Call inside workprec(self.bits)."""
-        x = math.log2(n * math.pi)
-        prev, k = math.inf, 1
-        while True:
-            self._grow(k)
-            lm = self.log2_p[k] - k * x
-            if lm >= prev or lm < self.level or k > 4 * n:
-                break
-            prev, k = lm, k + 1
-        j_max = (k - 1) // 2
+        k, j_max, rho_sq, proven = self._plan(n, self.level)
         v = n * self.pi
         y = self.inv_pi_sq / (n * n)
         h = mpmath.mpc(_horner(self.q_re, j_max, y),
                        _horner(self.q_im, j_max, y) if self.tau else 0)
         front = self.front * mpmath.power(n, -self.s)
         value = front + h / v if n % 2 else front - h / v
-        top = max(1, 2 * j_max)
-        rho_sq = max((self.sigma - 1) ** 2, (self.sigma - top) ** 2) + self.tau**2
-        rho_sq /= (n * math.pi) ** 2
-        if k < self.sigma - 1 or rho_sq > 1 - _PLAN_MARGIN:
+        if not proven:
             return value, mpmath.inf, False
         widen = 1 + (8 * k + 4 * abs(self.tau) + 32) * self.u
         bound = self.growth * self.abs_p[k] / v**k
@@ -304,14 +428,15 @@ def sine_moment_with_cert(n, s, tol: float = 1e-12) -> tuple:
 
 def sine_moments_with_cert(ns, s, tol: float = 1e-12) -> list:
     """[(S(n, s), certificate)] for each n in ns, in the order given; the
-    certificate is a float, the mp bound rounded up.
+    certificate is a float, the bound rounded up.
 
-    Rows n > 31 not in the cache share one _AsymptoticTerms and run in one
-    workprec section; those whose closed form reaches its floor are done.
-    Rows n <= 31 share one _SeriesTable planned for n = 31, and each row
-    that fell back takes a table planned for itself (see the module
-    docstring). Each row is computed once per call and cached under
-    (n, s, tol).
+    Rows n > 31 not in the cache share one _AsymptoticTerms. Each first
+    runs the closed form in doubles and is done when that reaches its floor
+    with a certificate at most tol; the others run in one workprec section,
+    and those whose mp closed form reaches its floor are done. Rows n <= 31
+    share one _SeriesTable planned for n = 31, and each row that fell back
+    takes a table planned for itself (see the module docstring). Each row is
+    computed once per call and cached under (n, s, tol).
     """
     ns = [check_count(n, "n") for n in ns]
     z = as_complex(s)
@@ -320,6 +445,7 @@ def sine_moments_with_cert(ns, s, tol: float = 1e-12) -> list:
     tol = check_tol(tol)
     out_bits = bits_for_tol(tol)
     out_ulp = mpmath.ldexp(1, -out_bits)
+    out_ulp_f64 = 2.0**-out_bits
     rows = {n: _SINE_CACHE.get((n, z, tol)) for n in ns}
     todo = sorted(n for n, hit in rows.items() if hit is None)
 
@@ -336,9 +462,21 @@ def sine_moments_with_cert(ns, s, tol: float = 1e-12) -> list:
     far = [n for n in todo if n > _SERIES_N_MAX]
     if far:
         terms = _AsymptoticTerms(z, tol)
+        closed = []
+        for n in far:
+            value, cert, reached = terms.moment_f64(n)
+            if reached and cert <= tol:
+                # the double is exact at out_bits >= 64, and rounding the
+                # stored sum up to the next double keeps it above the exact one
+                rows[n] = _SINE_CACHE[(n, z, tol)] = (
+                    PrecisionComplex(PrecisionReal(value.real, out_bits),
+                                     PrecisionReal(value.imag, out_bits)),
+                    math.nextafter(cert + abs(value) * out_ulp_f64, math.inf))
+            else:
+                closed.append(n)
         with workprec(terms.bits):
             widen = 1 + mpmath.ldexp(1, 3 - terms.bits)
-            for n in far:
+            for n in closed:
                 value, cert, reached = terms.moment(n)
                 if reached:
                     store(n, (value, cert), widen)

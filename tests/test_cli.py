@@ -173,6 +173,15 @@ class TestFourier:
         )
         assert code == 2
 
+    def test_exact_L_past_its_bound_exit_2(self, capsys, spec_a_file):
+        # rows 12..30 at L = 5 are outside what remainder_bound covers; the
+        # rows were printed with exit 0, n = 13 off by 1.36e5 against 1.12e5
+        argv = ["fourier", "--spec", spec_a_file, "--method", "even-mellin", "--n-max"]
+        code, out, err = run(capsys, argv + ["30", "--L", "5"])
+        assert code == 2 and out == "" and "n = 12, L = 5" in err
+        code, out, _ = run(capsys, argv + ["11", "--L", "5"])
+        assert code == 0 and out.count("\n") == 12
+
     def test_exact_L_at_theta_1_exit_2(self, tmp_path, capsys):
         # THETA1_B: the remainder bound does not cover the series at theta = 1
         f = tmp_path / "theta1_b.json"

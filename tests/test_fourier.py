@@ -54,6 +54,7 @@ SPEC_B_C1 = 0.85292486907739207
 # Gauss-Legendre quadrature at tol 1e-8 (estimated error 2.5e-9)
 NON_ADMISSIBLE = BeurlingSpec([(1, Fr(1, 2)), (-1, Fr(1, 3))])
 NON_ADMISSIBLE_X = (1.3012969798232952, -0.170340237040151, 0.5923610875563045, 0.11185197321447879)
+SPEC_A = BeurlingSpec([(1, Fr(1, 2)), (-1, Fr(1, 3)), (-1, Fr(1, 6))])
 THETA1_B = BeurlingSpec([(Fr(1, 2), 1), (-1, Fr(1, 2))])
 THETA1_C = BeurlingSpec([(Fr(1, 3), 1), (-1, Fr(1, 3))])
 # complex coefficients on theta = 1/2, 1/3, 2/5: period 30
@@ -580,20 +581,62 @@ class TestEvenMellinRoutes:
             gap = abs(fc.value.to_mpc() - ref.value.to_mpc())
             assert gap <= fc.error_certificate.value + ref.error_certificate.value
 
-    @settings(max_examples=20, deadline=None)
+    @settings(max_examples=25, deadline=None)
     @given(
         spec=unit_fraction_specs(min_denominator=2),
-        n=st.integers(1, 12),
+        n=st.integers(1, 60),
         L=st.integers(1, 80),
         tol=st.sampled_from([1e-8, 1e-12, 1e-20]),
     )
+    # remainder_bound under-covers here (1.36e5 off against 1.12e5, and
+    # 1.09e9 against 8.4e7); the rows were returned with exit 0
+    @example(spec=SPEC_A, n=13, L=5, tol=1e-12)
+    @example(spec=SPEC_A, n=20, L=8, tol=1e-12)
+    @example(spec=SPEC_A, n=10, L=4, tol=1e-12)
     def test_exact_L_certificate_bounds_the_error(self, spec, n, L, tol):
-        # against c_direct at twice the bits, within both certificates
-        fc = c_even_mellin_exact_L(spec, n, L, tol)
+        # a row is refused or, against c_direct at twice the bits, within
+        # both certificates
+        try:
+            fc = c_even_mellin_exact_L(spec, n, L, tol)
+        except HypothesisError:
+            return
         ref = c_direct(spec, n, tol**2)
         with mpmath.workprec(2 * fc.value.precision_bits):
             gap = abs(fc.value.to_mpc() - ref.value.to_mpc())
             assert gap <= fc.error_certificate.value + ref.error_certificate.value
+
+    @settings(max_examples=20, deadline=None)
+    @given(spec=unit_fraction_specs(), n=st.integers(1, 40), L=st.integers(1, 60))
+    @example(spec=SPEC_A, n=13, L=5)
+    @example(spec=SPEC_A, n=20, L=8)
+    @example(spec=SPEC_A, n=10, L=4)
+    def test_exact_L_tail_bounds_the_remainder(self, spec, n, L):
+        # the proven tail bound against the true remainder of the truncated
+        # sum, taken past any refusal
+        tol = 1e-12
+        row = fourier._exact_L_row(spec, n, L, tol, fourier._m2l_table(spec, [n], tol))
+        ref = c_direct(spec, n, tol=1e-16)
+        rb = remainder_bound(spec, n, L).value
+        with mpmath.workprec(2 * row.value.precision_bits):
+            gap = abs(row.value.to_mpc() - ref.value.to_mpc())
+            roundoff = row.error_certificate.value - rb
+            assert gap <= fourier._exact_L_tail(spec, n, L) + roundoff + ref.error_certificate.value
+
+    @pytest.mark.parametrize("n,L,refused", [
+        (9, 4, False), (10, 4, False), (11, 6, False), (12, 5, True),
+        (13, 5, True), (20, 8, True), (30, 3, True), (50, 10, True),
+    ])
+    def test_exact_L_refused_where_the_bound_fails(self, spec_a, n, L, refused):
+        # SPEC_A is refused exactly where remainder_bound falls below the
+        # proven tail bound, and kept at (9, 4) and (10, 4), where the first
+        # omitted term alone exceeds remainder_bound
+        tail = fourier._exact_L_tail(spec_a, n, L)
+        assert (tail > remainder_bound(spec_a, n, L).value) == refused
+        if refused:
+            with pytest.raises(HypothesisError, match=f"n = {n}, L = {L}"):
+                c_even_mellin_exact_L(spec_a, n, L, 1e-12)
+        else:
+            assert c_even_mellin_exact_L(spec_a, n, L, 1e-12).truncation_order == L
 
     def test_exact_L_certificate_honest(self, spec_a):
         for n, L in ((3, 16), (6, 32), (10, 32)):
@@ -671,8 +714,9 @@ class TestRemainderBoundLimitation:
     exact-L remainder is middle-mode dominated, so the theta-power bound
     under-covers at moderate (n, L): on THETA1_B at (n, L) = (9, 8) the
     truncated series was 2.1e8 off against a bound of 3.2e7. The exact-L
-    route therefore refuses theta = 1. The bound is asserted as a majorant
-    on distinct-denominator specs.
+    route therefore refuses theta = 1. On other specs it refuses each row
+    whose bound falls below the proven tail bound (see
+    `test_exact_L_refused_where_the_bound_fails`).
     """
 
     @pytest.mark.parametrize("name", ["theta1_b", "theta1_c"])

@@ -326,8 +326,8 @@ def test_row_work_only_in_row_builders():
     # even-Mellin routes, the cosine rows build their Hurwitz rows before
     # their loops, and the sine moments' two tables (the incomplete-gamma
     # terms and the series coefficients) are built only in their batch,
-    # whose rows alone sum them by Horner's rule, so no second per-row loop
-    # rebuilds them
+    # whose rows alone sum them by Horner's rule (the closed form's rows in
+    # mp and in doubles), so no second per-row loop rebuilds them
     fourier = SOURCES["fourier.py"]
     assert set(_owners(fourier, _calls("_cosine_rows"))) == {"c_cosine_series", "c_batch"}
     fns = {f.name: f for f in ast.parse(fourier).body if isinstance(f, ast.FunctionDef)}
@@ -346,7 +346,8 @@ def test_row_work_only_in_row_builders():
     assert _owners(recon, _calls("_AsymptoticTerms")) == ["sine_moments_with_cert"]
     assert _owners(recon, _calls("_SeriesTable")) == ["sine_moments_with_cert"]
     assert _owners(recon, _calls("moment")) == ["sine_moments_with_cert"] * 2
-    assert sorted(_owners(recon, _calls("_horner"))) == ["_AsymptoticTerms"] * 2 + ["_SeriesTable"] * 2
+    assert _owners(recon, _calls("moment_f64")) == ["sine_moments_with_cert"]
+    assert sorted(_owners(recon, _calls("_horner"))) == ["_AsymptoticTerms"] * 4 + ["_SeriesTable"] * 2
 
 
 def test_reconstruct_caches_only_sine_moments():

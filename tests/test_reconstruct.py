@@ -41,9 +41,13 @@ def _series_row(n, s, tol):
 
 
 def _branch_row(n, s, tol):
-    """(value, mp certificate) of the branch that row n takes."""
+    """(value, certificate) of the tier that row n takes, before the output
+    rounding: the closed form in doubles, else in mp, else the series."""
     if n > R._SERIES_N_MAX:
         terms = R._AsymptoticTerms(complex(s), tol)
+        value, cert, reached = terms.moment_f64(n)
+        if reached and cert <= tol:
+            return mpmath.mpc(value), mpmath.mpf(cert)
         with workprec(terms.bits):
             value, cert, reached = terms.moment(n)
         if reached:
@@ -136,6 +140,30 @@ class TestSineMoment:
             ref = (mpmath.hyp1f1(s, s + 1, 1j * a) - mpmath.hyp1f1(s, s + 1, -1j * a)) / (2j * s)
             assert abs(val.to_mpc() - ref) <= cert
 
+    @settings(max_examples=25, deadline=None)
+    @given(
+        n=st.integers(32, 4000),
+        sigma=st.floats(0.05, 4.0),
+        t=st.floats(-200.0, 200.0),
+        tol=st.sampled_from([1e-9, 1e-13, 1e-20]),
+    )
+    @example(n=32, sigma=2.5, t=0.0, tol=1e-9)
+    @example(n=4000, sigma=0.05, t=200.0, tol=1e-13)
+    @example(n=1000, sigma=3.9, t=-150.0, tol=1e-9)
+    def test_float64_tier_against_the_oracle(self, n, sigma, t, tol):
+        # the float64 closed form: its raw certificate bounds its own gap to
+        # 1F1 wherever its remainder bound is proven, met tol or not, and the
+        # stored row, whichever tier it took, bounds the stored value's
+        s = complex(sigma, t)
+        ref = _oracle(n, s, 3 * (bits_for_tol(tol) + 48))
+        value, cert, _ = R._AsymptoticTerms(s, tol).moment_f64(n)
+        if value is not None and math.isfinite(cert):
+            with mpmath.workprec(3 * (bits_for_tol(tol) + 48)):
+                assert abs(mpmath.mpc(value) - ref) <= cert
+        val, cert = sine_moment_with_cert(n, s, tol)
+        with mpmath.workprec(3 * (bits_for_tol(tol) + 48)):
+            assert abs(val.to_mpc() - ref) <= cert
+
     def test_decay_in_n(self):
         # |S(n, 2)| = O(1/n)
         vals = [abs(complex(sine_moment(n, 2.0))) for n in (10, 100, 1000)]
@@ -188,20 +216,49 @@ class TestSineTables:
                 built.append(("closed", s, tol))
                 super().__init__(s, tol)
 
+        rows = []  # (tier, n) of every closed-form row evaluated
+        f64, mp = Terms.moment_f64, Terms.moment
+        monkeypatch.setattr(Terms, "moment_f64", lambda t, n: rows.append(("f64", n)) or f64(t, n))
+        monkeypatch.setattr(Terms, "moment", lambda t, n: rows.append(("mp", n)) or mp(t, n))
         monkeypatch.setattr(R, "_SeriesTable", Series)
         monkeypatch.setattr(R, "_AsymptoticTerms", Terms)
         monkeypatch.setattr(R, "_SINE_CACHE", {})
         R.sine_moments_with_cert(range(1, 1001), 2.5, 1e-9)
         assert built == [("closed", 2.5, 1e-9), ("series", 2.5, 1e-9, 31)]
+        assert rows == [("f64", n) for n in range(32, 1001)]
         built.clear()
+        rows.clear()
         s = complex(2, 100)
         R.sine_moments_with_cert([45, 1, 40, 43, 2, 41, 44, 42, 40, 31], s, 1e-9)
         assert built == [("closed", s, 1e-9), ("series", s, 1e-9, 31)] + [
             ("series", s, 1e-9, n) for n in range(40, 46)
         ]
+        # each row tries doubles, then mp, then takes its own series table
+        assert rows == [("f64", n) for n in range(40, 46)] + [("mp", n) for n in range(40, 46)]
         built.clear()
+        rows.clear()
         R.sine_moments_with_cert(range(1, 1001), 2.5, 1e-9)  # all cached
-        assert built == []
+        assert built == [] and rows == []
+
+    def test_float64_tier_guard(self, spec_a, monkeypatch):
+        # at tol 1e-9 a reconstruction evaluates no closed-form row in mp,
+        # so a change cannot drop it back to mp unseen; at tol 1e-20 no
+        # double certifies, and every row n > 31 runs the mp closed form
+        mp_rows = []
+        real = R._AsymptoticTerms.moment
+
+        def counted(terms, n):
+            mp_rows.append(n)
+            return real(terms, n)
+
+        monkeypatch.setattr(R._AsymptoticTerms, "moment", counted)
+        monkeypatch.setattr(R, "_SINE_CACHE", {})
+        mellin_reconstruct_report(spec_a, 2.5, 1000, 1e-9)
+        assert mp_rows == []
+        assert {n for n, _, _ in R._SINE_CACHE} == set(range(1, 1001))
+        rows = R.sine_moments_with_cert(range(1, 201), 2.5, 1e-20)
+        assert mp_rows == list(range(32, 201))
+        assert all(cert < 1e-20 for _, cert in rows)
 
     def test_threads_share_the_cache(self, monkeypatch):
         # the cache has no lock of its own: a dict get or set is atomic, and
