@@ -356,15 +356,14 @@ def c_even_mellin_exact_L(
     The returned certificate is remainder_bound(spec, n, L) plus summation
     roundoff. Terms grow to ~e^{n pi} before cancelling, so the working
     precision adds ceil(1.443 n pi) + 64 bits over the output precision.
-    A term with theta = 1 is a HypothesisError: there theta^{L+1} does not
-    decay and the remainder can exceed remainder_bound (THETA1_B at n = 9,
-    L = 8 is off by 2.1e8 against a bound of 3.2e7).
 
     remainder_bound is not a bound for every (n, L): while L is small
     against n pi max theta_k the omitted terms still grow, and SPEC_A at
-    n = 13, L = 5 is off by 1.36e5 against 1.12e5. So a row is refused
-    (HypothesisError) unless remainder_bound covers the proven bound T of
-    `_exact_L_tail` on the remainder:
+    n = 13, L = 5 is off by 1.36e5 against 1.12e5. With a theta = 1 term,
+    whose theta^{L+1} does not decay, THETA1_B at n = 9, L = 8 is off by
+    2.1e8 against 3.2e7. So a row is refused (HypothesisError) unless
+    remainder_bound covers the proven bound T of `_exact_L_tail` on the
+    remainder (the proof below holds for every theta <= 1):
 
         R = sum_{l>L} 2 (-1)^l (n pi)^{2l-1} / (2l)! zeta(2l) P(2l)
 
@@ -426,8 +425,6 @@ def _exact_L_rows(spec: BeurlingSpec, ns, L: int, tol: float) -> list[FourierCoe
         return []
     m2l = _m2l_table(spec, ns, tol)
     _require_even_mellin_hypotheses(spec, "c_even_mellin_exact_L")
-    if any(t.theta == 1 for t in spec.terms):
-        raise HypothesisError("c_even_mellin_exact_L cannot bound its remainder at theta = 1")
     for n in ns:
         if _exact_L_tail(spec, n, L) > remainder_bound(spec, n, L).value:
             raise HypothesisError(
@@ -621,12 +618,13 @@ def _cos_tail(alpha, J):
     x_k - x_(k+1) + ... is at most 47/46 x_k and rounds by u times that, so
     by the decay they come to (2.12 + 1.05) u x_1 <= 1.6 eps sum x_m.
     """
-    q = (J + 1).astype(np.float64)
+    # rows above n0 share one q: each zeta is evaluated once per distinct q
+    q, inv = np.unique((J + 1).astype(np.float64), return_inverse=True)
     terms = []
     err = np.zeros_like(alpha)
     coef = alpha * alpha / 2.0
     for m in range(1, 66):
-        z, z_err = hurwitz_zeta_f64(2 * m, q)
+        z, z_err = (x[inv] for x in hurwitz_zeta_f64(2 * m, q))
         term = coef * z
         if m > 1 and (float(term.max()) < 1e-19 or m > 64):
             break

@@ -20,17 +20,21 @@ For coprime h, k Vasyunin's formula gives
 With theta_1 <= theta_2 and theta_2/theta_1 = a/b in lowest terms,
 G(theta_1, theta_2) = theta_1 a A(a, b) - theta_1 theta_2 and v(theta) =
 theta (1 - gamma - ln theta): finite cotangent sums with a priori roundoff
-bounds, which see a pair only through theta_1, a and b. Each entry is
-first evaluated in float64 (`_f64_entry`): one table of cot(pi m/k) per
-denominator k and one ln per integer, each an mp value rounded to a double
-once and shared across a `build_gram` call, so the mp work is O(N^2); the
-O(N^3) weighted sums run in doubles, under an a priori bound in the IEEE
-model proven beside the code. An entry whose bound is at most tol stores
-that double; any other falls back to the mp closed form `_closed_entry` at
-tol, which serves every tol below the float64 bound (about 1e-15 relative).
-`_gram_entry` alone reduces the ratio, and refuses with ToleranceNotMet a
-pair whose a, the period of theta_1/theta_2, is past the cap of `_period`:
-v(0.1) and G(0.1, 0.2) (ratio 1/2) are closed forms for the float 0.1 =
+bounds, which see a pair only through theta_1, a and b. `build_gram`
+evaluates every entry in float64 at once: `_reduced_pairs` finds theta_1,
+a, b and tau = theta_1/b by integer products and gcds; each table of
+cot(pi m/k) comes from exact fixed-point rotation (`_cot_f64`: integer
+products and shifts, one correctly rounded division per value, each
+within u |cot| (1 + 2^-60), with no libm and no mp call per value); every
+W(h, k) of one denominator k is one elementwise product of integer weights
+with that table and one sum along the last axis (`_cot_sums_f64`); and
+`_f64_entries` forms each value and its a priori bound in the IEEE model,
+proven beside the code. No sum goes through BLAS. An entry whose bound is
+at most tol stores that double; any other falls back to the mp closed form
+`_closed_entry` at tol, which serves every tol below the float64 bound
+(about 1e-15 relative). A pair whose a, the period of theta_1/theta_2, is
+past the cap of `_period` is refused with ToleranceNotMet: v(0.1) and
+G(0.1, 0.2) (ratio 1/2) are closed forms for the float 0.1 =
 3602879701896397/2^55, while G(0.1, 0.5) is refused.
 Duplicate thetas make G exactly singular and are rejected rather than
 merged; a G whose factor meets a pivot <= 0 raises SingularSystemError.
@@ -55,7 +59,7 @@ from .parseval import norm_via_parseval
 _SOLVER_EPS = float(np.finfo(np.float64).eps)
 # Parseval cross-check length in residual_report
 _PARSEVAL_N_MAX = 4096
-# ln 2 pi - gamma, 1 - gamma and pi/2 of Vasyunin's formula for `_f64_entry`:
+# ln 2 pi - gamma, 1 - gamma and pi/2 of Vasyunin's formula for `_f64_entries`:
 # mp values at 64 bits, each rounded to a double once
 with workprec(64):
     _C_G = float(mpmath.log(2 * mpmath.pi) - mpmath.euler)
@@ -175,36 +179,76 @@ def _closed_entry(t1: Fraction, a: int, b: int, bits: int, cots: dict):
         return val, mpmath.ldexp(mpmath.mpf(scale), -wp)
 
 
-def _ln_f64(n: int, tabs: dict) -> float:
-    """ln n for an integer n >= 1: one mp log at 64 bits per n, rounded once."""
-    key = ("ln", n)
-    if key not in tabs:
-        with workprec(64):
-            tabs[key] = float(mpmath.log(n))
-    return tabs[key]
+def _ln_f64(ints) -> np.ndarray:
+    """ln n for each integer n >= 1 of ints: one mp log at 64 bits per
+    distinct n, rounded once."""
+    uniq, inv = np.unique(np.asarray(ints), return_inverse=True)
+    with workprec(64):
+        lns = [float(mpmath.log(int(x))) for x in uniq.tolist()]
+    return np.array(lns, dtype=np.float64)[inv]
 
 
-def _cot_sum_f64(h: int, k: int, tabs: dict) -> float:
-    """W(h, k) of `_cot_sum` in float64: the exact integer weights summed
-    against one table of cot(pi m/k) per k, each an mp value at 64 bits
-    rounded once (its own table, not the mp path's, whose bits depend on
-    the tols asked before). numpy's elementwise product and sum use no
-    BLAS, so the result does not depend on its threading."""
-    key = ("W", h % k, k)
-    if key not in tabs:
-        cot = tabs.get(("cot", k))
-        if cot is None:
-            with workprec(64):
-                cot = tabs[("cot", k)] = np.array(_cot_table(k), dtype=np.float64)
-        ms = np.arange(1, cot.size + 1)
-        tabs[key] = float(((2 * (ms * (h % k) % k) - k) * cot).sum())
-    return tabs[key]
+def _cot_f64(k: int) -> np.ndarray:
+    """cot(pi m/k) for m <= (k-1)/2 in float64, each within
+    u |cot(pi m/k)| (1 + 2^-60), u = 2^-53, by exact fixed-point rotation:
+    no libm, and one mp cos and sin per k, none per value.
+
+    With P = 2 l + 128, l the bit length of k (so k < 2^l), c and s are
+    cos(pi/k) and sin(pi/k) times 2^P rounded to integers, from mp at P + 32
+    bits: within 1/2 + 2^-27 <= 1 each, so rho = (c + i s)/2^P is within
+    sqrt2 2^-P of e^(i pi/k). From z_0 = 2^P, each step takes z_m = C + i S
+    to z_(m+1) = floor((C c - S s)/2^P) + i floor((S c + C s)/2^P), which is
+    z_m rho less under 1 in each part. So E_m = z_m - 2^P e^(i pi m/k) obeys
+    |E_(m+1)| <= |rho| |E_m| + 2^P |rho - e^(i pi/k)| + sqrt2
+    <= (1 + sqrt2 2^-P) |E_m| + 2 sqrt2, and |E_m| <= 3m for m < 2^l. For
+    2m <= k - 1, sin(pi m/k) >= 2m/k and cos(pi m/k) >= 1/k, so C and S
+    are within relative 3mk 2^-P and 1.5k 2^-P of 2^P cos and 2^P sin, and
+    C/S within relative 1.5 k^2 2^-P (1 + 2^-100) < 2^-127 of cot(pi m/k).
+    Python's int / int rounds C/S correctly, adding u |C/S|: in all within
+    u |cot(pi m/k)| (1 + 2^-73).
+    """
+    P = 2 * k.bit_length() + 128
+    with workprec(P + 32):
+        c = int(mpmath.nint(mpmath.ldexp(mpmath.cos(mpmath.pi / k), P)))
+        s = int(mpmath.nint(mpmath.ldexp(mpmath.sin(mpmath.pi / k), P)))
+    C, S, out = 1 << P, 0, []
+    for _ in range((k - 1) // 2):
+        C, S = (C * c - S * s) >> P, (S * c + C * s) >> P
+        out.append(C / S)
+    return np.array(out, dtype=np.float64)
 
 
-def _f64_entry(t1: Fraction, a: int, b: int, tabs: dict):
-    """(value, bound): the Gram entry of `_closed_entry`'s (t1, a, b) in
-    float64, with |value - entry| <= bound; None outside the model below
-    (tau < 2^-500 or a >= 2^26).
+def _cot_sums_f64(h: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """W(h, k) of `_cot_sum` in float64 for integer arrays 0 <= h < k <
+    2^26, each distinct pair once: grouped by k, the rows of integer weights
+    2 (mh mod k) - k times the table of `_cot_f64(k)`, elementwise, then one
+    sum along the last axis, which sums each row in the order of a 1-D sum.
+    No BLAS call, so the result does not depend on its threading."""
+    uniq, inv = np.unique(k * 2**26 + h, return_inverse=True)
+    ks, hs = np.divmod(uniq, 2**26)
+    out = np.zeros(uniq.size)
+    starts = np.flatnonzero(np.diff(ks, prepend=-1))
+    for lo, hi in zip(starts, [*starts[1:], uniq.size]):
+        kk = int(ks[lo])
+        cot = _cot_f64(kk)
+        if cot.size:
+            # mh < k^2/2 fits int32 below k = 2^15
+            ms = np.arange(1, cot.size + 1, dtype=np.int32 if kk < 2**15 else np.int64)
+            step = max(1, 2**18 // cot.size)  # rows per block, to bound the memory
+            for i in range(lo, hi, step):
+                w = np.multiply.outer(hs[i:min(i + step, hi)].astype(ms.dtype), ms)
+                np.remainder(w, kk, out=w)
+                w *= 2
+                w -= kk
+                out[i:i + w.shape[0]] = (w * cot).sum(axis=1)
+    return out[inv]
+
+
+def _f64_entries(tau: np.ndarray, a: np.ndarray, b: np.ndarray):
+    """(values, bounds): the Gram entries of `_closed_entry`'s (t1, a, b),
+    given tau = fl(theta_1/b) and integer arrays of coprime 1 <= b <= a <
+    2^26 with tau >= 2^-500, in float64, with |value - entry| <= bound.
+    `_f64_v` does the same for v(theta).
 
     The formula of `_closed_entry` with tau = theta_1/b:
     s = (theta_1 + theta_2)/2 = tau (a + b)/2, d = (theta_1 - theta_2)/2 =
@@ -215,14 +259,15 @@ def _f64_entry(t1: Fraction, a: int, b: int, tabs: dict):
     gamma_j = ju/(1 - ju), and gamma_j + gamma_k + gamma_j gamma_k <=
     gamma_(j+k). Integers below 2^53 convert exactly, and no nonzero product
     falls below 2^-1000 (tau >= 2^-500, a, b < 2^26, and a nonzero sum is a
-    multiple of the least ulp of its terms), so nothing underflows.
+    multiple of the least ulp of its terms), so nothing underflows. Each
+    entry is computed alone, elementwise, by the operations below.
 
     Inputs. fl(tau) and theta are correctly rounded: theta_1. ln 2 pi -
     gamma, 1 - gamma, pi/2 and each ln n are mp values at 64 bits within
-    2 ulps there, rounded once: within 2^-62 + u <= 2u relative, theta_2. At
-    64 bits `_closed_entry`'s proof puts each cot(pi m/k) within 10 2^-64 T_m,
-    T_m = k/(pi m) >= |cot(pi m/k)|, and rounding adds u T_m (1 + 10 2^-64),
-    so the table value c'_m is within 2u T_m.
+    2 ulps there, rounded once: within 2^-62 + u <= 2u relative, theta_2.
+    Each table value c'_m of `_cot_f64` is within u |cot(pi m/k)| (1 +
+    2^-60) of cot(pi m/k), proven there for every k; as |cot(pi m/k)| <=
+    T_m = k/(pi m), since sin(pi m/k) >= 2m/k, c'_m is within 2u T_m.
 
     Cotangent sums. W(h, k) has n = floor((k-1)/2) terms with exact integer
     weights |w_m| < k. In any summation order the computed sum is within
@@ -251,66 +296,102 @@ def _f64_entry(t1: Fraction, a: int, b: int, tabs: dict):
     gamma_(n+13)/gamma_(n+12) - 1. It is the float64 counterpart of
     `_closed_entry`'s (a + b + 64)(2 + ln a) 2^-wp.
     """
-    if not a:
-        th = float(t1)
-        if th < 2.0**-500:
-            return None
-        lp, lq = _ln_f64(t1.numerator, tabs), _ln_f64(t1.denominator, tabs)
-        return th * (_C_V - (lp - lq)), _gamma(13) * (th * (_C_V + lp + lq))
-    # int / int is correctly rounded: the same double as float(t1 / b)
-    tau = t1.numerator / (t1.denominator * b)
-    if tau < 2.0**-500 or a >= 2**26:
-        return None
-    la, lb = _ln_f64(a, tabs), _ln_f64(b, tabs)
+    la, lb = np.split(_ln_f64(np.concatenate([a, b])), 2)
+    w_ab, w_ba = np.split(_cot_sums_f64(np.concatenate([a % b, b % a]), np.concatenate([b, a])), 2)
     s, d, prod = tau * (a + b) * 0.5, tau * (b - a) * 0.5, tau * tau * (a * b)
-    w = tau / b * _cot_sum_f64(a, b, tabs) + tau / a * _cot_sum_f64(b, a, tabs)
+    w = tau / b * w_ab + tau / a * w_ba
     val = _C_G * s + d * (la - lb) - _HALF_PI * w - prod
-    mag = _C_G * s + abs(d) * (la + lb) + prod + (tau * b * (1 + lb) + tau * a * (1 + la)) * 0.5
+    mag = _C_G * s + np.abs(d) * (la + lb) + prod + (tau * b * (1 + lb) + tau * a * (1 + la)) * 0.5
     return val, _gamma((a - 1) // 2 + 13) * mag
 
 
-def _gram_entry(thetas: tuple[Fraction, ...], tol: float, tabs: dict) -> float:
-    """int_0^1 prod_k rho(theta_k/x) dx over one or two thetas, certified to
-    tol as stored.
+def _f64_v(ths) -> tuple:
+    """(values, bounds): v(theta) = theta (1 - gamma - ln theta) for each
+    theta = p/q in float64, proof in `_f64_entries`; the bound is inf
+    outside its model (theta < 2^-500)."""
+    th = np.array([float(t) for t in ths], dtype=np.float64)
+    lp, lq = _ln_f64([t.numerator for t in ths]), _ln_f64([t.denominator for t in ths])
+    bound = np.where(th < 2.0**-500, np.inf, _gamma(13) * (th * (_C_V + lp + lq)))
+    return th * (_C_V - (lp - lq)), bound
 
-    theta_1 is the least theta and, for a pair, theta_1/theta_2 = b/a in
-    lowest terms, whose period is a. The float64 value of `_f64_entry` when
-    its bound is at most tol; otherwise the closed form `_closed_entry` at
-    tol (its certificate plus half an ulp of the returned float). tabs holds
-    the tables both share across a call. ToleranceNotMet for a pair whose a
-    is past the cap of `_period`, or when the certificate exceeds tol.
+
+def _reduced_pairs(ths: tuple[Fraction, ...]):
+    """(j, k, lo, a, b, tau, first) for every pair j <= k of ths in row
+    order: lo the index of the least theta theta_1 = p/q, theta_2/theta_1 =
+    a/b in lowest terms, and tau = p/(q b) correctly rounded, all from
+    integer products and gcds with no Fraction per pair; first is the index
+    of the first pair whose a, the period of theta_1/theta_2, is past the
+    cap of `_period`, or None.
+
+    The piece count `_period` gives b/a grows with b, so one question per
+    distinct a, at its largest b, decides every pair with that a unless it
+    refuses; only then are that a's pairs asked one by one, in order.
     """
-    t1, a, b = min(thetas), 0, 0
-    if len(thetas) == 2:
-        ratio = t1 / max(thetas)
-        if _periodic._period((ratio,)) is None:
-            raise ToleranceNotMet(
-                f"G({', '.join(repr(float(t)) for t in thetas)}): the ratio of "
-                "the thetas has no period within the caps"
-            )
-        a, b = ratio.denominator, ratio.numerator
-    hit = _f64_entry(t1, a, b, tabs)
-    if hit is not None and hit[1] <= tol:
-        return hit[0]
-    out, err = to_double(*_closed_entry(t1, a, b, bits_for_tol(tol), tabs))
-    check_cert(err, tol, f"Gram entry ({', '.join(repr(float(t)) for t in thetas)})")
-    return out
+    n = len(ths)
+    nums = [t.numerator for t in ths]
+    dens = [t.denominator for t in ths]
+    # below 2^17 every product here, and q b, stays exact in int64 and float64
+    small = max(nums + dens, default=0) < 2**17
+    P, Q = (np.array(x, dtype=np.int64 if small else object) for x in (nums, dens))
+    j, k = np.triu_indices(n)
+    swap = P[j] * Q[k] > P[k] * Q[j]
+    lo, hi = np.where(swap, k, j), np.where(swap, j, k)
+    num, den = P[hi] * Q[lo], Q[hi] * P[lo]
+    g = np.gcd(num, den)
+    a, b = num // g, den // g
+    tau = (P[lo] / (Q[lo] * b)).astype(np.float64)
+
+    def refused(x, y):
+        return _periodic._period((Fraction(int(y), int(x)),)) is None
+
+    uniq, inv = np.unique(a, return_inverse=True)
+    top = np.zeros(uniq.size, dtype=a.dtype)
+    np.maximum.at(top, inv, b)
+    worst = np.array([refused(x, y) for x, y in zip(uniq.tolist(), top.tolist())], dtype=bool)
+    first = next((i for i in np.flatnonzero(worst[inv]) if refused(a[i], b[i])), None)
+    return j, k, lo, a, b, tau, first
 
 
 def build_gram(thetas, tol: float = 1e-9) -> GramSystem:
-    """GramSystem with every entry from `_gram_entry`; symmetric by
-    construction. The cot and ln tables are shared by the entries of this
-    call."""
+    """GramSystem with every entry int_0^1 prod rho(theta/x) dx over one or
+    two thetas, certified to tol as stored; symmetric by construction.
+
+    Each pair is reduced by `_reduced_pairs` to theta_1 and a/b, and every
+    entry is first evaluated in float64 at once (`_f64_entries`, `_f64_v`).
+    An entry stores that double when its bound is at most tol; any other,
+    and any outside the float64 model (tau < 2^-500 or a >= 2^26), takes
+    the mp closed form `_closed_entry` at tol (its certificate plus half an
+    ulp of the returned float). The entries are visited in row order, then
+    v: the first that cannot be certified raises ToleranceNotMet, for a pair
+    whose a is past the cap of `_period` or a certificate above tol. The mp
+    cot tables are shared by the entries of this call."""
     ths = tuple(_to_theta(t, f"theta[{i}]") for i, t in enumerate(thetas))
     tol = check_tol(tol)
     n = len(ths)
-    tabs: dict = {}
+    j, k, lo, a, b, tau, first = _reduced_pairs(ths)
+    npairs = j.size
+    val, bound = np.zeros(npairs), np.full(npairs, np.inf)
+    fit = (tau >= 2.0**-500) & (a < 2**26)
+    fit[npairs if first is None else first:] = False
+    a_f, b_f = a[fit].astype(np.int64), b[fit].astype(np.int64)
+    val[fit], bound[fit] = _f64_entries(tau[fit], a_f, b_f)
+    v_val, v_bound = _f64_v(ths)
+    val, bound = np.concatenate([val, v_val]), np.concatenate([bound, v_bound])
+    bits, cots = bits_for_tol(tol), {}
+    for i in np.flatnonzero(~(bound <= tol)):
+        if i < npairs:
+            idx, args = (j[i], k[i]), (ths[lo[i]], int(a[i]), int(b[i]))
+        else:  # v(theta) is `_closed_entry`'s theta_1 = theta, a = b = 0
+            idx, args = (i - npairs,), (ths[i - npairs], 0, 0)
+        names = ", ".join(repr(float(ths[x])) for x in idx)
+        if i == first:
+            raise ToleranceNotMet(f"G({names}): the ratio of the thetas has no period within the caps")
+        out, err = to_double(*_closed_entry(*args, bits, cots))
+        check_cert(err, tol, f"Gram entry ({names})")
+        val[i] = out
     G = np.zeros((n, n), dtype=np.float64)
-    for j in range(n):
-        for k in range(j, n):
-            G[j, k] = G[k, j] = _gram_entry((ths[j], ths[k]), tol, tabs)
-    v = np.array([_gram_entry((t,), tol, tabs) for t in ths], dtype=np.float64)
-    return GramSystem(ths, G, v, tol)
+    G[j, k] = G[k, j] = val[:npairs]
+    return GramSystem(ths, G, val[npairs:], tol)
 
 
 def _constrained_minima(G: np.ndarray, v: np.ndarray, th: np.ndarray):

@@ -19,7 +19,7 @@ def hurwitz_mp(q: int) -> dict:
 
 def reduced(ths) -> tuple:
     """(theta_1, a, b), the arguments of `optimizer._closed_entry` and
-    `_f64_entry` for one or two thetas: theta_1 the least and a/b =
+    `_f64_entries` for one or two thetas: theta_1 the least and a/b =
     theta_2/theta_1 in lowest terms, a = b = 0 for one theta."""
     t1 = min(ths)
     if len(ths) == 1:

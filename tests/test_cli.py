@@ -183,12 +183,15 @@ class TestFourier:
         assert code == 0 and out.count("\n") == 12
 
     def test_exact_L_at_theta_1_exit_2(self, tmp_path, capsys):
-        # THETA1_B: the remainder bound does not cover the series at theta = 1
+        # THETA1_B: from n = 7 the remainder bound at L = 8 does not cover the
+        # proven tail bound; rows below it are printed, theta = 1 included
         f = tmp_path / "theta1_b.json"
         f.write_text(json.dumps({"terms": [{"a_re": "1/2", "b": 1}, {"a_re": -1, "b": 2}]}))
         argv = ["fourier", "--spec", str(f), "--method", "even-mellin", "--n-max"]
         code, out, err = run(capsys, argv + ["10", "--L", "8"])
-        assert code == 2 and out == "" and "theta = 1" in err
+        assert code == 2 and out == "" and "n = 7, L = 8" in err
+        code, out, _ = run(capsys, argv + ["6", "--L", "8"])
+        assert code == 0 and out.count("\n") == 7
         # the limit route is not affected
         code, _, _ = run(capsys, argv + ["2"])
         assert code == 0

@@ -714,17 +714,22 @@ class TestRemainderBoundLimitation:
     exact-L remainder is middle-mode dominated, so the theta-power bound
     under-covers at moderate (n, L): on THETA1_B at (n, L) = (9, 8) the
     truncated series was 2.1e8 off against a bound of 3.2e7. The exact-L
-    route therefore refuses theta = 1. On other specs it refuses each row
-    whose bound falls below the proven tail bound (see
-    `test_exact_L_refused_where_the_bound_fails`).
+    route refuses such cells, as on every spec, where the bound falls below
+    the proven tail bound (see `test_exact_L_refused_where_the_bound_fails`),
+    and returns the others, theta = 1 included.
     """
 
     @pytest.mark.parametrize("name", ["theta1_b", "theta1_c"])
     def test_theta1_exact_L_refused(self, request, name):
         spec = request.getfixturevalue(name)
-        for n, L in ((1, 4), (9, 8), (10, 8)):
-            with pytest.raises(HypothesisError, match="theta = 1"):
+        for n, L in ((9, 8), (10, 8)):
+            with pytest.raises(HypothesisError, match=f"cannot bound its remainder at n = {n}, L = {L}"):
                 c_even_mellin_exact_L(spec, n, L, tol=1e-13)
+        # a cell the tail bound covers is returned, within its certificate
+        ref = c_direct(spec, 1, tol=1e-13)
+        row = c_even_mellin_exact_L(spec, 1, 4, tol=1e-13)
+        gap = abs(complex(ref.value) - complex(row.value))
+        assert gap <= float(ref.error_certificate) + float(row.error_certificate)
         # the remainder bound itself and the limit route still evaluate
         assert float(remainder_bound(spec, 9, 8)) > 0
         ref = c_direct(spec, 3, tol=1e-13)
@@ -735,9 +740,9 @@ class TestRemainderBoundLimitation:
     @pytest.mark.parametrize("n,L,min_ratio", [(9, 8, 4.0), (10, 8, 9.0)])
     def test_theta1_bound_exceeded(self, theta1_b, n, L, min_ratio):
         """The truncated exact-L series on THETA1_B, summed here at 80 digits,
-        misses c(n) by more than min_ratio times remainder_bound: the reason
-        the exact-L route refuses theta = 1 at these cells."""
-        with pytest.raises(HypothesisError, match="theta = 1"):
+        misses c(n) by more than min_ratio times remainder_bound: the exact-L
+        route refuses these cells by its tail bound."""
+        with pytest.raises(HypothesisError, match=f"cannot bound its remainder at n = {n}, L = {L}"):
             c_even_mellin_exact_L(theta1_b, n, L, tol=1e-13)
         with mpmath.workdps(80):
             npi = n * mpmath.pi

@@ -2,7 +2,8 @@
 imports no scipy, numerics alone scopes and locks mpmath precision,
 converts rationals, checks tolerances, counts and exponents, refuses a
 certificate above tol and evaluates the Hurwitz zeta, one function reads the period caps and one reduces each
-Gram entry's ratio, the periodic engine certifies without quadrature
+Gram entry's ratio, the float64 Gram path reads no mp cotangent and makes
+no BLAS product, the periodic engine certifies without quadrature
 estimates through one Hurwitz-kernel tail and one head path, one function
 decides how each coefficient row is certified and the reconstruction
 reads its rows from it alone, every function and constant the benchmark's
@@ -166,16 +167,36 @@ def test_gram_ladder_is_one_function():
     owners = {
         (name, o) for name, text in SOURCES.items() for o in _owners(text, _calls("_closed_entry"))
     }
-    assert owners == {("optimizer.py", "_gram_entry")}
+    assert owners == {("optimizer.py", "build_gram")}
 
 
 def test_gram_entry_asks_one_period():
     # an entry depends on its pair only through the reduced ratio, so the
-    # optimizer asks `_period` once, in `_gram_entry`, for that ratio alone,
-    # and never for a joint period or a piece decomposition
+    # optimizer asks `_period` in one place, `_reduced_pairs`, for that ratio
+    # alone, and never for a joint period or a piece decomposition
     text = SOURCES["optimizer.py"]
-    assert _owners(text, _calls("_period")) == ["_gram_entry"]
+    assert _owners(text, _calls("_period")) == ["_reduced_pairs"]
     assert _owners(text, _calls("_joint_period")) + _owners(text, _calls("decompose")) == []
+
+
+def test_float64_gram_tables_take_no_mp_value():
+    # the float64 cot tables come from exact integer rotation: the table of
+    # mp cotangents is read only by the mp cotangent sum
+    owners = {
+        (name, o) for name, text in SOURCES.items() for o in _owners(text, _calls("_cot_table"))
+    }
+    assert owners == {("optimizer.py", "_cot_sum")}
+
+
+def test_optimizer_makes_no_blas_product():
+    # every sum in the optimizer is an elementwise product and `sum`, so its
+    # bytes do not depend on BLAS or its threading
+    text = SOURCES["optimizer.py"]
+    matmul = [n for n in ast.walk(ast.parse(text)) if isinstance(n, (ast.BinOp, ast.AugAssign))
+              and isinstance(n.op, ast.MatMult)]
+    assert matmul == []
+    for name in ("dot", "matmul", "einsum", "vdot", "inner", "tensordot"):
+        assert _owners(text, _calls(name)) == [], name
 
 
 def test_periodic_has_no_float64_hurwitz():

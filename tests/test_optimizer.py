@@ -31,8 +31,8 @@ from beurling._periodic import (
     u_integral_mp,
 )
 from beurling import optimizer
-from beurling.numerics import bits_for_tol, to_double, to_mp
-from beurling.optimizer import _closed_entry, _f64_entry, _gram_entry
+from beurling.numerics import _gamma, bits_for_tol, check_cert, to_double, to_mp
+from beurling.optimizer import _closed_entry, _cot_f64, _f64_entries, _f64_v
 from strategies import reduced
 
 # Frozen Gram oracles for thetas = (1, 1/2); closed forms:
@@ -236,9 +236,11 @@ class TestGramLadder:
         _, a, _ = reduced(pair)
         neither = _period(pair) is None and _period((min(pair) / max(pair),)) is None
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(optimizer, "_f64_entry", lambda *args: (0.5, 0.0))
+            patch.setattr(
+                optimizer, "_f64_entries", lambda tau, a, b: (np.full(tau.shape, 0.5), np.zeros(tau.shape))
+            )
             try:
-                _gram_entry(pair, 1e-9, {})
+                build_gram(list(pair), 1e-9)
                 refused = False
             except ToleranceNotMet:
                 refused = True
@@ -246,10 +248,21 @@ class TestGramLadder:
 
     def test_ratio_at_the_cap_evaluated(self):
         # a = PERIOD_CAP, unstubbed: the float64 entry within tol 1e-9
-        pair, tabs = (Fr(1, PERIOD_CAP), Fr(1)), {}
-        val, bound = _f64_entry(*reduced(pair), tabs)
+        pair = (Fr(1, PERIOD_CAP), Fr(1))
+        val, bound = _f64(pair)
         assert bound <= 1e-9
-        assert _gram_entry(pair, 1e-9, tabs) == val
+        assert build_gram(list(pair), 1e-9).G[0, 1] == val
+
+
+def _f64(ths):
+    """(value, bound) of the batched float64 path for one entry: `_f64_v`
+    for one theta, `_f64_entries` for a pair."""
+    t1, a, b = reduced(ths)
+    if not a:
+        val, bound = _f64_v((t1,))
+    else:
+        val, bound = _f64_entries(np.array([t1.numerator / (t1.denominator * b)]), np.array([a]), np.array([b]))
+    return float(val[0]), float(bound[0])
 
 
 def _closed(pair, tol):
@@ -299,18 +312,18 @@ class TestClosedForm:
 
 
 class TestFloatEntry:
-    """The float64 entries of `_f64_entry`, each within its a priori bound of
-    `_closed_entry` at twice the bits, and `_gram_entry` storing that double
-    exactly when the bound is at most tol, the mp closed form otherwise."""
+    """The float64 entries of `_f64_entries` and `_f64_v`, each within its a
+    priori bound of `_closed_entry` at twice the bits, and `build_gram`
+    storing that double exactly when the bound is at most tol, the mp closed
+    form otherwise."""
 
     @staticmethod
-    def _check(ths, tol, tabs, ref_tabs):
-        val, bound = _f64_entry(*reduced(ths), tabs)
+    def _check(ths, tol, stored, ref_tabs):
+        val, bound = _f64(ths)
         bits = 2 * bits_for_tol(tol)
         ref, ref_err = _closed_entry(*reduced(ths), bits, ref_tabs)
         with mpmath.workprec(bits):
             assert abs(val - ref) <= bound + ref_err, ths
-        stored = _gram_entry(ths, tol, tabs)
         if bound <= tol:
             assert stored == val
         else:
@@ -323,19 +336,20 @@ class TestFloatEntry:
     @example(pair=(Fr(1000, 1999), Fr(999, 1999)), tol=1e-12)
     @example(pair=(Fr(2, 3), Fr(3, 7)), tol=1e-9)
     def test_pairs_within_bound(self, pair, tol):
-        tabs = {}
-        for ths in (pair, pair[:1], pair[1:]):
-            self._check(ths, tol, tabs, {})
+        gs = build_gram(list(pair), tol)
+        self._check(pair, tol, gs.G[0, 1], {})
+        for i in range(2):
+            self._check(pair[i:i + 1], tol, gs.v[i], {})
 
     def test_unit_60_within_bound(self):
         ths = unit_thetas(60)
-        tabs, ref_tabs = {}, {}
+        gs, ref_tabs = build_gram(ths, 1e-9), {}
         bounds = [
-            self._check((ths[j], ths[k]), 1e-9, tabs, ref_tabs)
+            self._check((ths[j], ths[k]), 1e-9, gs.G[j, k], ref_tabs)
             for j in range(60)
             for k in range(j, 60)
         ]
-        bounds += [self._check((t,), 1e-9, tabs, ref_tabs) for t in ths]
+        bounds += [self._check((t,), 1e-9, gs.v[i], ref_tabs) for i, t in enumerate(ths)]
         assert max(bounds) <= 1e-9
 
     @pytest.mark.parametrize(
@@ -355,14 +369,133 @@ class TestFloatEntry:
                     abs(2 * (m * h % k) - k) * mpmath.cot(mpmath.pi * m / k) for m in range(1, n + 1)
                 )
             worst += n * 2.0**-53 * float(mags) * float(t1 / b / k) * math.pi / 2
-        assert _f64_entry(*reduced(pair), {})[1] >= worst > 0
+        assert _f64(pair)[1] >= worst > 0
 
-    def test_out_of_range_is_none(self):
+    def test_out_of_range_is_none(self, monkeypatch):
         # tau below 2^-500 leaves the model's range, so the mp path serves it
         tiny = Fr(1, 2**600)
-        assert _f64_entry(*reduced((tiny,)), {}) is None
-        assert _f64_entry(*reduced((tiny, 2 * tiny)), {}) is None
-        assert math.isclose(build_gram([tiny], tol=1e-12).v[0], _v_closed(tiny), rel_tol=1e-12)
+        assert _f64((tiny,))[1] == math.inf
+        calls = []
+        monkeypatch.setattr(optimizer, "_closed_entry", lambda *args: calls.append(args[:3]) or _closed_entry(*args))
+        gs = build_gram([tiny, 2 * tiny], tol=1e-12)
+        assert calls == [(tiny, 1, 1), (tiny, 2, 1), (2 * tiny, 1, 1), (tiny, 0, 0), (2 * tiny, 0, 0)]
+        assert math.isclose(gs.v[0], _v_closed(tiny), rel_tol=1e-12)
+
+
+def _cot_within_bound(k, ms):
+    """Each `_cot_f64(k)` value at m in ms within u |cot(pi m/k)| (1 + 2^-60)
+    of mpmath at 128 bits, whose own error (under 2^-120 relative) is added."""
+    table = _cot_f64(k)
+    assert table.size == (k - 1) // 2
+    with mpmath.workprec(128):
+        slack = mpmath.ldexp(1 + mpmath.ldexp(1, -60), -53) + mpmath.ldexp(1, -120)
+        for m in ms:
+            ref = mpmath.cot(mpmath.pi * m / k)
+            assert abs(mpmath.mpf(table[m - 1]) - ref) <= abs(ref) * slack, (m, k)
+
+
+def _scalar_gram(ths, tol):
+    """(G, v) by the per-entry path the batched `build_gram` replaced, one
+    entry at a time in row order, then v: `_period` on the reduced ratio,
+    the float64 formula with one 1-D cotangent sum per W over the table of
+    `_cot_f64`, and the mp closed form wherever the bound is above tol or
+    the entry is outside the float64 model. Raises as that path did."""
+    cots = {}
+
+    def ln(n):
+        with mpmath.workprec(64):
+            return float(mpmath.log(n))
+
+    def cot_sum(h, k):
+        cot = _cot_f64(k)
+        ms = np.arange(1, cot.size + 1)
+        return float(((2 * (ms * (h % k) % k) - k) * cot).sum())
+
+    def f64(t1, a, b):
+        if not a:
+            th = float(t1)
+            if th < 2.0**-500:
+                return None
+            lp, lq = ln(t1.numerator), ln(t1.denominator)
+            return th * (optimizer._C_V - (lp - lq)), _gamma(13) * (th * (optimizer._C_V + lp + lq))
+        tau = t1.numerator / (t1.denominator * b)
+        if tau < 2.0**-500 or a >= 2**26:
+            return None
+        la, lb = ln(a), ln(b)
+        s, d, prod = tau * (a + b) * 0.5, tau * (b - a) * 0.5, tau * tau * (a * b)
+        w = tau / b * cot_sum(a, b) + tau / a * cot_sum(b, a)
+        val = optimizer._C_G * s + d * (la - lb) - optimizer._HALF_PI * w - prod
+        mag = optimizer._C_G * s + abs(d) * (la + lb) + prod + (tau * b * (1 + lb) + tau * a * (1 + la)) * 0.5
+        return val, _gamma((a - 1) // 2 + 13) * mag
+
+    def entry(names):
+        t1, a, b = reduced(names)
+        text = ", ".join(repr(float(t)) for t in names)
+        if a and _period((Fr(b, a),)) is None:
+            raise ToleranceNotMet(f"G({text}): the ratio of the thetas has no period within the caps")
+        hit = f64(t1, a, b)
+        if hit is not None and hit[1] <= tol:
+            return hit[0]
+        out, err = to_double(*_closed_entry(t1, a, b, bits_for_tol(tol), cots))
+        check_cert(err, tol, f"Gram entry ({text})")
+        return out
+
+    n = len(ths)
+    G = np.zeros((n, n))
+    for j in range(n):
+        for k in range(j, n):
+            G[j, k] = G[k, j] = entry((ths[j], ths[k]))
+    return G, np.array([entry((t,)) for t in ths])
+
+
+_FLOAT_THETAS = [Fr(x) for x in (0.1, 0.2, 0.4, 0.3, 0.05)]
+
+
+class TestBatchedPath:
+    """The batched float64 path: the rotation tables against mpmath, and
+    `build_gram` bit for bit against the per-entry path it replaced, refusals
+    and their messages included."""
+
+    def test_cot_tables_to_200(self):
+        for k in range(1, 201):
+            _cot_within_bound(k, range(1, (k + 1) // 2))
+
+    @settings(max_examples=25, deadline=None)
+    @given(k=st.integers(3, PERIOD_CAP), fracs=st.lists(st.floats(0, 1), min_size=1, max_size=5))
+    @example(k=PERIOD_CAP, fracs=[0.0, 1.0])
+    @example(k=99_991, fracs=[0.0, 0.5, 1.0])
+    def test_cot_table_sample(self, k, fracs):
+        # m = 1 + round(frac (n - 1)) covers 1..n, n = (k - 1)/2
+        n = (k - 1) // 2
+        _cot_within_bound(k, [1 + round(f * (n - 1)) for f in fracs])
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        ths=st.lists(
+            st.one_of(
+                st.integers(1, 60).flatmap(lambda q: st.integers(1, q).map(lambda p: Fr(p, q))),
+                st.sampled_from(_FLOAT_THETAS),
+            ),
+            min_size=1,
+            max_size=8,
+        ),
+        tol=st.sampled_from([1e-9, 1e-12]),
+    )
+    @example(ths=[Fr(1, 2), Fr(2, 3), Fr(3, 7), Fr(59, 60)], tol=1e-9)
+    @example(ths=[Fr(0.1), Fr(0.2), Fr(0.4), Fr(0.05)], tol=1e-9)
+    @example(ths=[Fr(1, 3), Fr(0.1), Fr(0.3)], tol=1e-9)
+    @example(ths=[Fr(1, 3), Fr(1, 7), Fr(0.1)], tol=1e-17)
+    @example(ths=[Fr(1, 2), Fr(1, 3)], tol=1e-18)
+    def test_matches_the_per_entry_path(self, ths, tol):
+        try:
+            G, v = _scalar_gram(ths, tol)
+        except ToleranceNotMet as err:
+            with pytest.raises(ToleranceNotMet) as got:
+                build_gram(ths, tol)
+            assert str(got.value) == str(err)
+            return
+        gs = build_gram(ths, tol)
+        assert np.array_equal(gs.G, G) and np.array_equal(gs.v, v)
 
 
 class TestDispatch:
