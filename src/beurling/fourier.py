@@ -54,7 +54,7 @@ import mpmath
 import numpy as np
 
 from . import _periodic
-from .errors import ConstraintError, DomainError, HypothesisError, ToleranceNotMet
+from .errors import DomainError, HypothesisError, ToleranceNotMet
 from .functions import BeurlingSpec
 from .mellin import power_sum_exact
 from .numerics import (
@@ -111,11 +111,7 @@ def _a1_mp(n: int):
 
 
 def _require_even_mellin_hypotheses(spec: BeurlingSpec, who: str):
-    if not spec.admissible:
-        raise ConstraintError(
-            f"{who} requires an admissible spec (sum a_k theta_k = 0); "
-            f"residual {spec.constraint_residual:.3g}"
-        )
+    spec.require_admissible(who)
     if not spec.unit_fraction:
         raise HypothesisError(f"{who} requires unit-fraction thetas (theta_k = 1/b_k)")
     if not spec.coeffs_le_1:
@@ -224,11 +220,7 @@ def _cosine_rows(spec: BeurlingSpec, ns, tol: float) -> list[FourierCoefficient]
     if not ns:
         return []
     check_tol(tol)
-    if not spec.admissible:
-        raise ConstraintError(
-            "c_cosine_series requires an admissible spec; "
-            f"residual {spec.constraint_residual:.3g}"
-        )
+    spec.require_admissible("c_cosine_series")
     terms = [t for t in spec.terms if abs(t.a) != 0]
     bits = bits_for_tol(tol) + 48
     with workprec(bits):
@@ -289,12 +281,16 @@ def _cosine_rows(spec: BeurlingSpec, ns, tol: float) -> list[FourierCoefficient]
 def remainder_bound(spec: BeurlingSpec, n, L: int) -> PrecisionReal:
     """((n pi)^{L+1} / (L+1)!) zeta(L+1) sum_k theta_k^{L+1}.
 
-    Bounds the unevaluated remainder of the even-Mellin exact-L form. Needs
-    |a_k| <= 1 (HypothesisError otherwise); the theta-power form is the
-    sharper one available when the thetas are known, below the generic
-    zeta^2(L+1) variant for unit fractions with distinct denominators.
-    The value is stored as the least double above the bound, so callers
-    read it with float() and lose nothing.
+    The paper's bound on the unevaluated remainder of the even-Mellin
+    exact-L form. Needs |a_k| <= 1 (HypothesisError otherwise); the
+    theta-power form is the sharper one available when the thetas are known,
+    below the generic zeta^2(L+1) variant for unit fractions with distinct
+    denominators. The value is stored as the least double above the bound,
+    so callers read it with float() and lose nothing. It bounds the
+    remainder only once the omitted terms fall: SPEC_A at n = 13, L = 5 is
+    off by 1.36e5 against 1.12e5, and THETA1_B at n = 9, L = 8 by 2.1e8
+    against 3.2e7. The limit route's L is past that point (`_limit_row`);
+    c_even_mellin_exact_L certifies with its own bound.
     """
     n = check_count(n, "n")
     L = check_count(L, "L")
@@ -351,19 +347,13 @@ def c_even_mellin_exact_L(
 
         c = A1 + (2/(n pi)) sum_{l<=L} (-1)^l (n pi)^{2l} / (2l)!
                + 2 sum_{l<=L} (-1)^{l-1} (n pi)^{2l-1} / (2l-1)! M(2l)
-               + (remainder, NOT computed).
+               + (remainder R, NOT computed).
 
-    The returned certificate is remainder_bound(spec, n, L) plus summation
-    roundoff. Terms grow to ~e^{n pi} before cancelling, so the working
-    precision adds ceil(1.443 n pi) + 64 bits over the output precision.
-
-    remainder_bound is not a bound for every (n, L): while L is small
-    against n pi max theta_k the omitted terms still grow, and SPEC_A at
-    n = 13, L = 5 is off by 1.36e5 against 1.12e5. With a theta = 1 term,
-    whose theta^{L+1} does not decay, THETA1_B at n = 9, L = 8 is off by
-    2.1e8 against 3.2e7. So a row is refused (HypothesisError) unless
-    remainder_bound covers the proven bound T of `_exact_L_tail` on the
-    remainder (the proof below holds for every theta <= 1):
+    Needs only an admissible spec (ConstraintError otherwise), for M(2l).
+    The certificate, not refused above tol, is the bound T >= |R| of
+    `_exact_L_tail` plus summation roundoff. Terms grow to ~e^{n pi} before
+    cancelling, so the working precision adds ceil(1.443 n pi) + 64 bits
+    over the output precision. T holds for any theta_k and a_k:
 
         R = sum_{l>L} 2 (-1)^l (n pi)^{2l-1} / (2l)! zeta(2l) P(2l)
 
@@ -381,8 +371,7 @@ def c_even_mellin_exact_L(
     modulus and |E(y)| <= 1 + y^{2L} / (2L)!. T takes the lesser bound
     for each j < J while the second applies and the first for all j >= J,
     whose sum is x^m / m! zeta(m, J) <= (x / J)^m / m! (1 + J / (m - 1)),
-    m = 2L + 2 (sum_{j>J} j^-m <= int_J^inf t^-m dt). The first omitted term
-    alone would refuse SPEC_A at (9, 4) and (10, 4), where the bound holds.
+    m = 2L + 2 (sum_{j>J} j^-m <= int_J^inf t^-m dt).
     """
     return _exact_L_rows(spec, [n], L, tol)[0]
 
@@ -417,27 +406,21 @@ def _exact_L_tail(spec: BeurlingSpec, n: int, L: int):
 
 def _exact_L_rows(spec: BeurlingSpec, ns, L: int, tol: float) -> list[FourierCoefficient]:
     """c_even_mellin_exact_L for each n in ns, in the order given, reading
-    M(2l) from one `_m2l_table`; each row keeps its own bits and roundoff
-    certificate."""
+    M(2l) from one `_m2l_table`; each row keeps its own bits, tail bound and
+    roundoff certificate."""
     ns = [check_count(n, "n") for n in ns]
     L = check_count(L, "L")
     if not ns:
         return []
     m2l = _m2l_table(spec, ns, tol)
-    _require_even_mellin_hypotheses(spec, "c_even_mellin_exact_L")
-    for n in ns:
-        if _exact_L_tail(spec, n, L) > remainder_bound(spec, n, L).value:
-            raise HypothesisError(
-                f"c_even_mellin_exact_L cannot bound its remainder at n = {n}, L = {L}: "
-                "remainder_bound is below the proven tail bound; take a larger L"
-            )
+    spec.require_admissible("c_even_mellin_exact_L")
     return [_exact_L_row(spec, n, L, tol, m2l) for n in ns]
 
 
 def _exact_L_row(spec: BeurlingSpec, n: int, L: int, tol: float, m2l) -> FourierCoefficient:
     """One row of _exact_L_rows."""
     bits = _series_bits(n, tol)
-    rb = remainder_bound(spec, n, L)
+    tail = _exact_L_tail(spec, n, L)
     with workprec(bits):
         npi = n * mpmath.pi
         npi2 = npi * npi
@@ -455,8 +438,7 @@ def _exact_L_row(spec: BeurlingSpec, n: int, L: int, tol: float, m2l) -> Fourier
             else:
                 acc += t2 - t3
             absacc += abs(t2) + abs(t3)
-        roundoff = (absacc + 1) * mpmath.mpf(2) ** (8 - bits)
-        cert = rb.value + roundoff
+        cert = tail + (absacc + 1) * mpmath.mpf(2) ** (8 - bits)  # T + roundoff
         value = PrecisionComplex.from_mpc(acc, bits)
     return _result(spec, n, value, "even_mellin_exact_L", L, cert)
 
@@ -502,7 +484,8 @@ def c_even_mellin_limit(spec: BeurlingSpec, n, tol: float = 1e-10) -> FourierCoe
     Truncation L is chosen so the remainder certificate <= tol/2 (its two
     parts: the exact-L remainder bound, and the first omitted term of the
     cancelling cosine pair A1 + sum (-1)^l (n pi)^{2l}/(2l)!, each <= tol/4)
-    and additionally the next series term is <= tol/10.
+    and additionally the next series term is <= tol/10. Proof of the
+    certificate in `_limit_row`.
     """
     return _limit_rows(spec, [n], tol)[0]
 
@@ -520,7 +503,21 @@ def _limit_rows(spec: BeurlingSpec, ns, tol: float) -> list[FourierCoefficient]:
 
 
 def _limit_row(spec: BeurlingSpec, n: int, tol: float, m2l) -> FourierCoefficient:
-    """One row of _limit_rows, reading M(2l) from m2l(l)."""
+    """One row of _limit_rows, reading M(2l) from m2l(l).
+
+    Proof of its certificate for tol < 4. Summed to L' = L_used, the series
+    misses c by R(L') - (2/(n pi)) E(n pi), R and E as in
+    c_even_mellin_exact_L at L' (A1 + (2/(n pi)) sum_{l<=L'} (-1)^l
+    (n pi)^{2l} / (2l)! = -(2/(n pi)) E(n pi)). Taylor bounds |E(n pi)| by
+    (n pi)^m / m!, m = 2L' + 2, for every L': the cosine tail. And |R(L')|
+    <= T(L') <= (2/(n pi)) (1 + 1/(m-1)) sum_k |a_k| x_k^m / m!, x_k = n pi
+    theta_k (T's terms j < J are at most the first bound, and sum_{j<J} j^-m
+    + J^-m (1 + J/(m-1)) <= 1 + 1/(m-1)), where |a_k| <= 1 and the factor
+    is at most 8/(3 pi) < 1. Each x_k <= L + 1, else remainder_bound(L) >=
+    x_k^{L+1} / (L+1)! > 1 > tol/4, above the plan (`_limit_L_for` takes
+    zeta(L+1) <= 2). So x_k^m / m! <= x_k^{L+1} / (L+1)!, and T(L') <=
+    remainder_bound(L).
+    """
     bits = _series_bits(n, tol)
     L = _limit_L_for(n, tol, spec)
     rb = remainder_bound(spec, n, L)
@@ -757,8 +754,7 @@ def batch_cosine_f64(spec: BeurlingSpec, n_max: int):
     bounds and the roundoff of the assembly (module docstring). Requires an
     admissible spec.
     """
-    if not spec.admissible:
-        raise ConstraintError("batch route B requires an admissible spec")
+    spec.require_admissible("batch_cosine_f64")
     n_max = check_count(n_max, "n_max")
     n = np.arange(1, n_max + 1, dtype=np.float64)
     npi = n * math.pi

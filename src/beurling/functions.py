@@ -23,7 +23,7 @@ from typing import Sequence
 import mpmath
 
 from . import _periodic
-from .errors import DomainError, ToleranceNotMet
+from .errors import ConstraintError, DomainError, ToleranceNotMet
 from .mellin import MellinValue
 from .numerics import (
     PrecisionComplex,
@@ -134,6 +134,13 @@ class BeurlingSpec:
     @property
     def admissible(self) -> bool:
         return self.residual_exact == (0, 0)
+
+    def require_admissible(self, who: str):
+        """The one admissibility refusal: ConstraintError, with the exact residual."""
+        if not self.admissible:
+            re, im = self.residual_exact
+            raise ConstraintError(f"{who} requires an admissible spec (sum a_k theta_k = 0); "
+                                  f"residual {re}" + (f" + {im}i" if im else ""))
 
     @cached_property
     def unit_fraction(self) -> bool:

@@ -17,7 +17,7 @@ from fractions import Fraction
 
 import mpmath
 
-from .errors import ConstraintError, DomainError
+from .errors import DomainError
 from .numerics import (
     _POLE_EXCLUSION,
     PrecisionComplex,
@@ -135,11 +135,7 @@ def mellin_even(spec, l: int, tol: float = 1e-12) -> MellinValue:
     """
     l = check_count(l, "l")
     tol_bits = bits_for_tol(tol)
-    if not spec.admissible:
-        raise ConstraintError(
-            "mellin_even requires an admissible spec (sum a_k theta_k = 0); "
-            f"constraint residual is {spec.constraint_residual:.3g}"
-        )
+    spec.require_admissible("mellin_even")
     p_re, p_im = power_sum_exact(spec, 2 * l)
     extra = max(0, int(math.log2(1.0 + abs(float(p_re)) + abs(float(p_im)))) + 2)
     bits = tol_bits + 32 + extra

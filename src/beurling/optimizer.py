@@ -23,9 +23,9 @@ theta (1 - gamma - ln theta): finite cotangent sums with a priori roundoff
 bounds, which see a pair only through theta_1, a and b. `build_gram`
 evaluates every entry in float64 at once: `_reduced_pairs` finds theta_1,
 a, b and tau = theta_1/b by integer products and gcds; each table of
-cot(pi m/k) comes from exact fixed-point rotation (`_cot_f64`: integer
-products and shifts, one correctly rounded division per value, each
-within u |cot| (1 + 2^-60), with no libm and no mp call per value); every
+cot(pi m/k) is a correctly rounded division per value of an exact
+fixed-point rotation in integers (`_cot_rotation`, for both tiers: no
+libm, no mp call per value; `_cot_f64` within u |cot| (1 + 2^-60)); every
 W(h, k) of one denominator k is one elementwise product of integer weights
 with that table and one sum along the last axis (`_cot_sums_f64`); and
 `_f64_entries` forms each value and its a priori bound in the IEEE model,
@@ -122,18 +122,15 @@ def unit_thetas(N: int) -> tuple[Fraction, ...]:
     return tuple(Fraction(1, k) for k in range(1, N + 1))
 
 
-def _cot_table(k: int) -> list:
-    """cot(pi m/k) for m <= (k-1)/2 at the working precision."""
-    return [mpmath.cot(mpmath.pi * m / k) for m in range(1, (k + 1) // 2)]
-
-
 def _cot_sum(h: int, k: int, wp: int, cots: dict):
     """W(h, k) = k V(h, k) = sum_{m <= (k-1)/2} (2 (mh mod k) - k) cot(pi m/k)
     at wp bits, pairing m with k - m. cots holds one table of cot(pi m/k)
-    per denominator k and rebuilds it only for a higher wp."""
+    per denominator k, from `_cot_rotation` at P = wp + 2 l + 16, and
+    rebuilds it only for a higher wp."""
     hit = cots.get(k)
     if hit is None or hit[0] < wp:
-        hit = cots[k] = (wp, _cot_table(k))
+        rot = _cot_rotation(k, wp + 2 * k.bit_length() + 16)
+        hit = cots[k] = (wp, [mpmath.fdiv(C, S) for C, S in rot])
     return mpmath.fdot([2 * (m * h % k) - k for m in range(1, (k + 1) // 2)], hit[1])
 
 
@@ -148,10 +145,11 @@ def _closed_entry(t1: Fraction, a: int, b: int, bits: int, cots: dict):
         G = (ln 2 pi - gamma)(theta_1 + theta_2)/2 + (theta_1 - theta_2)/2 ln(a/b)
             - pi/2 (tau/b W(a, b) + tau/a W(b, a)) - theta_1 theta_2,
 
-    W(h, k) from `_cot_sum`. At wp working bits, u = 2^-wp: the argument of
-    cot(pi m/k) is off by 3u relative, which moves cot by at most
-    (3 pi^2/4) u T_m, T_m = k/(pi m) >= |cot(pi m/k)|, since sin(pi m/k) >=
-    2m/k; mpmath's cot adds 2 ulps, so each table value is off by at most 10 u T_m.
+    W(h, k) from `_cot_sum`. At wp working bits, u = 2^-wp: C/S is within
+    relative 1.5 k^2 2^-P (1 + 2^-14) < 2^-15 u of cot(pi m/k) (the proof
+    of `_cot_rotation`), and mpmath's division of the exact integers rounds
+    once, so each table value is off by at most 2 u T_m <= 10 u T_m,
+    T_m = k/(pi m) >= |cot(pi m/k)|, since sin(pi m/k) >= 2m/k.
     W(h, k) sums n <= (k-1)/2 terms with |2r - k| < k, so it is off by at
     most (n + 11) u k sum T_m <= (n + 11) u (k^2/pi)(1 + ln k), and since tau
     k <= 1 and k <= a its term in G by (n + 11) u (1 + ln a)/2. ln 2 pi,
@@ -188,34 +186,38 @@ def _ln_f64(ints) -> np.ndarray:
     return np.array(lns, dtype=np.float64)[inv]
 
 
-def _cot_f64(k: int) -> np.ndarray:
-    """cot(pi m/k) for m <= (k-1)/2 in float64, each within
-    u |cot(pi m/k)| (1 + 2^-60), u = 2^-53, by exact fixed-point rotation:
-    no libm, and one mp cos and sin per k, none per value.
+def _cot_rotation(k: int, P: int) -> list:
+    """[(C, S)] for m = 1..(k-1)/2, integers whose C/S is within relative
+    1.5 k^2 2^-P (1 + 2^-14) of cot(pi m/k) for P >= 2 l + 16, l the bit
+    length of k: exact fixed-point rotation, one mp cos and sin per k.
 
-    With P = 2 l + 128, l the bit length of k (so k < 2^l), c and s are
-    cos(pi/k) and sin(pi/k) times 2^P rounded to integers, from mp at P + 32
-    bits: within 1/2 + 2^-27 <= 1 each, so rho = (c + i s)/2^P is within
-    sqrt2 2^-P of e^(i pi/k). From z_0 = 2^P, each step takes z_m = C + i S
-    to z_(m+1) = floor((C c - S s)/2^P) + i floor((S c + C s)/2^P), which is
-    z_m rho less under 1 in each part. So E_m = z_m - 2^P e^(i pi m/k) obeys
-    |E_(m+1)| <= |rho| |E_m| + 2^P |rho - e^(i pi/k)| + sqrt2
-    <= (1 + sqrt2 2^-P) |E_m| + 2 sqrt2, and |E_m| <= 3m for m < 2^l. For
-    2m <= k - 1, sin(pi m/k) >= 2m/k and cos(pi m/k) >= 1/k, so C and S
-    are within relative 3mk 2^-P and 1.5k 2^-P of 2^P cos and 2^P sin, and
-    C/S within relative 1.5 k^2 2^-P (1 + 2^-100) < 2^-127 of cot(pi m/k).
-    Python's int / int rounds C/S correctly, adding u |C/S|: in all within
-    u |cot(pi m/k)| (1 + 2^-73).
+    c and s are cos(pi/k) and sin(pi/k) times 2^P rounded to integers,
+    from mp at P + 32 bits: within 1/2 + 2^-27 <= 1 each, so rho =
+    (c + i s)/2^P is within sqrt2 2^-P of e^(i pi/k). From z_0 = 2^P, each
+    step takes z_m = C + i S to z_(m+1) = floor((C c - S s)/2^P) +
+    i floor((S c + C s)/2^P), which is z_m rho less under 1 in each part.
+    So E_m = z_m - 2^P e^(i pi m/k) obeys |E_(m+1)| <= |rho| |E_m| +
+    2^P |rho - e^(i pi/k)| + sqrt2 <= (1 + sqrt2 2^-P) |E_m| + 2 sqrt2, and
+    |E_m| <= 3m for m < 2^l. For 2m <= k - 1, sin(pi m/k) >= 2m/k and
+    cos(pi m/k) >= 1/k, so C and S are within relative 3mk 2^-P and
+    1.5k 2^-P < 2^-16 of 2^P cos and 2^P sin, and C/S within relative
+    1.5 k^2 2^-P (1 + 2^-14) of cot(pi m/k).
     """
-    P = 2 * k.bit_length() + 128
     with workprec(P + 32):
         c = int(mpmath.nint(mpmath.ldexp(mpmath.cos(mpmath.pi / k), P)))
         s = int(mpmath.nint(mpmath.ldexp(mpmath.sin(mpmath.pi / k), P)))
     C, S, out = 1 << P, 0, []
     for _ in range((k - 1) // 2):
         C, S = (C * c - S * s) >> P, (S * c + C * s) >> P
-        out.append(C / S)
-    return np.array(out, dtype=np.float64)
+        out.append((C, S))
+    return out
+
+
+def _cot_f64(k: int) -> np.ndarray:
+    """cot(pi m/k) for m <= (k-1)/2 in float64, each within u |cot| (1 +
+    2^-73), u = 2^-53: `_cot_rotation` at P = 2 l + 128 is within relative
+    2^-127, and Python's int / int rounds C/S correctly, adding u |C/S|."""
+    return np.array([C / S for C, S in _cot_rotation(k, 2 * k.bit_length() + 128)])
 
 
 def _cot_sums_f64(h: np.ndarray, k: np.ndarray) -> np.ndarray:

@@ -21,7 +21,6 @@ import math
 
 import numpy as np
 
-from .errors import DomainError
 from .fourier import cosine_coeffs
 from .functions import BeurlingSpec, _norm_oracle
 from .numerics import check_count, check_tol
@@ -40,8 +39,7 @@ def norm_via_parseval(spec: BeurlingSpec, n_max: int = 10_000, coeff_tol: float 
     partial_norm_sq.
     """
     n_max = check_count(n_max, "n_max", 8)
-    if not spec.admissible:
-        raise DomainError("norm_via_parseval requires an admissible spec")
+    spec.require_admissible("norm_via_parseval")
     c, cert = cosine_coeffs(spec, n_max, coeff_tol)
     mags = np.abs(c)
     partial = 0.5 * float(np.sum(mags**2))

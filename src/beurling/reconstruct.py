@@ -1,10 +1,10 @@
 """Recovering M(s) from its even-integer values through the Fourier basis.
 
-The double sum M(s) = sum_n S(n, s) c(n), with S(n, s) the sine moments
-int_0^1 sin(n pi x) x^{s-1} dx and c(n) the Fourier coefficients of F_N, is a
-formal determination: the interchange of sum and integral is not justified
-here, so results carry empirical convergence diagnostics (last-decade
-partial-sum spread), never a certified tail bound.
+The double sum M(s) = sum_n S(n, s) c(n), S(n, s) = int_0^1 sin(n pi x)
+x^{s-1} dx and c(n) the Fourier coefficients of F_N, is Parseval's identity
+in L^2(0, 1) for Re s > 1/2 (x^{s-1} is in L^2, sqrt2 sin(n pi x) is an
+orthonormal basis) and formal for Re s <= 1/2. Results carry an empirical
+convergence estimate (last-decade partial-sum spread), no certified bound.
 
 Sine moments: two formulas, three evaluations
 ---------------------------------------------
@@ -563,12 +563,12 @@ def mellin_reconstruct_report(
 def mellin_reconstruct(
     spec: BeurlingSpec, s, n_max: int = 1000, tol_per_coeff: float = 1e-9
 ) -> MellinValue:
-    """M(s) by the formal double sum; provenance "reconstructed".
+    """M(s) by the double sum; provenance "reconstructed".
 
     error_bound on the result is a decade-extrapolated empirical tail
-    estimate plus the per-term certificate budget -- an estimate by
-    construction: the term-by-term exchange behind the double sum is formal,
-    so no closed tail bound is available to certify.
+    estimate plus the per-term certificate budget: an estimate, though for
+    Re s > 1/2 the sum is Parseval's identity (module docstring), whose
+    tail a certified norm of F_N would bound by Cauchy-Schwarz.
     """
     mv, _ = mellin_reconstruct_report(spec, s, n_max, tol_per_coeff)
     return mv

@@ -3,6 +3,7 @@ output formats, and byte determinism."""
 import csv
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -173,25 +174,38 @@ class TestFourier:
         )
         assert code == 2
 
+    def _rows_within_certificates(self, out, spec):
+        # each printed row against c_direct, within both certificates and
+        # the rounding of the mp value to the printed doubles
+        rows = list(csv.reader(io.StringIO(out)))[1:]
+        for n, re_c, im_c, _, _, cert in rows:
+            ref = c_batch(spec, [int(n)], "direct", 1e-20)[0]
+            c = complex(float(re_c), float(im_c))
+            gap = abs(c - complex(ref.value))
+            assert gap <= float(cert) + float(ref.error_certificate) + math.ulp(c.real) + math.ulp(c.imag), n
+        return rows
+
     def test_exact_L_past_its_bound_exit_2(self, capsys, spec_a_file):
-        # rows 12..30 at L = 5 are outside what remainder_bound covers; the
-        # rows were printed with exit 0, n = 13 off by 1.36e5 against 1.12e5
+        # rows 12..30 at L = 5 are past what remainder_bound covers (n = 13
+        # off by 1.36e5 against 1.12e5); the route certifies each with its
+        # proven tail bound, and prints all 30
         argv = ["fourier", "--spec", spec_a_file, "--method", "even-mellin", "--n-max"]
-        code, out, err = run(capsys, argv + ["30", "--L", "5"])
-        assert code == 2 and out == "" and "n = 12, L = 5" in err
-        code, out, _ = run(capsys, argv + ["11", "--L", "5"])
-        assert code == 0 and out.count("\n") == 12
+        code, out, _ = run(capsys, argv + ["30", "--L", "5"])
+        assert code == 0
+        rows = self._rows_within_certificates(out, BeurlingSpec.from_json(json.dumps(SPEC_A_JSON)))
+        assert [int(r[0]) for r in rows] == list(range(1, 31))
 
     def test_exact_L_at_theta_1_exit_2(self, tmp_path, capsys):
-        # THETA1_B: from n = 7 the remainder bound at L = 8 does not cover the
-        # proven tail bound; rows below it are printed, theta = 1 included
+        # THETA1_B: from n = 7 remainder_bound at L = 8 does not cover the
+        # proven tail bound; every row is printed within its certificate,
+        # theta = 1 included
+        doc = {"terms": [{"a_re": "1/2", "b": 1}, {"a_re": -1, "b": 2}]}
         f = tmp_path / "theta1_b.json"
-        f.write_text(json.dumps({"terms": [{"a_re": "1/2", "b": 1}, {"a_re": -1, "b": 2}]}))
+        f.write_text(json.dumps(doc))
         argv = ["fourier", "--spec", str(f), "--method", "even-mellin", "--n-max"]
-        code, out, err = run(capsys, argv + ["10", "--L", "8"])
-        assert code == 2 and out == "" and "n = 7, L = 8" in err
-        code, out, _ = run(capsys, argv + ["6", "--L", "8"])
-        assert code == 0 and out.count("\n") == 7
+        code, out, _ = run(capsys, argv + ["10", "--L", "8"])
+        assert code == 0 and out.count("\n") == 11
+        self._rows_within_certificates(out, BeurlingSpec.from_json(json.dumps(doc)))
         # the limit route is not affected
         code, _, _ = run(capsys, argv + ["2"])
         assert code == 0

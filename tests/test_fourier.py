@@ -583,27 +583,43 @@ class TestEvenMellinRoutes:
 
     @settings(max_examples=25, deadline=None)
     @given(
-        spec=unit_fraction_specs(min_denominator=2),
+        # unit fractions with |a_k| <= 1, and admissible specs outside those
+        # hypotheses: non-unit thetas, |a_k| > 1 and complex a_k
+        spec=st.one_of(unit_fraction_specs(min_denominator=2), exact_specs(always_admissible=True)),
         n=st.integers(1, 60),
         L=st.integers(1, 80),
         tol=st.sampled_from([1e-8, 1e-12, 1e-20]),
     )
     # remainder_bound under-covers here (1.36e5 off against 1.12e5, and
-    # 1.09e9 against 8.4e7); the rows were returned with exit 0
+    # 1.09e9 against 8.4e7), and the tail bound does not
     @example(spec=SPEC_A, n=13, L=5, tol=1e-12)
     @example(spec=SPEC_A, n=20, L=8, tol=1e-12)
     @example(spec=SPEC_A, n=10, L=4, tol=1e-12)
     def test_exact_L_certificate_bounds_the_error(self, spec, n, L, tol):
-        # a row is refused or, against c_direct at twice the bits, within
-        # both certificates
-        try:
-            fc = c_even_mellin_exact_L(spec, n, L, tol)
-        except HypothesisError:
-            return
+        # every row, against c_direct at twice the bits, is within both
+        # certificates
+        fc = c_even_mellin_exact_L(spec, n, L, tol)
         ref = c_direct(spec, n, tol**2)
         with mpmath.workprec(2 * fc.value.precision_bits):
             gap = abs(fc.value.to_mpc() - ref.value.to_mpc())
             assert gap <= fc.error_certificate.value + ref.error_certificate.value
+
+    @pytest.mark.parametrize("spec", [
+        BeurlingSpec([(1, 1), (-2, Fr(1, 2))]),
+        BeurlingSpec([(1, Fr(2, 3)), (-2, Fr(1, 3))]),
+        BeurlingSpec([(Fr(3, 2), Fr(3, 4)), (Fr(-9, 4), Fr(1, 2))]),
+        BeurlingSpec([((1, 1), Fr(1, 2)), ((-2, -2), Fr(1, 4))]),
+    ], ids=["ADM1", "non-unit", "non-unit-a-gt-1", "complex"])
+    def test_exact_L_outside_the_hypotheses(self, spec):
+        # admissible specs past unit fractions and |a_k| <= 1: every cell
+        # returns within its certificate of c_direct
+        for n in (1, 2, 3, 5, 8, 13, 20):
+            ref = c_direct(spec, n, 1e-24)
+            for L in (1, 2, 4, 8, 16, 32, 48):
+                fc = c_even_mellin_exact_L(spec, n, L, 1e-12)
+                with mpmath.workprec(2 * fc.value.precision_bits):
+                    gap = abs(fc.value.to_mpc() - ref.value.to_mpc())
+                    assert gap <= fc.error_certificate.value + ref.error_certificate.value, (n, L)
 
     @settings(max_examples=20, deadline=None)
     @given(spec=unit_fraction_specs(), n=st.integers(1, 40), L=st.integers(1, 60))
@@ -611,32 +627,37 @@ class TestEvenMellinRoutes:
     @example(spec=SPEC_A, n=20, L=8)
     @example(spec=SPEC_A, n=10, L=4)
     def test_exact_L_tail_bounds_the_remainder(self, spec, n, L):
-        # the proven tail bound against the true remainder of the truncated
-        # sum, taken past any refusal
+        # the certificate is the proven tail bound T plus a roundoff term
+        # below tol, rounded up to a double, and T covers the true remainder
+        # of the truncated sum
         tol = 1e-12
         row = fourier._exact_L_row(spec, n, L, tol, fourier._m2l_table(spec, [n], tol))
         ref = c_direct(spec, n, tol=1e-16)
-        rb = remainder_bound(spec, n, L).value
+        tail = fourier._exact_L_tail(spec, n, L)
         with mpmath.workprec(2 * row.value.precision_bits):
             gap = abs(row.value.to_mpc() - ref.value.to_mpc())
-            roundoff = row.error_certificate.value - rb
-            assert gap <= fourier._exact_L_tail(spec, n, L) + roundoff + ref.error_certificate.value
+            roundoff = row.error_certificate.value - tail
+            assert 0 <= roundoff <= tol + math.ulp(float(row.error_certificate))
+            assert gap <= tail + roundoff + ref.error_certificate.value
 
-    @pytest.mark.parametrize("n,L,refused", [
+    @pytest.mark.parametrize("n,L,bound_fails", [
         (9, 4, False), (10, 4, False), (11, 6, False), (12, 5, True),
         (13, 5, True), (20, 8, True), (30, 3, True), (50, 10, True),
     ])
-    def test_exact_L_refused_where_the_bound_fails(self, spec_a, n, L, refused):
-        # SPEC_A is refused exactly where remainder_bound falls below the
-        # proven tail bound, and kept at (9, 4) and (10, 4), where the first
-        # omitted term alone exceeds remainder_bound
+    def test_exact_L_refused_where_the_bound_fails(self, spec_a, n, L, bound_fails):
+        # bound_fails marks the SPEC_A cells where remainder_bound falls
+        # below the proven tail bound ((9, 4) and (10, 4) are covered though
+        # the first omitted term alone exceeds remainder_bound). The route
+        # certifies with the tail bound, so it returns every cell, within
+        # its certificate of c_direct at tol^2
         tail = fourier._exact_L_tail(spec_a, n, L)
-        assert (tail > remainder_bound(spec_a, n, L).value) == refused
-        if refused:
-            with pytest.raises(HypothesisError, match=f"n = {n}, L = {L}"):
-                c_even_mellin_exact_L(spec_a, n, L, 1e-12)
-        else:
-            assert c_even_mellin_exact_L(spec_a, n, L, 1e-12).truncation_order == L
+        assert (tail > remainder_bound(spec_a, n, L).value) == bound_fails
+        fc = c_even_mellin_exact_L(spec_a, n, L, 1e-12)
+        assert fc.truncation_order == L
+        ref = c_direct(spec_a, n, 1e-24)
+        with mpmath.workprec(2 * fc.value.precision_bits):
+            gap = abs(fc.value.to_mpc() - ref.value.to_mpc())
+            assert gap <= fc.error_certificate.value + ref.error_certificate.value
 
     def test_exact_L_certificate_honest(self, spec_a):
         for n, L in ((3, 16), (6, 32), (10, 32)):
@@ -649,10 +670,32 @@ class TestEvenMellinRoutes:
     def test_hypothesis_errors(self, adm1):
         with pytest.raises(HypothesisError):
             c_even_mellin_limit(adm1, 1)  # |a| = 2 > 1
-        with pytest.raises(HypothesisError):
-            c_even_mellin_exact_L(adm1, 1, 8)
         with pytest.raises(ConstraintError):
             c_even_mellin_limit(BeurlingSpec([(1, 1)]), 1)
+        # the exact-L route needs admissibility alone
+        fc = c_even_mellin_exact_L(adm1, 1, 8)
+        ref = c_direct(adm1, 1, 1e-20)
+        gap = abs(complex(fc.value) - complex(ref.value))
+        assert gap <= float(fc.error_certificate) + float(ref.error_certificate)
+        with pytest.raises(ConstraintError):
+            c_even_mellin_exact_L(BeurlingSpec([(1, 1)]), 1, 8)
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        spec=unit_fraction_specs(),
+        n=st.integers(1, 60),
+        tol=st.sampled_from([1e-8, 1e-13]),
+    )
+    @example(spec=SPEC_A, n=10, tol=1e-10)
+    @example(spec=THETA1_B, n=60, tol=1e-13)
+    def test_limit_tail_within_planned_bound(self, spec, n, tol):
+        # `_limit_row`'s proof: the proven tail bound at the L the row sums
+        # to is below remainder_bound at the planned L, which the
+        # certificate carries
+        fc = c_even_mellin_limit(spec, n, tol)
+        L = fourier._limit_L_for(n, tol, spec)
+        assert fc.truncation_order >= L
+        assert fourier._exact_L_tail(spec, n, fc.truncation_order) <= remainder_bound(spec, n, L).value
 
     def test_empty_spec_all_routes_agree(self, empty_spec):
         for n in range(1, 21):
@@ -714,22 +757,21 @@ class TestRemainderBoundLimitation:
     exact-L remainder is middle-mode dominated, so the theta-power bound
     under-covers at moderate (n, L): on THETA1_B at (n, L) = (9, 8) the
     truncated series was 2.1e8 off against a bound of 3.2e7. The exact-L
-    route refuses such cells, as on every spec, where the bound falls below
-    the proven tail bound (see `test_exact_L_refused_where_the_bound_fails`),
-    and returns the others, theta = 1 included.
+    route certifies with its proven tail bound, as on every spec (see
+    `test_exact_L_refused_where_the_bound_fails`), so it returns these
+    cells too, theta = 1 included.
     """
 
     @pytest.mark.parametrize("name", ["theta1_b", "theta1_c"])
     def test_theta1_exact_L_refused(self, request, name):
+        # the cells where remainder_bound under-covers, and one it covers,
+        # are each returned within its certificate
         spec = request.getfixturevalue(name)
-        for n, L in ((9, 8), (10, 8)):
-            with pytest.raises(HypothesisError, match=f"cannot bound its remainder at n = {n}, L = {L}"):
-                c_even_mellin_exact_L(spec, n, L, tol=1e-13)
-        # a cell the tail bound covers is returned, within its certificate
-        ref = c_direct(spec, 1, tol=1e-13)
-        row = c_even_mellin_exact_L(spec, 1, 4, tol=1e-13)
-        gap = abs(complex(ref.value) - complex(row.value))
-        assert gap <= float(ref.error_certificate) + float(row.error_certificate)
+        for n, L in ((9, 8), (10, 8), (1, 4)):
+            ref = c_direct(spec, n, tol=1e-13)
+            row = c_even_mellin_exact_L(spec, n, L, tol=1e-13)
+            gap = abs(complex(ref.value) - complex(row.value))
+            assert gap <= float(ref.error_certificate) + float(row.error_certificate)
         # the remainder bound itself and the limit route still evaluate
         assert float(remainder_bound(spec, 9, 8)) > 0
         ref = c_direct(spec, 3, tol=1e-13)
@@ -740,10 +782,9 @@ class TestRemainderBoundLimitation:
     @pytest.mark.parametrize("n,L,min_ratio", [(9, 8, 4.0), (10, 8, 9.0)])
     def test_theta1_bound_exceeded(self, theta1_b, n, L, min_ratio):
         """The truncated exact-L series on THETA1_B, summed here at 80 digits,
-        misses c(n) by more than min_ratio times remainder_bound: the exact-L
-        route refuses these cells by its tail bound."""
-        with pytest.raises(HypothesisError, match=f"cannot bound its remainder at n = {n}, L = {L}"):
-            c_even_mellin_exact_L(theta1_b, n, L, tol=1e-13)
+        misses c(n) by more than min_ratio times remainder_bound: the paper's
+        bound fails there. The exact-L route returns the same truncated sum
+        with its tail bound as certificate, which covers the miss."""
         with mpmath.workdps(80):
             npi = n * mpmath.pi
             acc = mpmath.mpc(4 / npi if n % 2 else 0)
@@ -762,6 +803,9 @@ class TestRemainderBoundLimitation:
         gap = abs(complex(ref.value) - truncated)
         rb = float(remainder_bound(theta1_b, n, L))
         assert gap > min_ratio * rb
+        row = c_even_mellin_exact_L(theta1_b, n, L, tol=1e-13)
+        assert abs(complex(row.value) - truncated) <= 1e-13 * abs(truncated)
+        assert gap <= float(ref.error_certificate) + float(row.error_certificate)
 
     def test_distinct_denoms_bound_holds(self, spec_a, spec_d, spec_e):
         for spec in (spec_a, spec_d, spec_e):

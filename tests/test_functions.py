@@ -11,8 +11,10 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import beurling._periodic as periodic
+import beurling
 from beurling import (
     BeurlingSpec,
+    ConstraintError,
     DomainError,
     ToleranceNotMet,
     eval_F,
@@ -68,6 +70,26 @@ class TestSpecConstruction:
         s2 = BeurlingSpec([(0.3, Fr(1, 3)), (-1, Fr(1, 10))])
         # float 0.3 is NOT 3/10, so the exact residual is nonzero
         assert not s2.admissible
+
+    @pytest.mark.parametrize("route,args", [
+        ("c_cosine_series", (1,)),
+        ("c_even_mellin_limit", (1,)),
+        ("c_even_mellin_exact_L", (1, 8)),
+        ("batch_cosine_f64", (8,)),
+        ("cosine_coeffs", (8, 1e-10)),
+        ("norm_via_parseval", (64,)),
+        ("mellin_even", (1,)),
+        ("mellin_reconstruct", (2.5, 10)),
+    ])
+    def test_every_route_refuses_a_non_admissible_spec(self, route, args):
+        # one refusal, BeurlingSpec.require_admissible, names the exact
+        # residual; c_direct and the quadratures need no admissibility
+        for spec, residual in (
+            (BeurlingSpec([(1, Fr(1, 2)), (-1, Fr(1, 3))]), "residual 1/6"),
+            (BeurlingSpec([((1, 1), Fr(1, 2))]), r"residual 1/2 \+ 1/2i"),
+        ):
+            with pytest.raises(ConstraintError, match=residual):
+                getattr(beurling, route)(spec, *args)
 
     def test_flags(self, spec_a, adm1, triv0):
         assert spec_a.admissible and spec_a.unit_fraction and spec_a.coeffs_le_1

@@ -1,9 +1,11 @@
 """layout: the package is serial, reads no environment variable and
 imports no scipy, numerics alone scopes and locks mpmath precision,
 converts rationals, checks tolerances, counts and exponents, refuses a
-certificate above tol and evaluates the Hurwitz zeta, one function reads the period caps and one reduces each
-Gram entry's ratio, the float64 Gram path reads no mp cotangent and makes
-no BLAS product, the periodic engine certifies without quadrature
+certificate above tol and evaluates the Hurwitz zeta, one method refuses a
+non-admissible spec, the fixed-L route reads no paper bound, one function
+reads the period caps and one reduces each Gram entry's ratio, both Gram
+tiers take their cot tables from one integer rotation and the optimizer
+makes no BLAS product, the periodic engine certifies without quadrature
 estimates through one Hurwitz-kernel tail and one head path, one function
 decides how each coefficient row is certified and the reconstruction
 reads its rows from it alone, every function and constant the benchmark's
@@ -180,12 +182,13 @@ def test_gram_entry_asks_one_period():
 
 
 def test_float64_gram_tables_take_no_mp_value():
-    # the float64 cot tables come from exact integer rotation: the table of
-    # mp cotangents is read only by the mp cotangent sum
+    # both tiers of cot tables come from exact integer rotation, the float64
+    # one and the mp one of `_cot_sum`; the optimizer takes no mp cotangent
+    assert _owners(SOURCES["optimizer.py"], _calls("cot")) == []
     owners = {
-        (name, o) for name, text in SOURCES.items() for o in _owners(text, _calls("_cot_table"))
+        (name, o) for name, text in SOURCES.items() for o in _owners(text, _calls("_cot_rotation"))
     }
-    assert owners == {("optimizer.py", "_cot_sum")}
+    assert owners == {("optimizer.py", "_cot_f64"), ("optimizer.py", "_cot_sum")}
 
 
 def test_optimizer_makes_no_blas_product():
@@ -257,6 +260,31 @@ def test_certificate_refusal_only_in_check_cert():
     # it above tol; a copy elsewhere can skip the rounding or the check
     hits = {(name, o) for name, text in SOURCES.items() for o in _owners(text, _refuses_above_tol)}
     assert hits == {("numerics.py", "check_cert")}
+
+
+def test_admissibility_refusal_only_in_require_admissible():
+    # BeurlingSpec.require_admissible builds the one ConstraintError, with
+    # the exact residual; a copy elsewhere can word or test it differently
+    hits = {(name, o) for name, text in SOURCES.items() for o in _owners(text, _calls("ConstraintError"))}
+    assert hits == {("functions.py", "BeurlingSpec")}
+    spec = next(
+        n for n in ast.parse(SOURCES["functions.py"]).body if isinstance(n, ast.ClassDef) and n.name == "BeurlingSpec"
+    )
+    methods = [f.name for f in spec.body if isinstance(f, ast.FunctionDef)
+               and any(_calls("ConstraintError")(n) for n in ast.walk(f))]
+    assert methods == ["require_admissible"]
+
+
+def test_exact_L_route_reads_no_paper_bound():
+    # the fixed-L route certifies with its own proven tail bound and needs
+    # admissibility alone: it calls neither remainder_bound nor the
+    # even-Mellin hypotheses gate
+    route = {"c_even_mellin_exact_L", "_exact_L_rows", "_exact_L_row", "_exact_L_tail"}
+    fourier = SOURCES["fourier.py"]
+    assert route <= {f.name for f in ast.parse(fourier).body if isinstance(f, ast.FunctionDef)}
+    for name in ("remainder_bound", "_require_even_mellin_hypotheses"):
+        assert route.isdisjoint(_owners(fourier, _calls(name))), name
+    assert _owners(fourier, _calls("_exact_L_tail")) == ["_exact_L_row"]
 
 
 def _hurwitz_calls(node):

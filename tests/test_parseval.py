@@ -7,6 +7,7 @@ import pytest
 
 from beurling import (
     BeurlingSpec,
+    ConstraintError,
     DomainError,
     ToleranceNotMet,
     norm_crosscheck,
@@ -92,7 +93,7 @@ class TestNormViaParseval:
         assert abs(float(rec["norm"]) - 1.0) < 1e-3
 
     def test_domain(self, spec_a):
-        with pytest.raises(DomainError):
+        with pytest.raises(ConstraintError):
             norm_via_parseval(BeurlingSpec([(1, 1)]), n_max=64)
         with pytest.raises(DomainError):
             norm_via_parseval(spec_a, n_max=4)
