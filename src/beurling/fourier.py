@@ -8,9 +8,10 @@ Three independent routes:
                              ToleranceNotMet.
 * ``c_cosine_series``     -- the cosine telescoping series over j, summed
                              to its limit.
-* ``c_even_mellin_*``     -- the even-Mellin series in M(2l), either cut at an
-                             explicit L with its truncation certificate, or
-                             summed to the limit.
+* ``c_even_mellin_*``     -- the even-Mellin series in M(2l), cut at an
+                             explicit L, or at the L planned to meet tol
+                             (the limit route); both run one row, certified
+                             by a proven bound on the whole remainder.
 
 Notation used throughout: A1 = (2 / n pi)(1 - cos n pi) and alpha_k = n pi
 theta_k.
@@ -108,14 +109,6 @@ class FourierCoefficient:
 def _a1_mp(n: int):
     """A1 = (2/(n pi)) (1 - cos n pi) at current mpmath precision."""
     return mpmath.mpf(0) if n % 2 == 0 else 4 / (n * mpmath.pi)
-
-
-def _require_even_mellin_hypotheses(spec: BeurlingSpec, who: str):
-    spec.require_admissible(who)
-    if not spec.unit_fraction:
-        raise HypothesisError(f"{who} requires unit-fraction thetas (theta_k = 1/b_k)")
-    if not spec.coeffs_le_1:
-        raise HypothesisError(f"{who} requires |a_k| <= 1 for every term")
 
 
 def _result(spec, n, value, method, order, cert, tol=None) -> FourierCoefficient:
@@ -289,8 +282,8 @@ def remainder_bound(spec: BeurlingSpec, n, L: int) -> PrecisionReal:
     so callers read it with float() and lose nothing. It bounds the
     remainder only once the omitted terms fall: SPEC_A at n = 13, L = 5 is
     off by 1.36e5 against 1.12e5, and THETA1_B at n = 9, L = 8 by 2.1e8
-    against 3.2e7. The limit route's L is past that point (`_limit_row`);
-    c_even_mellin_exact_L certifies with its own bound.
+    against 3.2e7. No route reads it: both even-Mellin routes certify with
+    the proven tail bound of `_exact_L_tail`.
     """
     n = check_count(n, "n")
     L = check_count(L, "L")
@@ -373,7 +366,7 @@ def c_even_mellin_exact_L(
     whose sum is x^m / m! zeta(m, J) <= (x / J)^m / m! (1 + J / (m - 1)),
     m = 2L + 2 (sum_{j>J} j^-m <= int_J^inf t^-m dt).
     """
-    return _exact_L_rows(spec, [n], L, tol)[0]
+    return _even_mellin_rows(spec, [n], L, tol)[0]
 
 
 def _exact_L_tail(spec: BeurlingSpec, n: int, L: int):
@@ -404,22 +397,74 @@ def _exact_L_tail(spec: BeurlingSpec, n: int, L: int):
         return 2 * total / npi * (1 + mpmath.ldexp(1, -40))
 
 
-def _exact_L_rows(spec: BeurlingSpec, ns, L: int, tol: float) -> list[FourierCoefficient]:
-    """c_even_mellin_exact_L for each n in ns, in the order given, reading
-    M(2l) from one `_m2l_table`; each row keeps its own bits, tail bound and
-    roundoff certificate."""
+def _planned_L(spec: BeurlingSpec, n: int, tol: float) -> int:
+    """The smallest L at which a float estimate of
+
+        U(L) = (2 / (n pi)) (1 + 1/(m-1)) sum_k |a_k| x_k^m / m!,
+
+    m = 2L + 2, x_k = n pi theta_k, is at most tol/4. U >= T, the bound of
+    `_exact_L_tail`, for every L: T's terms j < J are at most the first
+    bound, and sum_{j<J} j^-m + J^-m (1 + J/(m-1)) <= 1 + 1/(m-1). The row
+    certifies with T itself, so an error in this estimate can only refuse
+    it. ToleranceNotMet past L = 200,000.
+    """
+    npi = n * math.pi
+
+    def log(q: Fraction) -> float:  # float(q) may underflow to 0
+        return math.log(q.numerator) - math.log(q.denominator)
+
+    logs = [(log(t.a_re**2 + t.a_im**2) / 2, math.log(npi) + log(t.theta))
+            for t in spec.terms if t.a_re or t.a_im]
+    target = math.log(tol / 4 * npi / 2)
+
+    def fits(L: int) -> bool:
+        m = 2 * L + 2
+        v = [la + m * lx - math.lgamma(m + 1) for la, lx in logs]
+        if not v:
+            return True
+        top = max(v)
+        return top + math.log(math.fsum(math.exp(x - top) for x in v) * (1 + 1 / (m - 1))) <= target
+
+    L = 1
+    while not fits(L):
+        if L >= 200_000:
+            raise ToleranceNotMet(f"even-Mellin limit route cannot certify tol {tol:.3g} at n = {n}")
+        L += 1
+    return L
+
+
+def c_even_mellin_limit(spec: BeurlingSpec, n, tol: float = 1e-10) -> FourierCoefficient:
+    """The row of c_even_mellin_exact_L at the L that `_planned_L` takes
+    for tol, so that its tail bound T is at most tol/4: the even-Mellin
+    series summed to its limit within tol. Needs only an admissible spec
+    (ConstraintError otherwise). The certificate is T plus summation
+    roundoff, refused above tol (ToleranceNotMet).
+    """
+    return _even_mellin_rows(spec, [n], None, tol)[0]
+
+
+def _even_mellin_rows(spec: BeurlingSpec, ns, L: int | None, tol: float) -> list[FourierCoefficient]:
+    """c_even_mellin_exact_L at L, or c_even_mellin_limit when L is None,
+    for each n in ns, in the order given, reading M(2l) from one
+    `_m2l_table`; each row keeps its own bits, L, tail bound and roundoff
+    certificate."""
     ns = [check_count(n, "n") for n in ns]
-    L = check_count(L, "L")
+    if L is not None:
+        L = check_count(L, "L")
     if not ns:
         return []
     m2l = _m2l_table(spec, ns, tol)
-    spec.require_admissible("c_even_mellin_exact_L")
-    return [_exact_L_row(spec, n, L, tol, m2l) for n in ns]
+    spec.require_admissible("c_even_mellin_limit" if L is None else "c_even_mellin_exact_L")
+    return [_even_mellin_row(spec, n, L, tol, m2l) for n in ns]
 
 
-def _exact_L_row(spec: BeurlingSpec, n: int, L: int, tol: float, m2l) -> FourierCoefficient:
-    """One row of _exact_L_rows."""
+def _even_mellin_row(spec: BeurlingSpec, n: int, L: int | None, tol: float, m2l) -> FourierCoefficient:
+    """One row of _even_mellin_rows. A planned row (L None) refuses a
+    certificate above tol; a fixed-L row reports it whatever tol."""
     bits = _series_bits(n, tol)
+    planned = L is None
+    if planned:
+        L = _planned_L(spec, n, tol)
     tail = _exact_L_tail(spec, n, L)
     with workprec(bits):
         npi = n * mpmath.pi
@@ -440,114 +485,9 @@ def _exact_L_row(spec: BeurlingSpec, n: int, L: int, tol: float, m2l) -> Fourier
             absacc += abs(t2) + abs(t3)
         cert = tail + (absacc + 1) * mpmath.mpf(2) ** (8 - bits)  # T + roundoff
         value = PrecisionComplex.from_mpc(acc, bits)
+    if planned:
+        return _result(spec, n, value, "even_mellin_limit", L, cert, tol)
     return _result(spec, n, value, "even_mellin_exact_L", L, cert)
-
-
-def _limit_L_for(n: int, tol: float, spec: BeurlingSpec) -> int:
-    """Smallest L making both certificate pieces of the limit route <= tol/4."""
-    npi = n * math.pi
-    log_npi = math.log(npi)
-    theta_pow_log = {}
-
-    def log_rb(L: int) -> float:
-        # log of (n pi)^{L+1}/(L+1)! * zeta(L+1) * sum theta^{L+1}
-        if L not in theta_pow_log:
-            s = sum(float(t.theta) ** (L + 1) for t in spec.terms)
-            theta_pow_log[L] = math.log(s) if s > 0 else -math.inf
-        return (
-            (L + 1) * log_npi
-            - math.lgamma(L + 2)
-            + math.log(2.0)  # zeta(L+1) <= 2 for L >= 1
-            + theta_pow_log[L]
-        )
-
-    def log_costail(L: int) -> float:
-        # log of (2/(n pi)) (n pi)^{2L+2} / (2L+2)!
-        return math.log(2.0) - log_npi + (2 * L + 2) * log_npi - math.lgamma(2 * L + 3)
-
-    target = math.log(tol / 4.0)
-    L = max(1, int(math.ceil(1.36 * npi / 2.0)))  # e*npi for the 2L+2 index
-    while L < 200_000 and (log_rb(L) > target or log_costail(L) > target):
-        L += 1 + L // 16
-    while L > 1 and log_rb(L - 1) <= target and log_costail(L - 1) <= target:
-        L -= 1
-    if log_rb(L) > target or log_costail(L) > target:
-        raise ToleranceNotMet(
-            f"even-Mellin limit route cannot certify tol {tol:.3g} at n = {n}"
-        )
-    return L
-
-
-def c_even_mellin_limit(spec: BeurlingSpec, n, tol: float = 1e-10) -> FourierCoefficient:
-    """The limit form c(N, n) = 2 sum_{l>=1} (-1)^{l-1} (n pi)^{2l-1}/(2l-1)! M(2l).
-
-    Truncation L is chosen so the remainder certificate <= tol/2 (its two
-    parts: the exact-L remainder bound, and the first omitted term of the
-    cancelling cosine pair A1 + sum (-1)^l (n pi)^{2l}/(2l)!, each <= tol/4)
-    and additionally the next series term is <= tol/10. Proof of the
-    certificate in `_limit_row`.
-    """
-    return _limit_rows(spec, [n], tol)[0]
-
-
-def _limit_rows(spec: BeurlingSpec, ns, tol: float) -> list[FourierCoefficient]:
-    """c_even_mellin_limit for each n in ns, in the order given, reading
-    M(2l) from one `_m2l_table`; each row keeps its own bits, L, cosine tail
-    and roundoff certificate."""
-    ns = [check_count(n, "n") for n in ns]
-    if not ns:
-        return []
-    m2l = _m2l_table(spec, ns, tol)
-    _require_even_mellin_hypotheses(spec, "c_even_mellin_limit")
-    return [_limit_row(spec, n, tol, m2l) for n in ns]
-
-
-def _limit_row(spec: BeurlingSpec, n: int, tol: float, m2l) -> FourierCoefficient:
-    """One row of _limit_rows, reading M(2l) from m2l(l).
-
-    Proof of its certificate for tol < 4. Summed to L' = L_used, the series
-    misses c by R(L') - (2/(n pi)) E(n pi), R and E as in
-    c_even_mellin_exact_L at L' (A1 + (2/(n pi)) sum_{l<=L'} (-1)^l
-    (n pi)^{2l} / (2l)! = -(2/(n pi)) E(n pi)). Taylor bounds |E(n pi)| by
-    (n pi)^m / m!, m = 2L' + 2, for every L': the cosine tail. And |R(L')|
-    <= T(L') <= (2/(n pi)) (1 + 1/(m-1)) sum_k |a_k| x_k^m / m!, x_k = n pi
-    theta_k (T's terms j < J are at most the first bound, and sum_{j<J} j^-m
-    + J^-m (1 + J/(m-1)) <= 1 + 1/(m-1)), where |a_k| <= 1 and the factor
-    is at most 8/(3 pi) < 1. Each x_k <= L + 1, else remainder_bound(L) >=
-    x_k^{L+1} / (L+1)! > 1 > tol/4, above the plan (`_limit_L_for` takes
-    zeta(L+1) <= 2). So x_k^m / m! <= x_k^{L+1} / (L+1)!, and T(L') <=
-    remainder_bound(L).
-    """
-    bits = _series_bits(n, tol)
-    L = _limit_L_for(n, tol, spec)
-    rb = remainder_bound(spec, n, L)
-    with workprec(bits):
-        npi = n * mpmath.pi
-        npi2 = npi * npi
-        acc = mpmath.mpc(0)
-        absacc = mpmath.mpf(0)
-        p3 = mpmath.mpf(0)
-        l = 1
-        while True:
-            p3 = npi if l == 1 else p3 * npi2 / ((2 * l - 1) * (2 * l - 2))
-            t3 = 2 * p3 * m2l(l)
-            acc += t3 if l % 2 == 1 else -t3
-            absacc += abs(t3)
-            if l >= L:
-                # contract guard: extend while the next term is still > tol/10
-                nxt_p3 = p3 * npi2 / ((2 * l + 1) * (2 * l))
-                nxt = 2 * nxt_p3 * abs(m2l(l + 1))
-                if nxt <= mpmath.mpf(tol) / 10 or l > L + 1000:
-                    break
-            l += 1
-        L_used = l
-        costail = (2 / npi) * mpmath.power(npi, 2 * L_used + 2) / mpmath.factorial(
-            2 * L_used + 2
-        )
-        roundoff = (absacc + 1) * mpmath.mpf(2) ** (8 - bits)
-        cert = rb.value + costail + roundoff
-        value = PrecisionComplex.from_mpc(acc, bits)
-    return _result(spec, n, value, "even_mellin_limit", L_used, cert, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -583,20 +523,22 @@ def c_batch(
     L: int | None = None,
 ) -> list[FourierCoefficient]:
     """Coefficients for each n in ns (any iterable of ints), in the order given.
+    L, the truncation order of even_mellin_exact_L, is required by that
+    method and refused (DomainError) by every other.
 
     Rows are computed one after another: every mp route holds the package's
     single mpmath lock, so concurrent rows would only wait on each other.
     The rows share their route's per-call tables (`_direct_rows`,
     `_cosine_rows`, `_m2l_table`), and each row equals its single call.
     """
+    if (L is None) == (method == "even_mellin_exact_L"):
+        raise DomainError(
+            "method even_mellin_exact_L needs L" if L is None else f"method {method!r} takes no L"
+        )
     if method == "direct":
         return _direct_rows(spec, ns, tol)
-    if method == "even_mellin_limit":
-        return _limit_rows(spec, ns, tol)
-    if method == "even_mellin_exact_L":
-        if L is None:
-            raise DomainError("method even_mellin_exact_L needs L")
-        return _exact_L_rows(spec, ns, L, tol)
+    if method in ("even_mellin_exact_L", "even_mellin_limit"):
+        return _even_mellin_rows(spec, ns, L, tol)
     if method == "cosine_series":
         return _cosine_rows(spec, ns, tol)
     raise DomainError(f"unknown method {method!r}")

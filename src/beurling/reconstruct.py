@@ -167,12 +167,12 @@ Coefficients
 Every c(n), n = 1..n_max, comes from one `fourier.cosine_coeffs` call: the
 float64 batch where its certificate meets tol_per_coeff, the mp cosine
 series for the other rows, each stored as a double with its certificate
-widened by that rounding and refused above tol_per_coeff. The spec must
-meet the even-Mellin hypotheses (admissible, unit-fraction thetas,
-|a_k| <= 1), under which the double sum is stated. The coefficients are
-computed afresh on every call, so a result depends only on its arguments;
-only the sine moments, which depend on (n, s, tol) alone, are cached
-across calls.
+widened by that rounding and refused above tol_per_coeff. The spec need
+only be admissible (ConstraintError otherwise), as `cosine_coeffs` is:
+neither the coefficients nor the double sum use unit fractions or
+|a_k| <= 1. The coefficients are computed afresh on every call, so a
+result depends only on its arguments; only the sine moments, which depend
+on (n, s, tol) alone, are cached across calls.
 """
 from __future__ import annotations
 
@@ -184,7 +184,7 @@ import mpmath
 from mpmath.libmp import from_int, fzero, mpc_pow, mpf_pow, round_nearest, to_float
 
 from .errors import DomainError
-from .fourier import _require_even_mellin_hypotheses, cosine_coeffs
+from .fourier import cosine_coeffs
 from .functions import BeurlingSpec
 from .mellin import MellinValue
 from .numerics import (
@@ -511,7 +511,7 @@ def mellin_reconstruct_report(
     if z.real <= 0:
         raise DomainError(f"mellin_reconstruct requires Re(s) > 0, got {z.real}")
     check_tol(tol_per_coeff, "tol_per_coeff")
-    _require_even_mellin_hypotheses(spec, "mellin_reconstruct")
+    spec.require_admissible("mellin_reconstruct")
 
     # (c(n), certificate), built afresh so that no call sees another's rows
     c, cert = cosine_coeffs(spec, n_max, tol_per_coeff)

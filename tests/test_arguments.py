@@ -1,7 +1,8 @@
 """arguments: every public entry that takes a tolerance, a count or an
 exponent s refuses a bad one with DomainError (exit 2 at the CLI, with
 nothing on stdout) instead of turning it into a number, and accepts numpy
-integers wherever it accepts Python ones. A tolerance too tight to certify
+integers wherever it accepts Python ones, and L is refused for every
+coefficient route but the fixed-L one. A tolerance too tight to certify
 is refused with ToleranceNotMet (exit 3), never met by a larger
 certificate."""
 import math
@@ -191,6 +192,22 @@ def test_cli_count_below_one_exit_2(capsys, argv):
     assert code == 2
     assert out.out == ""
     assert argv[1] in out.err
+
+
+@pytest.mark.parametrize("method", ["direct", "cosine_series", "even_mellin_limit"])
+def test_L_refused_outside_the_fixed_L_route(method):
+    # every other route would silently ignore it
+    with pytest.raises(DomainError, match="takes no L"):
+        c_batch(SPEC_A, [1], method, L=-3)
+
+
+@pytest.mark.parametrize("method", ["cosine", "direct"])
+def test_cli_L_outside_the_fixed_L_route_exit_2(capsys, method):
+    code = main(["fourier", "--n-max", "2", "--method", method, "--L", "0"])
+    out = capsys.readouterr()
+    assert code == 2
+    assert out.out == ""
+    assert "takes no L" in out.err
 
 
 def _route_certs(method):

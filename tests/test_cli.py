@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from beurling import BeurlingSpec, c_batch
+from beurling import BeurlingSpec, c_batch, mellin_closed
 from beurling.cli import main
 
 ADM1_JSON = {
@@ -167,12 +167,15 @@ class TestFourier:
         assert rows[1][3] == "even_mellin_exact_L"
         assert rows[1][4] == "24"
 
-    def test_hypothesis_failure_exit_2(self, capsys, adm1_file):
-        code, _, err = run(
+    def test_outside_the_hypotheses(self, capsys, adm1_file):
+        # ADM1 has |a_2| = 2 > 1; the limit route needs admissibility alone
+        code, out, _ = run(
             capsys,
             ["fourier", "--spec", adm1_file, "--n-max", "2", "--method", "even-mellin"],
         )
-        assert code == 2
+        assert code == 0
+        rows = self._rows_within_certificates(out, BeurlingSpec.from_json(json.dumps(ADM1_JSON)))
+        assert [r[3] for r in rows] == ["even_mellin_limit"] * 2
 
     def _rows_within_certificates(self, out, spec):
         # each printed row against c_direct, within both certificates and
@@ -312,11 +315,17 @@ class TestReconstruct:
         assert len(rows) == 201
         assert abs(float(rows[-1][2]) - doc["value"]["value"]["re"]) < 1e-15
 
-    def test_hypothesis_failure(self, capsys, adm1_file):
-        code, _, _ = run(
-            capsys, ["reconstruct", "--spec", adm1_file, "--s", "2", "--n-max", "50"]
+    def test_outside_the_hypotheses(self, tmp_path, capsys, adm1_file):
+        # ADM1 has |a_2| = 2 > 1; the reconstruction needs admissibility alone
+        code, out, _ = run(
+            capsys,
+            ["reconstruct", "--spec", adm1_file, "--s", "2.5", "--n-max", "200",
+             "--out", str(tmp_path / "conv.csv")],
         )
-        assert code == 2
+        assert code == 0
+        got = json.loads(out)["value"]["value"]
+        ref = mellin_closed(BeurlingSpec.from_json(json.dumps(ADM1_JSON)), 2.5)
+        assert abs(complex(got["re"], got["im"]) - complex(ref.value)) < 1e-3
 
 
 class TestOptimize:

@@ -566,13 +566,18 @@ class TestEvenMellinRoutes:
 
     @settings(max_examples=25, deadline=None)
     @given(
-        spec=unit_fraction_specs(),
+        # unit fractions with |a_k| <= 1, and admissible specs outside those
+        # hypotheses: non-unit thetas, |a_k| > 1 and complex a_k
+        spec=st.one_of(unit_fraction_specs(), exact_specs(always_admissible=True)),
         n=st.integers(1, 50),
         tol=st.sampled_from([1e-8, 1e-12, 1e-20]),
     )
     # theta = 1 past the n <= 20 of the fixtures' other audits
     @example(spec=THETA1_B, n=60, tol=1e-12)
     @example(spec=THETA1_C, n=45, tol=1e-8)
+    @example(spec=BeurlingSpec([(1, 1), (-2, Fr(1, 2))]), n=30, tol=1e-10)
+    # a tolerance above 4, where the plan takes a short L
+    @example(spec=SPEC_A, n=40, tol=10.0)
     def test_limit_certificate_bounds_the_error(self, spec, n, tol):
         # against c_direct at twice the bits, within both certificates
         fc = c_even_mellin_limit(spec, n, tol)
@@ -631,7 +636,7 @@ class TestEvenMellinRoutes:
         # below tol, rounded up to a double, and T covers the true remainder
         # of the truncated sum
         tol = 1e-12
-        row = fourier._exact_L_row(spec, n, L, tol, fourier._m2l_table(spec, [n], tol))
+        row = fourier._even_mellin_row(spec, n, L, tol, fourier._m2l_table(spec, [n], tol))
         ref = c_direct(spec, n, tol=1e-16)
         tail = fourier._exact_L_tail(spec, n, L)
         with mpmath.workprec(2 * row.value.precision_bits):
@@ -668,15 +673,14 @@ class TestEvenMellinRoutes:
             assert gap <= float(v.error_certificate) + 1e-16
 
     def test_hypothesis_errors(self, adm1):
-        with pytest.raises(HypothesisError):
-            c_even_mellin_limit(adm1, 1)  # |a| = 2 > 1
+        # both even-Mellin routes need admissibility alone: ADM1 (|a| = 2 > 1)
+        # returns within its certificate, a non-admissible spec is refused
+        ref = c_direct(adm1, 1, 1e-20)
+        for fc in (c_even_mellin_limit(adm1, 1), c_even_mellin_exact_L(adm1, 1, 8)):
+            gap = abs(complex(fc.value) - complex(ref.value))
+            assert gap <= float(fc.error_certificate) + float(ref.error_certificate)
         with pytest.raises(ConstraintError):
             c_even_mellin_limit(BeurlingSpec([(1, 1)]), 1)
-        # the exact-L route needs admissibility alone
-        fc = c_even_mellin_exact_L(adm1, 1, 8)
-        ref = c_direct(adm1, 1, 1e-20)
-        gap = abs(complex(fc.value) - complex(ref.value))
-        assert gap <= float(fc.error_certificate) + float(ref.error_certificate)
         with pytest.raises(ConstraintError):
             c_even_mellin_exact_L(BeurlingSpec([(1, 1)]), 1, 8)
 
@@ -689,13 +693,20 @@ class TestEvenMellinRoutes:
     @example(spec=SPEC_A, n=10, tol=1e-10)
     @example(spec=THETA1_B, n=60, tol=1e-13)
     def test_limit_tail_within_planned_bound(self, spec, n, tol):
-        # `_limit_row`'s proof: the proven tail bound at the L the row sums
-        # to is below remainder_bound at the planned L, which the
-        # certificate carries
+        # a limit row is the fixed-L row at the planned L: its certificate is
+        # the proven tail bound T there, at most tol/4 by the plan, plus a
+        # roundoff term far below tol, rounded up to a double
         fc = c_even_mellin_limit(spec, n, tol)
-        L = fourier._limit_L_for(n, tol, spec)
-        assert fc.truncation_order >= L
-        assert fourier._exact_L_tail(spec, n, fc.truncation_order) <= remainder_bound(spec, n, L).value
+        L = fc.truncation_order
+        assert L == fourier._planned_L(spec, n, tol)
+        fixed = c_even_mellin_exact_L(spec, n, L, tol)
+        assert complex(fc.value) == complex(fixed.value)
+        assert float(fc.error_certificate) == float(fixed.error_certificate)
+        tail = fourier._exact_L_tail(spec, n, L)
+        assert tail <= tol / 4 * (1 + 1e-9)
+        with mpmath.workprec(2 * fc.value.precision_bits):
+            roundoff = fc.error_certificate.value - tail
+            assert 0 <= roundoff <= tol * 2.0**-40 + math.ulp(float(fc.error_certificate))
 
     def test_empty_spec_all_routes_agree(self, empty_spec):
         for n in range(1, 21):
@@ -724,16 +735,17 @@ class TestRemainderBound:
             assert abs(float(remainder_bound(spec_a, n, L)) - float(ref)) < 1e-15 * float(ref)
 
     def test_stored_double_rounds_up(self, spec_a):
-        # the rows of the limit route at two tolerances; stored rounded to
-        # nearest, 40 of these 64 doubles were below the bound
-        for tol in (1e-10, 1e-14):
-            for n in range(1, 33):
-                L = fourier._limit_L_for(n, tol, spec_a)
+        # L = 4n + 12 and 4n + 36 for n = 1..32 span 16..164, around the L
+        # that a limit route planned on this bound took at tol 1e-10 and
+        # 1e-14; stored rounded to nearest, 31 of these 64 doubles were
+        # below the bound
+        for n in range(1, 33):
+            for L in (4 * n + 12, 4 * n + 36):
                 with mpmath.workprec(300):
                     pw = sum((mpmath.mpf(t.theta.numerator) / t.theta.denominator) ** (L + 1)
                              for t in spec_a.terms)
                     ref = (n * mpmath.pi) ** (L + 1) / mpmath.factorial(L + 1) * mpmath.zeta(L + 1) * pw
-                    assert remainder_bound(spec_a, n, L).value >= ref, (n, tol)
+                    assert remainder_bound(spec_a, n, L).value >= ref, (n, L)
 
     def test_requires_coeffs_le_1(self, adm1):
         with pytest.raises(HypothesisError):

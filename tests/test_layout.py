@@ -2,9 +2,9 @@
 imports no scipy, numerics alone scopes and locks mpmath precision,
 converts rationals, checks tolerances, counts and exponents, refuses a
 certificate above tol and evaluates the Hurwitz zeta, one method refuses a
-non-admissible spec, the fixed-L route reads no paper bound, one function
-reads the period caps and one reduces each Gram entry's ratio, both Gram
-tiers take their cot tables from one integer rotation and the optimizer
+non-admissible spec, both even-Mellin routes run one row and read no paper
+bound, one function reads the period caps and one reduces each Gram
+entry's ratio, both Gram tiers take their cot tables from one integer rotation and the optimizer
 makes no BLAS product, the periodic engine certifies without quadrature
 estimates through one Hurwitz-kernel tail and one head path, one function
 decides how each coefficient row is certified and the reconstruction
@@ -276,15 +276,29 @@ def test_admissibility_refusal_only_in_require_admissible():
 
 
 def test_exact_L_route_reads_no_paper_bound():
-    # the fixed-L route certifies with its own proven tail bound and needs
-    # admissibility alone: it calls neither remainder_bound nor the
+    # both even-Mellin routes certify with the proven tail bound and need
+    # admissibility alone: they call neither remainder_bound nor an
     # even-Mellin hypotheses gate
-    route = {"c_even_mellin_exact_L", "_exact_L_rows", "_exact_L_row", "_exact_L_tail"}
+    route = {"c_even_mellin_exact_L", "c_even_mellin_limit", "_even_mellin_rows",
+             "_even_mellin_row", "_planned_L", "_exact_L_tail"}
     fourier = SOURCES["fourier.py"]
     assert route <= {f.name for f in ast.parse(fourier).body if isinstance(f, ast.FunctionDef)}
-    for name in ("remainder_bound", "_require_even_mellin_hypotheses"):
-        assert route.isdisjoint(_owners(fourier, _calls(name))), name
-    assert _owners(fourier, _calls("_exact_L_tail")) == ["_exact_L_row"]
+    assert route.isdisjoint(_owners(fourier, _calls("remainder_bound")))
+    assert _owners(fourier, _calls("_exact_L_tail")) == ["_even_mellin_row"]
+
+
+def test_one_even_mellin_row():
+    # the limit route is the fixed-L row at a planned L: one rows function,
+    # one row, one M(2l) table, and no route reads the paper's bound, which
+    # stays public for callers and tests
+    calls = {(name, o) for name, text in SOURCES.items() for o in _owners(text, _calls("remainder_bound"))}
+    assert calls == set()
+    reads = {(name, o) for name, text in SOURCES.items() for o in _owners(text, _reads("_exact_L_tail"))}
+    assert reads == {("fourier.py", "_even_mellin_row")}
+    assert _owners(SOURCES["fourier.py"], _calls("_m2l_table")) == ["_even_mellin_rows"]
+    defined = {n.name for text in SOURCES.values() for n in ast.walk(ast.parse(text))
+               if isinstance(n, (ast.FunctionDef, ast.ClassDef))}
+    assert defined.isdisjoint({"_require_even_mellin_hypotheses", "_limit_L_for", "_limit_row"})
 
 
 def _hurwitz_calls(node):
@@ -386,11 +400,10 @@ def test_row_work_only_in_row_builders():
     assert _owners(fourier, _calls("sine_integral_mp")) == ["_direct_rows"]
     assert set(_owners(fourier, _calls("_direct_rows"))) == {"c_direct", "c_batch"}
     assert _owners(fourier, _calls("_m2l_mp")) == ["_m2l_table"]
-    assert set(_owners(fourier, _calls("_m2l_table"))) == {"_limit_rows", "_exact_L_rows"}
-    assert _owners(fourier, _calls("_limit_row")) == ["_limit_rows"]
-    assert set(_owners(fourier, _calls("_limit_rows"))) == {"c_even_mellin_limit", "c_batch"}
-    assert _owners(fourier, _calls("_exact_L_row")) == ["_exact_L_rows"]
-    assert set(_owners(fourier, _calls("_exact_L_rows"))) == {"c_even_mellin_exact_L", "c_batch"}
+    assert _owners(fourier, _calls("_m2l_table")) == ["_even_mellin_rows"]
+    assert _owners(fourier, _calls("_even_mellin_row")) == ["_even_mellin_rows"]
+    assert set(_owners(fourier, _calls("_even_mellin_rows"))) == {
+        "c_even_mellin_exact_L", "c_even_mellin_limit", "c_batch"}
     recon = SOURCES["reconstruct.py"]
     assert _owners(recon, _calls("_AsymptoticTerms")) == ["sine_moments_with_cert"]
     assert _owners(recon, _calls("_SeriesTable")) == ["sine_moments_with_cert"]

@@ -21,7 +21,6 @@ from beurling import (
     BeurlingSpec,
     ConstraintError,
     DomainError,
-    HypothesisError,
     convergence_csv,
     mellin_closed,
     mellin_reconstruct,
@@ -418,9 +417,11 @@ class TestReconstruct:
         with pytest.raises(ConstraintError):
             mellin_reconstruct(BeurlingSpec([(1, 1)]), 2.0, n_max=10)
 
-    def test_requires_hypotheses(self, adm1):
-        with pytest.raises(HypothesisError):
-            mellin_reconstruct(adm1, 2.0, n_max=10)
+    def test_outside_the_hypotheses(self, adm1):
+        # admissibility is all the coefficients need: ADM1 (|a_2| = 2 > 1)
+        # reconstructs M(2.5) to 7.9e-7 at n_max = 200
+        got = mellin_reconstruct(adm1, 2.5, n_max=200)
+        assert abs(complex(got.value) - complex(mellin_closed(adm1, 2.5).value)) < 1e-3
 
     def test_domain(self, spec_a):
         with pytest.raises(DomainError):
