@@ -22,6 +22,13 @@ analytically: sum_{j>J} (cos(a/j) - 1) = sum_{m>=1} (-1)^m a^{2m}/(2m)!
 zeta(2m, J+1), whose terms shrink by > 48x per step once J >= 2a, certified
 by twice the first omitted term and the bounds of `hurwitz_zeta_row` (mp)
 or of its float64 twin `hurwitz_zeta_f64` (the batch's `_cos_tail`).
+In mp its head -2 sum_{j<=J} sin^2(n y_j), y_j = pi theta/(2j), trusts no
+mp sine per row: `_cosine_rows` takes one mp cos_sin per (theta, j),
+rounded to fixed point at scale 2^P, and builds e^(i n y_j) from it by
+exact integer squaring and products over the binary digits of n
+(`numerics.fixed_mul`). Its lemma puts each sine within 3n units of 2^-P,
+so each sin^2 within 7n 2^-P, and the certificate adds 2 |a| J 7n 2^-P per
+term; the heads are exact integer sums of squares, rounded to mp once.
 
 The float64 batch ``batch_cosine_f64`` evaluates the same limit form for
 n = 1..n_max at once. Rows n <= n0 = 256 sum their own head
@@ -40,8 +47,9 @@ code, taking libm's sin and numpy's FFT twiddles as accurate to a few ulps
 suite checks both against mp on the running platform.
 
 ``cosine_coeffs`` is the batch's one caller: it keeps each row whose
-certificate meets the caller's tolerance and takes the others from
-``c_cosine_series``; Parseval and the reconstruction both read it.
+certificate meets the caller's tolerance and takes the others from the
+rows of ``c_cosine_series``, all in one `_cosine_rows` call; Parseval and
+the reconstruction both read it.
 """
 from __future__ import annotations
 
@@ -67,6 +75,8 @@ from .numerics import (
     check_cert,
     check_count,
     check_tol,
+    fixed_cis,
+    fixed_mul,
     float_up,
     hurwitz_zeta_f64,
     hurwitz_zeta_row,
@@ -204,11 +214,22 @@ def _cosine_rows(spec: BeurlingSpec, ns, tol: float) -> list[FourierCoefficient]
     """c_cosine_series for each n in ns, in the order given. Every term
     reads its tail zeta(2m, J_k + 1) from one `hurwitz_zeta_row` per distinct
     a = J_k + 1 among the rows, planned by `_cosine_weights` for the largest
-    alpha with that a and built before the rows, so each row's value and
-    certificate depend only on (spec, n, tol). A term's head sums
-    sin^2(alpha_k/2j) over j <= J_k and scales the sum by -2 once, which is
-    exact in binary, so it has the bits of the sum of the scaled terms; its
-    magnitude enters the roundoff sum once, as 2 sum sin^2."""
+    alpha with that a and built before the rows.
+
+    A term's head -2 sum_{j<=J_k} sin^2(n y_j), y_j = pi theta_k/(2j), takes
+    no mp sine per row. Each (term, j) up to the call's largest J_k takes one
+    `fixed_cis` (C, S) within sqrt2 of 2^P e^(i y_j), P = bits + 64, squared
+    by `fixed_mul` to e^(i 2^b y_j); a row forms e^(i n y_j) as the product
+    of the squares for the binary digits of n, lowest first. That is a
+    product of n factors, so by the lemma of `fixed_mul` its S is within 3n
+    of 2^P sin(n y_j) while 9 n^2 2^-P <= 0.16 (every n < 2^80, as P >=
+    176), and S^2 2^-2P is within 3n 2^-P (2 + 3n 2^-P) <= 7n 2^-P of
+    sin^2(n y_j). The head is the exact integer sum of the S^2, rounded to
+    mp once and scaled by -2^(1-2P), exact in binary; the certificate takes
+    2 |a_k| J_k 7n 2^-P for the powering, inside the factor 2/(n pi), and the
+    head's magnitude enters the roundoff sum once. The integers of a row do
+    not depend on the other rows, so each row's value and certificate depend
+    only on (spec, n, tol)."""
     ns = [check_count(n, "n") for n in ns]
     if not ns:
         return []
@@ -216,6 +237,7 @@ def _cosine_rows(spec: BeurlingSpec, ns, tol: float) -> list[FourierCoefficient]
     spec.require_admissible("c_cosine_series")
     terms = [t for t in spec.terms if abs(t.a) != 0]
     bits = bits_for_tol(tol) + 48
+    P = bits + 64
     with workprec(bits):
         floor = mpmath.mpf(2) ** (-bits + 8)
         rows = []  # (n, n pi, [(alpha_k, J_k)])
@@ -227,17 +249,33 @@ def _cosine_rows(spec: BeurlingSpec, ns, tol: float) -> list[FourierCoefficient]
             a: hurwitz_zeta_row(_cosine_weights(a, bits, floor), a)
             for a in sorted({Jk + 1 for _, _, row in rows for _, Jk in row})
         }
+    # heads[i][k] = sum_{j<=J_k} S^2 of row i, exact
+    heads = [[0] * len(terms) for _ in rows]
+    digits = [[b for b in range(n.bit_length()) if n >> b & 1] for n in ns]
+    squarings = max(ns).bit_length() - 1
+    for k, t in enumerate(terms):
+        p, q = t.theta.numerator, t.theta.denominator
+        for j in range(1, max(row[k][1] for _, _, row in rows) + 1):
+            powers = [fixed_cis(p, 2 * j * q, P)]  # e^(i 2^b y_j)
+            for _ in range(squarings):
+                powers.append(fixed_mul(powers[-1], powers[-1], P))
+            for i, (_, _, row) in enumerate(rows):
+                if j <= row[k][1]:
+                    bs = digits[i]
+                    z = powers[bs[0]]
+                    for b in bs[1:]:
+                        z = fixed_mul(z, powers[b], P)
+                    heads[i][k] += z[1] * z[1]
+    with workprec(bits):
         out = []
-        for n, npi, row in rows:
+        for (n, npi, row), sums in zip(rows, heads):
             acc, cert, absacc = mpmath.mpc(0), mpmath.mpf(0), mpmath.mpf(0)
-            for t, (alpha, Jk) in zip(terms, row):
+            for t, (alpha, Jk), s2 in zip(terms, row, sums):
                 a_mag = abs(t.a)
-                # the head is -2 sum_j sin^2(alpha/2j), scaled once (exact)
-                sines = mpmath.mpf(0)
-                for j in range(1, Jk + 1):
-                    sines += mpmath.sin(alpha / (2 * j)) ** 2
+                sines = mpmath.ldexp(mpmath.mpf(s2), -2 * P)
                 head = -2 * sines
                 absacc += 2 * sines
+                cert += a_mag * mpmath.ldexp(14 * Jk * n, -P)
                 # analytic tail over j > Jk (module docstring); ratio <= 1/24
                 zetas = tables[Jk + 1]
                 tail = mpmath.mpf(0)
@@ -759,12 +797,13 @@ def batch_cosine_f64(spec: BeurlingSpec, n_max: int):
 def cosine_coeffs(spec: BeurlingSpec, n_max: int, tol: float):
     """(c, cert) for n = 1..n_max, with every cert[n-1] <= tol.
 
-    One `batch_cosine_f64` call gives every row; each row whose certificate
-    misses tol is replaced by `c_cosine_series` at tol, its certificate
-    widened by the rounding of the value to the stored double and rounded
-    up (`to_double`). ToleranceNotMet, before any mp work, when such a row
-    lies past n = _MP_ROW_CAP, and when the widened certificate exceeds tol
-    (`check_cert`). The rows depend only on (spec, n_max, tol).
+    One `batch_cosine_f64` call gives every row; the rows whose certificate
+    misses tol are replaced by the rows of `c_cosine_series` at tol, all
+    from one `_cosine_rows` call, which shares their heads' units, each
+    certificate widened by the rounding of the value to the stored double
+    and rounded up (`to_double`). ToleranceNotMet, before any mp work, when
+    such a row lies past n = _MP_ROW_CAP, and when the widened certificate
+    exceeds tol (`check_cert`). The rows depend only on (spec, n_max, tol).
     """
     tol = check_tol(tol)
     n_max = check_count(n_max, "n_max")
@@ -775,10 +814,9 @@ def cosine_coeffs(spec: BeurlingSpec, n_max: int, tol: float):
             f"per-coefficient tol {tol:.3g} needs the mpmath route, "
             f"which is not practical beyond n = {_MP_ROW_CAP}"
         )
-    for n in missing.tolist():
-        fc = c_cosine_series(spec, n, tol)
-        c[n - 1], err = to_double(fc.value, float(fc.error_certificate))
-        cert[n - 1] = check_cert(err, tol, f"c({n}) stored as a double")
+    for fc in _cosine_rows(spec, missing.tolist(), tol):
+        c[fc.n - 1], err = to_double(fc.value, float(fc.error_certificate))
+        cert[fc.n - 1] = check_cert(err, tol, f"c({fc.n}) stored as a double")
     return c, cert
 
 

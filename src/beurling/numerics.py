@@ -16,6 +16,11 @@ Four zeta entry points with different contracts:
 * ``hurwitz_zeta_f64(s, q)`` -- its float64 twin at one even s for an array
                              of integers q, with a proven bound per value.
 
+Beside them, `fixed_cis` and `fixed_mul` form products of unit complex
+numbers in fixed-point integers at scale 2^P, with the proven error bound of
+`fixed_mul`'s lemma: the cotangent tables of the optimizer and the cosine
+route's heads share one mp cos_sin per angle through them.
+
 Working precision is always chosen internally from the requested absolute
 tolerance; callers never touch the mpmath context.
 
@@ -38,6 +43,8 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 from mpmath import mp
+from mpmath.libmp import (from_int, mpf_cos_sin, mpf_div, mpf_mul, mpf_pi, mpf_shift, round_nearest,
+                          to_int)
 
 from .errors import DomainError, ToleranceNotMet
 
@@ -254,6 +261,53 @@ def to_double(value, err):
         lost = (cert - (total - back)) + (half - back)
         cert = math.nextafter(total, math.inf) if lost > 0 else total
     return v, cert
+
+
+# ---------------------------------------------------------------------------
+# Fixed-point unit products
+# ---------------------------------------------------------------------------
+
+
+def fixed_cis(num: int, den: int, P: int) -> tuple[int, int]:
+    """(C, S): cos(pi num/den) and sin(pi num/den) times 2^P, each rounded
+    to the nearest integer, from one mp cos_sin at P + 32 bits, for
+    |num/den| <= 1.
+
+    The argument pi num/den takes three roundings and cos_sin is within an
+    ulp, all at P + 32 bits, so the scaled parts are off by at most
+    2^-32 (3 pi + 2) < 2^-27 before rounding: C and S are within
+    1/2 + 2^-27 each, so (C, S) is within sqrt2 (1/2 + 2^-27) < sqrt2 of
+    2^P e^(i pi num/den), a factor of the lemma of `fixed_mul`.
+    """
+    # libmp at an explicit precision, round to nearest: the steps of
+    # mpmath.cos_sin(mpmath.pi * num / den) and nint at P + 32 working bits,
+    # without the context, so no workprec section is needed
+    prec = P + 32
+    x = mpf_div(mpf_mul(mpf_pi(prec), from_int(num), prec, round_nearest), from_int(den), prec,
+                round_nearest)
+    c, s = mpf_cos_sin(x, prec, round_nearest)
+    return to_int(mpf_shift(c, P), round_nearest), to_int(mpf_shift(s, P), round_nearest)
+
+
+def fixed_mul(z: tuple[int, int], w: tuple[int, int], P: int) -> tuple[int, int]:
+    """floor(z w / 2^P) in each part, for integer pairs z = (C, S) and w read
+    as the complex C + i S: under 1 below the exact product in each part, so
+    within sqrt2 of it.
+
+    Lemma (fixed-point products). Let every factor be an integer pair within
+    sqrt2 of 2^P e^(i phi) for its own real phi. Any product of m such
+    factors formed by fixed_mul, in any bracketing and with factors
+    repeated (a squaring is a product of a partial product with itself),
+    is within 3m - 3/2 < 3m of 2^P e^(i sum phi) while 9 m^2 2^-P <= 0.16.
+    By induction over the bracketing: a lone factor is within sqrt2 <=
+    3 - 3/2. Write a product of m1 + m2 = m factors as Z1 Z2 / 2^P with
+    Z_i = 2^P u_i + E_i, |u_i| = 1, |E_i| <= 3 m_i - 3/2. Then Z1 Z2 / 2^P
+    = 2^P u1 u2 + u1 E2 + u2 E1 + E1 E2 / 2^P, and the floor adds under
+    sqrt2, so |E| <= |E1| + |E2| + 9 m1 m2 2^-P + sqrt2 <= 3m - 3 + 0.04 +
+    sqrt2 <= 3m - 3/2, as 9 m1 m2 <= 9 m^2 / 4.
+    """
+    (a, b), (c, d) = z, w
+    return (a * c - b * d) >> P, (b * c + a * d) >> P
 
 
 # ---------------------------------------------------------------------------

@@ -52,8 +52,8 @@ import numpy as np
 from . import _periodic
 from .errors import DomainError, SingularSystemError, ToleranceNotMet
 from .functions import BeurlingSpec, _norm_oracle, _to_theta
-from .numerics import (_gamma, bits_for_tol, check_cert, check_count, check_tol, to_double,
-                       to_mp, workprec)
+from .numerics import (_gamma, bits_for_tol, check_cert, check_count, check_tol, fixed_cis,
+                       fixed_mul, to_double, to_mp, workprec)
 from .parseval import norm_via_parseval
 
 _SOLVER_EPS = float(np.finfo(np.float64).eps)
@@ -189,27 +189,22 @@ def _ln_f64(ints) -> np.ndarray:
 def _cot_rotation(k: int, P: int) -> list:
     """[(C, S)] for m = 1..(k-1)/2, integers whose C/S is within relative
     1.5 k^2 2^-P (1 + 2^-14) of cot(pi m/k) for P >= 2 l + 16, l the bit
-    length of k: exact fixed-point rotation, one mp cos and sin per k.
+    length of k: exact fixed-point rotation, one mp cos_sin per k.
 
-    c and s are cos(pi/k) and sin(pi/k) times 2^P rounded to integers,
-    from mp at P + 32 bits: within 1/2 + 2^-27 <= 1 each, so rho =
-    (c + i s)/2^P is within sqrt2 2^-P of e^(i pi/k). From z_0 = 2^P, each
-    step takes z_m = C + i S to z_(m+1) = floor((C c - S s)/2^P) +
-    i floor((S c + C s)/2^P), which is z_m rho less under 1 in each part.
-    So E_m = z_m - 2^P e^(i pi m/k) obeys |E_(m+1)| <= |rho| |E_m| +
-    2^P |rho - e^(i pi/k)| + sqrt2 <= (1 + sqrt2 2^-P) |E_m| + 2 sqrt2, and
-    |E_m| <= 3m for m < 2^l. For 2m <= k - 1, sin(pi m/k) >= 2m/k and
-    cos(pi m/k) >= 1/k, so C and S are within relative 3mk 2^-P and
-    1.5k 2^-P < 2^-16 of 2^P cos and 2^P sin, and C/S within relative
-    1.5 k^2 2^-P (1 + 2^-14) of cot(pi m/k).
+    rho = `fixed_cis(1, k, P)` is within sqrt2 of 2^P e^(i pi/k).
+    From z_0 = 2^P, each step takes z_m to z_(m+1) = `fixed_mul(z_m, rho,
+    P)`, so z_m is a product of m factors rho and, by the lemma of
+    `fixed_mul`, E_m = z_m - 2^P e^(i pi m/k) has |E_m| <= 3m, as
+    9 m^2 2^-P < 9 2^-16 <= 0.16 for m < 2^l. For 2m <= k - 1,
+    sin(pi m/k) >= 2m/k and cos(pi m/k) >= 1/k, so C and S are within
+    relative 3mk 2^-P and 1.5k 2^-P < 2^-16 of 2^P cos and 2^P sin, and C/S
+    within relative 1.5 k^2 2^-P (1 + 2^-14) of cot(pi m/k).
     """
-    with workprec(P + 32):
-        c = int(mpmath.nint(mpmath.ldexp(mpmath.cos(mpmath.pi / k), P)))
-        s = int(mpmath.nint(mpmath.ldexp(mpmath.sin(mpmath.pi / k), P)))
-    C, S, out = 1 << P, 0, []
+    rho = fixed_cis(1, k, P)
+    z, out = (1 << P, 0), []
     for _ in range((k - 1) // 2):
-        C, S = (C * c - S * s) >> P, (S * c + C * s) >> P
-        out.append((C, S))
+        z = fixed_mul(z, rho, P)
+        out.append(z)
     return out
 
 

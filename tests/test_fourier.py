@@ -3,6 +3,7 @@ bound (including the documented regression where its hypothesis-free use
 fails), telescoping partial sums, the periodic engine's head spans and
 kernel order, batching, and CSV output."""
 import csv
+import functools
 import io
 import math
 import random
@@ -35,9 +36,9 @@ from beurling import (
     remainder_bound,
     telescope_partial,
 )
-from beurling import _periodic, fourier
+from beurling import _periodic, fourier, numerics
 from beurling._periodic import sine_integral_mp
-from beurling.numerics import _gamma, bits_for_tol, to_mp
+from beurling.numerics import _gamma, bits_for_tol, hurwitz_zeta_row, to_mp
 from strategies import exact_specs, hurwitz_mp, unit_fraction_specs
 
 # Frozen oracles: mpmath direct integration of 2 int_0^1 F(x) sin(n pi x) dx
@@ -456,10 +457,88 @@ class TestCosineRows:
         c_batch(spec, self.NS, "cosine_series", 1e-10)
         assert calls == tables
 
+    @pytest.mark.parametrize("which", ["SPEC_A", "seeded"])
+    def test_one_cos_sin_per_theta_and_j(self, spec_a, which, monkeypatch):
+        # the heads take one mp cos_sin per (term, j <= the call's largest
+        # J_k) and no mp sine: the rows share each unit by integer powering
+        spec = spec_a if which == "SPEC_A" else _seeded_unit_spec(3)
+        counts = {"cos_sin": 0, "sin": 0}
+        real_cos_sin, real_sin = numerics.mpf_cos_sin, mpmath.sin
+
+        def cos_sin(*args):
+            counts["cos_sin"] += 1
+            return real_cos_sin(*args)
+
+        def sin(*args):
+            counts["sin"] += 1
+            return real_sin(*args)
+
+        monkeypatch.setattr(numerics, "mpf_cos_sin", cos_sin)
+        monkeypatch.setattr(mpmath, "sin", sin)
+        fourier._cosine_rows(spec, self.NS, 1e-10)
+        with mpmath.workprec(64):
+            want = sum(max(_cosine_J(n, t.theta) for n in self.NS) for t in spec.terms if t.a)
+        assert counts == {"cos_sin": want, "sin": 0}
+
+
+def _cosine_J(n, theta):
+    """J_k of the cosine route's row n at theta_k, as the route plans it."""
+    return max(64, math.ceil(2.0 * float(n * mpmath.pi * to_mp(theta))))
+
+
+@functools.lru_cache(maxsize=None)
+def _oracle_zetas(a, bits):
+    with mpmath.workprec(bits):
+        floor = mpmath.mpf(2) ** -bits
+        return hurwitz_zeta_row(fourier._cosine_weights(a, bits, floor), a)
+
+
+def _cosine_oracle(spec, n, bits):
+    """c(n) of the cosine route as summed before its heads shared any
+    work, at `bits`: each head -2 sum_{j<=J_k} sin^2(alpha_k/2j) from one
+    mpmath.sin per j, each tail sum_m (-1)^m alpha_k^2m/(2m)! zeta(2m, J_k + 1)
+    over the m that `_cosine_weights` plans for a = J_k + 1."""
+    with mpmath.workprec(bits):
+        npi = n * mpmath.pi
+        acc = mpmath.mpc(0)
+        for t in spec.terms:
+            alpha = npi * to_mp(t.theta)
+            J = _cosine_J(n, t.theta)
+            head = -2 * mpmath.fsum(mpmath.sin(alpha / (2 * j)) ** 2 for j in range(1, J + 1))
+            zetas = _oracle_zetas(J + 1, bits)
+            tail = mpmath.fsum((-1) ** (s // 2) * alpha**s / mpmath.factorial(s) * z
+                               for s, (z, _) in zetas.items())
+            acc += to_mp((t.a_re, t.a_im)) * (head + tail)
+        return (0 if n % 2 == 0 else 4 / npi) + 2 / npi * acc
+
+
+# admissible, complex a, and with the non-unit theta 2/3
+AUDIT_SPECS = {
+    "SPEC_A": SPEC_A,
+    "CX_ADM": CX_ADM,
+    "TWO_THIRDS": BeurlingSpec([(Fr(3, 4), Fr(2, 3)), (Fr(-1, 2), Fr(1, 2)), (-1, Fr(1, 4))]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(AUDIT_SPECS))
+def test_fixed_point_heads_within_certificate(name):
+    # every row's certificate bounds its distance to the mp-sine route at
+    # three times the bits, whose own error is below 2^-(3 bits - 32)
+    spec, tol = AUDIT_SPECS[name], 1e-12
+    bits = 3 * (bits_for_tol(tol) + 48)
+    ns = list(range(1, 61)) + [1, 7, 64, 65, 300, 301]
+    for fc in c_batch(spec, ns, "cosine_series", tol):
+        ref = _cosine_oracle(spec, fc.n, bits)
+        with mpmath.workprec(bits):
+            gap = abs(fc.value.to_mpc() - ref)
+            assert gap + mpmath.mpf(2) ** (32 - bits) <= fc.error_certificate.value, fc.n
+
 
 # c(n) of SPEC_A by the direct and cosine routes: the value's real part as
 # mpmath's (sign, mantissa, exponent) and the stored certificate as a hex
-# double, frozen from the routes before their heads shared any work
+# double, frozen from the direct route before its heads shared any work and
+# from the cosine route once its heads were fixed-point products (audited
+# by test_fixed_point_heads_within_certificate)
 FROZEN_ROWS = {
     ("direct", 1, 1e-12): ((0, 0x34D33C5B3027DDCD8180680F, -94), "0x1.94a6e2f9e4eccp-83"),
     ("direct", 7, 1e-12): ((0, 0x5F1D1867A99AB8708B27C1C3, -97), "0x1.dace80fb693ddp-84"),
@@ -467,9 +546,9 @@ FROZEN_ROWS = {
     ("cosine_series", 1, 1e-12): (
         (0, 0x69A678B6604FBB9B0300D01DC1DD, -111), "0x1.2f1b409f56dd8p-102"),
     ("cosine_series", 7, 1e-12): (
-        (0, 0xBE3A30CF533570E1164F83865611, -114), "0x1.126e9f34b5117p-99"),
+        (0, 0xBE3A30CF533570E1164F83865625, -114), "0x1.126e9f34b5117p-99"),
     ("cosine_series", 40, 1e-20): (
-        (0, 0x238AD004958C5DABF7A9E57D857C03193, -134), "0x1.8c325d27c14d3p-116"),
+        (0, 0x4715A0092B18BB57EF53CAFB0AF8062E5, -135), "0x1.8c325d27c14d3p-116"),
 }
 
 
@@ -1073,18 +1152,31 @@ class TestCosineCoeffs:
     # the direct rows n <= N0, at least 7.2e-14 on the NUFFT rows above
     TOL = 3e-14
 
+    def _recorded(self, spec, monkeypatch):
+        """cosine_coeffs(spec, 300, TOL), the ns of each `_cosine_rows` call
+        it makes and the rows those calls return, by n."""
+        calls, series = [], {}
+        real = fourier._cosine_rows
+
+        def record(spec, ns, tol):
+            out = real(spec, ns, tol)
+            calls.append(list(ns))
+            series.update((fc.n, fc) for fc in out)
+            return out
+
+        monkeypatch.setattr(fourier, "_cosine_rows", record)
+        c, cert = cosine_coeffs(spec, 300, self.TOL)
+        return c, cert, calls, series
+
     def test_rows_from_batch_or_series(self, spec_a, monkeypatch):
         # at TOL the batch certifies SPEC_A's direct rows n <= N0 but not its
-        # NUFFT rows: only those come from c_cosine_series
-        series = {}
-
-        def record(spec, n, tol):
-            series[n] = c_cosine_series(spec, n, tol)
-            return series[n]
-
-        monkeypatch.setattr(fourier, "c_cosine_series", record)
-        c, cert = cosine_coeffs(spec_a, 300, self.TOL)
-        assert sorted(series) == list(range(N0 + 1, 301))
+        # NUFFT rows: only those come from the mp cosine rows, all of them
+        # from one `_cosine_rows` call, each equal to its single call
+        c, cert, calls, series = self._recorded(spec_a, monkeypatch)
+        assert calls == [list(range(N0 + 1, 301))]
+        for n in (N0 + 1, 300):
+            one = c_cosine_series(spec_a, n, self.TOL)
+            assert (series[n].value, series[n].error_certificate) == (one.value, one.error_certificate)
         batch_c, batch_cert = batch_cosine_f64(spec_a, 300)
         assert np.array_equal(c[:N0], batch_c[:N0])
         assert np.array_equal(cert[:N0], batch_cert[:N0])
@@ -1104,14 +1196,7 @@ class TestCosineCoeffs:
         # each mended row's certificate holds its mp certificate plus the
         # exact half-ulps of both stored parts; rounding that sum to nearest
         # lost the ~1e-29 mp part under the ~1e-17 half-ulps
-        series = {}
-
-        def record(spec, n, tol):
-            series[n] = c_cosine_series(spec, n, tol)
-            return series[n]
-
-        monkeypatch.setattr(fourier, "c_cosine_series", record)
-        c, cert = cosine_coeffs(spec_a, 300, self.TOL)
+        c, cert, calls, series = self._recorded(spec_a, monkeypatch)
         assert sorted(series) == list(range(N0 + 1, 301))
         for n, fc in series.items():
             man, exp = fc.error_certificate.value.man_exp

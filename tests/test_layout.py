@@ -5,7 +5,8 @@ certificate above tol and evaluates the Hurwitz zeta, one method refuses a
 non-admissible spec, both even-Mellin routes run one row and read no paper
 bound, one function reads the period caps and one reduces each Gram
 entry's ratio, both Gram tiers take their cot tables from one integer rotation and the optimizer
-makes no BLAS product, the periodic engine certifies without quadrature
+makes no BLAS product, that rotation and the cosine route's heads share
+one fixed-point helper, the periodic engine certifies without quadrature
 estimates through one Hurwitz-kernel tail and one head path, one function
 decides how each coefficient row is certified and the reconstruction
 reads its rows from it alone, every function and constant the benchmark's
@@ -189,6 +190,17 @@ def test_float64_gram_tables_take_no_mp_value():
         (name, o) for name, text in SOURCES.items() for o in _owners(text, _calls("_cot_rotation"))
     }
     assert owners == {("optimizer.py", "_cot_f64"), ("optimizer.py", "_cot_sum")}
+
+
+def test_one_fixed_point_helper():
+    # the cot tables and the cosine route's heads round their units and
+    # multiply them through numerics alone, under its one lemma
+    for fn in ("fixed_cis", "fixed_mul"):
+        owners = {(name, o) for name, text in SOURCES.items() for o in _owners(text, _calls(fn))}
+        assert owners == {("optimizer.py", "_cot_rotation"), ("fourier.py", "_cosine_rows")}, fn
+    mp_sin = [n for n in ast.walk(ast.parse(SOURCES["fourier.py"]))
+              if isinstance(n, ast.Attribute) and ast.unparse(n) == "mpmath.sin"]
+    assert mp_sin == []
 
 
 def test_optimizer_makes_no_blas_product():
@@ -392,7 +404,7 @@ def test_row_work_only_in_row_builders():
     # whose rows alone sum them by Horner's rule (the closed form's rows in
     # mp and in doubles), so no second per-row loop rebuilds them
     fourier = SOURCES["fourier.py"]
-    assert set(_owners(fourier, _calls("_cosine_rows"))) == {"c_cosine_series", "c_batch"}
+    assert set(_owners(fourier, _calls("_cosine_rows"))) == {"c_cosine_series", "c_batch", "cosine_coeffs"}
     fns = {f.name: f for f in ast.parse(fourier).body if isinstance(f, ast.FunctionDef)}
     loops = [n for n in ast.walk(fns["_cosine_rows"]) if isinstance(n, (ast.For, ast.While))]
     assert loops

@@ -35,18 +35,19 @@ class TestNormViaParseval:
 
     def test_per_n_mp_route(self, spec_a, monkeypatch):
         # no batch row of SPEC_A meets coeff_tol 1e-15, so every c(n) comes
-        # from c_cosine_series; it must agree with the batch's partial sum
+        # from the mp cosine rows, all in one call; it must agree with the
+        # batch's partial sum
         batch = norm_via_parseval(spec_a, n_max=32)
-        rows = []
-        series = fourier.c_cosine_series
+        calls = []
+        series = fourier._cosine_rows
 
-        def record(spec, n, tol):
-            rows.append(n)
-            return series(spec, n, tol)
+        def record(spec, ns, tol):
+            calls.append(list(ns))
+            return series(spec, ns, tol)
 
-        monkeypatch.setattr(fourier, "c_cosine_series", record)
+        monkeypatch.setattr(fourier, "_cosine_rows", record)
         per_n = norm_via_parseval(spec_a, n_max=32, coeff_tol=1e-15)
-        assert rows == list(range(1, 33))
+        assert calls == [list(range(1, 33))]
         slack = float(per_n["coeff_cert_total"]) + float(batch["coeff_cert_total"])
         gap = abs(float(per_n["partial_norm_sq"]) - float(batch["partial_norm_sq"]))
         assert gap <= slack
@@ -57,7 +58,7 @@ class TestNormViaParseval:
         def no_mp(*args):
             raise AssertionError("an mp row was computed")
 
-        monkeypatch.setattr(fourier, "c_cosine_series", no_mp)
+        monkeypatch.setattr(fourier, "_cosine_rows", no_mp)
         with pytest.raises(ToleranceNotMet, match="not practical beyond n = 2048"):
             norm_via_parseval(adm1, n_max=2100, coeff_tol=1e-13)
 

@@ -387,20 +387,21 @@ class TestReconstruct:
 
     def test_mends_only_the_rows_it_keeps(self, spec_a, monkeypatch):
         # each row whose batch certificate misses tol, and no other, is
-        # mended by one mp cosine row, rows n <= 32 among them
+        # mended by an mp cosine row, rows n <= 32 among them, all from one
+        # `_cosine_rows` call
         calls = []
-        real = fourier.c_cosine_series
+        real = fourier._cosine_rows
 
-        def counted(spec, n, tol):
-            calls.append(n)
-            return real(spec, n, tol)
+        def counted(spec, ns, tol):
+            calls.append(list(ns))
+            return real(spec, ns, tol)
 
-        monkeypatch.setattr(fourier, "c_cosine_series", counted)
+        monkeypatch.setattr(fourier, "_cosine_rows", counted)
         mellin_reconstruct_report(spec_a, 2.5, n_max=100, tol_per_coeff=1e-14)
         _, cert = fourier.batch_cosine_f64(spec_a, 100)
         missing = [n for n in range(1, 101) if not cert[n - 1] <= 1e-14]
         assert min(missing) <= 32
-        assert calls == missing
+        assert calls == [missing]
 
     def test_moment_alone_equals_reconstruction_row(self, spec_a, monkeypatch):
         # a row's value depends on (n, s, tol) alone, not on which rows
