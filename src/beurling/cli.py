@@ -3,11 +3,11 @@ writes deterministic output: identical invocations produce byte-identical
 files. --threads is still accepted so that existing command lines keep
 working, but it has no effect: the package computes serially.
 
-Exit codes: 0 success; 2 domain/constraint/hypothesis errors (including a
-malformed --spec file, a --tol that is not positive and finite, an --n-max
-or --l-max below 1, and singular optimizer systems); 3 tolerance not met,
-including every integral of a spec whose thetas have no period within the
-caps of `_periodic`.
+Exit codes: 0 success; 2 domain/constraint errors (including a malformed
+--spec or --thetas file, a bool where a number belongs, a --tol that is
+not positive and finite, an --n-max or --l-max below 1, and singular
+optimizer systems); 3 tolerance not met, including every integral of a
+spec whose thetas have no period within the caps of `_periodic`.
 """
 from __future__ import annotations
 
@@ -18,13 +18,7 @@ import json
 import sys
 from fractions import Fraction
 
-from .errors import (
-    ConstraintError,
-    DomainError,
-    HypothesisError,
-    SingularSystemError,
-    ToleranceNotMet,
-)
+from .errors import ConstraintError, DomainError, SingularSystemError, ToleranceNotMet
 from .fourier import c_batch, coefficients_csv
 from .functions import BeurlingSpec, eval_F, eval_f, mellin_numeric
 from .mellin import MellinValue, mellin_closed, mellin_even, mellin_even_bound
@@ -298,8 +292,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="beurling",
         description="Numerics for Beurling approximations f_N(x) = sum a_k rho(theta_k/x) to -1.",
-        epilog="Exit codes: 0 ok; 2 domain/constraint/hypothesis/singular-system "
-        "errors (incl. malformed --spec); 3 tolerance not met, including a "
+        epilog="Exit codes: 0 ok; 2 domain/constraint/singular-system "
+        "errors (incl. malformed --spec or --thetas, and a bool where a "
+        "number belongs); 3 tolerance not met, including a "
         "spec whose thetas have no period within the caps.",
     )
     sub = p.add_subparsers(dest="command", required=True)
@@ -368,7 +363,7 @@ def main(argv=None) -> int:
                 check_count(getattr(args, name), "--" + name.replace("_", "-"))
         spec = _load_spec(args.spec)
         return args.fn(args, spec)
-    except (DomainError, ConstraintError, HypothesisError, SingularSystemError) as e:
+    except (DomainError, ConstraintError, SingularSystemError) as e:
         print(f"error: {e}", file=sys.stderr)
         return _EXIT_BAD_INPUT
     except ToleranceNotMet as e:

@@ -1,7 +1,8 @@
 """Error taxonomy shared by every module.
 
 The CLI maps these onto exit codes: DomainError / ConstraintError /
-HypothesisError -> 2, ToleranceNotMet -> 3.
+SingularSystemError -> 2, ToleranceNotMet -> 3. HypothesisError is raised
+only by `remainder_bound`, which no subcommand calls.
 """
 from __future__ import annotations
 
@@ -15,7 +16,7 @@ class ConstraintError(ValueError):
 
 
 class HypothesisError(ValueError):
-    """Operation requires the unit-fraction / |a_k| <= 1 hypotheses and they fail."""
+    """`remainder_bound` requires |a_k| <= 1 and some term has |a_k| > 1."""
 
 
 class ToleranceNotMet(RuntimeError):

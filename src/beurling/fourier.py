@@ -325,7 +325,7 @@ def remainder_bound(spec: BeurlingSpec, n, L: int) -> PrecisionReal:
     """
     n = check_count(n, "n")
     L = check_count(L, "L")
-    if not spec.coeffs_le_1:
+    if any(t.a_re * t.a_re + t.a_im * t.a_im > 1 for t in spec.terms):
         raise HypothesisError("remainder_bound requires |a_k| <= 1 for every term")
     theta_pow = Fraction(0)
     for t in spec.terms:

@@ -36,8 +36,9 @@ from .numerics import (
 )
 
 def _to_fraction(x, what: str) -> Fraction:
-    """An int, float, Fraction or "p/q" string as an exact Fraction."""
-    if not isinstance(x, (Fraction, str, int, float)):
+    """An int, float, Fraction or "p/q" string as an exact Fraction; a bool
+    is refused, as `check_count` refuses it."""
+    if isinstance(x, bool) or not isinstance(x, (Fraction, str, int, float)):
         raise DomainError(f"unsupported type for {what}: {type(x).__name__}")
     try:
         return Fraction(x)
@@ -58,7 +59,6 @@ class Term:
     a_re: Fraction
     a_im: Fraction
     theta: Fraction
-    b: int | None  # unit-fraction denominator, when theta = 1/b
 
     @property
     def a(self) -> complex:
@@ -69,10 +69,10 @@ class BeurlingSpec:
     """The (a_k, theta_k) data of f_N; immutable after construction.
 
     terms: iterable of (a, theta) with a int/float/complex/Fraction/"p/q"
-    (or an (re, im) pair of those) and theta int/float/Fraction/"p/q".
-    unit_fraction_denoms: optional list of b_k (or None slots); each given
-    b_k must satisfy theta_k * b_k = 1 exactly. When theta_k has numerator 1
-    the denominator is recorded as b_k automatically.
+    (or an (re, im) pair of those) and theta int/float/Fraction/"p/q" in
+    (0, 1]. A bool is refused wherever a number is expected.
+    unit_fraction_denoms: optional list of b_k (or None slots), another form
+    of theta_k = 1/b_k; a theta_k given beside b_k must equal 1/b_k.
     """
 
     __slots__ = ("terms", "__dict__")
@@ -99,16 +99,12 @@ class BeurlingSpec:
             b = denoms[idx] if denoms is not None else None
             if b is not None:
                 b = check_count(b, f"term {idx} b")
-                theta = Fraction(1, b)
                 if th_raw is not None:
                     th = _to_fraction(th_raw, f"term {idx} theta")
-                    if th != theta:
+                    if th != Fraction(1, b):
                         raise DomainError(f"term {idx}: theta = {th} does not equal 1/b = 1/{b}")
-            else:
-                theta = _to_theta(th_raw, f"term {idx} theta")
-                if theta.numerator == 1:
-                    b = theta.denominator
-            parsed.append(Term(a_re, a_im, theta, b))
+                th_raw = Fraction(1, b)
+            parsed.append(Term(a_re, a_im, _to_theta(th_raw, f"term {idx} theta")))
         object.__setattr__(self, "terms", tuple(parsed))
 
     def __setattr__(self, name, value):
@@ -141,24 +137,6 @@ class BeurlingSpec:
             re, im = self.residual_exact
             raise ConstraintError(f"{who} requires an admissible spec (sum a_k theta_k = 0); "
                                   f"residual {re}" + (f" + {im}i" if im else ""))
-
-    @cached_property
-    def unit_fraction(self) -> bool:
-        return all(t.b is not None for t in self.terms)
-
-    @cached_property
-    def coeffs_le_1(self) -> bool:
-        return all(t.a_re * t.a_re + t.a_im * t.a_im <= 1 for t in self.terms)
-
-    @cached_property
-    def distinct_denoms(self) -> bool:
-        bs = [t.b for t in self.terms]
-        return self.unit_fraction and len(set(bs)) == len(bs)
-
-    @property
-    def even_mellin_ok(self) -> bool:
-        """Unit fractions with |a_k| <= 1: the hypotheses of the truncation bound."""
-        return self.unit_fraction and self.coeffs_le_1
 
     @cached_property
     def is_real(self) -> bool:
@@ -202,7 +180,7 @@ class BeurlingSpec:
                 {
                     "a_re": self._num_out(t.a_re),
                     "a_im": self._num_out(t.a_im),
-                    "b": t.b,
+                    "b": t.theta.denominator if t.theta.numerator == 1 else None,
                     "theta": self._num_out(t.theta),
                 }
             )
@@ -273,18 +251,21 @@ def frac(x):
 
 
 def eval_f(spec: BeurlingSpec, x) -> complex:
-    """f_N(x) = sum_k a_k rho(theta_k / x) on (0, 1]. |result| <= sum |a_k|."""
-    exact = isinstance(x, Fraction)
-    if not exact:
+    """f_N(x) = sum_k a_k rho(theta_k / x) on (0, 1]. |result| <= sum |a_k|.
+
+    A float x is read as the binary rational it is, so each rho(theta_k / x)
+    is exact and rounded to a double once, at every x down to the least
+    subnormal, where theta_k / x is near 2^1074."""
+    if not isinstance(x, Fraction):
         x = float(x)
         if not math.isfinite(x):
             raise DomainError("x must be finite")
     if not (0 < x <= 1):
         raise DomainError(f"x must lie in (0, 1], got {x}")
+    x = Fraction(x)
     acc = 0j
     for t in spec.terms:
-        r = frac(t.theta / x) if exact else frac(float(t.theta) / x)
-        acc += t.a * float(r)
+        acc += t.a * float(frac(t.theta / x))
     return acc
 
 

@@ -97,8 +97,6 @@ def mellin_closed(spec, s, tol: float = 1e-12) -> MellinValue:
     z = as_complex(s)
     if z.real <= 0:
         raise DomainError(f"mellin_closed requires Re(s) > 0, got Re(s) = {z.real}")
-    if z == 0:
-        raise DomainError("s = 0 is outside the domain")
     if math.hypot(z.real - 1.0, z.imag) <= _POLE_EXCLUSION:
         raise DomainError("|s - 1| <= 1e-6 is excluded (zeta/pole exclusion disk)")
 
@@ -154,8 +152,13 @@ def mellin_even(spec, l: int, tol: float = 1e-12) -> MellinValue:
 
 
 def mellin_even_bound(l: int, out_precision: int = 64) -> PrecisionReal:
-    """(1 + zeta(2l)^2) / (2l): bounds |M(2l)| for admissible unit-fraction
-    specs with |a_k| <= 1 and distinct denominators (caller checks the flags).
+    """(1 + zeta(2l)^2) / (2l), the paper's bound on |M(2l)|.
+
+    It holds for admissible specs whose thetas are unit fractions 1/b_k
+    with distinct denominators b_k and whose coefficients have |a_k| <= 1;
+    it depends on l alone and reads no spec. The `satisfied` column of the
+    `mellin-even` subcommand compares |M(2l)| against it for any spec; a
+    spec outside these hypotheses may read "false" there.
     """
     l = check_count(l, "l")
     zv = zeta_even(l, out_precision + 16)

@@ -21,6 +21,21 @@ import pytest
 from beurling import BeurlingSpec
 
 
+def failed_hypotheses(spec) -> set:
+    """The hypotheses of the paper's truncation and growth bounds that spec
+    fails, out of "unit fractions" (every theta_k = 1/b_k), "|a_k| <= 1"
+    and "distinct denominators" (unit fractions with distinct b_k)."""
+    failed = set()
+    if any(t.theta.numerator != 1 for t in spec.terms):
+        failed |= {"unit fractions", "distinct denominators"}
+    if any(t.a_re**2 + t.a_im**2 > 1 for t in spec.terms):
+        failed.add("|a_k| <= 1")
+    denoms = [t.theta.denominator for t in spec.terms]
+    if len(set(denoms)) != len(denoms):
+        failed.add("distinct denominators")
+    return failed
+
+
 @pytest.fixture(scope="session")
 def empty_spec():
     return BeurlingSpec()

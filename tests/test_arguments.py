@@ -114,6 +114,7 @@ COUNT_ENTRIES = {
     "unit_thetas": (lambda N: unit_thetas(N), 1, 3),
     "sweep-n_from": (lambda n: sweep(n, 3), 1, 1),
     "sweep-n_to": (lambda n: sweep(1, n), 1, 3),
+    # perfbench/oracles.py builds its specs in this positional form
     "BeurlingSpec-b": (lambda b: BeurlingSpec([(1, None)], [b]), 1, 2),
 }
 
@@ -127,6 +128,22 @@ S_ENTRIES = {
     "sine_moments_with_cert": lambda s: sine_moments_with_cert([1, 40], s),
     "mellin_reconstruct_report": lambda s: mellin_reconstruct_report(SPEC_A, s, 4),
     "mellin_reconstruct": lambda s: mellin_reconstruct(SPEC_A, s, 4),
+}
+
+# name -> entry called with a value where a coefficient or theta belongs;
+# a bool is no number there, as it is no count
+NUMBER_ENTRIES = {
+    "BeurlingSpec-a": lambda v: BeurlingSpec([(v, Fr(1, 2))]),
+    "BeurlingSpec-a.re": lambda v: BeurlingSpec([((v, 0), Fr(1, 2))]),
+    "BeurlingSpec-a.im": lambda v: BeurlingSpec([((0, v), Fr(1, 2))]),
+    "BeurlingSpec-theta": lambda v: BeurlingSpec([(1, v)]),
+    "from_json_dict-a_re": lambda v: BeurlingSpec.from_json_dict({"terms": [{"a_re": v, "theta": 0.5}]}),
+    "from_json_dict-a_im": lambda v: BeurlingSpec.from_json_dict({"terms": [{"a_im": v, "theta": 0.5}]}),
+    "from_json_dict-theta": lambda v: BeurlingSpec.from_json_dict({"terms": [{"a_re": 1, "theta": v}]}),
+    "from_json_dict-theta-with-b": lambda v: BeurlingSpec.from_json_dict({"terms": [{"a_re": 1, "theta": v, "b": 1}]}),
+    "build_gram": lambda v: build_gram([v, Fr(1, 2)]),
+    "optimize_coeffs": lambda v: optimize_coeffs([v, Fr(1, 2)]),
+    "residual_report": lambda v: residual_report([v, Fr(1, 2)]),
 }
 
 BAD_TOLS = [0, -1, NAN, INF]
@@ -154,6 +171,13 @@ def test_bad_tol(entry, tol):
 def test_bad_count(entry, count):
     with pytest.raises(DomainError):
         COUNT_ENTRIES[entry][0](count)
+
+
+@pytest.mark.parametrize("value", [True, False], ids=repr)
+@pytest.mark.parametrize("entry", sorted(NUMBER_ENTRIES))
+def test_bool_number_refused(entry, value):
+    with pytest.raises(DomainError, match="bool"):
+        NUMBER_ENTRIES[entry](value)
 
 
 @pytest.mark.parametrize("s", BAD_S, ids=repr)

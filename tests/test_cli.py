@@ -488,6 +488,27 @@ class TestBadInput:
         assert out == ""
         assert "--tol" in err
 
+    @pytest.mark.parametrize(
+        "argv, doc",
+        [
+            (["eval", "--x", "0.5", "--spec"], {"terms": [{"a_re": True, "theta": 0.5}]}),
+            (["eval", "--x", "0.5", "--spec"], {"terms": [{"a_im": False, "theta": 0.5}]}),
+            (["eval", "--x", "0.5", "--spec"], {"terms": [{"a_re": 1, "theta": True}]}),
+            (["eval", "--x", "0.5", "--spec"], {"terms": [{"a_re": 1, "b": True}]}),
+            (["optimize", "--thetas"], [True, 0.5]),
+            (["optimize", "--thetas"], {"thetas": ["1/3", True]}),
+        ],
+        ids=["a_re", "a_im", "theta", "b", "thetas", "thetas-object"],
+    )
+    def test_bool_number_exit_2(self, tmp_path, capsys, argv, doc):
+        # JSON true is no number: it must not run as 1
+        f = tmp_path / "bool.json"
+        f.write_text(json.dumps(doc))
+        code, out, err = run(capsys, argv + [str(f)])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:")
+
     @pytest.mark.parametrize("s", ["nan", "inf", "1,nan", "2,inf"])
     def test_quadrature_non_finite_s_exit_2(self, capsys, spec_a_file, s):
         code, out, err = run(

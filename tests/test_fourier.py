@@ -829,6 +829,11 @@ class TestRemainderBound:
     def test_requires_coeffs_le_1(self, adm1):
         with pytest.raises(HypothesisError):
             remainder_bound(adm1, 1, 8)
+        # the test is on |a_k|, not on its parts: 0.8 + 0.8i has modulus
+        # above 1, 3/5 + 4/5i modulus 1 exactly
+        with pytest.raises(HypothesisError):
+            remainder_bound(BeurlingSpec([((Fr(4, 5), Fr(4, 5)), Fr(1, 2))]), 1, 8)
+        assert float(remainder_bound(BeurlingSpec([((Fr(3, 5), Fr(4, 5)), Fr(1, 2))]), 1, 8)) > 0
 
     def test_monotone_decreasing_past_n_pi_e(self, spec_a):
         n = 1

@@ -27,6 +27,7 @@ from beurling import (
 from beurling._periodic import PERIOD_CAP, _period, f_abs2_pieces, u_integral_mp
 from beurling.numerics import bits_for_tol, to_mp
 from beurling.optimizer import _closed_entry
+from conftest import failed_hypotheses
 from strategies import exact_specs, reduced, unit_fraction_specs
 
 
@@ -92,16 +93,23 @@ class TestSpecConstruction:
                 getattr(beurling, route)(spec, *args)
 
     def test_flags(self, spec_a, adm1, triv0):
-        assert spec_a.admissible and spec_a.unit_fraction and spec_a.coeffs_le_1
-        assert spec_a.distinct_denoms and spec_a.even_mellin_ok
-        assert adm1.admissible and not adm1.coeffs_le_1 and not adm1.even_mellin_ok
-        assert triv0.admissible and not triv0.distinct_denoms
+        # the fixtures' premises: SPEC_A meets the paper's hypotheses, ADM1
+        # fails only |a_k| <= 1 and TRIV0 only the distinct denominators
+        assert spec_a.admissible and failed_hypotheses(spec_a) == set()
+        assert adm1.admissible and failed_hypotheses(adm1) == {"|a_k| <= 1"}
+        assert triv0.admissible and failed_hypotheses(triv0) == {"distinct denominators"}
 
     def test_unit_fraction_b_consistency(self):
+        # "b" is a JSON form of theta = 1/b: read as 1/b, written back
+        # whenever theta has numerator 1, refused when it contradicts theta
         s = BeurlingSpec([(1, Fr(1, 4))])
-        assert s.terms[0].b == 4
-        with pytest.raises(DomainError):
+        assert s.to_json_dict()["terms"][0]["b"] == 4
+        assert BeurlingSpec.from_json_dict({"terms": [{"a_re": 1, "b": 4}]}) == s
+        assert BeurlingSpec([(1, Fr(3, 4))]).to_json_dict()["terms"][0]["b"] is None
+        with pytest.raises(DomainError, match="does not equal 1/b"):
             BeurlingSpec([(1, Fr(1, 4))], unit_fraction_denoms=[5])
+        with pytest.raises(DomainError, match="does not equal 1/b"):
+            BeurlingSpec.from_json_dict({"terms": [{"a_re": 1, "theta": "1/4", "b": 5}]})
 
     def test_too_many_pieces_per_period(self):
         # period 100000 is within PERIOD_CAP, but one period has about
@@ -168,6 +176,32 @@ class TestEval:
     def test_f_at_1_is_minus_constraint_like(self, adm1):
         # f(1) = sum a_k rho(theta_k) = 1*0 + (-2)*(1/2) = -1
         assert eval_f(adm1, 1.0) == -1
+
+    @given(
+        spec=exact_specs(),
+        x=st.one_of(
+            st.floats(min_value=5e-324, max_value=1.0),
+            st.floats(min_value=-320, max_value=0).map(lambda e: 10.0**e),
+        ),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_matches_mp_oracle_down_to_subnormals(self, spec, x):
+        # theta_k / x reaches 2^1074 at the least subnormal, so the oracle
+        # keeps ~2,900 bits of each fractional part at 4,000 bits; every
+        # rho is exact before its one rounding, so eval_f is off by a few
+        # ulps of sum |a_k| (SPEC_A at x = 1e-17 read 0 against -1 + 1.1e-16
+        # when rho was taken of the double theta/x)
+        with mpmath.workprec(4000):
+            xm = mpmath.mpf(x)
+            ref = mpmath.mpc(0)
+            for t in spec.terms:
+                v = mpmath.mpf(t.theta.numerator) / (t.theta.denominator * xm)
+                a = mpmath.mpc(mpmath.mpf(t.a_re.numerator) / t.a_re.denominator,
+                               mpmath.mpf(t.a_im.numerator) / t.a_im.denominator)
+                ref += a * (v - mpmath.floor(v))
+            ref = complex(ref)
+        scale = sum(abs(t.a) for t in spec.terms)
+        assert abs(eval_f(spec, x) - ref) <= 4 * spec.N * scale * 2.0**-53
 
     def test_domain(self, adm1):
         for x in (0.0, -0.3, 1.5):

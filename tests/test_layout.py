@@ -2,7 +2,8 @@
 imports no scipy, numerics alone scopes and locks mpmath precision,
 converts rationals, checks tolerances, counts and exponents, refuses a
 certificate above tol and evaluates the Hurwitz zeta, one method refuses a
-non-admissible spec, both even-Mellin routes run one row and read no paper
+non-admissible spec, one function raises HypothesisError and the CLI never
+names it, both even-Mellin routes run one row and read no paper
 bound, one function reads the period caps and one reduces each Gram
 entry's ratio, both Gram tiers take their cot tables from one integer rotation and the optimizer
 makes no BLAS product, that rotation and the cosine route's heads share
@@ -285,6 +286,15 @@ def test_admissibility_refusal_only_in_require_admissible():
     methods = [f.name for f in spec.body if isinstance(f, ast.FunctionDef)
                and any(_calls("ConstraintError")(n) for n in ast.walk(f))]
     assert methods == ["require_admissible"]
+
+
+def test_hypothesis_refusal_only_in_remainder_bound():
+    # remainder_bound alone assumes |a_k| <= 1 and builds the one
+    # HypothesisError; no subcommand calls it, so the CLI maps no
+    # HypothesisError to an exit code and does not name it
+    hits = {(name, o) for name, text in SOURCES.items() for o in _owners(text, _calls("HypothesisError"))}
+    assert hits == {("fourier.py", "remainder_bound")}
+    assert "HypothesisError" not in SOURCES["cli.py"]
 
 
 def test_exact_L_route_reads_no_paper_bound():
