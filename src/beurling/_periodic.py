@@ -35,6 +35,17 @@ entries of `optimizer` need none of this (they have a closed form);
 `rho_pair_pieces` and `rho_single_pieces` give their integrands for
 checking that closed form.
 
+`sine_integral_f64` is the float64 tier of the sine integral, for pieces
+of degree 0 (an admissible spec: sum a_k theta_k = 0), whose head needs no
+Si. Its head is the same antiderivative difference, written as a product
+of two sines and summed pairwise in numpy; its tail is two closed-form
+terms from the mean of P and of its periodic primitive, found by
+integrating by parts twice, and a remainder bounded a priori from the
+second primitive. It uses no Hurwitz zeta. U is the least allowed multiple
+of B at which that bound is tol/4, and every certificate is proven from
+Higham's rounding model (proof in its docstring). A row whose certificate
+would miss tol is None, and the caller takes it from `sine_integral_mp`.
+
 `_period` alone decides whether a theta set is in reach: past PERIOD_CAP or
 PIECES_CAP it returns None, and `_joint_period`, which `decompose`,
 `rho_pair_pieces` and `rho_single_pieces` call, turns that None into
@@ -50,9 +61,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import mpmath
+import numpy as np
 
 from .errors import DomainError, ToleranceNotMet
-from .numerics import hurwitz_zeta_row, to_double, to_mp, workprec
+from .numerics import float_up, hurwitz_zeta_row, to_double, to_mp, workprec
 
 PERIOD_CAP = 100_000
 PIECES_CAP = 400_000
@@ -528,3 +540,201 @@ def sine_integral_mp(pieces, B: int, ns, prec_bits: int):
                 b *= -npi * npi / ((r - 1) * r)
             results.append((head + tail, trunc + (absacc + mag) * ops * mpmath.mpf(2) ** (-wp)))
     return results
+
+
+# ---------------------------------------------------------------------------
+# float64 tier of the sine integral
+# ---------------------------------------------------------------------------
+
+# n * _PI_UP >= n pi exactly: the double above pi
+_PI_UP = Fraction(math.nextafter(math.pi, math.inf))
+
+
+def _gamma_q(k: int) -> Fraction:
+    """Higham's gamma_k = k u / (1 - k u), u = 2^-53, as an exact Fraction."""
+    return Fraction(k, 2**53 - k)
+
+
+def _degree0(pieces, B: int):
+    """(spans, parts, c_mag) for pieces of degree 0 over one period [0, B],
+    in order, or None when some piece has degree >= 1.
+
+    spans holds [lo, hi, hi - lo, max(lo, 1), max(hi, 1), max(hi, 1) -
+    max(lo, 1), Re c, Im c] for each piece whose constant c is not zero:
+    its span in a period, and in the first period, clamped at u = 1. parts
+    holds `_period_means` of Re P and of Im P, and c_mag = max |Re c| +
+    max |Im c|. All exact.
+    """
+    widths, res, ims, spans = [], [], [], []
+    for lo, hi, coeffs in pieces:
+        c, *rest = (x if isinstance(x, tuple) else (x, 0) for x in coeffs)
+        if any(x != (0, 0) for x in rest):
+            return None
+        widths.append(hi - lo)
+        res.append(c[0])
+        ims.append(c[1])
+        if c != (0, 0):
+            lo_1, hi_1 = max(lo, 1), max(hi, 1)
+            spans.append([lo, hi, hi - lo, lo_1, hi_1, hi_1 - lo_1, *c])
+    c_mag = max(map(abs, res)) + max(map(abs, ims))
+    return spans, [_period_means(widths, vs, B) for vs in (res, ims)], c_mag
+
+
+def _period_means(widths, values, B: int):
+    """(p_bar, q_bar, r) for a real P that takes each value on a piece of
+    that width, the pieces covering [0, B] in order: p_bar is the mean of P,
+    Q(w) = int_0^w (P - p_bar) is piecewise linear with Q(0) = Q(B) = 0,
+    q_bar is the mean of Q, and r = 1/2 int_0^B |Q - q_bar| >= sup |R| for
+    R(w) = int_0^w (Q - q_bar), which vanishes at 0 and B. All exact."""
+    p_bar = Fraction(sum(w * v for w, v in zip(widths, values)), B)
+    q = [Fraction(0)]  # Q at the end of each piece
+    for w, v in zip(widths, values):
+        q.append(q[-1] + (v - p_bar) * w)
+    q_bar = sum(w * (q0 + q1) for w, q0, q1 in zip(widths, q, q[1:])) / (2 * B)
+    r = Fraction(0)
+    for w, q0, q1 in zip(widths, q, q[1:]):
+        v0, v1 = q0 - q_bar, q1 - q_bar
+        # int of |linear| over the piece: a trapezoid, or two triangles
+        r += w * (abs(v0 + v1) / 2 if v0 * v1 >= 0 else (v0 * v0 + v1 * v1) / (2 * abs(v0 - v1)))
+    return p_bar, q_bar, r / 2
+
+
+def _f64_end(r_max, B: int, n: int, tol: float, k_cap: int):
+    """(U, E): U = k B the least allowed end of the head (`_choose_U`) with
+    E = r_max (3a/U^4 + a^3/(6 U^6)) <= tol/4, a = n * _PI_UP >= n pi, E
+    exact; None when that needs k > k_cap. The search runs in floats and
+    the exact E decides the last steps, so U depends only on its inputs."""
+    k_min = _choose_U(B) // B
+    a = n * _PI_UP
+    target = Fraction(tol) / 4
+
+    def err(k):
+        U = B * k
+        return r_max * (3 * a / U**4 + a**3 / (6 * U**6))
+
+    def err_f(k):
+        U = float(B * k)
+        return r_f * (3.0 * a_f / U**4 + a_f**3 / (6.0 * U**6))
+
+    r_f, a_f = float(r_max), float(a)
+    lo, hi = k_min - 1, k_min  # err_f(hi) <= tol/4 once the doubling ends
+    while err_f(hi) > tol / 4:
+        if hi > 2 * k_cap:
+            return None
+        lo, hi = hi, 2 * hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if err_f(mid) <= tol / 4 else (mid, hi)
+    k = hi
+    while k > k_min and err(k - 1) <= target:
+        k -= 1
+    while err(k) > target:
+        k += 1
+    return None if k > k_cap else (B * k, err(k))
+
+
+def _pairwise_sum(x) -> float:
+    """Sum of a float64 vector by pairs, level by level: within
+    gamma_L sum |x_i| of the exact sum, L = ceil(log2 len(x)) (Higham 4.2)."""
+    while x.size > 1:
+        if x.size % 2:
+            x = np.append(x, 0.0)
+        x = x[0::2] + x[1::2]
+    return float(x[0]) if x.size else 0.0
+
+
+def sine_integral_f64(pieces, B: int, ns, tol: float):
+    """[(complex value, float err_bound) or None] of
+    int_1^inf P(u) sin(n pi/u) u^-2 du for each n of ns, in order, for
+    periodic P of degree 0 over [0, B] (pieces as for `sine_integral_mp`,
+    in order). A row is None when its proven bound would exceed tol, or
+    its head past _HEAD_SPANS_CAP spans; every row is None when some piece
+    has degree >= 1, whose head would need Si. Whether a row is None is
+    decided from (pieces, B, n, tol) alone, before it is summed.
+
+    With a = n pi and g(u) = sin(a/u) u^-2 the integral is head + tail:
+
+    * Head on [1, U], U = k B from `_f64_end`. cos(a/u)/a is an
+      antiderivative of g, so a span (lo, hi) of constant c adds
+      (2c/a) sin(A) sin(D), A = a (lo + hi)/(2 lo hi), D = a len/(2 lo hi),
+      len = hi - lo from the exact piece. The spans of one row are summed
+      in numpy, pairwise, one row at a time.
+    * Tail. P = p_bar + P~, Q = int_U^u P~ and R = int_U^u (Q - q_bar),
+      both periodic and zero at U (`_period_means` of Re P and Im P; U is
+      a multiple of B). Integrating by parts twice,
+          tail = p_bar (1 - cos(a/U))/a + q_bar sin(a/U)/U^2 + E,
+      E = int_U^inf R g'', and g'' = -a^2 sin(a/u)/u^6 + 6a cos(a/u)/u^5
+      + 6 sin(a/u)/u^4 gives |g''| <= a^3/u^7 + 12a/u^5, so
+      |E| <= r_max (3a/U^4 + a^3/(6 U^6)), r_max the sum of the r of the
+      two parts, and that is at most tol/4 by the choice of U.
+      1 - cos(a/U) is formed as 2 sin^2(a/(2U)).
+
+    Roundoff, in Higham's model (Accuracy and Stability of Numerical
+    Algorithms, 2nd ed., 3.1-3.4: each operation rounds by 1 + delta,
+    |delta| <= u = 2^-53), taking libm's sin as within mu = 8u relative
+    (the test suite checks it on the running platform) and C = c_mag:
+    * a' = fl(n pi_f) is a (1 + theta_2); lo' = fl(off + fl(lo_i)) and hi'
+      are within theta_2 (all terms positive; lo = 1 is exact), len'
+      theta_1. q = fl(a'/fl(2 lo' hi')) carries theta_8, so A' = fl(q
+      fl(lo' + hi')) = A (1 + theta_12) and D' = fl(q len') =
+      D (1 + theta_10). As |sin x - sin y| <= |x - y| and |sin D'| <= D',
+      a span's W' = fl(fl(sin A' sin D') fl(c)) is within
+      |c| D (gamma_22 A + gamma_39) of c sin A sin D, real and imaginary
+      parts each with their own |c| (sin errors and three roundings:
+      (1 + mu)^2 (1 + gamma_3) <= 1 + gamma_19).
+    * The spans are disjoint in [1, U], and D A = (a^2/4)(lo^-2 - hi^-2),
+      D = (a/2)(1/lo - 1/hi), so sum D A <= a^2/4 and sum D <= a/2: the
+      W' are within C (gamma_22 a^2/4 + gamma_39 a/2) of the exact head
+      sum h, and |W'| <= (1 + gamma_29) |c| D. Pairwise summation over
+      L = ceil(log2 m) levels of the m spans adds gamma_(L+29) C a/2.
+    * t1 = fl(fl(p_bar' s3) s3), s3 = sin of fl(a'/(2U)) = x3 (1 + theta_3),
+      is within |p_bar|_1 x3^2 gamma_30 of p_bar sin^2 x3, and
+      t2 = fl(fl(q_bar' s4)/U^2), s4 = sin of fl(a'/U) = x4 (1 + theta_3),
+      within |q_bar|_1 x4 gamma_15/U^2 of q_bar sin(x4)/U^2 (U^2 and 2U are
+      exact for U < 2^26); |p_bar|_1 <= C.
+    * value = fl(fl(fl(2/a') fl(h' + t1)) + t2) adds gamma_6 (2/a)
+      (|h'| + |t1|) + u |t2|.
+    Altogether, with a >= n pi replaced by n * _PI_UP, the roundoff is at most
+
+        C (gamma_22 a/2 + gamma_(2L+104) + gamma_(L+66) a/(2 U^2))
+        + gamma_31 |q_bar|_1 a/U^3,
+
+    computed in exact rationals; the certificate is that plus E, rounded
+    up to a double. Each row's value and bound depend only on
+    (pieces, B, n, tol).
+    """
+    parts = _degree0(pieces, B)
+    if parts is None:
+        return [None] * len(ns)
+    spans, ((p_re, q_re, r_re), (p_im, q_im, r_im)), c_mag = parts
+    r_max, q_mag = r_re + r_im, abs(q_re) + abs(q_im)
+    k_cap = min(_HEAD_SPANS_CAP // max(1, len(spans)), (2**26 - 1) // B)
+    g = _gamma_q
+    lo, hi, width, lo_1, hi_1, width_1, c_re, c_im = np.array(spans, dtype=float).reshape(-1, 8).T
+    tails = [(float(p_re), float(q_re), c_re), (float(p_im), float(q_im), c_im)][: 1 + bool(np.any(c_im))]
+    out = []
+    for n in ns:
+        end = _f64_end(r_max, B, n, tol, k_cap)
+        if end is not None:
+            U, E = end
+            a = n * _PI_UP
+            L = (U // B * len(spans) - 1).bit_length()
+            rnd = (c_mag * (g(22) * a / 2 + g(2 * L + 104) + g(L + 66) * a / (2 * U * U))
+                   + g(31) * q_mag * a / U**3)
+            cert = float_up(E + rnd)
+        if end is None or cert > tol:
+            out.append(None)
+            continue
+        a = n * math.pi
+        off = np.arange(0.0, float(U), float(B))[:, None]
+        span_lo, span_hi = off + lo, off + hi
+        span_len = np.broadcast_to(width, span_lo.shape).copy()
+        span_lo[0], span_hi[0], span_len[0] = lo_1, hi_1, width_1  # clamped at u = 1
+        q = a / (2.0 * span_lo * span_hi)
+        t = np.sin(q * (span_lo + span_hi)) * np.sin(q * span_len)
+        s3, s4 = math.sin(a / (2.0 * U)), math.sin(a / U)
+        scale = 2.0 / a
+        val = [scale * (_pairwise_sum((t * c).ravel()) + p * s3 * s3) + qb * s4 / float(U * U)
+               for p, qb, c in tails]
+        out.append((complex(*val), cert))
+    return out

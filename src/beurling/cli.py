@@ -19,7 +19,7 @@ import sys
 from fractions import Fraction
 
 from .errors import ConstraintError, DomainError, SingularSystemError, ToleranceNotMet
-from .fourier import c_batch, coefficients_csv
+from .fourier import c_batch, coefficients_csv, cosine_coeffs
 from .functions import BeurlingSpec, eval_F, eval_f, mellin_numeric
 from .mellin import MellinValue, mellin_closed, mellin_even, mellin_even_bound
 from .numerics import check_count, check_tol, float_up
@@ -193,17 +193,19 @@ def _cmd_fourier(args, spec: BeurlingSpec):
 def _cmd_routes_check(args, spec: BeurlingSpec):
     ns = list(range(1, args.n_max + 1))
     direct = c_batch(spec, ns, "direct", args.tol)
-    cosine = c_batch(spec, ns, "cosine_series", args.tol)
+    # the certified float64 batch, with its mp rows where it misses tol
+    cosine, cosine_certs = cosine_coeffs(spec, args.n_max, args.tol)
     limit = c_batch(spec, ns, "even_mellin_limit", args.tol)
     rows = []
     worst = 0.0
-    for fd, fc, fl in zip(direct, cosine, limit):
-        vals = [complex(fd.value), complex(fc.value), complex(fl.value)]
+    for fd, fc, fc_cert, fl in zip(direct, cosine, cosine_certs, limit):
+        vals = [complex(fd.value), complex(fc), complex(fl.value)]
         gap = max(
             abs(vals[0] - vals[1]), abs(vals[0] - vals[2]), abs(vals[1] - vals[2])
         )
         # the exact sum of the stored certificates, rounded up
-        certs = float_up(sum(Fraction(float(f.error_certificate)) for f in (fd, fc, fl)))
+        stored = (fd.error_certificate, fc_cert, fl.error_certificate)
+        certs = float_up(sum(Fraction(float(c)) for c in stored))
         worst = max(worst, gap)
         rows.append(
             [

@@ -2,10 +2,15 @@
 
 Three independent routes:
 
-* ``c_direct``            -- the definition, integrated on the u = 1/x side
-                             (exact heads, one Hurwitz-kernel tail); it
-                             refuses a spec past the period caps with
-                             ToleranceNotMet.
+* ``c_direct``            -- the definition, integrated on the u = 1/x side;
+                             it refuses a spec past the period caps with
+                             ToleranceNotMet. For a spec with sum a_k
+                             theta_k = 0 each row whose proven float64
+                             bound meets tol comes from
+                             `_periodic.sine_integral_f64` (head in doubles,
+                             tail by two integrations by parts); all other
+                             rows come from one `sine_integral_mp` call
+                             (exact heads, one Hurwitz-kernel tail).
 * ``c_cosine_series``     -- the cosine telescoping series over j, summed
                              to its limit.
 * ``c_even_mellin_*``     -- the even-Mellin series in M(2l), cut at an
@@ -32,7 +37,7 @@ term; the heads are exact integer sums of squares, rounded to mp once.
 
 The float64 batch ``batch_cosine_f64`` evaluates the same limit form for
 n = 1..n_max at once. Rows n <= n0 = 256 sum their own head
-j <= J(n) = max(64, ceil(2 alpha)) directly (`_direct_head`), exactly as
+j <= J(n) = max(64, ceil(2 alpha)) directly (`_cosine_head_block`), exactly as
 ``c_cosine_series`` does in mp. Rows above share one cutoff J*_k = J(n_max)
 per term, so their head sum_k a_k sum_{j<=J*_k} (cos(alpha_k/j) - 1) is a
 type-1 nonuniform DFT over the union of all terms' points, each weighted by
@@ -48,8 +53,8 @@ suite checks both against mp on the running platform.
 
 ``cosine_coeffs`` is the batch's one caller: it keeps each row whose
 certificate meets the caller's tolerance and takes the others from the
-rows of ``c_cosine_series``, all in one `_cosine_rows` call; Parseval and
-the reconstruction both read it.
+rows of ``c_cosine_series``, all in one `_cosine_rows` call; Parseval, the
+reconstruction and the CLI's routes-check read it.
 """
 from __future__ import annotations
 
@@ -140,32 +145,45 @@ def _result(spec, n, value, method, order, cert, tol=None) -> FourierCoefficient
 def c_direct(spec: BeurlingSpec, n, tol: float = 1e-10) -> FourierCoefficient:
     """c(N, n) = 2 int_0^1 F_N(x) sin(n pi x) dx; admissibility not required.
 
-    Integrated on the u = 1/x side by the periodic engine
-    (`_periodic.sine_integral_mp`: exact cosine and sine integral heads, one
-    Hurwitz-kernel tail), which reaches arbitrary tolerances; the
-    certificate also covers rounding the value to its output precision.
-    ToleranceNotMet when the thetas have no period within the caps of
-    `_periodic`.
+    Integrated on the u = 1/x side by the periodic engine. A spec with
+    sum a_k theta_k = 0 has pieces of degree 0, and its row is taken in
+    float64 (`_periodic.sine_integral_f64`: a head of exact antiderivative
+    differences in doubles, a tail by two integrations by parts) when that
+    tier's proven bound meets tol. Every other row, and every row of any
+    other spec, comes from `_periodic.sine_integral_mp` (exact cosine and
+    sine integral heads, one Hurwitz-kernel tail), which reaches arbitrary
+    tolerances; its certificate also covers rounding the value to its
+    output precision. ToleranceNotMet when the thetas have no period within
+    the caps of `_periodic`.
     """
     return _direct_rows(spec, [n], tol)[0]
 
 
 def _direct_rows(spec: BeurlingSpec, ns, tol: float) -> list[FourierCoefficient]:
-    """c_direct for each n in ns, in the order given, from one
-    `sine_integral_mp` call: rows that share the end U of the exact head
-    share its tail table, and each row's value and certificate are those of
-    its single call."""
+    """c_direct for each n in ns, in the order given. Every row whose
+    float64 bound meets tol comes from one `sine_integral_f64` call, at
+    tol/2 for the integral, doubled exactly; the tier decides which before
+    it sums any row. The other rows go to one `sine_integral_mp` call:
+    rows that share the end U of the exact head share its tail table. Each
+    row's value and certificate are those of its single call."""
     ns = [check_count(n, "n") for n in ns]
     if not ns:
         return []
     bits = bits_for_tol(tol) + 32
-    rows = _periodic.sine_integral_mp(spec.linear_pieces, spec.decomposition.period, ns, bits)
+    pieces, B = spec.linear_pieces, spec.decomposition.period
+    fast = _periodic.sine_integral_f64(pieces, B, ns, tol / 2)
+    slow_ns = [n for n, row in zip(ns, fast) if row is None]
+    slow = iter(_periodic.sine_integral_mp(pieces, B, slow_ns, bits) if slow_ns else ())
     out = []
-    for n, (val, err) in zip(ns, rows):
-        with workprec(bits):
-            # rounding 2 val to the output bits moves it by at most |2 val| 2^-bits
-            value = PrecisionComplex.from_mpc(2 * val, bits)
-            cert = 2 * err + abs(2 * val) * mpmath.mpf(2) ** -bits
+    for n, row in zip(ns, fast):
+        if row is None:
+            val, err = next(slow)
+            with workprec(bits):
+                # rounding 2 val to the output bits moves it by at most |2 val| 2^-bits
+                value = PrecisionComplex.from_mpc(2 * val, bits)
+                cert = 2 * err + abs(2 * val) * mpmath.mpf(2) ** -bits
+        else:
+            value, cert = PrecisionComplex.from_complex(2 * row[0]), 2 * row[1]
         out.append(_result(spec, n, value, "direct", None, cert, tol))
     return out
 
@@ -614,7 +632,7 @@ def _cos_tail(alpha, J):
     return tail, err + 2.0 * term + 2.0 * _F64_EPS * sum(terms)
 
 
-def _direct_head(alpha, J):
+def _cosine_head_block(alpha, J):
     """sum_{j<=J(n)} (cos(alpha/j) - 1) per row, as one dense rows x max(J) block.
 
     Returns (head, err): err bounds the roundoff (derived below).
@@ -755,7 +773,7 @@ def batch_cosine_f64(spec: BeurlingSpec, n_max: int):
         tail, tail_err = _cos_tail(alpha, J)
         # alpha carries relative error gamma_4 and |d tail/d alpha| <= alpha/J
         tail_err = tail_err + _gamma(4) * alpha * alpha / J
-        head, err = _direct_head(alpha[lo], J[lo])
+        head, err = _cosine_head_block(alpha[lo], J[lo])
         contrib = (head + tail[lo]) * (2.0 / npi[lo])
         c[lo] += t.a * contrib
         cert[lo] += abs(t.a) * (2.0 / npi[lo]) * (err + tail_err[lo])

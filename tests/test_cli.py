@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from beurling import BeurlingSpec, c_batch, mellin_closed
+from beurling import BeurlingSpec, c_batch, cosine_coeffs, mellin_closed
 from beurling.cli import main
 
 ADM1_JSON = {
@@ -250,16 +250,20 @@ class TestRoutesCheck:
 
     def test_cert_sum_covers_the_exact_sum(self, capsys, spec_a_file):
         # the printed cert_sum is >= the exact sum of the three stored
-        # certificates, which a float sum rounded to nearest need not be
+        # certificates, which a float sum rounded to nearest need not be;
+        # the cosine column is that of cosine_coeffs
         code, out, _ = run(capsys, ["routes-check", "--spec", spec_a_file, "--n-max", "6"])
         assert code == 0
         data = [r for r in csv.reader(io.StringIO(out)) if r and r[0].isdigit()]
         spec = BeurlingSpec.from_json_dict(SPEC_A_JSON)
         ns = range(1, 7)
-        routes = [c_batch(spec, ns, m, 1e-10) for m in ("direct", "cosine_series", "even_mellin_limit")]
+        direct, limit = (c_batch(spec, ns, m, 1e-10) for m in ("direct", "even_mellin_limit"))
+        cosine, cosine_certs = cosine_coeffs(spec, 6, 1e-10)
         assert len(data) == 6
-        for row, fcs in zip(data, zip(*routes)):
-            exact = sum(Fraction(float(fc.error_certificate)) for fc in fcs)
+        for row, fd, c, c_cert, fl in zip(data, direct, cosine, cosine_certs, limit):
+            assert float(row[2]) == c.real, row[0]
+            certs = (fd.error_certificate, c_cert, fl.error_certificate)
+            exact = sum(Fraction(float(x)) for x in certs)
             assert Fraction(float(row[5])) >= exact, row[0]
 
     def test_determinism_across_runs_and_threads(self, tmp_path, capsys, spec_a_file):

@@ -148,18 +148,17 @@ class TestDirectRoute:
         with pytest.raises(ToleranceNotMet, match="period"):
             c_direct(BeurlingSpec([(1, 0.3), (-0.3, 1)]), 1, 1e-4)
 
-    def test_stored_certificate_rounds_up(self, spec_a):
+    def test_stored_certificate_rounds_up(self):
         # the stored double is >= the mp certificate; rounding it to nearest
-        # left 6 of these 10 rows below it
-        tol = 1e-10
+        # left 8 of these 10 rows below it. The spec is not admissible, so
+        # every row is an mp row
+        spec, tol = NON_ADMISSIBLE, 1e-10
         bits = bits_for_tol(tol) + 32
         for n in range(1, 11):
-            [(val, err)] = sine_integral_mp(
-                spec_a.linear_pieces, spec_a.decomposition.period, [n], bits
-            )
+            [(val, err)] = sine_integral_mp(spec.linear_pieces, spec.decomposition.period, [n], bits)
             with mpmath.workprec(bits):
                 cert = 2 * err + abs(2 * val) * mpmath.mpf(2) ** -bits
-            assert float(c_direct(spec_a, n, tol).error_certificate) >= cert, n
+            assert float(c_direct(spec, n, tol).error_certificate) >= cert, n
 
     def test_certificate_honored(self, spec_a):
         hi = c_direct(spec_a, 4, tol=1e-16)
@@ -250,7 +249,8 @@ class TestDirectRows:
 
     def test_tail_table_built_once_per_U(self, spec_a, monkeypatch):
         # rows that share U share one tail table and one head span list; a
-        # lone row (n = 11, 12) walks its spans as they are made
+        # lone row (n = 11, 12) walks its spans as they are made. At tol
+        # 1e-20 no float64 bound meets tol, so every row is an mp row
         calls = {"_sine_table": [], "_head_spans": []}
         for name, seen in calls.items():
             real = getattr(_periodic, name)
@@ -268,7 +268,7 @@ class TestDirectRows:
             return real_head(spans, phis)
 
         monkeypatch.setattr(_periodic, "_head", head)
-        c_batch(spec_a, list(range(1, 13)) + [40, 40, 1], "direct", 1e-10)
+        c_batch(spec_a, list(range(1, 13)) + [40, 40, 1], "direct", 1e-20)
         assert calls == {"_sine_table": [66, 72, 78, 252], "_head_spans": [66, 72, 78, 252]}
         assert kept == [True] * 10 + [False, False] + [True] * 3
 
@@ -296,6 +296,119 @@ class TestDirectRows:
         assert [v._mpc_ if isinstance(v, mpmath.mpc) else v._mpf_ for v in got] == [
             v._mpc_ if isinstance(v, mpmath.mpc) else v._mpf_ for v in want
         ]
+
+
+# the float64 tier's audit specs: admissible, complex a, |a_k| > 1
+F64_SPECS = st.one_of(
+    exact_specs(always_admissible=True),
+    st.sampled_from([SPEC_A, BeurlingSpec([(1, 1), (-2, Fr(1, 2))]), CX_ADM]),
+)
+
+
+def _mp_tail_parts(spec, n, U, bits):
+    """(tail, p_bar part, q_bar part) at `bits`: the integral past U as the
+    mp integral less its head on [1, U] by exact antiderivative
+    differences, and the two closed-form parts of the float64 tier."""
+    pieces, B = spec.linear_pieces, spec.decomposition.period
+    [(total, _)] = sine_integral_mp(pieces, B, [n], bits)
+    _, ((p_re, q_re, _), (p_im, q_im, _)), _ = _periodic._degree0(pieces, B)
+    with mpmath.workprec(bits):
+        a = n * mpmath.pi
+        head = mpmath.mpc(0)
+        for off in range(0, U, B):
+            for lo, hi, (c0, _) in pieces:
+                lo_u, hi_u = max(lo + off, Fr(1)), hi + off
+                if hi_u > lo_u:
+                    head += to_mp(c0) * (mpmath.cos(a / to_mp(hi_u)) - mpmath.cos(a / to_mp(lo_u))) / a
+        U_mp = mpmath.mpf(U)
+        return (total - head, to_mp((p_re, p_im)) * (1 - mpmath.cos(a / U_mp)) / a,
+                to_mp((q_re, q_im)) * mpmath.sin(a / U_mp) / U_mp**2)
+
+
+def _r_max(spec):
+    """The bound on sup |R| that the float64 tier reads: Re and Im parts."""
+    _, ((_, _, r_re), (_, _, r_im)), _ = _periodic._degree0(spec.linear_pieces, spec.decomposition.period)
+    return r_re + r_im
+
+
+class TestDirectF64Tier:
+    @settings(max_examples=30, deadline=None)
+    @given(
+        spec=F64_SPECS,
+        n=st.one_of(st.integers(1, 60), st.just(1000)),
+        tol=st.sampled_from([1e-6, 1e-8, 1e-10, 1e-12]),
+    )
+    @example(spec=SPEC_A, n=1000, tol=1e-8)
+    @example(spec=CX_ADM, n=60, tol=1e-12)
+    def test_rows_within_certificate(self, spec, n, tol):
+        # every float64 row is within its certificate of the mp row at
+        # twice the bits, and c_direct is that row doubled
+        pieces, B = spec.linear_pieces, spec.decomposition.period
+        [row] = _periodic.sine_integral_f64(pieces, B, [n], tol / 2)
+        fc = c_direct(spec, n, tol)
+        if row is None:
+            assert fc.value.precision_bits > 64
+            return
+        val, cert = row
+        assert cert <= tol / 2
+        bits = 2 * (bits_for_tol(tol) + 32)
+        [(ref, ref_err)] = sine_integral_mp(pieces, B, [n], bits)
+        with mpmath.workprec(bits):
+            assert abs(mpmath.mpc(val) - ref) + ref_err <= cert
+        assert complex(fc.value) == (2 * val if not spec.is_real else complex(2 * val.real, 0.0))
+        assert float(fc.error_certificate) == 2 * cert
+
+    @pytest.mark.parametrize("which", ["SPEC_A", "CX_ADM", "THETA1_B"])
+    @pytest.mark.parametrize("n, tol", [(1, 1e-8), (7, 1e-10), (40, 1e-12), (1000, 1e-10)])
+    def test_tail_beyond_U_within_E(self, which, n, tol):
+        # the mp tail past U, less the two closed-form parts, is at most E
+        spec = {"SPEC_A": SPEC_A, "CX_ADM": CX_ADM, "THETA1_B": THETA1_B}[which]
+        B = spec.decomposition.period
+        U, E = _periodic._f64_end(_r_max(spec), B, n, tol / 2, 10**6)
+        assert E <= Fr(tol) / 8
+        bits = 2 * (bits_for_tol(tol) + 32)
+        tail, p_part, q_part = _mp_tail_parts(spec, n, U, bits)
+        with mpmath.workprec(bits):
+            assert abs(tail - p_part - q_part) <= to_mp(E)
+
+    def test_end_is_least(self, spec_a):
+        # U is the least allowed multiple of B whose E meets tol/4
+        B, r_max = spec_a.decomposition.period, _r_max(spec_a)
+        for n, tol in [(1, 1e-8), (7, 5e-11), (60, 5e-13)]:
+            U, E = _periodic._f64_end(r_max, B, n, tol, 10**6)
+            a = n * _periodic._PI_UP
+            k = U // B - 1
+            assert k * B >= _periodic._choose_U(B)
+            assert E <= Fr(tol) / 4
+            assert r_max * (3 * a / (k * B) ** 4 + a**3 / (6 * (k * B) ** 6)) > Fr(tol) / 4
+
+    def test_degree_1_pieces_take_no_float64_row(self):
+        pieces, B = NON_ADMISSIBLE.linear_pieces, NON_ADMISSIBLE.decomposition.period
+        assert _periodic.sine_integral_f64(pieces, B, [1, 2], 1e-6) == [None, None]
+
+    def test_mixed_batch_equals_single_calls(self, spec_a, monkeypatch):
+        # at tol 1e-13 SPEC_A's rows n <= 6 are float64 rows and the others
+        # fall back to mp; one sine_integral_mp call takes exactly those,
+        # and every row equals its single call
+        ns, tol = [9, 1, 40, 3, 1, 7, 6, 2], 1e-13
+        fast = _periodic.sine_integral_f64(spec_a.linear_pieces, 6, ns, tol / 2)
+        assert [n for n, row in zip(ns, fast) if row is None] == [9, 40, 7]
+        seen = []
+        real = _periodic.sine_integral_mp
+
+        def counted(pieces, B, rows, bits):
+            seen.append(list(rows))
+            return real(pieces, B, rows, bits)
+
+        monkeypatch.setattr(_periodic, "sine_integral_mp", counted)
+        batch = c_batch(spec_a, ns, "direct", tol)
+        assert seen == [[9, 40, 7]]
+        monkeypatch.undo()
+        for fc in batch:
+            one = c_direct(spec_a, fc.n, tol)
+            assert fc.value == one.value, fc.n
+            assert fc.error_certificate == one.error_certificate, fc.n
+        assert [fc.value.precision_bits == 64 for fc in batch] == [n <= 6 for n in ns]
 
 
 def _head_per_row(pieces, B, U, phis):
@@ -536,12 +649,14 @@ def test_fixed_point_heads_within_certificate(name):
 
 # c(n) of SPEC_A by the direct and cosine routes: the value's real part as
 # mpmath's (sign, mantissa, exponent) and the stored certificate as a hex
-# double, frozen from the direct route before its heads shared any work and
-# from the cosine route once its heads were fixed-point products (audited
-# by test_fixed_point_heads_within_certificate)
+# double. The direct rows at 1e-12 are float64 rows, frozen once
+# sine_integral_f64 was audited (TestDirectF64Tier); the direct row at 1e-20
+# is an mp row, frozen before its heads shared any work. The cosine rows
+# were frozen once their heads were fixed-point products (audited by
+# test_fixed_point_heads_within_certificate)
 FROZEN_ROWS = {
-    ("direct", 1, 1e-12): ((0, 0x34D33C5B3027DDCD8180680F, -94), "0x1.94a6e2f9e4eccp-83"),
-    ("direct", 7, 1e-12): ((0, 0x5F1D1867A99AB8708B27C1C3, -97), "0x1.dace80fb693ddp-84"),
+    ("direct", 1, 1e-12): ((0, 0x1A699E2D9813F1, -53), "0x1.3f708b2402d9fp-42"),
+    ("direct", 7, 1e-12): ((0, 0x17C74619EA66B3, -55), "0x1.7449777830ef6p-42"),
     ("direct", 40, 1e-20): ((0, 0x8E2B4012563176AFDEA795F615F, -112), "0x1.7c2b0e8a36d8bp-103"),
     ("cosine_series", 1, 1e-12): (
         (0, 0x69A678B6604FBB9B0300D01DC1DD, -111), "0x1.2f1b409f56dd8p-102"),
@@ -558,6 +673,14 @@ def test_rows_keep_their_bits(spec_a, method, n, tol):
     (sign, man, exp), cert = FROZEN_ROWS[method, n, tol]
     assert fc.value.re.value._mpf_[:3] == (sign, man, exp)
     assert float(fc.error_certificate) == float.fromhex(cert)
+
+
+def test_non_admissible_row_keeps_its_bits():
+    # sum a_k theta_k != 0: the pieces have degree 1 and the row stays an
+    # mp row, with the bits it had before the float64 tier
+    [fc] = c_batch(NON_ADMISSIBLE, [7], "direct", 1e-12)
+    assert fc.value.re.value._mpf_[:3] == (0, 0x1B24E75B357C3AD03C640BCF, -95)
+    assert float(fc.error_certificate) == float.fromhex("0x1.6cd038e4da214p-80")
 
 
 def _seeded_unit_spec(seed):
@@ -1120,7 +1243,7 @@ class TestPlatformAssumptions:
             assert gap.max() <= _gamma(8 * 15), l
 
     def test_sin_at_direct_head_arguments(self):
-        # _direct_head takes np.sin(alpha/(2j)) as within 4 eps relative;
+        # _cosine_head_block takes np.sin(alpha/(2j)) as within 4 eps relative;
         # sampled over its rows n <= N0 and heads j <= J(n), as it forms them
         rng = np.random.default_rng(21)
         eps = np.finfo(np.float64).eps
@@ -1134,6 +1257,28 @@ class TestPlatformAssumptions:
                 for yi, si in zip(y.tolist(), np.sin(y).tolist()):
                     ref = mpmath.sin(yi)
                     assert abs(si - ref) <= 4 * eps * abs(ref), (theta, yi)
+
+
+    def test_sin_at_direct_tier_arguments(self):
+        # sine_integral_f64 takes np.sin and math.sin as within 4 eps
+        # relative; sampled at its head arguments A = q (lo + hi) and
+        # D = q len, q = a/(2 lo hi), over spans of [1, 10^5] and a = n pi,
+        # n <= 1000, and at its tail arguments a/(2U) and a/U, U >= 64
+        rng = np.random.default_rng(32)
+        eps = np.finfo(np.float64).eps
+        a = rng.integers(1, 1001, 600).astype(np.float64) * math.pi
+        lo = 1.0 + np.floor(rng.random(600) * 10.0 ** rng.integers(0, 6, 600))
+        width = rng.random(600) * np.minimum(lo, 840.0)
+        hi = lo + width
+        q = a / (2.0 * lo * hi)
+        U = 64.0 * rng.integers(1, 2000, 600)
+        head = np.concatenate([q * (lo + hi), q * width])
+        tail = np.concatenate([a / (2.0 * U), a / U])
+        got = np.concatenate([np.sin(head), [math.sin(x) for x in tail.tolist()]])
+        with mpmath.workprec(120):
+            for x, si in zip(np.concatenate([head, tail]).tolist(), got.tolist()):
+                ref = mpmath.sin(x)
+                assert abs(si - ref) <= 4 * eps * abs(ref), x
 
 
 def _tail_mp(alpha, q):

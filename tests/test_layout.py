@@ -216,7 +216,8 @@ def test_optimizer_makes_no_blas_product():
 
 
 def test_periodic_has_no_float64_hurwitz():
-    # the engine runs in mpmath, at the bits its callers ask for
+    # the mp engine runs at the bits its callers ask for, and its float64
+    # tier needs no Hurwitz zeta
     assert "scipy" not in SOURCES["_periodic.py"]
     assert "hurwitz_zeta_f64" not in SOURCES["_periodic.py"]
 
@@ -420,6 +421,8 @@ def test_row_work_only_in_row_builders():
     assert loops
     assert not [n for loop in loops for n in ast.walk(loop) if _calls("hurwitz_zeta_row")(n)]
     assert _owners(fourier, _calls("sine_integral_mp")) == ["_direct_rows"]
+    owners = [(name, o) for name, text in SOURCES.items() for o in _owners(text, _calls("sine_integral_f64"))]
+    assert owners == [("fourier.py", "_direct_rows")]
     assert set(_owners(fourier, _calls("_direct_rows"))) == {"c_direct", "c_batch"}
     assert _owners(fourier, _calls("_m2l_mp")) == ["_m2l_table"]
     assert _owners(fourier, _calls("_m2l_table")) == ["_even_mellin_rows"]
@@ -432,6 +435,23 @@ def test_row_work_only_in_row_builders():
     assert _owners(recon, _calls("moment")) == ["sine_moments_with_cert"] * 2
     assert _owners(recon, _calls("moment_f64")) == ["sine_moments_with_cert"]
     assert sorted(_owners(recon, _calls("_horner"))) == ["_AsymptoticTerms"] * 4 + ["_SeriesTable"] * 2
+
+
+# the cosine route's functions in fourier.py, float64 batch included
+COSINE_ROUTE = ("c_cosine_series", "_cosine_weights", "_cosine_rows", "_cos_tail",
+                "_cosine_head_block", "_nufft_head", "batch_cosine_f64", "cosine_coeffs")
+
+
+def test_direct_and_cosine_routes_independent():
+    # routes-check compares the routes, so neither may read the other's
+    # code: the direct route (c_direct, _direct_rows and the periodic
+    # engine) names nothing of the cosine route, float64 tiers included,
+    # and the cosine route names neither the direct route nor its engine
+    fourier = SOURCES["fourier.py"]
+    assert set(_owners(fourier, _reads(*COSINE_ROUTE))) & {"c_direct", "_direct_rows"} == set()
+    assert _owners(SOURCES["_periodic.py"], _reads(*COSINE_ROUTE)) == []
+    direct = ("c_direct", "_direct_rows", "_periodic", "sine_integral_f64", "sine_integral_mp")
+    assert set(_owners(fourier, _reads(*direct))) & set(COSINE_ROUTE) == set()
 
 
 def test_reconstruct_caches_only_sine_moments():
