@@ -17,7 +17,7 @@ Hurwitz zeta kernel:
 No cutoff-epsilon tail bound is ever needed, which is what makes small
 sigma and tight tolerances reachable at all.
 
-The engine is in mpmath: `_head` sums the exact head and `_tail_table`
+The mp engine: `_head` sums the exact head and `_tail_table`
 the tail, one Taylor expansion of the kernel about the middle of the
 period, shared by every piece and exponent, with an a priori bound on
 truncation and roundoff. The head is split in two: `_head_spans` lays out
@@ -45,6 +45,15 @@ second primitive. It uses no Hurwitz zeta. U is the least allowed multiple
 of B at which that bound is tol/4, and every certificate is proven from
 Higham's rounding model (proof in its docstring). A row whose certificate
 would miss tol is None, and the caller takes it from `sine_integral_mp`.
+
+`power_integral_f64` is the float64 tier of int_1^inf P(u) u^(-1-s) du
+for the same pieces of degree 0: the head is an exact power difference
+per span, lo^-s (1 - (1 + len/lo)^-s)/s from libm's log1p, expm1, exp,
+log, cos and sin, summed pairwise in numpy in blocks of periods; the tail
+is the same two closed-form terms and a priori remainder. Its certificate
+is proven in Higham's model as well, and it is None where that misses
+tol, in which case the caller takes `u_integral_mp`. Both tiers find
+their U with `_least_end`.
 
 `_period` alone decides whether a theta set is in reach: past PERIOD_CAP or
 PIECES_CAP it returns None, and `_joint_period`, which `decompose`,
@@ -599,24 +608,15 @@ def _period_means(widths, values, B: int):
     return p_bar, q_bar, r / 2
 
 
-def _f64_end(r_max, B: int, n: int, tol: float, k_cap: int):
-    """(U, E): U = k B the least allowed end of the head (`_choose_U`) with
-    E = r_max (3a/U^4 + a^3/(6 U^6)) <= tol/4, a = n * _PI_UP >= n pi, E
-    exact; None when that needs k > k_cap. The search runs in floats and
-    the exact E decides the last steps, so U depends only on its inputs."""
+def _least_end(err, err_f, B: int, tol: float, k_cap: int):
+    """(U, err(k)): U = k B the least allowed end of the head (`_choose_U`)
+    with err(k) <= tol/4, or None when that needs k > k_cap. err(k) is the
+    proven bound (exact, or rounded up) on what is left past U = k B and
+    falls in k; err_f(k) is a float of about its size. The search runs on
+    err_f and err decides the last steps, so U depends only on the inputs.
+    Both float64 tiers find their U here."""
     k_min = _choose_U(B) // B
-    a = n * _PI_UP
     target = Fraction(tol) / 4
-
-    def err(k):
-        U = B * k
-        return r_max * (3 * a / U**4 + a**3 / (6 * U**6))
-
-    def err_f(k):
-        U = float(B * k)
-        return r_f * (3.0 * a_f / U**4 + a_f**3 / (6.0 * U**6))
-
-    r_f, a_f = float(r_max), float(a)
     lo, hi = k_min - 1, k_min  # err_f(hi) <= tol/4 once the doubling ends
     while err_f(hi) > tol / 4:
         if hi > 2 * k_cap:
@@ -628,9 +628,26 @@ def _f64_end(r_max, B: int, n: int, tol: float, k_cap: int):
     k = hi
     while k > k_min and err(k - 1) <= target:
         k -= 1
-    while err(k) > target:
+    while k <= k_cap and err(k) > target:
         k += 1
     return None if k > k_cap else (B * k, err(k))
+
+
+def _f64_end(r_max, B: int, n: int, tol: float, k_cap: int):
+    """`_least_end` of the sine tier: E = r_max (3a/U^4 + a^3/(6 U^6)),
+    a = n * _PI_UP >= n pi, exact."""
+    a = n * _PI_UP
+    r_f, a_f = float(r_max), float(a)
+
+    def err(k):
+        U = B * k
+        return r_max * (3 * a / U**4 + a**3 / (6 * U**6))
+
+    def err_f(k):
+        U = float(B * k)
+        return r_f * (3.0 * a_f / U**4 + a_f**3 / (6.0 * U**6))
+
+    return _least_end(err, err_f, B, tol, k_cap)
 
 
 def _pairwise_sum(x) -> float:
@@ -738,3 +755,216 @@ def sine_integral_f64(pieces, B: int, ns, tol: float):
                for p, qb, c in tails]
         out.append((complex(*val), cert))
     return out
+
+
+# ---------------------------------------------------------------------------
+# float64 tier of the power integral
+# ---------------------------------------------------------------------------
+
+# libm's log1p, expm1, exp, log, cos and sin (numpy's and math's) are taken
+# as within 4 ulps, so 8u relative; the test suite checks each on the
+# running platform
+_MU = Fraction(8, 2**53)
+# above ln 2, so that U.bit_length() * _LN2_UP >= ln U
+_LN2_UP = Fraction(6932, 10000)
+# head spans per numpy block of whole periods, so that memory does not grow with U
+_BLOCK_SPANS = 4096
+
+
+def _sqrt_up(x: Fraction) -> Fraction:
+    """A rational >= sqrt(x), within 2^-54 relative of it, for x >= 0."""
+    n, d = x.numerator, x.denominator
+    k = max(0, 56 - (n * d).bit_length() // 2)
+    m = (n * d) << (2 * k)
+    r = math.isqrt(m)
+    return Fraction(r + (r * r < m), d << k)
+
+
+def _power_bound(scale: Fraction, expo: Fraction, U: int) -> Fraction:
+    """A rational >= scale U^-expo for expo > 0, from libm's log and exp:
+    l = log(U) is within mu relative of ln U, so y = fl-down of
+    expo l/(1 + mu) is at most expo ln U, and exp(-y) is at most
+    fl-exp(-y)/(1 - mu)."""
+    y = -float_up(-expo * Fraction(math.log(U)) / (1 + _MU))
+    return scale * Fraction(math.exp(-y)) / (1 - _MU)
+
+
+def _power_end(r_max, B: int, s, tol: float, k_cap: int):
+    """`_least_end` of the power tier: E = |(s+1)(s+2)| r_max
+    U^-(sig+2)/(sig+2), sig = Re s, bounded above in rationals."""
+    sig = s.real
+    sg, ta = Fraction(sig), Fraction(s.imag)
+    scale = _sqrt_up(((sg + 1) ** 2 + ta**2) * ((sg + 2) ** 2 + ta**2)) * r_max / (sg + 2)
+    scale_f = float(scale)
+    return _least_end(lambda k: _power_bound(scale, sg + 2, B * k),
+                      lambda k: scale_f * float(B * k) ** -(sig + 2), B, tol, k_cap)
+
+
+def _power_spans(lo, width, sig: float, tau: float):
+    """(V_re, V_im) with V = lo^-s (1 - (1 + width/lo)^-s), s = sig + i tau,
+    for arrays of span starts lo >= 1 and widths; V_im is None when tau = 0,
+    where the complex steps would only multiply by cos 0 = 1 and sin 0 = 0.
+    With x = log1p(width/lo), 1 - e^(-s x) = -expm1(-sig x) cos(tau x)
+    + 2 sin^2(tau x/2) + i e^(-sig x) sin(tau x) and lo^-s =
+    e^(-sig L) (cos(tau L) - i sin(tau L)), L = log lo."""
+    x = np.log1p(width / lo)
+    em = np.expm1(-(sig * x))
+    L = np.log(lo)
+    ez = np.exp(-(sig * L))
+    if tau == 0:
+        return ez * -em, None
+    b = tau * x
+    sh = np.sin(0.5 * b)
+    g_re = 2.0 * (sh * sh) - em * np.cos(b)
+    g_im = (1.0 + em) * np.sin(b)
+    z_re, z_im = ez * np.cos(tau * L), -(ez * np.sin(tau * L))
+    return z_re * g_re - z_im * g_im, z_re * g_im + z_im * g_re
+
+
+def power_integral_f64(pieces, B: int, s, tol: float):
+    """(complex value, float err_bound) of int_1^inf P(u) u^(-1-s) du, or
+    None, for periodic P of degree 0 over [0, B] (pieces as for
+    `u_integral_mp`, in order) and s = sig + i tau the caller's float or
+    complex, so that no exponent is rounded. None when some piece has
+    degree >= 1, when sig is outside [2^-32, 32] or |tau| outside 0 and
+    [2^-32, 1024], when the head would pass _HEAD_SPANS_CAP spans, or when the proven bound would
+    exceed tol; which of these holds is decided before the head is summed.
+    The caller then takes `u_integral_mp`.
+
+    The integral is (H + p_bar U^-s)/s + q_bar U^(-s-1) + E:
+
+    * Head on [1, U], U = k B from `_least_end`. A span of constant c,
+      start lo >= 1 and width w adds c (lo^-s - hi^-s)/s = c V/s, V =
+      lo^-s G, G = 1 - e^(-s x), x = log1p(w/lo) (`_power_spans`). H sums
+      c V pairwise in numpy, within blocks of whole periods of about
+      _BLOCK_SPANS spans and then over the blocks.
+    * Tail. With p_bar, q_bar, R as in `sine_integral_f64` (`_period_means`
+      of Re P and Im P, U a multiple of B) and g(u) = u^(-1-s), two
+      integrations by parts give p_bar U^-s/s + q_bar U^(-s-1) + E,
+      E = int_U^inf R g'', g'' = (s+1)(s+2) u^(-s-3), so
+      |E| <= |(s+1)(s+2)| r_max U^(-sig-2)/(sig+2), r_max the sum of the r
+      of the two parts. U is the least allowed multiple of B where that is
+      at most tol/4, bounded above in rationals from libm's log and exp
+      (`_power_bound`, `_sqrt_up`).
+
+    Roundoff, in Higham's model (Accuracy and Stability of Numerical
+    Algorithms, 2nd ed., 3.1-3.5: each operation rounds by 1 + delta,
+    |delta| <= u = 2^-53; theta_k is a product of k such factors, and
+    |theta_k| <= gamma_k), taking libm's log1p, expm1, exp, log, cos and sin
+    as within 4 ulps, so within mu = 8u relative, each a theta_8. Write
+    a = sig x, b = tau x, zeta = lo^-sig, L = ln lo <= ln U <= 18.1
+    (U < 2^26) and |z|_1 = |Re z| + |Im z|.
+    * lo' = fl(off + fl(lo)) is lo (1 + theta_2) and w' is w (1 + theta_1),
+      so fl(w'/lo') = (w/lo)(1 + theta_4). As log1p(t(1 + eta)) - log1p(t)
+      = log1p(t eta/(1 + t)) and log1p(t) >= t/(1 + t), x' = x (1 +
+      theta_13) and a', b' carry theta_14.
+    * em' = fl-expm1(-a') = em (1 + theta_23), em = expm1(-a): the change
+      of expm1 is at most |a' - a| e^(-a) e^(a gamma_14) <= gamma_15 |em|
+      as a <= 600 and 1 - e^(-a) >= a e^(-a). Then ea' = fl(1 + em') is
+      within gamma_24 of e^(-a), |em| <= min(a, 1), and each of sin(b'),
+      sin(b'/2), cos(b') is within gamma_14 |b| of its value at b, so
+      libm's sin(b') is within gamma_22 |b| of sin b and its cos(b') within
+      gamma_14 |b| + gamma_8 of cos b. Counting each product, G_re' is
+      within gamma_44 a + gamma_64 |b| and G_im' within gamma_48 |b|:
+      |G' - G|_1 <= eps_g (a + |b|), eps_g = gamma_120, and |G|_1 <=
+      a + 2|b| <= nu x, nu = sig + 2|tau|.
+    * L' = fl-log(lo') is within lambda_0 = gamma_8 L + gamma_4 of L, and
+      fl(sig L') within sig lambda, lambda = gamma_10 ln U + gamma_5, and
+      fl(tau L') within |tau| lambda. With sig lambda < 2^-38, |Z' - lo^-s|_1 <= zeta eps_z,
+      eps_z = 2((2 sig + |tau|) lambda + gamma_17)(1 + 2^-20), and |Z|_1
+      <= 2 zeta.
+    * V' = fl(Z' G') (four products, two sums) is within gamma_2 |Z'|_1
+      |G'|_1 of Z'G', so |V' - V|_1 <= zeta nu x Theta, Theta = (eps_z +
+      2 eps_g + 2 gamma_2)(1 + eps_z + eps_g + gamma_2). fl(c' V') adds
+      gamma_2 |c| |V'|_1, and pairwise summation over L_s levels (those of
+      a block plus those over the blocks, Higham 4.2) adds gamma_(L_s) of
+      the sum of the |terms|. As zeta x <= (1 + sig x) int_lo^hi u^(-sig-1)
+      du and zeta x <= x, sum zeta x <= S = min(ln U, (1 + sig w_max)/sig),
+      and both parts' sums H' are within C nu S Psi, C = c_mag, Psi =
+      Theta + gamma_2 (2 + Theta) + gamma_(L_s) (2 + Theta)(1 + gamma_2),
+      with sum of |H'|_1 <= M_H = C nu S (2 + Psi).
+    * U^-s is formed as lo^-s at lo = U, so within eps_z, and U^-sig <= 1.
+      With 1/s rounded from the exact rational (within u|1/s|_1), Y' =
+      fl(H' + fl(p_bar' U^-s')) (M_Y = (1 + u) M_H + 3 P, P = |p_bar|_1),
+      fl((1/s)' Y') and the q_bar term fl(q_bar' fl(U^-s'/U)) (within
+      |q_bar|_1 (eps_z + 3 gamma_3)/U), and the last two sums (gamma_2 of
+      M_V = (1 + gamma_5) |1/s|_1 M_Y + 3 |q_bar|_1/U), the roundoff is at most
+
+        |1/s|_1 (C nu S Psi + P (eps_z + 3 gamma_2) + gamma_5 M_Y)
+        + |q_bar|_1 (eps_z + 3 gamma_3)/U + gamma_2 M_V
+        + (m + 1)(C + |q_bar|_1 + 1) 2^-1000,
+
+      m the number of head spans. The last term covers underflow (Higham
+      2.8: a product may add an absolute 2^-1075): no libm value is
+      subnormal within the caps on sig, tau and U, and an underflowed
+      product is carried through factors below 2^50.
+
+    It is computed in exact rationals; the certificate is that plus E,
+    rounded up to a double. The value and bound depend only on
+    (pieces, B, s, tol).
+    """
+    sig, tau = s.real, s.imag
+    if not (2.0**-32 <= sig <= 32.0 and (tau == 0 or 2.0**-32 <= abs(tau) <= 1024.0)):
+        return None
+    parts = _degree0(pieces, B)
+    if parts is None:
+        return None
+    spans, ((p_re, q_re, r_re), (p_im, q_im, r_im)), c_mag = parts
+    k_cap = min(_HEAD_SPANS_CAP // max(1, len(spans)), (2**26 - 1) // B)
+    end = _power_end(r_re + r_im, B, s, tol, k_cap)
+    if end is None:
+        return None
+    U, E = end
+    sg, ta = Fraction(sig), abs(Fraction(tau))
+    periods = U // B
+    block = max(1, _BLOCK_SPANS // max(1, len(spans)))
+    g = _gamma_q
+    L_s = (min(block, periods) * len(spans) - 1).bit_length() + (-(-periods // block) - 1).bit_length()
+    ln_U = U.bit_length() * _LN2_UP
+    w_max = max((sp[2] for sp in spans), default=Fraction(0))
+    S = min(ln_U, (1 + sg * w_max) / sg)
+    nu = sg + 2 * ta
+    lam = g(10) * ln_U + g(5)
+    eps_z = 2 * ((2 * sg + ta) * lam + g(17)) * (1 + Fraction(1, 2**20))
+    eps_g = g(120)
+    theta = (eps_z + 2 * eps_g + 2 * g(2)) * (1 + eps_z + eps_g + g(2))
+    psi = theta + g(2) * (2 + theta) + g(L_s) * (2 + theta) * (1 + g(2))
+    inv_1 = (sg + ta) / (sg * sg + ta * ta)
+    p_mag, q_mag = abs(p_re) + abs(p_im), abs(q_re) + abs(q_im)
+    m_y = (1 + g(1)) * c_mag * nu * S * (2 + psi) + 3 * p_mag
+    m_v = (1 + g(5)) * inv_1 * m_y + 3 * q_mag / U
+    rnd = (inv_1 * (c_mag * nu * S * psi + p_mag * (eps_z + 3 * g(2)) + g(5) * m_y)
+           + q_mag * (eps_z + 3 * g(3)) / U + g(2) * m_v
+           + (periods * len(spans) + 1) * (c_mag + q_mag + 1) / Fraction(2**1000))
+    cert = float_up(E + rnd)
+    if cert > tol:
+        return None
+
+    lo, _, width, lo_1, _, width_1, c_re, c_im = np.array(spans, dtype=float).reshape(-1, 8).T
+    rows = [(float(p_re), float(q_re), c_re), (float(p_im), float(q_im), c_im)][: 1 + bool(np.any(c_im))]
+    sums = [([], []) for _ in rows]
+    for k0 in range(0, periods, block):
+        span_lo = np.arange(k0, min(k0 + block, periods), dtype=float)[:, None] * float(B) + lo
+        span_w = np.broadcast_to(width, span_lo.shape)
+        if k0 == 0:  # the first period, clamped at u = 1
+            span_w = span_w.copy()
+            span_lo[0], span_w[0] = lo_1, width_1
+        v_re, v_im = _power_spans(span_lo, span_w, sig, tau)
+        for (_, _, c), (acc_re, acc_im) in zip(rows, sums):
+            acc_re.append(_pairwise_sum((v_re * c).ravel()))
+            if v_im is not None:
+                acc_im.append(_pairwise_sum((v_im * c).ravel()))
+    # U^-s and 1/s
+    ez, beta = math.exp(-(sig * math.log(U))), tau * math.log(U)
+    zu_re, zu_im = (ez, 0.0) if tau == 0 else (ez * math.cos(beta), -(ez * math.sin(beta)))
+    inv_re, inv_im = float(sg / (sg * sg + ta * ta)), float(-Fraction(tau) / (sg * sg + ta * ta))
+    vals = []
+    for (p, q, _), (acc_re, acc_im) in zip(rows, sums):
+        y_re = _pairwise_sum(np.array(acc_re)) + p * zu_re
+        y_im = _pairwise_sum(np.array(acc_im)) + p * zu_im
+        vals.append((inv_re * y_re - inv_im * y_im + q * (zu_re / U),
+                     inv_re * y_im + inv_im * y_re + q * (zu_im / U)))
+    if len(vals) == 1:
+        return complex(*vals[0]), cert
+    (a_re, a_im), (b_re, b_im) = vals
+    return complex(a_re - b_im, a_im + b_re), cert

@@ -8,8 +8,10 @@ values like 3/5 that no float represents), or a unit-fraction denominator b.
 `_to_theta` parses every theta, the optimizer's as well as the spec's.
 
 The integrals `mellin_numeric` and `norm_numeric` run on the u = 1/x side
-through `_periodic`, the one integrator; a spec whose thetas have no period
-within its caps (the float 0.1 has period 2^55) raises ToleranceNotMet.
+through `_periodic`, the one integrator, which `_u_integral` alone calls:
+its float64 tier for an admissible spec when that certifies tol, else its
+mp engine. A spec whose thetas have no period within its caps (the float
+0.1 has period 2^55) raises ToleranceNotMet.
 """
 from __future__ import annotations
 
@@ -32,6 +34,7 @@ from .numerics import (
     bits_for_tol,
     check_cert,
     check_count,
+    float_up,
     workprec,
 )
 
@@ -279,42 +282,82 @@ def eval_F(spec: BeurlingSpec, x) -> complex:
 # ---------------------------------------------------------------------------
 
 
+def _u_integral(pieces, B: int, s: complex, tol: float, prec_bits: int):
+    """(value, err, bits) of int_1^inf P(u) u^(-1-s) du: the float64 tier
+    `_periodic.power_integral_f64` at tol when it certifies it (a complex
+    stored at 64 bits), else `_periodic.u_integral_mp` at r = s + 1 and
+    prec_bits (an mpc at prec_bits). The one caller of either."""
+    fast = _periodic.power_integral_f64(pieces, B, s, tol)
+    if fast is not None:
+        return fast[0], fast[1], 64
+    # r = s + 1 formed in mp: in float64 the sum rounds for non-dyadic s
+    with workprec(prec_bits):
+        r = mpmath.mpc(s) + 1
+    val, err = _periodic.u_integral_mp(pieces, B, r, prec_bits)
+    return val, err, prec_bits
+
+
 def mellin_numeric(spec: BeurlingSpec, s, tol: float = 1e-10) -> MellinValue:
     """M_{F_N}(s) = int_0^1 F_N(x) x^{s-1} dx by certified quadrature.
 
-    The u = 1/x substitution makes the integrand periodic piecewise-linear,
-    and the integral is an exact head plus a Hurwitz-zeta tail
-    (`_periodic.u_integral_mp`). The certificate is the a priori truncation
-    bound of the kernel expansion plus roundoff, rounded up to the stored
-    double. ToleranceNotMet when the thetas have no period within the caps
-    of `_periodic` or the certificate exceeds tol.
+    The u = 1/x substitution makes the integrand periodic piecewise-linear:
+    M(s) = int_1^inf F(1/u) u^(-1-s) du (`_u_integral`). For an admissible
+    spec the pieces are constants, and the float64 tier takes it when its
+    proven bound meets tol: an exact power difference per head span and a
+    closed-form tail with an a priori remainder bound; the value is then
+    stored at 64 bits. Otherwise the head is exact in mp and the tail a
+    Hurwitz-zeta kernel expansion with an a priori truncation bound, at
+    bits_for_tol(tol) + 32 bits. The certificate covers truncation and
+    roundoff, rounded up to the stored double. ToleranceNotMet when the
+    thetas have no period within the caps of `_periodic` or the certificate
+    exceeds tol.
     """
     s_c = as_complex(s)
     if s_c.real <= 0:
         raise DomainError(f"mellin_numeric requires Re(s) > 0, got {s_c.real}")
     bits = bits_for_tol(tol)
-    # r = s + 1 formed in mp: in float64 the sum rounds for non-dyadic s
-    with workprec(bits + 32):
-        r = mpmath.mpc(s_c) + 1
-    val, err = _periodic.u_integral_mp(spec.linear_pieces, spec.decomposition.period, r, bits + 32)
+    val, err, val_bits = _u_integral(spec.linear_pieces, spec.decomposition.period, s_c, tol, bits + 32)
     err_f = check_cert(err, tol, "M(s) by quadrature")
     return MellinValue(
         s=PrecisionComplex.from_complex(s_c, bits),
-        value=PrecisionComplex.from_mpc(val, bits + 32),
+        value=PrecisionComplex.from_mpc(val, val_bits),
         provenance="quadrature",
         error_bound=PrecisionReal.from_float(err_f, 64),
     )
 
 
+def _norm_integral_tol(pieces, B: int, tol: float) -> float:
+    """The tolerance t asked of I = ||F||^2 = int_1^inf P(u) u^-2 du, P =
+    |F(1/u)|^2 >= 0, so that a square within t of I keeps the certificate
+    of `norm_numeric` at most tol.
+
+    Over [jB, (j+1)B] the integral is at least ((j+1)B)^-2 times P's mass
+    over a period, so I >= (pi^2/6 - 1) mass/B^2 >= r^2, with r a double.
+    For t <= r^2/4 the square sq is above 2t >= t, so the certificate
+    e/(sqrt(sq) + sqrt(sq - e)) is at most t/(sqrt(2) r), which is at most
+    tol/(2 sqrt(2)) for t <= tol r/2. t is 0 when P has no mass."""
+    mass = sum(
+        (hi - lo) * c0 + (hi * hi - lo * lo) * c1 / 2 + (hi**3 - lo**3) * c2 / 3
+        for lo, hi, (c0, c1, c2) in pieces
+    )
+    # the double below the rounded square root is at most the exact one
+    r = math.nextafter(math.sqrt(-float_up(-Fraction(16, 25) * mass / (B * B))), 0)
+    r_q = Fraction(r)
+    return -float_up(-min(Fraction(tol) * r_q / 2, r_q * r_q / 4))
+
+
 def norm_numeric(spec: BeurlingSpec, tol: float = 1e-10) -> PrecisionReal:
     """L2(0,1) norm of F_N = f_N + 1: the square root of the u-integral of
-    |F(1/u)|^2 u^-2 (`_periodic.u_integral_mp`). ToleranceNotMet when the
-    thetas have no period within the caps of `_periodic` or the certified
-    norm error exceeds tol."""
+    |F(1/u)|^2 u^-2 (`_u_integral` at s = 1: the float64 tier for an
+    admissible spec, at the integral tolerance of `_norm_integral_tol`,
+    else the mp engine at bits_for_tol(tol) + 32 bits). ToleranceNotMet
+    when the thetas have no period within the caps of `_periodic` or the
+    certified norm error exceeds tol."""
     bits = bits_for_tol(tol)
     pieces = _periodic.f_abs2_pieces(spec.linear_pieces)
+    B = spec.decomposition.period
     p = bits + 32
-    val, err = _periodic.u_integral_mp(pieces, spec.decomposition.period, 2, p)
+    val, err, _ = _u_integral(pieces, B, 1.0, _norm_integral_tol(pieces, B, tol), p)
     with workprec(p):
         sq, e = mpmath.mpf(val.real), mpmath.mpf(err)
         # the square I >= 0 lies within e of sq, so |sqrt(sq) - sqrt(I)| is

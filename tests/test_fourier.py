@@ -1224,8 +1224,9 @@ class TestBatch:
 
 class TestPlatformAssumptions:
     """The batch certificates take numpy's FFT twiddles and libm's sin as
-    accurate to a few ulps (module docstring of fourier); these check both
-    on the running platform, against mp."""
+    accurate to a few ulps (module docstring of fourier), and the float64
+    tiers of _periodic take libm's sin, and log1p, expm1, exp, log and cos,
+    as within 4 ulps; these check each on the running platform, against mp."""
 
     def test_rfft_of_unit_impulses(self):
         # at M = 2^15 the FFT bound is gamma_(8 log2 M) ||w||_1, and a unit
@@ -1279,6 +1280,46 @@ class TestPlatformAssumptions:
             for x, si in zip(np.concatenate([head, tail]).tolist(), got.tolist()):
                 ref = mpmath.sin(x)
                 assert abs(si - ref) <= 4 * eps * abs(ref), x
+
+    def test_libm_at_power_tier_arguments(self):
+        # power_integral_f64 takes numpy's and math's log1p, expm1, exp, log,
+        # cos and sin as within 4 eps relative; sampled at its head
+        # arguments (span starts lo in [1, 2^26), widths up to 840,
+        # Re s in [2^-32, 32], |Im s| <= 1024) and its tail arguments
+        # (U up to 2^26, and exp(-y) for y up to (32 + 2) ln 2^26)
+        rng = np.random.default_rng(33)
+        eps = np.finfo(np.float64).eps
+        k = 600
+        lo = np.minimum(1.0 + np.floor(rng.random(k) * 10.0 ** rng.integers(0, 8, k)), 2.0**26 - 1)
+        width = rng.random(k) * 840.0
+        sig = 2.0 ** rng.uniform(-32, 5, k)
+        tau = rng.uniform(-1024, 1024, k)
+        x = np.log1p(width / lo)
+        L = np.log(lo)
+        U = rng.integers(64, 2**26, k).astype(np.float64)
+        y = rng.uniform(0, 34 * math.log(2.0**26), k)
+        cases = [
+            (np.log1p, mpmath.log1p, width / lo),
+            (np.expm1, mpmath.expm1, -(sig * x)),
+            (np.log, mpmath.log, lo),
+            (np.exp, mpmath.exp, -(sig * L)),
+            (np.cos, mpmath.cos, tau * x),
+            (np.sin, mpmath.sin, tau * x),
+            (np.sin, mpmath.sin, 0.5 * (tau * x)),
+            (np.cos, mpmath.cos, tau * L),
+            (np.sin, mpmath.sin, tau * L),
+            (math.log, mpmath.log, U),
+            (math.exp, mpmath.exp, -(sig * np.log(U))),
+            (math.exp, mpmath.exp, -y),
+            (math.cos, mpmath.cos, tau * np.log(U)),
+            (math.sin, mpmath.sin, tau * np.log(U)),
+        ]
+        with mpmath.workprec(120):
+            for f, ref_f, args in cases:
+                got = f(args).tolist() if isinstance(f, np.ufunc) else [f(a) for a in args.tolist()]
+                for a, v in zip(args.tolist(), got):
+                    ref = ref_f(mpmath.mpf(a))
+                    assert abs(v - ref) <= 4 * eps * abs(ref), (f.__name__, a)
 
 
 def _tail_mp(alpha, q):

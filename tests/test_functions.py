@@ -7,7 +7,7 @@ from fractions import Fraction as Fr
 
 import mpmath
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import beurling._periodic as periodic
@@ -219,17 +219,31 @@ class TestEval:
 
 class TestMellinNumeric:
     def test_adm1_oracle_s2(self, adm1):
-        mv = mellin_numeric(adm1, 2.0, 1e-12)
-        assert mv.provenance == "quadrature"
+        # at tol 1e-12 the float64 tier takes it, within its certificate; at
+        # 1e-20 the mp engine, within 1e-20 of the oracle
         with mpmath.workprec(120):
             ref = mpmath.mpf("0.0887664832879433908818962083385")
-            assert abs(mv.value.re.value - ref) < 1e-20
+        mv = mellin_numeric(adm1, 2.0, 1e-12)
+        assert mv.provenance == "quadrature"
+        assert mv.value.precision_bits == 64
         assert float(mv.error_bound) <= 1e-12
+        with mpmath.workprec(120):
+            assert abs(mv.value.re.value - ref) <= mv.error_bound.value
+        mv = mellin_numeric(adm1, 2.0, 1e-20)
+        assert mv.value.precision_bits > 64
+        with mpmath.workprec(120):
+            assert abs(mv.value.re.value - ref) < 1e-20
 
     def test_adm1_oracle_s4(self, adm1):
-        mv = mellin_numeric(adm1, 4.0, 1e-12)
         with mpmath.workprec(120):
             ref = mpmath.mpf("0.0132417926256885206058741913816")
+        mv = mellin_numeric(adm1, 4.0, 1e-12)
+        assert mv.value.precision_bits == 64
+        with mpmath.workprec(120):
+            assert abs(mv.value.re.value - ref) <= mv.error_bound.value
+        mv = mellin_numeric(adm1, 4.0, 1e-20)
+        assert mv.value.precision_bits > 64
+        with mpmath.workprec(120):
             assert abs(mv.value.re.value - ref) < 1e-20
 
     def test_complex_s_matches_closed(self, adm1):
@@ -286,13 +300,17 @@ class TestMellinNumeric:
                 mellin_numeric(spec, complex(1.5, 2), 1e-4)
 
     @pytest.mark.parametrize("s", [2.0, 3.0, 4.0, 0.3, complex(1.5, 2)])
-    def test_stored_bound_rounds_up(self, spec_a, s):
+    def test_stored_bound_rounds_up(self, s):
         # the mp certificate rounded to nearest fell below it at s = 3 and 4
-        mv = mellin_numeric(spec_a, s, 1e-10)
+        # on SPEC_A; that spec now takes the float64 tier, so the check runs
+        # on a non-admissible spec, whose rounded-to-nearest certificate
+        # would fall below it at s = 2, 3, 4 and 1.5 + 2i
+        spec = BeurlingSpec([(1, Fr(1, 2)), (-1, Fr(1, 3))])
+        mv = mellin_numeric(spec, s, 1e-10)
         bits = bits_for_tol(1e-10) + 32
         with mpmath.workprec(bits):
             r = mpmath.mpc(s) + 1
-        _, err = u_integral_mp(spec_a.linear_pieces, spec_a.decomposition.period, r, bits)
+        _, err = u_integral_mp(spec.linear_pieces, spec.decomposition.period, r, bits)
         assert mv.error_bound.value >= err
 
 
@@ -316,14 +334,23 @@ class TestNormNumeric:
             norm_numeric(spec, 1e-6)
         assert time.perf_counter() - start < 1.0
 
-    def test_certificate_covers_an_overestimated_square(self, adm1, monkeypatch):
+    def test_certificate_covers_an_overestimated_square(self, monkeypatch):
         # a square sq = 4.0001e-12 within e = 1e-12 of the true one may
         # overestimate it by e: the norm is then off by
         # e / (sqrt(sq) + sqrt(sq - e)) = 2.68e-7, past e / (2 sqrt(sq)) =
-        # 2.50e-7 and past tol
+        # 2.50e-7 and past tol. The spec is not admissible, so the integral
+        # is u_integral_mp's
+        spec = BeurlingSpec([(1, Fr(1, 2)), (-1, Fr(1, 3))])
         monkeypatch.setattr(periodic, "u_integral_mp", lambda *args: (4.0001e-12, 1e-12))
         with pytest.raises(ToleranceNotMet, match="the L2 norm"):
-            norm_numeric(adm1, 2.59e-7)
+            norm_numeric(spec, 2.59e-7)
+
+    def test_non_admissible_norm_keeps_its_bits(self):
+        # the float64 tier declines pieces of degree 1, so this norm comes
+        # from the mp engine with the bits it had before the tier
+        n = norm_numeric(NON_ADMISSIBLE, 1e-10)
+        assert n.precision_bits == 80
+        assert n.value._mpf_ == (0, 673707327479681974825919, -79, 80)
 
     def test_empty_norm_is_one(self, empty_spec):
         assert abs(float(norm_numeric(empty_spec, 1e-12)) - 1.0) < 1e-14
@@ -432,6 +459,142 @@ class TestUTailCertificate:
         with mpmath.workprec(128):
             assert abs(val.real - ref) <= err
         assert abs(float(norm_numeric(spec, 1e-10)) - math.sqrt(float(ref))) <= 1e-10
+
+
+SPEC_A = BeurlingSpec([(1, Fr(1, 2)), (-1, Fr(1, 3)), (-1, Fr(1, 6))])
+ADM1 = BeurlingSpec([(1, 1), (-2, Fr(1, 2))])
+# complex coefficients on theta = 1/2, 1/3, 2/5, admissible: period 30
+CX_ADM = BeurlingSpec(
+    [((Fr(1, 2), Fr(1, 3)), Fr(1, 2)), ((Fr(-1, 4), Fr(1, 5)), Fr(1, 3)), ((Fr(-5, 12), Fr(-7, 12)), Fr(2, 5))]
+)
+NON_ADMISSIBLE = BeurlingSpec([(1, Fr(1, 2)), (-1, Fr(1, 3))])
+TIER_SPECS = st.one_of(exact_specs(always_admissible=True), st.sampled_from([SPEC_A, ADM1, CX_ADM]))
+TIER_S = st.one_of(
+    st.floats(0.01, 4.0),
+    st.builds(complex, st.floats(0.01, 4.0), st.floats(-50.0, 50.0)),
+)
+
+
+def _tier_pieces(spec, norm):
+    """(pieces, B) of M(s) = int_1^inf F(1/u) u^(-1-s) du, or with norm
+    those of ||F||^2, the integral of |F(1/u)|^2 at s = 1."""
+    pieces = spec.linear_pieces
+    return (f_abs2_pieces(pieces) if norm else pieces), spec.decomposition.period
+
+
+def _r_max(pieces, B):
+    """The bound on sup |R| that the float64 tier reads: Re and Im parts."""
+    _, ((_, _, r_re), (_, _, r_im)), _ = periodic._degree0(pieces, B)
+    return r_re + r_im
+
+
+def _mp_power_tail_parts(pieces, B, s, U, bits):
+    """(tail, p_bar part, q_bar part) at `bits`: the integral past U as the
+    mp integral less its head on [1, U] by exact power differences, and the
+    two closed-form parts of the float64 tier."""
+    with mpmath.workprec(bits):
+        r = mpmath.mpc(s) + 1
+    total, _ = u_integral_mp(pieces, B, r, bits)
+    _, ((p_re, q_re, _), (p_im, q_im, _)), _ = periodic._degree0(pieces, B)
+    with mpmath.workprec(bits):
+        s_mp = mpmath.mpc(s)
+        head = mpmath.mpc(0)
+        for off in range(0, U, B):
+            for lo, hi, cs in pieces:
+                lo_u, hi_u = max(lo + off, Fr(1)), hi + off
+                if hi_u > lo_u:
+                    head += to_mp(cs[0]) * (to_mp(lo_u) ** -s_mp - to_mp(hi_u) ** -s_mp) / s_mp
+        U_mp = mpmath.mpf(U)
+        return (total - head, to_mp((p_re, p_im)) * U_mp**-s_mp / s_mp,
+                to_mp((q_re, q_im)) * U_mp ** (-s_mp - 1))
+
+
+class TestUIntegralF64Tier:
+    """The float64 tier of int_1^inf P(u) u^(-1-s) du for constant pieces,
+    against u_integral_mp at twice the bits."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(spec=TIER_SPECS, s=TIER_S, tol=st.sampled_from([1e-6, 1e-8, 1e-10, 1e-12]), norm=st.booleans())
+    # F = 1 and F = 1 on a spec with f = 0: E = 0, so only roundoff is left
+    @example(spec=BeurlingSpec(), s=0.3, tol=1e-10, norm=False)
+    @example(spec=BeurlingSpec([(1, Fr(1, 2)), (-1, Fr(1, 2))]), s=complex(1.5, 2), tol=1e-12, norm=False)
+    @example(spec=BeurlingSpec(), s=1.0, tol=1e-12, norm=True)
+    @example(spec=SPEC_A, s=0.3, tol=1e-10, norm=False)
+    @example(spec=CX_ADM, s=complex(0.25, -40.0), tol=1e-8, norm=False)
+    @example(spec=ADM1, s=1.0, tol=1e-10, norm=True)
+    def test_within_certificate(self, spec, s, tol, norm):
+        # the tier's value is within its certificate of the mp value at
+        # twice the bits, and mellin_numeric stores that value
+        pieces, B = _tier_pieces(spec, norm)
+        if norm:
+            s = 1.0
+        row = periodic.power_integral_f64(pieces, B, s, tol)
+        if row is None:
+            return
+        val, cert = row
+        assert cert <= tol
+        bits = 2 * (bits_for_tol(tol) + 32)
+        with mpmath.workprec(bits):
+            r = mpmath.mpc(s) + 1
+        ref, ref_err = u_integral_mp(pieces, B, r, bits)
+        with mpmath.workprec(bits):
+            assert abs(mpmath.mpc(val) - ref) + ref_err <= cert, (spec, s, tol, norm)
+        if not norm:
+            mv = mellin_numeric(spec, s, tol)
+            assert complex(mv.value) == val and float(mv.error_bound) == cert
+            assert mv.value.precision_bits == 64
+
+    @pytest.mark.parametrize(
+        "which, s, tol, norm",
+        [
+            ("SPEC_A", 2.5, 1e-8, False),
+            ("SPEC_A", 0.7, 1e-6, False),
+            ("SPEC_A", complex(1.5, 2), 1e-8, False),
+            ("CX_ADM", complex(2.0, -3), 1e-8, False),
+            ("ADM1", 1.0, 1e-8, True),
+            ("ADM1", 3.5, 1e-10, False),
+        ],
+    )
+    def test_tail_beyond_U_within_E(self, which, s, tol, norm):
+        # the mp tail past U, less the two closed-form parts, is at most E
+        spec = {"SPEC_A": SPEC_A, "CX_ADM": CX_ADM, "ADM1": ADM1}[which]
+        pieces, B = _tier_pieces(spec, norm)
+        U, E = periodic._power_end(_r_max(pieces, B), B, complex(s), tol, 10**6)
+        assert E <= Fr(tol) / 4
+        bits = 2 * (bits_for_tol(tol) + 32)
+        tail, p_part, q_part = _mp_power_tail_parts(pieces, B, s, U, bits)
+        with mpmath.workprec(bits):
+            assert abs(tail - p_part - q_part) <= to_mp(E)
+
+    def test_end_is_least(self):
+        # U is the least allowed multiple of B whose E meets tol/4, and E is
+        # at least |(s+1)(s+2)| r_max U^-(sig+2)/(sig+2)
+        for spec, s, tol in [(SPEC_A, 0.3, 1e-10), (CX_ADM, complex(1.5, 2), 1e-8), (ADM1, 2.5, 1e-12)]:
+            pieces, B = spec.linear_pieces, spec.decomposition.period
+            r_max = _r_max(pieces, B)
+            U, E = periodic._power_end(r_max, B, complex(s), tol, 10**6)
+            with mpmath.workprec(200):
+                s_mp = mpmath.mpc(s)
+
+                def exact(U):
+                    return (abs((s_mp + 1) * (s_mp + 2)) * to_mp(r_max) * mpmath.mpf(U) ** (-s_mp.real - 2)
+                            / (s_mp.real + 2))
+
+                assert to_mp(E) >= exact(U)
+                assert E <= Fr(tol) / 4
+                if U - B >= periodic._choose_U(B):
+                    assert exact(U - B) > tol / 4
+
+    def test_declines(self):
+        # degree-1 pieces (a spec with sum a_k theta_k != 0), a tol beyond
+        # doubles, and s past the caps on Re s and |Im s|
+        pieces, B = NON_ADMISSIBLE.linear_pieces, NON_ADMISSIBLE.decomposition.period
+        assert periodic.power_integral_f64(pieces, B, 2.5, 1e-6) is None
+        assert periodic.power_integral_f64(f_abs2_pieces(pieces), B, 1.0, 1e-6) is None
+        pieces, B = SPEC_A.linear_pieces, SPEC_A.decomposition.period
+        for s, tol in [(2.5, 1e-20), (0.3, 1e-16), (40.0, 1e-6), (complex(1, 2000), 1e-6)]:
+            assert periodic.power_integral_f64(pieces, B, s, tol) is None, (s, tol)
+        assert mellin_numeric(SPEC_A, 2.5, 1e-20).value.precision_bits > 64
 
 
 def _closed_norm_sq(spec, bits):

@@ -8,7 +8,8 @@ bound, one function reads the period caps and one reduces each Gram
 entry's ratio, both Gram tiers take their cot tables from one integer rotation and the optimizer
 makes no BLAS product, that rotation and the cosine route's heads share
 one fixed-point helper, the periodic engine certifies without quadrature
-estimates through one Hurwitz-kernel tail and one head path, one function
+estimates through one Hurwitz-kernel tail and one head path, one helper
+reaches it and its float64 power tier, which uses no mpmath, one function
 decides how each coefficient row is certified and the reconstruction
 reads its rows from it alone, every function and constant the benchmark's
 tracer reaches by name still exists, and the precision scalars are plain
@@ -374,6 +375,32 @@ def test_one_head_path_in_periodic():
     assert len(blocks) == 1
     assert ast.unparse(blocks[0].test) == "U not in tables"
     assert any(_calls("_sine_table")(n) for n in ast.walk(blocks[0]))
+
+
+def test_one_caller_of_the_power_integral():
+    # mellin_numeric and norm_numeric reach the mp engine and its float64
+    # tier through one helper, the one place that falls back from the tier;
+    # the tier and every _periodic function it reaches use no Hurwitz zeta,
+    # no quadrature and no mpmath
+    def callers(fn):
+        return {(name, o) for name, text in SOURCES.items() for o in _owners(text, _calls(fn))}
+
+    assert callers("u_integral_mp") == {("functions.py", "_u_integral"), ("_periodic.py", "u_integral_f64")}
+    assert callers("power_integral_f64") == {("functions.py", "_u_integral")}
+    fns = {f.name: f for f in ast.parse(SOURCES["_periodic.py"]).body if isinstance(f, ast.FunctionDef)}
+    reach, todo = set(), ["power_integral_f64"]
+    while todo:
+        name = todo.pop()
+        if name not in reach:
+            reach.add(name)
+            todo += [n.id for n in ast.walk(fns[name]) if isinstance(n, ast.Name) and n.id in fns]
+    assert {"_degree0", "_period_means", "_least_end", "_power_end", "_power_bound",
+            "_power_spans", "_pairwise_sum", "_sqrt_up"} <= reach
+    for name in reach:
+        used = {n.id for n in ast.walk(fns[name]) if isinstance(n, ast.Name)}
+        used |= {n.attr for n in ast.walk(fns[name]) if isinstance(n, ast.Attribute)}
+        assert used.isdisjoint({"mpmath", "to_mp", "workprec", "to_double", "quad"}), name
+        assert [u for u in used if u.startswith("hurwitz_zeta")] == [], name
 
 
 def test_c_direct_has_no_admissibility_gate():
