@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import sys
@@ -290,7 +291,10 @@ def _cmd_sweep(args, spec: BeurlingSpec):
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every subcommand, built once per process: parsing
+    leaves it unchanged, so repeated `main` calls share it."""
     p = argparse.ArgumentParser(
         prog="beurling",
         description="Numerics for Beurling approximations f_N(x) = sum a_k rho(theta_k/x) to -1.",

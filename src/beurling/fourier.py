@@ -2,15 +2,9 @@
 
 Three independent routes:
 
-* ``c_direct``            -- the definition, integrated on the u = 1/x side;
-                             it refuses a spec past the period caps with
-                             ToleranceNotMet. For a spec with sum a_k
-                             theta_k = 0 each row whose proven float64
-                             bound meets tol comes from
-                             `_periodic.sine_integral_f64` (head in doubles,
-                             tail by two integrations by parts); all other
-                             rows come from one `sine_integral_mp` call
-                             (exact heads, one Hurwitz-kernel tail).
+* ``c_direct``            -- the definition, integrated on the u = 1/x side
+                             by the periodic engine, in float64 where its
+                             proven bound meets tol and in mp otherwise.
 * ``c_cosine_series``     -- the cosine telescoping series over j, summed
                              to its limit.
 * ``c_even_mellin_*``     -- the even-Mellin series in M(2l), cut at an
@@ -36,25 +30,23 @@ so each sin^2 within 7n 2^-P, and the certificate adds 2 |a| J 7n 2^-P per
 term; the heads are exact integer sums of squares, rounded to mp once.
 
 The float64 batch ``batch_cosine_f64`` evaluates the same limit form for
-n = 1..n_max at once. Rows n <= n0 = 256 sum their own head
-j <= J(n) = max(64, ceil(2 alpha)) directly (`_cosine_head_block`), exactly as
-``c_cosine_series`` does in mp. Rows above share one cutoff J*_k = J(n_max)
-per term, so their head sum_k a_k sum_{j<=J*_k} (cos(alpha_k/j) - 1) is a
-type-1 nonuniform DFT over the union of all terms' points, each weighted by
-its a_k, taken by one Taylor NUFFT per call (`_nufft_head`) in
-O(n_max log n_max + sum_k J*_k) instead of O(n_max sum_k J*_k). The split
-keeps the cancellation against sum_k a_k J*_k harmless: its roundoff is
-about eps sum_k |a_k| J*_k, which 2/(n pi) turns into at most ~1e-11 for
-n > n0 and n_max <= 10^4, while the rows below n0 never cancel against J*.
-Every batch certificate is proven from the IEEE rounding model next to the
-code, taking libm's sin and numpy's FFT twiddles as accurate to a few ulps
-(4 eps relative for the summed head terms, 4u for the twiddles); the test
-suite checks both against mp on the running platform.
+n = 1..n_max at once. Rows n <= n0 = 64 sum their own head j <= J(n) =
+max(64, ceil(2 alpha)) (`_cosine_head_block`). Rows above share one cutoff
+J*_k = J(n_max), so their head sum_k a_k sum_{j<=J*_k} (cos(alpha_k/j) - 1)
+is one type-1 nonuniform DFT, taken by a Taylor NUFFT on
+M = 2^ceil(log2(4 n_max)) points (`_nufft_head`) in O(n_max log n_max +
+sum_k J*_k). It cancels against sum_k a_k J*_k: its FFT roundoff,
+gamma_(8 log2 M + 3Q + 2) e^(pi/4) sum_k |a_k| J*_k, is about
+2e-13 (n_max/n) sum_k |a_k| theta_k on c(n) for n_max <= 16384
+(1.1e-11 sum_k |a_k| theta_k at n = 65, n_max = 4096). Every certificate
+is proven from the IEEE rounding model next to the code, taking libm's sin
+and numpy's FFT twiddles as accurate to a few ulps (4 eps relative for the
+summed head terms, 4u for the twiddles); the tests check both against mp.
 
-``cosine_coeffs`` is the batch's one caller: it keeps each row whose
-certificate meets the caller's tolerance and takes the others from the
-rows of ``c_cosine_series``, all in one `_cosine_rows` call; Parseval, the
-reconstruction and the CLI's routes-check read it.
+``cosine_coeffs`` is the batch's one caller: it keeps each row that meets
+the caller's tolerance, recomputes each NUFFT row that misses it with its
+own head (`_f64_rows`) and takes the rows that still miss from
+``c_cosine_series``; Parseval, the reconstruction and routes-check read it.
 """
 from __future__ import annotations
 
@@ -95,9 +87,9 @@ _METHODS = ("direct", "cosine_series", "even_mellin_exact_L", "even_mellin_limit
 
 _F64_EPS = float(np.finfo(np.float64).eps)
 
-# Rows n <= _N0 of batch_cosine_f64 sum their own head directly; rows above
+# Rows n <= _N0 of batch_cosine_f64 sum their own head; rows above
 # share one cutoff and take the head from a Taylor NUFFT of order _TAYLOR_Q
-_N0 = 256
+_N0 = 64
 _TAYLOR_Q = 22
 # cosine_coeffs refuses mp rows past this n: c_cosine_series costs O(n) there
 _MP_ROW_CAP = 2048
@@ -613,7 +605,7 @@ def _cos_tail(alpha, J):
     x_k - x_(k+1) + ... is at most 47/46 x_k and rounds by u times that, so
     by the decay they come to (2.12 + 1.05) u x_1 <= 1.6 eps sum x_m.
     """
-    # rows above n0 share one q: each zeta is evaluated once per distinct q
+    # one zeta per distinct q (the NUFFT rows share one)
     q, inv = np.unique((J + 1).astype(np.float64), return_inverse=True)
     terms = []
     err = np.zeros_like(alpha)
@@ -633,19 +625,20 @@ def _cos_tail(alpha, J):
 
 
 def _cosine_head_block(alpha, J):
-    """sum_{j<=J(n)} (cos(alpha/j) - 1) per row, as one dense rows x max(J) block.
-
-    Returns (head, err): err bounds the roundoff (derived below).
-    """
-    j = np.arange(1, int(J.max()) + 1, dtype=np.float64)[None, :]
-    terms = -2.0 * np.sin(alpha[:, None] / (2.0 * j)) ** 2
-    terms[j > J[:, None]] = 0.0
-    head = np.sum(terms, axis=1)
-    # y = alpha / (2j) carries relative error gamma_5 and |d(2 sin^2 y)/dy| <= 2,
-    # so the arguments cost gamma_5 alpha H_J <= gamma_5 alpha (1 + ln J)
-    err = 4.0 * _F64_EPS * np.sum(np.abs(terms), axis=1) + _gamma(5) * alpha * (
-        1.0 + np.log(J)
-    )
+    """(head, err): sum_{j<=J(n)} (cos(alpha/j) - 1) per row and a bound on
+    its roundoff (below), in dense blocks of consecutive rows of at most 2^19
+    terms (J grows with n); a block's width sets the order of its sums."""
+    head, err, i = np.empty_like(alpha), np.empty_like(alpha), 0
+    while i < alpha.size:
+        k = max(1, np.count_nonzero(np.arange(1, alpha.size - i + 1) * J[i:] <= 1 << 19))
+        b, i = slice(i, i + k), i + k
+        j = np.arange(1, int(J[b].max()) + 1, dtype=np.float64)[None, :]
+        terms = -2.0 * np.sin(alpha[b, None] / (2.0 * j)) ** 2
+        terms[j > J[b, None]] = 0.0
+        head[b] = np.sum(terms, axis=1)
+        # y = alpha / (2j) carries relative error gamma_5 and |d(2 sin^2 y)/dy| <= 2,
+        # so the arguments cost gamma_5 alpha H_J <= gamma_5 alpha (1 + ln J)
+        err[b] = 4.0 * _F64_EPS * np.sum(np.abs(terms), axis=1) + _gamma(5) * alpha[b] * (1.0 + np.log(J[b]))
     return head, err
 
 
@@ -663,7 +656,7 @@ def _nufft_head(terms, weights, n_lo: int, n_max: int):
     Taylor remainder and the roundoff of every step, derived below."""
     Q = _TAYLOR_Q
     K = len(terms)
-    M = 1 << (4 * n_max).bit_length()  # 2^ceil(log2(4 n_max + 1))
+    M = 1 << (4 * n_max - 1).bit_length()  # 2^ceil(log2(4 n_max))
     h = 2.0 * math.pi / M
     n = np.arange(n_lo, n_max + 1, dtype=np.float64)
     points = []  # (l, d) per term
@@ -744,95 +737,98 @@ def _nufft_head(terms, weights, n_lo: int, n_max: int):
     return out
 
 
+def _f64_rows(spec: BeurlingSpec, ns, n_max: int | None = None):
+    """(c, cert) in float64 for the ascending rows ns: each row's own head
+    j <= J(n) (`_cosine_head_block`), or with n_max the cutoff J(n_max) and
+    one `_nufft_head` (ns then ends at n_max), plus each term's `_cos_tail`;
+    cert bounds every error (module docstring)."""
+    ns = np.asarray(ns)
+    npi = ns * math.pi
+    a1 = np.where(ns % 2 == 1, 4.0 / npi, 0.0)
+    c = a1.astype(np.complex128)
+    cert = np.zeros(ns.size)
+    mag = np.abs(a1)  # |a1| + the magnitudes of the other summands of c
+    shared = []  # (a_k, theta_k, J*_k) for the NUFFT
+    for t in spec.terms:
+        if t.a == 0:
+            continue
+        theta = float(t.theta)
+        alpha = npi * theta  # per-n
+        top = alpha if n_max is None else np.full_like(alpha, n_max * math.pi * theta)
+        J = np.maximum(64, np.ceil(2.0 * top)).astype(np.int64)
+        tail, tail_err = _cos_tail(alpha, J)
+        # alpha carries relative error gamma_4 and |d tail/d alpha| <= alpha/J
+        tail_err = tail_err + _gamma(4) * alpha * alpha / J
+        if n_max is None:
+            head, err = _cosine_head_block(alpha, J)
+        else:
+            # the head of this term enters through the shared NUFFT with the
+            # double t.a; |a_k - t.a| <= u |a_k|, and the exact head has
+            # |sum_j (cos(alpha/j) - 1)| <= sum_j min(2, alpha^2/2j^2) <= 2 alpha + 2
+            head, err = 0.0, _F64_EPS * (2.0 * alpha + 2.0)
+            shared.append((t.a, theta, int(J[0])))
+        contrib = (head + tail) * (2.0 / npi)
+        c += t.a * contrib
+        cert += abs(t.a) * (2.0 / npi) * (err + tail_err)
+        mag += abs(t.a) * np.abs(contrib)
+    if shared:
+        # one NUFFT for sum_k a_k head_k: Re a_k, and Im a_k for a complex spec
+        coefs = [a for a, _, _ in shared]
+        weights = [[a.real for a in coefs]] + ([] if spec.is_real else [[a.imag for a in coefs]])
+        parts = _nufft_head([(theta, J) for _, theta, J in shared], weights, int(ns[0]), n_max)
+        head, err = parts[0]
+        if len(parts) == 2:
+            # |e_re + i e_im| <= hypot of their bounds
+            head, err = head + 1j * parts[1][0], np.hypot(err, parts[1][1])
+        contrib = head * (2.0 / npi)
+        c += contrib
+        cert += (2.0 / npi) * err
+        mag += np.abs(contrib)
+    # a1 and each a_k contrib_k are formed with <= 6 roundings, then summed,
+    # with the shared head 2/(n pi) one more summand
+    return c, cert + _gamma(len(spec.terms) + 6 + bool(shared)) * mag
+
+
 def batch_cosine_f64(spec: BeurlingSpec, n_max: int):
     """Route-B coefficients for n = 1..n_max, vectorized in float64.
 
     Returns (c, cert): complex128 and float64 arrays of length n_max, each
     cert[n-1] a proven bound on |c - c(N, n)| from the head's and the tail's
-    bounds and the roundoff of the assembly (module docstring). Requires an
+    bounds and the roundoff of the assembly (module docstring). Rows
+    n <= _N0 sum their own heads, rows above share one NUFFT. Requires an
     admissible spec.
     """
     spec.require_admissible("batch_cosine_f64")
-    n_max = check_count(n_max, "n_max")
-    n = np.arange(1, n_max + 1, dtype=np.float64)
-    npi = n * math.pi
-    a1 = np.where(np.arange(1, n_max + 1) % 2 == 1, 4.0 / npi, 0.0)
-    c = a1.astype(np.complex128)
-    cert = np.zeros(n_max)
-    mag = np.abs(a1)  # |a1| + the magnitudes of the other summands of c
-    n0 = min(_N0, n_max)
-    lo, hi = slice(None, n0), slice(n0, None)
-    shared = []  # (a_k, theta_k, J*_k) for the rows above n0
-    for t in spec.terms:
-        theta = float(t.theta)
-        if t.a == 0:
-            continue
-        alpha = npi * theta  # per-n
-        J = np.maximum(64, np.ceil(2.0 * alpha)).astype(np.int64)
-        J[n0:] = J[-1]
-        tail, tail_err = _cos_tail(alpha, J)
-        # alpha carries relative error gamma_4 and |d tail/d alpha| <= alpha/J
-        tail_err = tail_err + _gamma(4) * alpha * alpha / J
-        head, err = _cosine_head_block(alpha[lo], J[lo])
-        contrib = (head + tail[lo]) * (2.0 / npi[lo])
-        c[lo] += t.a * contrib
-        cert[lo] += abs(t.a) * (2.0 / npi[lo]) * (err + tail_err[lo])
-        mag[lo] += abs(t.a) * np.abs(contrib)
-        if n_max > n0:
-            contrib = tail[hi] * (2.0 / npi[hi])
-            c[hi] += t.a * contrib
-            # the head of this term enters through the shared NUFFT with the
-            # double t.a; |a_k - t.a| <= u |a_k|, and the exact head has
-            # |sum_j (cos(alpha/j) - 1)| <= sum_j min(2, alpha^2/2j^2)
-            # <= 2 alpha + 2, which 2/(n pi) turns into 4 theta + 4/(n pi)
-            cert[hi] += abs(t.a) * (
-                (2.0 / npi[hi]) * tail_err[hi] + _F64_EPS * (4.0 * theta + 4.0 / npi[hi])
-            )
-            mag[hi] += abs(t.a) * np.abs(contrib)
-            shared.append((t.a, theta, int(J[-1])))
-    gamma = np.full(n_max, _gamma(len(spec.terms) + 6))
-    if shared:
-        # one NUFFT for sum_k a_k head_k: Re a_k, and Im a_k for a complex spec
-        weights = [[a.real for a, _, _ in shared]]
-        if any(a.imag for a, _, _ in shared):
-            weights.append([a.imag for a, _, _ in shared])
-        parts = _nufft_head([(theta, J) for _, theta, J in shared], weights, n0 + 1, n_max)
-        head, err = parts[0]
-        if len(parts) == 2:
-            # |e_re + i e_im| <= hypot of their bounds
-            head, err = head + 1j * parts[1][0], np.hypot(err, parts[1][1])
-        contrib = head * (2.0 / npi[hi])
-        c[hi] += contrib
-        cert[hi] += (2.0 / npi[hi]) * err
-        mag[hi] += np.abs(contrib)
-        # above n0, c = a1 + sum_k a_k tail_k 2/(n pi) + head 2/(n pi): one
-        # more summand than below, so one more rounding
-        gamma[hi] = _gamma(len(spec.terms) + 7)
-    # a1 and each a_k contrib_k are formed with <= 6 roundings, then summed
-    return c, cert + gamma * mag
+    n = np.arange(1, check_count(n_max, "n_max") + 1)
+    parts = [_f64_rows(spec, n[:_N0])] + ([_f64_rows(spec, n[_N0:], n_max)] if n_max > _N0 else [])
+    return tuple(np.concatenate(x) for x in zip(*parts))
 
 
 def cosine_coeffs(spec: BeurlingSpec, n_max: int, tol: float):
     """(c, cert) for n = 1..n_max, with every cert[n-1] <= tol.
 
-    One `batch_cosine_f64` call gives every row; the rows whose certificate
-    misses tol are replaced by the rows of `c_cosine_series` at tol, all
-    from one `_cosine_rows` call, which shares their heads' units, each
-    certificate widened by the rounding of the value to the stored double
-    and rounded up (`to_double`). ToleranceNotMet, before any mp work, when
-    such a row lies past n = _MP_ROW_CAP, and when the widened certificate
-    exceeds tol (`check_cert`). The rows depend only on (spec, n_max, tol).
+    Three tiers: one `batch_cosine_f64` call gives every row; each NUFFT row
+    whose certificate misses tol is recomputed with its own float64 head
+    (`_f64_rows`), which cancels nothing against J*; the rows that still
+    miss come from one `_cosine_rows` call at tol, each certificate widened
+    by the rounding of the value to the stored double and rounded up
+    (`to_double`). ToleranceNotMet, before any mp work, when such a row lies
+    past n = _MP_ROW_CAP, and when the widened certificate exceeds tol
+    (`check_cert`). The rows depend only on (spec, n_max, tol).
     """
     tol = check_tol(tol)
     n_max = check_count(n_max, "n_max")
     c, cert = batch_cosine_f64(spec, n_max)
+    redo = np.flatnonzero(~(cert[_N0:] <= tol)) + _N0
+    if redo.size:
+        c[redo], cert[redo] = _f64_rows(spec, redo + 1)
     missing = np.flatnonzero(~(cert <= tol)) + 1
     if missing.size and missing[-1] > _MP_ROW_CAP:
         raise ToleranceNotMet(
             f"per-coefficient tol {tol:.3g} needs the mpmath route, "
             f"which is not practical beyond n = {_MP_ROW_CAP}"
         )
-    for fc in _cosine_rows(spec, missing.tolist(), tol):
+    for fc in _cosine_rows(spec, missing.tolist(), tol) if missing.size else ():
         c[fc.n - 1], err = to_double(fc.value, float(fc.error_certificate))
         cert[fc.n - 1] = check_cert(err, tol, f"c({fc.n}) stored as a double")
     return c, cert

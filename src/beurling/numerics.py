@@ -383,6 +383,8 @@ def zeta_even(l: int, out_precision: int = MIN_PRECISION_BITS) -> PrecisionReal:
 
 # B_2m/(2m)! for m = 1, 2, ..., exact, grown on demand
 _EM_COEFFS: list[Fraction] = []
+# {(s, M): [d_1..d_M]}, the doubles d_m = B_2m/(2m)! (s)_(2m-1) of hurwitz_zeta_f64
+_EM_F64: dict[tuple[int, int], list[float]] = {}
 _FOUR_PI_SQ = 4 * math.pi**2
 
 
@@ -566,7 +568,8 @@ def hurwitz_zeta_f64(s: int, q):
     The Euler-Maclaurin form of `hurwitz_zeta_row` with no head terms:
     zeta(s, q) = t (A + 1/2 + S) + R, t = q^-s, A = q/(s-1),
     S = sum_(m<=M) d_m q^(1-2m), d_m = B_2m/(2m)! (s)_(2m-1) (from `_em_coeff`,
-    rounded once), M planned by `_em_plan` at the least q for |R| <= 2^-64 t;
+    rounded once, kept per (s, M) in _EM_F64), M planned by `_em_plan` at
+    the least q for |R| <= 2^-64 t;
     R/t falls as q^(1-2M), so |R| <= 2^-63 t at every q. u' = fl(1/q^2)
     (q^2 is exact), t' = u'^(s/2) by products, p'_m = fl(p'_(m-1) u') from
     p'_1 = fl(q u'): no libm pow. Proof, in Higham's notation (Accuracy and
@@ -592,8 +595,11 @@ def hurwitz_zeta_f64(s: int, q):
     if plan is None:
         raise DomainError("hurwitz_zeta_f64 needs an even s >= 2 and integers 65 <= q < 2^26")
     M, mag = plan
-    with _MP_LOCK:
-        d = [float(_em_coeff(m) * math.prod(range(s, s + 2 * m - 1))) for m in range(1, M + 1)]
+    d = _EM_F64.get((s, M))
+    if d is None:
+        with _MP_LOCK:
+            d = [float(_em_coeff(m) * math.prod(range(s, s + 2 * m - 1))) for m in range(1, M + 1)]
+        _EM_F64[s, M] = d
     u = 1.0 / (q * q)
     t = u
     for _ in range(s // 2 - 1):

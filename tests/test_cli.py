@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 from beurling import BeurlingSpec, c_batch, cosine_coeffs, mellin_closed
-from beurling.cli import main
+from beurling.cli import build_parser, main
 
 ADM1_JSON = {
     "terms": [
@@ -48,6 +48,26 @@ def run(capsys, argv):
     code = main(argv)
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def test_one_parser_serves_every_call(capsys, spec_a_file):
+    # build_parser is cached: in-process calls with different subcommands
+    # (eval defaults to JSON, the others to CSV) print what the same calls
+    # print, each on a parser of its own
+    argvs = [
+        ["eval", "--spec", spec_a_file, "--x", "0.4"],
+        ["routes-check", "--spec", spec_a_file, "--n-max", "3"],
+        ["eval", "--x", "0.5"],
+        ["mellin", "--spec", spec_a_file, "--s", "2", "--format", "json"],
+        ["mellin", "--spec", spec_a_file, "--s", "2"],
+    ]
+    fresh = []
+    for argv in argvs:
+        build_parser.cache_clear()
+        fresh.append(run(capsys, argv))
+    build_parser.cache_clear()
+    assert [run(capsys, argv) for argv in argvs] == fresh
+    assert build_parser() is build_parser()
 
 
 class TestEval:

@@ -9,6 +9,7 @@ import math
 import random
 import sys
 import threading
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction as Fr
 
@@ -64,13 +65,20 @@ CX_SPEC = BeurlingSpec(
 )
 
 # rows n <= N0 of batch_cosine_f64 are summed directly, rows above by NUFFT
-N0 = 256
+N0 = 64
 # CX_SPEC's first two terms with the third coefficient solved for
 # admissibility, and SPEC_A with a zero-coefficient term added
 CX_ADM = BeurlingSpec(
     [((Fr(1, 2), Fr(1, 3)), Fr(1, 2)), ((Fr(-1, 4), Fr(1, 5)), Fr(1, 3)), ((Fr(-5, 12), Fr(-7, 12)), Fr(2, 5))]
 )
 ZERO_COEF = BeurlingSpec([(1, Fr(1, 2)), (0, Fr(1, 5)), (-1, Fr(1, 3)), (-1, Fr(1, 6))])
+
+
+def _unit_scaled(spec):
+    """spec with every coefficient divided by its largest real or imaginary
+    part, so that each lies in [-1, 1] (admissibility is kept)."""
+    top = max(max(abs(t.a_re), abs(t.a_im)) for t in spec.terms) or 1
+    return BeurlingSpec([((t.a_re / top, t.a_im / top), t.theta) for t in spec.terms])
 
 
 def _sine_integral_oracle(spec, n, bits):
@@ -1154,8 +1162,9 @@ class TestBatch:
         ],
     )
     def test_one_nufft_per_call(self, spec, ffts, monkeypatch):
-        # above N0 all terms share one NUFFT: Q = 22 real FFTs per weight
-        # set, whatever the number of terms; none for n_max <= N0
+        # above N0 all terms share one NUFFT: Q = 22 real FFTs of length
+        # 2^ceil(log2(4 n_max)) per weight set, whatever the number of terms;
+        # none for n_max <= N0
         assert spec.admissible
         calls = []
         real = np.fft.rfft
@@ -1168,14 +1177,16 @@ class TestBatch:
         batch_cosine_f64(spec, N0)
         assert calls == []
         batch_cosine_f64(spec, 4096)
-        assert calls == [(1 << 15,)] * ffts
+        assert calls == [(1 << 14,)] * ffts
 
     @pytest.mark.parametrize("n_max", [2000, 4096])
     @pytest.mark.parametrize("theta", ["1/2", "1/3", "1/4", "1/6", "2/3", "3/4"])
     def test_tail_within_its_certificate(self, theta, n_max, monkeypatch):
         # the float64 tail's err bounds its error against the series at the
-        # rounded alpha, on every row n <= N0 and every 16th above, against
-        # mp; the spec's theta = 1 term is checked in every case
+        # rounded alpha, on every row n <= 256 and every 16th above, against
+        # mp; the spec's theta = 1 term is checked in every case. Each term
+        # takes one tail over the head rows n <= N0, then one over the NUFFT
+        # rows
         seen = []
         real_tail = fourier._cos_tail
 
@@ -1187,9 +1198,9 @@ class TestBatch:
         monkeypatch.setattr(fourier, "_cos_tail", spy_tail)
         theta = Fr(theta)
         batch_cosine_f64(BeurlingSpec([(1, theta), (-theta, 1)]), n_max)
-        assert len(seen) == 2
+        assert [alpha.size for alpha, *_ in seen] == [N0, N0, n_max - N0, n_max - N0]
         for alpha, J, tail, err in seen:
-            for i in [*range(N0), *range(N0, n_max, 16), n_max - 1]:
+            for i in [*range(min(alpha.size, 192)), *range(192, alpha.size, 16), alpha.size - 1]:
                 ref, slack = _tail_mp(float(alpha[i]), int(J[i]) + 1)
                 assert abs(mpmath.fsub(float(tail[i]), ref, exact=True)) + slack <= err[i]
 
@@ -1245,13 +1256,14 @@ class TestPlatformAssumptions:
 
     def test_sin_at_direct_head_arguments(self):
         # _cosine_head_block takes np.sin(alpha/(2j)) as within 4 eps relative;
-        # sampled over its rows n <= N0 and heads j <= J(n), as it forms them
+        # sampled over rows n <= 4096 (the float64 head tier of
+        # cosine_coeffs takes any row) and heads j <= J(n), as it forms them
         rng = np.random.default_rng(21)
         eps = np.finfo(np.float64).eps
         for theta in (1.0, 0.5, 1 / 3, 0.75, 2 / 3, 1 / 12):
-            alpha = np.arange(1, N0 + 1, dtype=np.float64) * math.pi * theta
+            alpha = np.arange(1, 4097, dtype=np.float64) * math.pi * theta
             J = np.maximum(64, np.ceil(2.0 * alpha)).astype(np.int64)
-            rows = rng.integers(0, N0, 400)
+            rows = rng.integers(0, 4096, 400)
             j = np.floor(rng.random(400) * J[rows]).astype(np.int64) + 1
             y = alpha[rows] / (2.0 * j.astype(np.float64))
             with mpmath.workprec(120):
@@ -1339,9 +1351,11 @@ def _tail_mp(alpha, q):
 
 
 class TestCosineCoeffs:
-    # between SPEC_A's batch certificates at n_max = 300: at most 1.5e-14 on
-    # the direct rows n <= N0, at least 7.2e-14 on the NUFFT rows above
-    TOL = 3e-14
+    # between SPEC_A's certificates at n_max = 300: the batch's are at most
+    # 1.32e-14 on its head rows n <= N0 and at least 6.5e-14 on its NUFFT
+    # rows; the float64 head tier gives rows 65..300 1.32e-14 to 1.49e-14,
+    # so it keeps some of them and leaves the others to the mp rows
+    TOL = 1.47e-14
 
     def _recorded(self, spec, monkeypatch):
         """cosine_coeffs(spec, 300, TOL), the ns of each `_cosine_rows` call
@@ -1360,24 +1374,31 @@ class TestCosineCoeffs:
         return c, cert, calls, series
 
     def test_rows_from_batch_or_series(self, spec_a, monkeypatch):
-        # at TOL the batch certifies SPEC_A's direct rows n <= N0 but not its
-        # NUFFT rows: only those come from the mp cosine rows, all of them
-        # from one `_cosine_rows` call, each equal to its single call
+        # three tiers: the batch keeps its head rows n <= N0, every NUFFT
+        # row is recomputed with its own float64 head, and only the rows
+        # whose head tier misses TOL come from the mp cosine rows, all of
+        # them from one `_cosine_rows` call, each equal to its single call
         c, cert, calls, series = self._recorded(spec_a, monkeypatch)
-        assert calls == [list(range(N0 + 1, 301))]
-        for n in (N0 + 1, 300):
+        head_c, head_cert = fourier._f64_rows(spec_a, np.arange(N0 + 1, 301))
+        mp_rows = [n for n, e in zip(range(N0 + 1, 301), head_cert) if e > self.TOL]
+        assert 0 < len(mp_rows) < 300 - N0
+        assert calls == [mp_rows]
+        for n in (mp_rows[0], 300):
             one = c_cosine_series(spec_a, n, self.TOL)
             assert (series[n].value, series[n].error_certificate) == (one.value, one.error_certificate)
         batch_c, batch_cert = batch_cosine_f64(spec_a, 300)
         assert np.array_equal(c[:N0], batch_c[:N0])
         assert np.array_equal(cert[:N0], batch_cert[:N0])
+        assert np.all(batch_cert[N0:] > self.TOL)
+        f64 = [n for n in range(N0 + 1, 301) if n not in series]
+        assert np.array_equal(c[np.array(f64) - 1], head_c[np.array(f64) - N0 - 1])
         for n, fc in series.items():
             assert c[n - 1] == complex(fc.value)
             assert float(fc.error_certificate) < cert[n - 1] <= self.TOL
         # each sampled row within its certificate of the mp route at 3x bits
         # (every row would take about 20 s)
         ref_tol = 2.0 ** (16 - 3 * bits_for_tol(self.TOL))
-        for n in (1, 2, 32, 33, 128, N0 - 1, N0, N0 + 1, N0 + 2, 280, 299, 300):
+        for n in (1, 2, 32, 33, N0 - 1, N0, N0 + 1, N0 + 2, 128, mp_rows[0] - 1, mp_rows[0], 299, 300):
             ref = c_cosine_series(spec_a, n, ref_tol)
             with mpmath.workprec(3 * bits_for_tol(self.TOL)):
                 gap = abs(mpmath.mpc(complex(c[n - 1])) - ref.value.to_mpc())
@@ -1388,11 +1409,61 @@ class TestCosineCoeffs:
         # exact half-ulps of both stored parts; rounding that sum to nearest
         # lost the ~1e-29 mp part under the ~1e-17 half-ulps
         c, cert, calls, series = self._recorded(spec_a, monkeypatch)
-        assert sorted(series) == list(range(N0 + 1, 301))
+        assert sorted(series) == calls[0]
         for n, fc in series.items():
             man, exp = fc.error_certificate.value.man_exp
             half_ulps = sum(Fr(math.ulp(p)) / 2 for p in (c[n - 1].real, c[n - 1].imag))
             assert Fr(float(cert[n - 1])) >= Fr(man) * Fr(2) ** exp + half_ulps, n
+
+    def test_float64_heads_need_no_mp_row(self, adm1, monkeypatch):
+        # ADM1 at 1e-13: every NUFFT row misses it, every float64 head meets
+        # it, so no `_cosine_rows` call is made (it took 244 mp rows and
+        # 4.6 s when only the batch's rows n <= 256 had their own heads)
+        def refuse(*args):
+            raise AssertionError("mp rows taken")
+
+        monkeypatch.setattr(fourier, "_cosine_rows", refuse)
+        _, batch_cert = batch_cosine_f64(adm1, 500)
+        assert np.all(batch_cert[N0:] > 1e-13)
+        _, cert = cosine_coeffs(adm1, 500, 1e-13)
+        assert cert.max() <= 1e-13
+
+    def test_head_tier_memory_is_bounded(self, adm1):
+        # every row of ADM1 at n_max = 2000 and 1e-12 goes to the float64
+        # heads, J(2000) = 12567: one dense block of all rows would take
+        # about 200 MB, the blocks of `_cosine_head_block` stay within 64 MB
+        tracemalloc.start()
+        try:
+            _, cert = cosine_coeffs(adm1, 2000, 1e-12)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert cert.max() <= 1e-12
+        assert peak < 64 * 2**20
+
+    @given(
+        spec=st.one_of(unit_fraction_specs(), exact_specs(always_admissible=True).map(_unit_scaled)),
+        n_max=st.integers(1, 3000),
+        tol=st.sampled_from([1e-8, 1e-10, 1e-12, 1e-13]),
+        frac_n=st.floats(0.0, 1.0),
+    )
+    @example(spec=CX_ADM, n_max=3000, tol=1e-13, frac_n=0.5)
+    @example(spec=ZERO_COEF, n_max=N0 + 1, tol=1e-12, frac_n=0.0)
+    @settings(max_examples=6, deadline=None)
+    def test_rows_within_certificate(self, spec, n_max, tol, frac_n):
+        # every row of every tier against the mp cosine route: rows 1, N0,
+        # N0 + 1, n_max and one drawn row. Coefficients are scaled into
+        # [-1, 1], where the float64 heads meet 1e-13 (about 5e-14 at most)
+        # and no row needs mp, which costs about 0.3 s a row at n = 1000;
+        # the mp tier has its own tests above
+        c, cert = cosine_coeffs(spec, n_max, tol)
+        assert cert.max() <= tol
+        for n in sorted({1, N0, N0 + 1, n_max, 1 + int(frac_n * (n_max - 1))}):
+            if n <= n_max:
+                ref = c_cosine_series(spec, n, 1e-13)
+                with mpmath.workprec(128):
+                    gap = abs(mpmath.mpc(complex(c[n - 1])) - ref.value.to_mpc())
+                    assert gap <= cert[n - 1] + ref.error_certificate.value, n
 
     def test_domain(self, spec_a):
         with pytest.raises(DomainError):

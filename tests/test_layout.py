@@ -466,7 +466,7 @@ def test_row_work_only_in_row_builders():
 
 # the cosine route's functions in fourier.py, float64 batch included
 COSINE_ROUTE = ("c_cosine_series", "_cosine_weights", "_cosine_rows", "_cos_tail",
-                "_cosine_head_block", "_nufft_head", "batch_cosine_f64", "cosine_coeffs")
+                "_cosine_head_block", "_nufft_head", "_f64_rows", "batch_cosine_f64", "cosine_coeffs")
 
 
 def test_direct_and_cosine_routes_independent():

@@ -345,6 +345,20 @@ class TestHurwitzF64:
         assert min(seen) == 65 and max(seen) > 20_000
         _check_hurwitz_f64(seen)
 
+    @pytest.mark.parametrize("s", [2, 20, 60])
+    def test_kept_d_table_is_bit_identical(self, s):
+        # the doubles d_m kept per (s, M) are those rebuilt from the exact
+        # Fractions, and give the values and bounds of the uncached call
+        q = np.array([65.0, 66.0, 1000.0, 4000.0])
+        numerics._EM_F64.clear()
+        cold = numerics.hurwitz_zeta_f64(s, q)
+        [(key, d)] = numerics._EM_F64.items()
+        assert key[0] == s
+        assert d == [float(numerics._em_coeff(m) * math.prod(range(s, s + 2 * m - 1)))
+                     for m in range(1, key[1] + 1)]
+        warm = numerics.hurwitz_zeta_f64(s, q)
+        assert [x.tobytes() for x in warm] == [x.tobytes() for x in cold]
+
     @pytest.mark.parametrize(
         "s, q",
         [(3, [65]), (0, [65]), (2, [64]), (2, [65.5]), (2, [2.0**26]), (2, []), (160, [2.0**20])],

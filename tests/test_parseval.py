@@ -53,14 +53,14 @@ class TestNormViaParseval:
         assert gap <= slack
 
     def test_mp_rows_past_the_cap_fail_fast(self, adm1, monkeypatch):
-        # ADM1's batch misses 1e-13 on rows up to 2100 > 2048: refused
-        # before any row is computed in mp
+        # ADM1's float64 heads (certificates about 3e-14) miss 1e-14 on rows
+        # up to 2100 > 2048: refused before any row is computed in mp
         def no_mp(*args):
             raise AssertionError("an mp row was computed")
 
         monkeypatch.setattr(fourier, "_cosine_rows", no_mp)
         with pytest.raises(ToleranceNotMet, match="not practical beyond n = 2048"):
-            norm_via_parseval(adm1, n_max=2100, coeff_tol=1e-13)
+            norm_via_parseval(adm1, n_max=2100, coeff_tol=1e-14)
 
     def test_bessel_lower_bracket(self, spec_a, adm1, triv0):
         for spec in (spec_a, adm1, triv0):
